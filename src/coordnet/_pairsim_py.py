@@ -1,7 +1,7 @@
 """Pure-Python accumulator for candidate-pair dot products.
 
-Reference implementation of the pair-similarity kernel. The compiled
-extension (coordnet._pairsim) must match it bitwise: contributions to a
+Reference for the pair-similarity kernel: the scipy.sparse kernel in
+coordnet.kernels is tested to match it bitwise. Contributions to a
 pair are added in ascending term order, each contribution is a single
 mul followed by a single add, and keys come back sorted ascending.
 """

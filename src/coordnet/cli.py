@@ -31,7 +31,6 @@ EXIT_IO = 2
 EXIT_INTERNAL = 3
 
 _CONFIG_KEYS = {f.name: f.type for f in fields(det.DetectorConfig)}
-_EXTRA_CONFIG_KEYS = ("story_hashtags", "duplicate_scope", "binarize_threshold")
 
 
 def load_config_file(path) -> dict:
@@ -193,7 +192,7 @@ def cmd_cluster(args, config) -> int:
 def cmd_score(args, config) -> int:
     corpus = _load_cache(args.cache)
     lexicon = sl.load_lexicon(args.lexicon) if args.lexicon else sl.builtin_lexicon()
-    table = sl.score_corpus(corpus, lexicon, threads=args.threads)
+    table = sl.score_corpus(corpus, lexicon)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="") as fp:
@@ -361,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"coordnet {__version__}")
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, default=0, help="64-bit seed for resampling")
-    parser.add_argument("--threads", type=int, default=1, help="max worker threads")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored; does not change output"
+    )
     parser.add_argument("--strict", action="store_true", help="abort on first malformed line")
     parser.add_argument("--json-errors", action="store_true", help="machine-readable errors on stderr")
 

@@ -8,6 +8,7 @@ holds them together with per-account and per-day (UTC) index views.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -66,11 +67,29 @@ def day_of_timestamp(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).date().isoformat()
 
 
+# 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z
+_MIN_TIMESTAMP = -62135596800
+_MAX_TIMESTAMP = 253402300799
+
+
 def parse_timestamp(value) -> int:
-    """Parse an epoch-seconds number or ISO-8601 string to UTC seconds."""
+    """Parse an epoch-seconds number or ISO-8601 string to UTC seconds.
+
+    Non-finite numbers and instants outside years 1-9999 UTC (which
+    day_of_timestamp cannot render) raise ValueError.
+    """
+    ts = _parse_timestamp(value)
+    if not _MIN_TIMESTAMP <= ts <= _MAX_TIMESTAMP:
+        raise ValueError(f"timestamp out of range (years 1-9999 UTC): {value!r}")
+    return ts
+
+
+def _parse_timestamp(value) -> int:
     if isinstance(value, bool):
         raise ValueError("timestamp must be a number or ISO-8601 string")
     if isinstance(value, (int, float)):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"non-finite timestamp: {value!r}")
         return int(value)
     if isinstance(value, str):
         text = value.strip()

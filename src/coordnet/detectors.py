@@ -90,21 +90,6 @@ class SparseVector:
         return len(self.entries)
 
 
-def cosine(u: SparseVector, v: SparseVector) -> float:
-    """dot(u, v) / (|u| |v|), clamped to [0, 1]; requires nonzero norms."""
-    if u.norm == 0.0 or v.norm == 0.0:
-        raise ValueError("cosine is undefined for zero-norm vectors")
-    if len(v) < len(u):
-        u, v = v, u
-    dot = 0.0
-    other = v.entries
-    for term, w in u.entries.items():
-        wv = other.get(term)
-        if wv is not None:
-            dot += w * wv
-    return min(1.0, max(0.0, dot / (u.norm * v.norm)))
-
-
 def tfidf_weight(tf: int, df: int, n_docs: int) -> float:
     """Frozen weighting: tf * ln((1 + n_docs) / (1 + df))."""
     if tf < 1:

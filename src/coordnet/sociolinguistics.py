@@ -286,11 +286,10 @@ def lexicon_score(tweet: TweetRecord, lexicon: Lexicon) -> np.ndarray:
     return 1.0 - miss
 
 
-def score_corpus(corpus: Corpus, lexicon: Lexicon, threads: int = 1) -> CharacteristicTable:
+def score_corpus(corpus: Corpus, lexicon: Lexicon) -> CharacteristicTable:
     """Score every distinct tweet_id in the corpus with the lexicon.
 
-    Per-tweet scoring is independent, so the work can fan out over a
-    thread pool; rows are assembled in corpus order either way.
+    Rows are in corpus order of each tweet_id's first record.
     """
     seen: set[str] = set()
     records = []
@@ -299,13 +298,7 @@ def score_corpus(corpus: Corpus, lexicon: Lexicon, threads: int = 1) -> Characte
             continue
         seen.add(rec.tweet_id)
         records.append(rec)
-    if threads > 1 and len(records) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(lexicon.score, records, chunksize=256))
-    else:
-        scores = [lexicon.score(rec) for rec in records]
+    scores = [lexicon.score(rec) for rec in records]
     matrix = (
         np.vstack(scores) if scores else np.empty((0, N_CHARACTERISTICS), dtype=np.float64)
     )

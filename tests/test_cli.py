@@ -64,6 +64,16 @@ class TestIngest:
         assert main(["ingest", str(src), "-o", str(cache)]) == 0
         assert "1 skipped" in capsys.readouterr().err
 
+    def test_lenient_skips_unrenderable_timestamp(self, tmp_path, capsys):
+        src = tmp_path / "mixed.jsonl"
+        src.write_text(
+            jsonl_line(tweet_id="t", account_id="a", timestamp=0, kind="original")
+            + '\n{"tweet_id": "u", "account_id": "a", "timestamp": 1e300, "kind": "original"}\n'
+        )
+        cache = tmp_path / "cache.jsonl"
+        assert main(["ingest", str(src), "-o", str(cache)]) == 0
+        assert "1 skipped" in capsys.readouterr().err
+
     def test_strict_bad_line_exit_1_with_line_number(self, tmp_path, capsys):
         src = tmp_path / "mixed.jsonl"
         src.write_text("not json\n")

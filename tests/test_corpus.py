@@ -101,6 +101,17 @@ class TestParsing:
         assert lenient.skipped == 1
 
 
+    @pytest.mark.parametrize("raw", ["1e300", "Infinity", '"-99999999999999"'])
+    def test_unrenderable_timestamp_skipped_or_located(self, raw):
+        bad = f'{{"tweet_id": "t2", "account_id": "a", "timestamp": {raw}, "kind": "original"}}'
+        lenient = parse_corpus(iter([VALID, bad]))
+        assert len(lenient) == 1
+        assert lenient.skipped == 1
+        with pytest.raises(CorpusError) as err:
+            parse_corpus(iter([VALID, bad]), strict=True)
+        assert err.value.line_no == 2
+
+
 class TestTimestamps:
     @pytest.mark.parametrize(
         "value,expected",
@@ -110,6 +121,8 @@ class TestTimestamps:
             ("2017-05-01T10:00:00Z", 1493632800),
             ("2017-05-01T12:00:00+02:00", 1493632800),
             ("2017-05-01T10:00:00", 1493632800),  # naive treated as UTC
+            ("0001-01-01T00:00:00Z", -62135596800),  # earliest renderable day
+            (253402300799, 253402300799),  # 9999-12-31T23:59:59Z
         ],
     )
     def test_forms(self, value, expected):
@@ -119,7 +132,20 @@ class TestTimestamps:
         assert rec(1, "a", 1493683199).day() == "2017-05-01"  # 23:59:59Z
         assert rec(2, "a", 1493683200).day() == "2017-05-02"  # 00:00:00Z
 
-    @pytest.mark.parametrize("value", ["someday", "inf", "nan", [], None])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "someday",
+            "inf",
+            "nan",
+            [],
+            None,
+            pytest.param(float("inf"), id="float-inf"),
+            pytest.param(float("nan"), id="float-nan"),
+            253402300800,  # 10000-01-01T00:00:00Z
+            pytest.param(10**400, id="int-beyond-float"),
+        ],
+    )
     def test_unparseable_values_raise_value_error(self, value):
         with pytest.raises(ValueError):
             parse_timestamp(value)

@@ -14,7 +14,6 @@ from coordnet.detectors import (
     DetectorConfig,
     SparseVector,
     build_account_vectors,
-    cosine,
     detect_all,
     detect_hashtag_coordination,
     detect_retweet_coordination,
@@ -25,6 +24,21 @@ from coordnet.detectors import (
 )
 
 from helpers import BASE_TS, corpus_of, rec
+
+
+def cosine(u: SparseVector, v: SparseVector) -> float:
+    """dot(u, v) / (|u| |v|), clamped to [0, 1]; requires nonzero norms."""
+    if u.norm == 0.0 or v.norm == 0.0:
+        raise ValueError("cosine is undefined for zero-norm vectors")
+    if len(v) < len(u):
+        u, v = v, u
+    dot = 0.0
+    other = v.entries
+    for term, w in u.entries.items():
+        wv = other.get(term)
+        if wv is not None:
+            dot += w * wv
+    return min(1.0, max(0.0, dot / (u.norm * v.norm)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +239,13 @@ class TestBuildAccountVectors:
 
 class TestKernelBackends:
     @staticmethod
-    def _random_postings(rnd, n_accounts=60, n_terms=40):
+    def _random_postings(rnd, n_accounts=60, n_terms=40, max_len=8, stride=1):
         offsets = [0]
         accounts = []
         weights = []
         for _ in range(n_terms):
-            members = sorted(rnd.sample(range(n_accounts), rnd.randint(0, 8)))
-            accounts.extend(members)
+            members = sorted(rnd.sample(range(n_accounts), rnd.randint(0, max_len)))
+            accounts.extend(m * stride for m in members)
             weights.extend(rnd.random() for _ in members)
             offsets.append(len(accounts))
         return (
@@ -241,17 +255,33 @@ class TestKernelBackends:
         )
 
     def test_backends_bitwise_identical(self):
-        if "compiled" not in kernels.available_backends():
-            pytest.skip("compiled kernel not built")
         rnd = random.Random(77)
-        compiled = kernels.get_backend("compiled")
-        python = kernels.get_backend("python")
-        for _ in range(20):
-            offsets, accounts, weights = self._random_postings(rnd)
-            k1, d1 = compiled(offsets, accounts, weights)
-            k2, d2 = python(offsets, accounts, weights)
+        default = kernels.get_backend("python")
+        reference = kernels.get_backend("reference")
+        cases = [self._random_postings(rnd) for _ in range(20)]
+        # more than one 4096-row block of accounts
+        cases += [self._random_postings(rnd, 9000, 3000, 30) for _ in range(2)]
+        # account indices with gaps
+        cases.append(self._random_postings(rnd, 200, 80, 12, stride=7))
+        # single-member postings only
+        cases.append(self._random_postings(rnd, 50, 30, 1))
+        # all postings empty
+        cases.append(self._random_postings(rnd, 50, 30, 0))
+        for offsets, accounts, weights in cases:
+            k1, d1 = default(offsets, accounts, weights)
+            k2, d2 = reference(offsets, accounts, weights)
+            assert k1.dtype == k2.dtype and d1.dtype == d2.dtype
             assert np.array_equal(k1, k2)
-            assert np.array_equal(d1, d2)  # bitwise: same add order, no fma
+            # bitwise: same add order, no fma
+            assert np.array_equal(d1.view(np.int64), d2.view(np.int64))
+
+    def test_get_backend_survives_rebinding(self, monkeypatch):
+        default = kernels.get_backend("python")
+        reference = kernels.get_backend("reference")
+        monkeypatch.setattr(kernels, "accumulate_pair_products", lambda *a: None)
+        assert kernels.get_backend("python") is default
+        assert kernels.get_backend("reference") is reference
+        assert kernels.available_backends() == ["python", "reference"]
 
     def test_python_backend_matches_dense_accumulation(self):
         rnd = random.Random(78)

@@ -193,20 +193,6 @@ class TestLexiconScore:
         with pytest.raises(ValueError, match="unknown characteristic"):
             load_lexicon(io.StringIO("characteristic,phrase,weight\nmoods,taxes,0.5\n"))
 
-    def test_score_corpus_threads_equivalent(self):
-        lex = builtin_lexicon()
-        rnd = random.Random(6)
-        words = ["taxes", "espoir", "vote", "for", "russia", "merci", "x", "lol"]
-        records = [
-            rec(i, f"a{i % 3}", text=" ".join(rnd.choices(words, k=5)), language="fr")
-            for i in range(40)
-        ]
-        corpus = corpus_of(*records)
-        one = score_corpus(corpus, lex, threads=1)
-        many = score_corpus(corpus, lex, threads=8)
-        assert one.tweet_ids == many.tweet_ids
-        assert np.array_equal(one.matrix, many.matrix)
-
     def test_score_corpus_dedups_tweet_ids(self):
         records = [rec(1, "a", text="taxes"), rec(1, "a", text="taxes")]
         table = score_corpus(corpus_of(*records), builtin_lexicon())
