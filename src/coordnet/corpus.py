@@ -172,11 +172,33 @@ def parse_record(obj: dict) -> TweetRecord:
     )
 
 
+# A JSON escape of a UTF-16 surrogate: half of a pair, or a lone one.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def parse_line(line: str) -> TweetRecord:
+    """Parse one JSONL line; ValueError for anything not a valid record.
+
+    Undecodable bytes (kept as surrogates by parse_corpus) and lone
+    surrogate escapes are rejected here: either would parse, then fail
+    when the record is written back out as UTF-8.
+    """
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("line is not valid UTF-8") from None
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+    if _SURROGATE_ESCAPE_RE.search(line):
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("string holds a lone UTF-16 surrogate") from None
     return parse_record(obj)
 
 
@@ -267,7 +289,9 @@ def parse_corpus(source, strict: bool = False) -> Corpus:
     count via Corpus.skipped; strict mode aborts on the first one.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fp:
+        # surrogateescape: an undecodable byte fails its own line in
+        # parse_line instead of the whole read.
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fp:
             return parse_corpus(fp, strict=strict)
     skip_counter = [0]
     records = list(iter_records(source, strict=strict, skip_counter=skip_counter))

@@ -8,6 +8,7 @@ lists, so output is identical for any input record order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -223,43 +224,60 @@ def build_account_vectors(
 
 def candidate_pair_similarities(
     vectors: dict[str, SparseVector]
-) -> tuple[list[tuple[str, str]], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Cosine similarity for every account pair sharing a stored term.
 
-    Pairs sharing no term have similarity zero and are not generated.
+    Returns (keys, sims, accounts): accounts are the vectors' ids with a
+    nonzero norm, sorted; keys are the kernel's int64 pair keys
+    (a << 32) | b over indices into accounts, a < b, ascending; sims are
+    the aligned cosines clipped to [0, 1]. Pairs sharing no term have
+    similarity zero and are not generated. Callers threshold on the
+    arrays and decode only the pairs they keep (see _edges_from_pairs).
+
     Weights are unit-normalized before the term-at-a-time accumulation
     kernel runs, so accumulated dots are the cosines.
     """
     accounts = sorted(acct for acct, vec in vectors.items() if vec.norm > 0.0)
     if len(accounts) < 2:
-        return [], np.empty(0, dtype=np.float64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), accounts
 
-    postings: dict[int, list[tuple[int, float]]] = {}
-    for idx, acct in enumerate(accounts):
-        vec = vectors[acct]
-        inv_norm = 1.0 / vec.norm
-        for term, w in vec.entries.items():
-            postings.setdefault(term, []).append((idx, w * inv_norm))
+    # Postings: flatten each vector's (ascending) entries in account
+    # order, then a stable sort by term keeps accounts ascending within
+    # each term.
+    vecs = [vectors[acct] for acct in accounts]
+    lengths = np.fromiter((len(v.entries) for v in vecs), dtype=np.int64, count=len(vecs))
+    nnz = int(lengths.sum())
+    terms = np.fromiter(
+        itertools.chain.from_iterable(v.entries for v in vecs), dtype=np.int64, count=nnz
+    )
+    weights = np.fromiter(
+        itertools.chain.from_iterable(v.entries.values() for v in vecs),
+        dtype=np.float64,
+        count=nnz,
+    )
+    inv_norms = 1.0 / np.fromiter((v.norm for v in vecs), dtype=np.float64, count=len(vecs))
+    weights *= np.repeat(inv_norms, lengths)
+    order = np.argsort(terms, kind="stable")
+    acct_idx = np.repeat(np.arange(len(accounts), dtype=np.int32), lengths)[order]
+    _, counts = np.unique(terms, return_counts=True)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
 
-    offsets = np.empty(len(postings) + 1, dtype=np.int64)
-    offsets[0] = 0
-    nnz = sum(len(p) for p in postings.values())
-    acct_idx = np.empty(nnz, dtype=np.int32)
-    weights = np.empty(nnz, dtype=np.float64)
-    pos = 0
-    for t, term in enumerate(sorted(postings)):
-        for idx, w in postings[term]:
-            acct_idx[pos] = idx
-            weights[pos] = w
-            pos += 1
-        offsets[t + 1] = pos
+    keys, dots = kernels.accumulate_pair_products(offsets, acct_idx, weights[order])
+    return keys, np.clip(dots, 0.0, 1.0), accounts
 
-    keys, dots = kernels.accumulate_pair_products(offsets, acct_idx, weights)
-    sims = np.clip(dots, 0.0, 1.0)
-    pairs = [
-        (accounts[int(key) >> 32], accounts[int(key) & 0xFFFFFFFF]) for key in keys
+
+def _edges_from_pairs(
+    keys: np.ndarray, sims: np.ndarray, accounts: list[str], detector: str
+) -> list[CoordinationEdge]:
+    """Decode kept pair keys into edges, in canonical order.
+
+    Keys ascend and accounts are sorted, so the edges come out sorted.
+    """
+    return [
+        CoordinationEdge(accounts[key >> 32], accounts[key & 0xFFFFFFFF], detector, s, "cosine")
+        for key, s in zip(keys.tolist(), sims.tolist())
     ]
-    return pairs, sims
 
 
 def top_fraction_cutoff(sims: np.ndarray, top_frac: float) -> float:
@@ -279,16 +297,11 @@ def detect_retweet_coordination(
     """
     cfg.validate()
     vectors = build_account_vectors(corpus, "retweeted_id", cfg)
-    pairs, sims = candidate_pair_similarities(vectors)
-    if not pairs:
+    keys, sims, accounts = candidate_pair_similarities(vectors)
+    if not len(keys):
         return [], set()
-    cutoff = top_fraction_cutoff(sims, cfg.retweet_top_frac)
-    edges = [
-        CoordinationEdge(a, b, "retweet", float(s), "cosine")
-        for (a, b), s in zip(pairs, sims)
-        if s >= cutoff
-    ]
-    edges.sort(key=CoordinationEdge.sort_key)
+    keep = sims >= top_fraction_cutoff(sims, cfg.retweet_top_frac)
+    edges = _edges_from_pairs(keys[keep], sims[keep], accounts, "retweet")
     return edges, _endpoints(edges)
 
 
@@ -299,13 +312,9 @@ def detect_time_coordination(
     configured threshold."""
     cfg.validate()
     vectors = build_account_vectors(corpus, "time_bin", cfg)
-    pairs, sims = candidate_pair_similarities(vectors)
-    edges = [
-        CoordinationEdge(a, b, "time", float(s), "cosine")
-        for (a, b), s in zip(pairs, sims)
-        if s > cfg.time_threshold
-    ]
-    edges.sort(key=CoordinationEdge.sort_key)
+    keys, sims, accounts = candidate_pair_similarities(vectors)
+    keep = sims > cfg.time_threshold
+    edges = _edges_from_pairs(keys[keep], sims[keep], accounts, "time")
     return edges, _endpoints(edges)
 
 

@@ -2,9 +2,11 @@
 
 Postings (offsets, accounts, weights) are the CSR rows of Xᵀ, the
 term x account weight matrix. The kernel multiplies blocks of account
-rows of X by Xᵀ with scipy's row-wise sparse product (Gustavson 1978),
-which adds each pair's products in ascending term order, exactly as
-the reference accumulator in coordnet._pairsim_py does. The two are
+rows of X by the columns of Xᵀ from the block's first row on, so only
+the upper triangle (plus the block's own lower corner, dropped after)
+is ever computed. scipy's row-wise sparse product (Gustavson 1978)
+adds each pair's products in ascending term order, exactly as the
+reference accumulator in coordnet._pairsim_py does. The two are
 bitwise identical and tested against each other.
 """
 
@@ -14,8 +16,12 @@ from coordnet import _pairsim_py
 
 BACKEND = "python"
 
-# Account rows per sparse product; bounds the block's candidate-pair memory.
-BLOCK_ROWS = 4096
+# Account rows per sparse product. Each block also computes its own
+# lower corner (BLOCK_ROWS**2 / 2 products thrown away), so small blocks
+# waste little; each block slices the columns of Xᵀ once (O(nnz)), so
+# blocks must not be so small that slicing dominates. 256 puts a
+# 1,300-account corpus in six blocks; keep it at most 4096.
+BLOCK_ROWS = 256
 
 
 def accumulate_pair_products(offsets, accounts, weights):
@@ -40,12 +46,12 @@ def accumulate_pair_products(offsets, accounts, weights):
     key_blocks = []
     dot_blocks = []
     for lo in range(0, n_accounts, BLOCK_ROWS):
-        block = x[lo : lo + BLOCK_ROWS] @ xt
+        block = x[lo : lo + BLOCK_ROWS] @ xt[:, lo:]
         block.sort_indices()
         rows = np.repeat(
             np.arange(lo, lo + block.shape[0], dtype=np.int64), np.diff(block.indptr)
         )
-        cols = block.indices.astype(np.int64)
+        cols = block.indices.astype(np.int64) + lo
         upper = cols > rows
         key_blocks.append((rows[upper] << 32) | cols[upper])
         dot_blocks.append(block.data[upper])

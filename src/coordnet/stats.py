@@ -14,7 +14,6 @@ from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from coordnet.corpus import Corpus, TweetRecord, day_of_timestamp
 
@@ -131,6 +130,10 @@ def spearman(x: Sequence[float], y: Sequence[float], method: str = "t") -> StatR
     if abs(rho) >= 1.0:
         p = 0.0
     else:
+        # Imported here, not at module top: every CLI process imports
+        # this module, and loading scipy.special costs each one ~0.2 s.
+        from scipy.special import stdtr
+
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return StatResult(rho, min(1.0, p), (n,), method="spearman-t")
@@ -277,12 +280,18 @@ def reshuffle_eval(
 # ---------------------------------------------------------------------------
 
 
-def bootstrap_se(values: Sequence[float], b: int = 1000, seed: int = 0) -> float:
-    """Bootstrap standard error of the mean over b seeded resamples."""
+def bootstrap_se(
+    values: Sequence[float], b: int = 1000, seed: int | tuple[int, ...] = 0
+) -> float:
+    """Bootstrap standard error of the mean over b seeded resamples.
+
+    seed is an int or a tuple of ints; PCG64 seeds either through
+    SeedSequence, so an int seed draws exactly as make_rng(seed).
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size < 2:
         raise ValueError("bootstrap_se requires at least 2 values")
-    rng = make_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
     means = np.empty(b, dtype=np.float64)
     done = 0
     while done < b:
@@ -395,25 +404,11 @@ def column_deltas(
         cl = cluster_values[:, j]
         bl = baseline_values[:, j]
         delta = float(cl.mean() - bl.mean())
-        se_c = _seeded_bootstrap_se(cl, b, (seed, j, 0))
-        se_b = _seeded_bootstrap_se(bl, b, (seed, j, 1))
+        se_c = bootstrap_se(cl, b, (seed, j, 0)) if cl.size > 1 else 0.0
+        se_b = bootstrap_se(bl, b, (seed, j, 1)) if bl.size > 1 else 0.0
         p = mann_whitney_u(cl.tolist(), bl.tolist(), method="normal").p_value
         out.append({"delta": delta, "se": math.hypot(se_c, se_b), "p": p})
     return out
-
-
-def _seeded_bootstrap_se(arr: np.ndarray, b: int, entropy: tuple) -> float:
-    if arr.size < 2:
-        return 0.0
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-    means = np.empty(b, dtype=np.float64)
-    done = 0
-    while done < b:
-        m = min(_BOOTSTRAP_CHUNK, b - done)
-        idx = rng.integers(0, arr.size, size=(m, arr.size))
-        means[done : done + m] = arr[idx].mean(axis=1)
-        done += m
-    return float(means.std(ddof=1))
 
 
 # ---------------------------------------------------------------------------

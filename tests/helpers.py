@@ -1,7 +1,10 @@
 """Record builders shared across test modules."""
 
 import json
+import os
+from pathlib import Path
 
+import coordnet
 from coordnet.corpus import Corpus, TweetRecord
 
 BASE_TS = 1493632800  # 2017-05-01T10:00:00Z
@@ -42,3 +45,11 @@ def corpus_of(*records):
 def jsonl_line(**kwargs):
     kwargs.setdefault("text", "")
     return json.dumps(kwargs)
+
+
+def subprocess_env():
+    """os.environ with PYTHONPATH leading to the coordnet under test, so a
+    child interpreter imports it whether or not PYTHONPATH was set."""
+    src = str(Path(coordnet.__file__).resolve().parents[1])
+    parts = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(parts))

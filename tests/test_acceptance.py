@@ -35,7 +35,7 @@ from coordnet.stats import (
     spearman,
 )
 
-from helpers import BASE_TS, rec
+from helpers import BASE_TS, rec, subprocess_env
 from test_detectors import oracle_hashtag_pairs, oracle_vector_pairs, random_corpus
 from test_stats import oracle_exact_p, oracle_spearman, oracle_u
 
@@ -220,6 +220,7 @@ def _stats_cli(threads, tmp_path):
             "--resamples",
             "10000",
         ],
+        env=subprocess_env(),
         capture_output=True,
         text=True,
         check=True,

@@ -2,15 +2,22 @@
 
 import csv
 import json
+import subprocess
+import sys
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordnet.cli import main
 from coordnet.corpus import record_to_json
 from coordnet.formats import read_edges_csv
 from coordnet.sociolinguistics import CHARACTERISTICS
 
-from helpers import BASE_TS, jsonl_line, rec
+from helpers import BASE_TS, jsonl_line, rec, subprocess_env
 
 
 def write_jsonl(path, records):
@@ -92,6 +99,113 @@ class TestIngest:
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["ingest", str(tmp_path / "nope.jsonl"), "-o", str(tmp_path / "c")]) == 2
+
+
+def test_cli_import_loads_no_scipy_submodules():
+    # scipy.special and scipy.sparse each cost a CLI process time and
+    # RSS; they load only in the calls that need them.
+    probe = (
+        "import sys, coordnet.cli; "
+        "print(sorted(m for m in ('scipy.special', 'scipy.sparse') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Property: no input line aborts a lenient ingest or exits 3
+# ---------------------------------------------------------------------------
+
+_BASE_RECORDS = [
+    {"tweet_id": "t1", "account_id": "a1", "timestamp": BASE_TS, "kind": "original",
+     "text": "hi #x", "hashtags": ["X", "y"], "language": "en", "mentions": ["a2"]},
+    {"tweet_id": 2, "account_id": "a2", "timestamp": "2017-05-01T10:00:00Z",
+     "kind": "reply", "mentions": ["a1"]},
+    {"tweet_id": "t3", "account_id": "a3", "timestamp": BASE_TS + 60, "kind": "retweet",
+     "retweeted_tweet_id": "t1", "retweeted_account_id": "a1"},
+]
+_FIELDS = sorted({k for r in _BASE_RECORDS for k in r}) + ["unknown_field"]
+
+_strings = st.one_of(
+    st.text(max_size=8),
+    # lone UTF-16 surrogates: valid as JSON escapes, not writable as UTF-8
+    st.text(st.characters(categories=["Cs"]), min_size=1, max_size=2),
+)
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(),
+    _strings,
+    st.lists(st.one_of(_strings, st.integers(), st.none()), max_size=3),
+    st.dictionaries(_strings, st.integers(), max_size=2),
+)
+_max_offset = timedelta(hours=23, minutes=59)
+_offsets = st.timedeltas(min_value=-_max_offset, max_value=_max_offset)
+_timestamps = st.one_of(
+    st.integers(min_value=-(10**12), max_value=10**12),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(),
+    st.sampled_from([1e300, -1e300, 2**63, -(2**63), -62135596801, 253402300800]),
+    st.integers(min_value=-(10**20), max_value=10**20).map(str),
+    st.floats().map(repr),
+    st.datetimes(timezones=st.none() | st.builds(timezone, _offsets)).map(datetime.isoformat),
+    st.text(max_size=25),
+)
+
+
+@st.composite
+def _mutated_record_line(draw):
+    """A valid record with up to two fields deleted or replaced by a
+    value of any type, a string or string list, or any timestamp."""
+    record = dict(draw(st.sampled_from(_BASE_RECORDS)))
+    for field in draw(st.lists(st.sampled_from(_FIELDS), max_size=2, unique=True)):
+        action = draw(st.sampled_from(("delete", "junk", "same-type")))
+        if action == "delete":
+            record.pop(field, None)
+        elif action == "junk":
+            record[field] = draw(_junk)
+        elif field == "timestamp":
+            record[field] = draw(_timestamps)
+        elif isinstance(record.get(field), list):
+            record[field] = draw(st.lists(_strings, max_size=3))
+        else:
+            record[field] = draw(_strings)
+    return json.dumps(record)
+
+
+_lines = st.one_of(
+    _mutated_record_line(),
+    _mutated_record_line(),
+    _junk.map(json.dumps),  # a JSON value that is not an object
+    st.text(min_size=1, max_size=30).filter(
+        lambda s: s.strip() and "\n" not in s and "\r" not in s
+    ),
+    # nesting past the recursion limit (hypothesis raises it while testing)
+    st.integers(min_value=50_000, max_value=60_000).map(lambda n: "[" * n + "]" * n),
+    st.just('{"tweet_id": "t", "account_id": "a", "kind": "original", "timestamp": %s}' % ("9" * 5000)),
+)
+
+
+class TestIngestProperty:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(lines=st.lists(_lines, min_size=1, max_size=6))
+    def test_every_line_parsed_or_skipped(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "input.jsonl"
+            src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            cache = Path(tmp) / "cache.jsonl"
+            assert main(["ingest", str(src), "-o", str(cache)]) == 0
+            counts = json.loads(Path(str(cache) + ".manifest.json").read_text())["counts"]
+            assert counts["records"] + counts["skipped"] == len(lines)
+            strict = main(["--strict", "ingest", str(src), "-o", str(cache)])
+            assert strict == (0 if counts["skipped"] == 0 else 1)
 
 
 @pytest.fixture

@@ -111,6 +111,40 @@ class TestParsing:
             parse_corpus(iter([VALID, bad]), strict=True)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "[" * 100_000,  # nesting past the JSON decoder's recursion limit
+            '{"tweet_id": "t2", "account_id": "a", "timestamp": 0, "kind": "original",'
+            ' "text": "\\ud800"}',  # lone surrogate: parses, cannot be written as UTF-8
+            '{"tweet_id": "t2", "account_id": "a", "timestamp": 0, "kind": "original",'
+            ' "text": "\udcff"}',  # an undecodable byte, as surrogateescape keeps it
+        ],
+        ids=["deep-nesting", "lone-surrogate-escape", "undecodable-byte"],
+    )
+    def test_unwritable_line_skipped_or_located(self, bad):
+        lenient = parse_corpus(iter([VALID, bad]))
+        assert len(lenient) == 1
+        assert lenient.skipped == 1
+        with pytest.raises(CorpusError) as err:
+            parse_corpus(iter([VALID, bad]), strict=True)
+        assert err.value.line_no == 2
+
+    def test_surrogate_pair_escape_accepted(self):
+        line = jsonl_line(tweet_id="t", account_id="a", timestamp=0, kind="original", text="😀")
+        assert "\\ud83d\\ude00" in line
+        assert parse_line(line).text == "😀"
+
+    def test_undecodable_bytes_in_file_skip_one_line(self, tmp_path):
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(
+            VALID.encode() + b"\n" + VALID.replace("t1", "t\xff").encode("latin-1") + b"\n"
+        )
+        assert parse_corpus(path).skipped == 1
+        with pytest.raises(CorpusError) as err:
+            parse_corpus(path, strict=True)
+        assert err.value.line_no == 2
+
 
 class TestTimestamps:
     @pytest.mark.parametrize(

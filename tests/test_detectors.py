@@ -25,6 +25,10 @@ from coordnet.detectors import (
 
 from helpers import BASE_TS, corpus_of, rec
 
+# Kernel row-block sizes the equivalence tests run at: the default, one
+# row per block, and a size that leaves a ragged last block.
+BLOCK_SIZES = (kernels.BLOCK_ROWS, 1, 7)
+
 
 def cosine(u: SparseVector, v: SparseVector) -> float:
     """dot(u, v) / (|u| |v|), clamped to [0, 1]; requires nonzero norms."""
@@ -254,12 +258,12 @@ class TestKernelBackends:
             np.array(weights, dtype=np.float64),
         )
 
-    def test_backends_bitwise_identical(self):
+    def test_backends_bitwise_identical(self, monkeypatch):
         rnd = random.Random(77)
         default = kernels.get_backend("python")
         reference = kernels.get_backend("reference")
         cases = [self._random_postings(rnd) for _ in range(20)]
-        # more than one 4096-row block of accounts
+        # more than 4096 accounts: many blocks at any block size
         cases += [self._random_postings(rnd, 9000, 3000, 30) for _ in range(2)]
         # account indices with gaps
         cases.append(self._random_postings(rnd, 200, 80, 12, stride=7))
@@ -267,13 +271,16 @@ class TestKernelBackends:
         cases.append(self._random_postings(rnd, 50, 30, 1))
         # all postings empty
         cases.append(self._random_postings(rnd, 50, 30, 0))
-        for offsets, accounts, weights in cases:
-            k1, d1 = default(offsets, accounts, weights)
-            k2, d2 = reference(offsets, accounts, weights)
-            assert k1.dtype == k2.dtype and d1.dtype == d2.dtype
-            assert np.array_equal(k1, k2)
-            # bitwise: same add order, no fma
-            assert np.array_equal(d1.view(np.int64), d2.view(np.int64))
+        expected = [reference(*case) for case in cases]
+        # every block edge and column offset, not only the default's
+        for block_rows in BLOCK_SIZES:
+            monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+            for case, (k2, d2) in zip(cases, expected):
+                k1, d1 = default(*case)
+                assert k1.dtype == k2.dtype and d1.dtype == d2.dtype
+                assert np.array_equal(k1, k2)
+                # bitwise: same add order, no fma
+                assert np.array_equal(d1.view(np.int64), d2.view(np.int64))
 
     def test_get_backend_survives_rebinding(self, monkeypatch):
         default = kernels.get_backend("python")
@@ -415,15 +422,16 @@ class TestRetweetDetector:
         edges, flagged = detect_retweet_coordination(corpus_of(*records))
         assert {"x", "y"} <= flagged
 
-    def test_matches_oracle_randomized(self):
+    def test_matches_oracle_randomized(self, monkeypatch):
         rnd = random.Random(7)
         cfg = DetectorConfig(retweet_top_frac=0.1)
         for _ in range(10):
             corpus = random_corpus(rnd)
-            edges, _ = detect_retweet_coordination(corpus, cfg)
-            assert {(e.a, e.b) for e in edges} == oracle_vector_pairs(
-                corpus, "retweeted_id", cfg
-            )
+            oracle = oracle_vector_pairs(corpus, "retweeted_id", cfg)
+            for block_rows in BLOCK_SIZES:
+                monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+                edges, _ = detect_retweet_coordination(corpus, cfg)
+                assert {(e.a, e.b) for e in edges} == oracle
 
 
 class TestTimeDetector:
@@ -456,13 +464,15 @@ class TestTimeDetector:
         edges, flagged = detect_time_coordination(corpus_of(*records))
         assert edges == [] and flagged == set()
 
-    def test_matches_oracle_randomized_200_accounts(self):
+    def test_matches_oracle_randomized_200_accounts(self, monkeypatch):
         rnd = random.Random(12)
         cfg = DetectorConfig()
         corpus = random_corpus(rnd, n_accounts=200)
-        edges, flagged = detect_time_coordination(corpus, cfg)
         oracle = oracle_vector_pairs(corpus, "time_bin", cfg)
-        assert {(e.a, e.b) for e in edges} == oracle
+        for block_rows in BLOCK_SIZES:
+            monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+            edges, flagged = detect_time_coordination(corpus, cfg)
+            assert {(e.a, e.b) for e in edges} == oracle
 
     def test_monotone_in_threshold(self):
         rnd = random.Random(13)
