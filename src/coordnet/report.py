@@ -94,8 +94,6 @@ def correlation_matrices(table: sl.CharacteristicTable):
     Columns are ranked once and correlated as a matrix product, which is
     the same rank-Pearson definition stats.spearman uses pairwise.
     """
-    from scipy.special import stdtr
-
     n = sl.N_CHARACTERISTICS
     rho = [[None] * n for _ in range(n)]
     pval = [[None] * n for _ in range(n)]
@@ -105,9 +103,7 @@ def correlation_matrices(table: sl.CharacteristicTable):
     m = len(table)
     if m < 3:
         return rho, pval
-    ranks = np.column_stack(
-        [stats.rankdata(table.matrix[:, j].tolist()) for j in range(n)]
-    )
+    ranks = np.column_stack([stats.rankdata(table.matrix[:, j]) for j in range(n)])
     centered = ranks - ranks.mean(axis=0)
     sq = (centered**2).sum(axis=0)
     cov = centered.T @ centered
@@ -116,13 +112,8 @@ def correlation_matrices(table: sl.CharacteristicTable):
             if sq[i] == 0.0 or sq[j] == 0.0:
                 continue
             r = max(-1.0, min(1.0, cov[i, j] / math.sqrt(sq[i] * sq[j])))
-            if abs(r) >= 1.0:
-                p = 0.0
-            else:
-                t = r * math.sqrt((m - 2) / (1.0 - r * r))
-                p = min(1.0, 2.0 * float(stdtr(m - 2, -abs(t))))
             rho[i][j] = rho[j][i] = r
-            pval[i][j] = pval[j][i] = p
+            pval[i][j] = pval[j][i] = stats.t_approx_p(r, m)
     return rho, pval
 
 
@@ -134,18 +125,53 @@ def write_matrix(matrix, path: Path) -> None:
     _write_csv(path, header, rows)
 
 
-def _tweet_ids_of(corpus: Corpus, accounts: set[str], member: bool) -> list[str]:
-    seen = set()
-    out = []
-    for rec in corpus.records:
-        if (rec.account_id in accounts) is member and rec.tweet_id not in seen:
-            seen.add(rec.tweet_id)
-            out.append(rec.tweet_id)
-    return out
+class RecordColumns:
+    """Per-record arrays the socio-linguistic sections share, built once
+    per report: the UTC day code, the confidence-table row (-1 where the
+    tweet has none) and the index of the first record with the same
+    tweet_id."""
+
+    def __init__(self, corpus: Corpus, table: sl.CharacteristicTable):
+        records = corpus.records
+        self.account_index = corpus.account_index
+        self.day = stats.day_codes(records)
+        self.row = table.row_indices(r.tweet_id for r in records)
+        first: dict[str, int] = {}
+        self.tweet = np.fromiter(
+            (first.setdefault(r.tweet_id, i) for i, r in enumerate(records)),
+            dtype=np.int64,
+            count=len(records),
+        )
+
+    def accounts_mask(self, accounts) -> np.ndarray:
+        """True for the records of the given accounts."""
+        mask = np.zeros(len(self.day), dtype=bool)
+        for account in accounts:
+            mask[self.account_index.get(account, [])] = True
+        return mask
+
+    def distinct_rows(self, mask: np.ndarray) -> np.ndarray:
+        """Table rows of the distinct tweets among the masked records, in
+        order of their first masked record."""
+        picked = np.flatnonzero(mask)
+        _, first = np.unique(self.tweet[picked], return_index=True)
+        return self.row[picked[np.sort(first)]]
+
+    def missing_tweets(self) -> int:
+        """Distinct tweets of the corpus that have no table row."""
+        return int(np.unique(self.tweet[self.row < 0]).size)
+
+
+def _scope_masks(cols: RecordColumns, clusters, coordinated: set[str], top_clusters: int):
+    """(name, record mask) for all coordinated accounts, then each of the
+    top clusters."""
+    scopes = [(ALL_COORDINATED_SCOPE, cols.accounts_mask(coordinated))]
+    scopes += [(str(c.id), cols.accounts_mask(c.members)) for c in clusters[:top_clusters]]
+    return scopes
 
 
 def write_cluster_deltas(
-    corpus: Corpus,
+    cols: RecordColumns,
     table: sl.CharacteristicTable,
     clusters,
     coordinated: set[str],
@@ -154,17 +180,18 @@ def write_cluster_deltas(
     seed: int,
     top_clusters: int,
 ) -> None:
-    baseline_ids = _tweet_ids_of(corpus, coordinated, member=False)
-    baseline = table.rows_for(baseline_ids) if baseline_ids else None
+    scopes = _scope_masks(cols, clusters, coordinated, top_clusters)
+    baseline = table.rows_at(cols.distinct_rows(~scopes[0][1]))
     rows = []
-    scopes = [(ALL_COORDINATED_SCOPE, coordinated)]
-    scopes += [(str(c.id), c.members) for c in clusters[:top_clusters]]
-    for scope_name, members in scopes:
-        ids = _tweet_ids_of(corpus, set(members), member=True)
-        if not ids or baseline is None or not len(baseline):
+    baseline_se = None
+    for scope_name, mask in scopes:
+        cluster = table.rows_at(cols.distinct_rows(mask))
+        if not len(cluster) or not len(baseline):
             continue
+        if baseline_se is None:
+            baseline_se = stats.column_ses(baseline, bootstrap_b, seed, 1)
         deltas = stats.column_deltas(
-            table.rows_for(ids), baseline, b=bootstrap_b, seed=seed
+            cluster, baseline, b=bootstrap_b, seed=seed, baseline_se=baseline_se
         )
         for name, d in zip(sl.CHARACTERISTICS, deltas):
             rows.append((scope_name, name, d["delta"], d["se"], d["p"]))
@@ -172,22 +199,21 @@ def write_cluster_deltas(
 
 
 def write_binarized_rates(
-    corpus: Corpus,
+    cols: RecordColumns,
     table: sl.CharacteristicTable,
     coordinated: set[str],
     path: Path,
     threshold: float,
 ) -> dict:
     labels = sl.binarize(table, threshold)
-    coord_ids = _tweet_ids_of(corpus, coordinated, member=True)
-    base_ids = _tweet_ids_of(corpus, coordinated, member=False)
+    coord_mask = cols.accounts_mask(coordinated)
+    coord = labels.rows_at(cols.distinct_rows(coord_mask))
+    base = labels.rows_at(cols.distinct_rows(~coord_mask))
     rows = []
     rates = {}
-    coord = labels.rows_for(coord_ids) if coord_ids else None
-    base = labels.rows_for(base_ids) if base_ids else None
     for j, name in enumerate(sl.CHARACTERISTICS):
-        c = float(coord[:, j].mean()) if coord is not None and len(coord) else None
-        b = float(base[:, j].mean()) if base is not None and len(base) else None
+        c = float(coord[:, j].mean()) if len(coord) else None
+        b = float(base[:, j].mean()) if len(base) else None
         delta = (c - b) if c is not None and b is not None else None
         rows.append((name, c, b, delta))
         rates[name] = {"coordinated": c, "baseline": b, "delta": delta}
@@ -195,26 +221,36 @@ def write_binarized_rates(
     return rates
 
 
+def _record_column(matrix: np.ndarray, rows: np.ndarray, j: int) -> np.ndarray:
+    """Column j of matrix at each record's row; 0.0 where the row is -1."""
+    out = np.zeros(len(rows), dtype=np.float64)
+    found = rows >= 0
+    out[found] = matrix[rows[found], j]
+    return out
+
+
 def write_daily_confidence(
-    corpus: Corpus,
+    cols: RecordColumns,
     table: sl.CharacteristicTable,
     clusters,
     coordinated: set[str],
     path: Path,
     top_clusters: int,
 ) -> None:
-    scopes = [(ALL_COORDINATED_SCOPE, coordinated), (BASELINE_SCOPE, None)]
-    scopes += [(str(c.id), c.members) for c in clusters[:top_clusters]]
-    rows = []
-    for scope_name, members in scopes:
-        if members is None:
-            tweets = [r for r in corpus.records if r.account_id not in coordinated]
-        else:
-            members = set(members)
-            tweets = [r for r in corpus.records if r.account_id in members]
-        for name in sl.CHARACTERISTICS:
-            for day, mean in stats.daily_mean_confidence(table, tweets, name):
-                rows.append((day, scope_name, name, mean))
+    scopes = _scope_masks(cols, clusters, coordinated, top_clusters)
+    scopes.insert(1, (BASELINE_SCOPE, ~scopes[0][1]))
+    days = [cols.day[mask] for _, mask in scopes]
+    series = {}
+    for j, name in enumerate(sl.CHARACTERISTICS):
+        values = _record_column(table.matrix, cols.row, j)
+        for (scope_name, mask), scope_days in zip(scopes, days):
+            series[scope_name, name] = stats.daily_mean_series(scope_days, values[mask])
+    rows = [
+        (day, scope_name, name, mean)
+        for scope_name, _ in scopes
+        for name in sl.CHARACTERISTICS
+        for day, mean in series[scope_name, name]
+    ]
     _write_csv(path, ("day", "scope", "characteristic", "mean_confidence"), rows)
 
 
@@ -255,16 +291,16 @@ def story_share(corpus: Corpus, coordinated: set[str], story_hashtags) -> dict:
 
 
 def confidence_vs_binarized(
-    corpus: Corpus, table: sl.CharacteristicTable, threshold: float
+    cols: RecordColumns, table: sl.CharacteristicTable, threshold: float
 ) -> dict:
     """Spearman of daily mean confidence vs daily mean binarized label,
     per characteristic, with the median over defined values."""
     labels = sl.binarize(table, threshold)
     by_char = {}
     values = []
-    for name in sl.CHARACTERISTICS:
-        conf = stats.daily_mean_confidence(table, corpus.records, name)
-        binr = stats.daily_mean_confidence(labels, corpus.records, name)
+    for j, name in enumerate(sl.CHARACTERISTICS):
+        conf = stats.daily_mean_series(cols.day, _record_column(table.matrix, cols.row, j))
+        binr = stats.daily_mean_series(cols.day, _record_column(labels.matrix, cols.row, j))
         xs = []
         ys = []
         for (day, c), (_, b) in zip(conf, binr):
@@ -370,11 +406,12 @@ def write_report_bundle(
     }
 
     if table is not None and len(table):
+        cols = RecordColumns(corpus, table)
         rho, pval = correlation_matrices(table)
         write_matrix(rho, emit("correlations.csv"))
         write_matrix(pval, emit("correlation_pvalues.csv"))
         write_cluster_deltas(
-            corpus,
+            cols,
             table,
             clusters,
             coordinated,
@@ -384,18 +421,18 @@ def write_report_bundle(
             top_clusters,
         )
         rates = write_binarized_rates(
-            corpus, table, coordinated, emit("binarized_rates.csv"), binarize_threshold
+            cols, table, coordinated, emit("binarized_rates.csv"), binarize_threshold
         )
         write_daily_confidence(
-            corpus, table, clusters, coordinated, emit("daily_confidence.csv"), top_clusters
+            cols, table, clusters, coordinated, emit("daily_confidence.csv"), top_clusters
         )
         summary["sociolinguistics"] = {
             "provenance": table.provenance,
             "rows": len(table),
-            "missing_lookups": table.missing_lookups,
+            "missing_tweets": cols.missing_tweets(),
             "binarized_rates": rates,
             "confidence_vs_binarized": confidence_vs_binarized(
-                corpus, table, binarize_threshold
+                cols, table, binarize_threshold
             ),
         }
     else:

@@ -82,8 +82,8 @@ class TableError(ValueError):
 class CharacteristicTable:
     """tweet_id -> one confidence in [0, 1] per registered characteristic.
 
-    Lookups for tweets without a row return all zeros and increment
-    missing_lookups (external model runs may not cover every tweet).
+    Tweets without a row read as all zeros (external model runs may not
+    cover every tweet); get() counts such lookups in missing_lookups.
     """
 
     def __init__(self, tweet_ids: list[str], matrix: np.ndarray, provenance: str):
@@ -108,9 +108,20 @@ class CharacteristicTable:
             return self._zeros
         return self.matrix[row]
 
+    def row_indices(self, tweet_ids: Iterable[str]) -> np.ndarray:
+        """Row of each tweet in matrix; -1 where the table has none."""
+        return np.fromiter((self._row_of.get(tid, -1) for tid in tweet_ids), dtype=np.int64)
+
+    def rows_at(self, rows: np.ndarray) -> np.ndarray:
+        """Matrix rows at row_indices positions; zeros where a row is -1."""
+        out = np.zeros((len(rows), N_CHARACTERISTICS), dtype=np.float64)
+        found = rows >= 0
+        out[found] = self.matrix[rows[found]]
+        return out
+
     def rows_for(self, tweet_ids: Iterable[str]) -> np.ndarray:
         """Confidence matrix for the given tweets (zeros where missing)."""
-        return np.vstack([self.get(tid) for tid in tweet_ids])
+        return self.rows_at(self.row_indices(tweet_ids))
 
     def column_index(self, name: str) -> int:
         return characteristic_index(name)

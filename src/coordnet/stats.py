@@ -15,9 +15,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from coordnet.corpus import Corpus, TweetRecord, day_of_timestamp
+from coordnet.corpus import Corpus, TweetRecord
 
-_BOOTSTRAP_CHUNK = 512  # fixed so the PCG64 stream is consumed identically
+# Bytes one bootstrap chunk may hold: its int64 indices plus the float64
+# values they gather, 16 bytes per draw. PCG64's integers() yields the
+# same draws however the rows are split between calls, so the budget
+# bounds memory without changing any SE.
+_BOOTSTRAP_BYTES = 4 << 20
+
+_EPOCH = date(1970, 1, 1)
 
 
 @dataclass
@@ -45,19 +51,19 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def rankdata(values: Sequence[float]) -> list[float]:
-    """Ranks starting at 1; ties receive the average of their ranks."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
+def rankdata(values: Sequence[float]) -> np.ndarray:
+    """Ranks starting at 1; ties receive the average of their ranks.
+
+    Every rank is an integer or a half-integer, so sums of ranks are
+    exact in any order.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], arr.size] - 1
+    ranks = np.empty(arr.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -65,15 +71,17 @@ def _norm_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _tie_counts(values: Sequence[float]) -> list[int]:
-    counts = []
-    for v in sorted(values):
-        if counts and v == last:
-            counts[-1] += 1
-        else:
-            counts.append(1)
-        last = v
-    return counts
+def t_approx_p(r: float, n: int) -> float:
+    """Two-sided p of a correlation r (already clamped to [-1, 1]) over
+    n pairs, from the t approximation with n - 2 degrees of freedom."""
+    if abs(r) >= 1.0:
+        return 0.0
+    # Imported here, not at module top: every CLI process imports this
+    # module, and loading scipy.special costs each one ~0.2 s.
+    from scipy.special import stdtr
+
+    t = r * math.sqrt((n - 2) / (1.0 - r * r))
+    return min(1.0, 2.0 * float(stdtr(n - 2, -abs(t))))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +117,8 @@ def spearman(x: Sequence[float], y: Sequence[float], method: str = "t") -> StatR
     n = len(x)
     if n < 3:
         raise ValueError("spearman requires at least 3 pairs")
-    rx = rankdata(x)
-    ry = rankdata(y)
+    rx = rankdata(x).tolist()
+    ry = rankdata(y).tolist()
     rho = _pearson(rx, ry)
     if rho is None:
         return StatResult(None, None, (n,), method="spearman-undefined")
@@ -127,29 +135,12 @@ def spearman(x: Sequence[float], y: Sequence[float], method: str = "t") -> StatR
             if r is not None and abs(r) >= target:
                 hits += 1
         return StatResult(rho, hits / total, (n,), method="spearman-exact")
-    if abs(rho) >= 1.0:
-        p = 0.0
-    else:
-        # Imported here, not at module top: every CLI process imports
-        # this module, and loading scipy.special costs each one ~0.2 s.
-        from scipy.special import stdtr
-
-        t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = 2.0 * float(stdtr(n - 2, -abs(t)))
-    return StatResult(rho, min(1.0, p), (n,), method="spearman-t")
+    return StatResult(rho, t_approx_p(rho, n), (n,), method="spearman-t")
 
 
 # ---------------------------------------------------------------------------
 # Mann-Whitney U
 # ---------------------------------------------------------------------------
-
-
-def _u_statistic(a: Sequence[float], b: Sequence[float]) -> tuple[float, list[float]]:
-    combined = list(a) + list(b)
-    ranks = rankdata(combined)
-    r_a = sum(ranks[: len(a)])
-    u_a = r_a - len(a) * (len(a) + 1) / 2.0
-    return u_a, ranks
 
 
 def _exact_u_counts(n1: int, n2: int) -> list[int]:
@@ -180,12 +171,16 @@ def mann_whitney_u(
     otherwise the normal approximation with tie and continuity
     corrections is used.
     """
-    if not a or not b:
-        raise ValueError("mann_whitney_u requires non-empty samples")
     n1, n2 = len(a), len(b)
-    u_a, ranks = _u_statistic(a, b)
-    ties = _tie_counts(list(a) + list(b))
-    has_ties = any(t > 1 for t in ties)
+    if not n1 or not n2:
+        raise ValueError("mann_whitney_u requires non-empty samples")
+    combined = np.concatenate(
+        (np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    )
+    u_a = float(rankdata(combined)[:n1].sum()) - n1 * (n1 + 1) / 2.0
+    sizes = np.unique(combined, return_counts=True)[1]
+    ties = sizes[sizes > 1].tolist()
+    has_ties = bool(ties)
 
     if method == "exact" or (method == "auto" and n1 + n2 <= 16 and not has_ties):
         if has_ties:
@@ -293,9 +288,10 @@ def bootstrap_se(
         raise ValueError("bootstrap_se requires at least 2 values")
     rng = np.random.Generator(np.random.PCG64(seed))
     means = np.empty(b, dtype=np.float64)
+    rows = max(1, _BOOTSTRAP_BYTES // (16 * arr.size))
     done = 0
     while done < b:
-        m = min(_BOOTSTRAP_CHUNK, b - done)
+        m = min(rows, b - done)
         idx = rng.integers(0, arr.size, size=(m, arr.size))
         means[done : done + m] = arr[idx].mean(axis=1)
         done += m
@@ -360,24 +356,18 @@ def cohens_kappa(annotations: Sequence[Sequence[int | None]]) -> StatResult:
     )
 
 
-def group_mean_kappa(
-    annotations_by_characteristic: dict[str, Sequence[Sequence[int | None]]]
-) -> dict:
-    """Per-characteristic pairwise kappa plus its unweighted group mean."""
-    per = {
-        name: cohens_kappa(annotations).statistic
-        for name, annotations in annotations_by_characteristic.items()
-    }
-    defined = [v for v in per.values() if v is not None]
-    return {
-        "per_characteristic": per,
-        "mean": (sum(defined) / len(defined)) if defined else None,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Column-wise cluster deltas
 # ---------------------------------------------------------------------------
+
+
+def column_ses(values: np.ndarray, b: int, seed: int, side: int) -> list[float]:
+    """Bootstrap SE of each column's mean; 0.0 for every column of a
+    single row. Column j resamples from seed (seed, j, side)."""
+    values = np.asarray(values, dtype=np.float64)
+    if len(values) < 2:
+        return [0.0] * values.shape[1]
+    return [bootstrap_se(values[:, j], b, (seed, j, side)) for j in range(values.shape[1])]
 
 
 def column_deltas(
@@ -385,13 +375,17 @@ def column_deltas(
     baseline_values: np.ndarray,
     b: int = 1000,
     seed: int = 0,
+    baseline_se: Sequence[float] | None = None,
 ) -> list[dict]:
     """Per-column mean difference of cluster vs baseline matrices.
 
     Returns one dict per column with delta (mean difference), se (the
     two bootstrap SEs combined in quadrature), and the two-sided
     Mann-Whitney p for the column samples. Column resampling seeds are
-    derived from (seed, column, side) so results are order-independent.
+    derived from (seed, column, side), side 0 for the cluster and 1 for
+    the baseline, so results are order-independent. baseline_se, when
+    given, is column_ses(baseline_values, b, seed, 1) computed once by a
+    caller comparing many clusters against one baseline.
     """
     cluster_values = np.asarray(cluster_values, dtype=np.float64)
     baseline_values = np.asarray(baseline_values, dtype=np.float64)
@@ -399,15 +393,16 @@ def column_deltas(
         raise ValueError("column_deltas requires non-empty inputs")
     if cluster_values.shape[1] != baseline_values.shape[1]:
         raise ValueError("column count mismatch")
+    if baseline_se is None:
+        baseline_se = column_ses(baseline_values, b, seed, 1)
+    cluster_se = column_ses(cluster_values, b, seed, 0)
     out = []
     for j in range(cluster_values.shape[1]):
         cl = cluster_values[:, j]
         bl = baseline_values[:, j]
         delta = float(cl.mean() - bl.mean())
-        se_c = bootstrap_se(cl, b, (seed, j, 0)) if cl.size > 1 else 0.0
-        se_b = bootstrap_se(bl, b, (seed, j, 1)) if bl.size > 1 else 0.0
-        p = mann_whitney_u(cl.tolist(), bl.tolist(), method="normal").p_value
-        out.append({"delta": delta, "se": math.hypot(se_c, se_b), "p": p})
+        p = mann_whitney_u(cl, bl, method="normal").p_value
+        out.append({"delta": delta, "se": math.hypot(cluster_se[j], baseline_se[j]), "p": p})
     return out
 
 
@@ -416,44 +411,40 @@ def column_deltas(
 # ---------------------------------------------------------------------------
 
 
-def daily_mean_series(
-    day_values: Iterable[tuple[str, float]],
-) -> list[tuple[str, float | None]]:
-    """Collapse (day, value) pairs to per-day means over the full range.
+def day_codes(records: Sequence[TweetRecord]) -> np.ndarray:
+    """Each record's UTC day as days since 1970-01-01 (floor, so instants
+    before 1970 fall on the right day)."""
+    ts = np.fromiter((r.timestamp for r in records), dtype=np.int64, count=len(records))
+    return ts // 86400
 
-    Days between the earliest and latest observed day with no values
+
+def daily_mean_series(days: np.ndarray, values: np.ndarray) -> list[tuple[str, float | None]]:
+    """Per-day means of values, with days as day_codes gives them, over
+    every day from the earliest to the latest; days with no values
     yield None.
+
+    bincount adds each day's values in input order, so every mean has
+    the bits of a running sum divided by the count.
     """
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for day, value in day_values:
-        sums[day] = sums.get(day, 0.0) + value
-        counts[day] = counts.get(day, 0) + 1
-    if not sums:
+    if len(days) == 0:
         return []
-    start = date.fromisoformat(min(sums))
-    end = date.fromisoformat(max(sums))
-    out = []
-    current = start
-    while current <= end:
-        key = current.isoformat()
-        if key in sums:
-            out.append((key, sums[key] / counts[key]))
-        else:
-            out.append((key, None))
-        current += timedelta(days=1)
-    return out
+    first = int(days.min())
+    offsets = days - first
+    counts = np.bincount(offsets).tolist()
+    means = (np.bincount(offsets, weights=values) / np.maximum(counts, 1)).tolist()
+    return [
+        ((_EPOCH + timedelta(days=first + k)).isoformat(), means[k] if counts[k] else None)
+        for k in range(len(counts))
+    ]
 
 
 def daily_mean_confidence(
     table, tweets: Iterable[TweetRecord], characteristic: str
 ) -> list[tuple[str, float | None]]:
     """Per-UTC-day mean confidence of one characteristic over `tweets`."""
-    idx = table.column_index(characteristic)
-    pairs = (
-        (day_of_timestamp(t.timestamp), float(table.get(t.tweet_id)[idx])) for t in tweets
-    )
-    return daily_mean_series(pairs)
+    tweets = list(tweets)
+    values = table.rows_for([t.tweet_id for t in tweets])[:, table.column_index(characteristic)]
+    return daily_mean_series(day_codes(tweets), values)
 
 
 def language_mix(corpus: Corpus, accounts: Iterable[str] | None = None) -> dict[str, dict[str, float]]:

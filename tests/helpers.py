@@ -1,11 +1,16 @@
-"""Record builders shared across test modules."""
+"""Record builders and pure-Python oracles shared across test modules."""
 
 import json
 import os
+import random
+from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
+
 import coordnet
-from coordnet.corpus import Corpus, TweetRecord
+from coordnet.corpus import Corpus, TweetRecord, day_of_timestamp
+from coordnet.sociolinguistics import N_CHARACTERISTICS, CharacteristicTable
 
 BASE_TS = 1493632800  # 2017-05-01T10:00:00Z
 
@@ -53,3 +58,78 @@ def subprocess_env():
     src = str(Path(coordnet.__file__).resolve().parents[1])
     parts = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(parts))
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-element loops the array code replaced, kept as the
+# bitwise reference for it.
+# ---------------------------------------------------------------------------
+
+
+def oracle_rankdata(values):
+    """Ranks starting at 1; ties receive the average of their ranks."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        avg = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = avg
+        i = j + 1
+    return ranks
+
+
+def oracle_daily_mean_series(day_values):
+    """Collapse (ISO day, value) pairs to per-day means over the full
+    range, None on days without values."""
+    sums = {}
+    counts = {}
+    for day, value in day_values:
+        sums[day] = sums.get(day, 0.0) + value
+        counts[day] = counts.get(day, 0) + 1
+    if not sums:
+        return []
+    current = date.fromisoformat(min(sums))
+    end = date.fromisoformat(max(sums))
+    out = []
+    while current <= end:
+        key = current.isoformat()
+        out.append((key, sums[key] / counts[key] if key in sums else None))
+        current += timedelta(days=1)
+    return out
+
+
+def oracle_daily_mean_confidence(table, tweets, characteristic):
+    """Per-UTC-day mean confidence, one table.get() per tweet."""
+    idx = table.column_index(characteristic)
+    return oracle_daily_mean_series(
+        (day_of_timestamp(t.timestamp), float(table.get(t.tweet_id)[idx])) for t in tweets
+    )
+
+
+def random_report_inputs(seed, n_records=400, n_accounts=40):
+    """A seeded corpus and confidence table with the shapes the report's
+    array paths must handle: duplicate tweet_ids (also across accounts),
+    tweets without a confidence row, tied confidences, instants before
+    1970 and days without tweets."""
+    rnd = random.Random(seed)
+    # 1969-12-25 .. 1970-01-09, with 1969-12-28 and 1970-01-03 left empty
+    days = [d for d in range(-7, 9) if d not in (-4, 2)]
+    records = []
+    for i in range(n_records):
+        tid = f"t{rnd.randrange(i)}" if i and rnd.random() < 0.1 else f"t{i}"
+        ts = rnd.choice(days) * 86_400 + rnd.randrange(86_400)
+        records.append(rec(tid, f"a{rnd.randrange(n_accounts)}", ts))
+    # a one-tweet account, for a cluster scope with a single tweet
+    records.append(rec("solo", "solo", 3 * 86_400))
+    distinct = sorted({r.tweet_id for r in records})
+    covered = [t for t in distinct if rnd.random() < 0.8]
+    matrix = np.array(
+        [[rnd.choice((0.0, 0.1, 0.5, 0.5, 0.9, 1.0)) for _ in range(N_CHARACTERISTICS)]
+         for _ in covered]
+    )
+    table = CharacteristicTable(covered, matrix, provenance="external")
+    return Corpus(records), table

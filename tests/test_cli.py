@@ -378,6 +378,30 @@ class TestClusterScoreReport:
         assert summary["interactions"]["intra_share"] is None
         assert summary["duplicate_comparison"] is None
 
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_missing_tweets_counts_corpus_tweets_without_rows(self, tmp_path, flagged):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, [rec(i, f"acct-{i % 2}", BASE_TS + 60 * i) for i in range(1, 5)])
+        cache = tmp_path / "cache.jsonl"
+        main(["ingest", str(corpus), "-o", str(cache)])
+        conf = tmp_path / "conf.csv"
+        conf.write_text(
+            "tweet_id," + ",".join(CHARACTERISTICS) + "\n"
+            "1," + ",".join(["0.5"] * len(CHARACTERISTICS)) + "\n"
+        )
+        edges = tmp_path / "edges.csv"
+        edges.write_text(
+            "account_a,account_b,detector,score,evidence\n"
+            + ("acct-0,acct-1,hashtag,1.0,x\n" if flagged else "")
+        )
+        bundle = tmp_path / "bundle"
+        code = main(["report", str(cache), "-o", str(bundle), "--edges", str(edges),
+                     "--confidences", str(conf)])
+        assert code == 0
+        summary = json.loads((bundle / "summary.json").read_text())
+        assert summary["coordinated_accounts"] == (2 if flagged else 0)
+        assert summary["sociolinguistics"]["missing_tweets"] == 3
+
     def test_report_requires_edges(self, tmp_path, detect_run, capsys):
         cache, _ = detect_run
         assert main(["report", str(cache), "-o", str(tmp_path / "b")]) == 1

@@ -1,0 +1,194 @@
+"""Report socio-linguistic sections against per-record loop oracles.
+
+The oracles rebuild each artifact the way the report did before it
+worked on per-record arrays: one tweet list per scope, one table.get()
+per tweet, one day string per tweet, and both bootstrap sides drawn for
+every scope. The files must match byte for byte.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from coordnet import report, stats
+from coordnet import sociolinguistics as sl
+from coordnet.graph import Cluster
+
+from helpers import oracle_daily_mean_confidence, random_report_inputs
+
+SEED = 7
+B = 60
+TOP = 3
+
+
+def oracle_tweet_ids(corpus, accounts, member):
+    seen = set()
+    out = []
+    for rec in corpus.records:
+        if (rec.account_id in accounts) is member and rec.tweet_id not in seen:
+            seen.add(rec.tweet_id)
+            out.append(rec.tweet_id)
+    return out
+
+
+def oracle_rows(table, ids):
+    return np.vstack([table.get(t) for t in ids])
+
+
+def oracle_deltas(corpus, table, clusters, coordinated):
+    baseline = oracle_rows(table, oracle_tweet_ids(corpus, coordinated, member=False))
+    scopes = [(report.ALL_COORDINATED_SCOPE, coordinated)]
+    scopes += [(str(c.id), c.members) for c in clusters[:TOP]]
+    rows = []
+    for name, members in scopes:
+        ids = oracle_tweet_ids(corpus, set(members), member=True)
+        if not ids:
+            continue
+        for col, d in zip(sl.CHARACTERISTICS, stats.column_deltas(
+            oracle_rows(table, ids), baseline, b=B, seed=SEED
+        )):
+            rows.append((name, col, d["delta"], d["se"], d["p"]))
+    return ("cluster", "characteristic", "delta", "se", "p"), rows
+
+
+def oracle_binarized(corpus, table, coordinated):
+    labels = sl.binarize(table, 0.5)
+    coord = oracle_rows(labels, oracle_tweet_ids(corpus, coordinated, member=True))
+    base = oracle_rows(labels, oracle_tweet_ids(corpus, coordinated, member=False))
+    rows = []
+    for j, name in enumerate(sl.CHARACTERISTICS):
+        c = float(coord[:, j].mean())
+        b = float(base[:, j].mean())
+        rows.append((name, c, b, c - b))
+    return ("characteristic", "coordinated_rate", "baseline_rate", "delta"), rows
+
+
+def oracle_daily(corpus, table, clusters, coordinated):
+    scopes = [
+        (report.ALL_COORDINATED_SCOPE, [r for r in corpus.records if r.account_id in coordinated]),
+        (report.BASELINE_SCOPE, [r for r in corpus.records if r.account_id not in coordinated]),
+    ]
+    for c in clusters[:TOP]:
+        scopes.append((str(c.id), [r for r in corpus.records if r.account_id in c.members]))
+    rows = []
+    for scope, tweets in scopes:
+        for name in sl.CHARACTERISTICS:
+            for day, mean in oracle_daily_mean_confidence(table, tweets, name):
+                rows.append((day, scope, name, mean))
+    return ("day", "scope", "characteristic", "mean_confidence"), rows
+
+
+def oracle_confidence_vs_binarized(corpus, table):
+    labels = sl.binarize(table, 0.5)
+    by_char = {}
+    for name in sl.CHARACTERISTICS:
+        conf = oracle_daily_mean_confidence(table, corpus.records, name)
+        binr = oracle_daily_mean_confidence(labels, corpus.records, name)
+        pairs = [(c, b) for (_, c), (_, b) in zip(conf, binr) if c is not None and b is not None]
+        by_char[name] = (
+            stats.spearman([c for c, _ in pairs], [b for _, b in pairs]).statistic
+            if len(pairs) >= 3
+            else None
+        )
+    defined = [v for v in by_char.values() if v is not None]
+    return {"per_characteristic": by_char, "median": float(np.median(defined)) if defined else None}
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    corpus, table = random_report_inputs(seed=41)
+    clusters = [
+        Cluster(1, {"a1", "a2", "a3", "a4"}),
+        Cluster(2, {"a5", "a6"}),
+        Cluster(3, {"solo"}),  # one tweet: its SE is 0.0, drawn from nothing
+        Cluster(4, {"a7", "a8"}),  # beyond TOP: counts only as coordinated
+    ]
+    coordinated = set().union(*(c.members for c in clusters))
+    return corpus, table, clusters, coordinated
+
+
+def _same_file(tmp_path, produced, header, rows):
+    expected = tmp_path / "expected.csv"
+    report._write_csv(expected, header, rows)
+    assert produced.read_bytes() == expected.read_bytes()
+
+
+def test_inputs_have_the_hard_shapes(inputs):
+    corpus, table, _, _ = inputs
+    ids = [r.tweet_id for r in corpus.records]
+    assert len(set(ids)) < len(ids)
+    assert any(t not in table for t in ids)
+    assert min(r.timestamp for r in corpus.records) < 0
+    assert len({c for c in table.matrix[:, 0]}) < len(table)
+
+
+def test_cluster_deltas_match_oracle(tmp_path, inputs):
+    corpus, table, clusters, coordinated = inputs
+    path = tmp_path / "deltas.csv"
+    cols = report.RecordColumns(corpus, table)
+    report.write_cluster_deltas(cols, table, clusters, coordinated, path, B, SEED, TOP)
+    _same_file(tmp_path, path, *oracle_deltas(corpus, table, clusters, coordinated))
+    solo = [line for line in path.read_text().splitlines() if line.startswith("3,")]
+    assert len(solo) == sl.N_CHARACTERISTICS
+
+
+def test_baseline_bootstrapped_once_per_column(tmp_path, inputs, monkeypatch):
+    corpus, table, clusters, coordinated = inputs
+    calls = []
+    real = stats.bootstrap_se
+    monkeypatch.setattr(stats, "bootstrap_se", lambda *a, **k: calls.append(a[2]) or real(*a, **k))
+    cols = report.RecordColumns(corpus, table)
+    report.write_cluster_deltas(
+        cols, table, clusters, coordinated, tmp_path / "deltas.csv", B, SEED, TOP
+    )
+    # scopes: all_coordinated, clusters 1 and 2 with several tweets each,
+    # cluster 3 with one tweet (no draws)
+    assert len(calls) == sl.N_CHARACTERISTICS * (1 + 3)
+    assert sum(1 for seed in calls if seed[2] == 1) == sl.N_CHARACTERISTICS
+
+
+def test_binarized_rates_match_oracle(tmp_path, inputs):
+    corpus, table, _, coordinated = inputs
+    path = tmp_path / "binarized_rates.csv"
+    report.write_binarized_rates(report.RecordColumns(corpus, table), table, coordinated, path, 0.5)
+    _same_file(tmp_path, path, *oracle_binarized(corpus, table, coordinated))
+
+
+def test_daily_confidence_matches_oracle(tmp_path, inputs):
+    corpus, table, clusters, coordinated = inputs
+    path = tmp_path / "daily_confidence.csv"
+    cols = report.RecordColumns(corpus, table)
+    report.write_daily_confidence(cols, table, clusters, coordinated, path, TOP)
+    header, rows = oracle_daily(corpus, table, clusters, coordinated)
+    assert any(mean is None for *_, mean in rows)  # the empty days stay empty
+    _same_file(tmp_path, path, header, rows)
+
+
+def test_confidence_vs_binarized_matches_oracle(inputs):
+    corpus, table, _, _ = inputs
+    got = report.confidence_vs_binarized(report.RecordColumns(corpus, table), table, 0.5)
+    assert got == oracle_confidence_vs_binarized(corpus, table)
+
+
+def test_missing_tweets_counts_distinct_ids(inputs):
+    corpus, table, _, _ = inputs
+    expected = len({r.tweet_id for r in corpus.records if r.tweet_id not in table})
+    assert report.RecordColumns(corpus, table).missing_tweets() == expected
+
+
+def test_correlation_matrices_share_spearman_bits():
+    # ranks are half-integers, so the matrix product and spearman's
+    # pairwise loop give the same rho, and one p helper the same p
+    rnd = random.Random(3)
+    matrix = np.array(
+        [[rnd.choice((0.0, 0.2, 0.4, 0.6)) for _ in range(sl.N_CHARACTERISTICS)] for _ in range(30)]
+    )
+    table = sl.CharacteristicTable([f"t{i}" for i in range(30)], matrix, "external")
+    rho, pval = report.correlation_matrices(table)
+    for i, j in ((0, 1), (2, 9), (5, 23)):
+        res = stats.spearman(matrix[:, i].tolist(), matrix[:, j].tolist())
+        assert rho[i][j] == res.statistic
+        assert pval[i][j] == res.p_value
+        assert not math.isnan(pval[i][j])

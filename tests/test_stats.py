@@ -18,6 +18,8 @@ from coordnet.stats import (
     bootstrap_se,
     cohens_kappa,
     column_deltas,
+    day_codes,
+    daily_mean_confidence,
     daily_mean_series,
     kappa_from_table,
     language_mix,
@@ -28,7 +30,14 @@ from coordnet.stats import (
     spearman,
 )
 
-from helpers import corpus_of, rec
+from coordnet import stats
+from helpers import (
+    corpus_of,
+    oracle_daily_mean_confidence,
+    oracle_rankdata,
+    random_report_inputs,
+    rec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +91,25 @@ def oracle_auc(scores, labels):
 # ---------------------------------------------------------------------------
 # Spearman
 # ---------------------------------------------------------------------------
+
+
+class TestRankdata:
+    def test_matches_loop_oracle_bitwise(self):
+        rnd = random.Random(21)
+        cases = [[], [0.5], [2, 1, 2, 3, 1], [0.0, -0.0, 0.0, 1.0]]
+        for _ in range(200):
+            n = rnd.randint(1, 60)
+            pool = [rnd.random() for _ in range(rnd.randint(1, n))]
+            cases.append([rnd.choice(pool) for _ in range(n)])
+        for values in cases:
+            assert rankdata(values).tolist() == oracle_rankdata(values)
+
+    def test_rank_sums_are_exact(self):
+        # every rank is a half-integer, so any summation order agrees
+        rnd = random.Random(22)
+        values = [rnd.choice((0.1, 0.2, 0.3)) for _ in range(10_001)]
+        ranks = rankdata(values)
+        assert float(ranks.sum()) == sum(oracle_rankdata(values)) == 10_001 * 10_002 / 2
 
 
 class TestSpearman:
@@ -373,6 +401,27 @@ class TestBootstrapSE:
         with pytest.raises(ValueError):
             bootstrap_se([1.0], b=10, seed=0)
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 257])
+    def test_chunk_budget_does_not_change_se(self, monkeypatch, n):
+        values = np.random.default_rng(n).random(n)
+        b = 100
+        expected = bootstrap_se(values, b=b, seed=(5, 2, 1))
+        for rows in (1, 7, b, b + 3):
+            monkeypatch.setattr(stats, "_BOOTSTRAP_BYTES", 16 * n * rows)
+            assert bootstrap_se(values, b=b, seed=(5, 2, 1)) == expected
+
+    def test_chunk_memory_bounded(self):
+        import tracemalloc
+
+        values = np.random.default_rng(0).random(200_000)
+        tracemalloc.start()
+        try:
+            bootstrap_se(values, b=50, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stats._BOOTSTRAP_BYTES + (1 << 20)
+
 
 # ---------------------------------------------------------------------------
 # Cohen's kappa
@@ -415,22 +464,6 @@ class TestKappa:
         # pairs: (a,b)=1, (a,c)=-1, (b,c)=-1 -> mean -1/3
         res = cohens_kappa([a, b, c])
         assert abs(res.statistic - (-1 / 3)) < 1e-12
-
-    def test_group_mean(self):
-        from coordnet.stats import group_mean_kappa
-
-        perfect = [[0, 1, 0, 1], [0, 1, 0, 1]]
-        inverted = [[0, 1, 0, 1], [1, 0, 1, 0]]
-        out = group_mean_kappa({"x": perfect, "y": inverted})
-        assert out["per_characteristic"] == {"x": 1.0, "y": -1.0}
-        assert out["mean"] == 0.0
-
-    def test_group_mean_skips_undefined(self):
-        from coordnet.stats import group_mean_kappa
-
-        out = group_mean_kappa({"x": [[1, 1], [1, 1]], "y": [[0, 1], [0, 1]]})
-        assert out["per_characteristic"]["x"] is None
-        assert out["mean"] == 1.0
 
     def test_matches_scipy_randomized(self):
         rnd = random.Random(13)
@@ -486,10 +519,13 @@ class TestColumnDeltas:
         assert single[0]["se"] != a[1]["se"]
 
 
+MAY_1_2017 = 17287  # days since 1970-01-01
+
+
 class TestDailySeries:
     def test_fills_gaps_with_none(self):
         series = daily_mean_series(
-            [("2017-05-01", 0.4), ("2017-05-01", 0.6), ("2017-05-03", 1.0)]
+            np.array([MAY_1_2017, MAY_1_2017, MAY_1_2017 + 2]), np.array([0.4, 0.6, 1.0])
         )
         assert series == [
             ("2017-05-01", 0.5),
@@ -498,7 +534,13 @@ class TestDailySeries:
         ]
 
     def test_empty(self):
-        assert daily_mean_series([]) == []
+        assert daily_mean_series(np.array([], dtype=np.int64), np.array([])) == []
+
+    def test_day_codes_floor_before_1970(self):
+        records = [rec(1, "a", -1), rec(2, "a", 0), rec(3, "a", -86_400), rec(4, "a", -86_401)]
+        assert day_codes(records).tolist() == [-1, 0, -1, -2]
+        series = daily_mean_series(day_codes(records), np.array([1.0, 2.0, 3.0, 4.0]))
+        assert series == [("1969-12-30", 4.0), ("1969-12-31", 2.0), ("1970-01-01", 2.0)]
 
     def test_planted_peak_day_is_argmax(self):
         # low everywhere, 0.9 planted on one date: the series must peak there
@@ -509,8 +551,6 @@ class TestDailySeries:
             characteristic_index,
             load_confidences,
         )
-        from coordnet.stats import daily_mean_confidence
-
         rnd = random.Random(14)
         peak_day = "2017-05-07"
         day_seconds = {"2017-05-01": 1493596800, "2017-05-04": 1493856000, "2017-05-07": 1494115200}
@@ -529,6 +569,14 @@ class TestDailySeries:
         series = daily_mean_confidence(table, records, "vote_for")
         defined = [(day, v) for day, v in series if v is not None]
         assert max(defined, key=lambda dv: dv[1])[0] == peak_day
+
+
+    def test_daily_mean_confidence_matches_loop_oracle_bitwise(self):
+        corpus, table = random_report_inputs(seed=31)
+        for name in ("vote_for", "economy", "amusement"):
+            expected = oracle_daily_mean_confidence(table, corpus.records, name)
+            assert daily_mean_confidence(table, corpus.records, name) == expected
+        assert daily_mean_confidence(table, [], "vote_for") == []
 
 
 class TestLanguageMix:
