@@ -24,6 +24,7 @@ from coordnet import stats
 from coordnet.corpus import Corpus, CorpusError, day_of_timestamp, parse_corpus
 from coordnet.manifest import RunManifest
 from coordnet.sociolinguistics import TableError
+from coordnet.sources import csv_reader
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -175,12 +176,19 @@ def cmd_detect(args, config) -> int:
     return EXIT_OK
 
 
+def _edge_files(paths) -> list[Path]:
+    """Edge inputs: a directory stands for its edges_*.csv in name order;
+    a file is taken as given."""
+    files = []
+    for path in map(Path, paths):
+        files.extend(sorted(path.glob("edges_*.csv")) if path.is_dir() else [path])
+    return files
+
+
 def cmd_cluster(args, config) -> int:
     corpus = _load_cache(args.cache)
-    edges = []
-    for path in args.edges:
-        edges.extend(formats.read_edges_csv(path))
-    graph = graphmod.CoordinationGraph.from_edges(edges)
+    tables = [formats.read_edges_csv(path) for path in _edge_files(args.edges)]
+    graph = graphmod.CoordinationGraph.from_edges(*tables)
     clusters = graphmod.label_clusters(graphmod.connected_components(graph), corpus)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -210,17 +218,9 @@ def cmd_score(args, config) -> int:
 
 def cmd_report(args, config) -> int:
     corpus = _load_cache(args.cache)
-    edges = []
-    if args.edges:
-        for path in args.edges:
-            p = Path(path)
-            if p.is_dir():
-                for f in sorted(p.glob("edges_*.csv")):
-                    edges.extend(formats.read_edges_csv(f))
-            else:
-                edges.extend(formats.read_edges_csv(p))
-    else:
+    if not args.edges:
         raise ValueError("missing input: --edges (edge CSV files or a detect output directory)")
+    tables = [formats.read_edges_csv(path) for path in _edge_files(args.edges)]
 
     table = None
     if args.confidences:
@@ -259,7 +259,7 @@ def cmd_report(args, config) -> int:
 
     summary = reportmod.write_report_bundle(
         corpus,
-        edges,
+        tables,
         table,
         args.outdir,
         story_hashtags=story,
@@ -283,8 +283,7 @@ def _read_columns(path, names: list[str], aligned: bool = False) -> dict[str, li
     cell is dropped entirely), which paired tests require; otherwise
     empty cells are skipped per column (columns may differ in length).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.DictReader(fp)
+    with csv_reader(path, csv.DictReader) as reader:
         missing = [n for n in names if n not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"missing columns in {path}: {', '.join(missing)}")
@@ -327,8 +326,7 @@ def cmd_stats(args, config) -> int:
         if len(names) < 2:
             raise ValueError("kappa requires at least 2 annotator columns")
         # row-aligned; empty cells mean "annotator did not label this item"
-        with open(args.csv, "r", encoding="utf-8", newline="") as fp:
-            reader = csv.DictReader(fp)
+        with csv_reader(args.csv, csv.DictReader) as reader:
             missing = [n for n in names if n not in (reader.fieldnames or [])]
             if missing:
                 raise ValueError(f"missing columns in {args.csv}: {', '.join(missing)}")
@@ -350,6 +348,13 @@ def cmd_stats(args, config) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+def _add_detector_flags(p: argparse.ArgumentParser) -> None:
+    """One --flag per DetectorConfig field, typed like its default; a flag
+    overrides the config file."""
+    for f in fields(det.DetectorConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), dest=f.name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,15 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cache")
     p.add_argument("-o", "--outdir", required=True)
     p.add_argument("--detectors", help="comma list from: hashtag,retweet,time")
-    for name in ("hashtag-k", "retweet-min", "time-bin-minutes", "time-min"):
-        p.add_argument(f"--{name}", type=int, dest=name.replace("-", "_"))
-    for name in ("retweet-top-frac", "time-threshold"):
-        p.add_argument(f"--{name}", type=float, dest=name.replace("-", "_"))
+    _add_detector_flags(p)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("cluster", help="connected components of edge lists")
     p.add_argument("cache")
-    p.add_argument("edges", nargs="+")
+    p.add_argument("edges", nargs="+", help="edge CSV files or a detect output directory")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_cluster)
 
@@ -405,10 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--binarize-threshold", type=float)
     p.add_argument("--bootstrap", type=int, default=1000, help="bootstrap resamples")
     p.add_argument("--top-clusters", type=int, default=5)
-    for name in ("hashtag-k", "retweet-min", "time-bin-minutes", "time-min"):
-        p.add_argument(f"--{name}", type=int, dest=name.replace("-", "_"))
-    for name in ("retweet-top-frac", "time-threshold"):
-        p.add_argument(f"--{name}", type=float, dest=name.replace("-", "_"))
+    _add_detector_flags(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("stats", help="ad-hoc tests on CSV columns")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Iterator
 
+from coordnet.sources import open_text
+
 KINDS = ("original", "reply", "retweet")
 
 SECONDS_PER_DAY = 86400
@@ -288,13 +290,11 @@ def parse_corpus(source, strict: bool = False) -> Corpus:
     Lenient mode (the default) skips malformed lines and reports the
     count via Corpus.skipped; strict mode aborts on the first one.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        # surrogateescape: an undecodable byte fails its own line in
-        # parse_line instead of the whole read.
-        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fp:
-            return parse_corpus(fp, strict=strict)
     skip_counter = [0]
-    records = list(iter_records(source, strict=strict, skip_counter=skip_counter))
+    # surrogateescape: an undecodable byte fails its own line in
+    # parse_line instead of the whole read.
+    with open_text(source, errors="surrogateescape") as fp:
+        records = list(iter_records(fp, strict=strict, skip_counter=skip_counter))
     return Corpus(records, skipped=skip_counter[0])
 
 

@@ -3,7 +3,7 @@ tweet-time similarity.
 
 All three detectors generate candidate pairs through inverted indexes
 (never all-pairs scans) and emit canonical, deduplicated, sorted edge
-lists, so output is identical for any input record order.
+tables, so output is identical for any input record order.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ class DetectorConfig:
             raise ValueError("time_bin_minutes must be >= 1")
 
 
+ORDER_ERROR = "edge endpoints must satisfy a < b"
+SCORE_ERROR = "edge score must be in [0, 1]"
+
+
 @dataclass(frozen=True, slots=True)
 class CoordinationEdge:
     """Undirected evidence link between two accounts (a < b)."""
@@ -59,9 +63,9 @@ class CoordinationEdge:
 
     def __post_init__(self):
         if self.a >= self.b:
-            raise ValueError("edge endpoints must satisfy a < b")
+            raise ValueError(ORDER_ERROR)
         if not 0.0 <= self.score <= 1.0:
-            raise ValueError("edge score must be in [0, 1]")
+            raise ValueError(SCORE_ERROR)
 
     @classmethod
     def canonical(cls, x: str, y: str, detector: str, score: float, evidence: str):
@@ -70,8 +74,75 @@ class CoordinationEdge:
         a, b = (x, y) if x < y else (y, x)
         return cls(a, b, detector, score, evidence)
 
-    def sort_key(self):
-        return (self.a, self.b, self.detector, self.evidence)
+
+@dataclass(eq=False)
+class EdgeTable:
+    """Coordination edges as columns over interned codes.
+
+    Row i joins accounts[a[i]] < accounts[b[i]] with detector
+    DETECTORS[detector[i]], score[i] and evidence keys[evidence[i]].
+    accounts may hold ids that no row uses. Each detector's output and
+    each edge file is one table; nothing on the pipeline path builds a
+    per-edge object. Iterating yields CoordinationEdge records.
+    """
+
+    accounts: list[str]
+    a: np.ndarray
+    b: np.ndarray
+    detector: np.ndarray
+    score: np.ndarray
+    keys: list[str]
+    evidence: np.ndarray
+
+    def __post_init__(self):
+        self.a = np.asarray(self.a, dtype=np.int32)
+        self.b = np.asarray(self.b, dtype=np.int32)
+        self.detector = np.asarray(self.detector, dtype=np.int8)
+        self.score = np.asarray(self.score, dtype=np.float64)
+        self.evidence = np.asarray(self.evidence, dtype=np.int32)
+
+    @classmethod
+    def empty(cls) -> "EdgeTable":
+        return cls([], [], [], [], [], [], [])
+
+    @classmethod
+    def from_records(cls, edges: Iterable[CoordinationEdge]) -> "EdgeTable":
+        """The table of the given edges, in their order."""
+        accounts: dict[str, int] = {}
+        keys: dict[str, int] = {}
+        a, b, detector, score, evidence = [], [], [], [], []
+        for e in edges:
+            a.append(accounts.setdefault(e.a, len(accounts)))
+            b.append(accounts.setdefault(e.b, len(accounts)))
+            detector.append(DETECTORS.index(e.detector))
+            score.append(e.score)
+            evidence.append(keys.setdefault(e.evidence, len(keys)))
+        return cls(list(accounts), a, b, detector, score, list(keys), evidence)
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __iter__(self):
+        accounts, keys = self.accounts, self.keys
+        for x, y, d, s, e in zip(
+            self.a.tolist(),
+            self.b.tolist(),
+            self.detector.tolist(),
+            self.score.tolist(),
+            self.evidence.tolist(),
+        ):
+            yield CoordinationEdge(accounts[x], accounts[y], DETECTORS[d], s, keys[e])
+
+    def used(self) -> np.ndarray:
+        """Codes of the accounts some row joins, ascending."""
+        mask = np.zeros(len(self.accounts), dtype=bool)
+        mask[self.a] = True
+        mask[self.b] = True
+        return np.flatnonzero(mask)
+
+    def endpoints(self) -> set[str]:
+        """The accounts some row joins."""
+        return {self.accounts[i] for i in self.used().tolist()}
 
 
 class SparseVector:
@@ -134,29 +205,56 @@ def hashtag_account_index(
     return index
 
 
-def edges_from_hashtag_index(index: dict[str, set[str]]) -> list[CoordinationEdge]:
-    edges = []
-    for key in sorted(index):
-        accounts = sorted(index[key])
-        if len(accounts) < 2:
-            continue
-        for i, a in enumerate(accounts):
-            for b in accounts[i + 1 :]:
-                edges.append(CoordinationEdge(a, b, "hashtag", 1.0, key))
-    edges.sort(key=CoordinationEdge.sort_key)
-    return edges
+def edges_from_hashtag_index(index: dict[str, set[str]]) -> EdgeTable:
+    """One edge per account pair per shared key, in (a, b, key) order.
+
+    Accounts and keys are coded by their rank in sorted order, so code
+    order is string order and a lexsort over the codes gives the
+    canonical order. Groups of equal size make their pairs together,
+    with one np.triu_indices per size.
+    """
+    keys = sorted(key for key, members in index.items() if len(members) >= 2)
+    if not keys:
+        return EdgeTable.empty()
+    accounts = sorted(set().union(*(index[key] for key in keys)))
+    code = {acct: i for i, acct in enumerate(accounts)}
+    sizes = np.fromiter((len(index[key]) for key in keys), dtype=np.int64, count=len(keys))
+    members = np.fromiter(
+        itertools.chain.from_iterable(sorted(map(code.__getitem__, index[key])) for key in keys),
+        dtype=np.int32,
+        count=int(sizes.sum()),
+    )
+    starts = np.cumsum(sizes) - sizes
+    parts = []
+    for m in np.unique(sizes).tolist():
+        groups = np.flatnonzero(sizes == m)
+        block = members[starts[groups, None] + np.arange(m)]  # rows ascend
+        i, j = np.triu_indices(m, 1)
+        parts.append(
+            (block[:, i].ravel(), block[:, j].ravel(), np.repeat(groups.astype(np.int32), len(i)))
+        )
+    a, b, evidence = [np.concatenate(column) for column in zip(*parts)]
+    del parts
+    order = np.lexsort((evidence, b, a))
+    a, b, evidence = a[order], b[order], evidence[order]
+    n = len(order)
+    del order
+    return EdgeTable(
+        accounts, a, b, np.full(n, DETECTORS.index("hashtag"), dtype=np.int8),
+        np.ones(n), keys, evidence,
+    )
 
 
 def detect_hashtag_coordination(
     corpus: Corpus, cfg: DetectorConfig = DetectorConfig()
-) -> list[CoordinationEdge]:
+) -> EdgeTable:
     """Edges between accounts sharing an original-tweet hashtag k-gram."""
     return detect_hashtag_stream(corpus.records, cfg)
 
 
 def detect_hashtag_stream(
     records: Iterable[TweetRecord], cfg: DetectorConfig = DetectorConfig()
-) -> list[CoordinationEdge]:
+) -> EdgeTable:
     cfg.validate()
     return edges_from_hashtag_index(hashtag_account_index(records, cfg.hashtag_k))
 
@@ -269,15 +367,16 @@ def candidate_pair_similarities(
 
 def _edges_from_pairs(
     keys: np.ndarray, sims: np.ndarray, accounts: list[str], detector: str
-) -> list[CoordinationEdge]:
-    """Decode kept pair keys into edges, in canonical order.
+) -> EdgeTable:
+    """Kept pair keys as edges with evidence "cosine".
 
-    Keys ascend and accounts are sorted, so the edges come out sorted.
+    Keys ascend and accounts are sorted, so the rows are in canonical order.
     """
-    return [
-        CoordinationEdge(accounts[key >> 32], accounts[key & 0xFFFFFFFF], detector, s, "cosine")
-        for key, s in zip(keys.tolist(), sims.tolist())
-    ]
+    n = len(keys)
+    return EdgeTable(
+        accounts, keys >> 32, keys & 0xFFFFFFFF, np.full(n, DETECTORS.index(detector)),
+        sims, ["cosine"], np.zeros(n),
+    )
 
 
 def top_fraction_cutoff(sims: np.ndarray, top_frac: float) -> float:
@@ -289,7 +388,7 @@ def top_fraction_cutoff(sims: np.ndarray, top_frac: float) -> float:
 
 def detect_retweet_coordination(
     corpus: Corpus, cfg: DetectorConfig = DetectorConfig()
-) -> tuple[list[CoordinationEdge], set[str]]:
+) -> tuple[EdgeTable, set[str]]:
     """Flag the top retweet_top_frac fraction of candidate-pair cosines.
 
     The quantile is taken over candidate pairs (those sharing at least
@@ -298,16 +397,16 @@ def detect_retweet_coordination(
     cfg.validate()
     vectors = build_account_vectors(corpus, "retweeted_id", cfg)
     keys, sims, accounts = candidate_pair_similarities(vectors)
-    if not len(keys):
-        return [], set()
-    keep = sims >= top_fraction_cutoff(sims, cfg.retweet_top_frac)
-    edges = _edges_from_pairs(keys[keep], sims[keep], accounts, "retweet")
-    return edges, _endpoints(edges)
+    if len(keys):
+        keep = sims >= top_fraction_cutoff(sims, cfg.retweet_top_frac)
+        keys, sims = keys[keep], sims[keep]
+    edges = _edges_from_pairs(keys, sims, accounts, "retweet")
+    return edges, edges.endpoints()
 
 
 def detect_time_coordination(
     corpus: Corpus, cfg: DetectorConfig = DetectorConfig()
-) -> tuple[list[CoordinationEdge], set[str]]:
+) -> tuple[EdgeTable, set[str]]:
     """Flag candidate pairs whose time-bin cosine strictly exceeds the
     configured threshold."""
     cfg.validate()
@@ -315,34 +414,26 @@ def detect_time_coordination(
     keys, sims, accounts = candidate_pair_similarities(vectors)
     keep = sims > cfg.time_threshold
     edges = _edges_from_pairs(keys[keep], sims[keep], accounts, "time")
-    return edges, _endpoints(edges)
-
-
-def _endpoints(edges: Iterable[CoordinationEdge]) -> set[str]:
-    flagged = set()
-    for edge in edges:
-        flagged.add(edge.a)
-        flagged.add(edge.b)
-    return flagged
+    return edges, edges.endpoints()
 
 
 def detect_all(
     corpus: Corpus,
     cfg: DetectorConfig = DetectorConfig(),
     enabled: Iterable[str] = DETECTORS,
-) -> dict[str, tuple[list[CoordinationEdge], set[str]]]:
+) -> dict[str, tuple[EdgeTable, set[str]]]:
     """Run the enabled detectors; disabled ones yield empty results."""
     enabled = set(enabled)
     unknown = enabled - set(DETECTORS)
     if unknown:
         raise ValueError(f"unknown detectors: {sorted(unknown)}")
-    out: dict[str, tuple[list[CoordinationEdge], set[str]]] = {}
+    out: dict[str, tuple[EdgeTable, set[str]]] = {}
     for name in DETECTORS:
         if name not in enabled:
-            out[name] = ([], set())
+            out[name] = (EdgeTable.empty(), set())
         elif name == "hashtag":
             edges = detect_hashtag_coordination(corpus, cfg)
-            out[name] = (edges, _endpoints(edges))
+            out[name] = (edges, edges.endpoints())
         elif name == "retweet":
             out[name] = detect_retweet_coordination(corpus, cfg)
         else:

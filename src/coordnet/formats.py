@@ -2,6 +2,9 @@
 
 Floats are written with repr() (shortest round-trip form) so output is
 byte-stable; empty cells encode null.
+
+Edge files: whatever write_edges_csv writes, read_edges_csv reads back,
+whatever the length of an account id or evidence key.
 """
 
 from __future__ import annotations
@@ -9,9 +12,18 @@ from __future__ import annotations
 import csv
 from typing import Iterable
 
-from coordnet.detectors import DETECTORS, CoordinationEdge
+from coordnet.detectors import DETECTORS, ORDER_ERROR, SCORE_ERROR, EdgeTable
+from coordnet.sources import csv_reader, open_text
 
 EDGE_HEADER = ("account_a", "account_b", "detector", "score", "evidence")
+
+# An evidence key joins k hashtags of any length, so no field limit
+# suits every edge file; this one fits a C long on every platform.
+_EDGE_FIELD_LIMIT = 2**31 - 1
+_DETECTOR_CODES = {name: i for i, name in enumerate(DETECTORS)}
+# Rows turned into Python objects at a time while writing, which bounds
+# the writer's memory above the table itself.
+_WRITE_ROWS = 1 << 16
 
 
 def fmt(value) -> str:
@@ -22,32 +34,60 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_edges_csv(edges: Iterable[CoordinationEdge], fp) -> None:
+def write_edges_csv(edges: EdgeTable, fp) -> None:
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(EDGE_HEADER)
-    for e in edges:
-        writer.writerow((e.a, e.b, e.detector, fmt(e.score), e.evidence))
+    account, key = edges.accounts.__getitem__, edges.keys.__getitem__
+    for lo in range(0, len(edges), _WRITE_ROWS):
+        rows = slice(lo, lo + _WRITE_ROWS)
+        writer.writerows(
+            zip(
+                map(account, edges.a[rows].tolist()),
+                map(account, edges.b[rows].tolist()),
+                map(DETECTORS.__getitem__, edges.detector[rows].tolist()),
+                map(repr, edges.score[rows].tolist()),  # fmt() of a float
+                map(key, edges.evidence[rows].tolist()),
+            )
+        )
 
 
-def read_edges_csv(source) -> list[CoordinationEdge]:
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as fp:
-            return read_edges_csv(fp)
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None or tuple(header) != EDGE_HEADER:
-        raise ValueError(f"edge CSV must start with header {','.join(EDGE_HEADER)}")
-    edges = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ValueError(f"edge row must have 5 fields, got {len(row)}")
-        a, b, detector, score, evidence = row
-        if detector not in DETECTORS:
-            raise ValueError(f"unknown detector in edge file: {detector!r}")
-        edges.append(CoordinationEdge(a, b, detector, float(score), evidence))
-    return edges
+def read_edges_csv(source) -> EdgeTable:
+    """Read and check an edge file: the header, then rows of 5 fields
+    with a known detector, account_a < account_b and a score in [0, 1].
+    Blank lines are skipped. Account ids and evidence keys are interned
+    in first-seen order."""
+    accounts: dict[str, int] = {}
+    keys: dict[str, int] = {}
+    intern = accounts.setdefault
+    a, b, detector, score, evidence = [], [], [], [], []
+    limit = csv.field_size_limit(_EDGE_FIELD_LIMIT)
+    try:
+        with csv_reader(source) as reader:
+            header = next(reader, None)
+            if header is None or tuple(header) != EDGE_HEADER:
+                raise ValueError(f"edge CSV must start with header {','.join(EDGE_HEADER)}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 5:
+                    raise ValueError(f"edge row must have 5 fields, got {len(row)}")
+                x, y, name, text, key = row
+                code = _DETECTOR_CODES.get(name)
+                if code is None:
+                    raise ValueError(f"unknown detector in edge file: {name!r}")
+                value = float(text)
+                if x >= y:
+                    raise ValueError(ORDER_ERROR)
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(SCORE_ERROR)
+                a.append(intern(x, len(accounts)))
+                b.append(intern(y, len(accounts)))
+                detector.append(code)
+                score.append(value)
+                evidence.append(keys.setdefault(key, len(keys)))
+    finally:
+        csv.field_size_limit(limit)
+    return EdgeTable(list(accounts), a, b, detector, score, list(keys), evidence)
 
 
 def write_account_list(accounts: Iterable[str], fp) -> None:
@@ -57,7 +97,5 @@ def write_account_list(accounts: Iterable[str], fp) -> None:
 
 
 def read_account_list(source) -> set[str]:
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fp:
-            return read_account_list(fp)
-    return {line.strip() for line in source if line.strip()}
+    with open_text(source) as fp:
+        return {line.strip() for line in fp if line.strip()}

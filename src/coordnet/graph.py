@@ -11,6 +11,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from coordnet.corpus import (
     DEFAULT_NORMALIZE,
     KINDS,
@@ -18,62 +20,83 @@ from coordnet.corpus import (
     NormalizeOptions,
     normalize_text,
 )
-from coordnet.detectors import CoordinationEdge
+from coordnet.detectors import EdgeTable
 
 
 class UnionFind:
-    """Disjoint sets over hashable items, union by size + path compression."""
+    """Disjoint sets over the codes 0..n-1: union by size, path halving."""
 
-    def __init__(self):
-        self._parent: dict = {}
-        self._size: dict = {}
+    def __init__(self, n: int):
+        self._parent = list(range(n))
+        self._size = [1] * n
 
-    def add(self, item) -> None:
-        if item not in self._parent:
-            self._parent[item] = item
-            self._size[item] = 1
+    def find(self, x: int) -> int:
+        parent = self._parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def find(self, item):
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
             return
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
+        if self._size[rx] < self._size[ry]:
+            rx, ry = ry, rx
+        self._parent[ry] = rx
+        self._size[rx] += self._size[ry]
 
-    def groups(self) -> list[set]:
-        by_root: dict = {}
-        for item in self._parent:
-            by_root.setdefault(self.find(item), set()).add(item)
+    def groups(self) -> list[list[int]]:
+        """The sets, each in ascending code order."""
+        by_root: dict[int, list[int]] = {}
+        for x in range(len(self._parent)):
+            by_root.setdefault(self.find(x), []).append(x)
         return list(by_root.values())
 
 
 @dataclass
 class CoordinationGraph:
-    """Undirected evidence graph; every edge endpoint is a node."""
+    """Undirected evidence graph over interned account codes.
 
-    nodes: set[str] = field(default_factory=set)
-    edges: list[CoordinationEdge] = field(default_factory=list)
+    names[i] is the account id of node i; every name is a node (an edge
+    endpoint or an extra node). (a[j], b[j]) are the distinct edges,
+    each once, in no particular order.
+    """
+
+    names: list[str] = field(default_factory=list)
+    a: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    b: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+    @property
+    def nodes(self) -> set[str]:
+        return set(self.names)
 
     @classmethod
     def from_edges(
-        cls, edges: Iterable[CoordinationEdge], extra_nodes: Iterable[str] = ()
+        cls, *tables: EdgeTable, extra_nodes: Iterable[str] = ()
     ) -> "CoordinationGraph":
-        edges = sorted(set(edges), key=CoordinationEdge.sort_key)
-        nodes = set(extra_nodes)
-        for edge in edges:
-            nodes.add(edge.a)
-            nodes.add(edge.b)
-        return cls(nodes=nodes, edges=edges)
+        """The graph of every row of the tables, plus extra_nodes.
+
+        Each table's used account codes are mapped into one code space;
+        detector, score and evidence do not matter to the components.
+        """
+        codes: dict[str, int] = {}
+        a_parts = [np.empty(0, dtype=np.int64)]
+        b_parts = [np.empty(0, dtype=np.int64)]
+        for table in tables:
+            remap = np.zeros(len(table.accounts), dtype=np.int64)
+            for i in table.used().tolist():
+                remap[i] = codes.setdefault(table.accounts[i], len(codes))
+            a_parts.append(remap[table.a])
+            b_parts.append(remap[table.b])
+        for name in extra_nodes:
+            codes.setdefault(name, len(codes))
+        a, b = np.concatenate(a_parts), np.concatenate(b_parts)
+        # Distinct pairs by one sort of their keys: np.unique (numpy 2.4)
+        # hashes int64 keys first, which is many times slower than this.
+        pairs = np.sort((np.minimum(a, b) << 32) | np.maximum(a, b))
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        return cls(names=list(codes), a=pairs >> 32, b=pairs & 0xFFFFFFFF)
 
 
 @dataclass
@@ -92,12 +115,12 @@ class Cluster:
 def connected_components(graph: CoordinationGraph) -> list[Cluster]:
     """Components sorted by size descending, ties by smallest member id;
     cluster ids are assigned in that order starting at 1."""
-    uf = UnionFind()
-    for node in graph.nodes:
-        uf.add(node)
-    for edge in graph.edges:
-        uf.union(edge.a, edge.b)
-    groups = uf.groups()
+    uf = UnionFind(len(graph.names))
+    union = uf.union
+    for x, y in zip(graph.a.tolist(), graph.b.tolist()):
+        union(x, y)
+    names = graph.names
+    groups = [{names[x] for x in group} for group in uf.groups()]
     groups.sort(key=lambda g: (-len(g), min(g)))
     return [Cluster(id=i, members=g) for i, g in enumerate(groups, start=1)]
 

@@ -1,6 +1,6 @@
 """Report bundle: the plot-ready CSV/JSON files a run emits.
 
-Every artifact is recomputable from the corpus cache, the edge lists,
+Every artifact is recomputable from the corpus cache, the edge files,
 and the confidence table; the bundle manifest records a sha256 for each
 file plus the digest of the run configuration. Output is byte-identical
 for identical inputs and seed, at any thread count.
@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from coordnet.corpus import (
     day_of_timestamp,
     daily_volume,
 )
-from coordnet.detectors import CoordinationEdge
+from coordnet.detectors import EdgeTable
 from coordnet.formats import fmt
 from coordnet.graph import CoordinationGraph
 from coordnet.manifest import RunManifest
@@ -320,7 +321,7 @@ def confidence_vs_binarized(
 
 def write_report_bundle(
     corpus: Corpus,
-    edges: list[CoordinationEdge],
+    edge_tables: Iterable[EdgeTable],
     table: sl.CharacteristicTable | None,
     outdir,
     *,
@@ -344,7 +345,8 @@ def write_report_bundle(
         written.append(path)
         return path
 
-    coord_graph = CoordinationGraph.from_edges(edges)
+    edge_tables = list(edge_tables)
+    coord_graph = CoordinationGraph.from_edges(*edge_tables)
     clusters = graphmod.label_clusters(
         graphmod.connected_components(coord_graph), corpus
     )
@@ -352,7 +354,7 @@ def write_report_bundle(
 
     manifest.counts["records"] = len(corpus)
     manifest.counts["accounts"] = len(corpus.account_index)
-    manifest.counts["edges"] = len(edges)
+    manifest.counts["edges"] = sum(len(t) for t in edge_tables)
     manifest.counts["coordinated_accounts"] = len(coordinated)
     manifest.counts["clusters"] = len(clusters)
     rng_range = corpus.time_range()

@@ -17,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from coordnet.corpus import MATCH_NORMALIZE, Corpus, TweetRecord, normalize_text
+from coordnet.sources import csv_reader
 
 ATTITUDES = ("vote_for", "vote_against", "moral", "immoral")
 
@@ -138,65 +139,66 @@ def load_confidences(source) -> CharacteristicTable:
     duplicate tweet_ids, and out-of-range values are errors. Empty cells
     default to 0.0 and are counted in missing_values.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as fp:
-            return load_confidences(fp)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise TableError("empty confidence file") from None
-    if not header or header[0].strip().lower() != "tweet_id":
-        raise TableError("first column must be tweet_id")
-    columns = []
-    for raw in header[1:]:
+    with csv_reader(source) as reader:
         try:
-            columns.append(canonical_name(raw))
-        except ValueError:
-            raise TableError(f"unknown column: {raw!r}") from None
-    seen_cols = set(columns)
-    if len(seen_cols) != len(columns):
-        dupes = sorted({c for c in columns if columns.count(c) > 1})
-        raise TableError(f"duplicate columns: {', '.join(dupes)}")
-    missing = [name for name in CHARACTERISTICS if name not in seen_cols]
-    if missing:
-        raise TableError(f"missing columns: {', '.join(missing)}")
-
-    tweet_ids: list[str] = []
-    rows: list[list[float]] = []
-    seen_ids: set[str] = set()
-    missing_values = 0
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(columns) + 1:
-            raise TableError(f"row {line_no}: expected {len(columns) + 1} fields, got {len(row)}")
-        tid = row[0]
-        if tid in seen_ids:
-            raise TableError(f"row {line_no}: duplicate tweet_id {tid!r}")
-        seen_ids.add(tid)
-        values = [0.0] * N_CHARACTERISTICS
-        for col_name, cell in zip(columns, row[1:]):
-            if cell.strip() == "":
-                missing_values += 1
-                continue
+            header = next(reader)
+        except StopIteration:
+            raise TableError("empty confidence file") from None
+        if not header or header[0].strip().lower() != "tweet_id":
+            raise TableError("first column must be tweet_id")
+        columns = []
+        for raw in header[1:]:
             try:
-                v = float(cell)
+                columns.append(canonical_name(raw))
             except ValueError:
-                raise TableError(f"row {line_no}, column {col_name}: not a number: {cell!r}") from None
-            if not 0.0 <= v <= 1.0:
-                raise TableError(f"row {line_no}, column {col_name}: value {v} outside [0, 1]")
-            values[_COLUMN_INDEX[col_name]] = v
-        tweet_ids.append(tid)
-        rows.append(values)
-    matrix = (
-        np.array(rows, dtype=np.float64)
-        if rows
-        else np.empty((0, N_CHARACTERISTICS), dtype=np.float64)
-    )
-    table = CharacteristicTable(tweet_ids, matrix, provenance="external")
-    table.missing_values = missing_values
-    return table
+                raise TableError(f"unknown column: {raw!r}") from None
+        seen_cols = set(columns)
+        if len(seen_cols) != len(columns):
+            dupes = sorted({c for c in columns if columns.count(c) > 1})
+            raise TableError(f"duplicate columns: {', '.join(dupes)}")
+        missing = [name for name in CHARACTERISTICS if name not in seen_cols]
+        if missing:
+            raise TableError(f"missing columns: {', '.join(missing)}")
+
+        tweet_ids: list[str] = []
+        rows: list[list[float]] = []
+        seen_ids: set[str] = set()
+        missing_values = 0
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(columns) + 1:
+                raise TableError(
+                    f"row {line_no}: expected {len(columns) + 1} fields, got {len(row)}"
+                )
+            tid = row[0]
+            if tid in seen_ids:
+                raise TableError(f"row {line_no}: duplicate tweet_id {tid!r}")
+            seen_ids.add(tid)
+            values = [0.0] * N_CHARACTERISTICS
+            for col_name, cell in zip(columns, row[1:]):
+                if cell.strip() == "":
+                    missing_values += 1
+                    continue
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise TableError(
+                        f"row {line_no}, column {col_name}: not a number: {cell!r}"
+                    ) from None
+                if not 0.0 <= v <= 1.0:
+                    raise TableError(f"row {line_no}, column {col_name}: value {v} outside [0, 1]")
+                values[_COLUMN_INDEX[col_name]] = v
+            tweet_ids.append(tid)
+            rows.append(values)
+        matrix = (
+            np.array(rows, dtype=np.float64)
+            if rows
+            else np.empty((0, N_CHARACTERISTICS), dtype=np.float64)
+        )
+        table = CharacteristicTable(tweet_ids, matrix, provenance="external")
+        table.missing_values = missing_values
+        return table
 
 
 def write_confidences(table: CharacteristicTable, fp) -> None:
@@ -243,32 +245,29 @@ class Lexicon:
 
 def load_lexicon(source) -> Lexicon:
     """Load a lexicon CSV: characteristic,phrase,weight[,language]."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as fp:
-            return load_lexicon(fp)
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None:
-        raise TableError("empty lexicon file")
-    entries = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) < 3:
-            raise TableError(f"row {line_no}: expected characteristic,phrase,weight")
-        name = canonical_name(row[0])
-        phrase = normalize_text(row[1], MATCH_NORMALIZE)
-        if not phrase:
-            raise TableError(f"row {line_no}: empty phrase")
-        try:
-            weight = float(row[2])
-        except ValueError:
-            raise TableError(f"row {line_no}: weight not a number: {row[2]!r}") from None
-        if not 0.0 < weight <= 1.0:
-            raise TableError(f"row {line_no}: weight {weight} outside (0, 1]")
-        language = row[3].strip() if len(row) > 3 and row[3].strip() else None
-        entries.append(LexiconEntry(name, phrase, weight, language))
-    return Lexicon(entries)
+    with csv_reader(source) as reader:
+        header = next(reader, None)
+        if header is None:
+            raise TableError("empty lexicon file")
+        entries = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < 3:
+                raise TableError(f"row {line_no}: expected characteristic,phrase,weight")
+            name = canonical_name(row[0])
+            phrase = normalize_text(row[1], MATCH_NORMALIZE)
+            if not phrase:
+                raise TableError(f"row {line_no}: empty phrase")
+            try:
+                weight = float(row[2])
+            except ValueError:
+                raise TableError(f"row {line_no}: weight not a number: {row[2]!r}") from None
+            if not 0.0 < weight <= 1.0:
+                raise TableError(f"row {line_no}: weight {weight} outside (0, 1]")
+            language = row[3].strip() if len(row) > 3 and row[3].strip() else None
+            entries.append(LexiconEntry(name, phrase, weight, language))
+        return Lexicon(entries)
 
 
 def builtin_lexicon() -> Lexicon:

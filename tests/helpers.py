@@ -133,3 +133,55 @@ def random_report_inputs(seed, n_records=400, n_accounts=40):
     )
     table = CharacteristicTable(covered, matrix, provenance="external")
     return Corpus(records), table
+
+
+class UnionFind:
+    """Disjoint sets over hashable items, union by size + path compression."""
+
+    def __init__(self):
+        self._parent: dict = {}
+        self._size: dict = {}
+
+    def add(self, item) -> None:
+        if item not in self._parent:
+            self._parent[item] = item
+            self._size[item] = 1
+
+    def find(self, item):
+        root = item
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[item] != root:
+            self._parent[item], item = root, self._parent[item]
+        return root
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self._size[ra] < self._size[rb]:
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        self._size[ra] += self._size[rb]
+
+    def groups(self) -> list[set]:
+        by_root: dict = {}
+        for item in self._parent:
+            by_root.setdefault(self.find(item), set()).add(item)
+        return list(by_root.values())
+
+
+def oracle_components(edges, extra_nodes=()):
+    """(cluster id, member set) per connected component of CoordinationEdge
+    records, by union-find over the account ids themselves: size
+    descending, then smallest member, ids from 1."""
+    uf = UnionFind()
+    for node in extra_nodes:
+        uf.add(node)
+    for edge in sorted(set(edges), key=lambda e: (e.a, e.b, e.detector, e.evidence)):
+        uf.add(edge.a)
+        uf.add(edge.b)
+        uf.union(edge.a, edge.b)
+    groups = uf.groups()
+    groups.sort(key=lambda g: (-len(g), min(g)))
+    return list(enumerate(groups, start=1))

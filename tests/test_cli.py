@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and file interfaces."""
 
 import csv
+import io
+import itertools
 import json
 import subprocess
 import sys
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 from coordnet.cli import main
 from coordnet.corpus import record_to_json
-from coordnet.formats import read_edges_csv
+from coordnet.detectors import CoordinationEdge, EdgeTable
+from coordnet.formats import read_edges_csv, write_edges_csv
 from coordnet.sociolinguistics import CHARACTERISTICS
 
 from helpers import BASE_TS, jsonl_line, rec, subprocess_env
@@ -101,21 +104,38 @@ class TestIngest:
         assert main(["ingest", str(tmp_path / "nope.jsonl"), "-o", str(tmp_path / "c")]) == 2
 
 
-def test_cli_import_loads_no_scipy_submodules():
+_IMPORT_PROBE = """
+import json, sys
+import coordnet.cli
+
+def loaded(names):
+    return sorted(m for m in names if m in sys.modules)
+
+print(json.dumps(loaded(("scipy.special", "scipy.sparse"))))
+codes = [coordnet.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, loaded(("scipy.sparse", "scipy.sparse.csgraph"))]))
+"""
+
+
+def test_cli_import_loads_no_scipy_submodules(tmp_path, detect_run):
     # scipy.special and scipy.sparse each cost a CLI process time and
-    # RSS; they load only in the calls that need them.
-    probe = (
-        "import sys, coordnet.cli; "
-        "print(sorted(m for m in ('scipy.special', 'scipy.sparse') if m in sys.modules))"
-    )
+    # RSS; they load only in the calls that need them. cluster and
+    # report find components without them.
+    cache, det = detect_run
+    stages = [
+        ["cluster", str(cache), str(det), "-o", str(tmp_path / "clusters.csv")],
+        ["report", str(cache), "-o", str(tmp_path / "bundle"), "--edges", str(det)],
+    ]
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(stages)],
         env=subprocess_env(),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    after_import, after_stages = out.stdout.strip().splitlines()
+    assert json.loads(after_import) == []
+    assert json.loads(after_stages) == [[0, 0], []]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +242,7 @@ class TestDetect:
         _, outdir = detect_run
         edges = read_edges_csv(outdir / "edges_hashtag.csv")
         assert [(e.a, e.b) for e in edges] == [("coord-a", "coord-b")]
-        assert edges[0].evidence == "v|w|x|y|z"
+        assert list(edges)[0].evidence == "v|w|x|y|z"
         union = (outdir / "flagged_union.txt").read_text().split()
         assert union == ["coord-a", "coord-b"]
 
@@ -242,7 +262,7 @@ class TestDetect:
         cache, _ = detect_run
         outdir = tmp_path / "det2"
         assert main(["detect", str(cache), "-o", str(outdir), "--detectors", "hashtag"]) == 0
-        assert read_edges_csv(outdir / "edges_retweet.csv") == []
+        assert list(read_edges_csv(outdir / "edges_retweet.csv")) == []
         assert (outdir / "flagged_time.txt").read_text() == ""
 
     def test_unknown_detector_rejected(self, tmp_path, detect_run, capsys):
@@ -256,7 +276,7 @@ class TestDetect:
         config.write_text("hashtag_k = 6\n# comment\ntime_threshold = 0.95\n")
         outdir = tmp_path / "det6"
         assert main(["--config", str(config), "detect", str(cache), "-o", str(outdir)]) == 0
-        assert read_edges_csv(outdir / "edges_hashtag.csv") == []  # k=6 > run length
+        assert list(read_edges_csv(outdir / "edges_hashtag.csv")) == []  # k=6 > run length
         outdir2 = tmp_path / "det5"
         assert (
             main(
@@ -280,6 +300,84 @@ class TestDetect:
         config = tmp_path / "bad.conf"
         config.write_text("retweet_top_frac = 2.0\n")
         assert main(["--config", str(config), "detect", str(cache), "-o", str(tmp_path / "y")]) == 1
+
+
+_EDGE_HEADER = "account_a,account_b,detector,score,evidence\n"
+_GOOD_EDGE = "p,q,hashtag,1.0,k\n"
+_HEADER_MESSAGE = "edge CSV must start with header account_a,account_b,detector,score,evidence"
+_RANGE_MESSAGE = "edge score must be in [0, 1]"
+_ORDER_MESSAGE = "edge endpoints must satisfy a < b"
+
+BAD_EDGE_FILES = {
+    "bad-header": ("a,b,detector,score,evidence\n" + _GOOD_EDGE, _HEADER_MESSAGE),
+    "empty-file": ("", _HEADER_MESSAGE),
+    "4-fields": ("x,y,hashtag,1.0\n", "edge row must have 5 fields, got 4"),
+    "6-fields": ("x,y,hashtag,1.0,k,extra\n", "edge row must have 5 fields, got 6"),
+    "unknown-detector": ("x,y,psychic,1.0,k\n", "unknown detector in edge file: 'psychic'"),
+    "a-equals-b": ("x,x,hashtag,1.0,k\n", _ORDER_MESSAGE),
+    "a-after-b": ("y,x,hashtag,1.0,k\n", _ORDER_MESSAGE),
+    "score-negative": ("x,y,time,-0.5,cosine\n", _RANGE_MESSAGE),
+    "score-above-one": ("x,y,time,1.5,cosine\n", _RANGE_MESSAGE),
+    "score-nan": ("x,y,time,nan,cosine\n", _RANGE_MESSAGE),
+    "score-not-a-number": ("x,y,time,abc,cosine\n", "could not convert string to float: 'abc'"),
+    # the first failing check wins: fields, detector, score parse, order, range
+    "fields-before-detector": ("x,y,psychic,1.0\n", "edge row must have 5 fields, got 4"),
+    "detector-before-score": ("x,y,psychic,abc,k\n", "unknown detector in edge file: 'psychic'"),
+    "score-parse-before-order": ("y,x,time,abc,cosine\n", "could not convert string to float: 'abc'"),
+    "order-before-range": ("y,x,time,1.5,cosine\n", _ORDER_MESSAGE),
+}
+
+
+class TestEdgeFile:
+    """The checks read_edges_csv makes on every row, and their messages."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_EDGE_FILES))
+    def test_bad_edge_file_rejected(self, tmp_path, detect_run, capsys, case):
+        body, message = BAD_EDGE_FILES[case]
+        if "header" not in case and case != "empty-file":
+            body = _EDGE_HEADER + _GOOD_EDGE + body
+        path = tmp_path / "edges.csv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_edges_csv(path)
+        assert str(info.value) == message
+        cache, _ = detect_run
+        capsys.readouterr()
+        assert main(["cluster", str(cache), str(path), "-o", str(tmp_path / "c.csv")]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_write_read_round_trip(self):
+        ids = ["a,b", 'q"uote', "line\nbreak", "nul\x00", "nul", " pad ", "é", "z" * 200_000]
+        edges = [
+            CoordinationEdge(x, y, detector, score, key)
+            for (x, y), detector, score, key in zip(
+                itertools.combinations(sorted(ids), 2),
+                itertools.cycle(("hashtag", "retweet", "time")),
+                itertools.cycle((1.0, 0.1 + 0.2, 0.0, 1 / 3)),
+                itertools.cycle(("k|l", "cosine", "x" * 150_000)),
+            )
+        ]
+        fp = io.StringIO(newline="")
+        write_edges_csv(EdgeTable.from_records(edges), fp)
+        fp.seek(0)
+        assert list(read_edges_csv(fp)) == edges
+
+    def test_blank_lines_skipped(self, tmp_path, detect_run):
+        path = tmp_path / "edges.csv"
+        path.write_text(
+            _EDGE_HEADER + "\n" + "coord-a,coord-b,hashtag,1.0,k\n\n\n" + "p,q,time,0.5,cosine\n",
+            encoding="utf-8",
+        )
+        edges = list(read_edges_csv(path))
+        assert [(e.a, e.b, e.detector, e.score, e.evidence) for e in edges] == [
+            ("coord-a", "coord-b", "hashtag", 1.0, "k"),
+            ("p", "q", "time", 0.5, "cosine"),
+        ]
+        cache, _ = detect_run
+        out = tmp_path / "c.csv"
+        assert main(["cluster", str(cache), str(path), "-o", str(out)]) == 0
+        rows = list(csv.reader(out.open()))
+        assert [row[3:] for row in rows[1:]] == [["coord-a", "coord-b"], ["p", "q"]]
 
 
 class TestClusterScoreReport:
@@ -430,6 +528,64 @@ class TestClusterScoreReport:
         assert rows[0] == ["day", "original", "reply", "retweet"]
         # day 2 has no originals -> empty cell (null)
         assert rows[2][1] == ""
+
+
+def _confidence_csv(last_cell):
+    head = "tweet_id," + ",".join(CHARACTERISTICS) + "\n"
+    return head + "1," + ",".join(["0.5"] * (len(CHARACTERISTICS) - 1) + [last_cell]) + "\n"
+
+
+class TestCsvInputs:
+    def test_long_hashtags_pass_every_stage(self, tmp_path):
+        # the evidence key joins five 30,000-character tags: 150,004
+        # characters, more than the csv module's default field limit
+        tags = ["v" * 30_000, "w" * 30_000, "x" * 30_000, "y" * 30_000, "z" * 30_000]
+        src = tmp_path / "corpus.jsonl"
+        write_jsonl(
+            src,
+            [
+                rec(1, "coord-a", BASE_TS, hashtags=tags),
+                rec(2, "coord-b", BASE_TS + 60, hashtags=tags),
+                rec(3, "plain", BASE_TS + 120, hashtags=["x"]),
+            ],
+        )
+        cache, det, clusters = tmp_path / "cache.jsonl", tmp_path / "det", tmp_path / "c.csv"
+        assert main(["ingest", str(src), "-o", str(cache)]) == 0
+        assert main(["detect", str(cache), "-o", str(det)]) == 0
+        assert main(["cluster", str(cache), str(det), "-o", str(clusters)]) == 0
+        bundle = tmp_path / "bundle"
+        assert main(["report", str(cache), "-o", str(bundle), "--edges", str(det)]) == 0
+        assert [e.evidence for e in read_edges_csv(det / "edges_hashtag.csv")] == ["|".join(tags)]
+        for path in (clusters, bundle / "clusters.csv"):
+            rows = list(csv.reader(path.open()))
+            assert [row[:2] + row[3:] for row in rows[1:]] == [["1", "2", "coord-a", "coord-b"]]
+        summary = json.loads((bundle / "summary.json").read_text())
+        assert summary["coordinated_accounts"] == 2
+
+    @pytest.mark.parametrize("fault", ["broken-quote", "oversized-field"])
+    @pytest.mark.parametrize("reader", ["confidences", "lexicon", "stats"])
+    def test_csv_error_is_located_validation_error(
+        self, tmp_path, detect_run, capsys, reader, fault
+    ):
+        # a quote that never closes runs on to the end of the file, past
+        # the csv module's field limit, as one oversized field does
+        cache, det = detect_run
+        bad = tmp_path / "bad.csv"
+        out = str(tmp_path / "out")
+        cell = '"0.5\n' + "0.5\n" * 50_000 if fault == "broken-quote" else "9" * 200_000
+        if reader == "confidences":
+            bad.write_text(_confidence_csv(cell))
+            argv = ["report", str(cache), "-o", out, "--edges", str(det), "--confidences", str(bad)]
+        elif reader == "lexicon":
+            bad.write_text("characteristic,phrase,weight\nvote_for,vote," + cell + "\n")
+            argv = ["score", str(cache), "-o", out, "--lexicon", str(bad)]
+        else:
+            bad.write_text("x,y\n1,10\n2," + cell + "\n")
+            argv = ["stats", "spearman", "--csv", str(bad), "--x", "x", "--y", "y"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}, line " in err and "field larger than field limit (131072)" in err
 
 
 class TestStatsCommand:

@@ -18,6 +18,7 @@ from coordnet.detectors import (
     detect_hashtag_coordination,
     detect_retweet_coordination,
     detect_time_coordination,
+    edges_from_hashtag_index,
     hashtag_key_set,
     tfidf_weight,
     top_fraction_cutoff,
@@ -329,21 +330,21 @@ class TestHashtagDetector:
             rec(2, "y", hashtags=["a", "b", "c", "d", "e"]),
         )
         edges = detect_hashtag_coordination(corpus)
-        assert edges == [CoordinationEdge("x", "y", "hashtag", 1.0, "a|b|c|d|e")]
+        assert list(edges) == [CoordinationEdge("x", "y", "hashtag", 1.0, "a|b|c|d|e")]
 
     def test_same_account_twice_no_edge(self):
         corpus = corpus_of(
             rec(1, "x", hashtags=["a", "b", "c", "d", "e"]),
             rec(2, "x", hashtags=["a", "b", "c", "d", "e"]),
         )
-        assert detect_hashtag_coordination(corpus) == []
+        assert list(detect_hashtag_coordination(corpus)) == []
 
     def test_retweets_do_not_participate(self):
         corpus = corpus_of(
             rec(1, "x", hashtags=["a", "b", "c", "d", "e"]),
             rec(2, "y", kind="retweet", rt_id="1", hashtags=["a", "b", "c", "d", "e"]),
         )
-        assert detect_hashtag_coordination(corpus) == []
+        assert list(detect_hashtag_coordination(corpus)) == []
 
     def test_planted_keys_edge_counts(self):
         # 3 accounts share K1, 2 accounts share K2, disjoint -> 3 + 1 edges
@@ -369,6 +370,24 @@ class TestHashtagDetector:
             pairs = {(e.a, e.b) for e in edges}
             assert pairs == oracle_hashtag_pairs(corpus, 5)
 
+    def test_edge_table_matches_object_loop(self):
+        # the per-pair loop and sort the array build replaced: every row,
+        # in (a, b, key) order, over groups of many sizes that overlap
+        for seed in range(20):
+            rnd = random.Random(seed)
+            names = [f"u{i}" for i in range(40)] + ["u1\x00", "u10\x00", "", "\x00"]
+            index = {
+                f"k{j}" + "\x00" * (j % 3): set(rnd.sample(names, rnd.randrange(1, 12)))
+                for j in range(rnd.randrange(0, 30))
+            }
+            want = [
+                CoordinationEdge(a, b, "hashtag", 1.0, key)
+                for key in index
+                for a, b in itertools.combinations(sorted(index[key]), 2)
+            ]
+            want.sort(key=lambda e: (e.a, e.b, e.detector, e.evidence))
+            assert list(edges_from_hashtag_index(index)) == want
+
     def test_monotone_in_k(self):
         rnd = random.Random(55)
         for _ in range(5):
@@ -385,7 +404,7 @@ class TestRetweetDetector:
     def test_fewer_than_two_eligible(self):
         records = [rec(i, "only", kind="retweet", rt_id=f"t{i}") for i in range(15)]
         edges, flagged = detect_retweet_coordination(corpus_of(*records))
-        assert edges == [] and flagged == set()
+        assert list(edges) == [] and flagged == set()
 
     def test_single_similar_pair_flagged(self):
         records = []
@@ -402,7 +421,7 @@ class TestRetweetDetector:
         )
         assert flagged == {"x", "y"}
         assert len(edges) == 1
-        assert edges[0].evidence == "cosine"
+        assert list(edges)[0].evidence == "cosine"
 
     def test_identical_profiles_always_flagged(self):
         rnd = random.Random(3)
@@ -462,7 +481,7 @@ class TestTimeDetector:
             tid += 1
             records.append(rec(tid, "y", BASE_TS + (100 + i) * 1800, "original"))
         edges, flagged = detect_time_coordination(corpus_of(*records))
-        assert edges == [] and flagged == set()
+        assert list(edges) == [] and flagged == set()
 
     def test_matches_oracle_randomized_200_accounts(self, monkeypatch):
         rnd = random.Random(12)
@@ -496,7 +515,7 @@ class TestDeterminism:
         for detector in ("hashtag", "retweet", "time"):
             a = detect_all(corpus, enabled=[detector])[detector]
             b = detect_all(shuffled, enabled=[detector])[detector]
-            assert a[0] == b[0]
+            assert list(a[0]) == list(b[0])
             assert a[1] == b[1]
 
     def test_edges_canonical_no_self_loops_no_duplicates(self):

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
+from coordnet import graph as graph_module
 from coordnet.corpus import NormalizeOptions
-from coordnet.detectors import CoordinationEdge
+from coordnet.detectors import CoordinationEdge, EdgeTable
 from coordnet.graph import (
     Cluster,
     CoordinationGraph,
-    UnionFind,
     activity_shares,
     connected_components,
     duplicate_shares,
@@ -18,11 +18,15 @@ from coordnet.graph import (
     retweet_interactions,
 )
 
-from helpers import BASE_TS, corpus_of, rec
+from helpers import BASE_TS, UnionFind, corpus_of, oracle_components, rec
 
 
 def edge(a, b, detector="hashtag", evidence="k"):
     return CoordinationEdge.canonical(a, b, detector, 1.0, evidence)
+
+
+def table(*edges):
+    return EdgeTable.from_records(edges)
 
 
 class TestConnectedComponents:
@@ -31,7 +35,7 @@ class TestConnectedComponents:
 
     def test_textbook_components(self):
         graph = CoordinationGraph.from_edges(
-            [edge("a", "b"), edge("b", "c"), edge("d", "e")]
+            table(edge("a", "b"), edge("b", "c"), edge("d", "e"))
         )
         clusters = connected_components(graph)
         assert [c.members for c in clusters] == [{"a", "b", "c"}, {"d", "e"}]
@@ -39,13 +43,13 @@ class TestConnectedComponents:
         assert [c.size for c in clusters] == [3, 2]
 
     def test_isolated_extra_nodes_become_singletons(self):
-        graph = CoordinationGraph.from_edges([edge("a", "b")], extra_nodes=["z"])
+        graph = CoordinationGraph.from_edges(table(edge("a", "b")), extra_nodes=["z"])
         clusters = connected_components(graph)
         assert [c.members for c in clusters] == [{"a", "b"}, {"z"}]
 
     def test_size_then_min_member_ordering(self):
         graph = CoordinationGraph.from_edges(
-            [edge("m", "n"), edge("a", "b"), edge("x", "y"), edge("x", "z")]
+            table(edge("m", "n"), edge("a", "b"), edge("x", "y"), edge("x", "z"))
         )
         clusters = connected_components(graph)
         assert [sorted(c.members)[0] for c in clusters] == ["x", "a", "m"]
@@ -63,7 +67,7 @@ class TestConnectedComponents:
             # random spanning structure, not a clique
             for i in range(1, size):
                 edges.append(edge(members[rnd.randrange(i)], members[i]))
-        clusters = connected_components(CoordinationGraph.from_edges(edges))
+        clusters = connected_components(CoordinationGraph.from_edges(table(*edges)))
         assert [c.size for c in clusters] == sizes
         assert [c.members for c in clusters] == names
 
@@ -76,6 +80,74 @@ class TestConnectedComponents:
         uf.union("e", "f")
         groups = sorted(uf.groups(), key=lambda g: (-len(g), min(g)))
         assert groups == [{"a", "b", "c"}, {"e", "f"}, {"d"}]
+
+    def test_code_union_find_groups(self):
+        uf = graph_module.UnionFind(6)
+        uf.union(0, 1)
+        uf.union(2, 1)
+        uf.union(4, 5)
+        assert sorted(uf.groups()) == [[0, 1, 2], [3], [4, 5]]
+
+
+def assert_matches_oracle(tables, extra_nodes=()):
+    """Components of the tables' graph equal the string union-find's:
+    same members, same ids, same order."""
+    graph = CoordinationGraph.from_edges(
+        *(EdgeTable.from_records(t) for t in tables), extra_nodes=extra_nodes
+    )
+    got = [(c.id, c.members) for c in connected_components(graph)]
+    want = oracle_components([e for t in tables for e in t], extra_nodes)
+    assert got == want
+    assert graph.nodes == set().union(*(members for _, members in want))
+    return graph
+
+
+class TestComponentsOracle:
+    def test_random_graphs(self):
+        for seed in range(30):
+            rnd = random.Random(seed)
+            names = []
+            for i in range(rnd.randrange(2, 200)):
+                names.append(f"u{i:03d}")
+                if rnd.random() < 0.2:  # an id that differs only by a trailing NUL
+                    names.append(f"u{i:03d}\x00")
+            tables = [[] for _ in range(rnd.randrange(1, 4))]
+            for _ in range(rnd.randrange(0, 3 * len(names))):
+                x, y = rnd.sample(names, 2)
+                detector = rnd.choice(("hashtag", "retweet", "time"))
+                rnd.choice(tables).append(edge(x, y, detector, rnd.choice("kl")))
+            extra = rnd.sample(names, min(len(names), 5)) + [f"extra{seed}"]
+            assert_matches_oracle(tables, extra)
+
+    def test_shuffled_path_50k(self):
+        rnd = random.Random(50)
+        names = [f"p{i}" for i in range(50_000)]
+        rnd.shuffle(names)
+        edges = [edge(x, y) for x, y in zip(names, names[1:])]
+        rnd.shuffle(edges)
+        graph = assert_matches_oracle([edges[:20_000], edges[20_000:]])
+        assert len(connected_components(graph)) == 1
+
+    def test_same_edge_from_two_detectors(self):
+        both = [edge("a", "b", "hashtag"), edge("a", "b", "time", "cosine")]
+        graph = assert_matches_oracle([both, [edge("b", "a", "retweet")], [edge("c", "d")]])
+        assert len(graph.a) == 2  # each distinct pair once
+
+    def test_extra_nodes(self):
+        assert_matches_oracle([[edge("a", "b")]], extra_nodes=["b", "z", "y"])
+        assert_matches_oracle([], extra_nodes=["q", "p"])
+
+    def test_accounts_no_row_joins_are_not_nodes(self):
+        # a vector detector's table lists every eligible account
+        rows = EdgeTable(["x", "a", "unused", "b"], [1], [3], [2], [0.5], ["cosine"], [0])
+        graph = CoordinationGraph.from_edges(rows, EdgeTable.empty())
+        assert graph.nodes == {"a", "b"}
+        assert [c.members for c in connected_components(graph)] == [{"a", "b"}]
+
+    def test_trailing_nul_ids_are_distinct(self):
+        graph = assert_matches_oracle([[edge("a", "b")], [edge("a\x00", "c"), edge("c", "d")]])
+        clusters = connected_components(graph)
+        assert [c.members for c in clusters] == [{"a\x00", "c", "d"}, {"a", "b"}]
 
 
 class TestLabelCluster:
