@@ -1,9 +1,10 @@
 """Pure-Python accumulator for candidate-pair dot products.
 
-Reference for the pair-similarity kernel: the scipy.sparse kernel in
+Reference for the pair-similarity kernel: the numpy kernel in
 coordnet.kernels is tested to match it bitwise. Contributions to a
 pair are added in ascending term order, each contribution is a single
-mul followed by a single add, and keys come back sorted ascending.
+mul followed by a single add, pairs whose sum is exactly zero are left
+out, and keys come back sorted ascending.
 """
 
 import numpy as np
@@ -15,8 +16,10 @@ def accumulate_pair_products(offsets, accounts, weights):
     """Accumulate dot-product contributions for every co-occurring pair.
 
     Postings for term t are accounts[offsets[t]:offsets[t+1]] (ascending
-    account index) with aligned weights. Returns (keys, dots) where
-    key = (a << 32) | b for account indices a < b, keys ascending.
+    account index) with aligned non-negative weights. Returns (keys, dots)
+    where key = (a << 32) | b for account indices a < b, keys ascending;
+    a pair whose products sum to exactly zero (every term it shares
+    weighs zero) is left out.
     """
     off = offsets.tolist()
     acct = accounts.tolist()
@@ -32,6 +35,7 @@ def accumulate_pair_products(offsets, accounts, weights):
             for j in range(i + 1, hi):
                 key = key_hi | acct[j]
                 acc[key] = get(key, 0.0) + wi * wts[j]
+    acc = {key: dot for key, dot in acc.items() if dot != 0.0}
     keys = np.fromiter(acc.keys(), dtype=np.int64, count=len(acc))
     dots = np.fromiter(acc.values(), dtype=np.float64, count=len(acc))
     order = np.argsort(keys)

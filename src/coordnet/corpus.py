@@ -252,10 +252,15 @@ class Corpus:
         self.records = records
         self.skipped = skipped
         self.account_index: dict[str, list[int]] = {}
-        self.day_index: dict[str, list[int]] = {}
+        # Group by integer UTC day code, then render each day once: the
+        # codes map one to one onto days, so keys and order are the same.
+        by_code: dict[int, list[int]] = {}
         for i, rec in enumerate(records):
             self.account_index.setdefault(rec.account_id, []).append(i)
-            self.day_index.setdefault(rec.day(), []).append(i)
+            by_code.setdefault(rec.timestamp // 86400, []).append(i)
+        self.day_index: dict[str, list[int]] = {
+            day_of_timestamp(code * 86400): rows for code, rows in by_code.items()
+        }
 
     def __len__(self) -> int:
         return len(self.records)

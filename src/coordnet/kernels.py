@@ -1,13 +1,15 @@
-"""Pair-similarity accumulation kernel on scipy.sparse.
+"""Pair-similarity accumulation kernel on numpy.
 
 Postings (offsets, accounts, weights) are the CSR rows of Xᵀ, the
-term x account weight matrix. The kernel multiplies blocks of account
-rows of X by the columns of Xᵀ from the block's first row on, so only
-the upper triangle (plus the block's own lower corner, dropped after)
-is ever computed. scipy's row-wise sparse product (Gustavson 1978)
-adds each pair's products in ascending term order, exactly as the
-reference accumulator in coordnet._pairsim_py does. The two are
-bitwise identical and tested against each other.
+term x account weight matrix. Entry p of term t pairs with every entry
+after it in t's posting, so the upper triangle of X Xᵀ is the sum of
+those products. The kernel walks the accounts in row blocks sized by
+their product count. For each block it lists every product
+w[a,t]·w[b,t] with a in the block and a < b, in ascending term order
+(a row-wise sparse product in the sense of Gustavson 1978), and
+np.bincount sums each pair's products in that input order. That is
+the add order of the reference accumulator in coordnet._pairsim_py, so
+the two are bitwise identical, and tested against each other.
 """
 
 import numpy as np
@@ -16,46 +18,103 @@ from coordnet import _pairsim_py
 
 BACKEND = "python"
 
-# Account rows per sparse product. Each block also computes its own
-# lower corner (BLOCK_ROWS**2 / 2 products thrown away), so small blocks
-# waste little; each block slices the columns of Xᵀ once (O(nnz)), so
-# blocks must not be so small that slicing dominates. 256 puts a
-# 1,300-account corpus in six blocks; keep it at most 4096.
-BLOCK_ROWS = 256
+# Pair products per row block. A block's working arrays take a few tens
+# of bytes per product, so this bounds the kernel's memory apart from
+# its input-sized arrays and its output; a row with more products than
+# this is a block of its own.
+PAIR_BUDGET = 1 << 15
+
+# A block sums into a dense (rows x accounts) grid when the grid has at
+# most this many cells per product; a sparser block sorts its pair keys.
+DENSE_CELLS_PER_PRODUCT = 4
 
 
 def accumulate_pair_products(offsets, accounts, weights):
     """Accumulate dot-product contributions for every co-occurring pair.
 
     Postings for term t are accounts[offsets[t]:offsets[t+1]] (ascending
-    account index) with aligned positive weights. Returns (keys, dots)
-    where key = (a << 32) | b for account indices a < b, keys ascending.
+    account index) with aligned non-negative weights. Returns (keys, dots)
+    where key = (a << 32) | b for account indices a < b, keys ascending;
+    a pair whose products sum to exactly zero is left out, as a sparse
+    product stores no zeros.
     """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    accounts = np.asarray(accounts, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    key_blocks = [np.empty(0, dtype=np.int64)]
+    dot_blocks = [np.empty(0, dtype=np.float64)]
     if len(accounts) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    # Imported here, not at module top: every CLI process imports this
-    # module, but only a detect stage with eligible accounts multiplies,
-    # and loading scipy.sparse raises each process's peak RSS.
-    import scipy.sparse as sp
+        return key_blocks[0], dot_blocks[0]
 
-    n_accounts = int(np.max(accounts)) + 1
-    xt = sp.csr_array(
-        (weights, accounts, offsets), shape=(len(offsets) - 1, n_accounts)
-    )
-    x = xt.T.tocsr()
-    key_blocks = []
-    dot_blocks = []
-    for lo in range(0, n_accounts, BLOCK_ROWS):
-        block = x[lo : lo + BLOCK_ROWS] @ xt[:, lo:]
-        block.sort_indices()
-        rows = np.repeat(
-            np.arange(lo, lo + block.shape[0], dtype=np.int64), np.diff(block.indptr)
-        )
-        cols = block.indices.astype(np.int64) + lo
-        upper = cols > rows
-        key_blocks.append((rows[upper] << 32) | cols[upper])
-        dot_blocks.append(block.data[upper])
+    n_accounts = int(accounts.max()) + 1
+    # partners[p]: entries after p in its posting, the products p starts.
+    partners = np.repeat(offsets[1:], np.diff(offsets))
+    partners -= np.arange(1, len(accounts) + 1)
+    # Entries row by row; stable, so terms ascend within each row.
+    by_row = np.argsort(accounts, kind="stable")
+    row_start = np.zeros(n_accounts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(accounts, minlength=n_accounts), out=row_start[1:])
+    products_before = np.zeros(len(accounts) + 1, dtype=np.int64)
+    np.cumsum(partners[by_row], out=products_before[1:])
+    row_products = products_before[row_start]
+
+    lo = 0
+    while lo < n_accounts:
+        budget_end = row_products[lo] + PAIR_BUDGET
+        hi = max(lo + 1, int(np.searchsorted(row_products, budget_end, side="right")) - 1)
+        total = int(row_products[hi] - row_products[lo])
+        if total:
+            keys, dots = _block_sums(
+                by_row[row_start[lo] : row_start[hi]], partners, accounts, weights,
+                total, lo, hi - lo, n_accounts,
+            )
+            key_blocks.append(keys)
+            dot_blocks.append(dots)
+        lo = hi
     return np.concatenate(key_blocks), np.concatenate(dot_blocks)
+
+
+def _block_sums(entries, partners, accounts, weights, total, lo, rows, n_accounts):
+    """(keys, dots) of the pairs whose first account is in rows lo.. of
+    the block; entries are the block's posting positions, row by row."""
+    counts = partners[entries]
+    # Partner positions: entries + 1, entries + 2, ... for each entry.
+    partner = np.repeat(entries + 1 - (np.cumsum(counts) - counts), counts)
+    partner += np.arange(total)
+    products = np.repeat(weights[entries], counts)
+    products *= weights[partner]
+    firsts = accounts[entries]
+    seconds = accounts[partner]
+    if rows * n_accounts <= DENSE_CELLS_PER_PRODUCT * total:
+        return _dense_sums(firsts, counts, seconds, products, lo, rows, n_accounts)
+    return _sorted_sums(firsts, counts, seconds, products)
+
+
+def _dense_sums(firsts, counts, seconds, products, lo, rows, n_accounts):
+    """Sum each pair's products into grid cell (a - lo) * n_accounts + b."""
+    cells = np.repeat((firsts - lo) * n_accounts, counts)
+    cells += seconds
+    sums = np.bincount(cells, weights=products, minlength=rows * n_accounts)
+    hit = sums != 0
+    row_keys = np.arange(lo, lo + rows, dtype=np.int64)[:, None] << 32
+    grid_keys = row_keys | np.arange(n_accounts, dtype=np.int64)
+    return grid_keys.ravel()[hit], sums[hit]
+
+
+def _sorted_sums(firsts, counts, seconds, products):
+    """Sum each pair's products by pair key; a stable sort keeps each
+    pair's products in their listed order."""
+    keys = np.repeat(firsts << 32, counts)
+    keys += seconds
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    sums = np.bincount(np.cumsum(first) - 1, weights=products[order])
+    keys = keys[first]
+    hit = sums != 0
+    return keys[hit], sums[hit]
 
 
 # Bound once at import: a caller may rebind the module attribute (a

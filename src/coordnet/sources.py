@@ -20,14 +20,16 @@ def open_text(source, **open_kwargs):
 
 @contextmanager
 def csv_reader(source, factory=csv.reader):
-    """Yield factory(fp) over open_text(source, newline="").
+    """Yield factory(fp, strict=True) over open_text(source, newline="").
 
-    A csv.Error raised while the block reads (an unclosed quote, a field
-    over csv.field_size_limit) becomes a ValueError naming the input and
-    its line, so the CLI reports it as a validation failure.
+    Strict, so a quote that never closes is an error at the end of the
+    input instead of one field that swallows every later row. A csv.Error
+    raised while the block reads (that, stray text after a closing quote,
+    a field over csv.field_size_limit) becomes a ValueError naming the
+    input and its line, so the CLI reports it as a validation failure.
     """
     with open_text(source, newline="") as fp:
-        reader = factory(fp)
+        reader = factory(fp, strict=True)
         try:
             yield reader
         except csv.Error as exc:

@@ -77,7 +77,9 @@ def t_approx_p(r: float, n: int) -> float:
     if abs(r) >= 1.0:
         return 0.0
     # Imported here, not at module top: every CLI process imports this
-    # module, and loading scipy.special costs each one ~0.2 s.
+    # module, and loading scipy.special costs one ~0.3 s and +26 MiB of
+    # peak RSS over numpy alone (Python 3.11, scipy 1.17, 2-vCPU VM).
+    # Only a report with confidences and `stats spearman` get here.
     from scipy.special import stdtr
 
     t = r * math.sqrt((n - 2) / (1.0 - r * r))

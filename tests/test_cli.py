@@ -108,21 +108,30 @@ _IMPORT_PROBE = """
 import json, sys
 import coordnet.cli
 
-def loaded(names):
-    return sorted(m for m in names if m in sys.modules)
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-print(json.dumps(loaded(("scipy.special", "scipy.sparse"))))
+print(json.dumps(scipy_modules()))
 codes = [coordnet.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, loaded(("scipy.sparse", "scipy.sparse.csgraph"))]))
+print(json.dumps([codes, scipy_modules()]))
 """
 
 
-def test_cli_import_loads_no_scipy_submodules(tmp_path, detect_run):
-    # scipy.special and scipy.sparse each cost a CLI process time and
-    # RSS; they load only in the calls that need them. cluster and
-    # report find components without them.
-    cache, det = detect_run
+def test_cli_import_loads_no_scipy_submodules(tmp_path):
+    # scipy costs a CLI process time and RSS; only the Spearman p-value
+    # loads it (scipy.special, in a report with confidences). detect
+    # runs the pair kernel for both vector detectors, and cluster and
+    # report find components, all on numpy alone.
+    records = []
+    for account, ids in (("x", "s"), ("y", "s"), ("z", "u")):
+        for i in range(12):
+            ts = BASE_TS + (i if account != "z" else 100 + i) * 3600
+            records.append(rec(f"{account}{i}", account, ts, "retweet", rt_id=f"{ids}{i}"))
+    src, cache, det = tmp_path / "corpus.jsonl", tmp_path / "cache.jsonl", tmp_path / "det"
+    write_jsonl(src, records)
+    assert main(["ingest", str(src), "-o", str(cache)]) == 0
     stages = [
+        ["detect", str(cache), "-o", str(det)],
         ["cluster", str(cache), str(det), "-o", str(tmp_path / "clusters.csv")],
         ["report", str(cache), "-o", str(tmp_path / "bundle"), "--edges", str(det)],
     ]
@@ -135,7 +144,10 @@ def test_cli_import_loads_no_scipy_submodules(tmp_path, detect_run):
     )
     after_import, after_stages = out.stdout.strip().splitlines()
     assert json.loads(after_import) == []
-    assert json.loads(after_stages) == [[0, 0], []]
+    assert json.loads(after_stages) == [[0, 0, 0], []]
+    # both vector detectors saw three eligible accounts and kept x-y
+    counts = json.loads((det / "detect.manifest.json").read_text())["counts"]
+    assert counts["edges_retweet"] == counts["edges_time"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +598,31 @@ class TestCsvInputs:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"{bad}, line " in err and "field larger than field limit (131072)" in err
+
+    @pytest.mark.parametrize("reader", ["edges", "confidences", "lexicon", "stats"])
+    def test_unclosed_quote_is_located_error(self, tmp_path, detect_run, capsys, reader):
+        # a quote that never closes, under the field limit, followed by
+        # rows it would swallow if the reader were not strict
+        cache, det = detect_run
+        bad = tmp_path / "bad.csv"
+        out = str(tmp_path / "out")
+        cell = '"k\n'
+        if reader == "edges":
+            bad.write_text(_EDGE_HEADER + "a,b,hashtag,1.0," + cell + _GOOD_EDGE + "p,q,time,0.5,cosine\n")
+            argv = ["cluster", str(cache), str(bad), "-o", out]
+        elif reader == "confidences":
+            bad.write_text(_confidence_csv(cell) + "2," + ",".join(["0.5"] * len(CHARACTERISTICS)) + "\n")
+            argv = ["report", str(cache), "-o", out, "--edges", str(det), "--confidences", str(bad)]
+        elif reader == "lexicon":
+            bad.write_text("characteristic,phrase,weight\nvote_for,vote," + cell + "vote_for,poll,1.0\n")
+            argv = ["score", str(cache), "-o", out, "--lexicon", str(bad)]
+        else:
+            bad.write_text("x,y\n1,10\n2," + cell + "3,30\n4,40\n")
+            argv = ["stats", "spearman", "--csv", str(bad), "--x", "x", "--y", "y"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}, line " in err and "unexpected end of data" in err
 
 
 class TestStatsCommand:

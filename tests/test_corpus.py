@@ -184,6 +184,25 @@ class TestTimestamps:
         with pytest.raises(ValueError):
             parse_timestamp(value)
 
+    @pytest.mark.parametrize(
+        "stamps",
+        [
+            # pre-1970 instants on both sides of a midnight, and 1970 itself
+            [-1, -86400, -86401, 0, 86399, -3 * 86400 + 5, -1],
+            # years 1 and 9999, each at both ends of its bounding day
+            [-62135596800, 253402300799, -62135596800 + 86399, 253402300799 - 86399],
+            # six weeks of instants in random order, days revisited
+            [BASE_TS + random.Random(8).randint(-3 * 7 * 86400, 3 * 7 * 86400) for _ in range(500)],
+        ],
+        ids=["pre-1970", "year-bounds", "multi-day"],
+    )
+    def test_day_index_matches_per_record_days(self, stamps):
+        corpus = corpus_of(*(rec(i, f"a{i % 3}", ts) for i, ts in enumerate(stamps)))
+        expected = {}
+        for i, r in enumerate(corpus.records):
+            expected.setdefault(r.day(), []).append(i)
+        assert list(corpus.day_index.items()) == list(expected.items())
+
 
 class TestRoundTrip:
     def test_serialize_reparse_identical(self, ten_record_corpus):

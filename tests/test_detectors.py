@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from coordnet.detectors import (
 
 from helpers import BASE_TS, corpus_of, rec
 
-# Kernel row-block sizes the equivalence tests run at: the default, one
-# row per block, and a size that leaves a ragged last block.
-BLOCK_SIZES = (kernels.BLOCK_ROWS, 1, 7)
+# Kernel pair-product budgets per row block the equivalence tests run
+# at: the default, one row per block, and a budget that leaves ragged
+# blocks of a few rows.
+PAIR_BUDGETS = (kernels.PAIR_BUDGET, 1, 7)
 
 
 def cosine(u: SparseVector, v: SparseVector) -> float:
@@ -244,44 +246,120 @@ class TestBuildAccountVectors:
 
 class TestKernelBackends:
     @staticmethod
-    def _random_postings(rnd, n_accounts=60, n_terms=40, max_len=8, stride=1):
+    def _random_postings(
+        rnd, n_accounts=60, n_terms=40, max_len=8, stride=1, dtype=np.int32, zero_frac=0.0
+    ):
         offsets = [0]
         accounts = []
         weights = []
         for _ in range(n_terms):
             members = sorted(rnd.sample(range(n_accounts), rnd.randint(0, max_len)))
             accounts.extend(m * stride for m in members)
-            weights.extend(rnd.random() for _ in members)
+            # a zero-weight term (one every document has) adds only zeros
+            zero = rnd.random() < zero_frac
+            weights.extend(0.0 if zero else rnd.random() for _ in members)
             offsets.append(len(accounts))
         return (
             np.array(offsets, dtype=np.int64),
-            np.array(accounts, dtype=np.int32),
+            np.array(accounts, dtype=dtype),
             np.array(weights, dtype=np.float64),
         )
+
+    @staticmethod
+    def _assert_bitwise(got, expected):
+        (k1, d1), (k2, d2) = got, expected
+        assert k1.dtype == k2.dtype and d1.dtype == d2.dtype
+        assert np.array_equal(k1, k2)
+        # bitwise: same add order, no fma
+        assert np.array_equal(d1.view(np.int64), d2.view(np.int64))
 
     def test_backends_bitwise_identical(self, monkeypatch):
         rnd = random.Random(77)
         default = kernels.get_backend("python")
         reference = kernels.get_backend("reference")
         cases = [self._random_postings(rnd) for _ in range(20)]
-        # more than 4096 accounts: many blocks at any block size
+        # thousands of accounts: many blocks at any budget
         cases += [self._random_postings(rnd, 9000, 3000, 30) for _ in range(2)]
+        # 30k accounts, short postings: sparse blocks, sorted keys
+        cases.append(self._random_postings(rnd, 30000, 6000, 4))
         # account indices with gaps
         cases.append(self._random_postings(rnd, 200, 80, 12, stride=7))
+        # int64 account indices
+        cases.append(self._random_postings(rnd, 300, 60, 20, dtype=np.int64))
+        # zero-weight terms: pairs sharing only those are left out
+        cases += [self._random_postings(rnd, 40, 30, 10, zero_frac=0.5) for _ in range(3)]
         # single-member postings only
         cases.append(self._random_postings(rnd, 50, 30, 1))
         # all postings empty
         cases.append(self._random_postings(rnd, 50, 30, 0))
         expected = [reference(*case) for case in cases]
-        # every block edge and column offset, not only the default's
-        for block_rows in BLOCK_SIZES:
-            monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
-            for case, (k2, d2) in zip(cases, expected):
-                k1, d1 = default(*case)
-                assert k1.dtype == k2.dtype and d1.dtype == d2.dtype
-                assert np.array_equal(k1, k2)
-                # bitwise: same add order, no fma
-                assert np.array_equal(d1.view(np.int64), d2.view(np.int64))
+        # every block boundary, not only the default budget's
+        for budget in PAIR_BUDGETS:
+            monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+            for case, want in zip(cases, expected):
+                self._assert_bitwise(default(*case), want)
+
+    def test_one_call_takes_both_block_paths(self, monkeypatch):
+        # Accounts 0-59 share 300 terms: their first rows fill a block
+        # each and sum on the dense grid. The last of them and 40,000
+        # accounts in pairs sum by sorted keys.
+        rnd = random.Random(79)
+        offsets = [0]
+        accounts = []
+        for _ in range(300):
+            accounts.extend(range(60))
+            offsets.append(len(accounts))
+        for _ in range(2000):
+            accounts.extend(sorted(rnd.sample(range(60, 40000), 2)))
+            offsets.append(len(accounts))
+        case = (
+            np.array(offsets, dtype=np.int64),
+            np.array(accounts, dtype=np.int32),
+            np.array([rnd.random() for _ in accounts], dtype=np.float64),
+        )
+        calls = {"_dense_sums": 0, "_sorted_sums": 0}
+        for name in calls:
+            def counted(*args, _inner=getattr(kernels, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(kernels, name, counted)
+        got = kernels.get_backend("python")(*case)
+        assert calls["_dense_sums"] > 0 and calls["_sorted_sums"] > 0
+        self._assert_bitwise(got, kernels.get_backend("reference")(*case))
+
+    def test_zero_sum_pairs_left_out(self):
+        # term 0 (weight 0) joins 0-1-2; term 1 joins 0-1 with weight
+        python = kernels.get_backend("python")
+        case = (
+            np.array([0, 3, 5], dtype=np.int64),
+            np.array([0, 1, 2, 0, 1], dtype=np.int32),
+            np.array([0.0, 0.0, 0.0, 0.5, 0.5]),
+        )
+        keys, dots = python(*case)
+        assert keys.tolist() == [1] and dots.tolist() == [0.25]
+        self._assert_bitwise((keys, dots), kernels.get_backend("reference")(*case))
+
+    def test_peak_memory_bounded_by_budget(self):
+        # 120 accounts in each of 100 terms: 714,000 products for 7,140
+        # pairs. Beyond its output (and the copy that joins the blocks),
+        # the kernel holds per-entry arrays and one block's products, so
+        # its peak must not grow with the product count.
+        n_accounts, n_terms = 120, 100
+        offsets = np.arange(n_terms + 1, dtype=np.int64) * n_accounts
+        accounts = np.tile(np.arange(n_accounts, dtype=np.int32), n_terms)
+        weights = np.random.default_rng(81).random(len(accounts)) + 0.5
+        python = kernels.get_backend("python")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            keys, dots = python(offsets, accounts, weights)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        output = keys.nbytes + dots.nbytes
+        assert len(keys) == n_accounts * (n_accounts - 1) // 2
+        assert peak - output <= output + 128 * kernels.PAIR_BUDGET + 64 * len(accounts)
 
     def test_get_backend_survives_rebinding(self, monkeypatch):
         default = kernels.get_backend("python")
@@ -447,8 +525,8 @@ class TestRetweetDetector:
         for _ in range(10):
             corpus = random_corpus(rnd)
             oracle = oracle_vector_pairs(corpus, "retweeted_id", cfg)
-            for block_rows in BLOCK_SIZES:
-                monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+            for budget in PAIR_BUDGETS:
+                monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
                 edges, _ = detect_retweet_coordination(corpus, cfg)
                 assert {(e.a, e.b) for e in edges} == oracle
 
@@ -488,8 +566,8 @@ class TestTimeDetector:
         cfg = DetectorConfig()
         corpus = random_corpus(rnd, n_accounts=200)
         oracle = oracle_vector_pairs(corpus, "time_bin", cfg)
-        for block_rows in BLOCK_SIZES:
-            monkeypatch.setattr(kernels, "BLOCK_ROWS", block_rows)
+        for budget in PAIR_BUDGETS:
+            monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
             edges, flagged = detect_time_coordination(corpus, cfg)
             assert {(e.a, e.b) for e in edges} == oracle
 

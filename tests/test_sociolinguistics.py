@@ -13,6 +13,7 @@ from coordnet.sociolinguistics import (
     EMOTIONS,
     GROUP_OF,
     N_CHARACTERISTICS,
+    CharacteristicTable,
     Lexicon,
     LexiconEntry,
     TableError,
@@ -126,6 +127,16 @@ class TestLoadConfidences:
         again = load_confidences(io.StringIO(buf.getvalue()))
         assert np.array_equal(table.matrix, again.matrix)
         assert table.tweet_ids == again.tweet_ids
+
+    def test_round_trip_quoted_ids(self):
+        # the strict reader accepts every field the writer quotes
+        ids = ['q"uote', '"', "a,b", "line\nbreak", " pad ", "é", ""]
+        matrix = np.random.default_rng(5).random((len(ids), N_CHARACTERISTICS))
+        buf = io.StringIO(newline="")
+        write_confidences(CharacteristicTable(ids, matrix, "test"), buf)
+        again = load_confidences(io.StringIO(buf.getvalue(), newline=""))
+        assert again.tweet_ids == ids
+        assert np.array_equal(again.matrix, matrix)
 
 
 class TestLexiconScore:
