@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 validation failure, 2 I/O failure, 3 internal
 error. With --json-errors failures are additionally machine-readable on
 stderr.
+
+Each stage imports the modules it computes with inside its cmd_*
+function, so `ingest` and `--version` never load numpy.
 """
 
 from __future__ import annotations
@@ -15,15 +18,9 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from coordnet import __version__
-from coordnet import detectors as det
-from coordnet import formats
-from coordnet import graph as graphmod
-from coordnet import report as reportmod
-from coordnet import sociolinguistics as sl
-from coordnet import stats
-from coordnet.corpus import Corpus, CorpusError, day_of_timestamp, parse_corpus
+from coordnet.config import DETECTORS, DetectorConfig
+from coordnet.corpus import Corpus, day_of_timestamp, parse_corpus
 from coordnet.manifest import RunManifest
-from coordnet.sociolinguistics import TableError
 from coordnet.sources import csv_reader
 
 EXIT_OK = 0
@@ -31,7 +28,7 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
 
-_CONFIG_KEYS = {f.name: f.type for f in fields(det.DetectorConfig)}
+_CONFIG_KEYS = {f.name: f.type for f in fields(DetectorConfig)}
 
 
 def load_config_file(path) -> dict:
@@ -63,8 +60,8 @@ def load_config_file(path) -> dict:
     return out
 
 
-def detector_config(config: dict, args) -> det.DetectorConfig:
-    cfg = det.DetectorConfig()
+def detector_config(config: dict, args) -> DetectorConfig:
+    cfg = DetectorConfig()
     overrides = {k: v for k, v in config.items() if k in _CONFIG_KEYS}
     for name in _CONFIG_KEYS:
         value = getattr(args, name, None)
@@ -75,8 +72,8 @@ def detector_config(config: dict, args) -> det.DetectorConfig:
     return cfg
 
 
-def _config_snapshot(cfg: det.DetectorConfig, extra: dict | None = None) -> dict:
-    snap = {f.name: getattr(cfg, f.name) for f in fields(det.DetectorConfig)}
+def _config_snapshot(cfg: DetectorConfig, extra: dict | None = None) -> dict:
+    snap = {f.name: getattr(cfg, f.name) for f in fields(DetectorConfig)}
     if extra:
         snap.update(extra)
     return snap
@@ -102,7 +99,7 @@ def cmd_ingest(args, config) -> int:
     manifest.add_input("corpus", args.input)
     manifest.counts["records"] = len(corpus)
     manifest.counts["skipped"] = corpus.skipped
-    manifest.counts["accounts"] = len(corpus.account_index)
+    manifest.counts["accounts"] = len(corpus.account_ids)
     manifest.counts["days"] = len(corpus.day_index)
     rng = corpus.time_range()
     if rng:
@@ -117,6 +114,9 @@ def cmd_ingest(args, config) -> int:
 
 
 def cmd_detect(args, config) -> int:
+    from coordnet import detectors as det
+    from coordnet import formats
+
     cfg = detector_config(config, args)
     corpus = _load_cache(args.cache)
     outdir = Path(args.outdir)
@@ -124,12 +124,12 @@ def cmd_detect(args, config) -> int:
     enabled = (
         [d.strip() for d in args.detectors.split(",") if d.strip()]
         if args.detectors
-        else list(det.DETECTORS)
+        else list(DETECTORS)
     )
     results = det.detect_all(corpus, cfg, enabled)
 
     flagged_sets = {}
-    for name in det.DETECTORS:
+    for name in DETECTORS:
         edges, flagged = results[name]
         flagged_sets[name] = flagged
         with open(outdir / f"edges_{name}.csv", "w", encoding="utf-8", newline="") as fp:
@@ -143,12 +143,12 @@ def cmd_detect(args, config) -> int:
 
     overlap = {
         "enabled": sorted(enabled),
-        "flagged_counts": {name: len(flagged_sets[name]) for name in det.DETECTORS},
+        "flagged_counts": {name: len(flagged_sets[name]) for name in DETECTORS},
         "union": len(union),
         "overlaps": {
             f"{x}&{y}": len(flagged_sets[x] & flagged_sets[y])
-            for i, x in enumerate(det.DETECTORS)
-            for y in det.DETECTORS[i + 1 :]
+            for i, x in enumerate(DETECTORS)
+            for y in DETECTORS[i + 1 :]
         },
     }
     with open(outdir / "overlap.json", "w", encoding="utf-8") as fp:
@@ -160,7 +160,7 @@ def cmd_detect(args, config) -> int:
     )
     manifest.add_input("cache", args.cache)
     manifest.counts["records"] = len(corpus)
-    for name in det.DETECTORS:
+    for name in DETECTORS:
         manifest.counts[f"edges_{name}"] = len(results[name][0])
         manifest.counts[f"flagged_{name}"] = len(flagged_sets[name])
     manifest.counts["flagged_union"] = len(union)
@@ -169,7 +169,7 @@ def cmd_detect(args, config) -> int:
     manifest.write(outdir / "detect.manifest.json")
     print(
         "flagged accounts: "
-        + ", ".join(f"{name}={len(flagged_sets[name])}" for name in det.DETECTORS)
+        + ", ".join(f"{name}={len(flagged_sets[name])}" for name in DETECTORS)
         + f", union={len(union)}",
         file=sys.stderr,
     )
@@ -186,6 +186,10 @@ def _edge_files(paths) -> list[Path]:
 
 
 def cmd_cluster(args, config) -> int:
+    from coordnet import formats
+    from coordnet import graph as graphmod
+    from coordnet import report as reportmod
+
     corpus = _load_cache(args.cache)
     tables = [formats.read_edges_csv(path) for path in _edge_files(args.edges)]
     graph = graphmod.CoordinationGraph.from_edges(*tables)
@@ -198,6 +202,8 @@ def cmd_cluster(args, config) -> int:
 
 
 def cmd_score(args, config) -> int:
+    from coordnet import sociolinguistics as sl
+
     corpus = _load_cache(args.cache)
     lexicon = sl.load_lexicon(args.lexicon) if args.lexicon else sl.builtin_lexicon()
     table = sl.score_corpus(corpus, lexicon)
@@ -217,6 +223,10 @@ def cmd_score(args, config) -> int:
 
 
 def cmd_report(args, config) -> int:
+    from coordnet import formats
+    from coordnet import report as reportmod
+    from coordnet import sociolinguistics as sl
+
     corpus = _load_cache(args.cache)
     if not args.edges:
         raise ValueError("missing input: --edges (edge CSV files or a detect output directory)")
@@ -302,6 +312,8 @@ def _read_columns(path, names: list[str], aligned: bool = False) -> dict[str, li
 
 
 def cmd_stats(args, config) -> int:
+    from coordnet import stats
+
     if args.test == "spearman":
         cols = _read_columns(args.csv, [args.x, args.y], aligned=True)
         result = stats.spearman(cols[args.x], cols[args.y])
@@ -353,7 +365,7 @@ def cmd_stats(args, config) -> int:
 def _add_detector_flags(p: argparse.ArgumentParser) -> None:
     """One --flag per DetectorConfig field, typed like its default; a flag
     overrides the config file."""
-    for f in fields(det.DetectorConfig):
+    for f in fields(DetectorConfig):
         p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), dest=f.name)
 
 
@@ -448,7 +460,7 @@ def main(argv=None) -> int:
     try:
         config = load_config_file(args.config) if args.config else {}
         return args.func(args, config)
-    except (CorpusError, TableError, ValueError) as exc:
+    except ValueError as exc:  # CorpusError and TableError among them
         _emit_error(exc, EXIT_VALIDATION, json_errors)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -1,8 +1,11 @@
 """Tweet corpus ingestion, text normalization, and indexing.
 
-Input is UTF-8 line-delimited JSON, one record per line. Records are
-validated and normalized into immutable TweetRecord objects; a Corpus
-holds them together with per-account and per-day (UTC) index views.
+Input is UTF-8 line-delimited JSON, one record per line. Each line is
+validated and its fields are appended to a columnar Corpus: one column
+per field, account ids interned as integer codes, with per-account and
+per-day (UTC) index views derived on first use. TweetRecord is the
+one-record form that parse_line returns and that a Corpus can be built
+from. This module does not import numpy, so ingest never loads it.
 """
 
 from __future__ import annotations
@@ -10,29 +13,21 @@ from __future__ import annotations
 import json
 import math
 import re
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Callable, Iterable, Iterator
 
 from coordnet.sources import open_text
 
 KINDS = ("original", "reply", "retweet")
+# Codes in Corpus.kinds: indexes into KINDS.
+ORIGINAL, REPLY, RETWEET = range(len(KINDS))
+_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 SECONDS_PER_DAY = 86400
-
-# Serialization order of the line format; unknown input fields are ignored.
-_RECORD_FIELDS = (
-    "tweet_id",
-    "account_id",
-    "timestamp",
-    "kind",
-    "text",
-    "hashtags",
-    "language",
-    "retweeted_tweet_id",
-    "retweeted_account_id",
-    "mentions",
-)
 
 
 class CorpusError(ValueError):
@@ -80,7 +75,9 @@ def parse_timestamp(value) -> int:
     Non-finite numbers and instants outside years 1-9999 UTC (which
     day_of_timestamp cannot render) raise ValueError.
     """
-    ts = _parse_timestamp(value)
+    # A plain int (every cached record's form) needs no conversion;
+    # bool is a subclass of int, so it still takes the checked path.
+    ts = value if type(value) is int else _parse_timestamp(value)
     if not _MIN_TIMESTAMP <= ts <= _MAX_TIMESTAMP:
         raise ValueError(f"timestamp out of range (years 1-9999 UTC): {value!r}")
     return ts
@@ -127,16 +124,19 @@ def _as_id(value, name: str) -> str:
 def _as_str_list(value, name: str) -> tuple[str, ...]:
     if value is None:
         return ()
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    # An empty list, the common case, skips building the all() generator.
+    if not isinstance(value, list) or (value and not all(isinstance(x, str) for x in value)):
         raise ValueError(f"{name} must be a list of strings")
     return tuple(value)
 
 
-def parse_record(obj: dict) -> TweetRecord:
-    """Validate one decoded JSON object into a TweetRecord.
+def _validate_record(obj, emit: Callable):
+    """Check one decoded JSON object and return emit(fields).
 
-    Raises ValueError on any schema violation; hashtags are lowercased
-    here (matching on the platform is case-insensitive).
+    emit receives the normalized fields positionally, in TweetRecord
+    field order, and only once every check has passed. Raises
+    ValueError on any schema violation; hashtags are lowercased here
+    (matching on the platform is case-insensitive).
     """
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
@@ -158,33 +158,36 @@ def parse_record(obj: dict) -> TweetRecord:
         raise ValueError("retweet record lacks retweeted_tweet_id")
     if kind != "retweet" and rt_tweet is not None:
         raise ValueError(f"{kind} record carries retweeted_tweet_id")
-    return TweetRecord(
-        tweet_id=_as_id(obj["tweet_id"], "tweet_id"),
-        account_id=_as_id(obj["account_id"], "account_id"),
-        timestamp=parse_timestamp(obj["timestamp"]),
-        kind=kind,
-        text=text,
-        hashtags=tuple(t.lower() for t in _as_str_list(obj.get("hashtags"), "hashtags")),
-        language=language,
-        retweeted_tweet_id=None if rt_tweet is None else _as_id(rt_tweet, "retweeted_tweet_id"),
-        retweeted_account_id=None
-        if rt_account is None
-        else _as_id(rt_account, "retweeted_account_id"),
-        mentions=_as_str_list(obj.get("mentions"), "mentions"),
+    return emit(
+        _as_id(obj["tweet_id"], "tweet_id"),
+        _as_id(obj["account_id"], "account_id"),
+        parse_timestamp(obj["timestamp"]),
+        kind,
+        text,
+        tuple(map(str.lower, _as_str_list(obj.get("hashtags"), "hashtags"))),
+        language,
+        None if rt_tweet is None else _as_id(rt_tweet, "retweeted_tweet_id"),
+        None if rt_account is None else _as_id(rt_account, "retweeted_account_id"),
+        _as_str_list(obj.get("mentions"), "mentions"),
     )
+
+
+def parse_record(obj: dict) -> TweetRecord:
+    """Validate one decoded JSON object into a TweetRecord.
+
+    Raises ValueError on any schema violation; hashtags are lowercased
+    here (matching on the platform is case-insensitive).
+    """
+    return _validate_record(obj, TweetRecord)
 
 
 # A JSON escape of a UTF-16 surrogate: half of a pair, or a lone one.
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def parse_line(line: str) -> TweetRecord:
-    """Parse one JSONL line; ValueError for anything not a valid record.
-
-    Undecodable bytes (kept as surrogates by parse_corpus) and lone
-    surrogate escapes are rejected here: either would parse, then fail
-    when the record is written back out as UTF-8.
-    """
+def _decode_line(line: str):
+    """The JSON value of one line; ValueError when the line is not
+    UTF-8 JSON that could be written back out as UTF-8."""
     if not line.isascii():
         try:
             line.encode("utf-8")
@@ -201,24 +204,59 @@ def parse_line(line: str) -> TweetRecord:
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
             raise ValueError("string holds a lone UTF-16 surrogate") from None
-    return parse_record(obj)
+    return obj
+
+
+def parse_line(line: str) -> TweetRecord:
+    """Parse one JSONL line; ValueError for anything not a valid record.
+
+    Undecodable bytes (kept as surrogates by parse_corpus) and lone
+    surrogate escapes are rejected here: either would parse, then fail
+    when the record is written back out as UTF-8.
+    """
+    return parse_record(_decode_line(line))
+
+
+# One encoder for every cache line: json.dumps with non-default
+# arguments would build a new JSONEncoder per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
+def _encode_record(
+    tweet_id, account_id, timestamp, kind, text, hashtags, language, rt_tweet, rt_account, mentions
+) -> str:
+    """Canonical one-line JSON form of a record's fields (in
+    TweetRecord order); tuples encode as JSON arrays."""
+    return _ENCODER.encode(
+        {
+            "tweet_id": tweet_id,
+            "account_id": account_id,
+            "timestamp": timestamp,
+            "kind": kind,
+            "text": text,
+            "hashtags": hashtags,
+            "language": language,
+            "retweeted_tweet_id": rt_tweet,
+            "retweeted_account_id": rt_account,
+            "mentions": mentions,
+        }
+    )
 
 
 def record_to_json(rec: TweetRecord) -> str:
     """Canonical one-line JSON form; round-trips through parse_line."""
-    obj = {
-        "tweet_id": rec.tweet_id,
-        "account_id": rec.account_id,
-        "timestamp": rec.timestamp,
-        "kind": rec.kind,
-        "text": rec.text,
-        "hashtags": list(rec.hashtags),
-        "language": rec.language,
-        "retweeted_tweet_id": rec.retweeted_tweet_id,
-        "retweeted_account_id": rec.retweeted_account_id,
-        "mentions": list(rec.mentions),
-    }
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    return _encode_record(
+        rec.tweet_id,
+        rec.account_id,
+        rec.timestamp,
+        rec.kind,
+        rec.text,
+        rec.hashtags,
+        rec.language,
+        rec.retweeted_tweet_id,
+        rec.retweeted_account_id,
+        rec.mentions,
+    )
 
 
 def iter_records(
@@ -246,61 +284,171 @@ def iter_records(
 
 
 class Corpus:
-    """Immutable record store with per-account and per-day index views."""
+    """Records as columns, one per field, with derived index views.
 
-    def __init__(self, records: list[TweetRecord], skipped: int = 0):
-        self.records = records
+    Row i of every column is the i-th record. Accounts are interned:
+    account_ids[account_codes[i]] wrote row i, codes in order of first
+    appearance, and code_of maps an account id back to its code.
+    Timestamps (UTC seconds), account codes and kind codes (ORIGINAL,
+    REPLY, RETWEET) are stdlib arrays, the other columns lists; a row
+    without hashtags or mentions holds (). Nothing here needs numpy,
+    and the arrays convert to numpy arrays without a copy.
+    """
+
+    def __init__(self, records: Iterable[TweetRecord] = (), skipped: int = 0):
         self.skipped = skipped
-        self.account_index: dict[str, list[int]] = {}
-        # Group by integer UTC day code, then render each day once: the
-        # codes map one to one onto days, so keys and order are the same.
-        by_code: dict[int, list[int]] = {}
-        for i, rec in enumerate(records):
-            self.account_index.setdefault(rec.account_id, []).append(i)
-            by_code.setdefault(rec.timestamp // 86400, []).append(i)
-        self.day_index: dict[str, list[int]] = {
-            day_of_timestamp(code * 86400): rows for code, rows in by_code.items()
-        }
+        self.tweet_ids: list[str] = []
+        self.account_ids: list[str] = []
+        self.code_of: dict[str, int] = {}
+        self.account_codes = array("i")
+        self.timestamps = array("q")
+        self.kinds = array("b")
+        self.texts: list[str] = []
+        self.hashtags: list[tuple[str, ...]] = []
+        self.languages: list[str] = []
+        self.retweeted_tweet_ids: list[str | None] = []
+        self.retweeted_account_ids: list[str | None] = []
+        self.mentions: list[tuple[str, ...]] = []
+        append = self._appender()
+        for r in records:
+            append(
+                r.tweet_id,
+                r.account_id,
+                r.timestamp,
+                r.kind,
+                r.text,
+                r.hashtags,
+                r.language,
+                r.retweeted_tweet_id,
+                r.retweeted_account_id,
+                r.mentions,
+            )
+
+    def _appender(self) -> Callable:
+        """An emit for _validate_record that appends one row. Repeated
+        language tags and retweeted account ids share one string."""
+        code_of, names = self.code_of, self.account_ids
+        share = {}.setdefault
+        add_tweet, add_account = self.tweet_ids.append, self.account_codes.append
+        add_ts, add_kind, add_text = self.timestamps.append, self.kinds.append, self.texts.append
+        add_tags, add_language = self.hashtags.append, self.languages.append
+        add_rt_tweet = self.retweeted_tweet_ids.append
+        add_rt_account = self.retweeted_account_ids.append
+        add_mentions = self.mentions.append
+
+        def append(
+            tweet_id, account_id, timestamp, kind, text, hashtags, language,
+            rt_tweet, rt_account, mentions,
+        ):
+            code = code_of.get(account_id)
+            if code is None:
+                code = code_of[account_id] = len(names)
+                names.append(account_id)
+            add_tweet(tweet_id)
+            add_account(code)
+            add_ts(timestamp)
+            add_kind(_KIND_CODES[kind])
+            add_text(text)
+            add_tags(hashtags)
+            add_language(share(language, language))
+            add_rt_tweet(rt_tweet)
+            add_rt_account(share(rt_account, rt_account))
+            add_mentions(mentions)
+
+        return append
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.tweet_ids)
+
+    def _fields(self) -> Iterator[tuple]:
+        """Each row's fields, in TweetRecord order."""
+        return zip(
+            self.tweet_ids,
+            map(self.account_ids.__getitem__, self.account_codes),
+            self.timestamps,
+            map(KINDS.__getitem__, self.kinds),
+            self.texts,
+            self.hashtags,
+            self.languages,
+            self.retweeted_tweet_ids,
+            self.retweeted_account_ids,
+            self.mentions,
+        )
+
+    @property
+    def records(self) -> list[TweetRecord]:
+        """Every row as a TweetRecord, built anew on each access; the
+        pipeline stages read the columns instead."""
+        return [TweetRecord(*fields) for fields in self._fields()]
+
+    def day_codes(self) -> list[int]:
+        """Each row's UTC day as days since 1970-01-01 (floor division,
+        so instants before 1970 fall on the right day)."""
+        return [ts // SECONDS_PER_DAY for ts in self.timestamps]
+
+    @cached_property
+    def account_index(self) -> dict[str, list[int]]:
+        """Account id -> its rows, ascending; accounts in code order."""
+        rows: list[list[int]] = [[] for _ in self.account_ids]
+        for i, code in enumerate(self.account_codes):
+            rows[code].append(i)
+        return dict(zip(self.account_ids, rows))
+
+    @cached_property
+    def day_index(self) -> dict[str, list[int]]:
+        """UTC day (YYYY-MM-DD) -> its rows, ascending; days in order of
+        first appearance."""
+        # Group by integer day code, then render each day once: the
+        # codes map one to one onto days, so keys and order are the same.
+        by_code: dict[int, list[int]] = {}
+        for i, code in enumerate(self.day_codes()):
+            by_code.setdefault(code, []).append(i)
+        return {
+            day_of_timestamp(code * SECONDS_PER_DAY): rows for code, rows in by_code.items()
+        }
 
     def accounts(self) -> list[str]:
-        return sorted(self.account_index)
-
-    def days(self) -> list[str]:
-        return sorted(self.day_index)
-
-    def records_for_account(self, account_id: str) -> list[TweetRecord]:
-        return [self.records[i] for i in self.account_index.get(account_id, [])]
-
-    def records_for_day(self, day: str) -> list[TweetRecord]:
-        return [self.records[i] for i in self.day_index.get(day, [])]
+        return sorted(self.account_ids)
 
     def time_range(self) -> tuple[int, int] | None:
-        if not self.records:
+        if not self.timestamps:
             return None
-        stamps = [r.timestamp for r in self.records]
-        return min(stamps), max(stamps)
+        return min(self.timestamps), max(self.timestamps)
 
     def to_jsonl(self, fp) -> None:
-        for rec in self.records:
-            fp.write(record_to_json(rec))
-            fp.write("\n")
+        write = fp.write
+        for fields in self._fields():
+            write(_encode_record(*fields))
+            write("\n")
 
 
 def parse_corpus(source, strict: bool = False) -> Corpus:
     """Parse a JSONL stream (path, file object, or iterable of lines).
 
-    Lenient mode (the default) skips malformed lines and reports the
-    count via Corpus.skipped; strict mode aborts on the first one.
+    Each line is validated straight into the columns; lines stream
+    through, so only the corpus itself is held. Blank lines are
+    ignored. Lenient mode (the default) skips malformed lines and
+    reports the count via Corpus.skipped; strict mode aborts on the
+    first one with its line number. Both keep exactly what iter_records
+    keeps.
     """
-    skip_counter = [0]
+    corpus = Corpus()
+    append = corpus._appender()
+    skipped = 0
     # surrogateescape: an undecodable byte fails its own line in
-    # parse_line instead of the whole read.
+    # _decode_line instead of the whole read.
     with open_text(source, errors="surrogateescape") as fp:
-        records = list(iter_records(fp, strict=strict, skip_counter=skip_counter))
-    return Corpus(records, skipped=skip_counter[0])
+        for line_no, line in enumerate(fp, start=1):
+            if not line.strip():
+                continue
+            try:
+                _validate_record(_decode_line(line), append)
+            except ValueError as exc:
+                if strict:
+                    raise CorpusError(str(exc), line_no=line_no) from None
+                skipped += 1
+    corpus.skipped = skipped
+    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +514,11 @@ def normalize_text(text: str, options: NormalizeOptions = DEFAULT_NORMALIZE) -> 
 
 def daily_volume(corpus: Corpus) -> list[tuple[str, dict[str, int]]]:
     """Per-UTC-day record counts split by kind, sorted by day."""
-    out = []
-    for day in corpus.days():
-        counts = {kind: 0 for kind in KINDS}
-        for rec in corpus.records_for_day(day):
-            counts[rec.kind] += 1
-        out.append((day, counts))
-    return out
+    by_day: dict[int, list[int]] = {}
+    for (day, kind), n in Counter(zip(corpus.day_codes(), corpus.kinds)).items():
+        by_day.setdefault(day, [0] * len(KINDS))[kind] = n
+    # Day codes sort like the YYYY-MM-DD days they render as.
+    return [
+        (day_of_timestamp(day * SECONDS_PER_DAY), dict(zip(KINDS, counts)))
+        for day, counts in sorted(by_day.items())
+    ]

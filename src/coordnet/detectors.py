@@ -10,41 +10,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from coordnet import kernels
-from coordnet.corpus import Corpus, TweetRecord
+from coordnet.config import DETECTORS, DetectorConfig
+from coordnet.corpus import ORIGINAL, RETWEET, Corpus, TweetRecord
 
 HASHTAG_SEPARATOR = "|"
-
-DETECTORS = ("hashtag", "retweet", "time")
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Tunable thresholds for the three detectors."""
-
-    hashtag_k: int = 5
-    retweet_top_frac: float = 0.005
-    retweet_min: int = 10
-    time_bin_minutes: int = 30
-    time_threshold: float = 0.99
-    time_min: int = 10
-
-    def validate(self) -> None:
-        if self.hashtag_k < 2:
-            raise ValueError("hashtag_k must be >= 2")
-        if not 0.0 < self.retweet_top_frac < 1.0:
-            raise ValueError("retweet_top_frac must be in (0, 1)")
-        if not 0.0 < self.time_threshold <= 1.0:
-            raise ValueError("time_threshold must be in (0, 1]")
-        if self.retweet_min < 1 or self.time_min < 1:
-            raise ValueError("eligibility minima must be >= 1")
-        if self.time_bin_minutes < 1:
-            raise ValueError("time_bin_minutes must be >= 1")
 
 
 ORDER_ERROR = "edge endpoints must satisfy a < b"
@@ -176,16 +152,30 @@ def tfidf_weight(tf: int, df: int, n_docs: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _key_windows(tags: tuple[str, ...], k: int) -> set[str]:
+    """Every contiguous length-k window of tags, each joined with
+    HASHTAG_SEPARATOR; empty when there are fewer than k tags."""
+    return {HASHTAG_SEPARATOR.join(tags[i : i + k]) for i in range(len(tags) - k + 1)}
+
+
 def hashtag_key_set(tweet: TweetRecord, k: int) -> set[str]:
     """All contiguous length-k windows over the tweet's ordered hashtags.
 
     Tags are joined with HASHTAG_SEPARATOR; empty when the tweet has
     fewer than k hashtags. Callers pass original tweets only.
     """
-    tags = tweet.hashtags
-    if len(tags) < k:
-        return set()
-    return {HASHTAG_SEPARATOR.join(tags[i : i + k]) for i in range(len(tags) - k + 1)}
+    return _key_windows(tweet.hashtags, k)
+
+
+def _index_posts(posts: Iterable[tuple[str, tuple[str, ...]]], k: int) -> dict[str, set[str]]:
+    """Key -> accounts over (account_id, hashtags) of original tweets."""
+    index: dict[str, set[str]] = {}
+    for account, tags in posts:
+        if len(tags) < k:
+            continue
+        for key in _key_windows(tags, k):
+            index.setdefault(key, set()).add(account)
+    return index
 
 
 def hashtag_account_index(
@@ -196,13 +186,7 @@ def hashtag_account_index(
     Streams its input; the working set is the index itself, so this is
     the bounded-memory path for large corpora.
     """
-    index: dict[str, set[str]] = {}
-    for rec in records:
-        if rec.kind != "original" or len(rec.hashtags) < k:
-            continue
-        for key in hashtag_key_set(rec, k):
-            index.setdefault(key, set()).add(rec.account_id)
-    return index
+    return _index_posts(((r.account_id, r.hashtags) for r in records if r.kind == "original"), k)
 
 
 def edges_from_hashtag_index(index: dict[str, set[str]]) -> EdgeTable:
@@ -249,14 +233,14 @@ def detect_hashtag_coordination(
     corpus: Corpus, cfg: DetectorConfig = DetectorConfig()
 ) -> EdgeTable:
     """Edges between accounts sharing an original-tweet hashtag k-gram."""
-    return detect_hashtag_stream(corpus.records, cfg)
-
-
-def detect_hashtag_stream(
-    records: Iterable[TweetRecord], cfg: DetectorConfig = DetectorConfig()
-) -> EdgeTable:
     cfg.validate()
-    return edges_from_hashtag_index(hashtag_account_index(records, cfg.hashtag_k))
+    names = corpus.account_ids
+    posts = (
+        (names[code], tags)
+        for code, kind, tags in zip(corpus.account_codes, corpus.kinds, corpus.hashtags)
+        if kind == ORIGINAL and tags
+    )
+    return edges_from_hashtag_index(_index_posts(posts, cfg.hashtag_k))
 
 
 # ---------------------------------------------------------------------------
@@ -279,22 +263,23 @@ def build_account_vectors(
     if term not in ("retweeted_id", "time_bin"):
         raise ValueError(f"unknown term kind: {term!r}")
 
-    counts: dict[str, dict] = {}
-    totals: dict[str, int] = {}
-    bin_seconds = cfg.time_bin_minutes * 60
-    for rec in corpus.records:
-        if term == "retweeted_id":
-            if rec.kind != "retweet":
-                continue
-            value = rec.retweeted_tweet_id
-        else:
-            value = rec.timestamp // bin_seconds
-        totals[rec.account_id] = totals.get(rec.account_id, 0) + 1
-        per = counts.setdefault(rec.account_id, {})
-        per[value] = per.get(value, 0) + 1
+    codes = corpus.account_codes
+    if term == "retweeted_id":
+        pairs = Counter(
+            (code, target)
+            for code, kind, target in zip(codes, corpus.kinds, corpus.retweeted_tweet_ids)
+            if kind == RETWEET
+        )
+    else:
+        bin_seconds = cfg.time_bin_minutes * 60
+        pairs = Counter(zip(codes, [ts // bin_seconds for ts in corpus.timestamps]))
+    by_code: dict[int, dict] = {}
+    for (code, value), tf in pairs.items():
+        by_code.setdefault(code, {})[value] = tf
+    counts = {corpus.account_ids[code]: per for code, per in by_code.items()}
 
     minimum = cfg.retweet_min if term == "retweeted_id" else cfg.time_min
-    included = sorted(acct for acct, total in totals.items() if total > minimum)
+    included = sorted(acct for acct, per in counts.items() if sum(per.values()) > minimum)
     n_docs = len(included)
     if n_docs == 0:
         return {}

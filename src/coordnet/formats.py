@@ -10,10 +10,11 @@ whatever the length of an account id or evidence key.
 from __future__ import annotations
 
 import csv
+import itertools
 from typing import Iterable
 
 from coordnet.detectors import DETECTORS, ORDER_ERROR, SCORE_ERROR, EdgeTable
-from coordnet.sources import csv_reader, open_text
+from coordnet.sources import csv_reader, csv_writer, open_text
 
 EDGE_HEADER = ("account_a", "account_b", "detector", "score", "evidence")
 
@@ -35,7 +36,7 @@ def fmt(value) -> str:
 
 
 def write_edges_csv(edges: EdgeTable, fp) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
+    writer = csv_writer(fp, itertools.chain(edges.accounts, edges.keys))
     writer.writerow(EDGE_HEADER)
     account, key = edges.accounts.__getitem__, edges.keys.__getitem__
     for lo in range(0, len(edges), _WRITE_ROWS):

@@ -16,8 +16,13 @@ import numpy as np
 from coordnet.corpus import (
     DEFAULT_NORMALIZE,
     KINDS,
+    ORIGINAL,
+    REPLY,
+    RETWEET,
+    SECONDS_PER_DAY,
     Corpus,
     NormalizeOptions,
+    day_of_timestamp,
     normalize_text,
 )
 from coordnet.detectors import EdgeTable
@@ -129,10 +134,11 @@ def label_cluster(cluster: Cluster, corpus: Corpus) -> str:
     """Most frequent hashtag in members' original tweets; lexicographic
     tie-break; empty string when members have no hashtags."""
     counts: Counter[str] = Counter()
+    kinds, hashtags = corpus.kinds, corpus.hashtags
     for account in cluster.members:
-        for rec in corpus.records_for_account(account):
-            if rec.kind == "original":
-                counts.update(rec.hashtags)
+        for i in corpus.account_index.get(account, ()):
+            if kinds[i] == ORIGINAL:
+                counts.update(hashtags[i])
     if not counts:
         return ""
     return min(counts, key=lambda tag: (-counts[tag], tag))
@@ -167,6 +173,11 @@ class InteractionCounts:
         }
 
 
+def _members(corpus: Corpus, accounts: set[str]) -> list[bool]:
+    """For each account code of the corpus: is that account in accounts."""
+    return [name in accounts for name in corpus.account_ids]
+
+
 def retweet_interactions(corpus: Corpus, coordinated: set[str]) -> InteractionCounts:
     """Retweet/reply flows between the coordinated set and everyone else.
 
@@ -180,18 +191,21 @@ def retweet_interactions(corpus: Corpus, coordinated: set[str]) -> InteractionCo
     outside_retweets = 0
     outside_replies = 0
     coordinated_actions = 0
-    for rec in corpus.records:
-        author_in = rec.account_id in coordinated
-        if rec.kind == "retweet":
+    member = _members(corpus, coordinated)
+    for code, kind, target, mentions in zip(
+        corpus.account_codes, corpus.kinds, corpus.retweeted_account_ids, corpus.mentions
+    ):
+        author_in = member[code]
+        if kind == RETWEET:
             if author_in:
                 coordinated_actions += 1
-            if rec.retweeted_account_id is not None and rec.retweeted_account_id in coordinated:
+            if target is not None and target in coordinated:
                 if author_in:
                     intra += 1
                 else:
                     outside_retweets += 1
-        elif rec.kind == "reply" and not author_in:
-            if any(m in coordinated for m in rec.mentions):
+        elif kind == REPLY and not author_in:
+            if any(m in coordinated for m in mentions):
                 outside_replies += 1
     of_content = intra + outside_retweets
     return InteractionCounts(
@@ -210,18 +224,18 @@ def activity_shares(
 
     Days with no records of a kind yield None for that kind.
     """
+    member = _members(corpus, coordinated)
+    day_kinds = list(zip(corpus.day_codes(), corpus.kinds))
+    totals = Counter(day_kinds)
+    coord = Counter(dk for dk, code in zip(day_kinds, corpus.account_codes) if member[code])
     out = []
-    for day in corpus.days():
-        totals = {kind: 0 for kind in KINDS}
-        coord = {kind: 0 for kind in KINDS}
-        for rec in corpus.records_for_day(day):
-            totals[rec.kind] += 1
-            if rec.account_id in coordinated:
-                coord[rec.kind] += 1
-        shares = {
-            kind: (coord[kind] / totals[kind]) if totals[kind] else None for kind in KINDS
-        }
-        out.append((day, shares))
+    # Day codes sort like the YYYY-MM-DD days they render as.
+    for day in sorted({day for day, _ in totals}):
+        shares = {}
+        for code, kind in enumerate(KINDS):
+            total = totals[day, code]
+            shares[kind] = (coord[day, code] / total) if total else None
+        out.append((day_of_timestamp(day * SECONDS_PER_DAY), shares))
     return out
 
 
@@ -241,20 +255,22 @@ def duplicate_shares(
     if scope not in ("account", "corpus"):
         raise ValueError(f"unknown duplicate scope: {scope!r}")
     wanted = corpus.accounts() if accounts is None else sorted(set(accounts))
+    # Every account's originals count in corpus scope, only the wanted
+    # accounts' in account scope.
+    counted = None if scope == "corpus" else _members(corpus, set(wanted))
 
+    texts_of: dict[int, list[str]] = {}
+    for code, kind, text in zip(corpus.account_codes, corpus.kinds, corpus.texts):
+        if kind == ORIGINAL and (counted is None or counted[code]):
+            texts_of.setdefault(code, []).append(normalize_text(text, options))
     corpus_counts: Counter[str] = Counter()
     if scope == "corpus":
-        for rec in corpus.records:
-            if rec.kind == "original":
-                corpus_counts[normalize_text(rec.text, options)] += 1
+        for texts in texts_of.values():
+            corpus_counts.update(texts)
 
     out: dict[str, tuple[float | None, int]] = {}
     for account in wanted:
-        texts = [
-            normalize_text(rec.text, options)
-            for rec in corpus.records_for_account(account)
-            if rec.kind == "original"
-        ]
+        texts = texts_of.get(corpus.code_of.get(account))
         if not texts:
             out[account] = (None, 0)
             continue

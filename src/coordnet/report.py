@@ -8,7 +8,6 @@ for identical inputs and seed, at any thread count.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -21,6 +20,7 @@ from coordnet import sociolinguistics as sl
 from coordnet import stats
 from coordnet.corpus import (
     DEFAULT_NORMALIZE,
+    SECONDS_PER_DAY,
     Corpus,
     NormalizeOptions,
     day_of_timestamp,
@@ -30,6 +30,7 @@ from coordnet.detectors import EdgeTable
 from coordnet.formats import fmt
 from coordnet.graph import CoordinationGraph
 from coordnet.manifest import RunManifest
+from coordnet.sources import csv_writer
 
 BASELINE_SCOPE = "non_coordinated"
 ALL_COORDINATED_SCOPE = "all_coordinated"
@@ -37,7 +38,7 @@ ALL_COORDINATED_SCOPE = "all_coordinated"
 
 def _write_csv(path: Path, header, rows) -> int:
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
+        writer = csv_writer(fp)
         writer.writerow(header)
         count = 0
         for row in rows:
@@ -82,7 +83,7 @@ def write_duplicate_shares(
 
 def write_clusters(clusters, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
+        writer = csv_writer(fp)
         writer.writerow(("cluster_id", "size", "label", "member_ids"))
         for c in clusters:
             writer.writerow([c.id, c.size, c.label] + sorted(c.members))
@@ -128,28 +129,28 @@ def write_matrix(matrix, path: Path) -> None:
 
 class RecordColumns:
     """Per-record arrays the socio-linguistic sections share, built once
-    per report: the UTC day code, the confidence-table row (-1 where the
-    tweet has none) and the index of the first record with the same
-    tweet_id."""
+    per report: the UTC day code, the author's account code, the
+    confidence-table row (-1 where the tweet has none) and the index of
+    the first record with the same tweet_id."""
 
     def __init__(self, corpus: Corpus, table: sl.CharacteristicTable):
-        records = corpus.records
-        self.account_index = corpus.account_index
-        self.day = stats.day_codes(records)
-        self.row = table.row_indices(r.tweet_id for r in records)
+        tweet_ids = corpus.tweet_ids
+        self.code_of = corpus.code_of
+        self.day = np.asarray(corpus.timestamps, dtype=np.int64) // SECONDS_PER_DAY
+        self.account = np.asarray(corpus.account_codes, dtype=np.int64)
+        self.row = table.row_indices(tweet_ids)
         first: dict[str, int] = {}
         self.tweet = np.fromiter(
-            (first.setdefault(r.tweet_id, i) for i, r in enumerate(records)),
+            (first.setdefault(tid, i) for i, tid in enumerate(tweet_ids)),
             dtype=np.int64,
-            count=len(records),
+            count=len(tweet_ids),
         )
 
     def accounts_mask(self, accounts) -> np.ndarray:
         """True for the records of the given accounts."""
-        mask = np.zeros(len(self.day), dtype=bool)
-        for account in accounts:
-            mask[self.account_index.get(account, [])] = True
-        return mask
+        member = np.zeros(len(self.code_of), dtype=bool)
+        member[[self.code_of[a] for a in accounts if a in self.code_of]] = True
+        return member[self.account]
 
     def distinct_rows(self, mask: np.ndarray) -> np.ndarray:
         """Table rows of the distinct tweets among the masked records, in
@@ -277,11 +278,12 @@ def story_share(corpus: Corpus, coordinated: set[str], story_hashtags) -> dict:
         return {"hashtags": [], "coordinated": None, "total": None, "share": None}
     total = 0
     coord = 0
-    for rec in corpus.records:
-        if tags.isdisjoint(rec.hashtags):
+    names = corpus.account_ids
+    for code, hashtags in zip(corpus.account_codes, corpus.hashtags):
+        if not hashtags or tags.isdisjoint(hashtags):
             continue
         total += 1
-        if rec.account_id in coordinated:
+        if names[code] in coordinated:
             coord += 1
     return {
         "hashtags": sorted(tags),
@@ -353,7 +355,7 @@ def write_report_bundle(
     coordinated = set(coord_graph.nodes)
 
     manifest.counts["records"] = len(corpus)
-    manifest.counts["accounts"] = len(corpus.account_index)
+    manifest.counts["accounts"] = len(corpus.account_ids)
     manifest.counts["edges"] = sum(len(t) for t in edge_tables)
     manifest.counts["coordinated_accounts"] = len(coordinated)
     manifest.counts["clusters"] = len(clusters)
@@ -373,7 +375,7 @@ def write_report_bundle(
     interactions = graphmod.retweet_interactions(corpus, coordinated)
     story = story_share(corpus, coordinated, story_hashtags)
 
-    n_accounts = len(corpus.account_index)
+    n_accounts = len(corpus.account_ids)
     user_share = (len(coordinated) / n_accounts) if n_accounts else None
 
     dup_coord = [s for a, (s, _) in dup_shares.items() if s is not None and a in coordinated]

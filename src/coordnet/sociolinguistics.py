@@ -8,7 +8,6 @@ pipeline run end-to-end without model inference). All values live in
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -17,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from coordnet.corpus import MATCH_NORMALIZE, Corpus, TweetRecord, normalize_text
-from coordnet.sources import csv_reader
+from coordnet.sources import csv_reader, csv_writer
 
 ATTITUDES = ("vote_for", "vote_against", "moral", "immoral")
 
@@ -202,7 +201,7 @@ def load_confidences(source) -> CharacteristicTable:
 
 
 def write_confidences(table: CharacteristicTable, fp) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
+    writer = csv_writer(fp, table.tweet_ids)
     writer.writerow(("tweet_id",) + CHARACTERISTICS)
     for i, tid in enumerate(table.tweet_ids):
         writer.writerow([tid] + [repr(float(v)) for v in table.matrix[i]])
@@ -238,9 +237,6 @@ class Lexicon:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def score(self, tweet: TweetRecord) -> np.ndarray:
-        return lexicon_score(tweet, self)
 
 
 def load_lexicon(source) -> Lexicon:
@@ -285,10 +281,15 @@ def lexicon_score(tweet: TweetRecord, lexicon: Lexicon) -> np.ndarray:
     normalized text (URLs stripped, mentions replaced, hashtag marks
     removed, lowercased; accents kept).
     """
-    text = normalize_text(tweet.text, MATCH_NORMALIZE)
+    return _score_text(tweet.text, tweet.language, lexicon)
+
+
+def _score_text(text: str, language: str, lexicon: Lexicon) -> np.ndarray:
+    """lexicon_score of a tweet with this text and language tag."""
+    text = normalize_text(text, MATCH_NORMALIZE)
     miss = np.ones(N_CHARACTERISTICS, dtype=np.float64)
-    for col, pattern, weight, language in lexicon._compiled:
-        if language is not None and language != tweet.language:
+    for col, pattern, weight, entry_language in lexicon._compiled:
+        if entry_language is not None and entry_language != language:
             continue
         hits = len(pattern.findall(text))
         if hits:
@@ -301,18 +302,15 @@ def score_corpus(corpus: Corpus, lexicon: Lexicon) -> CharacteristicTable:
 
     Rows are in corpus order of each tweet_id's first record.
     """
-    seen: set[str] = set()
-    records = []
-    for rec in corpus.records:
-        if rec.tweet_id in seen:
-            continue
-        seen.add(rec.tweet_id)
-        records.append(rec)
-    scores = [lexicon.score(rec) for rec in records]
+    first: dict[str, int] = {}
+    for i, tid in enumerate(corpus.tweet_ids):
+        first.setdefault(tid, i)
+    texts, languages = corpus.texts, corpus.languages
+    scores = [_score_text(texts[i], languages[i], lexicon) for i in first.values()]
     matrix = (
         np.vstack(scores) if scores else np.empty((0, N_CHARACTERISTICS), dtype=np.float64)
     )
-    return CharacteristicTable([r.tweet_id for r in records], matrix, provenance="lexicon")
+    return CharacteristicTable(list(first), matrix, provenance="lexicon")
 
 
 def binarize(table: CharacteristicTable, threshold: float = 0.5) -> CharacteristicTable:

@@ -1,9 +1,11 @@
-"""Opening inputs: every reader takes a path or an already-open text file."""
+"""Opening inputs and writing CSV: every reader takes a path or an
+already-open text file, and every CSV writer comes from csv_writer."""
 
 from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
+from typing import Iterable
 
 
 @contextmanager
@@ -35,3 +37,32 @@ def csv_reader(source, factory=csv.reader):
         except csv.Error as exc:
             name = getattr(fp, "name", None) or "<input>"
             raise ValueError(f"{name}, line {reader.line_num}: {exc}") from None
+
+
+class _LineFeedRows:
+    """Text file proxy for a csv.writer whose rows end with "\r\n":
+    each row goes to fp ending with "\n" instead."""
+
+    def __init__(self, fp):
+        self._write = fp.write
+
+    def write(self, row: str):
+        return self._write(row[:-2] + "\n")
+
+
+def csv_writer(fp, strings: Iterable[str] | None = None):
+    """A csv.writer onto fp with "\n" row ends whose rows read back as
+    written.
+
+    csv.writer quotes only the fields that hold a delimiter, a quote or
+    a character of its line terminator, so with "\n" alone a field
+    holding a lone "\r" goes out bare and ends the row when read back.
+    This writer ends rows with "\r\n", which quotes such a field too,
+    and writes "\n" in its place. Rows without "\r" keep their bytes.
+    strings, when given, holds every string any row will carry; when
+    none holds "\r", the plain "\n" writer is returned, which writes the
+    same bytes without a call per row.
+    """
+    if strings is not None and not any("\r" in s for s in strings):
+        return csv.writer(fp, lineterminator="\n")
+    return csv.writer(_LineFeedRows(fp), lineterminator="\r\n")

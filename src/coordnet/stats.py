@@ -8,6 +8,7 @@ derived through SeedSequence so results never depend on scheduling.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import combinations, permutations
@@ -452,14 +453,14 @@ def daily_mean_confidence(
 def language_mix(corpus: Corpus, accounts: Iterable[str] | None = None) -> dict[str, dict[str, float]]:
     """Per-account fraction of tweets per language tag (fractions sum to 1)."""
     wanted = corpus.accounts() if accounts is None else sorted(set(accounts))
+    by_code: dict[int, dict[str, int]] = {}
+    for (code, lang), n in Counter(zip(corpus.account_codes, corpus.languages)).items():
+        by_code.setdefault(code, {})[lang] = n
     out: dict[str, dict[str, float]] = {}
     for account in wanted:
-        recs = corpus.records_for_account(account)
-        if not recs:
+        counts = by_code.get(corpus.code_of.get(account))
+        if not counts:
             continue
-        counts: dict[str, int] = {}
-        for rec in recs:
-            counts[rec.language] = counts.get(rec.language, 0) + 1
-        total = len(recs)
+        total = sum(counts.values())
         out[account] = {lang: counts[lang] / total for lang in sorted(counts)}
     return out

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and file interfaces."""
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -15,10 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordnet.cli import main
-from coordnet.corpus import record_to_json
+from coordnet.corpus import (
+    KINDS,
+    CorpusError,
+    TweetRecord,
+    parse_corpus,
+    parse_line,
+    record_to_json,
+)
 from coordnet.detectors import CoordinationEdge, EdgeTable
 from coordnet.formats import read_edges_csv, write_edges_csv
-from coordnet.sociolinguistics import CHARACTERISTICS
+from coordnet.sociolinguistics import CHARACTERISTICS, load_confidences
+from coordnet.sources import csv_writer
 
 from helpers import BASE_TS, jsonl_line, rec, subprocess_env
 
@@ -150,6 +159,40 @@ def test_cli_import_loads_no_scipy_submodules(tmp_path):
     assert counts["edges_retweet"] == counts["edges_time"] == 1
 
 
+_NUMPY_PROBE = """
+import json, sys
+import coordnet.cli
+
+def numpy_modules():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+
+try:
+    coordnet.cli.main(["--version"])
+except SystemExit:
+    pass
+after_version = numpy_modules()
+code = coordnet.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([after_version, code, numpy_modules()]))
+"""
+
+
+def test_version_and_ingest_load_no_numpy(tmp_path):
+    # Importing numpy is a large share of a short stage; only the stages
+    # that compute on arrays load it.
+    src, cache = tmp_path / "corpus.jsonl", tmp_path / "cache.jsonl"
+    write_jsonl(src, [rec(1, "a", hashtags=["x"]), rec(2, "b", kind="retweet")])
+    argv = ["ingest", str(src), "-o", str(cache)]
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argv)],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [[], 0, []]
+    assert cache.read_text(encoding="utf-8").count("\n") == 2
+
+
 # ---------------------------------------------------------------------------
 # Property: no input line aborts a lenient ingest or exits 3
 # ---------------------------------------------------------------------------
@@ -238,6 +281,46 @@ class TestIngestProperty:
             assert counts["records"] + counts["skipped"] == len(lines)
             strict = main(["--strict", "ingest", str(src), "-o", str(cache)])
             assert strict == (0 if counts["skipped"] == 0 else 1)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(lines=st.lists(_lines, min_size=1, max_size=6))
+    def test_columns_match_per_line_path(self, lines):
+        # Oracle: parse_line on each line alone, as iter_records streams.
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "input.jsonl"
+            src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            records, errors = [], []
+            with open(src, encoding="utf-8", errors="surrogateescape") as fp:
+                for line_no, line in enumerate(fp, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        records.append(parse_line(line))
+                    except ValueError as exc:
+                        errors.append(f"line {line_no}: {exc}")
+            corpus = parse_corpus(src)
+            assert (len(corpus), corpus.skipped) == (len(records), len(errors))
+            columns = {
+                "tweet_id": corpus.tweet_ids,
+                "account_id": [corpus.account_ids[c] for c in corpus.account_codes],
+                "timestamp": list(corpus.timestamps),
+                "kind": [KINDS[k] for k in corpus.kinds],
+                "text": corpus.texts,
+                "hashtags": corpus.hashtags,
+                "language": corpus.languages,
+                "retweeted_tweet_id": corpus.retweeted_tweet_ids,
+                "retweeted_account_id": corpus.retweeted_account_ids,
+                "mentions": corpus.mentions,
+            }
+            assert list(columns) == [f.name for f in dataclasses.fields(TweetRecord)]
+            for name, column in columns.items():
+                assert column == [getattr(r, name) for r in records], name
+            if errors:
+                with pytest.raises(CorpusError) as info:
+                    parse_corpus(src, strict=True)
+                assert str(info.value) == errors[0]
+            else:
+                assert parse_corpus(src, strict=True).records == records
 
 
 @pytest.fixture
@@ -374,6 +457,29 @@ class TestEdgeFile:
         fp.seek(0)
         assert list(read_edges_csv(fp)) == edges
 
+    def test_bare_carriage_return_round_trip(self):
+        ids = ["a\rb", "c\rd", "\r", "plain"]
+        edges = [
+            CoordinationEdge(x, y, "hashtag", 1.0, key)
+            for (x, y), key in zip(
+                itertools.combinations(sorted(ids), 2), itertools.cycle(("v\rw|x", "k"))
+            )
+        ]
+        fp = io.StringIO(newline="")
+        write_edges_csv(EdgeTable.from_records(edges), fp)
+        assert '\n"a\rb","c\rd",hashtag,1.0,k\n"a\rb",plain,hashtag,1.0,"v\rw|x"\n' in fp.getvalue()
+        fp.seek(0)
+        assert list(read_edges_csv(fp)) == edges
+
+    def test_rows_without_carriage_return_keep_their_bytes(self):
+        rows = [("a,b", "line\nbreak", 'q"uote'), ("plain", "", "é")]
+        plain = io.StringIO(newline="")
+        csv.writer(plain, lineterminator="\n").writerows(rows)
+        for strings in (None, [s for row in rows for s in row]):
+            fp = io.StringIO(newline="")
+            csv_writer(fp, strings).writerows(rows)
+            assert fp.getvalue() == plain.getvalue()
+
     def test_blank_lines_skipped(self, tmp_path, detect_run):
         path = tmp_path / "edges.csv"
         path.write_text(
@@ -390,6 +496,34 @@ class TestEdgeFile:
         assert main(["cluster", str(cache), str(path), "-o", str(out)]) == 0
         rows = list(csv.reader(out.open()))
         assert [row[3:] for row in rows[1:]] == [["coord-a", "coord-b"], ["p", "q"]]
+
+
+def test_carriage_return_ids_pass_every_stage(tmp_path):
+    # Account ids, tweet ids and hashtags holding a lone "\r": every
+    # file a stage writes and a later stage reads back reads as written.
+    tags = ["v\rw", "w", "x", "y", "z"]
+    records = [
+        rec("t\r1", "a\rb", BASE_TS, hashtags=tags, text="vote"),
+        rec("t2", "c\rd", BASE_TS + 60, hashtags=tags, text="vote"),
+        rec("t3", "plain", BASE_TS + 120, text="other"),
+    ]
+    src, cache, det = tmp_path / "corpus.jsonl", tmp_path / "cache.jsonl", tmp_path / "det"
+    conf, clusters = tmp_path / "confidences.csv", tmp_path / "clusters.csv"
+    write_jsonl(src, records)
+    assert main(["ingest", str(src), "-o", str(cache)]) == 0
+    assert main(["detect", str(cache), "-o", str(det)]) == 0
+    edges = list(read_edges_csv(det / "edges_hashtag.csv"))
+    assert [(e.a, e.b, e.evidence) for e in edges] == [("a\rb", "c\rd", "v\rw|w|x|y|z")]
+    assert main(["cluster", str(cache), str(det), "-o", str(clusters)]) == 0
+    with open(clusters, encoding="utf-8", newline="") as fp:
+        assert list(csv.reader(fp))[1] == ["1", "2", "v\rw", "a\rb", "c\rd"]
+    assert main(["score", str(cache), "-o", str(conf)]) == 0
+    assert load_confidences(conf).tweet_ids == ["t\r1", "t2", "t3"]
+    bundle = tmp_path / "bundle"
+    argv = ["report", str(cache), "-o", str(bundle), "--edges", str(det)]
+    assert main(argv + ["--confidences", str(conf), "--bootstrap", "10"]) == 0
+    with open(bundle / "duplicate_shares.csv", encoding="utf-8", newline="") as fp:
+        assert [row[0] for row in csv.reader(fp)] == ["account_id", "a\rb", "c\rd", "plain"]
 
 
 class TestClusterScoreReport:

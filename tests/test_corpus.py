@@ -59,7 +59,7 @@ class TestParsing:
         # each record lands in exactly one account and one day bucket
         assert sum(len(v) for v in ten_record_corpus.account_index.values()) == 10
         assert sum(len(v) for v in ten_record_corpus.day_index.values()) == 10
-        assert len(ten_record_corpus.records_for_account("acct-a")) == 5
+        assert len(ten_record_corpus.account_index["acct-a"]) == 5
 
     def test_hashtags_lowercased_in_order(self):
         r = parse_line(VALID)

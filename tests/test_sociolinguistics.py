@@ -138,6 +138,17 @@ class TestLoadConfidences:
         assert again.tweet_ids == ids
         assert np.array_equal(again.matrix, matrix)
 
+    def test_round_trip_bare_carriage_return(self):
+        # a lone "\r" is quoted like "\n", so it cannot end the row
+        ids = ["a\rb", "\r", "c\r\nd", "plain"]
+        matrix = np.random.default_rng(6).random((len(ids), N_CHARACTERISTICS))
+        buf = io.StringIO(newline="")
+        write_confidences(CharacteristicTable(ids, matrix, "test"), buf)
+        assert '"a\rb",' in buf.getvalue()
+        again = load_confidences(io.StringIO(buf.getvalue(), newline=""))
+        assert again.tweet_ids == ids
+        assert np.array_equal(again.matrix, matrix)
+
 
 class TestLexiconScore:
     def test_no_match_all_zero(self):
