@@ -126,7 +126,8 @@ def cmd_detect(args, config) -> int:
         if args.detectors
         else list(DETECTORS)
     )
-    results = det.detect_all(corpus, cfg, enabled)
+    diagnostics: dict[str, int] = {}
+    results = det.detect_all(corpus, cfg, enabled, diagnostics)
 
     flagged_sets = {}
     for name in DETECTORS:
@@ -134,11 +135,11 @@ def cmd_detect(args, config) -> int:
         flagged_sets[name] = flagged
         with open(outdir / f"edges_{name}.csv", "w", encoding="utf-8", newline="") as fp:
             formats.write_edges_csv(edges, fp)
-        with open(outdir / f"flagged_{name}.txt", "w", encoding="utf-8") as fp:
+        with open(outdir / f"flagged_{name}.txt", "w", encoding="utf-8", newline="") as fp:
             formats.write_account_list(flagged, fp)
 
     union = set().union(*flagged_sets.values())
-    with open(outdir / "flagged_union.txt", "w", encoding="utf-8") as fp:
+    with open(outdir / "flagged_union.txt", "w", encoding="utf-8", newline="") as fp:
         formats.write_account_list(union, fp)
 
     overlap = {
@@ -164,6 +165,7 @@ def cmd_detect(args, config) -> int:
         manifest.counts[f"edges_{name}"] = len(results[name][0])
         manifest.counts[f"flagged_{name}"] = len(flagged_sets[name])
     manifest.counts["flagged_union"] = len(union)
+    manifest.counts.update(diagnostics)
     for artifact in sorted(p.name for p in outdir.iterdir() if p.name != "detect.manifest.json"):
         manifest.add_artifact(outdir / artifact)
     manifest.write(outdir / "detect.manifest.json")

@@ -306,23 +306,29 @@ def build_account_vectors(
 
 
 def candidate_pair_similarities(
-    vectors: dict[str, SparseVector]
+    vectors: dict[str, SparseVector], selector=None
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Cosine similarity for every account pair sharing a stored term.
+    """Cosine similarity for the account pairs sharing a stored term.
 
     Returns (keys, sims, accounts): accounts are the vectors' ids with a
     nonzero norm, sorted; keys are the kernel's int64 pair keys
     (a << 32) | b over indices into accounts, a < b, ascending; sims are
     the aligned cosines clipped to [0, 1]. Pairs sharing no term have
-    similarity zero and are not generated. Callers threshold on the
-    arrays and decode only the pairs they keep (see _edges_from_pairs).
+    similarity zero and are not generated. Callers decode only the pairs
+    they keep (see _edges_from_pairs).
+
+    Without a selector every candidate pair is returned. With one
+    (AboveThreshold, TopFraction), the kernel runs once per block
+    function selector.passes() yields, each row block's (keys, clipped
+    sims) going through it, and the result is selector.kept() of the
+    last run's output; memory is then O(kept + one block).
 
     Weights are unit-normalized before the term-at-a-time accumulation
     kernel runs, so accumulated dots are the cosines.
     """
     accounts = sorted(acct for acct, vec in vectors.items() if vec.norm > 0.0)
     if len(accounts) < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), accounts
+        return _no_pairs() + (accounts,)
 
     # Postings: flatten each vector's (ascending) entries in account
     # order, then a stable sort by term keeps accounts ascending within
@@ -342,12 +348,105 @@ def candidate_pair_similarities(
     weights *= np.repeat(inv_norms, lengths)
     order = np.argsort(terms, kind="stable")
     acct_idx = np.repeat(np.arange(len(accounts), dtype=np.int32), lengths)[order]
+    weights = weights[order]
     _, counts = np.unique(terms, return_counts=True)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
 
-    keys, dots = kernels.accumulate_pair_products(offsets, acct_idx, weights[order])
-    return keys, np.clip(dots, 0.0, 1.0), accounts
+    if selector is None:
+        keys, dots = kernels.accumulate_pair_products(offsets, acct_idx, weights)
+        return keys, np.clip(dots, 0.0, 1.0), accounts
+    for block in selector.passes():
+        keys, sims = kernels.accumulate_pair_products(
+            offsets, acct_idx, weights,
+            select=lambda keys, dots, block=block: block(keys, np.clip(dots, 0.0, 1.0)),
+        )
+    return selector.kept(keys, sims) + (accounts,)
+
+
+def _no_pairs() -> tuple[np.ndarray, np.ndarray]:
+    """New empty (keys, sims) arrays."""
+    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+
+
+class AboveThreshold:
+    """Selector keeping the pairs whose similarity strictly exceeds
+    threshold, in one kernel pass. candidates counts every pair seen."""
+
+    def __init__(self, threshold: float):
+        self.threshold = threshold
+        self.candidates = 0
+
+    def passes(self):
+        yield self._select
+
+    def _select(self, keys, sims):
+        self.candidates += len(keys)
+        keep = sims > self.threshold
+        return keys[keep], sims[keep]
+
+    def kept(self, keys, sims):
+        return keys, sims
+
+
+class TopFraction:
+    """Selector keeping the pairs at or above top_fraction_cutoff over
+    all candidate pairs, in two kernel passes.
+
+    Pass 1 counts the candidates m, which gives k = max(1, ceil(frac·m)).
+    Pass 2 pools each block's pairs; whenever the pool outgrows twice
+    what it held after its last cut (and 2k), it is cut to the pairs at
+    or above its k-th largest similarity, ties included. That value never
+    exceeds the k-th largest over all candidates, so the pool keeps every
+    pair at or above the cutoff, and its own k-th largest at the end is
+    the cutoff. Blocks arrive in key order and masks keep order, so the
+    pool stays in key order. k is 0 when there are no candidates.
+    """
+
+    def __init__(self, frac: float):
+        self.frac = frac
+        self.candidates = 0
+        self.k = 0
+        self._keys: list[np.ndarray] = []
+        self._sims: list[np.ndarray] = []
+        self._size = 0
+        self._limit = 0
+        self._floor = -math.inf
+
+    def passes(self):
+        yield self._count
+        if self.candidates:
+            self.k = max(1, math.ceil(self.frac * self.candidates))
+            self._limit = 2 * self.k
+            yield self._pool
+
+    def _count(self, keys, sims):
+        self.candidates += len(keys)
+        return _no_pairs()
+
+    def _pool(self, keys, sims):
+        keep = sims >= self._floor
+        self._keys.append(keys[keep])
+        self._sims.append(sims[keep])
+        self._size += len(self._keys[-1])
+        if self._size > self._limit:
+            self._cut()
+        return _no_pairs()
+
+    def _cut(self):
+        """Cut the pool to the pairs at or above its k-th largest."""
+        keys, sims = np.concatenate(self._keys), np.concatenate(self._sims)
+        self._floor = _kth_largest(sims, self.k)
+        keep = sims >= self._floor
+        self._keys, self._sims = [keys[keep]], [sims[keep]]
+        self._size = len(self._keys[0])
+        self._limit = 2 * max(self.k, self._size)
+
+    def kept(self, keys, sims):
+        if not self.k:
+            return keys, sims
+        self._cut()
+        return self._keys[0], self._sims[0]
 
 
 def _edges_from_pairs(
@@ -364,41 +463,54 @@ def _edges_from_pairs(
     )
 
 
-def top_fraction_cutoff(sims: np.ndarray, top_frac: float) -> float:
-    """Nearest-rank cutoff: the ceil(top_frac * m)-th largest similarity."""
+def _kth_largest(sims: np.ndarray, k: int) -> float:
+    """The k-th largest of sims, 1 <= k <= sims.size."""
     m = sims.size
-    k = max(1, math.ceil(top_frac * m))
     return float(np.partition(sims, m - k)[m - k])
 
 
+def top_fraction_cutoff(sims: np.ndarray, top_frac: float) -> float:
+    """Nearest-rank cutoff: the ceil(top_frac * m)-th largest similarity."""
+    return _kth_largest(sims, max(1, math.ceil(top_frac * sims.size)))
+
+
+# Diagnostics of the vector detectors that detect_all adds to counts.
+VECTOR_COUNTS = ("docs_retweet", "docs_time", "candidates_retweet", "candidates_time", "retweet_k")
+
+
 def detect_retweet_coordination(
-    corpus: Corpus, cfg: DetectorConfig = DetectorConfig()
+    corpus: Corpus, cfg: DetectorConfig = DetectorConfig(), counts: dict | None = None
 ) -> tuple[EdgeTable, set[str]]:
     """Flag the top retweet_top_frac fraction of candidate-pair cosines.
 
     The quantile is taken over candidate pairs (those sharing at least
-    one retweeted id); boundary ties are all included.
+    one retweeted id); boundary ties are all included. counts, when
+    given, receives docs_retweet, candidates_retweet and retweet_k (the
+    cutoff's rank among the candidates).
     """
     cfg.validate()
     vectors = build_account_vectors(corpus, "retweeted_id", cfg)
-    keys, sims, accounts = candidate_pair_similarities(vectors)
-    if len(keys):
-        keep = sims >= top_fraction_cutoff(sims, cfg.retweet_top_frac)
-        keys, sims = keys[keep], sims[keep]
+    top = TopFraction(cfg.retweet_top_frac)
+    keys, sims, accounts = candidate_pair_similarities(vectors, top)
+    if counts is not None:
+        counts.update(docs_retweet=len(vectors), candidates_retweet=top.candidates, retweet_k=top.k)
     edges = _edges_from_pairs(keys, sims, accounts, "retweet")
     return edges, edges.endpoints()
 
 
 def detect_time_coordination(
-    corpus: Corpus, cfg: DetectorConfig = DetectorConfig()
+    corpus: Corpus, cfg: DetectorConfig = DetectorConfig(), counts: dict | None = None
 ) -> tuple[EdgeTable, set[str]]:
     """Flag candidate pairs whose time-bin cosine strictly exceeds the
-    configured threshold."""
+    configured threshold. counts, when given, receives docs_time and
+    candidates_time."""
     cfg.validate()
     vectors = build_account_vectors(corpus, "time_bin", cfg)
-    keys, sims, accounts = candidate_pair_similarities(vectors)
-    keep = sims > cfg.time_threshold
-    edges = _edges_from_pairs(keys[keep], sims[keep], accounts, "time")
+    above = AboveThreshold(cfg.time_threshold)
+    keys, sims, accounts = candidate_pair_similarities(vectors, above)
+    if counts is not None:
+        counts.update(docs_time=len(vectors), candidates_time=above.candidates)
+    edges = _edges_from_pairs(keys, sims, accounts, "time")
     return edges, edges.endpoints()
 
 
@@ -406,12 +518,19 @@ def detect_all(
     corpus: Corpus,
     cfg: DetectorConfig = DetectorConfig(),
     enabled: Iterable[str] = DETECTORS,
+    counts: dict | None = None,
 ) -> dict[str, tuple[EdgeTable, set[str]]]:
-    """Run the enabled detectors; disabled ones yield empty results."""
+    """Run the enabled detectors; disabled ones yield empty results.
+
+    counts, when given, receives every VECTOR_COUNTS key, 0 for a
+    disabled detector.
+    """
     enabled = set(enabled)
     unknown = enabled - set(DETECTORS)
     if unknown:
         raise ValueError(f"unknown detectors: {sorted(unknown)}")
+    if counts is not None:
+        counts.update(dict.fromkeys(VECTOR_COUNTS, 0))
     out: dict[str, tuple[EdgeTable, set[str]]] = {}
     for name in DETECTORS:
         if name not in enabled:
@@ -420,7 +539,7 @@ def detect_all(
             edges = detect_hashtag_coordination(corpus, cfg)
             out[name] = (edges, edges.endpoints())
         elif name == "retweet":
-            out[name] = detect_retweet_coordination(corpus, cfg)
+            out[name] = detect_retweet_coordination(corpus, cfg, counts)
         else:
-            out[name] = detect_time_coordination(corpus, cfg)
+            out[name] = detect_time_coordination(corpus, cfg, counts)
     return out

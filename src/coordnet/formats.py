@@ -4,7 +4,8 @@ Floats are written with repr() (shortest round-trip form) so output is
 byte-stable; empty cells encode null.
 
 Edge files: whatever write_edges_csv writes, read_edges_csv reads back,
-whatever the length of an account id or evidence key.
+whatever the length of an account id or evidence key. Account lists:
+whatever write_account_list writes, read_account_list reads back.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 from typing import Iterable
 
 from coordnet.detectors import DETECTORS, ORDER_ERROR, SCORE_ERROR, EdgeTable
-from coordnet.sources import csv_reader, csv_writer, open_text
+from coordnet.sources import csv_reader, csv_writer
 
 EDGE_HEADER = ("account_a", "account_b", "detector", "score", "evidence")
 
@@ -92,11 +93,15 @@ def read_edges_csv(source) -> EdgeTable:
 
 
 def write_account_list(accounts: Iterable[str], fp) -> None:
-    for account in sorted(accounts):
-        fp.write(account)
-        fp.write("\n")
+    """One account id per line, sorted: a one-column CSV, so an id
+    holding a comma, a quote, CR or LF is quoted and any other id keeps
+    its bytes. fp should be opened with newline=""."""
+    accounts = sorted(accounts)
+    csv_writer(fp, accounts).writerows((account,) for account in accounts)
 
 
 def read_account_list(source) -> set[str]:
-    with open_text(source) as fp:
-        return {line.strip() for line in fp if line.strip()}
+    """The ids write_account_list wrote, byte for byte; blank lines are
+    skipped."""
+    with csv_reader(source) as reader:
+        return {row[0] for row in reader if row}

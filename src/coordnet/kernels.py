@@ -10,6 +10,14 @@ w[a,t]·w[b,t] with a in the block and a < b, in ascending term order
 np.bincount sums each pair's products in that input order. That is
 the add order of the reference accumulator in coordnet._pairsim_py, so
 the two are bitwise identical, and tested against each other.
+
+A caller that keeps only some pairs passes select: each block's
+(keys, dots) goes through it before the block is kept, so the kernel
+holds the kept pairs and one block, O(kept + block) memory, never the
+full candidate list of up to C(n,2) pairs. Blocks ascend by first
+account, so the kept pairs come back in key order as long as select
+keeps each block's order (a boolean mask does). select must return new
+arrays, not views: a view keeps its block's arrays alive.
 """
 
 import numpy as np
@@ -29,14 +37,16 @@ PAIR_BUDGET = 1 << 15
 DENSE_CELLS_PER_PRODUCT = 4
 
 
-def accumulate_pair_products(offsets, accounts, weights):
+def accumulate_pair_products(offsets, accounts, weights, select=None):
     """Accumulate dot-product contributions for every co-occurring pair.
 
     Postings for term t are accounts[offsets[t]:offsets[t+1]] (ascending
     account index) with aligned non-negative weights. Returns (keys, dots)
     where key = (a << 32) | b for account indices a < b, keys ascending;
     a pair whose products sum to exactly zero is left out, as a sparse
-    product stores no zeros.
+    product stores no zeros. When select is given, each row block's
+    (keys, dots) is replaced by select(keys, dots), which returns new
+    arrays, and the result joins what select kept.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     accounts = np.asarray(accounts, dtype=np.int64)
@@ -68,6 +78,8 @@ def accumulate_pair_products(offsets, accounts, weights):
                 by_row[row_start[lo] : row_start[hi]], partners, accounts, weights,
                 total, lo, hi - lo, n_accounts,
             )
+            if select is not None:
+                keys, dots = select(keys, dots)
             key_blocks.append(keys)
             dot_blocks.append(dots)
         lo = hi

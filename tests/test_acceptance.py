@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. Criteria cover oracle
 equivalence, planted-cluster recovery, statistics identities, seeded
-reproducibility, ratio fixtures, byte-level pipeline determinism, and
-the bounded-memory scale path.
+reproducibility, ratio fixtures, byte-level pipeline determinism, the
+bounded-memory scale path, and detect memory that grows with the
+accounts, not with their pairs.
 """
 
 import csv
@@ -15,6 +16,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 
 from coordnet import sociolinguistics as sl
@@ -558,4 +560,49 @@ def test_criterion_7_scale_streaming_bounded_memory():
         7,
         f"{SCALE_RECORDS} records streamed in {elapsed:.0f}s, "
         f"{len(edges)} edges, peak RSS {peak_kb / 1024 / 1024:.2f} GiB",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 8. Detect memory grows with the accounts, not with their pairs
+# ---------------------------------------------------------------------------
+
+
+def dense_retweet_corpus(n_accounts, pool=40, retweets=11):
+    """Every account retweets from one small shared pool within three
+    hours, so almost every account pair is a candidate of both vector
+    detectors: C(n, 2) candidates each."""
+    rnd = random.Random(n_accounts)
+    records = []
+    for a in range(n_accounts):
+        for _ in range(retweets):
+            ts = BASE_TS + rnd.randrange(6) * 1800 + rnd.randrange(1800)
+            rt_id = f"pool{rnd.randrange(pool)}"
+            records.append(rec(len(records), f"acct{a:05d}", ts, "retweet", rt_id=rt_id))
+    return Corpus(records)
+
+
+def detect_peak_bytes(corpus):
+    """tracemalloc peak of detect_all above what was allocated before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        detect_all(corpus)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_criterion_8_detect_memory_linear_in_accounts():
+    n = 600
+    peaks = [detect_peak_bytes(dense_retweet_corpus(size)) for size in (n, 2 * n)]
+    growth = peaks[1] / peaks[0]
+    # candidate pairs grow 4x; the kept pairs and the accounts' own
+    # arrays may not make detect grow by much more than 2x
+    assert growth <= 2.5, f"detect peak grew {growth:.2f}x for 2x the accounts"
+    ok(
+        8,
+        f"detect peak {peaks[0] / 2**20:.1f} -> {peaks[1] / 2**20:.1f} MiB "
+        f"({growth:.2f}x) for {n} -> {2 * n} eligible accounts",
     )

@@ -25,7 +25,12 @@ from coordnet.corpus import (
     record_to_json,
 )
 from coordnet.detectors import CoordinationEdge, EdgeTable
-from coordnet.formats import read_edges_csv, write_edges_csv
+from coordnet.formats import (
+    read_account_list,
+    read_edges_csv,
+    write_account_list,
+    write_edges_csv,
+)
 from coordnet.sociolinguistics import CHARACTERISTICS, load_confidences
 from coordnet.sources import csv_writer
 
@@ -498,6 +503,22 @@ class TestEdgeFile:
         assert [row[3:] for row in rows[1:]] == [["coord-a", "coord-b"], ["p", "q"]]
 
 
+class TestAccountList:
+    def test_round_trip(self, tmp_path):
+        ids = {"a\nb", " pad ", "c", "x,y", 'q"', "r\rs"}
+        path = tmp_path / "flagged.txt"
+        with open(path, "w", encoding="utf-8", newline="") as fp:
+            write_account_list(ids, fp)
+        assert read_account_list(path) == ids
+
+    def test_plain_ids_keep_their_bytes(self):
+        ids = ["b", " pad ", "a-1", "é", "tab\there"]
+        fp = io.StringIO(newline="")
+        write_account_list(ids, fp)
+        assert fp.getvalue() == "".join(f"{i}\n" for i in sorted(ids))
+        assert read_account_list(io.StringIO(fp.getvalue() + "\n", newline="")) == set(ids)
+
+
 def test_carriage_return_ids_pass_every_stage(tmp_path):
     # Account ids, tweet ids and hashtags holding a lone "\r": every
     # file a stage writes and a later stage reads back reads as written.
@@ -514,6 +535,7 @@ def test_carriage_return_ids_pass_every_stage(tmp_path):
     assert main(["detect", str(cache), "-o", str(det)]) == 0
     edges = list(read_edges_csv(det / "edges_hashtag.csv"))
     assert [(e.a, e.b, e.evidence) for e in edges] == [("a\rb", "c\rd", "v\rw|w|x|y|z")]
+    assert read_account_list(det / "flagged_union.txt") == {"a\rb", "c\rd"}
     assert main(["cluster", str(cache), str(det), "-o", str(clusters)]) == 0
     with open(clusters, encoding="utf-8", newline="") as fp:
         assert list(csv.reader(fp))[1] == ["1", "2", "v\rw", "a\rb", "c\rd"]

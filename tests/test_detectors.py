@@ -13,8 +13,11 @@ from coordnet.corpus import Corpus
 from coordnet.detectors import (
     CoordinationEdge,
     DetectorConfig,
+    AboveThreshold,
     SparseVector,
+    TopFraction,
     build_account_vectors,
+    candidate_pair_similarities,
     detect_all,
     detect_hashtag_coordination,
     detect_retweet_coordination,
@@ -361,6 +364,55 @@ class TestKernelBackends:
         assert len(keys) == n_accounts * (n_accounts - 1) // 2
         assert peak - output <= output + 128 * kernels.PAIR_BUDGET + 64 * len(accounts)
 
+    def test_peak_memory_with_empty_select_bounded_by_budget(self):
+        # The postings above through a select that keeps nothing: with no
+        # output to hold, the kernel's peak is its per-entry arrays and
+        # one block, whatever the pair count.
+        n_accounts, n_terms = 120, 100
+        offsets = np.arange(n_terms + 1, dtype=np.int64) * n_accounts
+        accounts = np.tile(np.arange(n_accounts, dtype=np.int32), n_terms)
+        weights = np.random.default_rng(81).random(len(accounts)) + 0.5
+        seen = []
+
+        def keep_nothing(keys, dots):
+            seen.append(len(keys))
+            none = np.zeros(len(keys), dtype=bool)
+            return keys[none], dots[none]
+
+        python = kernels.get_backend("python")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            keys, dots = python(offsets, accounts, weights, select=keep_nothing)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(keys) == 0 and len(seen) > 1
+        assert sum(seen) == n_accounts * (n_accounts - 1) // 2
+        assert peak <= 128 * kernels.PAIR_BUDGET + 64 * len(accounts)
+
+    def test_select_sees_each_block_in_key_order(self, monkeypatch):
+        rnd = random.Random(80)
+        python = kernels.get_backend("python")
+        cases = [self._random_postings(rnd, 300, 200, 20) for _ in range(3)]
+        for budget in PAIR_BUDGETS:
+            monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+            for case in cases:
+                full_keys, full_dots = python(*case)
+                blocks = []
+
+                def above_median(keys, dots):
+                    blocks.append(keys)
+                    keep = dots > np.median(full_dots)
+                    return keys[keep], dots[keep]
+
+                got = python(*case, select=above_median)
+                # the blocks partition the full output, in order
+                assert np.array_equal(np.concatenate(blocks), full_keys)
+                keep = full_dots > np.median(full_dots)
+                self._assert_bitwise(got, (full_keys[keep], full_dots[keep]))
+
     def test_get_backend_survives_rebinding(self, monkeypatch):
         default = kernels.get_backend("python")
         reference = kernels.get_backend("reference")
@@ -581,6 +633,135 @@ class TestTimeDetector:
             if previous is not None:
                 assert pairs <= previous
             previous = pairs
+
+
+def tied_retweet_corpus(n_accounts=90, group_every=3):
+    """Every group_every-th account retweets the same eleven ids (equal
+    profiles, so their pairs tie at cosine 1); the rest retweet at
+    random from a pool that overlaps them. Group members interleave with
+    the others in id order, so the ties spread over many row blocks."""
+    rnd = random.Random(31)
+    records = []
+    for a in range(n_accounts):
+        for i in range(11):
+            target = f"g{i}" if a % group_every == 0 else f"g{rnd.randrange(16)}"
+            records.append(rec(len(records), f"acct{a:03d}", kind="retweet", rt_id=target))
+    return corpus_of(*records)
+
+
+class TestBlockSelect:
+    """The detectors select pairs block by block; the oracle is the full
+    candidate list from the kernel without select, then the detector's
+    mask over all of it, compared key for key and bit for bit."""
+
+    @staticmethod
+    def _full(vectors, detector, cfg):
+        keys, sims, accounts = candidate_pair_similarities(vectors)
+        if detector == "retweet":
+            if not len(sims):
+                return keys, sims, accounts, 0, 0
+            k = max(1, math.ceil(cfg.retweet_top_frac * len(sims)))
+            keep = sims >= top_fraction_cutoff(sims, cfg.retweet_top_frac)
+        else:
+            k = 0
+            keep = sims > cfg.time_threshold
+        return keys[keep], sims[keep], accounts, len(sims), k
+
+    def _assert_matches_full(self, corpus, cfg):
+        for detector, term, detect in (
+            ("retweet", "retweeted_id", detect_retweet_coordination),
+            ("time", "time_bin", detect_time_coordination),
+        ):
+            vectors = build_account_vectors(corpus, term, cfg)
+            keys, sims, accounts, m, k = self._full(vectors, detector, cfg)
+            counts = {}
+            edges, _ = detect(corpus, cfg, counts)
+            assert edges.accounts == accounts
+            assert np.array_equal(edges.a, keys >> 32)
+            assert np.array_equal(edges.b, keys & 0xFFFFFFFF)
+            assert np.array_equal(edges.score.view(np.int64), sims.view(np.int64))
+            assert counts[f"candidates_{detector}"] == m
+            assert counts[f"docs_{detector}"] == len(vectors)
+            if detector == "retweet":
+                assert counts["retweet_k"] == k
+
+    @pytest.mark.parametrize("budget", PAIR_BUDGETS)
+    def test_random_corpora(self, monkeypatch, budget):
+        monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+        rnd = random.Random(41)
+        for i, frac in enumerate((0.005, 0.1, 0.5, 0.9)):
+            corpus = random_corpus(rnd, n_accounts=60 + 40 * i)
+            for threshold in (0.5, 0.99):
+                cfg = DetectorConfig(retweet_top_frac=frac, time_threshold=threshold)
+                self._assert_matches_full(corpus, cfg)
+
+    @pytest.mark.parametrize("budget", PAIR_BUDGETS)
+    def test_ties_straddle_the_cutoff(self, monkeypatch, budget):
+        monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+        cuts = []
+        cut = TopFraction._cut
+        monkeypatch.setattr(TopFraction, "_cut", lambda self: (cuts.append(1), cut(self)))
+        corpus = tied_retweet_corpus()
+        cfg = DetectorConfig(retweet_top_frac=0.05)
+        vectors = build_account_vectors(corpus, "retweeted_id", cfg)
+        _, sims, _ = candidate_pair_similarities(vectors)
+        top = np.sort(sims)[::-1]
+        k = math.ceil(0.05 * len(sims))
+        # 435 tied pairs of the 30 group members, the cutoff inside them
+        assert top[0] == top[k - 1] == top[434] > top[435]
+        self._assert_matches_full(corpus, cfg)
+        assert len(cuts) > 1
+
+    def test_no_candidates(self):
+        # m = 0: two eligible accounts sharing no retweeted id
+        records = [rec(i, "x", kind="retweet", rt_id=f"x{i}") for i in range(11)]
+        records += [rec(100 + i, "y", kind="retweet", rt_id=f"y{i}") for i in range(11)]
+        counts = {}
+        edges, flagged = detect_retweet_coordination(corpus_of(*records), counts=counts)
+        assert len(edges) == 0 and flagged == set()
+        assert counts == {"docs_retweet": 2, "candidates_retweet": 0, "retweet_k": 0}
+
+    def test_one_candidate(self):
+        # m = 1, so k = 1: x and y share ids, z shares none
+        records = []
+        for i in range(11):
+            records.append(rec(len(records), "x", kind="retweet", rt_id=f"s{i}"))
+            records.append(rec(len(records), "y", kind="retweet", rt_id=f"s{i % 5}"))
+            records.append(rec(len(records), "z", kind="retweet", rt_id=f"z{i}"))
+        corpus = corpus_of(*records)
+        self._assert_matches_full(corpus, DetectorConfig())
+        counts = {}
+        edges, _ = detect_retweet_coordination(corpus, counts=counts)
+        assert len(edges) == 1 and counts["candidates_retweet"] == counts["retweet_k"] == 1
+
+    def test_k_equals_candidates(self):
+        # x, y, z pairwise share "c" (w does not, so its weight is not
+        # zero): m = 3 and k = ceil(0.9 * 3) = 3 keeps every candidate
+        records = []
+        for account in ("x", "y", "z"):
+            for i in range(11):
+                rt_id = "c" if i < 3 else f"{account}{i}"
+                records.append(rec(len(records), account, kind="retweet", rt_id=rt_id))
+        records += [rec(len(records) + i, "w", kind="retweet", rt_id=f"w{i}") for i in range(11)]
+        corpus = corpus_of(*records)
+        cfg = DetectorConfig(retweet_top_frac=0.9)
+        self._assert_matches_full(corpus, cfg)
+        counts = {}
+        edges, _ = detect_retweet_coordination(corpus, cfg, counts)
+        assert len(edges) == counts["candidates_retweet"] == counts["retweet_k"] == 3
+
+    def test_selectors_return_new_arrays(self):
+        keys = np.arange(6, dtype=np.int64)
+        sims = np.linspace(0.0, 1.0, 6)
+        above, top = AboveThreshold(0.5), TopFraction(0.5)
+        blocks = list(above.passes())
+        for block in top.passes():  # the count pass, then the pool pass
+            blocks.append(block)
+            block(keys, sims)
+        assert len(blocks) == 3
+        for block in blocks:
+            for out in block(keys, sims):
+                assert out.base is None
 
 
 class TestDeterminism:
