@@ -19,7 +19,7 @@ from pathlib import Path
 
 from coordnet import __version__
 from coordnet.config import DETECTORS, DetectorConfig
-from coordnet.corpus import Corpus, day_of_timestamp, parse_corpus
+from coordnet.corpus import day_of_timestamp, load_cache, parse_corpus
 from coordnet.manifest import RunManifest
 from coordnet.sources import csv_reader
 
@@ -79,11 +79,6 @@ def _config_snapshot(cfg: DetectorConfig, extra: dict | None = None) -> dict:
     return snap
 
 
-def _load_cache(path) -> Corpus:
-    corpus = parse_corpus(path, strict=True)
-    return corpus
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -94,11 +89,13 @@ def cmd_ingest(args, config) -> int:
     corpus = parse_corpus(args.input, strict=args.strict)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fp:
-        corpus.to_jsonl(fp)
+        corpus.write_cache(fp)
     manifest = RunManifest("ingest", seed=args.seed)
     manifest.add_input("corpus", args.input)
     manifest.counts["records"] = len(corpus)
     manifest.counts["skipped"] = corpus.skipped
+    for reason, n in corpus.skip_reasons.items():
+        manifest.counts[f"skipped_{reason}"] = n
     manifest.counts["accounts"] = len(corpus.account_ids)
     manifest.counts["days"] = len(corpus.day_index)
     rng = corpus.time_range()
@@ -118,7 +115,7 @@ def cmd_detect(args, config) -> int:
     from coordnet import formats
 
     cfg = detector_config(config, args)
-    corpus = _load_cache(args.cache)
+    corpus = load_cache(args.cache)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     enabled = (
@@ -192,7 +189,7 @@ def cmd_cluster(args, config) -> int:
     from coordnet import graph as graphmod
     from coordnet import report as reportmod
 
-    corpus = _load_cache(args.cache)
+    corpus = load_cache(args.cache)
     tables = [formats.read_edges_csv(path) for path in _edge_files(args.edges)]
     graph = graphmod.CoordinationGraph.from_edges(*tables)
     clusters = graphmod.label_clusters(graphmod.connected_components(graph), corpus)
@@ -206,7 +203,7 @@ def cmd_cluster(args, config) -> int:
 def cmd_score(args, config) -> int:
     from coordnet import sociolinguistics as sl
 
-    corpus = _load_cache(args.cache)
+    corpus = load_cache(args.cache)
     lexicon = sl.load_lexicon(args.lexicon) if args.lexicon else sl.builtin_lexicon()
     table = sl.score_corpus(corpus, lexicon)
     out = Path(args.out)
@@ -229,7 +226,7 @@ def cmd_report(args, config) -> int:
     from coordnet import report as reportmod
     from coordnet import sociolinguistics as sl
 
-    corpus = _load_cache(args.cache)
+    corpus = load_cache(args.cache)
     if not args.edges:
         raise ValueError("missing input: --edges (edge CSV files or a detect output directory)")
     tables = [formats.read_edges_csv(path) for path in _edge_files(args.edges)]

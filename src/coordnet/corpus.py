@@ -5,7 +5,9 @@ validated and its fields are appended to a columnar Corpus: one column
 per field, account ids interned as integer codes, with per-account and
 per-day (UTC) index views derived on first use. TweetRecord is the
 one-record form that parse_line returns and that a Corpus can be built
-from. This module does not import numpy, so ingest never loads it.
+from. parse_corpus parses input; the stages after ingest read the cache
+of column blocks that Corpus.write_cache writes and load_cache checks
+and loads. This module does not import numpy, so ingest never loads it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import chain, repeat
+from operator import is_not
+from types import NoneType
 from typing import Callable, Iterable, Iterator
 
 from coordnet.sources import open_text
@@ -31,12 +36,24 @@ SECONDS_PER_DAY = 86400
 
 
 class CorpusError(ValueError):
-    """A malformed record or unreadable corpus stream."""
+    """A malformed record or unreadable corpus stream; source, when
+    given, names the file the line is in."""
 
-    def __init__(self, message: str, line_no: int | None = None):
+    def __init__(self, message: str, line_no: int | None = None, source=None):
         self.line_no = line_no
         if line_no is not None:
             message = f"line {line_no}: {message}"
+        if source is not None:
+            message = f"{source}: {message}"
+        super().__init__(message)
+
+
+class RecordError(ValueError):
+    """A rejected input line, with the reason ingest counts it under
+    (Corpus.skip_reasons)."""
+
+    def __init__(self, reason: str, message: str):
+        self.reason = reason
         super().__init__(message)
 
 
@@ -111,14 +128,21 @@ def _parse_timestamp(value) -> int:
     raise ValueError(f"unparseable timestamp: {value!r}")
 
 
+def _as_timestamp(value) -> int:
+    try:
+        return parse_timestamp(value)
+    except ValueError as exc:
+        raise RecordError("bad_timestamp", str(exc)) from None
+
+
 def _as_id(value, name: str) -> str:
     if isinstance(value, str):
         if not value:
-            raise ValueError(f"{name} must be non-empty")
+            raise RecordError("bad_id", f"{name} must be non-empty")
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return str(value)
-    raise ValueError(f"{name} must be a string")
+    raise RecordError("bad_id", f"{name} must be a string")
 
 
 def _as_str_list(value, name: str) -> tuple[str, ...]:
@@ -126,7 +150,7 @@ def _as_str_list(value, name: str) -> tuple[str, ...]:
         return ()
     # An empty list, the common case, skips building the all() generator.
     if not isinstance(value, list) or (value and not all(isinstance(x, str) for x in value)):
-        raise ValueError(f"{name} must be a list of strings")
+        raise RecordError("bad_list", f"{name} must be a list of strings")
     return tuple(value)
 
 
@@ -135,33 +159,34 @@ def _validate_record(obj, emit: Callable):
 
     emit receives the normalized fields positionally, in TweetRecord
     field order, and only once every check has passed. Raises
-    ValueError on any schema violation; hashtags are lowercased here
-    (matching on the platform is case-insensitive).
+    RecordError, with the reason ingest counts, on any schema
+    violation; hashtags are lowercased here (matching on the platform
+    is case-insensitive).
     """
     if not isinstance(obj, dict):
-        raise ValueError("record must be a JSON object")
+        raise RecordError("not_object", "record must be a JSON object")
     for required in ("tweet_id", "account_id", "timestamp", "kind"):
         if obj.get(required) is None:
-            raise ValueError(f"missing field: {required}")
+            raise RecordError("missing_field", f"missing field: {required}")
     kind = obj["kind"]
     if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        raise RecordError("bad_kind", f"kind must be one of {KINDS}, got {kind!r}")
     text = obj.get("text", "")
     if not isinstance(text, str):
-        raise ValueError("text must be a string")
+        raise RecordError("bad_text", "text must be a string")
     language = obj.get("language") or "und"
     if not isinstance(language, str):
-        raise ValueError("language must be a string")
+        raise RecordError("bad_language", "language must be a string")
     rt_tweet = obj.get("retweeted_tweet_id")
     rt_account = obj.get("retweeted_account_id")
     if kind == "retweet" and rt_tweet is None:
-        raise ValueError("retweet record lacks retweeted_tweet_id")
+        raise RecordError("retweet_rule", "retweet record lacks retweeted_tweet_id")
     if kind != "retweet" and rt_tweet is not None:
-        raise ValueError(f"{kind} record carries retweeted_tweet_id")
+        raise RecordError("retweet_rule", f"{kind} record carries retweeted_tweet_id")
     return emit(
         _as_id(obj["tweet_id"], "tweet_id"),
         _as_id(obj["account_id"], "account_id"),
-        parse_timestamp(obj["timestamp"]),
+        _as_timestamp(obj["timestamp"]),
         kind,
         text,
         tuple(map(str.lower, _as_str_list(obj.get("hashtags"), "hashtags"))),
@@ -175,8 +200,8 @@ def _validate_record(obj, emit: Callable):
 def parse_record(obj: dict) -> TweetRecord:
     """Validate one decoded JSON object into a TweetRecord.
 
-    Raises ValueError on any schema violation; hashtags are lowercased
-    here (matching on the platform is case-insensitive).
+    Raises ValueError (a RecordError) on any schema violation; hashtags
+    are lowercased here (matching on the platform is case-insensitive).
     """
     return _validate_record(obj, TweetRecord)
 
@@ -192,18 +217,20 @@ def _decode_line(line: str):
         try:
             line.encode("utf-8")
         except UnicodeEncodeError:
-            raise ValueError("line is not valid UTF-8") from None
+            raise RecordError("not_utf8", "line is not valid UTF-8") from None
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc.msg}") from None
+        raise RecordError("invalid_json", f"invalid JSON: {exc.msg}") from None
     except RecursionError:
-        raise ValueError("invalid JSON: nested too deeply") from None
+        raise RecordError("invalid_json", "invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer past int_max_str_digits
+        raise RecordError("invalid_json", str(exc)) from None
     if _SURROGATE_ESCAPE_RE.search(line):
         try:
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
-            raise ValueError("string holds a lone UTF-16 surrogate") from None
+            raise RecordError("lone_surrogate", "string holds a lone UTF-16 surrogate") from None
     return obj
 
 
@@ -217,8 +244,8 @@ def parse_line(line: str) -> TweetRecord:
     return parse_record(_decode_line(line))
 
 
-# One encoder for every cache line: json.dumps with non-default
-# arguments would build a new JSONEncoder per call.
+# The canonical JSON form of records and cache blocks: json.dumps with
+# non-default arguments would build a new JSONEncoder per call.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
@@ -297,6 +324,8 @@ class Corpus:
 
     def __init__(self, records: Iterable[TweetRecord] = (), skipped: int = 0):
         self.skipped = skipped
+        # reason -> lines skipped for it (RecordError.reason); sums to skipped
+        self.skip_reasons: dict[str, int] = {}
         self.tweet_ids: list[str] = []
         self.account_ids: list[str] = []
         self.code_of: dict[str, int] = {}
@@ -421,6 +450,33 @@ class Corpus:
             write(_encode_record(*fields))
             write("\n")
 
+    def write_cache(self, fp) -> None:
+        """Write the columns to a text file as cache blocks, one
+        canonical JSON line per CACHE_ROWS rows; load_cache reads them
+        back. Each block lists the account ids its rows use first, in
+        code order, so the blocks rebuild the same account table."""
+        seen = 0
+        for start in range(0, len(self), CACHE_ROWS):
+            rows = slice(start, start + CACHE_ROWS)
+            codes = self.account_codes[rows]
+            first_unseen = max(seen, max(codes) + 1)
+            block = {
+                "tweet_ids": self.tweet_ids[rows],
+                "accounts": self.account_ids[seen:first_unseen],
+                "account_codes": codes.tolist(),
+                "timestamps": self.timestamps[rows].tolist(),
+                "kinds": self.kinds[rows].tolist(),
+                "texts": self.texts[rows],
+                "hashtags": self.hashtags[rows],
+                "languages": self.languages[rows],
+                "retweeted_tweet_ids": self.retweeted_tweet_ids[rows],
+                "retweeted_account_ids": self.retweeted_account_ids[rows],
+                "mentions": self.mentions[rows],
+            }
+            fp.write(_ENCODER.encode(block))
+            fp.write("\n")
+            seen = first_unseen
+
 
 def parse_corpus(source, strict: bool = False) -> Corpus:
     """Parse a JSONL stream (path, file object, or iterable of lines).
@@ -434,7 +490,7 @@ def parse_corpus(source, strict: bool = False) -> Corpus:
     """
     corpus = Corpus()
     append = corpus._appender()
-    skipped = 0
+    reasons: Counter = Counter()
     # surrogateescape: an undecodable byte fails its own line in
     # _decode_line instead of the whole read.
     with open_text(source, errors="surrogateescape") as fp:
@@ -446,8 +502,155 @@ def parse_corpus(source, strict: bool = False) -> Corpus:
             except ValueError as exc:
                 if strict:
                     raise CorpusError(str(exc), line_no=line_no) from None
-                skipped += 1
-    corpus.skipped = skipped
+                reasons[getattr(exc, "reason", "other")] += 1
+    corpus.skipped = sum(reasons.values())
+    corpus.skip_reasons = dict(reasons)
+    return corpus
+
+
+# ---------------------------------------------------------------------------
+# The cache: column blocks
+# ---------------------------------------------------------------------------
+
+# Rows per cache block: one json.loads and one bulk check per column per
+# block. A larger block adds its decoded objects to a stage's peak RSS.
+CACHE_ROWS = 1024
+
+_BLOCK_KEYS = frozenset(
+    (
+        "tweet_ids", "accounts", "account_codes", "timestamps", "kinds", "texts",
+        "hashtags", "languages", "retweeted_tweet_ids", "retweeted_account_ids", "mentions",
+    )
+)
+# A \u escape of a UTF-16 surrogate: an odd run of backslashes before the
+# u, so an escaped backslash followed by "ud800" text does not match.
+_BLOCK_SURROGATE_RE = re.compile(r"(?<!\\)(?:\\\\)*\\u[dD][89a-fA-F]")
+
+
+def _column(block: dict, key: str, types: tuple, rows: int | None = None) -> list:
+    """block[key], checked to be a list of values of exactly these types
+    (a bool is not an int) and, when rows is given, that long."""
+    column = block[key]
+    if type(column) is not list:
+        raise ValueError(f"{key} must be a list")
+    if rows is not None and len(column) != rows:
+        raise ValueError(f"{key} holds {len(column)} rows, tweet_ids {rows}")
+    if not set(map(type, column)).issubset(types):
+        names = " or ".join("null" if t is NoneType else t.__name__ for t in types)
+        raise ValueError(f"{key} must hold only {names} values")
+    return column
+
+
+def _ids(block: dict, key: str, rows: int | None = None, nullable: bool = False) -> list:
+    column = _column(block, key, (str, NoneType) if nullable else (str,), rows)
+    if "" in column:
+        raise ValueError(f"{key} holds an empty string")
+    return column
+
+
+def _in_range(column: list, key: str, low: int, high: int) -> None:
+    if column and not (low <= min(column) and max(column) <= high):
+        raise ValueError(f"{key} must lie in [{low}, {high}]")
+
+
+def _string_lists(block: dict, key: str, rows: int) -> list[str]:
+    """The strings of a column of string lists, flattened."""
+    strings = list(chain.from_iterable(_column(block, key, (list,), rows)))
+    if not set(map(type, strings)).issubset((str,)):
+        raise ValueError(f"{key} must hold lists of strings")
+    return strings
+
+
+def _decode_block(line: bytes) -> dict:
+    """The JSON object of one cache line, with exactly the block keys."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError("block is not valid UTF-8") from None
+    if ("\\ud" in text or "\\uD" in text) and _BLOCK_SURROGATE_RE.search(text):
+        raise ValueError("block holds a UTF-16 surrogate escape")
+    try:
+        block = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+    if type(block) is dict and block.keys() == _BLOCK_KEYS:
+        return block
+    if type(block) is dict and "tweet_id" in block:
+        raise ValueError(
+            "a record, not a cache block: a per-record cache from an older coordnet "
+            "(or a corpus not yet ingested); re-run `coordnet ingest` to rebuild the cache"
+        )
+    raise ValueError(f"a cache block is a JSON object with keys {', '.join(sorted(_BLOCK_KEYS))}")
+
+
+def _extend(corpus: Corpus, block: dict, share: Callable) -> None:
+    """Check one decoded block in bulk and append its rows to corpus."""
+    tweet_ids = _ids(block, "tweet_ids")
+    rows = len(tweet_ids)
+    accounts = _ids(block, "accounts")
+    codes = _column(block, "account_codes", (int,), rows)
+    timestamps = _column(block, "timestamps", (int,), rows)
+    kinds = _column(block, "kinds", (int,), rows)
+    texts = _column(block, "texts", (str,), rows)
+    hashtags = _string_lists(block, "hashtags", rows)
+    languages = _ids(block, "languages", rows)
+    rt_tweets = _ids(block, "retweeted_tweet_ids", rows, nullable=True)
+    rt_accounts = _ids(block, "retweeted_account_ids", rows, nullable=True)
+    _string_lists(block, "mentions", rows)
+
+    code_of, names = corpus.code_of, corpus.account_ids
+    known = len(names)
+    code_of.update(zip(accounts, range(known, known + len(accounts))))
+    if len(code_of) != known + len(accounts):
+        raise ValueError("accounts repeats an account id")
+    names.extend(accounts)
+    _in_range(codes, "account_codes", 0, len(names) - 1)
+    # the block's new accounts, in the order its rows first use them
+    if [c for c in dict.fromkeys(codes) if c >= known] != list(range(known, len(names))):
+        raise ValueError("accounts must list the ids the block uses first, in order of first use")
+    _in_range(timestamps, "timestamps", _MIN_TIMESTAMP, _MAX_TIMESTAMP)
+    _in_range(kinds, "kinds", 0, len(KINDS) - 1)
+    if list(map(RETWEET.__eq__, kinds)) != list(map(is_not, rt_tweets, repeat(None))):
+        raise ValueError("a row has retweeted_tweet_id if and only if it is a retweet")
+    joined = "\n".join(hashtags)
+    if joined.lower() != joined:
+        raise ValueError("hashtags must be lowercase")
+
+    corpus.tweet_ids.extend(tweet_ids)
+    corpus.account_codes.fromlist(codes)
+    corpus.timestamps.fromlist(timestamps)
+    corpus.kinds.fromlist(kinds)
+    corpus.texts.extend(texts)
+    corpus.hashtags.extend(map(tuple, block["hashtags"]))
+    corpus.languages.extend(map(share, languages, languages))
+    corpus.retweeted_tweet_ids.extend(rt_tweets)
+    corpus.retweeted_account_ids.extend(map(share, rt_accounts, rt_accounts))
+    corpus.mentions.extend(map(tuple, block["mentions"]))
+
+
+def load_cache(path) -> Corpus:
+    """Load the cache that Corpus.write_cache wrote to path.
+
+    One json.loads per block, then every column is checked in bulk, so
+    a block holds nothing a record that ingest accepted could not: exact
+    types (a bool is not an int), non-empty ids, account codes within
+    the account table and in order of first use, timestamps in years
+    1-9999, valid kind codes, retweeted_tweet_id on retweets and only
+    there, lowercase hashtags, distinct account ids, strict UTF-8 and no
+    surrogate escapes. Any other content raises CorpusError naming the
+    file and the line.
+    """
+    corpus = Corpus()
+    # Repeated language tags and retweeted account ids share one string.
+    share = {}.setdefault
+    with open(path, "rb") as fp:
+        for line_no, line in enumerate(fp, start=1):
+            try:
+                _extend(corpus, _decode_block(line), share)
+            except ValueError as exc:
+                raise CorpusError(str(exc), line_no=line_no, source=path) from None
     return corpus
 
 

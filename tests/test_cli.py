@@ -20,6 +20,7 @@ from coordnet.corpus import (
     KINDS,
     CorpusError,
     TweetRecord,
+    load_cache,
     parse_corpus,
     parse_line,
     record_to_json,
@@ -65,9 +66,35 @@ class TestIngest:
         cache = tmp_path / "cache.jsonl"
         assert main(["ingest", str(small_corpus_file), "-o", str(cache)]) == 0
         manifest = json.loads((tmp_path / "cache.jsonl.manifest.json").read_text())
-        assert manifest["counts"]["records"] == 7
-        assert manifest["counts"]["skipped"] == 0
+        # a clean corpus adds no skipped_<reason> key
+        assert manifest["counts"] == {"records": 7, "skipped": 0, "accounts": 4, "days": 2}
         assert manifest["digest"]
+
+    def test_skips_counted_by_reason(self, tmp_path):
+        ok = {"tweet_id": "t", "account_id": "a", "timestamp": 0, "kind": "original"}
+        bad = {
+            "invalid_json": b"not json",
+            "not_utf8": json.dumps(dict(ok, text="?")).encode().replace(b"?", b"\xff"),
+            "lone_surrogate": json.dumps(dict(ok, text="\ud800")).encode(),
+            "not_object": b"[1, 2]",
+            "missing_field": json.dumps({"tweet_id": "t", "kind": "original"}).encode(),
+            "bad_kind": json.dumps(dict(ok, kind="quote")).encode(),
+            "bad_text": json.dumps(dict(ok, text=5)).encode(),
+            "bad_language": json.dumps(dict(ok, language=["en"])).encode(),
+            "retweet_rule": json.dumps(dict(ok, kind="retweet")).encode(),
+            "bad_id": json.dumps(dict(ok, tweet_id=True)).encode(),
+            "bad_timestamp": json.dumps(dict(ok, timestamp="someday")).encode(),
+            "bad_list": json.dumps(dict(ok, hashtags="x")).encode(),
+        }
+        src = tmp_path / "mixed.jsonl"
+        src.write_bytes(b"\n".join([json.dumps(ok).encode(), *bad.values(), b""]))
+        cache = tmp_path / "cache.jsonl"
+        assert main(["ingest", str(src), "-o", str(cache)]) == 0
+        counts = json.loads((tmp_path / "cache.jsonl.manifest.json").read_text())["counts"]
+        assert counts == dict(
+            {"records": 1, "skipped": len(bad), "accounts": 1, "days": 1},
+            **{f"skipped_{reason}": 1 for reason in bad},
+        )
 
     def test_rerun_identical_digest(self, tmp_path, small_corpus_file):
         cache = tmp_path / "cache.jsonl"
@@ -195,7 +222,7 @@ def test_version_and_ingest_load_no_numpy(tmp_path):
         check=True,
     )
     assert json.loads(out.stdout.strip().splitlines()[-1]) == [[], 0, []]
-    assert cache.read_text(encoding="utf-8").count("\n") == 2
+    assert len(load_cache(cache)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +311,8 @@ class TestIngestProperty:
             assert main(["ingest", str(src), "-o", str(cache)]) == 0
             counts = json.loads(Path(str(cache) + ".manifest.json").read_text())["counts"]
             assert counts["records"] + counts["skipped"] == len(lines)
+            by_reason = [n for key, n in counts.items() if key.startswith("skipped_")]
+            assert sum(by_reason) == counts["skipped"] and 0 not in by_reason
             strict = main(["--strict", "ingest", str(src), "-o", str(cache)])
             assert strict == (0 if counts["skipped"] == 0 else 1)
 
