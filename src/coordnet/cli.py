@@ -72,6 +72,11 @@ def detector_config(config: dict, args) -> DetectorConfig:
     return cfg
 
 
+def _at_least(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
 def _config_snapshot(cfg: DetectorConfig, extra: dict | None = None) -> dict:
     snap = {f.name: getattr(cfg, f.name) for f in fields(DetectorConfig)}
     if extra:
@@ -97,7 +102,7 @@ def cmd_ingest(args, config) -> int:
     for reason, n in corpus.skip_reasons.items():
         manifest.counts[f"skipped_{reason}"] = n
     manifest.counts["accounts"] = len(corpus.account_ids)
-    manifest.counts["days"] = len(corpus.day_index)
+    manifest.counts["days"] = len(set(corpus.day_codes()))
     rng = corpus.time_range()
     if rng:
         manifest.set_time_range(day_of_timestamp(rng[0]), day_of_timestamp(rng[1]))
@@ -226,6 +231,9 @@ def cmd_report(args, config) -> int:
     from coordnet import report as reportmod
     from coordnet import sociolinguistics as sl
 
+    # Checked before anything is read, so a bad value leaves no partial bundle.
+    _at_least(args.bootstrap, 2, "--bootstrap")
+    _at_least(args.top_clusters, 0, "--top-clusters")
     corpus = load_cache(args.cache)
     if not args.edges:
         raise ValueError("missing input: --edges (edge CSV files or a detect output directory)")

@@ -2,10 +2,9 @@
 
 Input is UTF-8 line-delimited JSON, one record per line. Each line is
 validated and its fields are appended to a columnar Corpus: one column
-per field, account ids interned as integer codes, with per-account and
-per-day (UTC) index views derived on first use. TweetRecord is the
-one-record form that parse_line returns and that a Corpus can be built
-from. parse_corpus parses input; the stages after ingest read the cache
+per field, account ids interned as integer codes, with a per-account
+index view derived on first use. A Corpus comes from one of two places:
+parse_corpus parses input, and the stages after ingest read the cache
 of column blocks that Corpus.write_cache writes and load_cache checks
 and loads. This module does not import numpy, so ingest never loads it.
 """
@@ -17,13 +16,12 @@ import math
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain, repeat
 from operator import is_not
 from types import NoneType
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from coordnet.sources import open_text
 
@@ -55,26 +53,6 @@ class RecordError(ValueError):
     def __init__(self, reason: str, message: str):
         self.reason = reason
         super().__init__(message)
-
-
-@dataclass(frozen=True, slots=True)
-class TweetRecord:
-    """One message: original tweet, reply, or retweet."""
-
-    tweet_id: str
-    account_id: str
-    timestamp: int  # UTC seconds
-    kind: str
-    text: str = ""
-    hashtags: tuple[str, ...] = ()
-    language: str = "und"
-    retweeted_tweet_id: str | None = None
-    retweeted_account_id: str | None = None
-    mentions: tuple[str, ...] = ()
-
-    def day(self) -> str:
-        """UTC calendar day of this record, as YYYY-MM-DD."""
-        return day_of_timestamp(self.timestamp)
 
 
 def day_of_timestamp(ts: int) -> str:
@@ -157,11 +135,12 @@ def _as_str_list(value, name: str) -> tuple[str, ...]:
 def _validate_record(obj, emit: Callable):
     """Check one decoded JSON object and return emit(fields).
 
-    emit receives the normalized fields positionally, in TweetRecord
-    field order, and only once every check has passed. Raises
-    RecordError, with the reason ingest counts, on any schema
-    violation; hashtags are lowercased here (matching on the platform
-    is case-insensitive).
+    emit receives the normalized fields positionally (tweet_id,
+    account_id, timestamp, kind, text, hashtags, language,
+    retweeted_tweet_id, retweeted_account_id, mentions), and only once
+    every check has passed. Raises RecordError, with the reason ingest
+    counts, on any schema violation; hashtags are lowercased here
+    (matching on the platform is case-insensitive).
     """
     if not isinstance(obj, dict):
         raise RecordError("not_object", "record must be a JSON object")
@@ -197,22 +176,18 @@ def _validate_record(obj, emit: Callable):
     )
 
 
-def parse_record(obj: dict) -> TweetRecord:
-    """Validate one decoded JSON object into a TweetRecord.
-
-    Raises ValueError (a RecordError) on any schema violation; hashtags
-    are lowercased here (matching on the platform is case-insensitive).
-    """
-    return _validate_record(obj, TweetRecord)
-
-
 # A JSON escape of a UTF-16 surrogate: half of a pair, or a lone one.
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _decode_line(line: str):
     """The JSON value of one line; ValueError when the line is not
-    UTF-8 JSON that could be written back out as UTF-8."""
+    UTF-8 JSON that could be written back out as UTF-8.
+
+    Undecodable bytes (kept as surrogates by parse_corpus) and lone
+    surrogate escapes are rejected here: either would parse, then fail
+    when the record is written back out as UTF-8.
+    """
     if not line.isascii():
         try:
             line.encode("utf-8")
@@ -234,16 +209,6 @@ def _decode_line(line: str):
     return obj
 
 
-def parse_line(line: str) -> TweetRecord:
-    """Parse one JSONL line; ValueError for anything not a valid record.
-
-    Undecodable bytes (kept as surrogates by parse_corpus) and lone
-    surrogate escapes are rejected here: either would parse, then fail
-    when the record is written back out as UTF-8.
-    """
-    return parse_record(_decode_line(line))
-
-
 # The canonical JSON form of records and cache blocks: json.dumps with
 # non-default arguments would build a new JSONEncoder per call.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
@@ -252,8 +217,8 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 def _encode_record(
     tweet_id, account_id, timestamp, kind, text, hashtags, language, rt_tweet, rt_account, mentions
 ) -> str:
-    """Canonical one-line JSON form of a record's fields (in
-    TweetRecord order); tuples encode as JSON arrays."""
+    """Canonical one-line JSON form of a record's fields (in the order
+    _validate_record emits them); tuples encode as JSON arrays."""
     return _ENCODER.encode(
         {
             "tweet_id": tweet_id,
@@ -270,46 +235,6 @@ def _encode_record(
     )
 
 
-def record_to_json(rec: TweetRecord) -> str:
-    """Canonical one-line JSON form; round-trips through parse_line."""
-    return _encode_record(
-        rec.tweet_id,
-        rec.account_id,
-        rec.timestamp,
-        rec.kind,
-        rec.text,
-        rec.hashtags,
-        rec.language,
-        rec.retweeted_tweet_id,
-        rec.retweeted_account_id,
-        rec.mentions,
-    )
-
-
-def iter_records(
-    lines: Iterable[str],
-    strict: bool = False,
-    skip_counter: list[int] | None = None,
-) -> Iterator[TweetRecord]:
-    """Stream TweetRecords from an iterable of JSONL lines.
-
-    Blank lines are ignored. In strict mode the first malformed line
-    aborts with its line number; in lenient mode malformed lines are
-    counted into skip_counter[0] and skipped. This is the bounded-memory
-    ingestion path: nothing is retained beyond the record being yielded.
-    """
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            yield parse_line(line)
-        except ValueError as exc:
-            if strict:
-                raise CorpusError(str(exc), line_no=line_no) from None
-            if skip_counter is not None:
-                skip_counter[0] += 1
-
-
 class Corpus:
     """Records as columns, one per field, with derived index views.
 
@@ -322,8 +247,9 @@ class Corpus:
     and the arrays convert to numpy arrays without a copy.
     """
 
-    def __init__(self, records: Iterable[TweetRecord] = (), skipped: int = 0):
-        self.skipped = skipped
+    def __init__(self):
+        # lines parse_corpus skipped
+        self.skipped = 0
         # reason -> lines skipped for it (RecordError.reason); sums to skipped
         self.skip_reasons: dict[str, int] = {}
         self.tweet_ids: list[str] = []
@@ -338,20 +264,6 @@ class Corpus:
         self.retweeted_tweet_ids: list[str | None] = []
         self.retweeted_account_ids: list[str | None] = []
         self.mentions: list[tuple[str, ...]] = []
-        append = self._appender()
-        for r in records:
-            append(
-                r.tweet_id,
-                r.account_id,
-                r.timestamp,
-                r.kind,
-                r.text,
-                r.hashtags,
-                r.language,
-                r.retweeted_tweet_id,
-                r.retweeted_account_id,
-                r.mentions,
-            )
 
     def _appender(self) -> Callable:
         """An emit for _validate_record that appends one row. Repeated
@@ -390,7 +302,7 @@ class Corpus:
         return len(self.tweet_ids)
 
     def _fields(self) -> Iterator[tuple]:
-        """Each row's fields, in TweetRecord order."""
+        """Each row's fields, in the order _validate_record emits them."""
         return zip(
             self.tweet_ids,
             map(self.account_ids.__getitem__, self.account_codes),
@@ -404,12 +316,6 @@ class Corpus:
             self.mentions,
         )
 
-    @property
-    def records(self) -> list[TweetRecord]:
-        """Every row as a TweetRecord, built anew on each access; the
-        pipeline stages read the columns instead."""
-        return [TweetRecord(*fields) for fields in self._fields()]
-
     def day_codes(self) -> list[int]:
         """Each row's UTC day as days since 1970-01-01 (floor division,
         so instants before 1970 fall on the right day)."""
@@ -422,19 +328,6 @@ class Corpus:
         for i, code in enumerate(self.account_codes):
             rows[code].append(i)
         return dict(zip(self.account_ids, rows))
-
-    @cached_property
-    def day_index(self) -> dict[str, list[int]]:
-        """UTC day (YYYY-MM-DD) -> its rows, ascending; days in order of
-        first appearance."""
-        # Group by integer day code, then render each day once: the
-        # codes map one to one onto days, so keys and order are the same.
-        by_code: dict[int, list[int]] = {}
-        for i, code in enumerate(self.day_codes()):
-            by_code.setdefault(code, []).append(i)
-        return {
-            day_of_timestamp(code * SECONDS_PER_DAY): rows for code, rows in by_code.items()
-        }
 
     def accounts(self) -> list[str]:
         return sorted(self.account_ids)
@@ -485,8 +378,7 @@ def parse_corpus(source, strict: bool = False) -> Corpus:
     through, so only the corpus itself is held. Blank lines are
     ignored. Lenient mode (the default) skips malformed lines and
     reports the count via Corpus.skipped; strict mode aborts on the
-    first one with its line number. Both keep exactly what iter_records
-    keeps.
+    first one with its line number.
     """
     corpus = Corpus()
     append = corpus._appender()
@@ -661,55 +553,37 @@ def load_cache(path) -> Corpus:
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
 _WS_RE = re.compile(r"\s+")
-# Keep ASCII alphanumerics, whitespace, and the @/# sigils; "#" removal is
-# governed solely by strip_hashtag_marks, and "@user" placeholders survive.
-_NON_KEEP_RE = re.compile(r"[^0-9A-Za-z\s@#]", re.ASCII)
+# Keep ASCII alphanumerics, whitespace, and "@", so "@user" placeholders
+# survive; "#" marks are removed before this runs.
+_NON_KEEP_RE = re.compile(r"[^0-9A-Za-z\s@]", re.ASCII)
 
 
-@dataclass(frozen=True)
-class NormalizeOptions:
-    strip_urls: bool = True
-    replace_mentions: bool = True
-    strip_hashtag_marks: bool = True
-    lowercase: bool = True
-    strip_punct_nonascii: bool = True
-
-
-DEFAULT_NORMALIZE = NormalizeOptions()
-
-# Punctuation/non-ASCII stripping would delete accented characters, so the
-# phrase-matching normalization used by the lexicon scorer keeps them.
-MATCH_NORMALIZE = NormalizeOptions(strip_punct_nonascii=False)
-
-
-def _normalize_pass(s: str, options: NormalizeOptions) -> str:
-    if options.strip_urls:
-        s = _URL_RE.sub(" ", s)
-    if options.replace_mentions:
-        # Trailing space keeps the placeholder from fusing with following
-        # word characters once punctuation is stripped.
-        s = _MENTION_RE.sub("@user ", s)
-    if options.strip_hashtag_marks:
-        s = s.replace("#", "")
-    if options.lowercase:
-        s = s.lower()
-    if options.strip_punct_nonascii:
+def _normalize_pass(s: str, strip_punct_nonascii: bool) -> str:
+    s = _URL_RE.sub(" ", s)
+    # Trailing space keeps the placeholder from fusing with following
+    # word characters once punctuation is stripped.
+    s = _MENTION_RE.sub("@user ", s)
+    s = s.replace("#", "").lower()
+    if strip_punct_nonascii:
         s = _NON_KEEP_RE.sub("", s)
     return _WS_RE.sub(" ", s).strip()
 
 
-def normalize_text(text: str, options: NormalizeOptions = DEFAULT_NORMALIZE) -> str:
-    """Deterministically normalize text; idempotent for any option set.
+def normalize_text(text: str, strip_punct_nonascii: bool = True) -> str:
+    """Deterministically normalize text; idempotent in either setting.
 
-    Options apply in a fixed order: URLs, mentions, hashtag marks, case,
-    punctuation/non-ASCII; whitespace is always collapsed. The pass is
-    iterated to a fixed point because stripping punctuation can expose
-    new mention tokens (e.g. "@!t" -> "@t"); no step reintroduces
-    punctuation or "@", so this converges within three passes.
+    Steps apply in a fixed order: URLs stripped, mentions replaced by
+    "@user", hashtag marks removed, lowercased, then punctuation and
+    non-ASCII stripped unless strip_punct_nonascii is False (the
+    lexicon's phrase matching keeps accented characters); whitespace is
+    always collapsed. The pass is iterated to a fixed point because
+    stripping punctuation can expose new mention tokens (e.g. "@!t" ->
+    "@t"); no step reintroduces punctuation or "@", so this converges
+    within three passes.
     """
-    s = _normalize_pass(text, options)
+    s = _normalize_pass(text, strip_punct_nonascii)
     while True:
-        again = _normalize_pass(s, options)
+        again = _normalize_pass(s, strip_punct_nonascii)
         if again == s:
             return s
         s = again

@@ -18,37 +18,13 @@ import numpy as np
 
 from coordnet import kernels
 from coordnet.config import DETECTORS, DetectorConfig
-from coordnet.corpus import ORIGINAL, RETWEET, Corpus, TweetRecord
+from coordnet.corpus import ORIGINAL, RETWEET, Corpus
 
 HASHTAG_SEPARATOR = "|"
 
 
 ORDER_ERROR = "edge endpoints must satisfy a < b"
 SCORE_ERROR = "edge score must be in [0, 1]"
-
-
-@dataclass(frozen=True, slots=True)
-class CoordinationEdge:
-    """Undirected evidence link between two accounts (a < b)."""
-
-    a: str
-    b: str
-    detector: str
-    score: float
-    evidence: str
-
-    def __post_init__(self):
-        if self.a >= self.b:
-            raise ValueError(ORDER_ERROR)
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(SCORE_ERROR)
-
-    @classmethod
-    def canonical(cls, x: str, y: str, detector: str, score: float, evidence: str):
-        if x == y:
-            raise ValueError("self-edges are not allowed")
-        a, b = (x, y) if x < y else (y, x)
-        return cls(a, b, detector, score, evidence)
 
 
 @dataclass(eq=False)
@@ -58,8 +34,7 @@ class EdgeTable:
     Row i joins accounts[a[i]] < accounts[b[i]] with detector
     DETECTORS[detector[i]], score[i] and evidence keys[evidence[i]].
     accounts may hold ids that no row uses. Each detector's output and
-    each edge file is one table; nothing on the pipeline path builds a
-    per-edge object. Iterating yields CoordinationEdge records.
+    each edge file is one table; nothing builds a per-edge object.
     """
 
     accounts: list[str]
@@ -81,33 +56,8 @@ class EdgeTable:
     def empty(cls) -> "EdgeTable":
         return cls([], [], [], [], [], [], [])
 
-    @classmethod
-    def from_records(cls, edges: Iterable[CoordinationEdge]) -> "EdgeTable":
-        """The table of the given edges, in their order."""
-        accounts: dict[str, int] = {}
-        keys: dict[str, int] = {}
-        a, b, detector, score, evidence = [], [], [], [], []
-        for e in edges:
-            a.append(accounts.setdefault(e.a, len(accounts)))
-            b.append(accounts.setdefault(e.b, len(accounts)))
-            detector.append(DETECTORS.index(e.detector))
-            score.append(e.score)
-            evidence.append(keys.setdefault(e.evidence, len(keys)))
-        return cls(list(accounts), a, b, detector, score, list(keys), evidence)
-
     def __len__(self) -> int:
         return len(self.a)
-
-    def __iter__(self):
-        accounts, keys = self.accounts, self.keys
-        for x, y, d, s, e in zip(
-            self.a.tolist(),
-            self.b.tolist(),
-            self.detector.tolist(),
-            self.score.tolist(),
-            self.evidence.tolist(),
-        ):
-            yield CoordinationEdge(accounts[x], accounts[y], DETECTORS[d], s, keys[e])
 
     def used(self) -> np.ndarray:
         """Codes of the accounts some row joins, ascending."""
@@ -158,15 +108,6 @@ def _key_windows(tags: tuple[str, ...], k: int) -> set[str]:
     return {HASHTAG_SEPARATOR.join(tags[i : i + k]) for i in range(len(tags) - k + 1)}
 
 
-def hashtag_key_set(tweet: TweetRecord, k: int) -> set[str]:
-    """All contiguous length-k windows over the tweet's ordered hashtags.
-
-    Tags are joined with HASHTAG_SEPARATOR; empty when the tweet has
-    fewer than k hashtags. Callers pass original tweets only.
-    """
-    return _key_windows(tweet.hashtags, k)
-
-
 def _index_posts(posts: Iterable[tuple[str, tuple[str, ...]]], k: int) -> dict[str, set[str]]:
     """Key -> accounts over (account_id, hashtags) of original tweets."""
     index: dict[str, set[str]] = {}
@@ -176,17 +117,6 @@ def _index_posts(posts: Iterable[tuple[str, tuple[str, ...]]], k: int) -> dict[s
         for key in _key_windows(tags, k):
             index.setdefault(key, set()).add(account)
     return index
-
-
-def hashtag_account_index(
-    records: Iterable[TweetRecord], k: int
-) -> dict[str, set[str]]:
-    """Inverted index: hashtag k-gram key -> accounts that posted it.
-
-    Streams its input; the working set is the index itself, so this is
-    the bounded-memory path for large corpora.
-    """
-    return _index_posts(((r.account_id, r.hashtags) for r in records if r.kind == "original"), k)
 
 
 def edges_from_hashtag_index(index: dict[str, set[str]]) -> EdgeTable:
@@ -390,8 +320,9 @@ class AboveThreshold:
 
 
 class TopFraction:
-    """Selector keeping the pairs at or above top_fraction_cutoff over
-    all candidate pairs, in two kernel passes.
+    """Selector keeping the pairs at or above the nearest-rank cutoff,
+    the k-th largest similarity over all m candidate pairs, in two
+    kernel passes.
 
     Pass 1 counts the candidates m, which gives k = max(1, ceil(frac·m)).
     Pass 2 pools each block's pairs; whenever the pool outgrows twice
@@ -467,11 +398,6 @@ def _kth_largest(sims: np.ndarray, k: int) -> float:
     """The k-th largest of sims, 1 <= k <= sims.size."""
     m = sims.size
     return float(np.partition(sims, m - k)[m - k])
-
-
-def top_fraction_cutoff(sims: np.ndarray, top_frac: float) -> float:
-    """Nearest-rank cutoff: the ceil(top_frac * m)-th largest similarity."""
-    return _kth_largest(sims, max(1, math.ceil(top_frac * sims.size)))
 
 
 # Diagnostics of the vector detectors that detect_all adds to counts.

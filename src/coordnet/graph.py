@@ -14,14 +14,12 @@ from typing import Iterable
 import numpy as np
 
 from coordnet.corpus import (
-    DEFAULT_NORMALIZE,
     KINDS,
     ORIGINAL,
     REPLY,
     RETWEET,
     SECONDS_PER_DAY,
     Corpus,
-    NormalizeOptions,
     day_of_timestamp,
     normalize_text,
 )
@@ -242,7 +240,6 @@ def activity_shares(
 def duplicate_shares(
     corpus: Corpus,
     accounts: Iterable[str] | None = None,
-    options: NormalizeOptions = DEFAULT_NORMALIZE,
     scope: str = "account",
 ) -> dict[str, tuple[float | None, int]]:
     """Fraction of each account's original tweets that are duplicates.
@@ -262,7 +259,7 @@ def duplicate_shares(
     texts_of: dict[int, list[str]] = {}
     for code, kind, text in zip(corpus.account_codes, corpus.kinds, corpus.texts):
         if kind == ORIGINAL and (counted is None or counted[code]):
-            texts_of.setdefault(code, []).append(normalize_text(text, options))
+            texts_of.setdefault(code, []).append(normalize_text(text))
     corpus_counts: Counter[str] = Counter()
     if scope == "corpus":
         for texts in texts_of.values():

@@ -18,14 +18,7 @@ import numpy as np
 from coordnet import graph as graphmod
 from coordnet import sociolinguistics as sl
 from coordnet import stats
-from coordnet.corpus import (
-    DEFAULT_NORMALIZE,
-    SECONDS_PER_DAY,
-    Corpus,
-    NormalizeOptions,
-    day_of_timestamp,
-    daily_volume,
-)
+from coordnet.corpus import SECONDS_PER_DAY, Corpus, day_of_timestamp, daily_volume
 from coordnet.detectors import EdgeTable
 from coordnet.formats import fmt
 from coordnet.graph import CoordinationGraph
@@ -70,9 +63,9 @@ def write_activity_shares(corpus: Corpus, coordinated: set[str], path: Path) -> 
 
 
 def write_duplicate_shares(
-    corpus: Corpus, path: Path, options: NormalizeOptions, scope: str
+    corpus: Corpus, path: Path, scope: str
 ) -> dict[str, tuple[float | None, int]]:
-    shares = graphmod.duplicate_shares(corpus, None, options, scope)
+    shares = graphmod.duplicate_shares(corpus, None, scope)
     _write_csv(
         path,
         ("account_id", "share", "n_originals"),
@@ -332,7 +325,6 @@ def write_report_bundle(
     bootstrap_b: int = 1000,
     binarize_threshold: float = 0.5,
     duplicate_scope: str = "account",
-    normalize_options: NormalizeOptions = DEFAULT_NORMALIZE,
     top_clusters: int = 5,
     run_manifest: RunManifest | None = None,
 ) -> dict:
@@ -367,9 +359,7 @@ def write_report_bundle(
 
     write_daily_volume(corpus, emit("daily_volume.csv"))
     write_activity_shares(corpus, coordinated, emit("activity_shares.csv"))
-    dup_shares = write_duplicate_shares(
-        corpus, emit("duplicate_shares.csv"), normalize_options, duplicate_scope
-    )
+    dup_shares = write_duplicate_shares(corpus, emit("duplicate_shares.csv"), duplicate_scope)
     write_clusters(clusters, emit("clusters.csv"))
 
     interactions = graphmod.retweet_interactions(corpus, coordinated)

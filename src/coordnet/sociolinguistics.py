@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from coordnet.corpus import MATCH_NORMALIZE, Corpus, TweetRecord, normalize_text
+from coordnet.corpus import Corpus, normalize_text
 from coordnet.sources import csv_reader, csv_writer
 
 ATTITUDES = ("vote_for", "vote_against", "moral", "immoral")
@@ -83,30 +83,18 @@ class CharacteristicTable:
     """tweet_id -> one confidence in [0, 1] per registered characteristic.
 
     Tweets without a row read as all zeros (external model runs may not
-    cover every tweet); get() counts such lookups in missing_lookups.
+    cover every tweet).
     """
 
     def __init__(self, tweet_ids: list[str], matrix: np.ndarray, provenance: str):
         self.tweet_ids = tweet_ids
         self.matrix = matrix
         self.provenance = provenance
-        self.missing_lookups = 0
         self.missing_values = 0
         self._row_of = {tid: i for i, tid in enumerate(tweet_ids)}
-        self._zeros = np.zeros(N_CHARACTERISTICS, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.tweet_ids)
-
-    def __contains__(self, tweet_id: str) -> bool:
-        return tweet_id in self._row_of
-
-    def get(self, tweet_id: str) -> np.ndarray:
-        row = self._row_of.get(tweet_id)
-        if row is None:
-            self.missing_lookups += 1
-            return self._zeros
-        return self.matrix[row]
 
     def row_indices(self, tweet_ids: Iterable[str]) -> np.ndarray:
         """Row of each tweet in matrix; -1 where the table has none."""
@@ -252,7 +240,7 @@ def load_lexicon(source) -> Lexicon:
             if len(row) < 3:
                 raise TableError(f"row {line_no}: expected characteristic,phrase,weight")
             name = canonical_name(row[0])
-            phrase = normalize_text(row[1], MATCH_NORMALIZE)
+            phrase = normalize_text(row[1], strip_punct_nonascii=False)
             if not phrase:
                 raise TableError(f"row {line_no}: empty phrase")
             try:
@@ -273,20 +261,16 @@ def builtin_lexicon() -> Lexicon:
         return load_lexicon(fp)
 
 
-def lexicon_score(tweet: TweetRecord, lexicon: Lexicon) -> np.ndarray:
-    """Noisy-OR confidence per characteristic from matched phrases.
+def _score_text(text: str, language: str, lexicon: Lexicon) -> np.ndarray:
+    """Noisy-OR confidence per characteristic from matched phrases, for
+    a tweet with this text and language tag.
 
     Each occurrence of a matched phrase contributes its weight:
     confidence = 1 - prod(1 - w) over occurrences. Matching runs on
     normalized text (URLs stripped, mentions replaced, hashtag marks
     removed, lowercased; accents kept).
     """
-    return _score_text(tweet.text, tweet.language, lexicon)
-
-
-def _score_text(text: str, language: str, lexicon: Lexicon) -> np.ndarray:
-    """lexicon_score of a tweet with this text and language tag."""
-    text = normalize_text(text, MATCH_NORMALIZE)
+    text = normalize_text(text, strip_punct_nonascii=False)
     miss = np.ones(N_CHARACTERISTICS, dtype=np.float64)
     for col, pattern, weight, entry_language in lexicon._compiled:
         if entry_language is not None and entry_language != language:

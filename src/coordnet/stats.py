@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from coordnet.corpus import Corpus, TweetRecord
+from coordnet.corpus import Corpus
 
 # Bytes one bootstrap chunk may hold: its int64 indices plus the float64
 # values they gather, 16 bytes per draw. PCG64's integers() yields the
@@ -286,6 +286,8 @@ def bootstrap_se(
     seed is an int or a tuple of ints; PCG64 seeds either through
     SeedSequence, so an int seed draws exactly as make_rng(seed).
     """
+    if b < 2:
+        raise ValueError(f"bootstrap_se requires at least 2 resamples, got {b}")
     arr = np.asarray(values, dtype=np.float64)
     if arr.size < 2:
         raise ValueError("bootstrap_se requires at least 2 values")
@@ -414,9 +416,9 @@ def column_deltas(
 # ---------------------------------------------------------------------------
 
 
-def day_codes(records: Sequence[TweetRecord]) -> np.ndarray:
-    """Each record's UTC day as days since 1970-01-01 (floor, so instants
-    before 1970 fall on the right day)."""
+def day_codes(records: Sequence) -> np.ndarray:
+    """Each record's UTC day (from its timestamp attribute) as days since
+    1970-01-01 (floor, so instants before 1970 fall on the right day)."""
     ts = np.fromiter((r.timestamp for r in records), dtype=np.int64, count=len(records))
     return ts // 86400
 
@@ -442,9 +444,10 @@ def daily_mean_series(days: np.ndarray, values: np.ndarray) -> list[tuple[str, f
 
 
 def daily_mean_confidence(
-    table, tweets: Iterable[TweetRecord], characteristic: str
+    table, tweets: Iterable, characteristic: str
 ) -> list[tuple[str, float | None]]:
-    """Per-UTC-day mean confidence of one characteristic over `tweets`."""
+    """Per-UTC-day mean confidence of one characteristic over `tweets`,
+    records with tweet_id and timestamp attributes."""
     tweets = list(tweets)
     values = table.rows_for([t.tweet_id for t in tweets])[:, table.column_index(characteristic)]
     return daily_mean_series(day_codes(tweets), values)

@@ -1,18 +1,58 @@
 """Record builders and pure-Python oracles shared across test modules."""
 
 import json
+import math
 import os
 import random
+from dataclasses import astuple, dataclass
 from datetime import date, timedelta
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 import coordnet
-from coordnet.corpus import Corpus, TweetRecord, day_of_timestamp
+from coordnet.config import DETECTORS
+from coordnet.corpus import day_of_timestamp, parse_corpus
+from coordnet.detectors import EdgeTable
 from coordnet.sociolinguistics import N_CHARACTERISTICS, CharacteristicTable
 
 BASE_TS = 1493632800  # 2017-05-01T10:00:00Z
+
+
+@dataclass(frozen=True, slots=True)
+class TweetRecord:
+    """One message, field for field as the validator emits it."""
+
+    tweet_id: str
+    account_id: str
+    timestamp: int  # UTC seconds
+    kind: str
+    text: str = ""
+    hashtags: tuple[str, ...] = ()
+    language: str = "und"
+    retweeted_tweet_id: str | None = None
+    retweeted_account_id: str | None = None
+    mentions: tuple[str, ...] = ()
+
+
+FIELDS = tuple(TweetRecord.__dataclass_fields__)
+
+
+def record_to_json(r: TweetRecord) -> str:
+    """The canonical one-line JSON form of a record."""
+    return json.dumps(dict(zip(FIELDS, astuple(r))), ensure_ascii=False, separators=(",", ":"))
+
+
+def records_of(corpus) -> list[TweetRecord]:
+    """Every row of a corpus as a TweetRecord."""
+    return [TweetRecord(*fields) for fields in corpus._fields()]
+
+
+def parse_one(line: str) -> TweetRecord:
+    """The record parse_corpus makes of one line; CorpusError if it is
+    rejected."""
+    return records_of(parse_corpus([line], strict=True))[0]
 
 
 def rec(
@@ -44,7 +84,62 @@ def rec(
 
 
 def corpus_of(*records):
-    return Corpus(list(records))
+    """The corpus parse_corpus builds from the records' JSON lines."""
+    return parse_corpus([record_to_json(r) for r in records], strict=True)
+
+
+class Edge(NamedTuple):
+    """One coordination edge by account id: a < b."""
+
+    a: str
+    b: str
+    detector: str
+    score: float
+    evidence: str
+
+
+def edges_of(table: EdgeTable) -> list[Edge]:
+    """The rows of an EdgeTable as Edge tuples, in table order."""
+    accounts, keys = table.accounts, table.keys
+    return [
+        Edge(accounts[x], accounts[y], DETECTORS[d], s, keys[e])
+        for x, y, d, s, e in zip(
+            table.a.tolist(), table.b.tolist(), table.detector.tolist(),
+            table.score.tolist(), table.evidence.tolist(),
+        )
+    ]
+
+
+def edge_table(edges) -> EdgeTable:
+    """The EdgeTable of the given edges, in their order."""
+    accounts: dict[str, int] = {}
+    keys: dict[str, int] = {}
+    a, b, detector, score, evidence = [], [], [], [], []
+    for e in edges:
+        a.append(accounts.setdefault(e.a, len(accounts)))
+        b.append(accounts.setdefault(e.b, len(accounts)))
+        detector.append(DETECTORS.index(e.detector))
+        score.append(e.score)
+        evidence.append(keys.setdefault(e.evidence, len(keys)))
+    return EdgeTable(list(accounts), a, b, detector, score, list(keys), evidence)
+
+
+def has_row(table, tweet_id) -> bool:
+    """Whether a CharacteristicTable holds a row for the tweet."""
+    return bool(table.row_indices([tweet_id])[0] >= 0)
+
+
+def table_row(table, tweet_id):
+    """A tweet's confidence row; zeros when the table has none."""
+    if has_row(table, tweet_id):
+        return table.matrix[table.row_indices([tweet_id])[0]]
+    return np.zeros(N_CHARACTERISTICS)
+
+
+def top_fraction_cutoff(sims, top_frac: float) -> float:
+    """Nearest-rank cutoff: the ceil(top_frac * m)-th largest similarity."""
+    k = max(1, math.ceil(top_frac * len(sims)))
+    return float(sorted(sims.tolist(), reverse=True)[k - 1])
 
 
 def jsonl_line(**kwargs):
@@ -103,10 +198,10 @@ def oracle_daily_mean_series(day_values):
 
 
 def oracle_daily_mean_confidence(table, tweets, characteristic):
-    """Per-UTC-day mean confidence, one table.get() per tweet."""
+    """Per-UTC-day mean confidence, one table row lookup per tweet."""
     idx = table.column_index(characteristic)
     return oracle_daily_mean_series(
-        (day_of_timestamp(t.timestamp), float(table.get(t.tweet_id)[idx])) for t in tweets
+        (day_of_timestamp(t.timestamp), float(table_row(table, t.tweet_id)[idx])) for t in tweets
     )
 
 
@@ -132,7 +227,7 @@ def random_report_inputs(seed, n_records=400, n_accounts=40):
          for _ in covered]
     )
     table = CharacteristicTable(covered, matrix, provenance="external")
-    return Corpus(records), table
+    return corpus_of(*records), table
 
 
 class UnionFind:
@@ -172,9 +267,9 @@ class UnionFind:
 
 
 def oracle_components(edges, extra_nodes=()):
-    """(cluster id, member set) per connected component of CoordinationEdge
-    records, by union-find over the account ids themselves: size
-    descending, then smallest member, ids from 1."""
+    """(cluster id, member set) per connected component of Edge tuples,
+    by union-find over the account ids themselves: size descending, then
+    smallest member, ids from 1."""
     uf = UnionFind()
     for node in extra_nodes:
         uf.add(node)

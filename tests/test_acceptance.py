@@ -21,13 +21,8 @@ import tracemalloc
 
 from coordnet import sociolinguistics as sl
 from coordnet.cli import main
-from coordnet.corpus import Corpus, iter_records, record_to_json
-from coordnet.detectors import (
-    DetectorConfig,
-    detect_all,
-    edges_from_hashtag_index,
-    hashtag_account_index,
-)
+from coordnet.corpus import parse_corpus
+from coordnet.detectors import DetectorConfig, detect_all, detect_hashtag_coordination
 from coordnet.graph import CoordinationGraph, connected_components
 from coordnet.stats import (
     bootstrap_se,
@@ -37,7 +32,7 @@ from coordnet.stats import (
     spearman,
 )
 
-from helpers import BASE_TS, rec, subprocess_env
+from helpers import BASE_TS, corpus_of, edges_of, rec, record_to_json, subprocess_env
 from test_detectors import oracle_hashtag_pairs, oracle_vector_pairs, random_corpus
 from test_stats import oracle_exact_p, oracle_spearman, oracle_u
 
@@ -60,11 +55,11 @@ def test_criterion_1_detector_oracle_equivalence():
         corpus = random_corpus(rnd, n_accounts=80 + (i % 5) * 30)
         corpora += 1
         results = detect_all(corpus, cfg)
-        got_hashtag = {(e.a, e.b) for e in results["hashtag"][0]}
+        got_hashtag = {(e.a, e.b) for e in edges_of(results["hashtag"][0])}
         assert got_hashtag == oracle_hashtag_pairs(corpus, cfg.hashtag_k)
-        got_retweet = {(e.a, e.b) for e in results["retweet"][0]}
+        got_retweet = {(e.a, e.b) for e in edges_of(results["retweet"][0])}
         assert got_retweet == oracle_vector_pairs(corpus, "retweeted_id", cfg)
-        got_time = {(e.a, e.b) for e in results["time"][0]}
+        got_time = {(e.a, e.b) for e in edges_of(results["time"][0])}
         assert got_time == oracle_vector_pairs(corpus, "time_bin", cfg)
     elapsed = time.time() - start
     assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"
@@ -107,7 +102,7 @@ def planted_cluster_corpus(n_accounts=10_000):
             tags = common  # only 4 tags: below the window size
         records.append(rec(tid, account, BASE_TS + tid, "original", hashtags=tags))
     rnd.shuffle(records)
-    return Corpus(records), planted
+    return corpus_of(*records), planted
 
 
 def test_criterion_2_planted_cluster_recovery():
@@ -507,7 +502,7 @@ def test_criterion_6_pipeline_byte_determinism(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 7. Scale smoke test: bounded-memory streaming
+# 7. Scale smoke test: the column path in bounded memory
 # ---------------------------------------------------------------------------
 
 
@@ -544,21 +539,21 @@ def synthetic_lines(n):
 
 
 def test_criterion_7_scale_streaming_bounded_memory():
+    # the path ingest and detect run: lines parsed into columns, then
+    # the hashtag detector over the columns
     start = time.time()
-    skip_counter = [0]
-    records = iter_records(synthetic_lines(SCALE_RECORDS), skip_counter=skip_counter)
-    index = hashtag_account_index(records, k=5)
-    edges = edges_from_hashtag_index(index)
+    corpus = parse_corpus(synthetic_lines(SCALE_RECORDS))
+    edges = detect_hashtag_coordination(corpus)
     elapsed = time.time() - start
 
-    assert skip_counter[0] == 0
-    assert len(index) == 4800
+    assert len(corpus) == SCALE_RECORDS and corpus.skipped == 0
+    assert len(edges.keys) == 4800
     assert len(edges) == 4800 * 10  # C(5,2) pairs per key
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert peak_kb < 8 * 1024 * 1024, f"peak RSS {peak_kb / 1024:.0f} MiB exceeds 8 GiB"
     ok(
         7,
-        f"{SCALE_RECORDS} records streamed in {elapsed:.0f}s, "
+        f"{SCALE_RECORDS} records parsed and detected in {elapsed:.0f}s, "
         f"{len(edges)} edges, peak RSS {peak_kb / 1024 / 1024:.2f} GiB",
     )
 
@@ -579,7 +574,7 @@ def dense_retweet_corpus(n_accounts, pool=40, retweets=11):
             ts = BASE_TS + rnd.randrange(6) * 1800 + rnd.randrange(1800)
             rt_id = f"pool{rnd.randrange(pool)}"
             records.append(rec(len(records), f"acct{a:05d}", ts, "retweet", rt_id=rt_id))
-    return Corpus(records)
+    return corpus_of(*records)
 
 
 def detect_peak_bytes(corpus):

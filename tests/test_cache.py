@@ -15,7 +15,7 @@ import coordnet.corpus
 from coordnet.cli import main
 from coordnet.corpus import CACHE_ROWS, KINDS, Corpus, CorpusError, load_cache, parse_corpus
 
-from helpers import BASE_TS, rec
+from helpers import BASE_TS, corpus_of, rec, records_of
 
 COLUMNS = [
     "tweet_ids", "account_ids", "code_of", "account_codes", "timestamps", "kinds", "texts",
@@ -107,7 +107,7 @@ def test_load_cache_equals_parse_corpus(lines):
 
 def test_blocks_hold_cache_rows_records():
     records = [rec(i, f"a{i % 5}", BASE_TS + i) for i in range(2 * CACHE_ROWS + 1)]
-    blocks = [json.loads(line) for line in cache_lines(Corpus(records))]
+    blocks = [json.loads(line) for line in cache_lines(corpus_of(*records))]
     assert [len(b["tweet_ids"]) for b in blocks] == [CACHE_ROWS, CACHE_ROWS, 1]
     assert [b["accounts"] for b in blocks] == [["a0", "a1", "a2", "a3", "a4"], [], []]
 
@@ -142,7 +142,7 @@ def block_lines() -> list[str]:
     saved = coordnet.corpus.CACHE_ROWS
     coordnet.corpus.CACHE_ROWS = 3
     try:
-        return cache_lines(Corpus(_RECORDS))
+        return cache_lines(corpus_of(*_RECORDS))
     finally:
         coordnet.corpus.CACHE_ROWS = saved
 
@@ -266,7 +266,7 @@ def test_unmutated_blocks_load(tmp_path, block_lines):
     path = tmp_path / "cache.jsonl"
     path.write_text("".join(block_lines), encoding="utf-8")
     corpus = load_cache(path)
-    assert corpus.records == _RECORDS
+    assert records_of(corpus) == _RECORDS
     assert corpus.account_ids == ["a", "c", "b", "d"]
 
 
@@ -337,7 +337,7 @@ def test_per_record_cache_asks_for_reingest(tmp_path, capsys):
     # the cache layout before column blocks: one record per line
     path = tmp_path / "cache.jsonl"
     with open(path, "w", encoding="utf-8") as fp:
-        Corpus(_RECORDS).to_jsonl(fp)
+        corpus_of(*_RECORDS).to_jsonl(fp)
     assert main(["detect", str(path), "-o", str(tmp_path / "det")]) == 1
     err = capsys.readouterr().err
     assert f"{path}: line 1: " in err and "re-run `coordnet ingest`" in err

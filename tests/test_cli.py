@@ -1,7 +1,6 @@
 """CLI subcommands, exit codes, and file interfaces."""
 
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -16,16 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordnet.cli import main
-from coordnet.corpus import (
-    KINDS,
-    CorpusError,
-    TweetRecord,
-    load_cache,
-    parse_corpus,
-    parse_line,
-    record_to_json,
-)
-from coordnet.detectors import CoordinationEdge, EdgeTable
+from coordnet.corpus import KINDS, CorpusError, load_cache, parse_corpus
 from coordnet.formats import (
     read_account_list,
     read_edges_csv,
@@ -35,7 +25,19 @@ from coordnet.formats import (
 from coordnet.sociolinguistics import CHARACTERISTICS, load_confidences
 from coordnet.sources import csv_writer
 
-from helpers import BASE_TS, jsonl_line, rec, subprocess_env
+from helpers import (
+    BASE_TS,
+    FIELDS,
+    Edge,
+    edge_table,
+    edges_of,
+    jsonl_line,
+    parse_one,
+    rec,
+    record_to_json,
+    records_of,
+    subprocess_env,
+)
 
 
 def write_jsonl(path, records):
@@ -319,7 +321,7 @@ class TestIngestProperty:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(lines=st.lists(_lines, min_size=1, max_size=6))
     def test_columns_match_per_line_path(self, lines):
-        # Oracle: parse_line on each line alone, as iter_records streams.
+        # Oracle: parse_corpus on each line alone.
         with tempfile.TemporaryDirectory() as tmp:
             src = Path(tmp) / "input.jsonl"
             src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -329,9 +331,9 @@ class TestIngestProperty:
                     if not line.strip():
                         continue
                     try:
-                        records.append(parse_line(line))
-                    except ValueError as exc:
-                        errors.append(f"line {line_no}: {exc}")
+                        records.append(parse_one(line))
+                    except CorpusError as exc:
+                        errors.append(str(exc).replace("line 1:", f"line {line_no}:", 1))
             corpus = parse_corpus(src)
             assert (len(corpus), corpus.skipped) == (len(records), len(errors))
             columns = {
@@ -346,7 +348,7 @@ class TestIngestProperty:
                 "retweeted_account_id": corpus.retweeted_account_ids,
                 "mentions": corpus.mentions,
             }
-            assert list(columns) == [f.name for f in dataclasses.fields(TweetRecord)]
+            assert tuple(columns) == FIELDS
             for name, column in columns.items():
                 assert column == [getattr(r, name) for r in records], name
             if errors:
@@ -354,7 +356,7 @@ class TestIngestProperty:
                     parse_corpus(src, strict=True)
                 assert str(info.value) == errors[0]
             else:
-                assert parse_corpus(src, strict=True).records == records
+                assert records_of(parse_corpus(src, strict=True)) == records
 
 
 @pytest.fixture
@@ -369,9 +371,9 @@ def detect_run(tmp_path, small_corpus_file):
 class TestDetect:
     def test_planted_pair_flagged(self, detect_run):
         _, outdir = detect_run
-        edges = read_edges_csv(outdir / "edges_hashtag.csv")
+        edges = edges_of(read_edges_csv(outdir / "edges_hashtag.csv"))
         assert [(e.a, e.b) for e in edges] == [("coord-a", "coord-b")]
-        assert list(edges)[0].evidence == "v|w|x|y|z"
+        assert edges[0].evidence == "v|w|x|y|z"
         union = (outdir / "flagged_union.txt").read_text().split()
         assert union == ["coord-a", "coord-b"]
 
@@ -391,7 +393,7 @@ class TestDetect:
         cache, _ = detect_run
         outdir = tmp_path / "det2"
         assert main(["detect", str(cache), "-o", str(outdir), "--detectors", "hashtag"]) == 0
-        assert list(read_edges_csv(outdir / "edges_retweet.csv")) == []
+        assert edges_of(read_edges_csv(outdir / "edges_retweet.csv")) == []
         assert (outdir / "flagged_time.txt").read_text() == ""
 
     def test_unknown_detector_rejected(self, tmp_path, detect_run, capsys):
@@ -405,7 +407,7 @@ class TestDetect:
         config.write_text("hashtag_k = 6\n# comment\ntime_threshold = 0.95\n")
         outdir = tmp_path / "det6"
         assert main(["--config", str(config), "detect", str(cache), "-o", str(outdir)]) == 0
-        assert list(read_edges_csv(outdir / "edges_hashtag.csv")) == []  # k=6 > run length
+        assert edges_of(read_edges_csv(outdir / "edges_hashtag.csv")) == []  # k=6 > run length
         outdir2 = tmp_path / "det5"
         assert (
             main(
@@ -478,7 +480,7 @@ class TestEdgeFile:
     def test_write_read_round_trip(self):
         ids = ["a,b", 'q"uote', "line\nbreak", "nul\x00", "nul", " pad ", "é", "z" * 200_000]
         edges = [
-            CoordinationEdge(x, y, detector, score, key)
+            Edge(x, y, detector, score, key)
             for (x, y), detector, score, key in zip(
                 itertools.combinations(sorted(ids), 2),
                 itertools.cycle(("hashtag", "retweet", "time")),
@@ -487,23 +489,23 @@ class TestEdgeFile:
             )
         ]
         fp = io.StringIO(newline="")
-        write_edges_csv(EdgeTable.from_records(edges), fp)
+        write_edges_csv(edge_table(edges), fp)
         fp.seek(0)
-        assert list(read_edges_csv(fp)) == edges
+        assert edges_of(read_edges_csv(fp)) == edges
 
     def test_bare_carriage_return_round_trip(self):
         ids = ["a\rb", "c\rd", "\r", "plain"]
         edges = [
-            CoordinationEdge(x, y, "hashtag", 1.0, key)
+            Edge(x, y, "hashtag", 1.0, key)
             for (x, y), key in zip(
                 itertools.combinations(sorted(ids), 2), itertools.cycle(("v\rw|x", "k"))
             )
         ]
         fp = io.StringIO(newline="")
-        write_edges_csv(EdgeTable.from_records(edges), fp)
+        write_edges_csv(edge_table(edges), fp)
         assert '\n"a\rb","c\rd",hashtag,1.0,k\n"a\rb",plain,hashtag,1.0,"v\rw|x"\n' in fp.getvalue()
         fp.seek(0)
-        assert list(read_edges_csv(fp)) == edges
+        assert edges_of(read_edges_csv(fp)) == edges
 
     def test_rows_without_carriage_return_keep_their_bytes(self):
         rows = [("a,b", "line\nbreak", 'q"uote'), ("plain", "", "é")]
@@ -520,7 +522,7 @@ class TestEdgeFile:
             _EDGE_HEADER + "\n" + "coord-a,coord-b,hashtag,1.0,k\n\n\n" + "p,q,time,0.5,cosine\n",
             encoding="utf-8",
         )
-        edges = list(read_edges_csv(path))
+        edges = edges_of(read_edges_csv(path))
         assert [(e.a, e.b, e.detector, e.score, e.evidence) for e in edges] == [
             ("coord-a", "coord-b", "hashtag", 1.0, "k"),
             ("p", "q", "time", 0.5, "cosine"),
@@ -562,7 +564,7 @@ def test_carriage_return_ids_pass_every_stage(tmp_path):
     write_jsonl(src, records)
     assert main(["ingest", str(src), "-o", str(cache)]) == 0
     assert main(["detect", str(cache), "-o", str(det)]) == 0
-    edges = list(read_edges_csv(det / "edges_hashtag.csv"))
+    edges = edges_of(read_edges_csv(det / "edges_hashtag.csv"))
     assert [(e.a, e.b, e.evidence) for e in edges] == [("a\rb", "c\rd", "v\rw|w|x|y|z")]
     assert read_account_list(det / "flagged_union.txt") == {"a\rb", "c\rd"}
     assert main(["cluster", str(cache), str(det), "-o", str(clusters)]) == 0
@@ -702,6 +704,28 @@ class TestClusterScoreReport:
         assert main(["report", str(cache), "-o", str(tmp_path / "b")]) == 1
         assert "--edges" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("b", ["-1", "0", "1"])
+    def test_report_rejects_fewer_than_two_resamples(self, tmp_path, detect_run, capsys, b):
+        # with b < 2, deltas.csv would get a nan se (or numpy's own error)
+        cache, det_out = detect_run
+        conf, bundle = tmp_path / "conf.csv", tmp_path / "b"
+        assert main(["score", str(cache), "-o", str(conf)]) == 0
+        argv = ["report", str(cache), "-o", str(bundle), "--edges", str(det_out),
+                "--confidences", str(conf), "--bootstrap", b]
+        assert main(argv) == 1
+        assert f"--bootstrap must be at least 2, got {b}" in capsys.readouterr().err
+        assert not bundle.exists()
+
+    def test_report_rejects_negative_top_clusters(self, tmp_path, detect_run, capsys):
+        # clusters[:-1] would silently drop the last cluster
+        cache, det_out = detect_run
+        bundle = tmp_path / "b"
+        argv = ["report", str(cache), "-o", str(bundle), "--edges", str(det_out),
+                "--top-clusters", "-1"]
+        assert main(argv) == 1
+        assert "--top-clusters must be at least 0, got -1" in capsys.readouterr().err
+        assert not bundle.exists()
+
     def test_report_rejects_bad_confidences(self, tmp_path, detect_run, capsys):
         cache, det_out = detect_run
         bad = tmp_path / "bad_conf.csv"
@@ -752,7 +776,8 @@ class TestCsvInputs:
         assert main(["cluster", str(cache), str(det), "-o", str(clusters)]) == 0
         bundle = tmp_path / "bundle"
         assert main(["report", str(cache), "-o", str(bundle), "--edges", str(det)]) == 0
-        assert [e.evidence for e in read_edges_csv(det / "edges_hashtag.csv")] == ["|".join(tags)]
+        edges = edges_of(read_edges_csv(det / "edges_hashtag.csv"))
+        assert [e.evidence for e in edges] == ["|".join(tags)]
         for path in (clusters, bundle / "clusters.csv"):
             rows = list(csv.reader(path.open()))
             assert [row[:2] + row[3:] for row in rows[1:]] == [["1", "2", "coord-a", "coord-b"]]
@@ -841,6 +866,13 @@ class TestStatsCommand:
         second = json.loads(capsys.readouterr().out)
         assert first["statistic"] == second["statistic"]
         assert first["seed"] == 7
+
+    @pytest.mark.parametrize("b", ["-1", "0", "1"])
+    def test_bootstrap_rejects_fewer_than_two_resamples(self, tmp_path, capsys, b):
+        path = tmp_path / "data.csv"
+        path.write_text("v\n0\n1\n")
+        assert main(["stats", "bootstrap", "--csv", str(path), "--col", "v", "--resamples", b]) == 1
+        assert f"requires at least 2 resamples, got {b}" in capsys.readouterr().err
 
     def test_kappa(self, tmp_path, capsys):
         path = tmp_path / "data.csv"

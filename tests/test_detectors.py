@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from coordnet import kernels
-from coordnet.corpus import Corpus
 from coordnet.detectors import (
-    CoordinationEdge,
     DetectorConfig,
     AboveThreshold,
     SparseVector,
     TopFraction,
+    _index_posts,
     build_account_vectors,
     candidate_pair_similarities,
     detect_all,
@@ -23,12 +22,10 @@ from coordnet.detectors import (
     detect_retweet_coordination,
     detect_time_coordination,
     edges_from_hashtag_index,
-    hashtag_key_set,
     tfidf_weight,
-    top_fraction_cutoff,
 )
 
-from helpers import BASE_TS, corpus_of, rec
+from helpers import BASE_TS, Edge, corpus_of, edges_of, rec, records_of, top_fraction_cutoff
 
 # Kernel pair-product budgets per row block the equivalence tests run
 # at: the default, one row per block, and a budget that leaves ragged
@@ -59,7 +56,7 @@ def cosine(u: SparseVector, v: SparseVector) -> float:
 def oracle_hashtag_pairs(corpus, k):
     """Pairwise 5-gram set intersection over all account pairs."""
     grams = {}
-    for r in corpus.records:
+    for r in records_of(corpus):
         if r.kind != "original":
             continue
         keys = {"|".join(r.hashtags[i : i + k]) for i in range(len(r.hashtags) - k + 1)}
@@ -75,7 +72,7 @@ def oracle_vector_pairs(corpus, term, cfg):
     """Dense TF-IDF matrix + all-pairs cosine, thresholded per detector."""
     counts = {}
     totals = {}
-    for r in corpus.records:
+    for r in records_of(corpus):
         if term == "retweeted_id":
             if r.kind != "retweet":
                 continue
@@ -147,18 +144,20 @@ def random_corpus(rnd, n_accounts=40):
 # ---------------------------------------------------------------------------
 
 
+def hashtag_keys(tags, k):
+    """The hashtag k-gram keys one original tweet with these tags posts."""
+    return set(_index_posts([("a", tuple(tags))], k))
+
+
 class TestHashtagKeySet:
     def test_single_window(self):
-        t = rec(1, "a", hashtags=["a", "b", "c", "d", "e"])
-        assert hashtag_key_set(t, 5) == {"a|b|c|d|e"}
+        assert hashtag_keys(["a", "b", "c", "d", "e"], 5) == {"a|b|c|d|e"}
 
     def test_two_windows(self):
-        t = rec(1, "a", hashtags=["a", "b", "c", "d", "e", "f"])
-        assert hashtag_key_set(t, 5) == {"a|b|c|d|e", "b|c|d|e|f"}
+        assert hashtag_keys(["a", "b", "c", "d", "e", "f"], 5) == {"a|b|c|d|e", "b|c|d|e|f"}
 
     def test_below_threshold(self):
-        t = rec(1, "a", hashtags=["a", "b", "c"])
-        assert hashtag_key_set(t, 5) == set()
+        assert hashtag_keys(["a", "b", "c"], 5) == set()
 
 
 class TestTfidfWeight:
@@ -460,21 +459,21 @@ class TestHashtagDetector:
             rec(2, "y", hashtags=["a", "b", "c", "d", "e"]),
         )
         edges = detect_hashtag_coordination(corpus)
-        assert list(edges) == [CoordinationEdge("x", "y", "hashtag", 1.0, "a|b|c|d|e")]
+        assert edges_of(edges) == [Edge("x", "y", "hashtag", 1.0, "a|b|c|d|e")]
 
     def test_same_account_twice_no_edge(self):
         corpus = corpus_of(
             rec(1, "x", hashtags=["a", "b", "c", "d", "e"]),
             rec(2, "x", hashtags=["a", "b", "c", "d", "e"]),
         )
-        assert list(detect_hashtag_coordination(corpus)) == []
+        assert edges_of(detect_hashtag_coordination(corpus)) == []
 
     def test_retweets_do_not_participate(self):
         corpus = corpus_of(
             rec(1, "x", hashtags=["a", "b", "c", "d", "e"]),
             rec(2, "y", kind="retweet", rt_id="1", hashtags=["a", "b", "c", "d", "e"]),
         )
-        assert list(detect_hashtag_coordination(corpus)) == []
+        assert edges_of(detect_hashtag_coordination(corpus)) == []
 
     def test_planted_keys_edge_counts(self):
         # 3 accounts share K1, 2 accounts share K2, disjoint -> 3 + 1 edges
@@ -489,7 +488,7 @@ class TestHashtagDetector:
         )
         edges = detect_hashtag_coordination(corpus)
         assert len(edges) == 4
-        pairs = {(e.a, e.b) for e in edges}
+        pairs = {(e.a, e.b) for e in edges_of(edges)}
         assert pairs == oracle_hashtag_pairs(corpus, 5)
 
     def test_matches_oracle_randomized(self):
@@ -497,7 +496,7 @@ class TestHashtagDetector:
         for trial in range(10):
             corpus = random_corpus(rnd, n_accounts=25)
             edges = detect_hashtag_coordination(corpus)
-            pairs = {(e.a, e.b) for e in edges}
+            pairs = {(e.a, e.b) for e in edges_of(edges)}
             assert pairs == oracle_hashtag_pairs(corpus, 5)
 
     def test_edge_table_matches_object_loop(self):
@@ -511,12 +510,12 @@ class TestHashtagDetector:
                 for j in range(rnd.randrange(0, 30))
             }
             want = [
-                CoordinationEdge(a, b, "hashtag", 1.0, key)
+                Edge(a, b, "hashtag", 1.0, key)
                 for key in index
                 for a, b in itertools.combinations(sorted(index[key]), 2)
             ]
             want.sort(key=lambda e: (e.a, e.b, e.detector, e.evidence))
-            assert list(edges_from_hashtag_index(index)) == want
+            assert edges_of(edges_from_hashtag_index(index)) == want
 
     def test_monotone_in_k(self):
         rnd = random.Random(55)
@@ -525,7 +524,7 @@ class TestHashtagDetector:
             pairs_by_k = []
             for k in (3, 4, 5, 6):
                 cfg = DetectorConfig(hashtag_k=k)
-                pairs_by_k.append({(e.a, e.b) for e in detect_hashtag_coordination(corpus, cfg)})
+                pairs_by_k.append({(e.a, e.b) for e in edges_of(detect_hashtag_coordination(corpus, cfg))})
             for smaller, larger in zip(pairs_by_k[1:], pairs_by_k[:-1]):
                 assert smaller <= larger
 
@@ -534,7 +533,7 @@ class TestRetweetDetector:
     def test_fewer_than_two_eligible(self):
         records = [rec(i, "only", kind="retweet", rt_id=f"t{i}") for i in range(15)]
         edges, flagged = detect_retweet_coordination(corpus_of(*records))
-        assert list(edges) == [] and flagged == set()
+        assert len(edges) == 0 and flagged == set()
 
     def test_single_similar_pair_flagged(self):
         records = []
@@ -551,7 +550,7 @@ class TestRetweetDetector:
         )
         assert flagged == {"x", "y"}
         assert len(edges) == 1
-        assert list(edges)[0].evidence == "cosine"
+        assert edges_of(edges)[0].evidence == "cosine"
 
     def test_identical_profiles_always_flagged(self):
         rnd = random.Random(3)
@@ -580,7 +579,7 @@ class TestRetweetDetector:
             for budget in PAIR_BUDGETS:
                 monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
                 edges, _ = detect_retweet_coordination(corpus, cfg)
-                assert {(e.a, e.b) for e in edges} == oracle
+                assert {(e.a, e.b) for e in edges_of(edges)} == oracle
 
 
 class TestTimeDetector:
@@ -599,7 +598,7 @@ class TestTimeDetector:
                 records.append(rec(tid, f"bg{a}", BASE_TS + (50 + i * 3 + a) * 1800, "original"))
         edges, flagged = detect_time_coordination(corpus_of(*records))
         assert flagged == {"x", "y"}
-        assert all(e.score > 0.99 for e in edges)
+        assert all(e.score > 0.99 for e in edges_of(edges))
 
     def test_disjoint_bins_no_candidates(self):
         records = []
@@ -611,7 +610,7 @@ class TestTimeDetector:
             tid += 1
             records.append(rec(tid, "y", BASE_TS + (100 + i) * 1800, "original"))
         edges, flagged = detect_time_coordination(corpus_of(*records))
-        assert list(edges) == [] and flagged == set()
+        assert len(edges) == 0 and flagged == set()
 
     def test_matches_oracle_randomized_200_accounts(self, monkeypatch):
         rnd = random.Random(12)
@@ -621,7 +620,7 @@ class TestTimeDetector:
         for budget in PAIR_BUDGETS:
             monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
             edges, flagged = detect_time_coordination(corpus, cfg)
-            assert {(e.a, e.b) for e in edges} == oracle
+            assert {(e.a, e.b) for e in edges_of(edges)} == oracle
 
     def test_monotone_in_threshold(self):
         rnd = random.Random(13)
@@ -629,7 +628,7 @@ class TestTimeDetector:
         previous = None
         for threshold in (0.5, 0.8, 0.95, 0.999):
             cfg = DetectorConfig(time_threshold=threshold)
-            pairs = {(e.a, e.b) for e in detect_time_coordination(corpus, cfg)[0]}
+            pairs = {(e.a, e.b) for e in edges_of(detect_time_coordination(corpus, cfg)[0])}
             if previous is not None:
                 assert pairs <= previous
             previous = pairs
@@ -768,13 +767,13 @@ class TestDeterminism:
     def test_record_order_invariance(self):
         rnd = random.Random(21)
         corpus = random_corpus(rnd, n_accounts=30)
-        shuffled_records = list(corpus.records)
+        shuffled_records = records_of(corpus)
         rnd.shuffle(shuffled_records)
-        shuffled = Corpus(shuffled_records)
+        shuffled = corpus_of(*shuffled_records)
         for detector in ("hashtag", "retweet", "time"):
             a = detect_all(corpus, enabled=[detector])[detector]
             b = detect_all(shuffled, enabled=[detector])[detector]
-            assert list(a[0]) == list(b[0])
+            assert edges_of(a[0]) == edges_of(b[0])
             assert a[1] == b[1]
 
     def test_edges_canonical_no_self_loops_no_duplicates(self):
@@ -782,18 +781,11 @@ class TestDeterminism:
         corpus = random_corpus(rnd, n_accounts=30)
         for detector, (edges, _) in detect_all(corpus).items():
             seen = set()
-            for e in edges:
+            for e in edges_of(edges):
                 assert e.a < e.b
                 key = (e.a, e.b, e.detector, e.evidence)
                 assert key not in seen
                 seen.add(key)
-
-    def test_edge_validation(self):
-        with pytest.raises(ValueError):
-            CoordinationEdge("b", "a", "hashtag", 1.0, "k")
-        with pytest.raises(ValueError):
-            CoordinationEdge.canonical("a", "a", "hashtag", 1.0, "k")
-        assert CoordinationEdge.canonical("b", "a", "time", 1.0, "cosine").a == "a"
 
 
 class TestConfig:

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from coordnet import graph as graph_module
-from coordnet.corpus import NormalizeOptions
-from coordnet.detectors import CoordinationEdge, EdgeTable
+from coordnet.detectors import EdgeTable
 from coordnet.graph import (
     Cluster,
     CoordinationGraph,
@@ -18,15 +17,15 @@ from coordnet.graph import (
     retweet_interactions,
 )
 
-from helpers import BASE_TS, UnionFind, corpus_of, oracle_components, rec
+from helpers import BASE_TS, Edge, UnionFind, corpus_of, edge_table, oracle_components, rec
 
 
 def edge(a, b, detector="hashtag", evidence="k"):
-    return CoordinationEdge.canonical(a, b, detector, 1.0, evidence)
+    return Edge(min(a, b), max(a, b), detector, 1.0, evidence)
 
 
 def table(*edges):
-    return EdgeTable.from_records(edges)
+    return edge_table(edges)
 
 
 class TestConnectedComponents:
@@ -93,7 +92,7 @@ def assert_matches_oracle(tables, extra_nodes=()):
     """Components of the tables' graph equal the string union-find's:
     same members, same ids, same order."""
     graph = CoordinationGraph.from_edges(
-        *(EdgeTable.from_records(t) for t in tables), extra_nodes=extra_nodes
+        *(edge_table(t) for t in tables), extra_nodes=extra_nodes
     )
     got = [(c.id, c.members) for c in connected_components(graph)]
     want = oracle_components([e for t in tables for e in t], extra_nodes)
@@ -295,8 +294,6 @@ class TestDuplicateShares:
             rec(2, "a", text="read this http://b.example/2"),
         )
         assert duplicate_shares(corpus)["a"][0] == 1.0
-        keep_urls = NormalizeOptions(strip_urls=False)
-        assert duplicate_shares(corpus, options=keep_urls)["a"][0] == 0.0
 
     def test_permutation_invariance(self):
         rnd = random.Random(41)

@@ -1,8 +1,8 @@
 """Report socio-linguistic sections against per-record loop oracles.
 
 The oracles rebuild each artifact the way the report did before it
-worked on per-record arrays: one tweet list per scope, one table.get()
-per tweet, one day string per tweet, and both bootstrap sides drawn for
+worked on per-record arrays: one tweet list per scope, one table row
+lookup per tweet, one day string per tweet, and both bootstrap sides drawn for
 every scope. The files must match byte for byte.
 """
 
@@ -16,7 +16,13 @@ from coordnet import report, stats
 from coordnet import sociolinguistics as sl
 from coordnet.graph import Cluster
 
-from helpers import oracle_daily_mean_confidence, random_report_inputs
+from helpers import (
+    has_row,
+    oracle_daily_mean_confidence,
+    random_report_inputs,
+    records_of,
+    table_row,
+)
 
 SEED = 7
 B = 60
@@ -26,7 +32,7 @@ TOP = 3
 def oracle_tweet_ids(corpus, accounts, member):
     seen = set()
     out = []
-    for rec in corpus.records:
+    for rec in records_of(corpus):
         if (rec.account_id in accounts) is member and rec.tweet_id not in seen:
             seen.add(rec.tweet_id)
             out.append(rec.tweet_id)
@@ -34,7 +40,7 @@ def oracle_tweet_ids(corpus, accounts, member):
 
 
 def oracle_rows(table, ids):
-    return np.vstack([table.get(t) for t in ids])
+    return np.vstack([table_row(table, t) for t in ids])
 
 
 def oracle_deltas(corpus, table, clusters, coordinated):
@@ -66,12 +72,13 @@ def oracle_binarized(corpus, table, coordinated):
 
 
 def oracle_daily(corpus, table, clusters, coordinated):
+    records = records_of(corpus)
     scopes = [
-        (report.ALL_COORDINATED_SCOPE, [r for r in corpus.records if r.account_id in coordinated]),
-        (report.BASELINE_SCOPE, [r for r in corpus.records if r.account_id not in coordinated]),
+        (report.ALL_COORDINATED_SCOPE, [r for r in records if r.account_id in coordinated]),
+        (report.BASELINE_SCOPE, [r for r in records if r.account_id not in coordinated]),
     ]
     for c in clusters[:TOP]:
-        scopes.append((str(c.id), [r for r in corpus.records if r.account_id in c.members]))
+        scopes.append((str(c.id), [r for r in records if r.account_id in c.members]))
     rows = []
     for scope, tweets in scopes:
         for name in sl.CHARACTERISTICS:
@@ -82,10 +89,11 @@ def oracle_daily(corpus, table, clusters, coordinated):
 
 def oracle_confidence_vs_binarized(corpus, table):
     labels = sl.binarize(table, 0.5)
+    records = records_of(corpus)
     by_char = {}
     for name in sl.CHARACTERISTICS:
-        conf = oracle_daily_mean_confidence(table, corpus.records, name)
-        binr = oracle_daily_mean_confidence(labels, corpus.records, name)
+        conf = oracle_daily_mean_confidence(table, records, name)
+        binr = oracle_daily_mean_confidence(labels, records, name)
         pairs = [(c, b) for (_, c), (_, b) in zip(conf, binr) if c is not None and b is not None]
         by_char[name] = (
             stats.spearman([c for c, _ in pairs], [b for _, b in pairs]).statistic
@@ -117,10 +125,11 @@ def _same_file(tmp_path, produced, header, rows):
 
 def test_inputs_have_the_hard_shapes(inputs):
     corpus, table, _, _ = inputs
-    ids = [r.tweet_id for r in corpus.records]
+    records = records_of(corpus)
+    ids = [r.tweet_id for r in records]
     assert len(set(ids)) < len(ids)
-    assert any(t not in table for t in ids)
-    assert min(r.timestamp for r in corpus.records) < 0
+    assert any(not has_row(table, t) for t in ids)
+    assert min(r.timestamp for r in records) < 0
     assert len({c for c in table.matrix[:, 0]}) < len(table)
 
 
@@ -174,7 +183,7 @@ def test_confidence_vs_binarized_matches_oracle(inputs):
 
 def test_missing_tweets_counts_distinct_ids(inputs):
     corpus, table, _, _ = inputs
-    expected = len({r.tweet_id for r in corpus.records if r.tweet_id not in table})
+    expected = len({r.tweet_id for r in records_of(corpus) if not has_row(table, r.tweet_id)})
     assert report.RecordColumns(corpus, table).missing_tweets() == expected
 
 

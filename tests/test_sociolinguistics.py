@@ -17,18 +17,18 @@ from coordnet.sociolinguistics import (
     Lexicon,
     LexiconEntry,
     TableError,
+    _score_text,
     binarize,
     builtin_lexicon,
     canonical_name,
     characteristic_index,
-    lexicon_score,
     load_confidences,
     load_lexicon,
     score_corpus,
     write_confidences,
 )
 
-from helpers import corpus_of, rec
+from helpers import corpus_of, rec, table_row
 
 
 class TestRegistry:
@@ -67,7 +67,9 @@ class TestLoadConfidences:
         )
         assert len(table) == 3
         assert table.provenance == "external"
-        assert table.get("t0")[0] == 0.5
+        assert table_row(table, "t0")[0] == 0.5
+        # a tweet without a row reads as zeros
+        assert np.all(table.rows_at(table.row_indices(["absent"])) == 0.0)
 
     def test_out_of_range_names_row_and_column(self):
         values = [0.0] * N_CHARACTERISTICS
@@ -97,7 +99,7 @@ class TestLoadConfidences:
         columns[columns.index("amusement")] = "sarcasm"
         values = list(np.linspace(0, 1, N_CHARACTERISTICS))
         table = load_confidences(conf_csv([("t0", values)], columns))
-        assert table.get("t0")[characteristic_index("amusement")] == values[
+        assert table_row(table, "t0")[characteristic_index("amusement")] == values[
             columns.index("sarcasm")
         ]
 
@@ -107,13 +109,8 @@ class TestLoadConfidences:
             + "t0," + ",".join([""] + ["0.5"] * (N_CHARACTERISTICS - 1)) + "\n"
         )
         table = load_confidences(source)
-        assert table.get("t0")[0] == 0.0
+        assert table_row(table, "t0")[0] == 0.0
         assert table.missing_values == 1
-
-    def test_missing_lookup_counts(self):
-        table = load_confidences(conf_csv([("t0", [0.5] * N_CHARACTERISTICS)]))
-        assert np.all(table.get("absent") == 0.0)
-        assert table.missing_lookups == 1
 
     def test_round_trip_write_load(self):
         rnd = random.Random(4)
@@ -153,12 +150,12 @@ class TestLoadConfidences:
 class TestLexiconScore:
     def test_no_match_all_zero(self):
         lex = Lexicon([LexiconEntry("economy", "taxes", 0.8)])
-        scores = lexicon_score(rec(1, "a", text="nothing relevant"), lex)
+        scores = _score_text("nothing relevant", "und", lex)
         assert np.all(scores == 0.0)
 
     def test_single_phrase_weight(self):
         lex = Lexicon([LexiconEntry("economy", "taxes", 0.8)])
-        scores = lexicon_score(rec(1, "a", text="lower TAXES now"), lex)
+        scores = _score_text("lower TAXES now", "und", lex)
         assert scores[characteristic_index("economy")] == pytest.approx(0.8)
 
     def test_noisy_or_two_phrases(self):
@@ -168,38 +165,36 @@ class TestLexiconScore:
                 LexiconEntry("economy", "jobs", 0.5),
             ]
         )
-        scores = lexicon_score(rec(1, "a", text="taxes and jobs"), lex)
+        scores = _score_text("taxes and jobs", "und", lex)
         assert scores[characteristic_index("economy")] == pytest.approx(0.75)
 
     def test_repeated_phrase_counts_each_occurrence(self):
         lex = Lexicon([LexiconEntry("economy", "taxes", 0.5)])
-        scores = lexicon_score(rec(1, "a", text="taxes taxes"), lex)
+        scores = _score_text("taxes taxes", "und", lex)
         assert scores[characteristic_index("economy")] == pytest.approx(0.75)
 
     def test_word_boundaries(self):
         lex = Lexicon([LexiconEntry("democracy", "vote", 0.9)])
-        assert lexicon_score(rec(1, "a", text="devotee voters"), lex)[
+        assert _score_text("devotee voters", "und", lex)[
             characteristic_index("democracy")
         ] == 0.0
 
     def test_language_tagged_phrase_filters(self):
         lex = Lexicon([LexiconEntry("economy", "taxes", 0.8, language="en")])
-        en = rec(1, "a", text="taxes", language="en")
-        fr = rec(2, "a", text="taxes", language="fr")
-        assert lexicon_score(en, lex)[characteristic_index("economy")] > 0
-        assert lexicon_score(fr, lex)[characteristic_index("economy")] == 0.0
+        assert _score_text("taxes", "en", lex)[characteristic_index("economy")] > 0
+        assert _score_text("taxes", "fr", lex)[characteristic_index("economy")] == 0.0
 
     def test_matching_ignores_urls_and_case(self):
         lex = Lexicon([LexiconEntry("misinformation", "fake news", 0.7)])
-        t = rec(1, "a", text="FAKE News!! http://example.com/fake-news")
-        assert lexicon_score(t, lex)[characteristic_index("misinformation")] == pytest.approx(0.7)
+        t = "FAKE News!! http://example.com/fake-news"
+        assert _score_text(t, "und", lex)[characteristic_index("misinformation")] == pytest.approx(0.7)
 
     def test_word_order_insensitive_beyond_phrases(self):
         lex = Lexicon(
             [LexiconEntry("economy", "taxes", 0.6), LexiconEntry("economy", "jobs", 0.3)]
         )
-        a = lexicon_score(rec(1, "a", text="taxes before jobs"), lex)
-        b = lexicon_score(rec(2, "a", text="jobs before taxes"), lex)
+        a = _score_text("taxes before jobs", "und", lex)
+        b = _score_text("jobs before taxes", "und", lex)
         assert np.array_equal(a, b)
 
     def test_builtin_lexicon_covers_every_characteristic(self):
@@ -227,7 +222,7 @@ class TestBinarize:
             conf_csv([("t0", [0.8] + [0.5] + [0.49] + [0.0] * (N_CHARACTERISTICS - 3))])
         )
         labels = binarize(table, 0.5)
-        row = labels.get("t0")
+        row = table_row(labels, "t0")
         assert row[0] == 1.0  # 0.8 -> 1
         assert row[1] == 1.0  # boundary: >= rule
         assert row[2] == 0.0  # 0.49 -> 0
@@ -247,6 +242,6 @@ class TestBinarize:
             t_low = load_confidences(conf_csv([("t", low)]))
             t_high = load_confidences(conf_csv([("t", high)]))
             for threshold in (0.1, 0.5, 0.9):
-                l_low = binarize(t_low, threshold).get("t")
-                l_high = binarize(t_high, threshold).get("t")
+                l_low = table_row(binarize(t_low, threshold), "t")
+                l_high = table_row(binarize(t_high, threshold), "t")
                 assert np.all(l_high >= l_low)

@@ -37,6 +37,7 @@ from helpers import (
     oracle_rankdata,
     random_report_inputs,
     rec,
+    records_of,
 )
 
 
@@ -401,6 +402,12 @@ class TestBootstrapSE:
         with pytest.raises(ValueError):
             bootstrap_se([1.0], b=10, seed=0)
 
+    @pytest.mark.parametrize("b", [-1, 0, 1])
+    def test_requires_two_resamples(self, b):
+        # one resample has no spread to measure: std(ddof=1) would be nan
+        with pytest.raises(ValueError, match="at least 2 resamples"):
+            bootstrap_se([0.1, 0.4, 0.9], b=b, seed=0)
+
     @pytest.mark.parametrize("n", [2, 3, 7, 257])
     def test_chunk_budget_does_not_change_se(self, monkeypatch, n):
         values = np.random.default_rng(n).random(n)
@@ -574,8 +581,9 @@ class TestDailySeries:
     def test_daily_mean_confidence_matches_loop_oracle_bitwise(self):
         corpus, table = random_report_inputs(seed=31)
         for name in ("vote_for", "economy", "amusement"):
-            expected = oracle_daily_mean_confidence(table, corpus.records, name)
-            assert daily_mean_confidence(table, corpus.records, name) == expected
+            records = records_of(corpus)
+            expected = oracle_daily_mean_confidence(table, records, name)
+            assert daily_mean_confidence(table, records, name) == expected
         assert daily_mean_confidence(table, [], "vote_for") == []
 
 
