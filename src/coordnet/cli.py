@@ -232,7 +232,6 @@ def cmd_report(args, config) -> int:
     from coordnet import sociolinguistics as sl
 
     # Checked before anything is read, so a bad value leaves no partial bundle.
-    _at_least(args.bootstrap, 2, "--bootstrap")
     _at_least(args.top_clusters, 0, "--top-clusters")
     corpus = load_cache(args.cache)
     if not args.edges:
@@ -265,7 +264,6 @@ def cmd_report(args, config) -> int:
                 "story_hashtags": sorted(t.lower().lstrip("#") for t in story),
                 "duplicate_scope": duplicate_scope,
                 "binarize_threshold": threshold,
-                "bootstrap_b": args.bootstrap,
                 "top_clusters": args.top_clusters,
             },
         ),
@@ -273,6 +271,7 @@ def cmd_report(args, config) -> int:
     manifest.add_input("cache", args.cache)
     if args.confidences:
         manifest.add_input("confidences", args.confidences)
+        manifest.counts["confidence_missing_values"] = table.missing_values
 
     summary = reportmod.write_report_bundle(
         corpus,
@@ -281,7 +280,6 @@ def cmd_report(args, config) -> int:
         args.outdir,
         story_hashtags=story,
         seed=args.seed,
-        bootstrap_b=args.bootstrap,
         binarize_threshold=threshold,
         duplicate_scope=duplicate_scope,
         top_clusters=args.top_clusters,
@@ -424,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--story-hashtags", help="comma list of story hashtags")
     p.add_argument("--duplicate-scope", choices=("account", "corpus"))
     p.add_argument("--binarize-threshold", type=float)
-    p.add_argument("--bootstrap", type=int, default=1000, help="bootstrap resamples")
     p.add_argument("--top-clusters", type=int, default=5)
     _add_detector_flags(p)
     p.set_defaults(func=cmd_report)

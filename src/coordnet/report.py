@@ -171,23 +171,17 @@ def write_cluster_deltas(
     clusters,
     coordinated: set[str],
     path: Path,
-    bootstrap_b: int,
-    seed: int,
     top_clusters: int,
 ) -> None:
     scopes = _scope_masks(cols, clusters, coordinated, top_clusters)
     baseline = table.rows_at(cols.distinct_rows(~scopes[0][1]))
     rows = []
-    baseline_se = None
+    baseline_se = stats.mean_ses(baseline) if len(baseline) else None
     for scope_name, mask in scopes:
         cluster = table.rows_at(cols.distinct_rows(mask))
         if not len(cluster) or not len(baseline):
             continue
-        if baseline_se is None:
-            baseline_se = stats.column_ses(baseline, bootstrap_b, seed, 1)
-        deltas = stats.column_deltas(
-            cluster, baseline, b=bootstrap_b, seed=seed, baseline_se=baseline_se
-        )
+        deltas = stats.column_deltas(cluster, baseline, baseline_se=baseline_se)
         for name, d in zip(sl.CHARACTERISTICS, deltas):
             rows.append((scope_name, name, d["delta"], d["se"], d["p"]))
     _write_csv(path, ("cluster", "characteristic", "delta", "se", "p"), rows)
@@ -322,7 +316,6 @@ def write_report_bundle(
     *,
     story_hashtags=(),
     seed: int = 0,
-    bootstrap_b: int = 1000,
     binarize_threshold: float = 0.5,
     duplicate_scope: str = "account",
     top_clusters: int = 5,
@@ -410,8 +403,6 @@ def write_report_bundle(
             clusters,
             coordinated,
             emit("deltas.csv"),
-            bootstrap_b,
-            seed,
             top_clusters,
         )
         rates = write_binarized_rates(

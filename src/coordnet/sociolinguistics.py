@@ -8,7 +8,9 @@ pipeline run end-to-end without model inference). All values live in
 
 from __future__ import annotations
 
+import csv
 import re
+from array import array
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
@@ -147,45 +149,80 @@ def load_confidences(source) -> CharacteristicTable:
         if missing:
             raise TableError(f"missing columns: {', '.join(missing)}")
 
+        # Each row parses in bulk with float(); a row float() refuses (an
+        # empty cell, a non-number) goes through _parse_cells, the per-cell
+        # loop that counts empties and words every error. Values stay in
+        # file column order until the end, so the first out-of-range cell
+        # in row-major order is the one that loop would have named first.
+        width = len(columns) + 1
         tweet_ids: list[str] = []
-        rows: list[list[float]] = []
         seen_ids: set[str] = set()
+        flat = array("d")
+        line_nos = array("q")
         missing_values = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns) + 1:
-                raise TableError(
-                    f"row {line_no}: expected {len(columns) + 1} fields, got {len(row)}"
-                )
-            tid = row[0]
-            if tid in seen_ids:
-                raise TableError(f"row {line_no}: duplicate tweet_id {tid!r}")
-            seen_ids.add(tid)
-            values = [0.0] * N_CHARACTERISTICS
-            for col_name, cell in zip(columns, row[1:]):
-                if cell.strip() == "":
-                    missing_values += 1
+        try:
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
                     continue
+                if len(row) != width:
+                    raise TableError(f"row {line_no}: expected {width} fields, got {len(row)}")
+                tid = row[0]
+                if tid in seen_ids:
+                    raise TableError(f"row {line_no}: duplicate tweet_id {tid!r}")
+                seen_ids.add(tid)
                 try:
-                    v = float(cell)
+                    values = list(map(float, row[1:]))
                 except ValueError:
-                    raise TableError(
-                        f"row {line_no}, column {col_name}: not a number: {cell!r}"
-                    ) from None
-                if not 0.0 <= v <= 1.0:
-                    raise TableError(f"row {line_no}, column {col_name}: value {v} outside [0, 1]")
-                values[_COLUMN_INDEX[col_name]] = v
-            tweet_ids.append(tid)
-            rows.append(values)
-        matrix = (
-            np.array(rows, dtype=np.float64)
-            if rows
-            else np.empty((0, N_CHARACTERISTICS), dtype=np.float64)
+                    values, empty = _parse_cells(line_no, columns, row[1:])
+                    missing_values += empty
+                tweet_ids.append(tid)
+                flat.extend(values)
+                line_nos.append(line_no)
+        except (ValueError, csv.Error):
+            # whatever stops the read at this row, an out-of-range value
+            # in an earlier row is the error the file shows first
+            _check_range(flat, line_nos, columns)
+            raise
+        _check_range(flat, line_nos, columns)
+    order = [columns.index(name) for name in CHARACTERISTICS]
+    matrix = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(columns)).take(order, axis=1)
+    table = CharacteristicTable(tweet_ids, matrix, provenance="external")
+    table.missing_values = missing_values
+    return table
+
+
+def _parse_cells(line_no: int, columns: list[str], cells: list[str]) -> tuple[list[float], int]:
+    """One row's cells as floats in file column order, with an empty
+    cell as 0.0, and the number of empty cells; TableError at the first
+    cell that is not a number or lies outside [0, 1]."""
+    values = []
+    empty = 0
+    for col_name, cell in zip(columns, cells):
+        if cell.strip() == "":
+            empty += 1
+            values.append(0.0)
+            continue
+        try:
+            v = float(cell)
+        except ValueError:
+            raise TableError(f"row {line_no}, column {col_name}: not a number: {cell!r}") from None
+        if not 0.0 <= v <= 1.0:
+            raise TableError(f"row {line_no}, column {col_name}: value {v} outside [0, 1]")
+        values.append(v)
+    return values, empty
+
+
+def _check_range(flat: array, line_nos: array, columns: list[str]) -> None:
+    """TableError naming the first value of flat (rows of len(columns)
+    values in file column order) outside [0, 1], nan included."""
+    values = np.frombuffer(flat, dtype=np.float64)
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        k = int(bad.argmax())
+        row, col = divmod(k, len(columns))
+        raise TableError(
+            f"row {line_nos[row]}, column {columns[col]}: value {float(values[k])} outside [0, 1]"
         )
-        table = CharacteristicTable(tweet_ids, matrix, provenance="external")
-        table.missing_values = missing_values
-        return table
 
 
 def write_confidences(table: CharacteristicTable, fp) -> None:
@@ -215,16 +252,30 @@ class Lexicon:
         self.entries = entries
         self._compiled = [
             (
-                _COLUMN_INDEX[e.characteristic],
-                re.compile(r"(?<!\w)" + re.escape(e.phrase) + r"(?!\w)"),
-                e.weight,
                 e.language,
+                _COLUMN_INDEX[e.characteristic],
+                e.phrase,
+                re.compile(r"(?<!\w)" + re.escape(e.phrase) + r"(?!\w)").findall,
+                e.weight,
             )
             for e in entries
         ]
+        self._by_language: dict[str, list] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def matchers(self, language: str) -> list[tuple]:
+        """(column, phrase, findall, weight) of every entry that applies
+        to a tweet tagged language, in entry order."""
+        found = self._by_language.get(language)
+        if found is None:
+            found = self._by_language[language] = [
+                matcher
+                for entry_language, *matcher in self._compiled
+                if entry_language is None or entry_language == language
+            ]
+        return found
 
 
 def load_lexicon(source) -> Lexicon:
@@ -272,10 +323,12 @@ def _score_text(text: str, language: str, lexicon: Lexicon) -> np.ndarray:
     """
     text = normalize_text(text, strip_punct_nonascii=False)
     miss = np.ones(N_CHARACTERISTICS, dtype=np.float64)
-    for col, pattern, weight, entry_language in lexicon._compiled:
-        if entry_language is not None and entry_language != language:
+    for col, phrase, findall, weight in lexicon.matchers(language):
+        # A match is the phrase itself (the pattern only adds lookarounds),
+        # so a phrase absent from the text has none.
+        if phrase not in text:
             continue
-        hits = len(pattern.findall(text))
+        hits = len(findall(text))
         if hits:
             miss[col] *= (1.0 - weight) ** hits
     return 1.0 - miss

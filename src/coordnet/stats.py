@@ -1,8 +1,7 @@
 """Statistics kernel: rank correlation, rank-sum tests, AUC, resampling.
 
 Everything here is deterministic. Seeded procedures use numpy's PCG64
-generator with explicit 64-bit seeds; per-column resampling seeds are
-derived through SeedSequence so results never depend on scheduling.
+generator with explicit 64-bit seeds.
 """
 
 from __future__ import annotations
@@ -366,31 +365,41 @@ def cohens_kappa(annotations: Sequence[Sequence[int | None]]) -> StatResult:
 # ---------------------------------------------------------------------------
 
 
-def column_ses(values: np.ndarray, b: int, seed: int, side: int) -> list[float]:
-    """Bootstrap SE of each column's mean; 0.0 for every column of a
-    single row. Column j resamples from seed (seed, j, side)."""
+def mean_ses(values: np.ndarray) -> list[float]:
+    """Ideal bootstrap SE of each column's mean: the limit of the
+    Monte-Carlo bootstrap_se as b grows, sqrt(sum((x - mean)**2)) / n
+    (Efron & Tibshirani, An Introduction to the Bootstrap, 1993). Exact,
+    O(n) and draw-free.
+
+    A column whose values are all equal, one row included, gives exactly
+    0.0; x - x.mean() alone leaves ~1e-17 for a column of 0.1s.
+    """
     values = np.asarray(values, dtype=np.float64)
-    if len(values) < 2:
-        return [0.0] * values.shape[1]
-    return [bootstrap_se(values[:, j], b, (seed, j, side)) for j in range(values.shape[1])]
+    n = len(values)
+    out = []
+    for j in range(values.shape[1]):
+        x = values[:, j]
+        if x.min() == x.max():
+            out.append(0.0)
+            continue
+        d = x - x.mean()
+        out.append(math.sqrt(float((d * d).sum())) / n)
+    return out
 
 
 def column_deltas(
     cluster_values: np.ndarray,
     baseline_values: np.ndarray,
-    b: int = 1000,
-    seed: int = 0,
+    *,
     baseline_se: Sequence[float] | None = None,
 ) -> list[dict]:
     """Per-column mean difference of cluster vs baseline matrices.
 
     Returns one dict per column with delta (mean difference), se (the
-    two bootstrap SEs combined in quadrature), and the two-sided
-    Mann-Whitney p for the column samples. Column resampling seeds are
-    derived from (seed, column, side), side 0 for the cluster and 1 for
-    the baseline, so results are order-independent. baseline_se, when
-    given, is column_ses(baseline_values, b, seed, 1) computed once by a
-    caller comparing many clusters against one baseline.
+    two sides' mean_ses combined in quadrature), and the two-sided
+    Mann-Whitney p for the column samples. baseline_se, when given, is
+    mean_ses(baseline_values) computed once by a caller comparing many
+    clusters against one baseline.
     """
     cluster_values = np.asarray(cluster_values, dtype=np.float64)
     baseline_values = np.asarray(baseline_values, dtype=np.float64)
@@ -399,8 +408,8 @@ def column_deltas(
     if cluster_values.shape[1] != baseline_values.shape[1]:
         raise ValueError("column count mismatch")
     if baseline_se is None:
-        baseline_se = column_ses(baseline_values, b, seed, 1)
-    cluster_se = column_ses(cluster_values, b, seed, 0)
+        baseline_se = mean_ses(baseline_values)
+    cluster_se = mean_ses(cluster_values)
     out = []
     for j in range(cluster_values.shape[1]):
         cl = cluster_values[:, j]

@@ -205,6 +205,17 @@ def oracle_daily_mean_confidence(table, tweets, characteristic):
     )
 
 
+def oracle_mean_se(values) -> float:
+    """Ideal bootstrap SE of the mean in two passes over one contiguous
+    column: sqrt(sum((x - mean)**2)) / n, and 0.0 when every value
+    equals the first."""
+    x = np.array(values, dtype=np.float64)
+    if all(v == x[0] for v in x.tolist()):
+        return 0.0
+    mean = x.sum() / len(x)
+    return math.sqrt(float(((x - mean) ** 2).sum())) / len(x)
+
+
 def random_report_inputs(seed, n_records=400, n_accounts=40):
     """A seeded corpus and confidence table with the shapes the report's
     array paths must handle: duplicate tweet_ids (also across accounts),

@@ -365,8 +365,6 @@ def test_criterion_5_ratio_fixtures(tmp_path):
                 str(conf_path),
                 "--story-hashtags",
                 "storyx",
-                "--bootstrap",
-                "25",
             ]
         )
         == 0
@@ -467,8 +465,6 @@ def run_pipeline(source, workdir, threads):
                 str(conf),
                 "--story-hashtags",
                 "r00,r01",
-                "--bootstrap",
-                "200",
             ]
         )
         == 0

@@ -311,8 +311,7 @@ def _stage_codes(cache: Path, edges_dir: Path, out: Path) -> list[int]:
         main(["detect", str(cache), "-o", str(out / "det")]),
         main(["cluster", str(cache), str(edges_dir), "-o", str(out / "clusters.csv")]),
         main(["score", str(cache), "-o", str(out / "conf.csv")]),
-        main(["report", str(cache), "-o", str(out / "bundle"), "--edges", str(edges_dir),
-              "--bootstrap", "20"]),
+        main(["report", str(cache), "-o", str(out / "bundle"), "--edges", str(edges_dir)]),
     ]
 
 

@@ -574,7 +574,7 @@ def test_carriage_return_ids_pass_every_stage(tmp_path):
     assert load_confidences(conf).tweet_ids == ["t\r1", "t2", "t3"]
     bundle = tmp_path / "bundle"
     argv = ["report", str(cache), "-o", str(bundle), "--edges", str(det)]
-    assert main(argv + ["--confidences", str(conf), "--bootstrap", "10"]) == 0
+    assert main(argv + ["--confidences", str(conf)]) == 0
     with open(bundle / "duplicate_shares.csv", encoding="utf-8", newline="") as fp:
         assert [row[0] for row in csv.reader(fp)] == ["account_id", "a\rb", "c\rd", "plain"]
 
@@ -649,6 +649,8 @@ class TestClusterScoreReport:
         manifest = json.loads((bundle / "manifest.json").read_text())
         assert summary["manifest_digest"] == manifest["digest"]
         assert "summary.json" in manifest["artifacts"]
+        assert manifest["counts"]["confidence_missing_values"] == 0
+        assert "bootstrap_b" not in manifest["config"]
 
         # partial run: no confidences -> sections omitted, exit 0, notice
         partial = tmp_path / "partial"
@@ -660,6 +662,24 @@ class TestClusterScoreReport:
         summary2 = json.loads((partial / "summary.json").read_text())
         assert summary2["sociolinguistics"] is None
         assert "notice" in summary2
+        counts = json.loads((partial / "manifest.json").read_text())["counts"]
+        assert "confidence_missing_values" not in counts
+
+    def test_report_manifest_counts_empty_confidence_cells(self, tmp_path, detect_run):
+        cache, det_out = detect_run
+        conf, bundle = tmp_path / "conf.csv", tmp_path / "bundle"
+        assert main(["score", str(cache), "-o", str(conf)]) == 0
+        lines = conf.read_text().splitlines()
+        for i in (1, 2):
+            cells = lines[i].split(",")
+            cells[1] = cells[3] = ""
+            lines[i] = ",".join(cells)
+        conf.write_text("\n".join(lines) + "\n")
+        argv = ["report", str(cache), "-o", str(bundle), "--edges", str(det_out),
+                "--confidences", str(conf)]
+        assert main(argv) == 0
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert manifest["counts"]["confidence_missing_values"] == 4
 
     def test_report_with_no_flagged_accounts(self, tmp_path, small_corpus_file):
         cache = tmp_path / "cache.jsonl"
@@ -703,18 +723,6 @@ class TestClusterScoreReport:
         cache, _ = detect_run
         assert main(["report", str(cache), "-o", str(tmp_path / "b")]) == 1
         assert "--edges" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("b", ["-1", "0", "1"])
-    def test_report_rejects_fewer_than_two_resamples(self, tmp_path, detect_run, capsys, b):
-        # with b < 2, deltas.csv would get a nan se (or numpy's own error)
-        cache, det_out = detect_run
-        conf, bundle = tmp_path / "conf.csv", tmp_path / "b"
-        assert main(["score", str(cache), "-o", str(conf)]) == 0
-        argv = ["report", str(cache), "-o", str(bundle), "--edges", str(det_out),
-                "--confidences", str(conf), "--bootstrap", b]
-        assert main(argv) == 1
-        assert f"--bootstrap must be at least 2, got {b}" in capsys.readouterr().err
-        assert not bundle.exists()
 
     def test_report_rejects_negative_top_clusters(self, tmp_path, detect_run, capsys):
         # clusters[:-1] would silently drop the last cluster

@@ -2,8 +2,8 @@
 
 The oracles rebuild each artifact the way the report did before it
 worked on per-record arrays: one tweet list per scope, one table row
-lookup per tweet, one day string per tweet, and both bootstrap sides drawn for
-every scope. The files must match byte for byte.
+lookup per tweet, one day string per tweet, and both SE sides computed for
+every scope by a two-pass oracle. The files must match byte for byte.
 """
 
 import math
@@ -19,13 +19,12 @@ from coordnet.graph import Cluster
 from helpers import (
     has_row,
     oracle_daily_mean_confidence,
+    oracle_mean_se,
     random_report_inputs,
     records_of,
     table_row,
 )
 
-SEED = 7
-B = 60
 TOP = 3
 
 
@@ -52,10 +51,12 @@ def oracle_deltas(corpus, table, clusters, coordinated):
         ids = oracle_tweet_ids(corpus, set(members), member=True)
         if not ids:
             continue
-        for col, d in zip(sl.CHARACTERISTICS, stats.column_deltas(
-            oracle_rows(table, ids), baseline, b=B, seed=SEED
-        )):
-            rows.append((name, col, d["delta"], d["se"], d["p"]))
+        cluster = oracle_rows(table, ids)
+        for j, col in enumerate(sl.CHARACTERISTICS):
+            cl, bl = cluster[:, j], baseline[:, j]
+            se = math.hypot(oracle_mean_se(cl), oracle_mean_se(bl))
+            p = stats.mann_whitney_u(cl, bl, method="normal").p_value
+            rows.append((name, col, float(cl.mean() - bl.mean()), se, p))
     return ("cluster", "characteristic", "delta", "se", "p"), rows
 
 
@@ -110,7 +111,7 @@ def inputs():
     clusters = [
         Cluster(1, {"a1", "a2", "a3", "a4"}),
         Cluster(2, {"a5", "a6"}),
-        Cluster(3, {"solo"}),  # one tweet: its SE is 0.0, drawn from nothing
+        Cluster(3, {"solo"}),  # one tweet: its SE is 0.0
         Cluster(4, {"a7", "a8"}),  # beyond TOP: counts only as coordinated
     ]
     coordinated = set().union(*(c.members for c in clusters))
@@ -137,25 +138,28 @@ def test_cluster_deltas_match_oracle(tmp_path, inputs):
     corpus, table, clusters, coordinated = inputs
     path = tmp_path / "deltas.csv"
     cols = report.RecordColumns(corpus, table)
-    report.write_cluster_deltas(cols, table, clusters, coordinated, path, B, SEED, TOP)
+    report.write_cluster_deltas(cols, table, clusters, coordinated, path, TOP)
     _same_file(tmp_path, path, *oracle_deltas(corpus, table, clusters, coordinated))
-    solo = [line for line in path.read_text().splitlines() if line.startswith("3,")]
+    solo = [line.split(",") for line in path.read_text().splitlines() if line.startswith("3,")]
     assert len(solo) == sl.N_CHARACTERISTICS
+    # the one-tweet side is exactly 0.0, so each SE is the baseline's alone
+    baseline = table.rows_at(cols.distinct_rows(~cols.accounts_mask(coordinated)))
+    assert [float(se) for *_, se, _ in solo] == stats.mean_ses(baseline)
 
 
-def test_baseline_bootstrapped_once_per_column(tmp_path, inputs, monkeypatch):
+def test_cluster_deltas_draw_no_resamples(tmp_path, inputs, monkeypatch):
     corpus, table, clusters, coordinated = inputs
-    calls = []
-    real = stats.bootstrap_se
-    monkeypatch.setattr(stats, "bootstrap_se", lambda *a, **k: calls.append(a[2]) or real(*a, **k))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report drew bootstrap resamples")
+
+    monkeypatch.setattr(stats, "bootstrap_se", refuse)
+    monkeypatch.setattr(stats, "make_rng", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
     cols = report.RecordColumns(corpus, table)
-    report.write_cluster_deltas(
-        cols, table, clusters, coordinated, tmp_path / "deltas.csv", B, SEED, TOP
-    )
-    # scopes: all_coordinated, clusters 1 and 2 with several tweets each,
-    # cluster 3 with one tweet (no draws)
-    assert len(calls) == sl.N_CHARACTERISTICS * (1 + 3)
-    assert sum(1 for seed in calls if seed[2] == 1) == sl.N_CHARACTERISTICS
+    path = tmp_path / "deltas.csv"
+    report.write_cluster_deltas(cols, table, clusters, coordinated, path, TOP)
+    assert len(path.read_text().splitlines()) == 1 + sl.N_CHARACTERISTICS * (1 + TOP)
 
 
 def test_binarized_rates_match_oracle(tmp_path, inputs):

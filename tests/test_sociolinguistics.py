@@ -1,11 +1,16 @@
 """Characteristic registry, confidence tables, lexicon scoring."""
 
+import csv
 import io
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coordnet.corpus import normalize_text
 from coordnet.sociolinguistics import (
     ATTITUDES,
     CHARACTERISTICS,
@@ -147,6 +152,113 @@ class TestLoadConfidences:
         assert np.array_equal(again.matrix, matrix)
 
 
+def oracle_load_confidences(text):
+    """(tweet_ids, matrix, missing_values) or the TableError message, by
+    one float() per cell in file order, the loop load_confidences
+    replaces with a bulk parse."""
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    columns = [canonical_name(c) for c in next(reader)[1:]]
+    ids, rows, seen, missing = [], [], set(), 0
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(columns) + 1:
+            return f"row {line_no}: expected {len(columns) + 1} fields, got {len(row)}"
+        if row[0] in seen:
+            return f"row {line_no}: duplicate tweet_id {row[0]!r}"
+        seen.add(row[0])
+        values = [0.0] * N_CHARACTERISTICS
+        for name, cell in zip(columns, row[1:]):
+            if cell.strip() == "":
+                missing += 1
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                return f"row {line_no}, column {name}: not a number: {cell!r}"
+            if not 0.0 <= v <= 1.0:
+                return f"row {line_no}, column {name}: value {v} outside [0, 1]"
+            values[characteristic_index(name)] = v
+        ids.append(row[0])
+        rows.append(values)
+    return ids, np.array(rows, dtype=np.float64).reshape(-1, N_CHARACTERISTICS), missing
+
+
+def load_or_message(text):
+    try:
+        table = load_confidences(io.StringIO(text, newline=""))
+    except TableError as exc:
+        return str(exc)
+    return table.tweet_ids, table.matrix, table.missing_values
+
+
+def assert_same_load(text):
+    got, want = load_or_message(text), oracle_load_confidences(text)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, tuple), got
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1].shape == want[1].shape and got[1].flags["C_CONTIGUOUS"]
+        assert got[1].tobytes() == want[1].tobytes()  # -0.0 stays -0.0
+
+
+# cells float() reads with a twist, cells it refuses, and out-of-range ones
+CELLS = ["0.25", "1", "0", "1_0", " 0.5 ", "", "  ", "nan", "inf", "-inf", "-0.0",
+         "1e-1", "1.5", "-0.1", "abc", "0x1", "\u2003"]
+IN_RANGE = ["0.25", "1", "0", " 0.5 ", "-0.0", "1e-1", "0.75"]
+
+
+def conf_text(columns, rows):
+    lines = ["tweet_id," + ",".join(columns)]
+    lines += [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestLoadConfidencesBulk:
+    def test_named_cells_match_per_cell_oracle(self):
+        columns = list(CHARACTERISTICS)
+        rnd = random.Random(9)
+        clean = [f"t{i}" for i in range(4)]
+
+        def row(tid, cells):
+            return [tid] + cells + [rnd.choice(IN_RANGE) for _ in range(N_CHARACTERISTICS - len(cells))]
+
+        for cell in CELLS:
+            # the cell alone in a row, then the same cell after clean rows
+            # and before a row holding another error
+            assert_same_load(conf_text(columns, [row("t0", [cell])]))
+            rows = [row(t, []) for t in clean] + [row("x", ["0.5", cell]), row("y", ["abc"])]
+            assert_same_load(conf_text(columns, rows))
+        # several error kinds on several rows: the first in file order wins
+        rows = [row("a", ["1_0"]), row("b", ["", "nan"]), row("c", ["abc"])]
+        assert_same_load(conf_text(columns, rows))
+        rows = [row("a", ["0.5", "inf"]), row("a", [])]
+        assert_same_load(conf_text(columns, rows))
+        rows = [row("a", ["0.5", "1.5"]), ["b", "0.5"]]
+        assert_same_load(conf_text(columns, rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.permutations(list(CHARACTERISTICS)),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"]),
+                st.lists(st.sampled_from(CELLS + IN_RANGE * 4), min_size=N_CHARACTERISTICS,
+                         max_size=N_CHARACTERISTICS),
+                st.sampled_from([0, 0, 0, 0, 0, 0, -1, 1]),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_random_files_match_per_cell_oracle(self, columns, rows):
+        lines = []
+        for tid, cells, width in rows:
+            cells = cells[: len(cells) + width] if width < 0 else cells + ["0"] * width
+            lines.append([tid] + cells)
+        assert_same_load(conf_text(columns, lines))
+
+
 class TestLexiconScore:
     def test_no_match_all_zero(self):
         lex = Lexicon([LexiconEntry("economy", "taxes", 0.8)])
@@ -214,6 +326,76 @@ class TestLexiconScore:
         records = [rec(1, "a", text="taxes"), rec(1, "a", text="taxes")]
         table = score_corpus(corpus_of(*records), builtin_lexicon())
         assert table.tweet_ids == ["1"]
+
+
+def oracle_score_text(text, language, lexicon):
+    """_score_text without the substring prefilter: every applicable
+    entry runs its pattern."""
+    text = normalize_text(text, strip_punct_nonascii=False)
+    miss = np.ones(N_CHARACTERISTICS, dtype=np.float64)
+    for e in lexicon.entries:
+        if e.language is not None and e.language != language:
+            continue
+        hits = len(re.findall(r"(?<!\w)" + re.escape(e.phrase) + r"(?!\w)", text))
+        if hits:
+            miss[characteristic_index(e.characteristic)] *= (1.0 - e.weight) ** hits
+    return 1.0 - miss
+
+
+PREFILTER_LEXICON = Lexicon(
+    [
+        LexiconEntry("economy", "tax", 0.5),
+        LexiconEntry("economy", "taxes", 0.3, language="en"),
+        LexiconEntry("economy", "impôt", 0.4, language="fr"),
+        LexiconEntry("democracy", "vote", 0.6),
+        LexiconEntry("democracy", "vote for", 0.2),
+        LexiconEntry("democracy", "a.b", 0.7),
+        LexiconEntry("democracy", "c++", 0.35),
+        LexiconEntry("misinformation", "(fake)", 0.45),
+        LexiconEntry("misinformation", "fake", 0.15, language="en"),
+        LexiconEntry("religion", "église", 0.25, language="fr"),
+        LexiconEntry("religion", "é", 0.05),
+        LexiconEntry("optimism_hope", "naïve", 0.65),
+        LexiconEntry("optimism_hope", "x|y", 0.55),
+        LexiconEntry("optimism_hope", "$5", 0.3),
+    ]
+)
+# every phrase, with neighbours that hold it inside a longer word or
+# satisfy its regex metacharacters without being it
+TOKENS = [e.phrase for e in PREFILTER_LEXICON.entries] + [
+    "taxes", "taxation", "surtax", "voters", "devote", "aXb", "a-b", "c+", "c+++",
+    "fake)", "(fake", "FAKE", "églises", "ée", "e\u0301", "naive", "NAÏVE", "x", "y", "xy",
+    "$", "55", "#tax", "@vote", "https://t.co/tax", "Impôts", "IMPÔT",
+]
+
+
+class TestScorerPrefilter:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(TOKENS), st.sampled_from([" ", "", "-", ".", "_", "\n", "é"])),
+            max_size=12,
+        ),
+        st.sampled_from(["en", "fr", "und", "de"]),
+    )
+    def test_same_bits_as_without_prefilter(self, parts, language):
+        text = "".join(token + sep for token, sep in parts)
+        for lexicon in (PREFILTER_LEXICON, builtin_lexicon()):
+            got = _score_text(text, language, lexicon)
+            assert got.tobytes() == oracle_score_text(text, language, lexicon).tobytes()
+
+    def test_examples_hit_the_tricky_shapes(self):
+        cases = {
+            ("a.b and aXb", "und"): ("democracy", 0.7),
+            ("c++ c+", "und"): ("democracy", 0.35),
+            ("surtax taxation", "und"): ("economy", 0.0),
+            ("église églises", "fr"): ("religion", 0.25),
+            ("église", "en"): ("religion", 0.0),
+        }
+        for (text, language), (name, expected) in cases.items():
+            got = _score_text(text, language, PREFILTER_LEXICON)
+            assert got.tobytes() == oracle_score_text(text, language, PREFILTER_LEXICON).tobytes()
+            assert got[characteristic_index(name)] == pytest.approx(expected)
 
 
 class TestBinarize:

@@ -24,6 +24,7 @@ from coordnet.stats import (
     kappa_from_table,
     language_mix,
     mann_whitney_u,
+    mean_ses,
     rankdata,
     reshuffle_eval,
     roc_auc,
@@ -34,6 +35,7 @@ from coordnet import stats
 from helpers import (
     corpus_of,
     oracle_daily_mean_confidence,
+    oracle_mean_se,
     oracle_rankdata,
     random_report_inputs,
     rec,
@@ -497,33 +499,70 @@ class TestKappa:
 # ---------------------------------------------------------------------------
 
 
+class TestMeanSes:
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000, 4099])
+    def test_matches_two_pass_oracle_bitwise(self, n):
+        rnd = np.random.default_rng(n)
+        matrix = np.column_stack(
+            [rnd.random(n), rnd.choice([0.0, 0.25, 1.0], n), rnd.random(n) ** 8]
+        )
+        got = mean_ses(matrix)
+        assert got == [oracle_mean_se(matrix[:, j]) for j in range(3)]
+        assert all(se > 0.0 for se in got)
+
+    def test_one_row_is_zero(self):
+        assert mean_ses(np.array([[0.3, 0.0, 1.0]])) == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 333, 1000])
+    def test_equal_values_give_exact_zero(self, n):
+        values = (0.1, 0.7, 1 / 3)
+        matrix = np.tile(values, (n, 1))
+        # centring alone leaves ~1e-17 here: x - x.mean() is not all zeros
+        assert mean_ses(matrix) == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("seed,n", [(1, 5), (2, 40), (3, 300)])
+    def test_monte_carlo_bootstrap_converges_to_it(self, seed, n):
+        # bootstrap_se is the sd of b resample means, whose relative
+        # Monte-Carlo error is about 1/sqrt(2b) = 0.5 % at b = 20,000;
+        # 3 % is six of those
+        values = np.random.default_rng(seed).random(n)
+        exact = mean_ses(values[:, None])[0]
+        mc = bootstrap_se(values, b=20_000, seed=seed)
+        assert abs(mc - exact) / exact < 0.03
+
+
 class TestColumnDeltas:
     def test_same_sample_zero_delta_high_p(self):
         base = np.array([[0.2], [0.4], [0.6], [0.8], [0.5], [0.3]])
-        out = column_deltas(base, base.copy(), b=200, seed=0)
+        out = column_deltas(base, base.copy())
         assert out[0]["delta"] == 0.0
         assert out[0]["p"] > 0.9
+        assert out[0]["se"] == math.hypot(oracle_mean_se(base[:, 0]), oracle_mean_se(base[:, 0]))
 
     def test_extreme_separation(self):
         cl = np.ones((30, 2))
         bl = np.zeros((40, 2))
-        out = column_deltas(cl, bl, b=200, seed=0)
+        out = column_deltas(cl, bl)
         for col in out:
             assert col["delta"] == 1.0
             assert col["p"] < 1e-9
             assert col["se"] == 0.0
 
-    def test_seed_and_column_order_stable(self):
+    def test_column_order_stable(self):
         rnd = np.random.default_rng(3)
         cl = rnd.random((20, 3))
         bl = rnd.random((25, 3))
-        a = column_deltas(cl, bl, b=300, seed=11)
-        b = column_deltas(cl, bl, b=300, seed=11)
-        assert a == b
-        # delta is non-random; SE streams are derived per column index
-        single = column_deltas(cl[:, 1:2], bl[:, 1:2], b=300, seed=11)
-        assert single[0]["delta"] == a[1]["delta"]
-        assert single[0]["se"] != a[1]["se"]
+        a = column_deltas(cl, bl)
+        assert a == column_deltas(cl, bl)
+        # each column's result depends on that column alone
+        single = column_deltas(cl[:, 1:2], bl[:, 1:2])
+        assert single == [a[1]]
+
+    def test_baseline_se_given_once(self):
+        rnd = np.random.default_rng(4)
+        cl = rnd.random((9, 4))
+        bl = rnd.random((50, 4))
+        assert column_deltas(cl, bl, baseline_se=mean_ses(bl)) == column_deltas(cl, bl)
 
 
 MAY_1_2017 = 17287  # days since 1970-01-01
