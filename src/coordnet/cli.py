@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from coordnet import __version__
@@ -28,7 +28,9 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
 
-_CONFIG_KEYS = {f.name: f.type for f in fields(DetectorConfig)}
+# DetectorConfig field -> the type of its default, for the config file
+# and the flags alike
+_DETECTOR_TYPES = {f.name: type(f.default) for f in fields(DetectorConfig)}
 
 
 def load_config_file(path) -> dict:
@@ -45,9 +47,9 @@ def load_config_file(path) -> dict:
             key = key.strip()
             value = value.strip()
             try:
-                if key in ("hashtag_k", "retweet_min", "time_bin_minutes", "time_min"):
-                    out[key] = int(value)
-                elif key in ("retweet_top_frac", "time_threshold", "binarize_threshold"):
+                if key in _DETECTOR_TYPES:
+                    out[key] = _DETECTOR_TYPES[key](value)
+                elif key == "binarize_threshold":
                     out[key] = float(value)
                 elif key == "story_hashtags":
                     out[key] = [t.strip() for t in value.split(",") if t.strip()]
@@ -61,15 +63,12 @@ def load_config_file(path) -> dict:
 
 
 def detector_config(config: dict, args) -> DetectorConfig:
-    cfg = DetectorConfig()
-    overrides = {k: v for k, v in config.items() if k in _CONFIG_KEYS}
-    for name in _CONFIG_KEYS:
+    overrides = {k: v for k, v in config.items() if k in _DETECTOR_TYPES}
+    for name in _DETECTOR_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    return DetectorConfig(**overrides)
 
 
 def _at_least(value: int, low: int, flag: str) -> None:
@@ -370,8 +369,8 @@ def cmd_stats(args, config) -> int:
 def _add_detector_flags(p: argparse.ArgumentParser) -> None:
     """One --flag per DetectorConfig field, typed like its default; a flag
     overrides the config file."""
-    for f in fields(DetectorConfig):
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), dest=f.name)
+    for name, type_ in _DETECTOR_TYPES.items():
+        p.add_argument(f"--{name.replace('_', '-')}", type=type_, dest=name)
 
 
 def build_parser() -> argparse.ArgumentParser:

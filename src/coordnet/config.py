@@ -13,7 +13,8 @@ DETECTORS = ("hashtag", "retweet", "time")
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Tunable thresholds for the three detectors."""
+    """Tunable thresholds for the three detectors; an instance out of
+    range cannot be built (ValueError)."""
 
     hashtag_k: int = 5
     retweet_top_frac: float = 0.005
@@ -22,7 +23,7 @@ class DetectorConfig:
     time_threshold: float = 0.99
     time_min: int = 10
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.hashtag_k < 2:
             raise ValueError("hashtag_k must be >= 2")
         if not 0.0 < self.retweet_top_frac < 1.0:

@@ -266,8 +266,12 @@ class Corpus:
         self.mentions: list[tuple[str, ...]] = []
 
     def _appender(self) -> Callable:
-        """An emit for _validate_record that appends one row. Repeated
-        language tags and retweeted account ids share one string."""
+        """An emit for _validate_record that appends one row, or raises
+        RecordError for a tweet_id an earlier row holds: the first
+        record of a tweet_id is the one kept. Repeated language tags and
+        retweeted account ids share one string."""
+        claimed: set[str] = set()
+        claim = claimed.add
         code_of, names = self.code_of, self.account_ids
         share = {}.setdefault
         add_tweet, add_account = self.tweet_ids.append, self.account_codes.append
@@ -281,6 +285,9 @@ class Corpus:
             tweet_id, account_id, timestamp, kind, text, hashtags, language,
             rt_tweet, rt_account, mentions,
         ):
+            if tweet_id in claimed:
+                raise RecordError("duplicate_tweet_id", f"duplicate tweet_id {tweet_id!r}")
+            claim(tweet_id)
             code = code_of.get(account_id)
             if code is None:
                 code = code_of[account_id] = len(names)
@@ -375,10 +382,13 @@ def parse_corpus(source, strict: bool = False) -> Corpus:
     """Parse a JSONL stream (path, file object, or iterable of lines).
 
     Each line is validated straight into the columns; lines stream
-    through, so only the corpus itself is held. Blank lines are
-    ignored. Lenient mode (the default) skips malformed lines and
-    reports the count via Corpus.skipped; strict mode aborts on the
-    first one with its line number.
+    through, so only the corpus and a set of its tweet ids are held.
+    Blank lines are ignored. The first record of a tweet_id is kept; a
+    later line with that id is rejected as duplicate_tweet_id, and a
+    line claims its id only once it passes every other check. Lenient
+    mode (the default) skips rejected lines and reports the count via
+    Corpus.skipped; strict mode aborts on the first one with its line
+    number.
     """
     corpus = Corpus()
     append = corpus._appender()
@@ -477,10 +487,15 @@ def _decode_block(line: bytes) -> dict:
     raise ValueError(f"a cache block is a JSON object with keys {', '.join(sorted(_BLOCK_KEYS))}")
 
 
-def _extend(corpus: Corpus, block: dict, share: Callable) -> None:
-    """Check one decoded block in bulk and append its rows to corpus."""
+def _extend(corpus: Corpus, block: dict, share: Callable, claimed: set) -> None:
+    """Check one decoded block in bulk and append its rows to corpus;
+    claimed holds the tweet ids of the blocks before it."""
     tweet_ids = _ids(block, "tweet_ids")
     rows = len(tweet_ids)
+    known = len(claimed)
+    claimed.update(tweet_ids)
+    if len(claimed) != known + rows:
+        raise ValueError("tweet_ids repeats a tweet id")
     accounts = _ids(block, "accounts")
     codes = _column(block, "account_codes", (int,), rows)
     timestamps = _column(block, "timestamps", (int,), rows)
@@ -530,17 +545,18 @@ def load_cache(path) -> Corpus:
     types (a bool is not an int), non-empty ids, account codes within
     the account table and in order of first use, timestamps in years
     1-9999, valid kind codes, retweeted_tweet_id on retweets and only
-    there, lowercase hashtags, distinct account ids, strict UTF-8 and no
-    surrogate escapes. Any other content raises CorpusError naming the
-    file and the line.
+    there, lowercase hashtags, distinct account ids, distinct tweet ids
+    across the whole file, strict UTF-8 and no surrogate escapes. Any
+    other content raises CorpusError naming the file and the line.
     """
     corpus = Corpus()
     # Repeated language tags and retweeted account ids share one string.
     share = {}.setdefault
+    claimed: set[str] = set()
     with open(path, "rb") as fp:
         for line_no, line in enumerate(fp, start=1):
             try:
-                _extend(corpus, _decode_block(line), share)
+                _extend(corpus, _decode_block(line), share, claimed)
             except ValueError as exc:
                 raise CorpusError(str(exc), line_no=line_no, source=path) from None
     return corpus

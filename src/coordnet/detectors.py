@@ -163,7 +163,6 @@ def detect_hashtag_coordination(
     corpus: Corpus, cfg: DetectorConfig = DetectorConfig()
 ) -> EdgeTable:
     """Edges between accounts sharing an original-tweet hashtag k-gram."""
-    cfg.validate()
     names = corpus.account_ids
     posts = (
         (names[code], tags)
@@ -189,7 +188,6 @@ def build_account_vectors(
     tweets of any kind; terms are timestamp // (time_bin_minutes * 60).
     Document frequencies count included accounts only.
     """
-    cfg.validate()
     if term not in ("retweeted_id", "time_bin"):
         raise ValueError(f"unknown term kind: {term!r}")
 
@@ -414,7 +412,6 @@ def detect_retweet_coordination(
     given, receives docs_retweet, candidates_retweet and retweet_k (the
     cutoff's rank among the candidates).
     """
-    cfg.validate()
     vectors = build_account_vectors(corpus, "retweeted_id", cfg)
     top = TopFraction(cfg.retweet_top_frac)
     keys, sims, accounts = candidate_pair_similarities(vectors, top)
@@ -430,7 +427,6 @@ def detect_time_coordination(
     """Flag candidate pairs whose time-bin cosine strictly exceeds the
     configured threshold. counts, when given, receives docs_time and
     candidates_time."""
-    cfg.validate()
     vectors = build_account_vectors(corpus, "time_bin", cfg)
     above = AboveThreshold(cfg.time_threshold)
     keys, sims, accounts = candidate_pair_similarities(vectors, above)

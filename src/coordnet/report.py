@@ -122,22 +122,14 @@ def write_matrix(matrix, path: Path) -> None:
 
 class RecordColumns:
     """Per-record arrays the socio-linguistic sections share, built once
-    per report: the UTC day code, the author's account code, the
-    confidence-table row (-1 where the tweet has none) and the index of
-    the first record with the same tweet_id."""
+    per report: the UTC day code, the author's account code and the
+    confidence-table row (-1 where the tweet has none)."""
 
     def __init__(self, corpus: Corpus, table: sl.CharacteristicTable):
-        tweet_ids = corpus.tweet_ids
         self.code_of = corpus.code_of
         self.day = np.asarray(corpus.timestamps, dtype=np.int64) // SECONDS_PER_DAY
         self.account = np.asarray(corpus.account_codes, dtype=np.int64)
-        self.row = table.row_indices(tweet_ids)
-        first: dict[str, int] = {}
-        self.tweet = np.fromiter(
-            (first.setdefault(tid, i) for i, tid in enumerate(tweet_ids)),
-            dtype=np.int64,
-            count=len(tweet_ids),
-        )
+        self.row = table.row_indices(corpus.tweet_ids)
 
     def accounts_mask(self, accounts) -> np.ndarray:
         """True for the records of the given accounts."""
@@ -145,16 +137,9 @@ class RecordColumns:
         member[[self.code_of[a] for a in accounts if a in self.code_of]] = True
         return member[self.account]
 
-    def distinct_rows(self, mask: np.ndarray) -> np.ndarray:
-        """Table rows of the distinct tweets among the masked records, in
-        order of their first masked record."""
-        picked = np.flatnonzero(mask)
-        _, first = np.unique(self.tweet[picked], return_index=True)
-        return self.row[picked[np.sort(first)]]
-
     def missing_tweets(self) -> int:
-        """Distinct tweets of the corpus that have no table row."""
-        return int(np.unique(self.tweet[self.row < 0]).size)
+        """Corpus tweets without a confidence row."""
+        return int((self.row < 0).sum())
 
 
 def _scope_masks(cols: RecordColumns, clusters, coordinated: set[str], top_clusters: int):
@@ -166,19 +151,15 @@ def _scope_masks(cols: RecordColumns, clusters, coordinated: set[str], top_clust
 
 
 def write_cluster_deltas(
-    cols: RecordColumns,
-    table: sl.CharacteristicTable,
-    clusters,
-    coordinated: set[str],
-    path: Path,
-    top_clusters: int,
+    cols: RecordColumns, table: sl.CharacteristicTable, scopes, path: Path
 ) -> None:
-    scopes = _scope_masks(cols, clusters, coordinated, top_clusters)
-    baseline = table.rows_at(cols.distinct_rows(~scopes[0][1]))
+    """Per scope of _scope_masks, each characteristic's mean confidence
+    minus the baseline's (records outside the first scope)."""
+    baseline = table.rows_at(cols.row[~scopes[0][1]])
     rows = []
     baseline_se = stats.mean_ses(baseline) if len(baseline) else None
     for scope_name, mask in scopes:
-        cluster = table.rows_at(cols.distinct_rows(mask))
+        cluster = table.rows_at(cols.row[mask])
         if not len(cluster) or not len(baseline):
             continue
         deltas = stats.column_deltas(cluster, baseline, baseline_se=baseline_se)
@@ -188,21 +169,16 @@ def write_cluster_deltas(
 
 
 def write_binarized_rates(
-    cols: RecordColumns,
-    table: sl.CharacteristicTable,
-    coordinated: set[str],
-    path: Path,
-    threshold: float,
+    cols: RecordColumns, labels: np.ndarray, coord_mask: np.ndarray, path: Path
 ) -> dict:
-    labels = sl.binarize(table, threshold)
-    coord_mask = cols.accounts_mask(coordinated)
-    coord = labels.rows_at(cols.distinct_rows(coord_mask))
-    base = labels.rows_at(cols.distinct_rows(~coord_mask))
+    """Per characteristic, the share of label 1 among coordinated and
+    baseline records; labels is sl.binarize's matrix."""
+    coord_rows, base_rows = cols.row[coord_mask], cols.row[~coord_mask]
     rows = []
     rates = {}
     for j, name in enumerate(sl.CHARACTERISTICS):
-        c = float(coord[:, j].mean()) if len(coord) else None
-        b = float(base[:, j].mean()) if len(base) else None
+        c = float(_record_column(labels, coord_rows, j).mean()) if len(coord_rows) else None
+        b = float(_record_column(labels, base_rows, j).mean()) if len(base_rows) else None
         delta = (c - b) if c is not None and b is not None else None
         rows.append((name, c, b, delta))
         rates[name] = {"coordinated": c, "baseline": b, "delta": delta}
@@ -219,15 +195,9 @@ def _record_column(matrix: np.ndarray, rows: np.ndarray, j: int) -> np.ndarray:
 
 
 def write_daily_confidence(
-    cols: RecordColumns,
-    table: sl.CharacteristicTable,
-    clusters,
-    coordinated: set[str],
-    path: Path,
-    top_clusters: int,
+    cols: RecordColumns, table: sl.CharacteristicTable, scopes, path: Path
 ) -> None:
-    scopes = _scope_masks(cols, clusters, coordinated, top_clusters)
-    scopes.insert(1, (BASELINE_SCOPE, ~scopes[0][1]))
+    scopes = [scopes[0], (BASELINE_SCOPE, ~scopes[0][1]), *scopes[1:]]
     days = [cols.day[mask] for _, mask in scopes]
     series = {}
     for j, name in enumerate(sl.CHARACTERISTICS):
@@ -281,16 +251,16 @@ def story_share(corpus: Corpus, coordinated: set[str], story_hashtags) -> dict:
 
 
 def confidence_vs_binarized(
-    cols: RecordColumns, table: sl.CharacteristicTable, threshold: float
+    cols: RecordColumns, table: sl.CharacteristicTable, labels: np.ndarray
 ) -> dict:
-    """Spearman of daily mean confidence vs daily mean binarized label,
-    per characteristic, with the median over defined values."""
-    labels = sl.binarize(table, threshold)
+    """Spearman of daily mean confidence vs daily mean binarized label
+    (labels is sl.binarize's matrix), per characteristic, with the
+    median over defined values."""
     by_char = {}
     values = []
     for j, name in enumerate(sl.CHARACTERISTICS):
         conf = stats.daily_mean_series(cols.day, _record_column(table.matrix, cols.row, j))
-        binr = stats.daily_mean_series(cols.day, _record_column(labels.matrix, cols.row, j))
+        binr = stats.daily_mean_series(cols.day, _record_column(labels, cols.row, j))
         xs = []
         ys = []
         for (day, c), (_, b) in zip(conf, binr):
@@ -394,31 +364,20 @@ def write_report_bundle(
 
     if table is not None and len(table):
         cols = RecordColumns(corpus, table)
+        scopes = _scope_masks(cols, clusters, coordinated, top_clusters)
         rho, pval = correlation_matrices(table)
         write_matrix(rho, emit("correlations.csv"))
         write_matrix(pval, emit("correlation_pvalues.csv"))
-        write_cluster_deltas(
-            cols,
-            table,
-            clusters,
-            coordinated,
-            emit("deltas.csv"),
-            top_clusters,
-        )
-        rates = write_binarized_rates(
-            cols, table, coordinated, emit("binarized_rates.csv"), binarize_threshold
-        )
-        write_daily_confidence(
-            cols, table, clusters, coordinated, emit("daily_confidence.csv"), top_clusters
-        )
+        write_cluster_deltas(cols, table, scopes, emit("deltas.csv"))
+        labels = sl.binarize(table, binarize_threshold)
+        rates = write_binarized_rates(cols, labels, scopes[0][1], emit("binarized_rates.csv"))
+        write_daily_confidence(cols, table, scopes, emit("daily_confidence.csv"))
         summary["sociolinguistics"] = {
             "provenance": table.provenance,
             "rows": len(table),
             "missing_tweets": cols.missing_tweets(),
             "binarized_rates": rates,
-            "confidence_vs_binarized": confidence_vs_binarized(
-                cols, table, binarize_threshold
-            ),
+            "confidence_vs_binarized": confidence_vs_binarized(cols, table, labels),
         }
     else:
         summary["notice"] = "socio-linguistic sections omitted: no confidence table provided"

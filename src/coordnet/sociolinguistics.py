@@ -335,24 +335,18 @@ def _score_text(text: str, language: str, lexicon: Lexicon) -> np.ndarray:
 
 
 def score_corpus(corpus: Corpus, lexicon: Lexicon) -> CharacteristicTable:
-    """Score every distinct tweet_id in the corpus with the lexicon.
-
-    Rows are in corpus order of each tweet_id's first record.
-    """
-    first: dict[str, int] = {}
-    for i, tid in enumerate(corpus.tweet_ids):
-        first.setdefault(tid, i)
-    texts, languages = corpus.texts, corpus.languages
-    scores = [_score_text(texts[i], languages[i], lexicon) for i in first.values()]
+    """Score every record of the corpus with the lexicon, one row per
+    record in corpus order (ingest keeps one record per tweet_id)."""
+    scores = [_score_text(t, lang, lexicon) for t, lang in zip(corpus.texts, corpus.languages)]
     matrix = (
         np.vstack(scores) if scores else np.empty((0, N_CHARACTERISTICS), dtype=np.float64)
     )
-    return CharacteristicTable(list(first), matrix, provenance="lexicon")
+    return CharacteristicTable(corpus.tweet_ids, matrix, provenance="lexicon")
 
 
-def binarize(table: CharacteristicTable, threshold: float = 0.5) -> CharacteristicTable:
-    """Threshold confidences into 0/1 labels (label 1 iff value >= threshold)."""
+def binarize(table: CharacteristicTable, threshold: float = 0.5) -> np.ndarray:
+    """The table's confidences thresholded into a 0/1 label matrix, row
+    for row (label 1 iff value >= threshold)."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    labels = np.where(table.matrix >= threshold, 1.0, 0.0)
-    return CharacteristicTable(list(table.tweet_ids), labels, provenance=table.provenance)
+    return np.where(table.matrix >= threshold, 1.0, 0.0)

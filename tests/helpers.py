@@ -218,17 +218,15 @@ def oracle_mean_se(values) -> float:
 
 def random_report_inputs(seed, n_records=400, n_accounts=40):
     """A seeded corpus and confidence table with the shapes the report's
-    array paths must handle: duplicate tweet_ids (also across accounts),
-    tweets without a confidence row, tied confidences, instants before
-    1970 and days without tweets."""
+    array paths must handle: tweets without a confidence row, tied
+    confidences, instants before 1970 and days without tweets."""
     rnd = random.Random(seed)
     # 1969-12-25 .. 1970-01-09, with 1969-12-28 and 1970-01-03 left empty
     days = [d for d in range(-7, 9) if d not in (-4, 2)]
     records = []
     for i in range(n_records):
-        tid = f"t{rnd.randrange(i)}" if i and rnd.random() < 0.1 else f"t{i}"
         ts = rnd.choice(days) * 86_400 + rnd.randrange(86_400)
-        records.append(rec(tid, f"a{rnd.randrange(n_accounts)}", ts))
+        records.append(rec(f"t{i}", f"a{rnd.randrange(n_accounts)}", ts))
     # a one-tweet account, for a cluster scope with a single tweet
     records.append(rec("solo", "solo", 3 * 86_400))
     distinct = sorted({r.tweet_id for r in records})

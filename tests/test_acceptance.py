@@ -497,6 +497,25 @@ def test_criterion_6_pipeline_byte_determinism(tmp_path):
     ok(6, f"{len(snaps['a'])} files byte-identical across reruns and threads 1 vs 8")
 
 
+def test_later_copy_of_a_tweet_changes_nothing_after_ingest(tmp_path):
+    source = tmp_path / "fixture.jsonl"
+    thousand_tweet_fixture(source)
+    with_copy = tmp_path / "with_copy.jsonl"
+    # tweet 500 again, from a new account, with other text and hashtags
+    tags = ["r00", "r01", "r02", "r03", "r04"]
+    copy = rec(500, "dup-acct", BASE_TS, text="vote for taxes", hashtags=tags)
+    with_copy.write_text(source.read_text() + record_to_json(copy) + "\n")
+    plain = snapshot(run_pipeline(source, tmp_path / "plain", threads=1))
+    copied = snapshot(run_pipeline(with_copy, tmp_path / "copied", threads=1))
+    # the ingest manifest alone records the input and its skipped line
+    ingest = "cache.jsonl.manifest.json"
+    counts = json.loads(copied.pop(ingest))["counts"]
+    assert counts["skipped"] == counts["skipped_duplicate_tweet_id"] == 1
+    assert json.loads(plain.pop(ingest))["counts"]["records"] == counts["records"] == 1000
+    assert copied.keys() == plain.keys()
+    assert [k for k in plain if plain[k] != copied[k]] == []
+
+
 # ---------------------------------------------------------------------------
 # 7. Scale smoke test: the column path in bounded memory
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ load_cache reads back, with every check the per-record reload made."""
 
 import dataclasses
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -69,37 +70,51 @@ def _input_record(draw) -> dict:
     return obj
 
 
+def _tweet_id(line: str) -> str:
+    """The tweet_id ingest reads from a valid input line."""
+    return str(json.loads(line)["tweet_id"])
+
+
 @st.composite
 def _input_lines(draw) -> list[str]:
-    """0, 1, 7, CACHE_ROWS or CACHE_ROWS + 1 records cycled from a few
-    drawn ones. Every `stride` rows the accounts move on to new ids, so
-    accounts are also first seen in later blocks."""
+    """Lines cycled from a few drawn records until 0, 1, 7, CACHE_ROWS
+    or CACHE_ROWS + 1 distinct tweet ids are reached; a third of the
+    lines keep their record's tweet_id, so later ones repeat it. Every
+    `stride` lines the accounts move on to new ids, so accounts are also
+    first seen in later blocks."""
     templates = draw(st.lists(_input_record(), min_size=1, max_size=5))
     n = draw(st.sampled_from([0, 1, 7, CACHE_ROWS, CACHE_ROWS + 1]))
     stride = draw(st.sampled_from([1, 300, CACHE_ROWS + 1]))
     ascii_only = draw(st.booleans())
-    lines = []
-    for i in range(n):
+    lines, distinct = [], set()
+    for i in itertools.count():
+        if len(distinct) == n:
+            return lines
         obj = dict(templates[i % len(templates)])
         if i % 3:
             obj["tweet_id"] = f"{obj['tweet_id']}.{i}"
         if i >= stride:
             obj["account_id"] = f"{obj['account_id']}/{i // stride}"
         lines.append(json.dumps(obj, ensure_ascii=ascii_only) + "\n")
-    return lines
+        distinct.add(_tweet_id(lines[-1]))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(lines=_input_lines())
 def test_load_cache_equals_parse_corpus(lines):
+    # ingest keeps the first line of each tweet_id and skips the rest
+    kept = dict.fromkeys(map(_tweet_id, lines))
+    repeats = len(lines) - len(kept)
     with tempfile.TemporaryDirectory() as tmp:
         src, cache = Path(tmp) / "input.jsonl", Path(tmp) / "cache.jsonl"
         src.write_text("".join(lines), encoding="utf-8")
-        parsed = parse_corpus(src, strict=True)
+        parsed = parse_corpus(src)
         with open(cache, "w", encoding="utf-8") as fp:
             parsed.write_cache(fp)
         loaded = load_cache(cache)
-    assert len(loaded) == len(lines)
+    assert parsed.skip_reasons == ({"duplicate_tweet_id": repeats} if repeats else {})
+    assert parsed.tweet_ids == list(kept)
+    assert len(loaded) == len(kept)
     for name in COLUMNS:
         assert getattr(loaded, name) == getattr(parsed, name), name
     assert all(type(t) is tuple for t in loaded.hashtags + loaded.mentions)
@@ -211,6 +226,8 @@ MUTATIONS = {
     "tweet_ids-not-list": (1, _set("tweet_ids", "t1"), "tweet_ids must be a list"),
     "tweet_id-int": (1, _put("tweet_ids", 0, 1), "tweet_ids must hold only str"),
     "tweet_id-empty": (1, _put("tweet_ids", 2, ""), "tweet_ids holds an empty string"),
+    "tweet_id-repeated-in-block": (1, _put("tweet_ids", 2, "t1"), "repeats a tweet id"),
+    "tweet_id-repeated-across-blocks": (2, _put("tweet_ids", 1, "t2"), "repeats a tweet id"),
     "account-int": (1, _put("accounts", 0, 7), "accounts must hold only str"),
     "account-empty": (1, _put("accounts", 1, ""), "accounts holds an empty string"),
     "account-repeated-in-block": (1, _put("accounts", 1, "a"), "repeats an account id"),

@@ -87,6 +87,8 @@ class TestIngest:
             "bad_id": json.dumps(dict(ok, tweet_id=True)).encode(),
             "bad_timestamp": json.dumps(dict(ok, timestamp="someday")).encode(),
             "bad_list": json.dumps(dict(ok, hashtags="x")).encode(),
+            # every line above holds tweet_id "t" too, but fails first
+            "duplicate_tweet_id": json.dumps(dict(ok, account_id="b", text="x")).encode(),
         }
         src = tmp_path / "mixed.jsonl"
         src.write_bytes(b"\n".join([json.dumps(ok).encode(), *bad.values(), b""]))
@@ -133,6 +135,30 @@ class TestIngest:
         cache = tmp_path / "cache.jsonl"
         assert main(["--strict", "ingest", str(src), "-o", str(cache)]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_first_record_of_a_tweet_id_kept(self, tmp_path, capsys):
+        src = tmp_path / "dup.jsonl"
+        src.write_text(
+            jsonl_line(tweet_id="t", account_id="a", timestamp=0, kind="quote")  # malformed
+            + "\n" + jsonl_line(tweet_id="t", account_id="a", timestamp=0, kind="original")
+            + "\n" + jsonl_line(tweet_id="u", account_id="a", timestamp=0, kind="original")
+            + "\n" + jsonl_line(tweet_id="t", account_id="b", timestamp=9, kind="reply")
+            + "\n"
+        )
+        cache = tmp_path / "cache.jsonl"
+        assert main(["ingest", str(src), "-o", str(cache)]) == 0
+        assert "2 skipped" in capsys.readouterr().err
+        counts = json.loads((tmp_path / "cache.jsonl.manifest.json").read_text())["counts"]
+        assert counts["skipped_duplicate_tweet_id"] == 1 and counts["skipped_bad_kind"] == 1
+        corpus = load_cache(cache)
+        assert corpus.tweet_ids == ["t", "u"] and corpus.account_ids == ["a"]
+        assert main(["--strict", "ingest", str(src), "-o", str(cache)]) == 1
+        assert "line 1: kind must be one of" in capsys.readouterr().err
+        src.write_text("\n".join(src.read_text().splitlines()[1:]) + "\n")
+        assert main(["--strict", "--json-errors", "ingest", str(src), "-o", str(cache)]) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err_lines[0])["line"] == 3
+        assert err_lines[1] == "coordnet: error: line 3: duplicate tweet_id 't'"
 
     def test_json_errors(self, tmp_path, capsys):
         src = tmp_path / "mixed.jsonl"
@@ -321,7 +347,8 @@ class TestIngestProperty:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(lines=st.lists(_lines, min_size=1, max_size=6))
     def test_columns_match_per_line_path(self, lines):
-        # Oracle: parse_corpus on each line alone.
+        # Oracle: parse_corpus on each line alone, then the first valid
+        # record of a tweet_id is kept and a later one is a duplicate.
         with tempfile.TemporaryDirectory() as tmp:
             src = Path(tmp) / "input.jsonl"
             src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -331,9 +358,14 @@ class TestIngestProperty:
                     if not line.strip():
                         continue
                     try:
-                        records.append(parse_one(line))
+                        record = parse_one(line)
                     except CorpusError as exc:
                         errors.append(str(exc).replace("line 1:", f"line {line_no}:", 1))
+                        continue
+                    if record.tweet_id in {r.tweet_id for r in records}:
+                        errors.append(f"line {line_no}: duplicate tweet_id {record.tweet_id!r}")
+                    else:
+                        records.append(record)
             corpus = parse_corpus(src)
             assert (len(corpus), corpus.skipped) == (len(records), len(errors))
             columns = {

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -790,15 +791,17 @@ class TestDeterminism:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DetectorConfig(hashtag_k=1).validate()
-        with pytest.raises(ValueError):
-            DetectorConfig(retweet_top_frac=0.0).validate()
-        with pytest.raises(ValueError):
-            DetectorConfig(time_threshold=1.5).validate()
-        with pytest.raises(ValueError):
-            DetectorConfig(retweet_min=0).validate()
-        DetectorConfig().validate()
+        with pytest.raises(ValueError, match="hashtag_k must be >= 2"):
+            DetectorConfig(hashtag_k=1)
+        with pytest.raises(ValueError, match="retweet_top_frac"):
+            DetectorConfig(retweet_top_frac=0.0)
+        with pytest.raises(ValueError, match="time_threshold"):
+            DetectorConfig(time_threshold=1.5)
+        with pytest.raises(ValueError, match="eligibility minima"):
+            DetectorConfig(retweet_min=0)
+        with pytest.raises(ValueError, match="time_bin_minutes"):
+            replace(DetectorConfig(), time_bin_minutes=0)
+        DetectorConfig()
 
     def test_cutoff_nearest_rank(self):
         sims = np.array([0.9, 0.5, 0.7, 0.3])

@@ -29,13 +29,7 @@ TOP = 3
 
 
 def oracle_tweet_ids(corpus, accounts, member):
-    seen = set()
-    out = []
-    for rec in records_of(corpus):
-        if (rec.account_id in accounts) is member and rec.tweet_id not in seen:
-            seen.add(rec.tweet_id)
-            out.append(rec.tweet_id)
-    return out
+    return [r.tweet_id for r in records_of(corpus) if (r.account_id in accounts) is member]
 
 
 def oracle_rows(table, ids):
@@ -60,8 +54,13 @@ def oracle_deltas(corpus, table, clusters, coordinated):
     return ("cluster", "characteristic", "delta", "se", "p"), rows
 
 
+def label_table(table):
+    """The 0/1 labels of sl.binarize at 0.5 as a table with table's ids."""
+    return sl.CharacteristicTable(table.tweet_ids, sl.binarize(table, 0.5), table.provenance)
+
+
 def oracle_binarized(corpus, table, coordinated):
-    labels = sl.binarize(table, 0.5)
+    labels = label_table(table)
     coord = oracle_rows(labels, oracle_tweet_ids(corpus, coordinated, member=True))
     base = oracle_rows(labels, oracle_tweet_ids(corpus, coordinated, member=False))
     rows = []
@@ -89,7 +88,7 @@ def oracle_daily(corpus, table, clusters, coordinated):
 
 
 def oracle_confidence_vs_binarized(corpus, table):
-    labels = sl.binarize(table, 0.5)
+    labels = label_table(table)
     records = records_of(corpus)
     by_char = {}
     for name in sl.CHARACTERISTICS:
@@ -118,6 +117,10 @@ def inputs():
     return corpus, table, clusters, coordinated
 
 
+def scopes_of(cols, clusters, coordinated):
+    return report._scope_masks(cols, clusters, coordinated, TOP)
+
+
 def _same_file(tmp_path, produced, header, rows):
     expected = tmp_path / "expected.csv"
     report._write_csv(expected, header, rows)
@@ -128,7 +131,7 @@ def test_inputs_have_the_hard_shapes(inputs):
     corpus, table, _, _ = inputs
     records = records_of(corpus)
     ids = [r.tweet_id for r in records]
-    assert len(set(ids)) < len(ids)
+    assert len(set(ids)) == len(ids)  # ingest keeps one record per tweet_id
     assert any(not has_row(table, t) for t in ids)
     assert min(r.timestamp for r in records) < 0
     assert len({c for c in table.matrix[:, 0]}) < len(table)
@@ -138,12 +141,12 @@ def test_cluster_deltas_match_oracle(tmp_path, inputs):
     corpus, table, clusters, coordinated = inputs
     path = tmp_path / "deltas.csv"
     cols = report.RecordColumns(corpus, table)
-    report.write_cluster_deltas(cols, table, clusters, coordinated, path, TOP)
+    report.write_cluster_deltas(cols, table, scopes_of(cols, clusters, coordinated), path)
     _same_file(tmp_path, path, *oracle_deltas(corpus, table, clusters, coordinated))
     solo = [line.split(",") for line in path.read_text().splitlines() if line.startswith("3,")]
     assert len(solo) == sl.N_CHARACTERISTICS
     # the one-tweet side is exactly 0.0, so each SE is the baseline's alone
-    baseline = table.rows_at(cols.distinct_rows(~cols.accounts_mask(coordinated)))
+    baseline = table.rows_at(cols.row[~cols.accounts_mask(coordinated)])
     assert [float(se) for *_, se, _ in solo] == stats.mean_ses(baseline)
 
 
@@ -158,14 +161,16 @@ def test_cluster_deltas_draw_no_resamples(tmp_path, inputs, monkeypatch):
     monkeypatch.setattr(np.random, "Generator", refuse)
     cols = report.RecordColumns(corpus, table)
     path = tmp_path / "deltas.csv"
-    report.write_cluster_deltas(cols, table, clusters, coordinated, path, TOP)
+    report.write_cluster_deltas(cols, table, scopes_of(cols, clusters, coordinated), path)
     assert len(path.read_text().splitlines()) == 1 + sl.N_CHARACTERISTICS * (1 + TOP)
 
 
 def test_binarized_rates_match_oracle(tmp_path, inputs):
     corpus, table, _, coordinated = inputs
     path = tmp_path / "binarized_rates.csv"
-    report.write_binarized_rates(report.RecordColumns(corpus, table), table, coordinated, path, 0.5)
+    cols = report.RecordColumns(corpus, table)
+    labels = sl.binarize(table, 0.5)
+    report.write_binarized_rates(cols, labels, cols.accounts_mask(coordinated), path)
     _same_file(tmp_path, path, *oracle_binarized(corpus, table, coordinated))
 
 
@@ -173,7 +178,7 @@ def test_daily_confidence_matches_oracle(tmp_path, inputs):
     corpus, table, clusters, coordinated = inputs
     path = tmp_path / "daily_confidence.csv"
     cols = report.RecordColumns(corpus, table)
-    report.write_daily_confidence(cols, table, clusters, coordinated, path, TOP)
+    report.write_daily_confidence(cols, table, scopes_of(cols, clusters, coordinated), path)
     header, rows = oracle_daily(corpus, table, clusters, coordinated)
     assert any(mean is None for *_, mean in rows)  # the empty days stay empty
     _same_file(tmp_path, path, header, rows)
@@ -181,13 +186,14 @@ def test_daily_confidence_matches_oracle(tmp_path, inputs):
 
 def test_confidence_vs_binarized_matches_oracle(inputs):
     corpus, table, _, _ = inputs
-    got = report.confidence_vs_binarized(report.RecordColumns(corpus, table), table, 0.5)
+    cols = report.RecordColumns(corpus, table)
+    got = report.confidence_vs_binarized(cols, table, sl.binarize(table, 0.5))
     assert got == oracle_confidence_vs_binarized(corpus, table)
 
 
 def test_missing_tweets_counts_distinct_ids(inputs):
     corpus, table, _, _ = inputs
-    expected = len({r.tweet_id for r in records_of(corpus) if not has_row(table, r.tweet_id)})
+    expected = sum(not has_row(table, r.tweet_id) for r in records_of(corpus))
     assert report.RecordColumns(corpus, table).missing_tweets() == expected
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordnet.corpus import normalize_text
+from coordnet.corpus import normalize_text, parse_corpus
 from coordnet.sociolinguistics import (
     ATTITUDES,
     CHARACTERISTICS,
@@ -33,7 +33,7 @@ from coordnet.sociolinguistics import (
     write_confidences,
 )
 
-from helpers import corpus_of, rec, table_row
+from helpers import corpus_of, rec, record_to_json, table_row
 
 
 class TestRegistry:
@@ -323,9 +323,14 @@ class TestLexiconScore:
             load_lexicon(io.StringIO("characteristic,phrase,weight\nmoods,taxes,0.5\n"))
 
     def test_score_corpus_dedups_tweet_ids(self):
-        records = [rec(1, "a", text="taxes"), rec(1, "a", text="taxes")]
-        table = score_corpus(corpus_of(*records), builtin_lexicon())
-        assert table.tweet_ids == ["1"]
+        # ingest keeps the first record of a tweet_id; score rows follow the corpus
+        records = [rec(1, "a", text="taxes"), rec(2, "a"), rec(1, "b", text="hope")]
+        corpus = parse_corpus(map(record_to_json, records))
+        table = score_corpus(corpus, builtin_lexicon())
+        assert corpus.skip_reasons == {"duplicate_tweet_id": 1}
+        assert table.tweet_ids == ["1", "2"]
+        kept = score_corpus(corpus_of(*records[:2]), builtin_lexicon())
+        assert table.matrix.tobytes() == kept.matrix.tobytes()
 
 
 def oracle_score_text(text, language, lexicon):
@@ -403,8 +408,7 @@ class TestBinarize:
         table = load_confidences(
             conf_csv([("t0", [0.8] + [0.5] + [0.49] + [0.0] * (N_CHARACTERISTICS - 3))])
         )
-        labels = binarize(table, 0.5)
-        row = table_row(labels, "t0")
+        row = binarize(table, 0.5)[0]  # the label matrix, row for row
         assert row[0] == 1.0  # 0.8 -> 1
         assert row[1] == 1.0  # boundary: >= rule
         assert row[2] == 0.0  # 0.49 -> 0
@@ -424,6 +428,6 @@ class TestBinarize:
             t_low = load_confidences(conf_csv([("t", low)]))
             t_high = load_confidences(conf_csv([("t", high)]))
             for threshold in (0.1, 0.5, 0.9):
-                l_low = table_row(binarize(t_low, threshold), "t")
-                l_high = table_row(binarize(t_high, threshold), "t")
+                l_low = binarize(t_low, threshold)[0]
+                l_high = binarize(t_high, threshold)[0]
                 assert np.all(l_high >= l_low)
