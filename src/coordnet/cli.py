@@ -18,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from coordnet import __version__
-from coordnet.config import DETECTORS, DetectorConfig
+from coordnet.config import DETECTORS, DUPLICATE_SCOPES, DetectorConfig
 from coordnet.corpus import day_of_timestamp, load_cache, parse_corpus
 from coordnet.manifest import RunManifest
 from coordnet.sources import csv_reader
@@ -230,8 +230,18 @@ def cmd_report(args, config) -> int:
     from coordnet import report as reportmod
     from coordnet import sociolinguistics as sl
 
+    duplicate_scope = args.duplicate_scope or config.get("duplicate_scope", "account")
+    threshold = (
+        args.binarize_threshold
+        if args.binarize_threshold is not None
+        else config.get("binarize_threshold", 0.5)
+    )
     # Checked before anything is read, so a bad value leaves no partial bundle.
     _at_least(args.top_clusters, 0, "--top-clusters")
+    if duplicate_scope not in DUPLICATE_SCOPES:
+        scopes = ", ".join(DUPLICATE_SCOPES)
+        raise ValueError(f"duplicate_scope must be one of {scopes}, got {duplicate_scope!r}")
+    sl.check_threshold(threshold)
     corpus = load_cache(args.cache)
     if not args.edges:
         raise ValueError("missing input: --edges (edge CSV files or a detect output directory)")
@@ -245,12 +255,6 @@ def cmd_report(args, config) -> int:
         [t.strip() for t in args.story_hashtags.split(",") if t.strip()]
         if args.story_hashtags
         else config.get("story_hashtags", [])
-    )
-    duplicate_scope = args.duplicate_scope or config.get("duplicate_scope", "account")
-    threshold = (
-        args.binarize_threshold
-        if args.binarize_threshold is not None
-        else config.get("binarize_threshold", 0.5)
     )
 
     cfg = detector_config(config, args)
@@ -315,9 +319,23 @@ def _read_columns(path, names: list[str], aligned: bool = False) -> dict[str, li
     return out
 
 
+# The column flags each stats test reads.
+_STATS_FLAGS = {
+    "spearman": ("x", "y"),
+    "mannwhitney": ("a", "b"),
+    "auc": ("scores", "labels"),
+    "reshuffle": ("scores", "labels"),
+    "bootstrap": ("col",),
+    "kappa": ("cols",),
+}
+
+
 def cmd_stats(args, config) -> int:
     from coordnet import stats
 
+    missing = [f"--{flag}" for flag in _STATS_FLAGS[args.test] if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"stats {args.test} requires {' and '.join(missing)}")
     if args.test == "spearman":
         cols = _read_columns(args.csv, [args.x, args.y], aligned=True)
         result = stats.spearman(cols[args.x], cols[args.y])
@@ -419,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", nargs="+", help="edge CSV files or a detect output directory")
     p.add_argument("--confidences", help="confidence CSV (external or scored)")
     p.add_argument("--story-hashtags", help="comma list of story hashtags")
-    p.add_argument("--duplicate-scope", choices=("account", "corpus"))
+    p.add_argument("--duplicate-scope", choices=DUPLICATE_SCOPES)
     p.add_argument("--binarize-threshold", type=float)
     p.add_argument("--top-clusters", type=int, default=5)
     _add_detector_flags(p)

@@ -1,7 +1,8 @@
 """Detector names and thresholds.
 
 Kept apart from the detectors themselves, which need numpy, so the CLI
-can build its parser and run ingest without loading numpy.
+can build its parser, check its options and run ingest without loading
+numpy.
 """
 
 from __future__ import annotations
@@ -9,6 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 DETECTORS = ("hashtag", "retweet", "time")
+
+# How duplicate_shares counts a repeated text: within one account or
+# across the corpus.
+DUPLICATE_SCOPES = ("account", "corpus")
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 Input is UTF-8 line-delimited JSON, one record per line. Each line is
 validated and its fields are appended to a columnar Corpus: one column
-per field, account ids interned as integer codes, with a per-account
-index view derived on first use. A Corpus comes from one of two places:
-parse_corpus parses input, and the stages after ingest read the cache
-of column blocks that Corpus.write_cache writes and load_cache checks
-and loads. This module does not import numpy, so ingest never loads it.
+per field, account ids interned as integer codes. A Corpus comes from
+one of two places: parse_corpus parses input, and the stages after
+ingest read the cache of column blocks that Corpus.write_cache writes
+and load_cache checks and loads. This module does not import numpy, so
+ingest never loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import re
 from array import array
 from collections import Counter
 from datetime import datetime, timezone
-from functools import cached_property
 from itertools import chain, repeat
 from operator import is_not
 from types import NoneType
@@ -327,14 +326,6 @@ class Corpus:
         """Each row's UTC day as days since 1970-01-01 (floor division,
         so instants before 1970 fall on the right day)."""
         return [ts // SECONDS_PER_DAY for ts in self.timestamps]
-
-    @cached_property
-    def account_index(self) -> dict[str, list[int]]:
-        """Account id -> its rows, ascending; accounts in code order."""
-        rows: list[list[int]] = [[] for _ in self.account_ids]
-        for i, code in enumerate(self.account_codes):
-            rows[code].append(i)
-        return dict(zip(self.account_ids, rows))
 
     def accounts(self) -> list[str]:
         return sorted(self.account_ids)

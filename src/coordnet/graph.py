@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
+from coordnet.config import DUPLICATE_SCOPES
 from coordnet.corpus import (
     KINDS,
     ORIGINAL,
@@ -26,44 +26,13 @@ from coordnet.corpus import (
 from coordnet.detectors import EdgeTable
 
 
-class UnionFind:
-    """Disjoint sets over the codes 0..n-1: union by size, path halving."""
-
-    def __init__(self, n: int):
-        self._parent = list(range(n))
-        self._size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self._size[rx] < self._size[ry]:
-            rx, ry = ry, rx
-        self._parent[ry] = rx
-        self._size[rx] += self._size[ry]
-
-    def groups(self) -> list[list[int]]:
-        """The sets, each in ascending code order."""
-        by_root: dict[int, list[int]] = {}
-        for x in range(len(self._parent)):
-            by_root.setdefault(self.find(x), []).append(x)
-        return list(by_root.values())
-
-
 @dataclass
 class CoordinationGraph:
     """Undirected evidence graph over interned account codes.
 
-    names[i] is the account id of node i; every name is a node (an edge
-    endpoint or an extra node). (a[j], b[j]) are the distinct edges,
-    each once, in no particular order.
+    names[i] is the account id of node i; every name is an edge
+    endpoint. (a[j], b[j]) are the distinct edges, each once, in no
+    particular order.
     """
 
     names: list[str] = field(default_factory=list)
@@ -75,10 +44,8 @@ class CoordinationGraph:
         return set(self.names)
 
     @classmethod
-    def from_edges(
-        cls, *tables: EdgeTable, extra_nodes: Iterable[str] = ()
-    ) -> "CoordinationGraph":
-        """The graph of every row of the tables, plus extra_nodes.
+    def from_edges(cls, *tables: EdgeTable) -> "CoordinationGraph":
+        """The graph of every row of the tables.
 
         Each table's used account codes are mapped into one code space;
         detector, score and evidence do not matter to the components.
@@ -92,8 +59,6 @@ class CoordinationGraph:
                 remap[i] = codes.setdefault(table.accounts[i], len(codes))
             a_parts.append(remap[table.a])
             b_parts.append(remap[table.b])
-        for name in extra_nodes:
-            codes.setdefault(name, len(codes))
         a, b = np.concatenate(a_parts), np.concatenate(b_parts)
         # Distinct pairs by one sort of their keys: np.unique (numpy 2.4)
         # hashes int64 keys first, which is many times slower than this.
@@ -117,34 +82,47 @@ class Cluster:
 
 def connected_components(graph: CoordinationGraph) -> list[Cluster]:
     """Components sorted by size descending, ties by smallest member id;
-    cluster ids are assigned in that order starting at 1."""
-    uf = UnionFind(len(graph.names))
-    union = uf.union
-    for x, y in zip(graph.a.tolist(), graph.b.tolist()):
-        union(x, y)
-    names = graph.names
-    groups = [{names[x] for x in group} for group in uf.groups()]
-    groups.sort(key=lambda g: (-len(g), min(g)))
-    return [Cluster(id=i, members=g) for i, g in enumerate(groups, start=1)]
+    cluster ids are assigned in that order starting at 1.
 
-
-def label_cluster(cluster: Cluster, corpus: Corpus) -> str:
-    """Most frequent hashtag in members' original tweets; lexicographic
-    tie-break; empty string when members have no hashtags."""
-    counts: Counter[str] = Counter()
-    kinds, hashtags = corpus.kinds, corpus.hashtags
-    for account in cluster.members:
-        for i in corpus.account_index.get(account, ()):
-            if kinds[i] == ORIGINAL:
-                counts.update(hashtags[i])
-    if not counts:
-        return ""
-    return min(counts, key=lambda tag: (-counts[tag], tag))
+    Array connectivity after Shiloach and Vishkin: every node starts as
+    its own root; each round hooks the larger root of every edge to the
+    smaller one, then pointer jumping points every node at its root.
+    Roots only merge, so an edge inside one tree is done for good.
+    """
+    label = np.arange(len(graph.names), dtype=np.int64)
+    a, b = graph.a, graph.b
+    while True:
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not apart.any():
+            break
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    groups: dict[int, set[str]] = {}
+    for name, root in zip(graph.names, label.tolist()):
+        groups.setdefault(root, set()).add(name)
+    ordered = sorted(groups.values(), key=lambda g: (-len(g), min(g)))
+    return [Cluster(id=i, members=g) for i, g in enumerate(ordered, start=1)]
 
 
 def label_clusters(clusters: list[Cluster], corpus: Corpus) -> list[Cluster]:
-    for cluster in clusters:
-        cluster.label = label_cluster(cluster, corpus)
+    """Label each cluster with the most frequent hashtag of its members'
+    original tweets, in one pass over the corpus; lexicographic
+    tie-break; empty string when the members have no hashtags."""
+    index_of = {m: i for i, c in enumerate(clusters) for m in c.members}
+    cluster_of_code = [index_of.get(name) for name in corpus.account_ids]
+    counts: list[Counter[str]] = [Counter() for _ in clusters]
+    for code, kind, tags in zip(corpus.account_codes, corpus.kinds, corpus.hashtags):
+        i = cluster_of_code[code]
+        if i is not None and kind == ORIGINAL and tags:
+            counts[i].update(tags)
+    for cluster, tally in zip(clusters, counts):
+        cluster.label = min(tally, key=lambda tag: (-tally[tag], tag)) if tally else ""
     return clusters
 
 
@@ -238,9 +216,7 @@ def activity_shares(
 
 
 def duplicate_shares(
-    corpus: Corpus,
-    accounts: Iterable[str] | None = None,
-    scope: str = "account",
+    corpus: Corpus, scope: str = "account"
 ) -> dict[str, tuple[float | None, int]]:
     """Fraction of each account's original tweets that are duplicates.
 
@@ -249,16 +225,11 @@ def duplicate_shares(
     normalized text appears at least twice among all original tweets.
     Accounts with no originals report None.
     """
-    if scope not in ("account", "corpus"):
+    if scope not in DUPLICATE_SCOPES:
         raise ValueError(f"unknown duplicate scope: {scope!r}")
-    wanted = corpus.accounts() if accounts is None else sorted(set(accounts))
-    # Every account's originals count in corpus scope, only the wanted
-    # accounts' in account scope.
-    counted = None if scope == "corpus" else _members(corpus, set(wanted))
-
     texts_of: dict[int, list[str]] = {}
     for code, kind, text in zip(corpus.account_codes, corpus.kinds, corpus.texts):
-        if kind == ORIGINAL and (counted is None or counted[code]):
+        if kind == ORIGINAL:
             texts_of.setdefault(code, []).append(normalize_text(text))
     corpus_counts: Counter[str] = Counter()
     if scope == "corpus":
@@ -266,8 +237,8 @@ def duplicate_shares(
             corpus_counts.update(texts)
 
     out: dict[str, tuple[float | None, int]] = {}
-    for account in wanted:
-        texts = texts_of.get(corpus.code_of.get(account))
+    for account in corpus.accounts():
+        texts = texts_of.get(corpus.code_of[account])
         if not texts:
             out[account] = (None, 0)
             continue

@@ -65,7 +65,7 @@ def write_activity_shares(corpus: Corpus, coordinated: set[str], path: Path) -> 
 def write_duplicate_shares(
     corpus: Corpus, path: Path, scope: str
 ) -> dict[str, tuple[float | None, int]]:
-    shares = graphmod.duplicate_shares(corpus, None, scope)
+    shares = graphmod.duplicate_shares(corpus, scope)
     _write_csv(
         path,
         ("account_id", "share", "n_originals"),

@@ -12,6 +12,7 @@ import csv
 import re
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Iterable
 
@@ -64,6 +65,10 @@ N_CHARACTERISTICS = len(CHARACTERISTICS)
 
 assert N_CHARACTERISTICS == len(ATTITUDES) + len(CONCERNS) + len(EMOTIONS)
 
+# Confidence rows turned into Python objects at a time while writing,
+# which bounds the writer's memory above the table itself.
+_WRITE_ROWS = 4096
+
 
 def canonical_name(name: str) -> str:
     key = name.strip().lower()
@@ -93,10 +98,15 @@ class CharacteristicTable:
         self.matrix = matrix
         self.provenance = provenance
         self.missing_values = 0
-        self._row_of = {tid: i for i, tid in enumerate(tweet_ids)}
 
     def __len__(self) -> int:
         return len(self.tweet_ids)
+
+    @cached_property
+    def _row_of(self) -> dict[str, int]:
+        """tweet_id -> row, built on the first lookup (scoring never looks
+        a row up)."""
+        return {tid: i for i, tid in enumerate(self.tweet_ids)}
 
     def row_indices(self, tweet_ids: Iterable[str]) -> np.ndarray:
         """Row of each tweet in matrix; -1 where the table has none."""
@@ -115,9 +125,6 @@ class CharacteristicTable:
 
     def column_index(self, name: str) -> int:
         return characteristic_index(name)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.matrix[:, characteristic_index(name)]
 
 
 def load_confidences(source) -> CharacteristicTable:
@@ -228,8 +235,10 @@ def _check_range(flat: array, line_nos: array, columns: list[str]) -> None:
 def write_confidences(table: CharacteristicTable, fp) -> None:
     writer = csv_writer(fp, table.tweet_ids)
     writer.writerow(("tweet_id",) + CHARACTERISTICS)
-    for i, tid in enumerate(table.tweet_ids):
-        writer.writerow([tid] + [repr(float(v)) for v in table.matrix[i]])
+    for lo in range(0, len(table), _WRITE_ROWS):
+        ids = table.tweet_ids[lo : lo + _WRITE_ROWS]
+        rows = table.matrix[lo : lo + _WRITE_ROWS].tolist()
+        writer.writerows([tid, *map(repr, row)] for tid, row in zip(ids, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +353,14 @@ def score_corpus(corpus: Corpus, lexicon: Lexicon) -> CharacteristicTable:
     return CharacteristicTable(corpus.tweet_ids, matrix, provenance="lexicon")
 
 
+def check_threshold(threshold: float) -> None:
+    """ValueError unless 0 < threshold < 1 (nan is outside)."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"binarize threshold must be in (0, 1), got {threshold!r}")
+
+
 def binarize(table: CharacteristicTable, threshold: float = 0.5) -> np.ndarray:
     """The table's confidences thresholded into a 0/1 label matrix, row
     for row (label 1 iff value >= threshold)."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
+    check_threshold(threshold)
     return np.where(table.matrix >= threshold, 1.0, 0.0)

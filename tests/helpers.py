@@ -275,13 +275,11 @@ class UnionFind:
         return list(by_root.values())
 
 
-def oracle_components(edges, extra_nodes=()):
+def oracle_components(edges):
     """(cluster id, member set) per connected component of Edge tuples,
     by union-find over the account ids themselves: size descending, then
     smallest member, ids from 1."""
     uf = UnionFind()
-    for node in extra_nodes:
-        uf.add(node)
     for edge in sorted(set(edges), key=lambda e: (e.a, e.b, e.detector, e.evidence)):
         uf.add(edge.a)
         uf.add(edge.b)

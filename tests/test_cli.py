@@ -766,6 +766,34 @@ class TestClusterScoreReport:
         assert "--top-clusters must be at least 0, got -1" in capsys.readouterr().err
         assert not bundle.exists()
 
+    @pytest.mark.parametrize("confidences", [False, True])
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--binarize-threshold", "1.5"], None, "in (0, 1), got 1.5"),
+            (["--binarize-threshold", "nan"], None, "in (0, 1), got nan"),
+            ([], "binarize_threshold = 0\n", "in (0, 1), got 0.0"),
+            ([], "duplicate_scope = bogus\n", "one of account, corpus, got 'bogus'"),
+        ],
+    )
+    def test_report_rejects_bad_option_before_writing(
+        self, tmp_path, detect_run, capsys, confidences, flags, config, message
+    ):
+        cache, det_out = detect_run
+        argv = ["report", str(cache), "-o", str(tmp_path / "b"), "--edges", str(det_out), *flags]
+        if confidences:
+            conf = tmp_path / "conf.csv"
+            assert main(["score", str(cache), "-o", str(conf)]) == 0
+            argv += ["--confidences", str(conf)]
+        if config:
+            (tmp_path / "report.conf").write_text(config)
+            argv = ["--config", str(tmp_path / "report.conf")] + argv
+        (tmp_path / "b").mkdir()
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "b").iterdir()) == []
+
     def test_report_rejects_bad_confidences(self, tmp_path, detect_run, capsys):
         cache, det_out = detect_run
         bad = tmp_path / "bad_conf.csv"
@@ -920,6 +948,24 @@ class TestStatsCommand:
         path.write_text("\n".join(rows) + "\n")
         main(["stats", "kappa", "--csv", str(path), "--cols", "r1,r2"])
         assert json.loads(capsys.readouterr().out)["statistic"] == 0.4
+
+    @pytest.mark.parametrize(
+        "test, given, missing",
+        [
+            ("spearman", [], "--x and --y"),
+            ("spearman", ["--x", "x"], "--y"),
+            ("mannwhitney", [], "--a and --b"),
+            ("auc", [], "--scores and --labels"),
+            ("reshuffle", ["--labels", "x"], "--scores"),
+            ("bootstrap", [], "--col"),
+            ("kappa", [], "--cols"),
+        ],
+    )
+    def test_missing_column_flag_rejected(self, tmp_path, capsys, test, given, missing):
+        path = tmp_path / "data.csv"
+        path.write_text("x\n1\n")
+        assert main(["stats", test, "--csv", str(path), *given]) == 1
+        assert f"stats {test} requires {missing}" in capsys.readouterr().err
 
     def test_missing_column_rejected(self, tmp_path, capsys):
         path = tmp_path / "data.csv"

@@ -29,7 +29,7 @@ class TestParsing:
     def test_empty_stream(self):
         corpus = parse_corpus(io.StringIO(""))
         assert len(corpus) == 0
-        assert corpus.account_index == {}
+        assert corpus.account_ids == []
         assert corpus.day_codes() == []
 
     def test_lenient_skips_and_counts(self):
@@ -51,11 +51,12 @@ class TestParsing:
         assert "line 2" in str(err.value)
 
     def test_ten_record_fixture_indexes(self, ten_record_corpus):
-        assert len(ten_record_corpus.account_index) == 2
+        assert len(ten_record_corpus.account_ids) == 2
         assert len(set(ten_record_corpus.day_codes())) == 2
-        # each record lands in exactly one account bucket
-        assert sum(len(v) for v in ten_record_corpus.account_index.values()) == 10
-        assert len(ten_record_corpus.account_index["acct-a"]) == 5
+        # each record carries exactly one account code
+        codes = ten_record_corpus.account_codes
+        assert len(codes) == 10
+        assert codes.count(ten_record_corpus.code_of["acct-a"]) == 5
 
     def test_hashtags_lowercased_in_order(self):
         r = parse_one(VALID)

@@ -1,10 +1,11 @@
 """Clustering and activity analyses."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
-from coordnet import graph as graph_module
 from coordnet.detectors import EdgeTable
 from coordnet.graph import (
     Cluster,
@@ -12,7 +13,6 @@ from coordnet.graph import (
     activity_shares,
     connected_components,
     duplicate_shares,
-    label_cluster,
     label_clusters,
     retweet_interactions,
 )
@@ -40,11 +40,6 @@ class TestConnectedComponents:
         assert [c.members for c in clusters] == [{"a", "b", "c"}, {"d", "e"}]
         assert [c.id for c in clusters] == [1, 2]
         assert [c.size for c in clusters] == [3, 2]
-
-    def test_isolated_extra_nodes_become_singletons(self):
-        graph = CoordinationGraph.from_edges(table(edge("a", "b")), extra_nodes=["z"])
-        clusters = connected_components(graph)
-        assert [c.members for c in clusters] == [{"a", "b"}, {"z"}]
 
     def test_size_then_min_member_ordering(self):
         graph = CoordinationGraph.from_edges(
@@ -80,25 +75,31 @@ class TestConnectedComponents:
         groups = sorted(uf.groups(), key=lambda g: (-len(g), min(g)))
         assert groups == [{"a", "b", "c"}, {"e", "f"}, {"d"}]
 
-    def test_code_union_find_groups(self):
-        uf = graph_module.UnionFind(6)
-        uf.union(0, 1)
-        uf.union(2, 1)
-        uf.union(4, 5)
-        assert sorted(uf.groups()) == [[0, 1, 2], [3], [4, 5]]
 
-
-def assert_matches_oracle(tables, extra_nodes=()):
+def assert_matches_oracle(tables):
     """Components of the tables' graph equal the string union-find's:
     same members, same ids, same order."""
-    graph = CoordinationGraph.from_edges(
-        *(edge_table(t) for t in tables), extra_nodes=extra_nodes
-    )
+    graph = CoordinationGraph.from_edges(*(edge_table(t) for t in tables))
     got = [(c.id, c.members) for c in connected_components(graph)]
-    want = oracle_components([e for t in tables for e in t], extra_nodes)
+    want = oracle_components([e for t in tables for e in t])
     assert got == want
     assert graph.nodes == set().union(*(members for _, members in want))
     return graph
+
+
+def assert_codes_match_oracle(n, pairs):
+    """Components of the graph over nodes 0..n-1 with the given distinct
+    code pairs equal the string union-find's. Node i is named so that
+    name order differs from code order."""
+    names = [f"n{(7919 * i) % n:07d}" for i in range(n)] if n else []
+    graph = CoordinationGraph(
+        names=names,
+        a=np.array([x for x, _ in pairs], dtype=np.int64),
+        b=np.array([y for _, y in pairs], dtype=np.int64),
+    )
+    got = [(c.id, c.members) for c in connected_components(graph)]
+    assert got == oracle_components([edge(names[x], names[y]) for x, y in pairs])
+    return got
 
 
 class TestComponentsOracle:
@@ -115,8 +116,7 @@ class TestComponentsOracle:
                 x, y = rnd.sample(names, 2)
                 detector = rnd.choice(("hashtag", "retweet", "time"))
                 rnd.choice(tables).append(edge(x, y, detector, rnd.choice("kl")))
-            extra = rnd.sample(names, min(len(names), 5)) + [f"extra{seed}"]
-            assert_matches_oracle(tables, extra)
+            assert_matches_oracle(tables)
 
     def test_shuffled_path_50k(self):
         rnd = random.Random(50)
@@ -132,9 +132,36 @@ class TestComponentsOracle:
         graph = assert_matches_oracle([both, [edge("b", "a", "retweet")], [edge("c", "d")]])
         assert len(graph.a) == 2  # each distinct pair once
 
-    def test_extra_nodes(self):
-        assert_matches_oracle([[edge("a", "b")]], extra_nodes=["b", "z", "y"])
-        assert_matches_oracle([], extra_nodes=["q", "p"])
+    def test_empty_graph(self):
+        assert assert_matches_oracle([]).names == []
+        assert assert_codes_match_oracle(0, []) == []
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "alternating"])
+    def test_path_codes(self, order):
+        n = 5_000
+        codes = list(range(n))
+        if order == "descending":
+            codes.reverse()
+        elif order == "alternating":  # 0, n-1, 1, n-2, ...
+            codes = [x for pair in zip(codes, reversed(codes)) for x in pair][:n]
+        got = assert_codes_match_oracle(n, list(zip(codes, codes[1:])))
+        assert len(got) == 1
+
+    def test_star_centre_has_largest_code(self):
+        n = 2_000
+        got = assert_codes_match_oracle(n, [(leaf, n - 1) for leaf in range(n - 1)])
+        assert [len(members) for _, members in got] == [n]
+
+    def test_10k_two_node_components(self):
+        rnd = random.Random(10)
+        codes = list(range(20_000))
+        rnd.shuffle(codes)
+        got = assert_codes_match_oracle(20_000, list(zip(codes[::2], codes[1::2])))
+        assert [len(members) for _, members in got] == [2] * 10_000
+
+    def test_700_account_clique(self):
+        got = assert_codes_match_oracle(700, list(itertools.combinations(range(700), 2)))
+        assert [len(members) for _, members in got] == [700]
 
     def test_accounts_no_row_joins_are_not_nodes(self):
         # a vector detector's table lists every eligible account
@@ -149,6 +176,10 @@ class TestComponentsOracle:
         assert [c.members for c in clusters] == [{"a\x00", "c", "d"}, {"a", "b"}]
 
 
+def label_of(members, corpus):
+    return label_clusters([Cluster(id=1, members=set(members))], corpus)[0].label
+
+
 class TestLabelCluster:
     def test_most_frequent_hashtag(self):
         corpus = corpus_of(
@@ -156,32 +187,31 @@ class TestLabelCluster:
             rec(2, "a", hashtags=["lepen", "macron"]),
             rec(3, "b", hashtags=["lepen"]),
         )
-        cluster = Cluster(id=1, members={"a", "b"})
-        assert label_cluster(cluster, corpus) == "lepen"
+        assert label_of({"a", "b"}, corpus) == "lepen"
 
     def test_no_hashtags_empty_label(self):
         corpus = corpus_of(rec(1, "a"))
-        assert label_cluster(Cluster(id=1, members={"a"}), corpus) == ""
+        assert label_of({"a"}, corpus) == ""
 
     def test_tie_breaks_lexicographically(self):
         corpus = corpus_of(
             rec(1, "a", hashtags=["b", "a"]),
             rec(2, "a", hashtags=["a", "b"]),
         )
-        assert label_cluster(Cluster(id=1, members={"a"}), corpus) == "a"
+        assert label_of({"a"}, corpus) == "a"
 
     def test_retweets_excluded(self):
         corpus = corpus_of(
             rec(1, "a", hashtags=["x"]),
             rec(2, "a", kind="retweet", rt_id="9", hashtags=["y", "y", "y"]),
         )
-        assert label_cluster(Cluster(id=1, members={"a"}), corpus) == "x"
+        assert label_of({"a"}, corpus) == "x"
 
     def test_label_clusters_fills_all(self):
         corpus = corpus_of(rec(1, "a", hashtags=["t"]), rec(2, "b"))
-        clusters = [Cluster(1, {"a"}), Cluster(2, {"b"})]
+        clusters = [Cluster(1, {"a"}), Cluster(2, {"b"}), Cluster(3, {"not-in-corpus"})]
         labeled = label_clusters(clusters, corpus)
-        assert [c.label for c in labeled] == ["t", ""]
+        assert [c.label for c in labeled] == ["t", "", ""]
 
 
 class TestRetweetInteractions:
@@ -320,8 +350,3 @@ class TestDuplicateShares:
     def test_unknown_scope_rejected(self):
         with pytest.raises(ValueError):
             duplicate_shares(corpus_of(), scope="global")
-
-    def test_restricted_account_set(self):
-        corpus = corpus_of(rec(1, "a", text="x"), rec(2, "b", text="y"))
-        out = duplicate_shares(corpus, accounts={"a"})
-        assert set(out) == {"a"}

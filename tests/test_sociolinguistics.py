@@ -130,13 +130,19 @@ class TestLoadConfidences:
         assert np.array_equal(table.matrix, again.matrix)
         assert table.tweet_ids == again.tweet_ids
 
-    def test_round_trip_quoted_ids(self):
-        # the strict reader accepts every field the writer quotes
+    def test_round_trip_quoted_ids(self, monkeypatch):
+        # the strict reader accepts every field the writer quotes, and the
+        # writer's row blocks do not change the bytes
         ids = ['q"uote', '"', "a,b", "line\nbreak", " pad ", "é", ""]
         matrix = np.random.default_rng(5).random((len(ids), N_CHARACTERISTICS))
-        buf = io.StringIO(newline="")
-        write_confidences(CharacteristicTable(ids, matrix, "test"), buf)
-        again = load_confidences(io.StringIO(buf.getvalue(), newline=""))
+        written = set()
+        for block in (1, 3, 4096):
+            monkeypatch.setattr("coordnet.sociolinguistics._WRITE_ROWS", block)
+            buf = io.StringIO(newline="")
+            write_confidences(CharacteristicTable(ids, matrix, "test"), buf)
+            written.add(buf.getvalue())
+        assert len(written) == 1
+        again = load_confidences(io.StringIO(written.pop(), newline=""))
         assert again.tweet_ids == ids
         assert np.array_equal(again.matrix, matrix)
 
