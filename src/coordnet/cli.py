@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -300,6 +301,8 @@ def _read_columns(path, names: list[str], aligned: bool = False) -> dict[str, li
     aligned=True keeps columns row-aligned (a row with any empty named
     cell is dropped entirely), which paired tests require; otherwise
     empty cells are skipped per column (columns may differ in length).
+    A cell that is not a finite number (nan, inf, 1e309, text) is a
+    ValueError naming the file, line and column.
     """
     with csv_reader(path, csv.DictReader) as reader:
         missing = [n for n in names if n not in (reader.fieldnames or [])]
@@ -307,16 +310,24 @@ def _read_columns(path, names: list[str], aligned: bool = False) -> dict[str, li
             raise ValueError(f"missing columns in {path}: {', '.join(missing)}")
         out: dict[str, list[float]] = {n: [] for n in names}
         for row in reader:
-            cells = {n: row[n].strip() for n in names}
-            if aligned:
-                if all(cells.values()):
-                    for n in names:
-                        out[n].append(float(cells[n]))
-            else:
-                for n in names:
-                    if cells[n]:
-                        out[n].append(float(cells[n]))
+            # a short row leaves its missing cells None: empty, like ""
+            cells = {n: (row[n] or "").strip() for n in names}
+            if aligned and not all(cells.values()):
+                continue
+            for n in names:
+                if cells[n]:
+                    out[n].append(_finite_cell(cells[n], path, reader.line_num, n))
     return out
+
+
+def _finite_cell(cell: str, path, line: int, column: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}, line {line}, column {column!r}: {cell!r} is not a finite number")
+    return value
 
 
 # The column flags each stats test reads.
@@ -367,7 +378,11 @@ def cmd_stats(args, config) -> int:
             annotations: list[list[int | None]] = [[] for _ in names]
             for row in reader:
                 for i, n in enumerate(names):
-                    cell = row[n].strip()
+                    cell = (row[n] or "").strip()
+                    if cell not in ("", "0", "1"):
+                        raise ValueError(
+                            f"{args.csv}, line {reader.line_num}, column {n!r}: {cell!r} is not 0 or 1"
+                        )
                     annotations[i].append(int(cell) if cell else None)
         result = stats.cohens_kappa(annotations)
     else:  # pragma: no cover - argparse restricts choices

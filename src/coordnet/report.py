@@ -106,7 +106,8 @@ def correlation_matrices(table: sl.CharacteristicTable):
         for j in range(i + 1, n):
             if sq[i] == 0.0 or sq[j] == 0.0:
                 continue
-            r = max(-1.0, min(1.0, cov[i, j] / math.sqrt(sq[i] * sq[j])))
+            # float(): an np.float64 cell would be written as "np.float64(...)"
+            r = max(-1.0, min(1.0, float(cov[i, j]) / math.sqrt(sq[i] * sq[j])))
             rho[i][j] = rho[j][i] = r
             pval[i][j] = pval[j][i] = stats.t_approx_p(r, m)
     return rho, pval

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -174,35 +175,54 @@ class TestIngest:
 
 
 _IMPORT_PROBE = """
-import json, sys
+import contextlib, io, json, sys
 import coordnet.cli
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 print(json.dumps(scipy_modules()))
-codes = [coordnet.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, scipy_modules()]))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = coordnet.cli.main(argv)
+    print(json.dumps([argv[0], code, scipy_modules()]))
 """
 
+# lexicon phrases for every language, so each tweet scores on a few
+# characteristics and the confidence columns correlate
+_PHRASES = ("vote for", "vote against", "scandal", "economy", "terrorism", "religion", "taxes")
 
-def test_cli_import_loads_no_scipy_submodules(tmp_path):
-    # scipy costs a CLI process time and RSS; only the Spearman p-value
-    # loads it (scipy.special, in a report with confidences). detect
-    # runs the pair kernel for both vector detectors, and cluster and
-    # report find components, all on numpy alone.
+
+def _probe_corpus(tmp_path):
+    """Three accounts of 12 retweets carrying lexicon phrases, ingested:
+    x and y retweet the same tweets in the same hours. Returns the cache."""
+    rnd = random.Random(11)
     records = []
     for account, ids in (("x", "s"), ("y", "s"), ("z", "u")):
         for i in range(12):
             ts = BASE_TS + (i if account != "z" else 100 + i) * 3600
-            records.append(rec(f"{account}{i}", account, ts, "retweet", rt_id=f"{ids}{i}"))
-    src, cache, det = tmp_path / "corpus.jsonl", tmp_path / "cache.jsonl", tmp_path / "det"
+            text = " and ".join(p for p in _PHRASES if rnd.random() < 0.4)
+            records.append(rec(f"{account}{i}", account, ts, "retweet", text=text, rt_id=f"{ids}{i}"))
+    src, cache = tmp_path / "corpus.jsonl", tmp_path / "cache.jsonl"
     write_jsonl(src, records)
     assert main(["ingest", str(src), "-o", str(cache)]) == 0
+    return cache
+
+
+def test_cli_import_loads_no_scipy_submodules(tmp_path):
+    # scipy would cost a CLI process time and RSS, and no stage needs it:
+    # detect runs the pair kernel for both vector detectors, cluster and
+    # report find components on numpy alone, and the Spearman p-value of
+    # report --confidences and stats spearman is computed in stats.
+    cache = _probe_corpus(tmp_path)
+    det, conf = tmp_path / "det", tmp_path / "conf.csv"
     stages = [
         ["detect", str(cache), "-o", str(det)],
         ["cluster", str(cache), str(det), "-o", str(tmp_path / "clusters.csv")],
-        ["report", str(cache), "-o", str(tmp_path / "bundle"), "--edges", str(det)],
+        ["score", str(cache), "-o", str(conf)],
+        ["report", str(cache), "-o", str(tmp_path / "bundle"), "--edges", str(det),
+         "--confidences", str(conf)],
+        ["stats", "spearman", "--csv", str(conf), "--x", "vote_for", "--y", "economy"],
     ]
     out = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(stages)],
@@ -211,12 +231,31 @@ def test_cli_import_loads_no_scipy_submodules(tmp_path):
         text=True,
         check=True,
     )
-    after_import, after_stages = out.stdout.strip().splitlines()
+    after_import, *after_stages = out.stdout.strip().splitlines()
     assert json.loads(after_import) == []
-    assert json.loads(after_stages) == [[0, 0, 0], []]
+    assert [json.loads(line) for line in after_stages] == [[argv[0], 0, []] for argv in stages]
     # both vector detectors saw three eligible accounts and kept x-y
     counts = json.loads((det / "detect.manifest.json").read_text())["counts"]
     assert counts["edges_retweet"] == counts["edges_time"] == 1
+    # the report reached the p-value
+    pvalues = list(csv.reader((tmp_path / "bundle" / "correlation_pvalues.csv").open()))
+    assert any(cell not in ("", "0.0") for row in pvalues[1:] for cell in row[1:])
+
+
+def test_correlation_bundle_cells_are_plain_numbers(tmp_path):
+    # Under numpy 2 an np.float64 reaching formats.fmt is written as
+    # "np.float64(...)", which float() cannot read back.
+    cache = _probe_corpus(tmp_path)
+    det, conf, bundle = tmp_path / "det", tmp_path / "conf.csv", tmp_path / "bundle"
+    assert main(["detect", str(cache), "-o", str(det)]) == 0
+    assert main(["score", str(cache), "-o", str(conf)]) == 0
+    assert main(["report", str(cache), "-o", str(bundle), "--edges", str(det), "--confidences", str(conf)]) == 0
+    for name, lo, hi in (("correlations.csv", -1.0, 1.0), ("correlation_pvalues.csv", 0.0, 1.0)):
+        rows = list(csv.reader((bundle / name).open()))
+        cells = [cell for row in rows[1:] for cell in row[1:] if cell]
+        assert len(cells) > len(CHARACTERISTICS), name  # more than the diagonal
+        for cell in cells:
+            assert lo <= float(cell) <= hi, (name, cell)
 
 
 _NUMPY_PROBE = """
@@ -979,6 +1018,47 @@ class TestStatsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == [3]  # the incomplete row is dropped as a pair
         assert payload["statistic"] == 1.0
+
+    @pytest.mark.parametrize(
+        "test, flags, body, line, column, cell",
+        [
+            # a nan would be ranked as a value
+            ("spearman", ["--x", "x", "--y", "y"], "x,y\n1,1\n2,nan\n3,3\n4,4\n", 3, "y", "nan"),
+            # int() of an infinite label raises OverflowError
+            ("auc", ["--scores", "s", "--labels", "l"], "s,l\n0.9,1\n0.1,inf\n0.5,0\n", 3, "l", "inf"),
+            ("reshuffle", ["--scores", "s", "--labels", "l"],
+             "s,l\n0.9,1\n0.2,0\n0.4,1\n0.1,-inf\n", 5, "l", "-inf"),
+            # the mean of +-1e309 (inf) is nan
+            ("bootstrap", ["--col", "v"], "v\n1e309\n-1e309\n", 2, "v", "1e309"),
+            ("mannwhitney", ["--a", "a", "--b", "b"], "a,b\n1,2\n,x\n", 3, "b", "x"),
+        ],
+        ids=["spearman-nan", "auc-inf", "reshuffle-minus-inf", "bootstrap-overflow", "mannwhitney-text"],
+    )
+    def test_cell_not_finite_is_located_validation_error(
+        self, tmp_path, capsys, test, flags, body, line, column, cell
+    ):
+        path = tmp_path / "data.csv"
+        path.write_text(body)
+        assert main(["stats", test, "--csv", str(path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}, line {line}, column '{column}': '{cell}' is not a finite number" in err
+
+    @pytest.mark.parametrize("cell", ["-1", "2", "1.0"])
+    def test_kappa_label_not_binary_is_located_validation_error(self, tmp_path, capsys, cell):
+        # -1 would index past the 2x2 agreement table, and 2 count as a 0
+        path = tmp_path / "data.csv"
+        path.write_text(f"r1,r2\n1,1\n0,{cell}\n0,0\n")
+        assert main(["stats", "kappa", "--csv", str(path), "--cols", "r1,r2"]) == 1
+        assert f"{path}, line 3, column 'r2': '{cell}' is not 0 or 1" in capsys.readouterr().err
+
+    def test_short_row_cells_are_empty(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("x,y\n1,10\n2\n3,30\n4,40\n")
+        assert main(["stats", "spearman", "--csv", str(path), "--x", "x", "--y", "y"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == [3]
+        path.write_text("r1,r2\n1,1\n0\n0,0\n")
+        assert main(["stats", "kappa", "--csv", str(path), "--cols", "r1,r2"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == [2, 3, 0]
 
     def test_mannwhitney_columns_may_differ_in_length(self, tmp_path, capsys):
         path = tmp_path / "data.csv"

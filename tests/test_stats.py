@@ -192,6 +192,52 @@ class TestSpearman:
         assert warped.p_value == base.p_value
 
 
+class TestStudentTail:
+    """t_approx_p computes the Student t tail itself; scipy is the oracle."""
+
+    T_GRID = np.logspace(-8, 8, 801)
+
+    @pytest.mark.parametrize(
+        "df, closed_form",
+        [
+            (1, lambda t: (2.0 / math.pi) * math.atan2(1.0, t)),
+            (2, lambda t: 2.0 / (math.sqrt(2.0 + t * t) * (math.sqrt(2.0 + t * t) + t))),
+        ],
+    )
+    def test_matches_closed_forms(self, df, closed_form):
+        for t in self.T_GRID.tolist():
+            ref = closed_form(t)
+            assert abs(stats.student_t_two_sided(t, df) - ref) <= 1e-13 * ref, t
+
+    @pytest.mark.parametrize("df", list(range(1, 11)) + [30, 100, 2761, 10**5, 5 * 10**6, 10**7])
+    def test_matches_scipy_stdtr(self, df):
+        # 1e-11: a continued fraction alone loses about df * eps / 2 near
+        # |t| = 2 (3e-10 at df = 1e7). |r| stays >= 1e-3, since at df = 1
+        # stdtr itself is off by up to 3e-9 for |t| near 1e-8.
+        from scipy.special import stdtr
+
+        edge = [1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1e-3, math.sqrt(0.5)]
+        # and r where |t| runs from 0.25 to 6, the body of the t tail
+        edge += [t / math.sqrt(df + t * t) for t in np.linspace(0.25, 6, 24).tolist()]
+        rs = np.linspace(-0.999, 0.999, 201).tolist() + edge + [-r for r in edge]
+        for r in rs:
+            t = r * math.sqrt(df / (1.0 - r * r))
+            ref = min(1.0, 2.0 * float(stdtr(df, -abs(t))))
+            p = stats.t_approx_p(r, df + 2)
+            if p < 1e-300 or ref < 1e-300:
+                assert p < 1e-300 and ref < 1e-300, r
+            else:
+                assert abs(p - ref) <= 1e-11 * ref, r
+
+    def test_exact_values_and_type(self):
+        for n in (3, 4, 30, 2763, 10**6):
+            assert stats.t_approx_p(1.0, n) == 0.0
+            assert stats.t_approx_p(-1.0, n) == 0.0
+            assert stats.t_approx_p(0.0, n) == 1.0
+            for r in (np.float64(0.3), 0.3, -0.999999, 1e-9):
+                assert type(stats.t_approx_p(r, n)) is float
+
+
 # ---------------------------------------------------------------------------
 # Mann-Whitney U
 # ---------------------------------------------------------------------------
