@@ -295,39 +295,60 @@ def cmd_report(args, config) -> int:
     return EXIT_OK
 
 
-def _read_columns(path, names: list[str], aligned: bool = False) -> dict[str, list[float]]:
-    """Extract named numeric columns from a CSV.
+def _read_columns(path, names: list[str], labels=()) -> dict[str, list]:
+    """Extract named columns from a CSV, row-aligned, with None for an
+    empty cell (a short row's missing cells included).
 
-    aligned=True keeps columns row-aligned (a row with any empty named
-    cell is dropped entirely), which paired tests require; otherwise
-    empty cells are skipped per column (columns may differ in length).
-    A cell that is not a finite number (nan, inf, 1e309, text) is a
-    ValueError naming the file, line and column.
+    A cell of a column in labels must be 0 or 1 and is read as an int;
+    any other cell must be a finite number (nan, inf, 1e309 and text are
+    not). A bad cell is a ValueError naming the file, line and column.
     """
     with csv_reader(path, csv.DictReader) as reader:
         missing = [n for n in names if n not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"missing columns in {path}: {', '.join(missing)}")
-        out: dict[str, list[float]] = {n: [] for n in names}
+        out: dict[str, list] = {n: [] for n in names}
         for row in reader:
-            # a short row leaves its missing cells None: empty, like ""
-            cells = {n: (row[n] or "").strip() for n in names}
-            if aligned and not all(cells.values()):
-                continue
-            for n in names:
-                if cells[n]:
-                    out[n].append(_finite_cell(cells[n], path, reader.line_num, n))
+            for n, column in out.items():
+                cell = (row[n] or "").strip()
+                try:
+                    column.append(_label(cell) if n in labels else _number(cell))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}, column {n!r}: {cell!r} is not {exc}"
+                    ) from None
     return out
 
 
-def _finite_cell(cell: str, path, line: int, column: str) -> float:
+def _number(cell: str) -> float | None:
+    """A numeric cell's finite value; None when it is empty."""
+    if not cell:
+        return None
     try:
         value = float(cell)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"{path}, line {line}, column {column!r}: {cell!r} is not a finite number")
+        raise ValueError("a finite number")
     return value
+
+
+def _label(cell: str) -> int | None:
+    """A label cell's 0 or 1; None when it is empty."""
+    if cell not in ("", "0", "1"):
+        raise ValueError("0 or 1")
+    return int(cell) if cell else None
+
+
+def _paired(cols: dict[str, list]) -> dict[str, list]:
+    """The rows without an empty cell, as the paired tests take them."""
+    rows = [row for row in zip(*cols.values()) if None not in row]
+    return {n: [row[i] for row in rows] for i, n in enumerate(cols)}
+
+
+def _present(column: list) -> list:
+    """A column's cells that are not empty."""
+    return [v for v in column if v is not None]
 
 
 # The column flags each stats test reads.
@@ -348,43 +369,31 @@ def cmd_stats(args, config) -> int:
     if missing:
         raise ValueError(f"stats {args.test} requires {' and '.join(missing)}")
     if args.test == "spearman":
-        cols = _read_columns(args.csv, [args.x, args.y], aligned=True)
+        cols = _paired(_read_columns(args.csv, [args.x, args.y]))
         result = stats.spearman(cols[args.x], cols[args.y])
     elif args.test == "mannwhitney":
         cols = _read_columns(args.csv, [args.a, args.b])
-        result = stats.mann_whitney_u(cols[args.a], cols[args.b])
+        result = stats.mann_whitney_u(_present(cols[args.a]), _present(cols[args.b]))
     elif args.test == "auc":
-        cols = _read_columns(args.csv, [args.scores, args.labels], aligned=True)
-        result = stats.roc_auc(cols[args.scores], [int(v) for v in cols[args.labels]])
+        cols = _paired(_read_columns(args.csv, [args.scores, args.labels], labels=[args.labels]))
+        result = stats.roc_auc(cols[args.scores], cols[args.labels])
     elif args.test == "reshuffle":
-        cols = _read_columns(args.csv, [args.scores, args.labels], aligned=True)
-        rows = list(zip(cols[args.scores], [int(v) for v in cols[args.labels]]))
+        cols = _paired(_read_columns(args.csv, [args.scores, args.labels], labels=[args.labels]))
+        rows = list(zip(cols[args.scores], cols[args.labels]))
         result = stats.reshuffle_eval(
             rows, splits=args.splits, train_frac=args.train_frac, seed=args.seed
         )
     elif args.test == "bootstrap":
-        cols = _read_columns(args.csv, [args.col])
-        se = stats.bootstrap_se(cols[args.col], b=args.resamples, seed=args.seed)
-        result = stats.StatResult(se, None, (len(cols[args.col]),), method="bootstrap-se-pcg64")
+        values = _present(_read_columns(args.csv, [args.col])[args.col])
+        se = stats.bootstrap_se(values, b=args.resamples, seed=args.seed)
+        result = stats.StatResult(se, None, (len(values),), method="bootstrap-se-pcg64")
     elif args.test == "kappa":
         names = [c.strip() for c in args.cols.split(",") if c.strip()]
         if len(names) < 2:
             raise ValueError("kappa requires at least 2 annotator columns")
-        # row-aligned; empty cells mean "annotator did not label this item"
-        with csv_reader(args.csv, csv.DictReader) as reader:
-            missing = [n for n in names if n not in (reader.fieldnames or [])]
-            if missing:
-                raise ValueError(f"missing columns in {args.csv}: {', '.join(missing)}")
-            annotations: list[list[int | None]] = [[] for _ in names]
-            for row in reader:
-                for i, n in enumerate(names):
-                    cell = (row[n] or "").strip()
-                    if cell not in ("", "0", "1"):
-                        raise ValueError(
-                            f"{args.csv}, line {reader.line_num}, column {n!r}: {cell!r} is not 0 or 1"
-                        )
-                    annotations[i].append(int(cell) if cell else None)
-        result = stats.cohens_kappa(annotations)
+        # an empty cell: the annotator did not label this item
+        cols = _read_columns(args.csv, names, labels=names)
+        result = stats.cohens_kappa([cols[n] for n in names])
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown test {args.test!r}")
     payload = result.as_dict()

@@ -19,6 +19,7 @@ import numpy as np
 from coordnet import kernels
 from coordnet.config import DETECTORS, DetectorConfig
 from coordnet.corpus import ORIGINAL, RETWEET, Corpus
+from coordnet.stats import left_sum
 
 HASHTAG_SEPARATOR = "|"
 
@@ -82,7 +83,7 @@ class SparseVector:
 
     def __init__(self, entries: dict[int, float]):
         self.entries = {t: w for t, w in sorted(entries.items()) if w != 0.0}
-        self.norm = math.sqrt(sum(w * w for w in self.entries.values()))
+        self.norm = math.sqrt(left_sum(w * w for w in self.entries.values()))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -234,9 +235,10 @@ def build_account_vectors(
 
 
 def candidate_pair_similarities(
-    vectors: dict[str, SparseVector], selector=None
+    vectors: dict[str, SparseVector], selector
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Cosine similarity for the account pairs sharing a stored term.
+    """Cosine similarity for the selected account pairs sharing a stored
+    term.
 
     Returns (keys, sims, accounts): accounts are the vectors' ids with a
     nonzero norm, sorted; keys are the kernel's int64 pair keys
@@ -245,11 +247,12 @@ def candidate_pair_similarities(
     similarity zero and are not generated. Callers decode only the pairs
     they keep (see _edges_from_pairs).
 
-    Without a selector every candidate pair is returned. With one
-    (AboveThreshold, TopFraction), the kernel runs once per block
-    function selector.passes() yields, each row block's (keys, clipped
-    sims) going through it, and the result is selector.kept() of the
-    last run's output; memory is then O(kept + one block).
+    The kernel runs once. Each row block's (keys, clipped sims) goes
+    through selector.select (AboveThreshold, TopFraction) with most, the
+    most candidate pairs the postings can give: min(C(n, 2), P) over the
+    n accounts, where P = sum_t C(len_t, 2) counts the products of the
+    term postings. The result is selector.kept() of what the blocks
+    kept, so memory is O(kept + one block), never the candidate list.
 
     Weights are unit-normalized before the term-at-a-time accumulation
     kernel runs, so accumulated dots are the cosines.
@@ -281,14 +284,11 @@ def candidate_pair_similarities(
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
 
-    if selector is None:
-        keys, dots = kernels.accumulate_pair_products(offsets, acct_idx, weights)
-        return keys, np.clip(dots, 0.0, 1.0), accounts
-    for block in selector.passes():
-        keys, sims = kernels.accumulate_pair_products(
-            offsets, acct_idx, weights,
-            select=lambda keys, dots, block=block: block(keys, np.clip(dots, 0.0, 1.0)),
-        )
+    most = min(math.comb(len(accounts), 2), int((counts * (counts - 1) // 2).sum()))
+    keys, sims = kernels.accumulate_pair_products(
+        offsets, acct_idx, weights,
+        select=lambda keys, dots: selector.select(keys, np.clip(dots, 0.0, 1.0), most),
+    )
     return selector.kept(keys, sims) + (accounts,)
 
 
@@ -299,16 +299,13 @@ def _no_pairs() -> tuple[np.ndarray, np.ndarray]:
 
 class AboveThreshold:
     """Selector keeping the pairs whose similarity strictly exceeds
-    threshold, in one kernel pass. candidates counts every pair seen."""
+    threshold. candidates counts every pair seen."""
 
     def __init__(self, threshold: float):
         self.threshold = threshold
         self.candidates = 0
 
-    def passes(self):
-        yield self._select
-
-    def _select(self, keys, sims):
+    def select(self, keys, sims, most):
         self.candidates += len(keys)
         keep = sims > self.threshold
         return keys[keep], sims[keep]
@@ -319,15 +316,17 @@ class AboveThreshold:
 
 class TopFraction:
     """Selector keeping the pairs at or above the nearest-rank cutoff,
-    the k-th largest similarity over all m candidate pairs, in two
-    kernel passes.
+    the k-th largest similarity over all m candidate pairs,
+    k = max(1, ceil(frac·m)), in the one kernel pass that counts m.
 
-    Pass 1 counts the candidates m, which gives k = max(1, ceil(frac·m)).
-    Pass 2 pools each block's pairs; whenever the pool outgrows twice
-    what it held after its last cut (and 2k), it is cut to the pairs at
-    or above its k-th largest similarity, ties included. That value never
-    exceeds the k-th largest over all candidates, so the pool keeps every
-    pair at or above the cutoff, and its own k-th largest at the end is
+    select pools each block's pairs. m is not known until the pass ends,
+    but it is at most the postings' most, so k is at most
+    k' = max(1, ceil(frac·most)). Whenever the pool outgrows twice what
+    it held after its last cut (and 2k'), it is cut to the pairs at or
+    above its k'-th largest similarity, ties included. That value never
+    exceeds the k'-th largest over all candidates, which never exceeds
+    the k-th largest, so the pool keeps every pair at or above the
+    cutoff. kept() makes a last cut at the pool's k-th largest, which is
     the cutoff. Blocks arrive in key order and masks keep order, so the
     pool stays in key order. k is 0 when there are no candidates.
     """
@@ -339,42 +338,33 @@ class TopFraction:
         self._keys: list[np.ndarray] = []
         self._sims: list[np.ndarray] = []
         self._size = 0
-        self._limit = 0
+        self._last_cut = 0
         self._floor = -math.inf
 
-    def passes(self):
-        yield self._count
-        if self.candidates:
-            self.k = max(1, math.ceil(self.frac * self.candidates))
-            self._limit = 2 * self.k
-            yield self._pool
-
-    def _count(self, keys, sims):
+    def select(self, keys, sims, most):
         self.candidates += len(keys)
-        return _no_pairs()
-
-    def _pool(self, keys, sims):
         keep = sims >= self._floor
         self._keys.append(keys[keep])
         self._sims.append(sims[keep])
         self._size += len(self._keys[-1])
-        if self._size > self._limit:
-            self._cut()
+        bound = max(1, math.ceil(self.frac * most))
+        if self._size > 2 * max(bound, self._last_cut):
+            self._cut(bound)
         return _no_pairs()
 
-    def _cut(self):
-        """Cut the pool to the pairs at or above its k-th largest."""
+    def _cut(self, rank: int):
+        """Cut the pool to the pairs at or above its rank-th largest."""
         keys, sims = np.concatenate(self._keys), np.concatenate(self._sims)
-        self._floor = _kth_largest(sims, self.k)
+        self._floor = _kth_largest(sims, rank)
         keep = sims >= self._floor
         self._keys, self._sims = [keys[keep]], [sims[keep]]
-        self._size = len(self._keys[0])
-        self._limit = 2 * max(self.k, self._size)
+        self._size = self._last_cut = len(self._keys[0])
 
     def kept(self, keys, sims):
-        if not self.k:
+        if not self.candidates:
             return keys, sims
-        self._cut()
+        self.k = max(1, math.ceil(self.frac * self.candidates))
+        self._cut(self.k)
         return self._keys[0], self._sims[0]
 
 

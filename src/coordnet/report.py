@@ -337,8 +337,8 @@ def write_report_bundle(
     if dup_coord and dup_base:
         dup_test = stats.mann_whitney_u(dup_coord, dup_base, method="normal")
         duplicate_comparison = {
-            "coordinated_mean": sum(dup_coord) / len(dup_coord),
-            "baseline_mean": sum(dup_base) / len(dup_base),
+            "coordinated_mean": stats.left_sum(dup_coord) / len(dup_coord),
+            "baseline_mean": stats.left_sum(dup_base) / len(dup_base),
             "p": dup_test.p_value,
             "n": [len(dup_coord), len(dup_base)],
         }

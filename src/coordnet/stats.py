@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,6 +44,17 @@ class StatResult:
             "se": self.se,
             "method": self.method,
         }
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The float sum of values added left to right, as the builtin sum()
+    adds floats before Python 3.12. From 3.12, sum() compensates its
+    rounding, so its last bits differ; this sum has the same bits on
+    every supported Python."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -141,7 +152,7 @@ def _bgrat_p(m: int) -> list[float]:
     odd_fact = [math.factorial(2 * k + 1) for k in range(m)]
     p = [1.0]
     for n in range(1, m):
-        s = sum((k / 2.0 - n) * p[n - k] / odd_fact[k] for k in range(1, n))
+        s = left_sum((k / 2.0 - n) * p[n - k] / odd_fact[k] for k in range(1, n))
         p.append(s / n - 0.5 / odd_fact[n])
     return p
 
@@ -229,12 +240,11 @@ def _pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
     return cov / math.sqrt(vx * vy)
 
 
-def spearman(x: Sequence[float], y: Sequence[float], method: str = "t") -> StatResult:
+def spearman(x: Sequence[float], y: Sequence[float]) -> StatResult:
     """Spearman's rho: Pearson correlation of average-ranked data.
 
     p-value is two-sided from the t approximation with n-2 degrees of
-    freedom; method="exact" enumerates permutations (n <= 10 only).
-    Constant input leaves the statistic undefined (None).
+    freedom. Constant input leaves the statistic undefined (None).
     """
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
@@ -247,18 +257,6 @@ def spearman(x: Sequence[float], y: Sequence[float], method: str = "t") -> StatR
     if rho is None:
         return StatResult(None, None, (n,), method="spearman-undefined")
     rho = max(-1.0, min(1.0, rho))
-    if method == "exact":
-        if n > 10:
-            raise ValueError("exact spearman p limited to n <= 10")
-        hits = 0
-        total = 0
-        target = abs(rho) - 1e-12
-        for perm in permutations(ry):
-            r = _pearson(rx, perm)
-            total += 1
-            if r is not None and abs(r) >= target:
-                hits += 1
-        return StatResult(rho, hits / total, (n,), method="spearman-exact")
     return StatResult(rho, t_approx_p(rho, n), (n,), method="spearman-t")
 
 
@@ -385,9 +383,9 @@ def reshuffle_eval(
         aucs.append(roc_auc([s for s, _ in held], held_labels).statistic)
     if not aucs:
         return StatResult(None, None, (n, 0, skipped), method="reshuffle-auc-pcg64")
-    mean = sum(aucs) / len(aucs)
+    mean = left_sum(aucs) / len(aucs)
     if len(aucs) > 1:
-        var = sum((x - mean) ** 2 for x in aucs) / (len(aucs) - 1)
+        var = left_sum((x - mean) ** 2 for x in aucs) / (len(aucs) - 1)
         se = math.sqrt(var / len(aucs))
     else:
         se = 0.0
@@ -399,20 +397,15 @@ def reshuffle_eval(
 # ---------------------------------------------------------------------------
 
 
-def bootstrap_se(
-    values: Sequence[float], b: int = 1000, seed: int | tuple[int, ...] = 0
-) -> float:
-    """Bootstrap standard error of the mean over b seeded resamples.
-
-    seed is an int or a tuple of ints; PCG64 seeds either through
-    SeedSequence, so an int seed draws exactly as make_rng(seed).
-    """
+def bootstrap_se(values: Sequence[float], b: int = 1000, seed: int = 0) -> float:
+    """Bootstrap standard error of the mean over b resamples drawn by
+    make_rng(seed)."""
     if b < 2:
         raise ValueError(f"bootstrap_se requires at least 2 resamples, got {b}")
     arr = np.asarray(values, dtype=np.float64)
     if arr.size < 2:
         raise ValueError("bootstrap_se requires at least 2 values")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = make_rng(seed)
     means = np.empty(b, dtype=np.float64)
     rows = max(1, _BOOTSTRAP_BYTES // (16 * arr.size))
     done = 0
@@ -475,7 +468,7 @@ def cohens_kappa(annotations: Sequence[Sequence[int | None]]) -> StatResult:
     if not kappas:
         return StatResult(None, None, (len(annotations), n_items, skipped), method="kappa-pairwise")
     return StatResult(
-        sum(kappas) / len(kappas),
+        left_sum(kappas) / len(kappas),
         None,
         (len(annotations), n_items, skipped),
         method="kappa-pairwise",

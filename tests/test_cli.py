@@ -1024,10 +1024,10 @@ class TestStatsCommand:
         [
             # a nan would be ranked as a value
             ("spearman", ["--x", "x", "--y", "y"], "x,y\n1,1\n2,nan\n3,3\n4,4\n", 3, "y", "nan"),
-            # int() of an infinite label raises OverflowError
-            ("auc", ["--scores", "s", "--labels", "l"], "s,l\n0.9,1\n0.1,inf\n0.5,0\n", 3, "l", "inf"),
+            # an infinite score would be ranked as a value
+            ("auc", ["--scores", "s", "--labels", "l"], "s,l\n0.9,1\ninf,1\n0.5,0\n", 3, "s", "inf"),
             ("reshuffle", ["--scores", "s", "--labels", "l"],
-             "s,l\n0.9,1\n0.2,0\n0.4,1\n0.1,-inf\n", 5, "l", "-inf"),
+             "s,l\n0.9,1\n0.2,0\n0.4,1\n-inf,0\n", 5, "s", "-inf"),
             # the mean of +-1e309 (inf) is nan
             ("bootstrap", ["--col", "v"], "v\n1e309\n-1e309\n", 2, "v", "1e309"),
             ("mannwhitney", ["--a", "a", "--b", "b"], "a,b\n1,2\n,x\n", 3, "b", "x"),
@@ -1050,6 +1050,29 @@ class TestStatsCommand:
         path.write_text(f"r1,r2\n1,1\n0,{cell}\n0,0\n")
         assert main(["stats", "kappa", "--csv", str(path), "--cols", "r1,r2"]) == 1
         assert f"{path}, line 3, column 'r2': '{cell}' is not 0 or 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("test", ["auc", "reshuffle"])
+    @pytest.mark.parametrize("cell", ["0.9", "2", "-1", "1.0", "inf"])
+    def test_label_not_binary_is_located_validation_error(self, tmp_path, capsys, test, cell):
+        # int() read 0.9 as a negative and 2 as a positive
+        path = tmp_path / "data.csv"
+        path.write_text(f"s,l\n0.9,1\n0.1,{cell}\n0.5,0\n0.3,1\n")
+        assert main(["stats", test, "--csv", str(path), "--scores", "s", "--labels", "l"]) == 1
+        assert f"{path}, line 3, column 'l': '{cell}' is not 0 or 1" in capsys.readouterr().err
+
+    def test_bad_cell_of_an_incomplete_row_is_an_error(self, tmp_path, capsys):
+        # the paired tests drop the row, but every cell is checked
+        path = tmp_path / "data.csv"
+        path.write_text("x,y\n1,1\n,nan\n3,3\n4,4\n")
+        assert main(["stats", "spearman", "--csv", str(path), "--x", "x", "--y", "y"]) == 1
+        assert f"{path}, line 3, column 'y': 'nan' is not a finite number" in capsys.readouterr().err
+
+    def test_one_column_named_twice_is_read_once(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("x\n1\n2\n3\n")
+        assert main(["stats", "spearman", "--csv", str(path), "--x", "x", "--y", "x"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == [3] and payload["statistic"] == 1.0
 
     def test_short_row_cells_are_empty(self, tmp_path, capsys):
         path = tmp_path / "data.csv"

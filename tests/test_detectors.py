@@ -649,14 +649,20 @@ def tied_retweet_corpus(n_accounts=90, group_every=3):
     return corpus_of(*records)
 
 
+def every_candidate(vectors):
+    """(keys, sims, accounts) of every candidate pair: a selector whose
+    threshold is below every clipped cosine keeps them all."""
+    return candidate_pair_similarities(vectors, AboveThreshold(-math.inf))
+
+
 class TestBlockSelect:
     """The detectors select pairs block by block; the oracle is the full
-    candidate list from the kernel without select, then the detector's
-    mask over all of it, compared key for key and bit for bit."""
+    candidate list, then the detector's mask over all of it, compared
+    key for key and bit for bit."""
 
     @staticmethod
     def _full(vectors, detector, cfg):
-        keys, sims, accounts = candidate_pair_similarities(vectors)
+        keys, sims, accounts = every_candidate(vectors)
         if detector == "retweet":
             if not len(sims):
                 return keys, sims, accounts, 0, 0
@@ -700,17 +706,20 @@ class TestBlockSelect:
         monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
         cuts = []
         cut = TopFraction._cut
-        monkeypatch.setattr(TopFraction, "_cut", lambda self: (cuts.append(1), cut(self)))
+        monkeypatch.setattr(
+            TopFraction, "_cut", lambda self, rank: (cuts.append(rank), cut(self, rank))
+        )
         corpus = tied_retweet_corpus()
         cfg = DetectorConfig(retweet_top_frac=0.05)
         vectors = build_account_vectors(corpus, "retweeted_id", cfg)
-        _, sims, _ = candidate_pair_similarities(vectors)
+        _, sims, _ = every_candidate(vectors)
         top = np.sort(sims)[::-1]
         k = math.ceil(0.05 * len(sims))
         # 435 tied pairs of the 30 group members, the cutoff inside them
         assert top[0] == top[k - 1] == top[434] > top[435]
         self._assert_matches_full(corpus, cfg)
-        assert len(cuts) > 1
+        # cuts while the pass runs, at k' >= k, then the last one at k
+        assert len(cuts) > 1 and cuts[-1] == min(cuts) == k
 
     def test_no_candidates(self):
         # m = 0: two eligible accounts sharing no retweeted id
@@ -753,15 +762,52 @@ class TestBlockSelect:
     def test_selectors_return_new_arrays(self):
         keys = np.arange(6, dtype=np.int64)
         sims = np.linspace(0.0, 1.0, 6)
-        above, top = AboveThreshold(0.5), TopFraction(0.5)
-        blocks = list(above.passes())
-        for block in top.passes():  # the count pass, then the pool pass
-            blocks.append(block)
-            block(keys, sims)
-        assert len(blocks) == 3
-        for block in blocks:
-            for out in block(keys, sims):
+        for selector in (AboveThreshold(0.5), TopFraction(0.5)):
+            for out in selector.select(keys, sims, 15):
                 assert out.base is None
+
+    def test_one_kernel_pass_per_vector_detector(self, monkeypatch):
+        calls = []
+        accumulate = kernels.accumulate_pair_products
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return accumulate(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "accumulate_pair_products", counted)
+        # 30 accounts retweeting from 16 ids into 8 time bins: both
+        # vector detectors have candidates
+        rnd = random.Random(43)
+        records = [
+            rec(i, f"acct{i % 30:02d}", BASE_TS + 1800 * rnd.randrange(8), "retweet",
+                rt_id=f"g{rnd.randrange(16)}")
+            for i in range(330)
+        ]
+        counts = {}
+        detect_all(corpus_of(*records), counts=counts)
+        assert counts["candidates_retweet"] and counts["candidates_time"]
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "entries, most",
+        [
+            # two terms in all 40 postings: sum_t C(len_t, 2) = 1560 > C(40, 2)
+            (lambda i: {0: 1.0, 1: 1.0 + i}, math.comb(40, 2)),
+            # a term of its own each, and one that accounts 0 and 1 share
+            (lambda i: {i: 1.0, 99: 1.0 if i < 2 else 0.0}, 1),
+        ],
+    )
+    def test_selector_gets_most_candidates(self, entries, most):
+        seen = set()
+
+        class Recording(AboveThreshold):
+            def select(self, keys, sims, most):
+                seen.add(most)
+                return super().select(keys, sims, most)
+
+        vectors = {f"a{i:02d}": SparseVector(entries(i)) for i in range(40)}
+        keys, _, _ = candidate_pair_similarities(vectors, Recording(-math.inf))
+        assert seen == {most} and len(keys) <= most
 
 
 class TestDeterminism:

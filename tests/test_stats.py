@@ -23,6 +23,7 @@ from coordnet.stats import (
     daily_mean_series,
     kappa_from_table,
     language_mix,
+    left_sum,
     mann_whitney_u,
     mean_ses,
     rankdata,
@@ -94,6 +95,15 @@ def oracle_auc(scores, labels):
 # ---------------------------------------------------------------------------
 # Spearman
 # ---------------------------------------------------------------------------
+
+
+class TestLeftSum:
+    def test_adds_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum (the builtin
+        # sum() of floats from Python 3.12) gives 1.0
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert left_sum(iter([0.1, 0.2, 0.3])) == 0.1 + 0.2 + 0.3
+        assert left_sum([]) == 0.0
 
 
 class TestRankdata:
@@ -168,19 +178,6 @@ class TestSpearman:
 
     def test_perfect_rho_gives_zero_p(self):
         assert spearman([1, 2, 3, 4], [2, 4, 6, 8]).p_value == 0.0
-
-    def test_exact_permutation_small_n(self):
-        x = [1, 2, 3, 4]
-        y = [2, 1, 4, 3]
-        res = spearman(x, y, method="exact")
-        # enumerate all 24 permutations directly
-        rx = rankdata(x)
-        hits = 0
-        for perm in itertools.permutations(rankdata(y)):
-            r = np.corrcoef(rx, perm)[0, 1]
-            if abs(r) >= abs(res.statistic) - 1e-12:
-                hits += 1
-        assert res.p_value == hits / 24
 
     def test_invariant_under_increasing_transform(self):
         rnd = random.Random(5)
@@ -460,10 +457,10 @@ class TestBootstrapSE:
     def test_chunk_budget_does_not_change_se(self, monkeypatch, n):
         values = np.random.default_rng(n).random(n)
         b = 100
-        expected = bootstrap_se(values, b=b, seed=(5, 2, 1))
+        expected = bootstrap_se(values, b=b, seed=521)
         for rows in (1, 7, b, b + 3):
             monkeypatch.setattr(stats, "_BOOTSTRAP_BYTES", 16 * n * rows)
-            assert bootstrap_se(values, b=b, seed=(5, 2, 1)) == expected
+            assert bootstrap_se(values, b=b, seed=521) == expected
 
     def test_chunk_memory_bounded(self):
         import tracemalloc
