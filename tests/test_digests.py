@@ -5,7 +5,9 @@ The runs take their corpora from perfbench/workloads.py at seed 1:
 - report-full through all five stages, report with --confidences;
 - report again on that cache, without confidences and with
   --duplicate-scope corpus;
-- ingest and detect on detect-dense.
+- ingest and detect on detect-dense;
+- hashtag-burst through ingest, detect, cluster and report, whose
+  C(m, 2) hashtag edges pin the edge-file writer and reader.
 
 tests/digests.json holds the digests beside the Python and numpy
 versions that wrote them. A change meant to move bytes rewrites the file
@@ -45,7 +47,12 @@ def runs() -> dict[str, list[list[str]]]:
     ]
     detect_dense = [argv for name, argv in workloads.WORKLOADS["detect-dense"]["stages"]
                     if name in ("ingest", "detect")]
-    return {"report-full": report_full + [corpus_scope], "detect-dense": detect_dense}
+    hashtag_burst = [argv for _, argv in workloads.WORKLOADS["hashtag-burst"]["stages"]]
+    return {
+        "report-full": report_full + [corpus_scope],
+        "detect-dense": detect_dense,
+        "hashtag-burst": hashtag_burst,
+    }
 
 
 def _main_in(cwd: Path, argv: list[str]) -> int:
