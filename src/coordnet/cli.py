@@ -22,7 +22,7 @@ from coordnet import __version__
 from coordnet.config import DETECTORS, DUPLICATE_SCOPES, DetectorConfig
 from coordnet.corpus import day_of_timestamp, load_cache, parse_corpus
 from coordnet.manifest import RunManifest
-from coordnet.sources import csv_reader
+from coordnet.sources import csv_reader, number
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -325,7 +325,7 @@ def _number(cell: str) -> float | None:
     if not cell:
         return None
     try:
-        value = float(cell)
+        value = number(cell)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):

@@ -11,11 +11,11 @@ whatever write_account_list writes, read_account_list reads back.
 from __future__ import annotations
 
 import csv
-import itertools
+from array import array
 from typing import Iterable
 
 from coordnet.detectors import DETECTORS, ORDER_ERROR, SCORE_ERROR, EdgeTable
-from coordnet.sources import csv_reader, csv_writer
+from coordnet.sources import RowError, csv_cells, csv_reader, csv_writer, number
 
 EDGE_HEADER = ("account_a", "account_b", "detector", "score", "evidence")
 
@@ -23,9 +23,10 @@ EDGE_HEADER = ("account_a", "account_b", "detector", "score", "evidence")
 # suits every edge file; this one fits a C long on every platform.
 _EDGE_FIELD_LIMIT = 2**31 - 1
 _DETECTOR_CODES = {name: i for i, name in enumerate(DETECTORS)}
-# Rows turned into Python objects at a time while writing, which bounds
-# the writer's memory above the table itself.
-_WRITE_ROWS = 1 << 16
+# Rows rendered to text at a time while writing, which bounds the
+# writer's memory above the table itself.
+_WRITE_ROWS = 1 << 13
+_EDGE_ROW = "{},{},{},{},{}\n".format
 
 
 def fmt(value) -> str:
@@ -37,31 +38,42 @@ def fmt(value) -> str:
 
 
 def write_edges_csv(edges: EdgeTable, fp) -> None:
-    writer = csv_writer(fp, itertools.chain(edges.accounts, edges.keys))
-    writer.writerow(EDGE_HEADER)
-    account, key = edges.accounts.__getitem__, edges.keys.__getitem__
+    """The header, then one row per edge: the bytes csv_writer writes.
+    Each account id, evidence key and detector name is rendered as a
+    cell once; rows are joined from those cells and the scores' reprs
+    (a float formats as its repr) a block at a time."""
+    fp.write(",".join(EDGE_HEADER) + "\n")
+    account = csv_cells(edges.accounts).__getitem__
+    key = csv_cells(edges.keys).__getitem__
+    detector = csv_cells(DETECTORS).__getitem__
     for lo in range(0, len(edges), _WRITE_ROWS):
         rows = slice(lo, lo + _WRITE_ROWS)
-        writer.writerows(
-            zip(
-                map(account, edges.a[rows].tolist()),
-                map(account, edges.b[rows].tolist()),
-                map(DETECTORS.__getitem__, edges.detector[rows].tolist()),
-                map(repr, edges.score[rows].tolist()),  # fmt() of a float
-                map(key, edges.evidence[rows].tolist()),
+        fp.write(
+            "".join(
+                map(
+                    _EDGE_ROW,
+                    map(account, edges.a[rows].tolist()),
+                    map(account, edges.b[rows].tolist()),
+                    map(detector, edges.detector[rows].tolist()),
+                    edges.score[rows].tolist(),
+                    map(key, edges.evidence[rows].tolist()),
+                )
             )
         )
 
 
 def read_edges_csv(source) -> EdgeTable:
     """Read and check an edge file: the header, then rows of 5 fields
-    with a known detector, account_a < account_b and a score in [0, 1].
-    Blank lines are skipped. Account ids and evidence keys are interned
-    in first-seen order."""
+    with a known detector, account_a < account_b and a score in [0, 1]
+    written as a number without "_". A bad row is an error naming the
+    file and line. Blank lines are skipped. Account ids and evidence
+    keys are interned in first-seen order; the columns grow as typed
+    arrays, so no row leaves a Python object behind."""
     accounts: dict[str, int] = {}
     keys: dict[str, int] = {}
     intern = accounts.setdefault
-    a, b, detector, score, evidence = [], [], [], [], []
+    a, b, evidence = array("i"), array("i"), array("i")
+    detector, score = array("b"), array("d")
     limit = csv.field_size_limit(_EDGE_FIELD_LIMIT)
     try:
         with csv_reader(source) as reader:
@@ -72,16 +84,19 @@ def read_edges_csv(source) -> EdgeTable:
                 if not row:
                     continue
                 if len(row) != 5:
-                    raise ValueError(f"edge row must have 5 fields, got {len(row)}")
+                    raise RowError(f"edge row must have 5 fields, got {len(row)}")
                 x, y, name, text, key = row
                 code = _DETECTOR_CODES.get(name)
                 if code is None:
-                    raise ValueError(f"unknown detector in edge file: {name!r}")
-                value = float(text)
+                    raise RowError(f"unknown detector in edge file: {name!r}")
+                try:
+                    value = number(text)
+                except ValueError:
+                    raise RowError(f"edge score is not a number: {text!r}") from None
                 if x >= y:
-                    raise ValueError(ORDER_ERROR)
+                    raise RowError(ORDER_ERROR)
                 if not 0.0 <= value <= 1.0:
-                    raise ValueError(SCORE_ERROR)
+                    raise RowError(SCORE_ERROR)
                 a.append(intern(x, len(accounts)))
                 b.append(intern(y, len(accounts)))
                 detector.append(code)

@@ -7,6 +7,7 @@ behave (retweet interactions, activity shares, duplicate tweeting).
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -36,8 +37,8 @@ class CoordinationGraph:
     """
 
     names: list[str] = field(default_factory=list)
-    a: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    b: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    a: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
+    b: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
 
     @property
     def nodes(self) -> set[str]:
@@ -47,24 +48,37 @@ class CoordinationGraph:
     def from_edges(cls, *tables: EdgeTable) -> "CoordinationGraph":
         """The graph of every row of the tables.
 
-        Each table's used account codes are mapped into one code space;
-        detector, score and evidence do not matter to the components.
+        Each table's used account codes are mapped into one int32 code
+        space; detector, score and evidence do not matter to the
+        components. Every row becomes one int64 key, (min << 32) | max,
+        packed into one array; one sort puts equal pairs side by side.
         """
         codes: dict[str, int] = {}
-        a_parts = [np.empty(0, dtype=np.int64)]
-        b_parts = [np.empty(0, dtype=np.int64)]
+        pairs = np.empty(sum(len(table) for table in tables), dtype=np.int64)
+        end = 0
         for table in tables:
-            remap = np.zeros(len(table.accounts), dtype=np.int64)
+            remap = np.zeros(len(table.accounts), dtype=np.int32)
             for i in table.used().tolist():
                 remap[i] = codes.setdefault(table.accounts[i], len(codes))
-            a_parts.append(remap[table.a])
-            b_parts.append(remap[table.b])
-        a, b = np.concatenate(a_parts), np.concatenate(b_parts)
+            start, end = end, end + len(table)
+            _pack_pairs(remap[table.a], remap[table.b], pairs[start:end])
         # Distinct pairs by one sort of their keys: np.unique (numpy 2.4)
         # hashes int64 keys first, which is many times slower than this.
-        pairs = np.sort((np.minimum(a, b) << 32) | np.maximum(a, b))
-        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-        return cls(names=list(codes), a=pairs >> 32, b=pairs & 0xFFFFFFFF)
+        pairs.sort()
+        first = np.ones(len(pairs), dtype=bool)
+        np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+        # Each key as its two int32 halves: min is the high one.
+        halves = pairs.view(np.int32).reshape(-1, 2)
+        high = 1 if sys.byteorder == "little" else 0
+        return cls(names=list(codes), a=halves[:, high][first], b=halves[:, 1 - high][first])
+
+
+def _pack_pairs(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = (min(a[i], b[i]) << 32) | max(a[i], b[i]) for int32 a
+    and b; a is overwritten."""
+    np.minimum(a, b, out=out)
+    out <<= 32
+    out |= np.maximum(a, b, out=a)
 
 
 @dataclass
@@ -89,20 +103,19 @@ def connected_components(graph: CoordinationGraph) -> list[Cluster]:
     smaller one, then pointer jumping points every node at its root.
     Roots only merge, so an edge inside one tree is done for good.
     """
-    label = np.arange(len(graph.names), dtype=np.int64)
+    label = np.arange(len(graph.names), dtype=np.int32)
     a, b = graph.a, graph.b
-    while True:
-        la, lb = label[a], label[b]
-        apart = la != lb
-        if not apart.any():
-            break
-        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+    la, lb = a, b  # every node is its own root
+    while len(a):
         np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
         while True:
             jumped = label[label]
             if np.array_equal(jumped, label):
                 break
             label = jumped
+        apart = label[a] != label[b]
+        a, b = a[apart], b[apart]
+        la, lb = label[a], label[b]
     groups: dict[int, set[str]] = {}
     for name, root in zip(graph.names, label.tolist()):
         groups.setdefault(root, set()).add(name)

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from coordnet.corpus import Corpus, normalize_text
-from coordnet.sources import csv_reader, csv_writer
+from coordnet.sources import csv_reader, csv_writer, number
 
 ATTITUDES = ("vote_for", "vote_against", "moral", "immoral")
 
@@ -157,7 +157,8 @@ def load_confidences(source) -> CharacteristicTable:
             raise TableError(f"missing columns: {', '.join(missing)}")
 
         # Each row parses in bulk with float(); a row float() refuses (an
-        # empty cell, a non-number) goes through _parse_cells, the per-cell
+        # empty cell, a non-number) or that holds "_" (which float() reads
+        # as a digit separator) goes through _parse_cells, the per-cell
         # loop that counts empties and words every error. Values stay in
         # file column order until the end, so the first out-of-range cell
         # in row-major order is the one that loop would have named first.
@@ -178,7 +179,10 @@ def load_confidences(source) -> CharacteristicTable:
                     raise TableError(f"row {line_no}: duplicate tweet_id {tid!r}")
                 seen_ids.add(tid)
                 try:
-                    values = list(map(float, row[1:]))
+                    cells = row[1:]
+                    if "_" in "".join(cells):
+                        raise ValueError
+                    values = list(map(float, cells))
                 except ValueError:
                     values, empty = _parse_cells(line_no, columns, row[1:])
                     missing_values += empty
@@ -210,7 +214,7 @@ def _parse_cells(line_no: int, columns: list[str], cells: list[str]) -> tuple[li
             values.append(0.0)
             continue
         try:
-            v = float(cell)
+            v = number(cell)
         except ValueError:
             raise TableError(f"row {line_no}, column {col_name}: not a number: {cell!r}") from None
         if not 0.0 <= v <= 1.0:
@@ -304,7 +308,7 @@ def load_lexicon(source) -> Lexicon:
             if not phrase:
                 raise TableError(f"row {line_no}: empty phrase")
             try:
-                weight = float(row[2])
+                weight = number(row[2])
             except ValueError:
                 raise TableError(f"row {line_no}: weight not a number: {row[2]!r}") from None
             if not 0.0 < weight <= 1.0:

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
-from typing import Iterable
+from types import SimpleNamespace
+from typing import Iterable, Sequence
 
 
 @contextmanager
@@ -20,6 +21,19 @@ def open_text(source, **open_kwargs):
         yield source
 
 
+def number(cell: str) -> float:
+    """float(cell), except that a cell holding "_", which float() reads
+    as a digit separator ("1_0" is 10.0), is a ValueError too."""
+    if "_" in cell:
+        raise ValueError(f"not a number: {cell!r}")
+    return float(cell)
+
+
+class RowError(ValueError):
+    """A row that breaks its file's format; raised inside a csv_reader
+    block, it is reported with the input's name and the row's line."""
+
+
 @contextmanager
 def csv_reader(source, factory=csv.reader):
     """Yield factory(fp, strict=True) over open_text(source, newline="").
@@ -27,14 +41,15 @@ def csv_reader(source, factory=csv.reader):
     Strict, so a quote that never closes is an error at the end of the
     input instead of one field that swallows every later row. A csv.Error
     raised while the block reads (that, stray text after a closing quote,
-    a field over csv.field_size_limit) becomes a ValueError naming the
-    input and its line, so the CLI reports it as a validation failure.
+    a field over csv.field_size_limit) or a RowError the block raises
+    becomes a ValueError naming the input and its line, so the CLI
+    reports it as a validation failure.
     """
     with open_text(source, newline="") as fp:
         reader = factory(fp, strict=True)
         try:
             yield reader
-        except csv.Error as exc:
+        except (csv.Error, RowError) as exc:
             name = getattr(fp, "name", None) or "<input>"
             raise ValueError(f"{name}, line {reader.line_num}: {exc}") from None
 
@@ -66,3 +81,17 @@ def csv_writer(fp, strings: Iterable[str] | None = None):
     if strings is not None and not any("\r" in s for s in strings):
         return csv.writer(fp, lineterminator="\n")
     return csv.writer(_LineFeedRows(fp), lineterminator="\r\n")
+
+
+def csv_cells(strings: Sequence[str]) -> list[str]:
+    """Each string as csv_writer writes it as one field of a row of
+    several: joining a row's cells with "," and ending it with "\n"
+    gives the bytes csv_writer writes for that row. (Both of its row
+    ends quote a string without "\r" alike, so a cell does not depend
+    on the other strings.)"""
+    rows: list[str] = []
+    # A field alone in its row is quoted when empty, so each string goes
+    # out beside an empty field, and the ",\n" after it is cut.
+    writer = csv_writer(SimpleNamespace(write=rows.append), strings)
+    writer.writerows((s, "") for s in strings)
+    return [row[:-2] for row in rows]

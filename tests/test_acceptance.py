@@ -3,8 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s`. Criteria cover oracle
 equivalence, planted-cluster recovery, statistics identities, seeded
 reproducibility, ratio fixtures, byte-level pipeline determinism, the
-bounded-memory scale path, and detect memory that grows with the
-accounts, not with their pairs.
+bounded-memory scale path, detect memory that grows with the accounts,
+not with their pairs, and an edge path that holds no Python object per
+edge row.
 """
 
 import csv
@@ -18,11 +19,13 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 
 from coordnet import sociolinguistics as sl
 from coordnet.cli import main
 from coordnet.corpus import parse_corpus
-from coordnet.detectors import DetectorConfig, detect_all, detect_hashtag_coordination
+from coordnet.detectors import DetectorConfig, EdgeTable, detect_all, detect_hashtag_coordination
+from coordnet.formats import read_edges_csv, write_edges_csv
 from coordnet.graph import CoordinationGraph, connected_components
 from coordnet.stats import (
     bootstrap_se,
@@ -615,4 +618,57 @@ def test_criterion_8_detect_memory_linear_in_accounts():
         8,
         f"detect peak {peaks[0] / 2**20:.1f} -> {peaks[1] / 2**20:.1f} MiB "
         f"({growth:.2f}x) for {n} -> {2 * n} eligible accounts",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 9. The edge path holds no Python object per edge row
+# ---------------------------------------------------------------------------
+
+
+def write_hashtag_group(m, path):
+    """Write the edge file of one hashtag 5-gram shared by m accounts, a
+    row per account pair; return its C(m, 2) rows."""
+    a, b = np.triu_indices(m, 1)
+    rows = len(a)
+    table = EdgeTable(
+        [f"acct{i:05d}" for i in range(m)], a, b,
+        np.zeros(rows), np.ones(rows), ["#a|#b|#c|#d|#e"], np.zeros(rows),
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        write_edges_csv(table, fp)
+    return rows
+
+
+def edge_path_peak_bytes(path, m):
+    """tracemalloc peak of what cluster does with an edge file (read it,
+    build the graph, find its components), above what was allocated
+    before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = read_edges_csv(path)
+        clusters = connected_components(CoordinationGraph.from_edges(table))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [c.size for c in clusters] == [m]
+    return peak
+
+
+def test_criterion_9_edge_path_memory_per_edge(tmp_path):
+    sizes = (300, 600)
+    rows = [write_hashtag_group(m, tmp_path / f"edges_{m}.csv") for m in sizes]
+    peaks = [edge_path_peak_bytes(tmp_path / f"edges_{m}.csv", m) for m in sizes]
+    per_edge = (peaks[1] - peaks[0]) / (rows[1] - rows[0])
+    # The columns take 21 B a row and the graph build's int64 keys and
+    # int32 codes ~18 B more beside them: ~39 B measured. A list slot
+    # (8 B) per column and a float object (24 B) per score, as a reader
+    # of Python lists holds, measured 85 B.
+    assert per_edge <= 60, f"edge path peak grew {per_edge:.1f} B per edge row"
+    ok(
+        9,
+        f"edge path peak {peaks[0] / 2**20:.1f} -> {peaks[1] / 2**20:.1f} MiB for "
+        f"{rows[0]} -> {rows[1]} edge rows: {per_edge:.1f} B per row",
     )

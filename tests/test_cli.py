@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coordnet import formats
 from coordnet.cli import main
 from coordnet.corpus import KINDS, CorpusError, load_cache, parse_corpus
 from coordnet.formats import (
@@ -507,25 +508,30 @@ class TestDetect:
 _EDGE_HEADER = "account_a,account_b,detector,score,evidence\n"
 _GOOD_EDGE = "p,q,hashtag,1.0,k\n"
 _HEADER_MESSAGE = "edge CSV must start with header account_a,account_b,detector,score,evidence"
-_RANGE_MESSAGE = "edge score must be in [0, 1]"
-_ORDER_MESSAGE = "edge endpoints must satisfy a < b"
+# A bad row names the file (the test's path fills {}) and its line: the
+# third, after the header and a good row.
+_ROW = "{}, line 3: "
+_RANGE_MESSAGE = _ROW + "edge score must be in [0, 1]"
+_ORDER_MESSAGE = _ROW + "edge endpoints must satisfy a < b"
 
 BAD_EDGE_FILES = {
     "bad-header": ("a,b,detector,score,evidence\n" + _GOOD_EDGE, _HEADER_MESSAGE),
     "empty-file": ("", _HEADER_MESSAGE),
-    "4-fields": ("x,y,hashtag,1.0\n", "edge row must have 5 fields, got 4"),
-    "6-fields": ("x,y,hashtag,1.0,k,extra\n", "edge row must have 5 fields, got 6"),
-    "unknown-detector": ("x,y,psychic,1.0,k\n", "unknown detector in edge file: 'psychic'"),
+    "4-fields": ("x,y,hashtag,1.0\n", _ROW + "edge row must have 5 fields, got 4"),
+    "6-fields": ("x,y,hashtag,1.0,k,extra\n", _ROW + "edge row must have 5 fields, got 6"),
+    "unknown-detector": ("x,y,psychic,1.0,k\n", _ROW + "unknown detector in edge file: 'psychic'"),
     "a-equals-b": ("x,x,hashtag,1.0,k\n", _ORDER_MESSAGE),
     "a-after-b": ("y,x,hashtag,1.0,k\n", _ORDER_MESSAGE),
     "score-negative": ("x,y,time,-0.5,cosine\n", _RANGE_MESSAGE),
     "score-above-one": ("x,y,time,1.5,cosine\n", _RANGE_MESSAGE),
     "score-nan": ("x,y,time,nan,cosine\n", _RANGE_MESSAGE),
-    "score-not-a-number": ("x,y,time,abc,cosine\n", "could not convert string to float: 'abc'"),
+    "score-not-a-number": ("x,y,time,abc,cosine\n", _ROW + "edge score is not a number: 'abc'"),
+    # float() reads "0.2_5" as 0.25; no writer puts "_" in a score
+    "score-underscore": ("x,y,time,0.2_5,cosine\n", _ROW + "edge score is not a number: '0.2_5'"),
     # the first failing check wins: fields, detector, score parse, order, range
-    "fields-before-detector": ("x,y,psychic,1.0\n", "edge row must have 5 fields, got 4"),
-    "detector-before-score": ("x,y,psychic,abc,k\n", "unknown detector in edge file: 'psychic'"),
-    "score-parse-before-order": ("y,x,time,abc,cosine\n", "could not convert string to float: 'abc'"),
+    "fields-before-detector": ("x,y,psychic,1.0\n", _ROW + "edge row must have 5 fields, got 4"),
+    "detector-before-score": ("x,y,psychic,abc,k\n", _ROW + "unknown detector in edge file: 'psychic'"),
+    "score-parse-before-order": ("y,x,time,abc,cosine\n", _ROW + "edge score is not a number: 'abc'"),
     "order-before-range": ("y,x,time,1.5,cosine\n", _ORDER_MESSAGE),
 }
 
@@ -540,6 +546,7 @@ class TestEdgeFile:
             body = _EDGE_HEADER + _GOOD_EDGE + body
         path = tmp_path / "edges.csv"
         path.write_text(body, encoding="utf-8")
+        message = message.format(path)
         with pytest.raises(ValueError) as info:
             read_edges_csv(path)
         assert str(info.value) == message
@@ -577,6 +584,34 @@ class TestEdgeFile:
         assert '\n"a\rb","c\rd",hashtag,1.0,k\n"a\rb",plain,hashtag,1.0,"v\rw|x"\n' in fp.getvalue()
         fp.seek(0)
         assert edges_of(read_edges_csv(fp)) == edges
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    @pytest.mark.parametrize("lone_cr", [False, True])
+    def test_written_bytes_match_csv_writer_at_any_block_size(self, monkeypatch, block, lone_cr):
+        # the writer renders each string once and joins rows a block at
+        # a time; csv_writer writing one row per edge is the reference
+        if block is not None:
+            monkeypatch.setattr(formats, "_WRITE_ROWS", block)
+        ids = ["a,b", 'q"uote', "line\nbreak", "plain", " pad "] + (["lone\rcr"] if lone_cr else [])
+        edges = [
+            Edge(x, y, detector, score, key)
+            for (x, y), detector, score, key in zip(
+                itertools.combinations(sorted(ids), 2),
+                itertools.cycle(("hashtag", "retweet", "time")),
+                itertools.cycle((1.0, 0.1 + 0.2, 0.0, 1 / 3, 1e-05)),
+                itertools.cycle(("", "k|l", 'x,"y"', "cosine") + (("v\rw",) if lone_cr else ())),
+            )
+        ]
+        want = io.StringIO(newline="")
+        writer = csv_writer(want, [s for e in edges for s in (e.a, e.b, e.evidence)])
+        writer.writerow(formats.EDGE_HEADER)
+        writer.writerows((e.a, e.b, e.detector, repr(e.score), e.evidence) for e in edges)
+        got = io.StringIO(newline="")
+        write_edges_csv(edge_table(edges), got)
+        assert got.getvalue() == want.getvalue()
+        assert ",hashtag,1.0,\n" in got.getvalue()  # an empty key is an empty cell
+        got.seek(0)
+        assert edges_of(read_edges_csv(got)) == edges
 
     def test_rows_without_carriage_return_keep_their_bytes(self):
         rows = [("a,b", "line\nbreak", 'q"uote'), ("plain", "", "é")]
@@ -1031,8 +1066,11 @@ class TestStatsCommand:
             # the mean of +-1e309 (inf) is nan
             ("bootstrap", ["--col", "v"], "v\n1e309\n-1e309\n", 2, "v", "1e309"),
             ("mannwhitney", ["--a", "a", "--b", "b"], "a,b\n1,2\n,x\n", 3, "b", "x"),
+            # float() reads "_" as a digit separator: 1_0 would be 10
+            ("spearman", ["--x", "v", "--y", "w"], "v,w\n1_0,3\n2,1\n3,2\n", 2, "v", "1_0"),
         ],
-        ids=["spearman-nan", "auc-inf", "reshuffle-minus-inf", "bootstrap-overflow", "mannwhitney-text"],
+        ids=["spearman-nan", "auc-inf", "reshuffle-minus-inf", "bootstrap-overflow", "mannwhitney-text",
+             "spearman-underscore"],
     )
     def test_cell_not_finite_is_located_validation_error(
         self, tmp_path, capsys, test, flags, body, line, column, cell

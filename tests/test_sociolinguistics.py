@@ -179,6 +179,8 @@ def oracle_load_confidences(text):
                 missing += 1
                 continue
             try:
+                if "_" in cell:  # float() reads "_" as a digit separator
+                    raise ValueError
                 v = float(cell)
             except ValueError:
                 return f"row {line_no}, column {name}: not a number: {cell!r}"
@@ -210,7 +212,7 @@ def assert_same_load(text):
 
 
 # cells float() reads with a twist, cells it refuses, and out-of-range ones
-CELLS = ["0.25", "1", "0", "1_0", " 0.5 ", "", "  ", "nan", "inf", "-inf", "-0.0",
+CELLS = ["0.25", "1", "0", "1_0", "0.2_5", " 0.5 ", "", "  ", "nan", "inf", "-inf", "-0.0",
          "1e-1", "1.5", "-0.1", "abc", "0x1", "\u2003"]
 IN_RANGE = ["0.25", "1", "0", " 0.5 ", "-0.0", "1e-1", "0.75"]
 
@@ -327,6 +329,8 @@ class TestLexiconScore:
             load_lexicon(io.StringIO("characteristic,phrase,weight\neconomy,taxes,1.5\n"))
         with pytest.raises(ValueError, match="unknown characteristic"):
             load_lexicon(io.StringIO("characteristic,phrase,weight\nmoods,taxes,0.5\n"))
+        with pytest.raises(TableError, match=r"row 2: weight not a number: '0\.2_5'"):
+            load_lexicon(io.StringIO("characteristic,phrase,weight\neconomy,taxes,0.2_5\n"))
 
     def test_score_corpus_dedups_tweet_ids(self):
         # ingest keeps the first record of a tweet_id; score rows follow the corpus
