@@ -178,13 +178,13 @@ def load_confidences(source) -> CharacteristicTable:
                 if tid in seen_ids:
                     raise TableError(f"row {line_no}: duplicate tweet_id {tid!r}")
                 seen_ids.add(tid)
+                cells = row[1:]
                 try:
-                    cells = row[1:]
                     if "_" in "".join(cells):
                         raise ValueError
                     values = list(map(float, cells))
                 except ValueError:
-                    values, empty = _parse_cells(line_no, columns, row[1:])
+                    values, empty = _parse_cells(line_no, columns, cells)
                     missing_values += empty
                 tweet_ids.append(tid)
                 flat.extend(values)
