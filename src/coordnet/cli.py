@@ -15,11 +15,11 @@ import csv
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from coordnet import __version__
-from coordnet.config import DETECTORS, DUPLICATE_SCOPES, DetectorConfig
+from coordnet.config import DETECTORS, DetectorConfig, ReportConfig
 from coordnet.corpus import day_of_timestamp, load_cache, parse_corpus
 from coordnet.manifest import RunManifest
 from coordnet.sources import csv_reader, number
@@ -29,9 +29,29 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
 
-# DetectorConfig field -> the type of its default, for the config file
-# and the flags alike
-_DETECTOR_TYPES = {f.name: type(f.default) for f in fields(DetectorConfig)}
+
+def _parse(type_):
+    """The parse of a setting's text by the type of its default, for the
+    config file and the flags alike: an int or a float refuses digit
+    underscores, as sources.number does; a tuple is a comma list of its
+    non-empty items; a str is taken as it is. Named after type_, so a
+    flag's usage error reads "invalid int value: '1_0'"."""
+
+    def parse(text: str):
+        if type_ is tuple:
+            return tuple(t.strip() for t in text.split(",") if t.strip())
+        if type_ is not str and "_" in text:
+            raise ValueError(f"not a number: {text!r}")
+        return type_(text)
+
+    parse.__name__ = type_.__name__
+    return parse
+
+
+# Every setting's name -> its parse.
+_SETTINGS = {
+    f.name: _parse(type(f.default)) for cls in (DetectorConfig, ReportConfig) for f in fields(cls)
+}
 
 
 def load_config_file(path) -> dict:
@@ -46,42 +66,27 @@ def load_config_file(path) -> dict:
                 raise ValueError(f"{path}:{line_no}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
             try:
-                if key in _DETECTOR_TYPES:
-                    out[key] = _DETECTOR_TYPES[key](value)
-                elif key == "binarize_threshold":
-                    out[key] = float(value)
-                elif key == "story_hashtags":
-                    out[key] = [t.strip() for t in value.split(",") if t.strip()]
-                elif key == "duplicate_scope":
-                    out[key] = value
-                else:
+                if key not in _SETTINGS:
                     raise ValueError(f"unknown config key {key!r}")
+                out[key] = _SETTINGS[key](value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
     return out
 
 
-def detector_config(config: dict, args) -> DetectorConfig:
-    overrides = {k: v for k, v in config.items() if k in _DETECTOR_TYPES}
-    for name in _DETECTOR_TYPES:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return DetectorConfig(**overrides)
-
-
-def _at_least(value: int, low: int, flag: str) -> None:
-    if value < low:
-        raise ValueError(f"{flag} must be at least {low}, got {value}")
-
-
-def _config_snapshot(cfg: DetectorConfig, extra: dict | None = None) -> dict:
-    snap = {f.name: getattr(cfg, f.name) for f in fields(DetectorConfig)}
-    if extra:
-        snap.update(extra)
-    return snap
+def settings(cls, config: dict, args):
+    """cls with each field from its flag, else from the config file, else
+    its default. An empty comma list is no flag, so --story-hashtags ""
+    keeps the file's tags."""
+    values = {}
+    for f in fields(cls):
+        flag = getattr(args, f.name, None)
+        if flag not in (None, ()):
+            values[f.name] = flag
+        elif f.name in config:
+            values[f.name] = config[f.name]
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +124,7 @@ def cmd_detect(args, config) -> int:
     from coordnet import detectors as det
     from coordnet import formats
 
-    cfg = detector_config(config, args)
+    cfg = settings(DetectorConfig, config, args)
     corpus = load_cache(args.cache)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -159,7 +164,7 @@ def cmd_detect(args, config) -> int:
         fp.write("\n")
 
     manifest = RunManifest(
-        "detect", seed=args.seed, config=_config_snapshot(cfg, {"detectors": sorted(enabled)})
+        "detect", seed=args.seed, config={**asdict(cfg), "detectors": sorted(enabled)}
     )
     manifest.add_input("cache", args.cache)
     manifest.counts["records"] = len(corpus)
@@ -231,18 +236,9 @@ def cmd_report(args, config) -> int:
     from coordnet import report as reportmod
     from coordnet import sociolinguistics as sl
 
-    duplicate_scope = args.duplicate_scope or config.get("duplicate_scope", "account")
-    threshold = (
-        args.binarize_threshold
-        if args.binarize_threshold is not None
-        else config.get("binarize_threshold", 0.5)
-    )
-    # Checked before anything is read, so a bad value leaves no partial bundle.
-    _at_least(args.top_clusters, 0, "--top-clusters")
-    if duplicate_scope not in DUPLICATE_SCOPES:
-        scopes = ", ".join(DUPLICATE_SCOPES)
-        raise ValueError(f"duplicate_scope must be one of {scopes}, got {duplicate_scope!r}")
-    sl.check_threshold(threshold)
+    # Built before anything is read, so a bad value leaves no partial bundle.
+    cfg = settings(ReportConfig, config, args)
+    detector_cfg = settings(DetectorConfig, config, args)
     corpus = load_cache(args.cache)
     if not args.edges:
         raise ValueError("missing input: --edges (edge CSV files or a detect output directory)")
@@ -252,25 +248,8 @@ def cmd_report(args, config) -> int:
     if args.confidences:
         table = sl.load_confidences(args.confidences)
 
-    story = (
-        [t.strip() for t in args.story_hashtags.split(",") if t.strip()]
-        if args.story_hashtags
-        else config.get("story_hashtags", [])
-    )
-
-    cfg = detector_config(config, args)
     manifest = RunManifest(
-        "report",
-        seed=args.seed,
-        config=_config_snapshot(
-            cfg,
-            {
-                "story_hashtags": sorted(t.lower().lstrip("#") for t in story),
-                "duplicate_scope": duplicate_scope,
-                "binarize_threshold": threshold,
-                "top_clusters": args.top_clusters,
-            },
-        ),
+        "report", seed=args.seed, config={**asdict(detector_cfg), **asdict(cfg)}
     )
     manifest.add_input("cache", args.cache)
     if args.confidences:
@@ -278,16 +257,7 @@ def cmd_report(args, config) -> int:
         manifest.counts["confidence_missing_values"] = table.missing_values
 
     summary = reportmod.write_report_bundle(
-        corpus,
-        tables,
-        table,
-        args.outdir,
-        story_hashtags=story,
-        seed=args.seed,
-        binarize_threshold=threshold,
-        duplicate_scope=duplicate_scope,
-        top_clusters=args.top_clusters,
-        run_manifest=manifest,
+        corpus, tables, table, args.outdir, cfg, seed=args.seed, run_manifest=manifest
     )
     if "notice" in summary:
         print(summary["notice"], file=sys.stderr)
@@ -396,7 +366,7 @@ def cmd_stats(args, config) -> int:
         result = stats.cohens_kappa([cols[n] for n in names])
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown test {args.test!r}")
-    payload = result.as_dict()
+    payload = asdict(result)
     payload["seed"] = args.seed
     json.dump(payload, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
@@ -408,11 +378,11 @@ def cmd_stats(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_detector_flags(p: argparse.ArgumentParser) -> None:
-    """One --flag per DetectorConfig field, typed like its default; a flag
-    overrides the config file."""
-    for name, type_ in _DETECTOR_TYPES.items():
-        p.add_argument(f"--{name.replace('_', '-')}", type=type_, dest=name)
+def _add_setting_flags(p: argparse.ArgumentParser, cls) -> None:
+    """One --flag per field of cls, parsed as the config file's value is;
+    a flag overrides the config file."""
+    for f in fields(cls):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=_SETTINGS[f.name], dest=f.name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cache")
     p.add_argument("-o", "--outdir", required=True)
     p.add_argument("--detectors", help="comma list from: hashtag,retweet,time")
-    _add_detector_flags(p)
+    _add_setting_flags(p, DetectorConfig)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("cluster", help="connected components of edge lists")
@@ -460,11 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--outdir", required=True)
     p.add_argument("--edges", nargs="+", help="edge CSV files or a detect output directory")
     p.add_argument("--confidences", help="confidence CSV (external or scored)")
-    p.add_argument("--story-hashtags", help="comma list of story hashtags")
-    p.add_argument("--duplicate-scope", choices=DUPLICATE_SCOPES)
-    p.add_argument("--binarize-threshold", type=float)
-    p.add_argument("--top-clusters", type=int, default=5)
-    _add_detector_flags(p)
+    _add_setting_flags(p, ReportConfig)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("stats", help="ad-hoc tests on CSV columns")

@@ -1,6 +1,7 @@
-"""Detector names and thresholds.
+"""Detector and report settings: each field's name, type, default and
+range check, declared once.
 
-Kept apart from the detectors themselves, which need numpy, so the CLI
+Kept apart from the modules that compute, which need numpy, so the CLI
 can build its parser, check its options and run ingest without loading
 numpy.
 """
@@ -39,3 +40,33 @@ class DetectorConfig:
             raise ValueError("eligibility minima must be >= 1")
         if self.time_bin_minutes < 1:
             raise ValueError("time_bin_minutes must be >= 1")
+
+
+@dataclass(frozen=True)
+class ReportConfig:
+    """Settings of the report bundle; an instance out of range cannot be
+    built (ValueError). Story hashtags are kept lowercased, without a
+    leading "#", in sorted order."""
+
+    story_hashtags: tuple[str, ...] = ()
+    duplicate_scope: str = "account"
+    binarize_threshold: float = 0.5
+    top_clusters: int = 5
+
+    def __post_init__(self) -> None:
+        tags = tuple(sorted(t.lower().lstrip("#") for t in self.story_hashtags))
+        object.__setattr__(self, "story_hashtags", tags)
+        if self.top_clusters < 0:
+            raise ValueError(f"--top-clusters must be at least 0, got {self.top_clusters}")
+        if self.duplicate_scope not in DUPLICATE_SCOPES:
+            scopes = ", ".join(DUPLICATE_SCOPES)
+            raise ValueError(
+                f"duplicate_scope must be one of {scopes}, got {self.duplicate_scope!r}"
+            )
+        check_threshold(self.binarize_threshold)
+
+
+def check_threshold(threshold: float) -> None:
+    """ValueError unless 0 < threshold < 1 (nan is outside)."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"binarize threshold must be in (0, 1), got {threshold!r}")

@@ -7,7 +7,6 @@ behave (retweet interactions, activity shares, duplicate tweeting).
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -32,8 +31,8 @@ class CoordinationGraph:
     """Undirected evidence graph over interned account codes.
 
     names[i] is the account id of node i; every name is an edge
-    endpoint. (a[j], b[j]) are the distinct edges, each once, in no
-    particular order.
+    endpoint. (a[j], b[j]) are the edges, in no particular order; a pair
+    may repeat.
     """
 
     names: list[str] = field(default_factory=list)
@@ -50,35 +49,20 @@ class CoordinationGraph:
 
         Each table's used account codes are mapped into one int32 code
         space; detector, score and evidence do not matter to the
-        components. Every row becomes one int64 key, (min << 32) | max,
-        packed into one array; one sort puts equal pairs side by side.
+        components, and a pair on several rows is an edge per row.
         """
         codes: dict[str, int] = {}
-        pairs = np.empty(sum(len(table) for table in tables), dtype=np.int64)
+        n = sum(len(table) for table in tables)
+        a, b = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
         end = 0
         for table in tables:
             remap = np.zeros(len(table.accounts), dtype=np.int32)
             for i in table.used().tolist():
                 remap[i] = codes.setdefault(table.accounts[i], len(codes))
             start, end = end, end + len(table)
-            _pack_pairs(remap[table.a], remap[table.b], pairs[start:end])
-        # Distinct pairs by one sort of their keys: np.unique (numpy 2.4)
-        # hashes int64 keys first, which is many times slower than this.
-        pairs.sort()
-        first = np.ones(len(pairs), dtype=bool)
-        np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
-        # Each key as its two int32 halves: min is the high one.
-        halves = pairs.view(np.int32).reshape(-1, 2)
-        high = 1 if sys.byteorder == "little" else 0
-        return cls(names=list(codes), a=halves[:, high][first], b=halves[:, 1 - high][first])
-
-
-def _pack_pairs(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = (min(a[i], b[i]) << 32) | max(a[i], b[i]) for int32 a
-    and b; a is overwritten."""
-    np.minimum(a, b, out=out)
-    out <<= 32
-    out |= np.maximum(a, b, out=a)
+            a[start:end] = remap[table.a]
+            b[start:end] = remap[table.b]
+        return cls(names=list(codes), a=a, b=b)
 
 
 @dataclass
@@ -151,15 +135,6 @@ class InteractionCounts:
     replies_from_outside: int
     intra_share: float | None
     intra_share_of_actions: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "intra_retweets": self.intra_retweets,
-            "retweets_from_outside": self.retweets_from_outside,
-            "replies_from_outside": self.replies_from_outside,
-            "intra_share": self.intra_share,
-            "intra_share_of_actions": self.intra_share_of_actions,
-        }
 
 
 def _members(corpus: Corpus, accounts: set[str]) -> list[bool]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable
 
@@ -18,6 +19,7 @@ import numpy as np
 from coordnet import graph as graphmod
 from coordnet import sociolinguistics as sl
 from coordnet import stats
+from coordnet.config import ReportConfig
 from coordnet.corpus import SECONDS_PER_DAY, Corpus, day_of_timestamp, daily_volume
 from coordnet.detectors import EdgeTable
 from coordnet.formats import fmt
@@ -230,8 +232,9 @@ def write_language_mix(
 
 
 def story_share(corpus: Corpus, coordinated: set[str], story_hashtags) -> dict:
-    """Share of story-hashtag tweets authored by coordinated accounts."""
-    tags = {t.lower().lstrip("#") for t in story_hashtags if t}
+    """Share of story-hashtag tweets authored by coordinated accounts;
+    story_hashtags as ReportConfig keeps them."""
+    tags = set(story_hashtags)
     if not tags:
         return {"hashtags": [], "coordinated": None, "total": None, "share": None}
     total = 0
@@ -284,15 +287,13 @@ def write_report_bundle(
     edge_tables: Iterable[EdgeTable],
     table: sl.CharacteristicTable | None,
     outdir,
+    config: ReportConfig = ReportConfig(),
     *,
-    story_hashtags=(),
     seed: int = 0,
-    binarize_threshold: float = 0.5,
-    duplicate_scope: str = "account",
-    top_clusters: int = 5,
     run_manifest: RunManifest | None = None,
 ) -> dict:
-    """Emit the full analysis bundle into outdir; returns the summary."""
+    """Emit the full analysis bundle into outdir under config's settings;
+    returns the summary."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = run_manifest or RunManifest("report", seed=seed)
@@ -323,11 +324,13 @@ def write_report_bundle(
 
     write_daily_volume(corpus, emit("daily_volume.csv"))
     write_activity_shares(corpus, coordinated, emit("activity_shares.csv"))
-    dup_shares = write_duplicate_shares(corpus, emit("duplicate_shares.csv"), duplicate_scope)
+    dup_shares = write_duplicate_shares(
+        corpus, emit("duplicate_shares.csv"), config.duplicate_scope
+    )
     write_clusters(clusters, emit("clusters.csv"))
 
     interactions = graphmod.retweet_interactions(corpus, coordinated)
-    story = story_share(corpus, coordinated, story_hashtags)
+    story = story_share(corpus, coordinated, config.story_hashtags)
 
     n_accounts = len(corpus.account_ids)
     user_share = (len(coordinated) / n_accounts) if n_accounts else None
@@ -352,25 +355,26 @@ def write_report_bundle(
         "coordinated_accounts": len(coordinated),
         "total_accounts": n_accounts,
         "story_share": story,
-        "interactions": interactions.as_dict(),
-        "duplicate_scope": duplicate_scope,
+        "interactions": asdict(interactions),
+        "duplicate_scope": config.duplicate_scope,
         "duplicate_comparison": duplicate_comparison,
         "quantile_base": "retweet similarity quantile computed over candidate pairs with nonzero similarity",
-        "binarize_threshold": binarize_threshold,
+        "binarize_threshold": config.binarize_threshold,
         "clusters": [
-            {"id": c.id, "size": c.size, "label": c.label} for c in clusters[:top_clusters]
+            {"id": c.id, "size": c.size, "label": c.label}
+            for c in clusters[: config.top_clusters]
         ],
         "sociolinguistics": None,
     }
 
     if table is not None and len(table):
         cols = RecordColumns(corpus, table)
-        scopes = _scope_masks(cols, clusters, coordinated, top_clusters)
+        scopes = _scope_masks(cols, clusters, coordinated, config.top_clusters)
         rho, pval = correlation_matrices(table)
         write_matrix(rho, emit("correlations.csv"))
         write_matrix(pval, emit("correlation_pvalues.csv"))
         write_cluster_deltas(cols, table, scopes, emit("deltas.csv"))
-        labels = sl.binarize(table, binarize_threshold)
+        labels = sl.binarize(table, config.binarize_threshold)
         rates = write_binarized_rates(cols, labels, scopes[0][1], emit("binarized_rates.csv"))
         write_daily_confidence(cols, table, scopes, emit("daily_confidence.csv"))
         summary["sociolinguistics"] = {

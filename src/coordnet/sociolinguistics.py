@@ -18,6 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
+from coordnet.config import check_threshold
 from coordnet.corpus import Corpus, normalize_text
 from coordnet.sources import csv_reader, csv_writer, number
 
@@ -355,12 +356,6 @@ def score_corpus(corpus: Corpus, lexicon: Lexicon) -> CharacteristicTable:
         np.vstack(scores) if scores else np.empty((0, N_CHARACTERISTICS), dtype=np.float64)
     )
     return CharacteristicTable(corpus.tweet_ids, matrix, provenance="lexicon")
-
-
-def check_threshold(threshold: float) -> None:
-    """ValueError unless 0 < threshold < 1 (nan is outside)."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"binarize threshold must be in (0, 1), got {threshold!r}")
 
 
 def binarize(table: CharacteristicTable, threshold: float = 0.5) -> np.ndarray:

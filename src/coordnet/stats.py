@@ -36,15 +36,6 @@ class StatResult:
     se: float | None = None
     method: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "n": list(self.n),
-            "se": self.se,
-            "method": self.method,
-        }
-
 
 def left_sum(values: Iterable[float]) -> float:
     """The float sum of values added left to right, as the builtin sum()

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from coordnet import formats
 from coordnet.cli import main
+from coordnet.config import DetectorConfig, ReportConfig
 from coordnet.corpus import KINDS, CorpusError, load_cache, parse_corpus
 from coordnet.formats import (
     read_account_list,
@@ -505,6 +507,99 @@ class TestDetect:
         assert main(["--config", str(config), "detect", str(cache), "-o", str(tmp_path / "y")]) == 1
 
 
+class TestSettings:
+    """Every DetectorConfig and ReportConfig field: one parse for its
+    config file line and its flag; the flag wins over the file, the file
+    over the default."""
+
+    @pytest.mark.parametrize(
+        "line", ["hashtag_k = 1_0", "retweet_top_frac = 0.0_5", "binarize_threshold = 0.2_5"]
+    )
+    def test_config_number_with_underscore_is_located_error(
+        self, tmp_path, detect_run, capsys, line
+    ):
+        # int() and float() read "1_0" as 10
+        cache, _ = detect_run
+        config = tmp_path / "bad.conf"
+        config.write_text(f"# settings\n{line}\n")
+        out = tmp_path / "x"
+        assert main(["--config", str(config), "detect", str(cache), "-o", str(out)]) == 1
+        value = line.split(" = ")[1]
+        assert f"{config}:2: not a number: '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, message",
+        [
+            ("detect", ["--hashtag-k", "1_0"], "invalid int value: '1_0'"),
+            ("detect", ["--time-threshold", "0.9_9"], "invalid float value: '0.9_9'"),
+            ("report", ["--top-clusters", "0_1"], "invalid int value: '0_1'"),
+            ("report", ["--binarize-threshold", "0.2_5"], "invalid float value: '0.2_5'"),
+        ],
+    )
+    def test_flag_number_with_underscore_is_usage_error(
+        self, tmp_path, detect_run, capsys, command, flag, message
+    ):
+        cache, det_out = detect_run
+        argv = [command, str(cache), "-o", str(tmp_path / "x"), *flag]
+        if command == "report":
+            argv += ["--edges", str(det_out)]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"argument {flag[0]}: {message}" in capsys.readouterr().err
+
+    def test_report_takes_no_detector_flags(self, tmp_path, detect_run, capsys):
+        cache, det_out = detect_run
+        argv = ["report", str(cache), "-o", str(tmp_path / "b"), "--edges", str(det_out)]
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--hashtag-k", "6"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --hashtag-k 6" in capsys.readouterr().err
+
+    def test_report_settings_from_flag_then_file_then_default(self, tmp_path, detect_run):
+        cache, det_out = detect_run
+        config = tmp_path / "run.conf"
+        config.write_text("hashtag_k = 6\nstory_hashtags = LeakStory\ntop_clusters = 0\n")
+        bundle = tmp_path / "b"
+        argv = ["--config", str(config), "report", str(cache), "-o", str(bundle),
+                "--edges", str(det_out), "--top-clusters", "2", "--story-hashtags", ""]
+        assert main(argv) == 0
+        snapshot = json.loads((bundle / "manifest.json").read_text())["config"]
+        assert snapshot["hashtag_k"] == 6  # file; report has no detector flags
+        assert snapshot["story_hashtags"] == ["leakstory"]  # an empty flag keeps the file's
+        assert snapshot["top_clusters"] == 2  # flag over file
+        assert snapshot["duplicate_scope"] == "account"  # default
+        summary = json.loads((bundle / "summary.json").read_text())
+        assert summary["story_share"]["hashtags"] == ["leakstory"]
+        assert len(summary["clusters"]) == 1  # the one cluster, under a limit of 2
+
+    def test_defaults_in_config_file_change_no_byte(self, tmp_path, detect_run):
+        cache, _ = detect_run
+        lines = [
+            f"{f.name} = {','.join(f.default) if isinstance(f.default, tuple) else f.default}"
+            for cls in (DetectorConfig, ReportConfig)
+            for f in fields(cls)
+        ]
+        assert len(lines) == 10
+        config = tmp_path / "defaults.conf"
+        config.write_text("\n".join(lines) + "\n")
+        conf = tmp_path / "conf.csv"
+        assert main(["score", str(cache), "-o", str(conf)]) == 0
+        outputs = []
+        for name, prefix in (("plain", []), ("config", ["--config", str(config)])):
+            det, bundle = tmp_path / name / "det", tmp_path / name / "bundle"
+            assert main(prefix + ["detect", str(cache), "-o", str(det)]) == 0
+            assert main(prefix + ["report", str(cache), "-o", str(bundle), "--edges", str(det),
+                                  "--confidences", str(conf)]) == 0
+            root = tmp_path / name
+            outputs.append(
+                {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+            )
+        assert len(outputs[0]) == 21
+        assert outputs[1] == outputs[0]
+
+
 _EDGE_HEADER = "account_a,account_b,detector,score,evidence\n"
 _GOOD_EDGE = "p,q,hashtag,1.0,k\n"
 _HEADER_MESSAGE = "edge CSV must start with header account_a,account_b,detector,score,evidence"
@@ -848,6 +943,7 @@ class TestClusterScoreReport:
             (["--binarize-threshold", "nan"], None, "in (0, 1), got nan"),
             ([], "binarize_threshold = 0\n", "in (0, 1), got 0.0"),
             ([], "duplicate_scope = bogus\n", "one of account, corpus, got 'bogus'"),
+            (["--duplicate-scope", "bogus"], None, "one of account, corpus, got 'bogus'"),
         ],
     )
     def test_report_rejects_bad_option_before_writing(

@@ -9,14 +9,19 @@ The runs take their corpora from perfbench/workloads.py at seed 1:
 - hashtag-burst through ingest, detect, cluster and report, whose
   C(m, 2) hashtag edges pin the edge-file writer and reader.
 
+The same runs check that every CSV cell they write is a finite number,
+an empty (undefined) value, or sits in a column of names.
+
 tests/digests.json holds the digests beside the Python and numpy
 versions that wrote them. A change meant to move bytes rewrites the file
 (`PYTHONPATH=src python tests/test_digests.py`) in the same commit and
 says which entries moved and why.
 """
 
+import csv
 import importlib.util
 import json
+import math
 import os
 import platform
 import sys
@@ -24,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from coordnet.cli import main
 from coordnet.manifest import file_sha256
@@ -84,9 +90,16 @@ def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def test_artifact_bytes_match_the_pinned_digests(tmp_path):
+@pytest.fixture(scope="module")
+def pinned_runs(tmp_path_factory) -> tuple[Path, dict[str, str]]:
+    """The directory the runs wrote under, and run_digests' result."""
+    base = tmp_path_factory.mktemp("pinned")
+    return base, run_digests(base)
+
+
+def test_artifact_bytes_match_the_pinned_digests(pinned_runs):
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    got = run_digests(tmp_path)
+    _, got = pinned_runs
     moved = sorted(
         key for key in pinned["sha256"].keys() | got.keys()
         if pinned["sha256"].get(key) != got.get(key)
@@ -95,6 +108,33 @@ def test_artifact_bytes_match_the_pinned_digests(tmp_path):
         f"{len(moved)} artifacts moved: {', '.join(moved)} "
         f"(pinned under {pinned['versions']}, this run {versions()})"
     )
+
+
+# The columns whose cells are names, not numbers: ids, evidence keys,
+# detector, day, scope (deltas.csv's "cluster"), characteristic, label,
+# language and the member ids that continue a clusters.csv row.
+TEXT_COLUMNS = {
+    "account_a", "account_b", "account_id", "tweet_id", "member_ids", "evidence",
+    "detector", "day", "scope", "cluster", "characteristic", "label", "language",
+}
+
+
+def test_every_csv_cell_is_a_finite_number_or_text(pinned_runs):
+    # Under numpy 2 an np.float64 reaching formats.fmt is written as
+    # "np.float64(...)", which float() cannot read back; nan and inf are
+    # no values either. An empty cell is an undefined value (None).
+    base, _ = pinned_runs
+    paths = sorted(base.glob("*/run/**/*.csv"))
+    assert len(paths) == 32
+    for path in paths:
+        with open(path, encoding="utf-8", newline="") as fp:
+            header, *rows = csv.reader(fp)
+        numeric = [name not in TEXT_COLUMNS for name in header]
+        for line_no, row in enumerate(rows, start=2):
+            # cells past the header continue its last column
+            for cell, is_number in zip(row, numeric + numeric[-1:] * len(row)):
+                if is_number and cell:
+                    assert math.isfinite(float(cell)), (path, line_no, cell)
 
 
 if __name__ == "__main__":
