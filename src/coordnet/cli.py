@@ -14,12 +14,13 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
 from coordnet import __version__
-from coordnet.config import DETECTORS, DetectorConfig, ReportConfig
+from coordnet.config import DETECTORS, DetectorConfig, ReportConfig, detector_set
 from coordnet.corpus import day_of_timestamp, load_cache, parse_corpus
 from coordnet.manifest import RunManifest
 from coordnet.sources import csv_reader, number
@@ -55,11 +56,12 @@ _SETTINGS = {
 
 
 def load_config_file(path) -> dict:
-    """Parse a `key = value` config file (# starts a comment)."""
+    """Parse a `key = value` config file; "#" starts a comment at a line's
+    start or after whitespace, so `story_hashtags = a,#b` keeps "#b"."""
     out = {}
     with open(path, "r", encoding="utf-8") as fp:
         for line_no, raw in enumerate(fp, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -125,14 +127,14 @@ def cmd_detect(args, config) -> int:
     from coordnet import formats
 
     cfg = settings(DetectorConfig, config, args)
+    enabled = detector_set(
+        [d.strip() for d in args.detectors.split(",") if d.strip()]
+        if args.detectors
+        else DETECTORS
+    )
     corpus = load_cache(args.cache)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    enabled = (
-        [d.strip() for d in args.detectors.split(",") if d.strip()]
-        if args.detectors
-        else list(DETECTORS)
-    )
     diagnostics: dict[str, int] = {}
     results = det.detect_all(corpus, cfg, enabled, diagnostics)
 

@@ -17,6 +17,14 @@ DETECTORS = ("hashtag", "retweet", "time")
 DUPLICATE_SCOPES = ("account", "corpus")
 
 
+def detector_set(names) -> set[str]:
+    """The set of names; ValueError naming each one that is not a detector."""
+    unknown = set(names) - set(DETECTORS)
+    if unknown:
+        raise ValueError(f"unknown detectors: {sorted(unknown)}")
+    return set(names)
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Tunable thresholds for the three detectors; an instance out of
@@ -46,7 +54,7 @@ class DetectorConfig:
 class ReportConfig:
     """Settings of the report bundle; an instance out of range cannot be
     built (ValueError). Story hashtags are kept lowercased, without a
-    leading "#", in sorted order."""
+    leading "#", distinct and non-empty, in sorted order."""
 
     story_hashtags: tuple[str, ...] = ()
     duplicate_scope: str = "account"
@@ -54,7 +62,7 @@ class ReportConfig:
     top_clusters: int = 5
 
     def __post_init__(self) -> None:
-        tags = tuple(sorted(t.lower().lstrip("#") for t in self.story_hashtags))
+        tags = tuple(sorted({t.lower().lstrip("#") for t in self.story_hashtags} - {""}))
         object.__setattr__(self, "story_hashtags", tags)
         if self.top_clusters < 0:
             raise ValueError(f"--top-clusters must be at least 0, got {self.top_clusters}")

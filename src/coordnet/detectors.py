@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from coordnet import kernels
-from coordnet.config import DETECTORS, DetectorConfig
+from coordnet.config import DETECTORS, DetectorConfig, detector_set
 from coordnet.corpus import ORIGINAL, RETWEET, Corpus
-from coordnet.stats import left_sum
 
 HASHTAG_SEPARATOR = "|"
 
@@ -72,30 +71,32 @@ class EdgeTable:
         return {self.accounts[i] for i in self.used().tolist()}
 
 
-class SparseVector:
-    """Non-negative sparse vector with a cached Euclidean norm.
+@dataclass(eq=False)
+class AccountVectors(Mapping):
+    """The eligible accounts' TF-IDF vectors as one CSR matrix.
 
-    Zero-weight entries are dropped; entries are stored in ascending
-    term order so norms and dot products are order-deterministic.
+    accounts maps each account id to its row r, ids ascending with r,
+    zero-norm rows included: dense term ids terms[indptr[r]:indptr[r + 1]],
+    ascending, with their nonzero weights, and the row's Euclidean norm
+    norms[r], zero only for an empty row. As a read-only Mapping, an
+    account id maps to its row's term ids.
     """
 
-    __slots__ = ("entries", "norm")
+    accounts: dict[str, int]
+    indptr: np.ndarray
+    terms: np.ndarray
+    weights: np.ndarray
+    norms: np.ndarray
 
-    def __init__(self, entries: dict[int, float]):
-        self.entries = {t: w for t, w in sorted(entries.items()) if w != 0.0}
-        self.norm = math.sqrt(left_sum(w * w for w in self.entries.values()))
+    def __getitem__(self, account: str) -> np.ndarray:
+        r = self.accounts[account]
+        return self.terms[self.indptr[r] : self.indptr[r + 1]]
+
+    def __iter__(self):
+        return iter(self.accounts)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-
-def tfidf_weight(tf: int, df: int, n_docs: int) -> float:
-    """Frozen weighting: tf * ln((1 + n_docs) / (1 + df))."""
-    if tf < 1:
-        raise ValueError("tf must be >= 1")
-    if not 1 <= df <= n_docs:
-        raise ValueError("df must satisfy 1 <= df <= n_docs")
-    return tf * math.log((1 + n_docs) / (1 + df))
+        return len(self.accounts)
 
 
 # ---------------------------------------------------------------------------
@@ -180,53 +181,58 @@ def detect_hashtag_coordination(
 
 def build_account_vectors(
     corpus: Corpus, term: str, cfg: DetectorConfig = DetectorConfig()
-) -> dict[str, SparseVector]:
+) -> AccountVectors:
     """Per-account TF-IDF vectors over retweeted ids or time bins.
 
     term="retweeted_id": documents are accounts with more than
-    cfg.retweet_min retweets; terms are the ids they retweet.
+    cfg.retweet_min retweets; terms are the ids they retweet, numbered
+    in string order.
     term="time_bin": documents are accounts with more than cfg.time_min
     tweets of any kind; terms are timestamp // (time_bin_minutes * 60).
-    Document frequencies count included accounts only.
+    Document frequencies count included accounts only. An entry weighs
+    tf * ln((1 + n_docs) / (1 + df)); zero weights are not stored.
     """
     if term not in ("retweeted_id", "time_bin"):
         raise ValueError(f"unknown term kind: {term!r}")
 
-    codes = corpus.account_codes
+    names = corpus.account_ids
+    codes = np.asarray(corpus.account_codes)
     if term == "retweeted_id":
-        pairs = Counter(
-            (code, target)
-            for code, kind, target in zip(codes, corpus.kinds, corpus.retweeted_tweet_ids)
-            if kind == RETWEET
-        )
+        retweets = np.asarray(corpus.kinds) == RETWEET
+        eligible = np.bincount(codes[retweets], minlength=len(names)) > cfg.retweet_min
+        kept = eligible[codes] & retweets
+        targets = list(itertools.compress(corpus.retweeted_tweet_ids, kept))
+        # Term ids in Python's str order.
+        vocab = {t: i for i, t in enumerate(sorted(set(targets)))}
+        terms = np.fromiter(map(vocab.__getitem__, targets), dtype=np.int64, count=len(targets))
     else:
-        bin_seconds = cfg.time_bin_minutes * 60
-        pairs = Counter(zip(codes, [ts // bin_seconds for ts in corpus.timestamps]))
-    by_code: dict[int, dict] = {}
-    for (code, value), tf in pairs.items():
-        by_code.setdefault(code, {})[value] = tf
-    counts = {corpus.account_ids[code]: per for code, per in by_code.items()}
-
-    minimum = cfg.retweet_min if term == "retweeted_id" else cfg.time_min
-    included = sorted(acct for acct, per in counts.items() if sum(per.values()) > minimum)
+        eligible = np.bincount(codes, minlength=len(names)) > cfg.time_min
+        kept = eligible[codes]
+        bins = np.asarray(corpus.timestamps)[kept] // (cfg.time_bin_minutes * 60)
+        vocab, terms = np.unique(bins, return_inverse=True)
+    included = sorted(np.flatnonzero(eligible).tolist(), key=names.__getitem__)
     n_docs = len(included)
-    if n_docs == 0:
-        return {}
+    row_of = np.zeros(len(names), dtype=np.int64)
+    row_of[included] = np.arange(n_docs)
 
-    df: dict = {}
-    for acct in included:
-        for value in counts[acct]:
-            df[value] = df.get(value, 0) + 1
-    term_ids = {value: i for i, value in enumerate(sorted(df))}
+    # One entry per (row, term), in that order, with its count as tf. A
+    # key row * len(vocab) + term fits int64 below 3e9 records.
+    pairs, tf = np.unique(row_of[codes[kept]] * len(vocab) + terms, return_counts=True)
+    rows, terms = np.divmod(pairs, len(vocab))
+    df = np.bincount(terms, minlength=len(vocab))
+    dfs, df_rank = np.unique(df, return_inverse=True)
+    idf = np.array([math.log((1 + n_docs) / (1 + d)) for d in dfs.tolist()])
+    weights = tf * idf[df_rank[terms]]
+    nonzero = weights != 0.0
+    rows, terms, weights = rows[nonzero], terms[nonzero], weights[nonzero]
 
-    vectors = {}
-    for acct in included:
-        entries = {
-            term_ids[value]: tfidf_weight(tf, df[value], n_docs)
-            for value, tf in counts[acct].items()
-        }
-        vectors[acct] = SparseVector(entries)
-    return vectors
+    indptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_docs), out=indptr[1:])
+    # bincount adds in input order, ascending terms within a row, so a
+    # norm has the bits of the left-to-right sum of its squares.
+    norms = np.sqrt(np.bincount(rows, weights=weights * weights, minlength=n_docs))
+    accounts = {names[c]: r for r, c in enumerate(included)}
+    return AccountVectors(accounts, indptr, terms, weights, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +241,7 @@ def build_account_vectors(
 
 
 def candidate_pair_similarities(
-    vectors: dict[str, SparseVector], selector
+    vectors: AccountVectors, selector
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Cosine similarity for the selected account pairs sharing a stored
     term.
@@ -257,30 +263,18 @@ def candidate_pair_similarities(
     Weights are unit-normalized before the term-at-a-time accumulation
     kernel runs, so accumulated dots are the cosines.
     """
-    accounts = sorted(acct for acct, vec in vectors.items() if vec.norm > 0.0)
-    if len(accounts) < 2:
-        return _no_pairs() + (accounts,)
+    keep = vectors.norms > 0.0
+    accounts = list(itertools.compress(vectors.accounts, keep))
 
-    # Postings: flatten each vector's (ascending) entries in account
-    # order, then a stable sort by term keeps accounts ascending within
-    # each term.
-    vecs = [vectors[acct] for acct in accounts]
-    lengths = np.fromiter((len(v.entries) for v in vecs), dtype=np.int64, count=len(vecs))
-    nnz = int(lengths.sum())
-    terms = np.fromiter(
-        itertools.chain.from_iterable(v.entries for v in vecs), dtype=np.int64, count=nnz
-    )
-    weights = np.fromiter(
-        itertools.chain.from_iterable(v.entries.values() for v in vecs),
-        dtype=np.float64,
-        count=nnz,
-    )
-    inv_norms = 1.0 / np.fromiter((v.norm for v in vecs), dtype=np.float64, count=len(vecs))
-    weights *= np.repeat(inv_norms, lengths)
-    order = np.argsort(terms, kind="stable")
+    # Postings: only zero-norm rows are empty, so every entry is a kept
+    # row's. A stable sort by term keeps accounts ascending within each
+    # term.
+    lengths = np.diff(vectors.indptr)[keep]
+    weights = vectors.weights * np.repeat(1.0 / vectors.norms[keep], lengths)
+    order = np.argsort(vectors.terms, kind="stable")
     acct_idx = np.repeat(np.arange(len(accounts), dtype=np.int32), lengths)[order]
     weights = weights[order]
-    _, counts = np.unique(terms, return_counts=True)
+    counts = np.bincount(vectors.terms)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
 
@@ -290,11 +284,6 @@ def candidate_pair_similarities(
         select=lambda keys, dots: selector.select(keys, np.clip(dots, 0.0, 1.0), most),
     )
     return selector.kept(keys, sims) + (accounts,)
-
-
-def _no_pairs() -> tuple[np.ndarray, np.ndarray]:
-    """New empty (keys, sims) arrays."""
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
 
 class AboveThreshold:
@@ -350,7 +339,7 @@ class TopFraction:
         bound = max(1, math.ceil(self.frac * most))
         if self._size > 2 * max(bound, self._last_cut):
             self._cut(bound)
-        return _no_pairs()
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
     def _cut(self, rank: int):
         """Cut the pool to the pairs at or above its rank-th largest."""
@@ -437,10 +426,7 @@ def detect_all(
     counts, when given, receives every VECTOR_COUNTS key, 0 for a
     disabled detector.
     """
-    enabled = set(enabled)
-    unknown = enabled - set(DETECTORS)
-    if unknown:
-        raise ValueError(f"unknown detectors: {sorted(unknown)}")
+    enabled = detector_set(enabled)
     if counts is not None:
         counts.update(dict.fromkeys(VECTOR_COUNTS, 0))
     out: dict[str, tuple[EdgeTable, set[str]]] = {}

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+from collections import Counter
 from dataclasses import astuple, dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -12,10 +13,11 @@ from typing import NamedTuple
 import numpy as np
 
 import coordnet
-from coordnet.config import DETECTORS
-from coordnet.corpus import day_of_timestamp, parse_corpus
-from coordnet.detectors import EdgeTable
+from coordnet.config import DETECTORS, DetectorConfig
+from coordnet.corpus import RETWEET, day_of_timestamp, parse_corpus
+from coordnet.detectors import AccountVectors, EdgeTable
 from coordnet.sociolinguistics import N_CHARACTERISTICS, CharacteristicTable
+from coordnet.stats import left_sum
 
 BASE_TS = 1493632800  # 2017-05-01T10:00:00Z
 
@@ -140,6 +142,58 @@ def top_fraction_cutoff(sims, top_frac: float) -> float:
     """Nearest-rank cutoff: the ceil(top_frac * m)-th largest similarity."""
     k = max(1, math.ceil(top_frac * len(sims)))
     return float(sorted(sims.tolist(), reverse=True)[k - 1])
+
+
+def reference_account_vectors(corpus, term, cfg=DetectorConfig()):
+    """The per-account dict build that detectors.build_account_vectors
+    replaced, kept as its bitwise reference: account -> (entries, norm)
+    for the eligible accounts in id order, entries {term id: weight} in
+    ascending term order without zero weights, norm the left-to-right
+    sum of their squares under a square root."""
+    codes = corpus.account_codes
+    if term == "retweeted_id":
+        pairs = Counter(
+            (code, target)
+            for code, kind, target in zip(codes, corpus.kinds, corpus.retweeted_tweet_ids)
+            if kind == RETWEET
+        )
+    else:
+        bin_seconds = cfg.time_bin_minutes * 60
+        pairs = Counter(zip(codes, [ts // bin_seconds for ts in corpus.timestamps]))
+    counts: dict[str, dict] = {}
+    for (code, value), tf in pairs.items():
+        counts.setdefault(corpus.account_ids[code], {})[value] = tf
+    minimum = cfg.retweet_min if term == "retweeted_id" else cfg.time_min
+    included = sorted(acct for acct, per in counts.items() if sum(per.values()) > minimum)
+    n_docs = len(included)
+    df: dict = {}
+    for acct in included:
+        for value in counts[acct]:
+            df[value] = df.get(value, 0) + 1
+    term_ids = {value: i for i, value in enumerate(sorted(df))}
+    vectors = {}
+    for acct in included:
+        weights = {
+            term_ids[value]: tf * math.log((1 + n_docs) / (1 + df[value]))
+            for value, tf in counts[acct].items()
+        }
+        entries = {t: w for t, w in sorted(weights.items()) if w != 0.0}
+        vectors[acct] = (entries, math.sqrt(left_sum(w * w for w in entries.values())))
+    return vectors
+
+
+def account_vectors(entries) -> AccountVectors:
+    """AccountVectors of {account: {term id: weight}}: zero weights
+    dropped, norms summed as the builder sums them."""
+    accounts = sorted(entries)
+    rows = [sorted((t, w) for t, w in entries[a].items() if w != 0.0) for a in accounts]
+    return AccountVectors(
+        {a: r for r, a in enumerate(accounts)},
+        np.cumsum([0] + [len(row) for row in rows]),
+        np.array([t for row in rows for t, _ in row], dtype=np.int64),
+        np.array([w for row in rows for _, w in row], dtype=np.float64),
+        np.array([math.sqrt(left_sum(w * w for _, w in row)) for row in rows]),
+    )
 
 
 def jsonl_line(**kwargs):

@@ -4,11 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s`. Criteria cover oracle
 equivalence, planted-cluster recovery, statistics identities, seeded
 reproducibility, ratio fixtures, byte-level pipeline determinism, the
 bounded-memory scale path, detect memory that grows with the accounts,
-not with their pairs, and an edge path that holds no Python object per
-edge row.
+not with their pairs, an edge path that holds no Python object per
+edge row, and account vectors that hold none per record.
 """
 
 import csv
+import importlib.util
 import itertools
 import json
 import math
@@ -18,13 +19,20 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 from coordnet import sociolinguistics as sl
 from coordnet.cli import main
 from coordnet.corpus import parse_corpus
-from coordnet.detectors import DetectorConfig, EdgeTable, detect_all, detect_hashtag_coordination
+from coordnet.detectors import (
+    DetectorConfig,
+    EdgeTable,
+    build_account_vectors,
+    detect_all,
+    detect_hashtag_coordination,
+)
 from coordnet.formats import read_edges_csv, write_edges_csv
 from coordnet.graph import CoordinationGraph, connected_components
 from coordnet.stats import (
@@ -38,6 +46,9 @@ from coordnet.stats import (
 from helpers import BASE_TS, corpus_of, edges_of, rec, record_to_json, subprocess_env
 from test_detectors import oracle_hashtag_pairs, oracle_vector_pairs, random_corpus
 from test_stats import oracle_exact_p, oracle_spearman, oracle_u
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def ok(criterion, detail):
@@ -672,3 +683,52 @@ def test_criterion_9_edge_path_memory_per_edge(tmp_path):
         f"edge path peak {peaks[0] / 2**20:.1f} -> {peaks[1] / 2**20:.1f} MiB for "
         f"{rows[0]} -> {rows[1]} edge rows: {per_edge:.1f} B per row",
     )
+
+
+# ---------------------------------------------------------------------------
+# 10. Account vectors hold no Python object per record
+# ---------------------------------------------------------------------------
+
+
+def report_full_corpus(accounts, workdir):
+    """The benchmark's report-full corpus at PCG64 seed 7 with the given
+    number of accounts, parsed as ingest parses it."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    generated, _ = workloads.report_full(np.random.Generator(np.random.PCG64(7)), accounts)
+    generated.write(workdir / "input.jsonl")
+    return parse_corpus(workdir / "input.jsonl")
+
+
+def vectors_peak_bytes(corpus, term):
+    """tracemalloc peak of build_account_vectors above what was allocated
+    before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build_account_vectors(corpus, term)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_criterion_10_account_vectors_memory_per_record(tmp_path):
+    corpora = []
+    for accounts in (3000, 6000):
+        (tmp_path / str(accounts)).mkdir()
+        corpora.append(report_full_corpus(accounts, tmp_path / str(accounts)))
+    added = len(corpora[1]) - len(corpora[0])
+    details = []
+    for term in ("retweeted_id", "time_bin"):
+        peaks = [vectors_peak_bytes(corpus, term) for corpus in corpora]
+        per_record = (peaks[1] - peaks[0]) / added
+        # The columns are read through views; a record adds a mask byte
+        # or two, and an account its counts: 5 B (retweet) and 11 B
+        # (time) measured. Any Python object per record fails (a list
+        # slot and a small int take 36 B); the per-account dicts of
+        # (account, term) counts measured 90 B and 246 B.
+        assert per_record <= 32, f"{term} vectors peak grew {per_record:.1f} B per record"
+        details.append(f"{term} {per_record:.1f} B")
+    ok(10, f"account vectors peak per added record over {added} records: " + ", ".join(details))

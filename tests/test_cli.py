@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordnet import formats
-from coordnet.cli import main
+from coordnet.cli import load_config_file, main
 from coordnet.config import DetectorConfig, ReportConfig
 from coordnet.corpus import KINDS, CorpusError, load_cache, parse_corpus
 from coordnet.formats import (
@@ -474,6 +474,15 @@ class TestDetect:
         cache, _ = detect_run
         assert main(["detect", str(cache), "-o", str(tmp_path / "x"), "--detectors", "psychic"]) == 1
 
+    def test_unknown_detector_writes_nothing(self, tmp_path, capsys):
+        # the names are checked before the cache is read (this one does
+        # not exist) and before the output directory is made
+        out = tmp_path / "x"
+        argv = ["detect", str(tmp_path / "missing.jsonl"), "-o", str(out), "--detectors", "time,bogus"]
+        assert main(argv) == 1
+        assert "unknown detectors: ['bogus']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_overridden_by_flag(self, tmp_path, small_corpus_file, capsys):
         cache = tmp_path / "cache.jsonl"
         main(["ingest", str(small_corpus_file), "-o", str(cache)])
@@ -548,6 +557,20 @@ class TestSettings:
             main(argv)
         assert info.value.code == 2
         assert f"argument {flag[0]}: {message}" in capsys.readouterr().err
+
+    def test_hash_inside_a_value_is_not_a_comment(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text(
+            "# settings\n   # indented comment\n"
+            "story_hashtags = A,#b # two tags\nhashtag_k = 6\t# after a tab\n"
+        )
+        values = load_config_file(config)
+        assert values == {"story_hashtags": ("A", "#b"), "hashtag_k": 6}
+        assert ReportConfig(story_hashtags=values["story_hashtags"]).story_hashtags == ("a", "b")
+
+    def test_story_hashtags_distinct_and_non_empty(self):
+        tags = ReportConfig(story_hashtags=("#", "a", "A", "#a", "##B", "c")).story_hashtags
+        assert tags == ("a", "b", "c")
 
     def test_report_takes_no_detector_flags(self, tmp_path, detect_run, capsys):
         cache, det_out = detect_run

@@ -13,7 +13,6 @@ from coordnet import kernels
 from coordnet.detectors import (
     DetectorConfig,
     AboveThreshold,
-    SparseVector,
     TopFraction,
     _index_posts,
     build_account_vectors,
@@ -23,10 +22,19 @@ from coordnet.detectors import (
     detect_retweet_coordination,
     detect_time_coordination,
     edges_from_hashtag_index,
-    tfidf_weight,
 )
 
-from helpers import BASE_TS, Edge, corpus_of, edges_of, rec, records_of, top_fraction_cutoff
+from helpers import (
+    BASE_TS,
+    Edge,
+    account_vectors,
+    corpus_of,
+    edges_of,
+    rec,
+    records_of,
+    reference_account_vectors,
+    top_fraction_cutoff,
+)
 
 # Kernel pair-product budgets per row block the equivalence tests run
 # at: the default, one row per block, and a budget that leaves ragged
@@ -34,19 +42,14 @@ from helpers import BASE_TS, Edge, corpus_of, edges_of, rec, records_of, top_fra
 PAIR_BUDGETS = (kernels.PAIR_BUDGET, 1, 7)
 
 
-def cosine(u: SparseVector, v: SparseVector) -> float:
-    """dot(u, v) / (|u| |v|), clamped to [0, 1]; requires nonzero norms."""
-    if u.norm == 0.0 or v.norm == 0.0:
-        raise ValueError("cosine is undefined for zero-norm vectors")
-    if len(v) < len(u):
-        u, v = v, u
-    dot = 0.0
-    other = v.entries
-    for term, w in u.entries.items():
-        wv = other.get(term)
-        if wv is not None:
-            dot += w * wv
-    return min(1.0, max(0.0, dot / (u.norm * v.norm)))
+def cosine(u: dict, v: dict) -> float:
+    """The clipped cosine candidate_pair_similarities gives two accounts
+    with entries {term id: weight} u and v; 0.0 when they share no term."""
+    _, sims, accounts = candidate_pair_similarities(
+        account_vectors({"u": u, "v": v}), AboveThreshold(-math.inf)
+    )
+    assert accounts == ["u", "v"]
+    return float(sims[0]) if len(sims) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -161,57 +164,151 @@ class TestHashtagKeySet:
         assert hashtag_keys(["a", "b", "c"], 5) == set()
 
 
+def retweets(account, *targets):
+    """Retweet records of account, one per target id."""
+    return [rec(f"{account}-{i}", account, kind="retweet", rt_id=t) for i, t in enumerate(targets)]
+
+
+def weights_of(vectors, account) -> dict[int, float]:
+    """An account's stored {term id: weight}."""
+    r = vectors.accounts[account]
+    lo, hi = vectors.indptr[r], vectors.indptr[r + 1]
+    return dict(zip(vectors.terms[lo:hi].tolist(), vectors.weights[lo:hi].tolist()))
+
+
+# Three eligible accounts; terms in string order: shared 0, x 1, y 2, z 3.
+# "shared" is in every document, so it weighs zero and is not stored.
+THREE_DOCS = (
+    retweets("a", *["x"] * 2, "z", *["shared"] * 8)
+    + retweets("b", *["shared"] * 11)
+    + retweets("c", "shared", *["y"] * 9, "z")
+)
+
+
 class TestTfidfWeight:
     def test_single_doc_degenerate(self):
-        assert tfidf_weight(1, 1, 1) == 0.0
+        # one document: every df = n_docs, so every weight is ln(2/2) = 0
+        vectors = build_account_vectors(corpus_of(*retweets("a", *"xyzxyzxyzxy")), "retweeted_id")
+        assert list(vectors) == ["a"] and weights_of(vectors, "a") == {}
+        assert vectors.norms.tolist() == [0.0]
 
     def test_hand_arithmetic(self):
-        assert tfidf_weight(2, 1, 3) == 2 * math.log(2)
-        assert abs(tfidf_weight(2, 1, 3) - 1.386294) < 1e-6
+        # x: tf 2, df 1, n_docs 3 -> 2 ln(4 / 2); z: tf 1, df 2 -> ln(4 / 3)
+        vectors = build_account_vectors(corpus_of(*THREE_DOCS), "retweeted_id")
+        assert weights_of(vectors, "a") == {1: 2 * math.log(2), 3: math.log(4 / 3)}
+        assert abs(weights_of(vectors, "a")[1] - 1.386294) < 1e-6
+        assert weights_of(vectors, "c") == {2: 9 * math.log(2), 3: math.log(4 / 3)}
 
     def test_ubiquitous_term(self):
-        assert tfidf_weight(1, 100, 100) == 0.0
+        vectors = build_account_vectors(corpus_of(*THREE_DOCS), "retweeted_id")
+        assert 0 not in vectors.terms.tolist()
+        assert len(vectors["b"]) == 0 and vectors.norms[1] == 0.0
 
     def test_domain_violations(self):
-        with pytest.raises(ValueError):
-            tfidf_weight(0, 1, 1)
-        with pytest.raises(ValueError):
-            tfidf_weight(1, 0, 1)
-        with pytest.raises(ValueError):
-            tfidf_weight(1, 3, 2)
+        with pytest.raises(ValueError, match="unknown term kind"):
+            build_account_vectors(corpus_of(*THREE_DOCS), "hashtag")
 
 
 class TestCosine:
     def test_identity(self):
-        v = SparseVector({1: 0.3, 5: 1.2, 9: 0.01})
+        v = {1: 0.3, 5: 1.2, 9: 0.01}
         assert abs(cosine(v, v) - 1.0) < 1e-12
 
     def test_disjoint_supports(self):
-        assert cosine(SparseVector({1: 1.0}), SparseVector({2: 1.0})) == 0.0
+        assert cosine({1: 1.0}, {2: 1.0}) == 0.0
 
     def test_hand_arithmetic(self):
-        u = SparseVector({1: 1.0, 2: 1.0})
-        v = SparseVector({1: 1.0})
-        assert abs(cosine(u, v) - 1 / math.sqrt(2)) < 1e-12
+        assert abs(cosine({1: 1.0, 2: 1.0}, {1: 1.0}) - 1 / math.sqrt(2)) < 1e-12
 
     def test_symmetry(self):
         rnd = random.Random(2)
         for _ in range(50):
-            u = SparseVector({t: rnd.random() for t in rnd.sample(range(20), 6)})
-            v = SparseVector({t: rnd.random() for t in rnd.sample(range(20), 9)})
+            u = {t: rnd.random() for t in rnd.sample(range(20), 6)}
+            v = {t: rnd.random() for t in rnd.sample(range(20), 9)}
             assert abs(cosine(u, v) - cosine(v, u)) < 1e-12
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError):
-            cosine(SparseVector({}), SparseVector({1: 1.0}))
+        # a zero-norm account takes part in no pair
+        vectors = account_vectors({"u": {}, "v": {1: 1.0}, "w": {1: 1.0, 2: 0.5}})
+        keys, _, accounts = candidate_pair_similarities(vectors, AboveThreshold(-math.inf))
+        assert accounts == ["v", "w"] and keys.tolist() == [1]
 
     def test_zero_entries_dropped_and_norm_cached(self):
-        v = SparseVector({1: 0.0, 2: 3.0, 3: 4.0})
-        assert set(v.entries) == {2, 3}
-        assert abs(v.norm - 5.0) < 1e-9 * 5.0
+        vectors = build_account_vectors(corpus_of(*THREE_DOCS), "retweeted_id")
+        assert vectors["a"].tolist() == [1, 3]
+        w = list(weights_of(vectors, "a").values())
+        assert vectors.norms[0] == math.sqrt(w[0] * w[0] + w[1] * w[1])
+
+
+def reference_corpus(rnd, with_retweets=True):
+    """A random corpus for the reference comparison. Timestamps fall on
+    both sides of 1970; retweeted ids sort differently as strings and as
+    numbers ("10" < "9") and include non-ASCII ones. Every account
+    first posts in one bin before 1970, retweeting "common" when there
+    are retweets, and account "zero" posts nothing else, so each
+    eligible account has a term with df = n_docs and "zero" weighs 0
+    throughout."""
+    targets = [str(i) for i in range(1, 25)] + ["é", "中文", "Ω", "a", "a\x00", "Z"]
+    start = -1800
+    records = [rec(f"z{i}", "zero", start, "retweet" if with_retweets else "original",
+                   rt_id="common" if with_retweets else None) for i in range(11)]
+    for a in range(rnd.randint(0, 25)):
+        account = rnd.choice(["acct", "é", "Ж"]) + str(a)
+        kind = "retweet" if with_retweets else "original"
+        records.append(rec(f"{account}-0", account, start, kind,
+                           rt_id="common" if with_retweets else None))
+        for i in range(1, rnd.randint(1, 25)):
+            ts = rnd.randint(-90 * 86400, 90 * 86400)
+            kind = rnd.choice(["original", "reply", "retweet"] if with_retweets else ["original"])
+            rt_id = rnd.choice(targets[: rnd.randint(1, len(targets))]) if kind == "retweet" else None
+            records.append(rec(f"{account}-{i}", account, ts, kind, rt_id=rt_id))
+    rnd.shuffle(records)
+    return corpus_of(*records)
 
 
 class TestBuildAccountVectors:
+    @staticmethod
+    def _assert_matches_reference(corpus, cfg):
+        for term in ("retweeted_id", "time_bin"):
+            vectors = build_account_vectors(corpus, term, cfg)
+            want = reference_account_vectors(corpus, term, cfg)
+            assert list(vectors) == list(want)
+            assert list(vectors.accounts.values()) == list(range(len(want)))
+            assert len(vectors.indptr) == len(want) + 1 and vectors.indptr[0] == 0
+            for r, (entries, norm) in enumerate(want.values()):
+                lo, hi = vectors.indptr[r], vectors.indptr[r + 1]
+                assert vectors.terms[lo:hi].tolist() == list(entries)
+                assert [w.hex() for w in vectors.weights[lo:hi].tolist()] == [
+                    w.hex() for w in entries.values()
+                ]
+                assert float(vectors.norms[r]).hex() == norm.hex()
+            assert vectors.indptr[-1] == len(vectors.terms) == len(vectors.weights)
+
+    @pytest.mark.parametrize("with_retweets", [True, False])
+    def test_matches_reference_bitwise(self, with_retweets):
+        rnd = random.Random(23)
+        for _ in range(25):
+            corpus = reference_corpus(rnd, with_retweets)
+            cfg = DetectorConfig(
+                retweet_min=rnd.randint(1, 10), time_min=rnd.randint(1, 10),
+                time_bin_minutes=rnd.choice([1, 7, 30, 1440]),
+            )
+            self._assert_matches_reference(corpus, cfg)
+
+    def test_matches_reference_with_none_or_one_eligible(self):
+        few = retweets("a", "1", "2") + retweets("b", "10", "9")
+        for eligible, records in ((0, few), (1, few + retweets("c", *"9876543210x"))):
+            corpus = corpus_of(*records)
+            self._assert_matches_reference(corpus, DetectorConfig())
+            for term in ("retweeted_id", "time_bin"):
+                vectors = build_account_vectors(corpus, term)
+                assert len(vectors) == eligible and vectors.indptr[-1] == 0
+
+    def test_zero_norm_accounts_are_documents(self):
+        vectors = build_account_vectors(reference_corpus(random.Random(5)), "retweeted_id")
+        assert "zero" in vectors and len(vectors["zero"]) == 0
+        assert vectors.norms[vectors.accounts["zero"]] == 0.0
+
     def test_eligibility_strictly_more_than_min(self):
         records = [
             rec(f"a{i}", "ten", kind="retweet", rt_id="x") for i in range(10)
@@ -237,14 +334,14 @@ class TestBuildAccountVectors:
         )
         vectors = build_account_vectors(corpus, "time_bin")
         assert "c" not in vectors  # only 2 tweets
-        bins_a = set(vectors["a"].entries)
+        bins_a = set(vectors["a"].tolist())
         assert len(bins_a) == 1
 
     def test_two_bins_for_ten_forty(self):
         mk = [rec(i, "a", BASE_TS + (600 if i % 2 else 2400), "original") for i in range(11)]
         mk += [rec(100 + i, "b", BASE_TS + 86400, "original") for i in range(11)]
         vectors = build_account_vectors(corpus_of(*mk), "time_bin")
-        assert len(vectors["a"].entries) == 2
+        assert len(vectors["a"]) == 2
 
 
 class TestKernelBackends:
@@ -805,7 +902,7 @@ class TestBlockSelect:
                 seen.add(most)
                 return super().select(keys, sims, most)
 
-        vectors = {f"a{i:02d}": SparseVector(entries(i)) for i in range(40)}
+        vectors = account_vectors({f"a{i:02d}": entries(i) for i in range(40)})
         keys, _, _ = candidate_pair_similarities(vectors, Recording(-math.inf))
         assert seen == {most} and len(keys) <= most
 
