@@ -34,14 +34,14 @@ EXIT_INTERNAL = 3
 def _parse(type_):
     """The parse of a setting's text by the type of its default, for the
     config file and the flags alike: an int or a float refuses digit
-    underscores, as sources.number does; a tuple is a comma list of its
-    non-empty items; a str is taken as it is. Named after type_, so a
-    flag's usage error reads "invalid int value: '1_0'"."""
+    underscores, as sources.number does, and an empty text; a tuple is a
+    comma list of its non-empty items; a str is taken as it is. Named
+    after type_, so a flag's usage error reads "invalid int value: '1_0'"."""
 
     def parse(text: str):
         if type_ is tuple:
             return tuple(t.strip() for t in text.split(",") if t.strip())
-        if type_ is not str and "_" in text:
+        if type_ is not str and ("_" in text or not text):
             raise ValueError(f"not a number: {text!r}")
         return type_(text)
 
@@ -57,7 +57,9 @@ _SETTINGS = {
 
 def load_config_file(path) -> dict:
     """Parse a `key = value` config file; "#" starts a comment at a line's
-    start or after whitespace, so `story_hashtags = a,#b` keeps "#b"."""
+    start or after whitespace, so `story_hashtags = a,#b` keeps "#b". A
+    value whose first character is "#" and the next not a space, as in
+    `story_hashtags = #a,#b`, is an error rather than a comment."""
     out = {}
     with open(path, "r", encoding="utf-8") as fp:
         for line_no, raw in enumerate(fp, start=1):
@@ -71,6 +73,11 @@ def load_config_file(path) -> dict:
             try:
                 if key not in _SETTINGS:
                     raise ValueError(f"unknown config key {key!r}")
+                tag = re.match(r"\s*(#\S+)", raw.partition("=")[2])
+                if tag:
+                    raise ValueError(
+                        f"value starts with '#': {tag[1]!r}; write tags without '#'"
+                    )
                 out[key] = _SETTINGS[key](value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None

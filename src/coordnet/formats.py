@@ -11,11 +11,15 @@ whatever write_account_list writes, read_account_list reads back.
 from __future__ import annotations
 
 import csv
+import sys
 from array import array
+from operator import itemgetter
 from typing import Iterable
 
+import numpy as np
+
 from coordnet.detectors import DETECTORS, ORDER_ERROR, SCORE_ERROR, EdgeTable
-from coordnet.sources import RowError, csv_cells, csv_reader, csv_writer, number
+from coordnet.sources import RowError, csv_cells, csv_reader, csv_writer, is_path, number
 
 EDGE_HEADER = ("account_a", "account_b", "detector", "score", "evidence")
 
@@ -24,9 +28,29 @@ EDGE_HEADER = ("account_a", "account_b", "detector", "score", "evidence")
 _EDGE_FIELD_LIMIT = 2**31 - 1
 _DETECTOR_CODES = {name: i for i, name in enumerate(DETECTORS)}
 # Rows rendered to text at a time while writing, which bounds the
-# writer's memory above the table itself.
+# writer's memory above the table itself; the reader checks account
+# order as many rows at a time.
 _WRITE_ROWS = 1 << 13
-_EDGE_ROW = "{},{},{},{},{}\n".format
+# Bytes read at a time while reading; a block ends after its last "\n",
+# so it grows to hold a longer line. Blocks stay small because their
+# temporaries add to the reading stage's peak RSS: on hashtag-burst,
+# 256 KiB blocks read about a third faster but raised report's peak RSS
+# by ~3 MiB (32 KiB and 64 KiB measured alike).
+_READ_BYTES = 1 << 16
+_HEADER_LINE = (",".join(EDGE_HEADER) + "\n").encode()
+# The separators of a row the block reader splits: four "," and a "\n".
+_SEPARATORS = np.frombuffer(b",,,,\n", dtype=np.uint8)
+# Bytes only the row loop reads: CSV quoting, "\r" (a row end to
+# csv.reader), and NUL, which csv.reader refuses before Python 3.11.
+_ROW_LOOP_BYTES = (b'"', b"\r") + ((b"\0",) if sys.version_info < (3, 11) else ())
+# A block ends with 8 NUL bytes, so an 8-byte word starts at each byte.
+_PAD = bytes(8)
+# A field of n < 8 bytes is one word: the 8 bytes from its start shifted
+# left and back by _SHORT_SHIFTS[n] bits, which keeps its own bytes, plus
+# its length in the top byte.
+_SHORT_SHIFTS = np.array([64 - 8 * n for n in range(8)], dtype=np.uint64)
+_SHORT_TAGS = np.array([n << 56 for n in range(8)], dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def fmt(value) -> str:
@@ -39,27 +63,35 @@ def fmt(value) -> str:
 
 def write_edges_csv(edges: EdgeTable, fp) -> None:
     """The header, then one row per edge: the bytes csv_writer writes.
+
     Each account id, evidence key and detector name is rendered as a
-    cell once; rows are joined from those cells and the scores' reprs
-    (a float formats as its repr) a block at a time."""
+    cell once, and each distinct score of a block (by its bit pattern)
+    as its repr once per block. A block of rows is then one "".join
+    over a pool of those cells, picked by a numpy matrix of cell
+    numbers: no format call per row, and no temporary beyond a block.
+    """
     fp.write(",".join(EDGE_HEADER) + "\n")
-    account = csv_cells(edges.accounts).__getitem__
-    key = csv_cells(edges.keys).__getitem__
-    detector = csv_cells(DETECTORS).__getitem__
+    pool = [cell + "," for cell in csv_cells(edges.accounts)]
+    detector_base = len(pool)
+    pool += [cell + "," for cell in csv_cells(DETECTORS)]
+    key_base = len(pool)
+    pool += [cell + "\n" for cell in csv_cells(edges.keys)]
+    score_base = len(pool)
+    bases = np.array([0, 0, detector_base, score_base, key_base])
+    bits = edges.score.view(np.uint64)
     for lo in range(0, len(edges), _WRITE_ROWS):
         rows = slice(lo, lo + _WRITE_ROWS)
-        fp.write(
-            "".join(
-                map(
-                    _EDGE_ROW,
-                    map(account, edges.a[rows].tolist()),
-                    map(account, edges.b[rows].tolist()),
-                    map(detector, edges.detector[rows].tolist()),
-                    edges.score[rows].tolist(),
-                    map(key, edges.evidence[rows].tolist()),
-                )
-            )
-        )
+        distinct, score = np.unique(bits[rows], return_inverse=True)
+        pool += [repr(value) + "," for value in distinct.view(np.float64).tolist()]
+        cells = np.empty((len(score), 5), dtype=np.intp)
+        cells[:, 0] = edges.a[rows]
+        cells[:, 1] = edges.b[rows]
+        cells[:, 2] = edges.detector[rows]
+        cells[:, 3] = score
+        cells[:, 4] = edges.evidence[rows]
+        cells += bases
+        fp.write("".join(itemgetter(*cells.ravel().tolist())(pool)))
+        del pool[score_base:]
 
 
 def read_edges_csv(source) -> EdgeTable:
@@ -67,8 +99,27 @@ def read_edges_csv(source) -> EdgeTable:
     with a known detector, account_a < account_b and a score in [0, 1]
     written as a number without "_". A bad row is an error naming the
     file and line. Blank lines are skipped. Account ids and evidence
-    keys are interned in first-seen order; the columns grow as typed
-    arrays, so no row leaves a Python object behind."""
+    keys are interned in first-seen order, and no row leaves a Python
+    object behind.
+
+    A path is read _READ_BYTES at a time and split and checked with
+    numpy a block at a time (_read_blocks). A file that needs the CSV
+    quoting rules (a '"' or a "\r"), holds a blank line or fails a check,
+    and any other source, is read by the row loop (_read_edges_rows),
+    which gives the same table for every file both accept and is the
+    one place that words an error.
+    """
+    if is_path(source):
+        with open(source, "rb") as fp:
+            table = _read_blocks(fp)
+        if table is not None:
+            return table
+    return _read_edges_rows(source)
+
+
+def _read_edges_rows(source) -> EdgeTable:
+    """read_edges_csv by csv.reader, a row at a time; the columns grow as
+    typed arrays."""
     accounts: dict[str, int] = {}
     keys: dict[str, int] = {}
     intern = accounts.setdefault
@@ -120,3 +171,199 @@ def read_account_list(source) -> set[str]:
     skipped."""
     with csv_reader(source) as reader:
         return {row[0] for row in reader if row}
+
+
+def _read_blocks(fp) -> EdgeTable | None:
+    """The edge table of binary file fp, a block at a time; None when
+    the row loop must read it: the first line is not the header, or a
+    block holds a byte of _ROW_LOOP_BYTES, a line without exactly four
+    ",", an unknown detector, a score number() refuses or outside
+    [0, 1], ids out of order or bytes that are not UTF-8.
+
+    The lines are counted first, so the columns are allocated once, a
+    row per line. Only a block's distinct ids, keys, detector names and
+    score strings are decoded (an id or key only the first time the file
+    holds it), and the checks run once per distinct value or as array
+    compares. account_a < account_b is checked last, for the whole file
+    at once, on the ranks of its account ids in str order.
+    """
+    rows = _line_count(fp.read) - 1
+    fp.seek(0)
+    if fp.read(len(_HEADER_LINE)) != _HEADER_LINE:
+        return None
+    accounts: list[str] = []
+    keys: list[str] = []
+    account_codes: dict[bytes, int] = {}
+    key_codes: dict[bytes, int] = {}
+    a, b, evidence = (np.empty(rows, dtype=np.int32) for _ in range(3))
+    detector, score = np.empty(rows, dtype=np.int8), np.empty(rows, dtype=np.float64)
+    lo = 0
+    try:
+        for block in _blocks(fp.read):
+            if any(byte in block for byte in _ROW_LOOP_BYTES):
+                return None
+            fields = _split(block)
+            if fields is None:
+                return None
+            words = np.ndarray((len(block) - 7,), "<u8", block, 0, (1,))
+            columns = [_distinct(block, words, *bounds) for bounds in fields]
+            if None in columns:
+                return None
+            (ids, id_of), (names, name_of), (texts, text_of), (block_keys, key_of) = columns
+            detectors = [_DETECTOR_CODES.get(name.decode("utf-8")) for name in names]
+            if None in detectors:
+                return None
+            values = [number(text.decode("utf-8")) for text in texts]
+            if not all(0.0 <= value <= 1.0 for value in values):
+                return None
+            pairs = id_of.reshape(-1, 2)
+            codes = _intern(account_codes, accounts, ids)
+            hi = lo + len(pairs)
+            a[lo:hi] = codes[pairs[:, 0]]
+            b[lo:hi] = codes[pairs[:, 1]]
+            detector[lo:hi] = np.array(detectors, dtype=np.int8)[name_of]
+            score[lo:hi] = np.array(values, dtype=np.float64)[text_of]
+            evidence[lo:hi] = _intern(key_codes, keys, block_keys)[key_of]
+            lo = hi
+    except ValueError:  # a UnicodeError, a score number() refuses, or more rows than lines
+        return None
+    if lo != rows:
+        return None
+    rank = np.empty(len(accounts), dtype=np.intp)
+    rank[sorted(range(len(accounts)), key=accounts.__getitem__)] = np.arange(len(accounts))
+    for lo in range(0, rows, _WRITE_ROWS):
+        if not (rank[a[lo : lo + _WRITE_ROWS]] < rank[b[lo : lo + _WRITE_ROWS]]).all():
+            return None
+    return EdgeTable(accounts, a, b, detector, score, keys, evidence)
+
+
+def _line_count(read) -> int:
+    """The number of lines in the bytes read(size) returns, a last line
+    without "\n" included."""
+    lines, last = 0, b"\n"
+    while chunk := read(_READ_BYTES):
+        lines += chunk.count(b"\n")
+        last = chunk[-1:]
+    return lines + (last != b"\n")
+
+
+def _blocks(read):
+    """The bytes read(size) returns, _READ_BYTES at a time, in blocks
+    cut after their last "\n" (a block holds at least one line), each
+    followed by _PAD. The last line gets a "\n" when it has none."""
+    parts: list = []
+    while chunk := read(_READ_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join((*parts, memoryview(chunk)[:cut], _PAD))
+            parts = []
+        if cut < len(chunk):
+            parts.append(chunk[cut:])
+    if parts:
+        yield b"".join((*parts, b"\n", _PAD))
+
+
+def _split(block: bytes):
+    """For each of the 5 columns, the start and end offsets of its field
+    in each line of block (row-major over the two id columns, so ids run
+    in the order rows name them); None unless every line holds exactly
+    four ","."""
+    text = np.frombuffer(block, dtype=np.uint8, count=len(block) - len(_PAD))
+    seps = np.flatnonzero((text == 44) | (text == 10))
+    if len(seps) % 5:
+        return None
+    if not (text[seps].reshape(-1, 5) == _SEPARATORS).all():
+        return None
+    # a field starts after the separator before it
+    starts = np.empty_like(seps)
+    starts[0] = 0
+    starts[1:] = seps[:-1] + 1
+    starts, ends = starts.reshape(-1, 5), seps.reshape(-1, 5)
+    return [
+        (starts[:, :2].ravel(), ends[:, :2].ravel()),
+        *((starts[:, j], ends[:, j]) for j in range(2, 5)),
+    ]
+
+
+def _distinct(block: bytes, words: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The distinct fields block[start:end] in first-seen order, and each
+    field's index into them; None when two different fields hash alike.
+
+    Fields are grouped by byte length, so none is padded to the widest.
+    A field under 8 bytes is one exact word: its bytes and its length. A
+    longer one is its 8-byte words (the last ending at the field's end),
+    hashed to one; each field is then compared word for word with the
+    first field of its hash.
+    """
+    lengths = ends - starts
+    short = lengths < 8
+    if short.all():
+        groups = [slice(None)]
+    else:
+        longer = np.flatnonzero(~short)
+        longer = longer[np.argsort(lengths[longer], kind="stable")]
+        groups = np.split(longer, np.flatnonzero(np.diff(lengths[longer])) + 1)
+        if short.any():
+            groups.append(np.flatnonzero(short))
+    inverse = np.empty(len(starts), dtype=np.intp)
+    firsts: list[np.ndarray] = []
+    for group in groups:
+        at, size = starts[group], lengths[group]
+        if size[0] < 8:
+            shift = _SHORT_SHIFTS[size]
+            exact = (words[at] << shift >> shift) + _SHORT_TAGS[size]
+        else:
+            exact = words[at[:, None] + np.minimum(np.arange(0, size[0], 8), size[0] - 8)]
+        # words are built unsigned and compared and sorted signed
+        same = exact.view(np.int64)
+        if (same == same[0]).all():
+            first, codes = np.zeros(1, dtype=np.intp), np.zeros(len(at), dtype=np.intp)
+        elif exact.ndim == 1:
+            first, codes = _unique(same)
+        else:
+            # each word mixed with its place, so words in another order
+            # hash apart
+            mixed = (exact + np.arange(exact.shape[1], dtype=np.uint64) * _MIX) * _MIX
+            key = (mixed + (mixed >> np.uint64(29))).sum(axis=1, dtype=np.uint64)
+            first, codes = _unique(key.view(np.int64))
+            if (same != same[first[codes]]).any():
+                return None
+        inverse[group] = codes + sum(map(len, firsts))
+        firsts.append(first if isinstance(group, slice) else group[first])
+    first = np.concatenate(firsts) if len(firsts) > 1 else firsts[0]
+    order = first.argsort(kind="stable")
+    renumber = np.empty(len(order), dtype=np.intp)
+    renumber[order] = np.arange(len(order))
+    fields = map(slice, starts[first[order]].tolist(), ends[first[order]].tolist())
+    return list(map(block.__getitem__, fields)), renumber[inverse]
+
+
+def _unique(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each distinct value of key, ascending, the index of its first
+    occurrence; and for each element, the number of its value. (A stable
+    sort puts each value's first occurrence first among its equals.)"""
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    heads = new.nonzero()[0]
+    runs = np.empty(len(heads), dtype=np.intp)
+    np.subtract(heads[1:], heads[:-1], out=runs[:-1])
+    runs[-1] = len(key) - heads[-1]
+    inverse = np.empty(len(key), dtype=np.intp)
+    inverse[order] = np.arange(len(heads)).repeat(runs)
+    return order[heads], inverse
+
+
+def _intern(codes: dict[bytes, int], strings: list[str], fields: list[bytes]) -> np.ndarray:
+    """The codes of a block's distinct fields, given in first-seen order:
+    a field the file has not held before is decoded, appended to strings
+    and takes the next code."""
+    found = list(map(codes.get, fields))
+    if None in found:
+        for i, field in enumerate(fields):
+            if found[i] is None:
+                found[i] = codes[field] = len(strings)
+                strings.append(field.decode("utf-8"))
+    return np.array(found, dtype=np.int32)

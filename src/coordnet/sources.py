@@ -9,12 +9,17 @@ from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 
+def is_path(source) -> bool:
+    """Whether source names a file (str, bytes or os.PathLike)."""
+    return isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
+
+
 @contextmanager
 def open_text(source, **open_kwargs):
-    """Yield source opened as UTF-8 text when it is a path (str, bytes or
-    os.PathLike); yield it unchanged when it is a file object or any
-    other iterable of lines. A file opened here is closed on exit."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+    """Yield source opened as UTF-8 text when it is a path (is_path);
+    yield it unchanged when it is a file object or any other iterable of
+    lines. A file opened here is closed on exit."""
+    if is_path(source):
         with open(source, "r", encoding="utf-8", **open_kwargs) as fp:
             yield fp
     else:

@@ -639,7 +639,8 @@ def test_criterion_8_detect_memory_linear_in_accounts():
 
 def write_hashtag_group(m, path):
     """Write the edge file of one hashtag 5-gram shared by m accounts, a
-    row per account pair; return its C(m, 2) rows."""
+    row per account pair; return its C(m, 2) rows and the tracemalloc
+    peak of the write, above what the table holds."""
     a, b = np.triu_indices(m, 1)
     rows = len(a)
     table = EdgeTable(
@@ -647,8 +648,15 @@ def write_hashtag_group(m, path):
         np.zeros(rows), np.ones(rows), ["#a|#b|#c|#d|#e"], np.zeros(rows),
     )
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        write_edges_csv(table, fp)
-    return rows
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_edges_csv(table, fp)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    return rows, peak
 
 
 def edge_path_peak_bytes(path, m):
@@ -669,20 +677,48 @@ def edge_path_peak_bytes(path, m):
 
 
 def test_criterion_9_edge_path_memory_per_edge(tmp_path):
-    sizes = (300, 600)
-    rows = [write_hashtag_group(m, tmp_path / f"edges_{m}.csv") for m in sizes]
-    peaks = [edge_path_peak_bytes(tmp_path / f"edges_{m}.csv", m) for m in sizes]
+    sizes = (300, 600, 900)
+    rows, writes = zip(*(write_hashtag_group(m, tmp_path / f"edges_{m}.csv") for m in sizes))
+    peaks = [edge_path_peak_bytes(tmp_path / f"edges_{m}.csv", m) for m in sizes[:2]]
     per_edge = (peaks[1] - peaks[0]) / (rows[1] - rows[0])
     # The columns take 21 B a row and the graph build's int64 keys and
     # int32 codes ~18 B more beside them: ~39 B measured. A list slot
     # (8 B) per column and a float object (24 B) per score, as a reader
     # of Python lists holds, measured 85 B.
     assert per_edge <= 60, f"edge path peak grew {per_edge:.1f} B per edge row"
+    # The writer's temporaries are a block's: its peak does not grow
+    # with the table. One uint64 copy of the scores (np.unique over the
+    # whole column) would add 8 B per row and more. (From 300 to 600
+    # accounts the peak still rises, as more of a block's cell numbers
+    # pass the cached small ints.)
+    write_per_edge = (writes[2] - writes[1]) / (rows[2] - rows[1])
+    assert write_per_edge <= 2, f"write peak grew {write_per_edge:.1f} B per edge row"
     ok(
         9,
         f"edge path peak {peaks[0] / 2**20:.1f} -> {peaks[1] / 2**20:.1f} MiB for "
-        f"{rows[0]} -> {rows[1]} edge rows: {per_edge:.1f} B per row",
+        f"{rows[0]} -> {rows[1]} edge rows: {per_edge:.1f} B per row; "
+        f"write peak {writes[1] / 2**20:.2f} -> {writes[2] / 2**20:.2f} MiB for "
+        f"{rows[1]} -> {rows[2]} rows",
     )
+
+
+def test_criterion_9_long_key_is_not_padded(tmp_path):
+    # one 150,000-char key among 10,000 plain rows: a reader that padded
+    # each field to its block's widest would take rows x 150,000 bytes
+    lines = [f"acct{i % 97:03d},acct{i % 97 + 1:03d},hashtag,1.0,k|l\n" for i in range(10_000)]
+    lines.insert(5_000, "a,b,hashtag,1.0," + "x" * 150_000 + "\n")
+    path = tmp_path / "edges.csv"
+    path.write_text("account_a,account_b,detector,score,evidence\n" + "".join(lines))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        table = read_edges_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 10_001 and len(table.keys) == 2
+    assert peak <= 4 * size, f"read peak {peak} B for a {size} B edge file"
+    ok(9, f"one 150,000-char key among 10,000 rows: read peak {peak / size:.1f}x the file's {size} B")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -568,6 +569,38 @@ class TestSettings:
         assert values == {"story_hashtags": ("A", "#b"), "hashtag_k": 6}
         assert ReportConfig(story_hashtags=values["story_hashtags"]).story_hashtags == ("a", "b")
 
+    @pytest.mark.parametrize(
+        "line, value",
+        [
+            ("story_hashtags = #leak,#vote", "#leak,#vote"),
+            ("story_hashtags=#leak", "#leak"),
+            ("top_clusters =\t#5 # five", "#5"),
+        ],
+    )
+    def test_value_starting_with_hash_is_located_error(
+        self, tmp_path, detect_run, capsys, line, value
+    ):
+        # a "#" after whitespace starts a comment, so "#leak,#vote" read
+        # as a comment would leave the run with no story tags
+        cache, det_out = detect_run
+        config = tmp_path / "bad.conf"
+        config.write_text(f"# settings\n{line}\n")
+        bundle = tmp_path / "b"
+        argv = ["--config", str(config), "report", str(cache), "-o", str(bundle), "--edges", str(det_out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{config}:2: value starts with '#': {value!r}; write tags without '#'" in err
+        assert not bundle.exists()
+
+    def test_hash_then_space_is_an_empty_value_and_a_comment(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("story_hashtags =   # none yet\n")
+        assert load_config_file(config) == {"story_hashtags": ()}
+        config.write_text("top_clusters = # five\n")
+        with pytest.raises(ValueError) as info:
+            load_config_file(config)
+        assert str(info.value) == f"{config}:1: not a number: ''"
+
     def test_story_hashtags_distinct_and_non_empty(self):
         tags = ReportConfig(story_hashtags=("#", "a", "A", "#a", "##B", "c")).story_hashtags
         assert tags == ("a", "b", "c")
@@ -654,6 +687,36 @@ BAD_EDGE_FILES = {
 }
 
 
+
+def _no_row_loop(source):
+    raise AssertionError("the row loop read a file the block reader splits")
+
+
+def read_back(fp, tmp_path, monkeypatch):
+    """read_edges_csv of a file holding what fp holds. A file that needs
+    no CSV quoting and holds no blank line (nor a byte csv.reader refuses)
+    is read by the block reader alone: the row loop raises."""
+    text = fp.getvalue()
+    path = tmp_path / "read_back.csv"
+    path.write_bytes(text.encode("utf-8"))
+    plain = "\n\n" not in text and not any(b.decode() in text for b in formats._ROW_LOOP_BYTES)
+    with monkeypatch.context() as patch:
+        if plain:
+            patch.setattr(formats, "_read_edges_rows", _no_row_loop)
+        return read_edges_csv(path)
+
+
+def same_table(got, want):
+    """Two EdgeTables hold the same ids, keys and columns, score bits and
+    dtypes included."""
+    assert got.accounts == want.accounts
+    assert got.keys == want.keys
+    for column in ("a", "b", "detector", "score", "evidence"):
+        x, y = getattr(got, column), getattr(want, column)
+        assert x.dtype == y.dtype, column
+        assert x.tobytes() == y.tobytes(), column
+
+
 class TestEdgeFile:
     """The checks read_edges_csv makes on every row, and their messages."""
 
@@ -673,23 +736,24 @@ class TestEdgeFile:
         assert main(["cluster", str(cache), str(path), "-o", str(tmp_path / "c.csv")]) == 1
         assert message in capsys.readouterr().err
 
-    def test_write_read_round_trip(self):
-        ids = ["a,b", 'q"uote', "line\nbreak", "nul\x00", "nul", " pad ", "é", "z" * 200_000]
-        edges = [
-            Edge(x, y, detector, score, key)
-            for (x, y), detector, score, key in zip(
-                itertools.combinations(sorted(ids), 2),
-                itertools.cycle(("hashtag", "retweet", "time")),
-                itertools.cycle((1.0, 0.1 + 0.2, 0.0, 1 / 3)),
-                itertools.cycle(("k|l", "cosine", "x" * 150_000)),
-            )
-        ]
-        fp = io.StringIO(newline="")
-        write_edges_csv(edge_table(edges), fp)
-        fp.seek(0)
-        assert edges_of(read_edges_csv(fp)) == edges
+    def test_write_read_round_trip(self, tmp_path, monkeypatch):
+        quoted = ["a,b", 'q"uote', "line\nbreak"]
+        plain = ["nul\x00", "nul", " pad ", "é", "z" * 200_000, "10", "9"]
+        for ids in (quoted + plain, plain):
+            edges = [
+                Edge(x, y, detector, score, key)
+                for (x, y), detector, score, key in zip(
+                    itertools.combinations(sorted(ids), 2),
+                    itertools.cycle(("hashtag", "retweet", "time")),
+                    itertools.cycle((1.0, 0.1 + 0.2, 0.0, 1 / 3)),
+                    itertools.cycle(("k|l", "cosine", "x" * 150_000, "")),
+                )
+            ]
+            fp = io.StringIO(newline="")
+            write_edges_csv(edge_table(edges), fp)
+            assert edges_of(read_back(fp, tmp_path, monkeypatch)) == edges
 
-    def test_bare_carriage_return_round_trip(self):
+    def test_bare_carriage_return_round_trip(self, tmp_path, monkeypatch):
         ids = ["a\rb", "c\rd", "\r", "plain"]
         edges = [
             Edge(x, y, "hashtag", 1.0, key)
@@ -700,36 +764,42 @@ class TestEdgeFile:
         fp = io.StringIO(newline="")
         write_edges_csv(edge_table(edges), fp)
         assert '\n"a\rb","c\rd",hashtag,1.0,k\n"a\rb",plain,hashtag,1.0,"v\rw|x"\n' in fp.getvalue()
-        fp.seek(0)
-        assert edges_of(read_edges_csv(fp)) == edges
+        assert edges_of(read_back(fp, tmp_path, monkeypatch)) == edges
 
     @pytest.mark.parametrize("block", [1, 3, None])
     @pytest.mark.parametrize("lone_cr", [False, True])
-    def test_written_bytes_match_csv_writer_at_any_block_size(self, monkeypatch, block, lone_cr):
+    def test_written_bytes_match_csv_writer_at_any_block_size(
+        self, tmp_path, monkeypatch, block, lone_cr
+    ):
         # the writer renders each string once and joins rows a block at
         # a time; csv_writer writing one row per edge is the reference
         if block is not None:
             monkeypatch.setattr(formats, "_WRITE_ROWS", block)
-        ids = ["a,b", 'q"uote', "line\nbreak", "plain", " pad "] + (["lone\rcr"] if lone_cr else [])
-        edges = [
-            Edge(x, y, detector, score, key)
-            for (x, y), detector, score, key in zip(
-                itertools.combinations(sorted(ids), 2),
-                itertools.cycle(("hashtag", "retweet", "time")),
-                itertools.cycle((1.0, 0.1 + 0.2, 0.0, 1 / 3, 1e-05)),
-                itertools.cycle(("", "k|l", 'x,"y"', "cosine") + (("v\rw",) if lone_cr else ())),
-            )
-        ]
-        want = io.StringIO(newline="")
-        writer = csv_writer(want, [s for e in edges for s in (e.a, e.b, e.evidence)])
-        writer.writerow(formats.EDGE_HEADER)
-        writer.writerows((e.a, e.b, e.detector, repr(e.score), e.evidence) for e in edges)
-        got = io.StringIO(newline="")
-        write_edges_csv(edge_table(edges), got)
-        assert got.getvalue() == want.getvalue()
-        assert ",hashtag,1.0,\n" in got.getvalue()  # an empty key is an empty cell
-        got.seek(0)
-        assert edges_of(read_edges_csv(got)) == edges
+        quoted = ["a,b", 'q"uote', "line\nbreak"] + (["lone\rcr"] if lone_cr else [])
+        plain = ["plain", " pad ", "10", "9", "é", "z"]
+        # the second file needs no quoting, so the block reader reads it
+        for ids, keys in (
+            (quoted + plain, ("", "k|l", 'x,"y"', "cosine") + (("v\rw",) if lone_cr else ())),
+            (plain, ("", "k|l", "cosine")),
+        ):
+            edges = [
+                Edge(x, y, detector, score, key)
+                for (x, y), detector, score, key in zip(
+                    itertools.combinations(sorted(ids), 2),
+                    itertools.cycle(("hashtag", "retweet", "time")),
+                    itertools.cycle((1.0, 0.1 + 0.2, 0.0, 1 / 3, 1e-05, -0.0)),
+                    itertools.cycle(keys),
+                )
+            ]
+            want = io.StringIO(newline="")
+            writer = csv_writer(want, [s for e in edges for s in (e.a, e.b, e.evidence)])
+            writer.writerow(formats.EDGE_HEADER)
+            writer.writerows((e.a, e.b, e.detector, repr(e.score), e.evidence) for e in edges)
+            got = io.StringIO(newline="")
+            write_edges_csv(edge_table(edges), got)
+            assert got.getvalue() == want.getvalue()
+            assert ",hashtag,1.0,\n" in got.getvalue()  # an empty key is an empty cell
+            assert edges_of(read_back(got, tmp_path, monkeypatch)) == edges
 
     def test_rows_without_carriage_return_keep_their_bytes(self):
         rows = [("a,b", "line\nbreak", 'q"uote'), ("plain", "", "é")]
@@ -756,6 +826,96 @@ class TestEdgeFile:
         assert main(["cluster", str(cache), str(path), "-o", str(out)]) == 0
         rows = list(csv.reader(out.open()))
         assert [row[3:] for row in rows[1:]] == [["coord-a", "coord-b"], ["p", "q"]]
+
+
+
+def _oracle_edge_text(rows):
+    """The lines of an edge file of rows pairs of ids in str order (not
+    byte-length or numeric order) with every detector, scores whose text
+    round-trips exactly, and keys among them an empty one; ids and keys
+    of 8 bytes or more come in pairs of one length."""
+    ids = ["10", "9", "a", "a\x00", "z", "é", "é|x", " pad ", "u" * 9, "u" * 8 + "v", "w" * 17]
+    pairs = [(x, y) for x, y in itertools.combinations(ids, 2) if x != y]
+    scores = ("1e-05", "-0.0", "0.30000000000000004", "1.0", "0.0", "0.5")
+    keys = ("", "k|l", "#a|#b|#c|#d|#e", "#a|#b|#c|#d|#f", "x" * 40, "é|ü", "cosine")
+    rng = random.Random(rows)
+    lines = [_EDGE_HEADER]
+    for i in range(rows):
+        x, y = sorted(rng.choice(pairs))
+        detector = ("hashtag", "retweet", "time")[i % 3]
+        lines.append(f"{x},{y},{detector},{rng.choice(scores)},{rng.choice(keys)}\n")
+    return lines
+
+
+class TestEdgeBlocks:
+    """The block reader against the row loop, which stays the reference:
+    the same table for every file the block reader splits, and the same
+    message for every file it hands back."""
+
+    @staticmethod
+    def variants(lines):
+        """name -> (file text, whether the block reader splits it)."""
+        text = "".join(lines)
+        late = len(lines) - 3
+        return {
+            "plain": (text, True),
+            "no-final-newline": (text[:-1], True),
+            "blank-lines": ("".join(lines[:1] + ["\n"] + lines[1:late] + ["\n\n"] + lines[late:]), False),
+            "crlf": (text.replace("\n", "\r\n"), False),
+            "crlf-rows": (lines[0] + "".join(lines[1:]).replace("\n", "\r\n"), False),
+            "late-quoted-id": ("".join(lines[:late] + ['"qx",z,hashtag,1.0,k\n'] + lines[late:]), False),
+        }
+
+    @pytest.mark.parametrize("read_bytes, rows", [(3, 200), ("line", 200), (None, 4000)])
+    def test_block_reader_matches_row_loop(self, tmp_path, monkeypatch, read_bytes, rows):
+        lines = _oracle_edge_text(rows)
+        if read_bytes == "line":
+            read_bytes = len(lines[1].encode())
+        if read_bytes is not None:
+            monkeypatch.setattr(formats, "_READ_BYTES", read_bytes)
+        row_loop = formats._read_edges_rows
+        for name, (text, split) in self.variants(lines).items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert read_bytes is not None or len(text) > 2 * formats._READ_BYTES
+            want = row_loop(path)
+            assert len(want) == rows + (name == "late-quoted-id")
+            calls = []
+            monkeypatch.setattr(formats, "_read_edges_rows", lambda source: calls.append(1) or row_loop(source))
+            same_table(read_edges_csv(path), want)
+            assert calls == ([] if split else [1]), name
+            monkeypatch.setattr(formats, "_read_edges_rows", row_loop)
+
+    def test_hash_collision_goes_to_row_loop(self, tmp_path, monkeypatch):
+        # with a zero multiplier every long field hashes to 0, so the two
+        # keys of one length collide and the word compare must catch it
+        path = tmp_path / "edges.csv"
+        keys = itertools.cycle(("#a|#b|#c|#d|#e", "#a|#b|#c|#d|#f"))
+        rows = [f"p{i},q{i},hashtag,1.0,{next(keys)}\n" for i in range(300)]
+        path.write_text(_EDGE_HEADER + "".join(rows), encoding="utf-8")
+        want = formats._read_edges_rows(path)
+        monkeypatch.setattr(formats, "_MIX", np.uint64(0))
+        with open(path, "rb") as fp:
+            assert formats._read_blocks(fp) is None
+        same_table(read_edges_csv(path), want)
+
+    @pytest.mark.parametrize("blank", [False, True])
+    @pytest.mark.parametrize("case", sorted(BAD_EDGE_FILES))
+    def test_bad_row_in_a_later_block(self, tmp_path, monkeypatch, case, blank):
+        body, message = BAD_EDGE_FILES[case]
+        good = [f"p{i:04d},q{i:04d},hashtag,1.0,k\n" for i in range(300)]
+        blanks = ["\n", "\n"] if blank else []
+        if "header" not in case and case != "empty-file":
+            body = "".join([_EDGE_HEADER, *good, *blanks, body])
+            message = message.replace("line 3", f"line {len(good) + len(blanks) + 2}")
+        # blocks of ~3 rows, and account order checked 64 rows at a time
+        monkeypatch.setattr(formats, "_READ_BYTES", 100)
+        monkeypatch.setattr(formats, "_WRITE_ROWS", 64)
+        path = tmp_path / "edges.csv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_edges_csv(path)
+        assert str(info.value) == message.format(path)
 
 
 class TestAccountList:
