@@ -11,6 +11,7 @@ whatever write_account_list writes, read_account_list reads back.
 from __future__ import annotations
 
 import csv
+import os
 import sys
 from array import array
 from operator import itemgetter
@@ -43,14 +44,6 @@ _SEPARATORS = np.frombuffer(b",,,,\n", dtype=np.uint8)
 # Bytes only the row loop reads: CSV quoting, "\r" (a row end to
 # csv.reader), and NUL, which csv.reader refuses before Python 3.11.
 _ROW_LOOP_BYTES = (b'"', b"\r") + ((b"\0",) if sys.version_info < (3, 11) else ())
-# A block ends with 8 NUL bytes, so an 8-byte word starts at each byte.
-_PAD = bytes(8)
-# A field of n < 8 bytes is one word: the 8 bytes from its start shifted
-# left and back by _SHORT_SHIFTS[n] bits, which keeps its own bytes, plus
-# its length in the top byte.
-_SHORT_SHIFTS = np.array([64 - 8 * n for n in range(8)], dtype=np.uint64)
-_SHORT_TAGS = np.array([n << 56 for n in range(8)], dtype=np.uint64)
-_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def fmt(value) -> str:
@@ -102,14 +95,15 @@ def read_edges_csv(source) -> EdgeTable:
     keys are interned in first-seen order, and no row leaves a Python
     object behind.
 
-    A path is read _READ_BYTES at a time and split and checked with
-    numpy a block at a time (_read_blocks). A file that needs the CSV
-    quoting rules (a '"' or a "\r"), holds a blank line or fails a check,
-    and any other source, is read by the row loop (_read_edges_rows),
-    which gives the same table for every file both accept and is the
-    one place that words an error.
+    A regular file is read _READ_BYTES at a time and split and checked
+    with numpy a block at a time (_read_blocks). A file that needs the
+    CSV quoting rules (a '"' or a "\r"), holds a blank line or fails a
+    check, and any other source (a pipe, a file object), is read by the
+    row loop (_read_edges_rows), which reads from the start again, gives
+    the same table for every file both accept and is the one place that
+    words an error.
     """
-    if is_path(source):
+    if is_path(source) and os.path.isfile(source):
         with open(source, "rb") as fp:
             table = _read_blocks(fp)
         if table is not None:
@@ -181,11 +175,13 @@ def _read_blocks(fp) -> EdgeTable | None:
     [0, 1], ids out of order or bytes that are not UTF-8.
 
     The lines are counted first, so the columns are allocated once, a
-    row per line. Only a block's distinct ids, keys, detector names and
-    score strings are decoded (an id or key only the first time the file
-    holds it), and the checks run once per distinct value or as array
-    compares. account_a < account_b is checked last, for the whole file
-    at once, on the ranks of its account ids in str order.
+    row per line: grown a block at a time as typed arrays instead, they
+    raised report's peak RSS on hashtag-burst by ~1 MiB. Only a block's
+    distinct ids, keys, detector names and score strings are decoded (an
+    id or key only the first time the file holds it), and the checks run
+    once per distinct value or as array compares. account_a < account_b
+    is checked last, for the whole file at once, on the ranks of its
+    account ids in str order.
     """
     rows = _line_count(fp.read) - 1
     fp.seek(0)
@@ -205,10 +201,7 @@ def _read_blocks(fp) -> EdgeTable | None:
             fields = _split(block)
             if fields is None:
                 return None
-            words = np.ndarray((len(block) - 7,), "<u8", block, 0, (1,))
-            columns = [_distinct(block, words, *bounds) for bounds in fields]
-            if None in columns:
-                return None
+            columns = [_distinct(block, *bounds) for bounds in fields]
             (ids, id_of), (names, name_of), (texts, text_of), (block_keys, key_of) = columns
             detectors = [_DETECTOR_CODES.get(name.decode("utf-8")) for name in names]
             if None in detectors:
@@ -249,18 +242,18 @@ def _line_count(read) -> int:
 
 def _blocks(read):
     """The bytes read(size) returns, _READ_BYTES at a time, in blocks
-    cut after their last "\n" (a block holds at least one line), each
-    followed by _PAD. The last line gets a "\n" when it has none."""
+    cut after their last "\n" (a block holds at least one line). The
+    last line gets a "\n" when it has none."""
     parts: list = []
     while chunk := read(_READ_BYTES):
         cut = chunk.rfind(b"\n") + 1
         if cut:
-            yield b"".join((*parts, memoryview(chunk)[:cut], _PAD))
+            yield b"".join((*parts, memoryview(chunk)[:cut]))
             parts = []
         if cut < len(chunk):
             parts.append(chunk[cut:])
     if parts:
-        yield b"".join((*parts, b"\n", _PAD))
+        yield b"".join((*parts, b"\n"))
 
 
 def _split(block: bytes):
@@ -268,7 +261,7 @@ def _split(block: bytes):
     in each line of block (row-major over the two id columns, so ids run
     in the order rows name them); None unless every line holds exactly
     four ","."""
-    text = np.frombuffer(block, dtype=np.uint8, count=len(block) - len(_PAD))
+    text = np.frombuffer(block, dtype=np.uint8)
     seps = np.flatnonzero((text == 44) | (text == 10))
     if len(seps) % 5:
         return None
@@ -285,52 +278,29 @@ def _split(block: bytes):
     ]
 
 
-def _distinct(block: bytes, words: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+def _distinct(block: bytes, starts: np.ndarray, ends: np.ndarray):
     """The distinct fields block[start:end] in first-seen order, and each
-    field's index into them; None when two different fields hash alike.
+    field's index into them.
 
     Fields are grouped by byte length, so none is padded to the widest.
-    A field under 8 bytes is one exact word: its bytes and its length. A
-    longer one is its 8-byte words (the last ending at the field's end),
-    hashed to one; each field is then compared word for word with the
-    first field of its hash.
+    The fields of one length n are picked from a view of block as n-byte
+    strings, one starting at each byte, and sorted as whole byte strings.
     """
     lengths = ends - starts
-    short = lengths < 8
-    if short.all():
-        groups = [slice(None)]
+    if (lengths == lengths[0]).all():
+        groups = [np.arange(len(starts))]
     else:
-        longer = np.flatnonzero(~short)
-        longer = longer[np.argsort(lengths[longer], kind="stable")]
-        groups = np.split(longer, np.flatnonzero(np.diff(lengths[longer])) + 1)
-        if short.any():
-            groups.append(np.flatnonzero(short))
+        by_length = lengths.argsort(kind="stable")
+        groups = np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1)
     inverse = np.empty(len(starts), dtype=np.intp)
     firsts: list[np.ndarray] = []
     for group in groups:
-        at, size = starts[group], lengths[group]
-        if size[0] < 8:
-            shift = _SHORT_SHIFTS[size]
-            exact = (words[at] << shift >> shift) + _SHORT_TAGS[size]
-        else:
-            exact = words[at[:, None] + np.minimum(np.arange(0, size[0], 8), size[0] - 8)]
-        # words are built unsigned and compared and sorted signed
-        same = exact.view(np.int64)
-        if (same == same[0]).all():
-            first, codes = np.zeros(1, dtype=np.intp), np.zeros(len(at), dtype=np.intp)
-        elif exact.ndim == 1:
-            first, codes = _unique(same)
-        else:
-            # each word mixed with its place, so words in another order
-            # hash apart
-            mixed = (exact + np.arange(exact.shape[1], dtype=np.uint64) * _MIX) * _MIX
-            key = (mixed + (mixed >> np.uint64(29))).sum(axis=1, dtype=np.uint64)
-            first, codes = _unique(key.view(np.int64))
-            if (same != same[first[codes]]).any():
-                return None
+        size = int(lengths[group[0]])
+        strings = np.ndarray((len(block) - size + 1,), f"V{size}", block, 0, (1,))
+        first, codes = _unique(strings[starts[group]])
         inverse[group] = codes + sum(map(len, firsts))
-        firsts.append(first if isinstance(group, slice) else group[first])
-    first = np.concatenate(firsts) if len(firsts) > 1 else firsts[0]
+        firsts.append(group[first])
+    first = np.concatenate(firsts)
     order = first.argsort(kind="stable")
     renumber = np.empty(len(order), dtype=np.intp)
     renumber[order] = np.arange(len(order))
@@ -339,14 +309,16 @@ def _distinct(block: bytes, words: np.ndarray, starts: np.ndarray, ends: np.ndar
 
 
 def _unique(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each distinct value of key, ascending, the index of its first
-    occurrence; and for each element, the number of its value. (A stable
-    sort puts each value's first occurrence first among its equals.)"""
+    """For each distinct value of key, in sorted order, the index of its
+    first occurrence; and for each element, the number of its value. (A
+    stable sort puts each value's first occurrence first among its
+    equals.) np.unique gives the same, but its cumsum of bools and extra
+    temporaries measured ~8 % slower and +0.2 MiB on report's peak RSS."""
     order = key.argsort(kind="stable")
     ordered = key[order]
     new = np.empty(len(key), dtype=bool)
     new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    new[1:] = ordered[1:] != ordered[:-1]
     heads = new.nonzero()[0]
     runs = np.empty(len(heads), dtype=np.intp)
     np.subtract(heads[1:], heads[:-1], out=runs[:-1])

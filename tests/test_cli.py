@@ -4,10 +4,12 @@ import csv
 import io
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -752,6 +754,8 @@ class TestEdgeFile:
             fp = io.StringIO(newline="")
             write_edges_csv(edge_table(edges), fp)
             assert edges_of(read_back(fp, tmp_path, monkeypatch)) == edges
+            # a text source, not a path, is read by the row loop
+            assert edges_of(read_edges_csv(io.StringIO(fp.getvalue(), newline=""))) == edges
 
     def test_bare_carriage_return_round_trip(self, tmp_path, monkeypatch):
         ids = ["a\rb", "c\rd", "\r", "plain"]
@@ -829,12 +833,17 @@ class TestEdgeFile:
 
 
 
+# The lowest character csv.reader reads: before Python 3.11 it refuses
+# NUL, so there the row loop reads no file holding one.
+_LOWEST = "\x01" if b"\0" in formats._ROW_LOOP_BYTES else "\x00"
+
+
 def _oracle_edge_text(rows):
     """The lines of an edge file of rows pairs of ids in str order (not
     byte-length or numeric order) with every detector, scores whose text
     round-trips exactly, and keys among them an empty one; ids and keys
     of 8 bytes or more come in pairs of one length."""
-    ids = ["10", "9", "a", "a\x00", "z", "é", "é|x", " pad ", "u" * 9, "u" * 8 + "v", "w" * 17]
+    ids = ["10", "9", "a", "a" + _LOWEST, "z", "é", "é|x", " pad ", "u" * 9, "u" * 8 + "v", "w" * 17]
     pairs = [(x, y) for x, y in itertools.combinations(ids, 2) if x != y]
     scores = ("1e-05", "-0.0", "0.30000000000000004", "1.0", "0.0", "0.5")
     keys = ("", "k|l", "#a|#b|#c|#d|#e", "#a|#b|#c|#d|#f", "x" * 40, "é|ü", "cosine")
@@ -886,18 +895,52 @@ class TestEdgeBlocks:
             assert calls == ([] if split else [1]), name
             monkeypatch.setattr(formats, "_read_edges_rows", row_loop)
 
-    def test_hash_collision_goes_to_row_loop(self, tmp_path, monkeypatch):
-        # with a zero multiplier every long field hashes to 0, so the two
-        # keys of one length collide and the word compare must catch it
+    @pytest.mark.parametrize("nul", [False, True])
+    def test_nul_rule_looks_at_the_file_bytes_only(self, tmp_path, monkeypatch, nul):
+        # before Python 3.11 csv.reader refuses NUL, so _ROW_LOOP_BYTES
+        # holds it there: a file with a NUL goes to the row loop, and any
+        # other still splits a block at a time
+        monkeypatch.setattr(formats, "_ROW_LOOP_BYTES", (b'"', b"\r", b"\0"))
+        monkeypatch.setattr(formats, "_READ_BYTES", 100)
+        lines = [line.replace("\x00", "\x01") for line in _oracle_edge_text(300)]
+        if nul:
+            lines.insert(150, "a,a\x00,time,0.5,k\n")
         path = tmp_path / "edges.csv"
-        keys = itertools.cycle(("#a|#b|#c|#d|#e", "#a|#b|#c|#d|#f"))
-        rows = [f"p{i},q{i},hashtag,1.0,{next(keys)}\n" for i in range(300)]
-        path.write_text(_EDGE_HEADER + "".join(rows), encoding="utf-8")
-        want = formats._read_edges_rows(path)
-        monkeypatch.setattr(formats, "_MIX", np.uint64(0))
-        with open(path, "rb") as fp:
-            assert formats._read_blocks(fp) is None
-        same_table(read_edges_csv(path), want)
+        path.write_bytes("".join(lines).encode("utf-8"))
+        row_loop = formats._read_edges_rows
+        calls = []
+        monkeypatch.setattr(formats, "_read_edges_rows", lambda source: calls.append(1) or row_loop(source))
+        if nul and sys.version_info < (3, 11):
+            with pytest.raises(ValueError, match="line contains NUL"):
+                read_edges_csv(path)
+        else:
+            same_table(read_edges_csv(path), row_loop(path))
+        assert calls == ([1] if nul else [])
+
+    def test_pipe_is_read_by_the_row_loop(self, tmp_path, detect_run):
+        # a pipe cannot be read twice, so its rows are read once, from the
+        # start, by the row loop: the same table and clusters as a file
+        cache, outdir = detect_run
+        text = "".join(_oracle_edge_text(300)) + (outdir / "edges_hashtag.csv").read_text().split("\n", 1)[1]
+        path = tmp_path / "edges.csv"
+        path.write_text(text, encoding="utf-8")
+        pipe = tmp_path / "edges.pipe"
+        os.mkfifo(pipe)
+
+        def feed():
+            with open(pipe, "w", encoding="utf-8") as fp:
+                fp.write(text)
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        same_table(read_edges_csv(pipe), read_edges_csv(path))
+        feeder.join()
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        assert main(["cluster", str(cache), str(pipe), "-o", str(tmp_path / "pipe.csv")]) == 0
+        feeder.join()
+        assert main(["cluster", str(cache), str(path), "-o", str(tmp_path / "file.csv")]) == 0
+        assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
 
     @pytest.mark.parametrize("blank", [False, True])
     @pytest.mark.parametrize("case", sorted(BAD_EDGE_FILES))
