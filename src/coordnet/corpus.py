@@ -30,6 +30,9 @@ ORIGINAL, REPLY, RETWEET = range(len(KINDS))
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 SECONDS_PER_DAY = 86400
+# Joins the tags of a hashtag k-gram key (detectors), so no hashtag may
+# hold it: ["a|b", "c"] and ["a", "b|c"] would share the key "a|b|c".
+HASHTAG_SEPARATOR = "|"
 
 
 class CorpusError(ValueError):
@@ -92,7 +95,7 @@ def _parse_timestamp(value) -> int:
             raise ValueError(f"unparseable timestamp: {value!r}") from None
         except ValueError:
             pass
-        # fromisoformat in 3.10 rejects a trailing Z
+        # fromisoformat reads a trailing Z but not z
         if text.endswith("Z") or text.endswith("z"):
             text = text[:-1] + "+00:00"
         try:
@@ -131,6 +134,13 @@ def _as_str_list(value, name: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _as_hashtags(value) -> tuple[str, ...]:
+    tags = tuple(map(str.lower, _as_str_list(value, "hashtags")))
+    if tags and HASHTAG_SEPARATOR in "".join(tags):
+        raise RecordError("bad_hashtag", f"a hashtag holds {HASHTAG_SEPARATOR!r}")
+    return tags
+
+
 def _validate_record(obj, emit: Callable):
     """Check one decoded JSON object and return emit(fields).
 
@@ -139,7 +149,8 @@ def _validate_record(obj, emit: Callable):
     retweeted_tweet_id, retweeted_account_id, mentions), and only once
     every check has passed. Raises RecordError, with the reason ingest
     counts, on any schema violation; hashtags are lowercased here
-    (matching on the platform is case-insensitive).
+    (matching on the platform is case-insensitive) and may not hold
+    HASHTAG_SEPARATOR.
     """
     if not isinstance(obj, dict):
         raise RecordError("not_object", "record must be a JSON object")
@@ -167,7 +178,7 @@ def _validate_record(obj, emit: Callable):
         _as_timestamp(obj["timestamp"]),
         kind,
         text,
-        tuple(map(str.lower, _as_str_list(obj.get("hashtags"), "hashtags"))),
+        _as_hashtags(obj.get("hashtags")),
         language,
         None if rt_tweet is None else _as_id(rt_tweet, "retweeted_tweet_id"),
         None if rt_account is None else _as_id(rt_account, "retweeted_account_id"),
@@ -515,6 +526,8 @@ def _extend(corpus: Corpus, block: dict, share: Callable, claimed: set) -> None:
     joined = "\n".join(hashtags)
     if joined.lower() != joined:
         raise ValueError("hashtags must be lowercase")
+    if HASHTAG_SEPARATOR in joined:
+        raise ValueError(f"a hashtag holds {HASHTAG_SEPARATOR!r}")
 
     corpus.tweet_ids.extend(tweet_ids)
     corpus.account_codes.fromlist(codes)
@@ -536,9 +549,10 @@ def load_cache(path) -> Corpus:
     types (a bool is not an int), non-empty ids, account codes within
     the account table and in order of first use, timestamps in years
     1-9999, valid kind codes, retweeted_tweet_id on retweets and only
-    there, lowercase hashtags, distinct account ids, distinct tweet ids
-    across the whole file, strict UTF-8 and no surrogate escapes. Any
-    other content raises CorpusError naming the file and the line.
+    there, lowercase hashtags without HASHTAG_SEPARATOR, distinct
+    account ids, distinct tweet ids across the whole file, strict UTF-8
+    and no surrogate escapes. Any other content raises CorpusError
+    naming the file and the line.
     """
     corpus = Corpus()
     # Repeated language tags and retweeted account ids share one string.

@@ -18,10 +18,7 @@ import numpy as np
 
 from coordnet import kernels
 from coordnet.config import DETECTORS, DetectorConfig, detector_set
-from coordnet.corpus import ORIGINAL, RETWEET, Corpus
-
-HASHTAG_SEPARATOR = "|"
-
+from coordnet.corpus import HASHTAG_SEPARATOR, ORIGINAL, RETWEET, Corpus
 
 ORDER_ERROR = "edge endpoints must satisfy a < b"
 SCORE_ERROR = "edge score must be in [0, 1]"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import os
-import sys
 from array import array
 from operator import itemgetter
 from typing import Iterable
@@ -41,9 +40,9 @@ _READ_BYTES = 1 << 16
 _HEADER_LINE = (",".join(EDGE_HEADER) + "\n").encode()
 # The separators of a row the block reader splits: four "," and a "\n".
 _SEPARATORS = np.frombuffer(b",,,,\n", dtype=np.uint8)
-# Bytes only the row loop reads: CSV quoting, "\r" (a row end to
-# csv.reader), and NUL, which csv.reader refuses before Python 3.11.
-_ROW_LOOP_BYTES = (b'"', b"\r") + ((b"\0",) if sys.version_info < (3, 11) else ())
+# Bytes only the row loop reads: CSV quoting and "\r" (a row end to
+# csv.reader).
+_ROW_LOOP_BYTES = (b'"', b"\r")
 
 
 def fmt(value) -> str:

@@ -16,11 +16,8 @@ from coordnet import __version__
 
 
 def file_sha256(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fp:
-        for chunk in iter(lambda: fp.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fp, "sha256").hexdigest()
 
 
 class RunManifest:
@@ -35,11 +32,15 @@ class RunManifest:
         self.notes: list[str] = []
 
     def add_input(self, role: str, path) -> None:
+        """Record path's name, sha256 and size; a pipe or other input
+        that is not a regular file was drained by the stage, so its
+        digest and size are null."""
         p = Path(path)
+        regular = p.is_file()
         self.inputs[role] = {
             "path": p.name,
-            "sha256": file_sha256(p),
-            "bytes": p.stat().st_size,
+            "sha256": file_sha256(p) if regular else None,
+            "bytes": p.stat().st_size if regular else None,
         }
 
     def add_artifact(self, path) -> None:

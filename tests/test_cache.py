@@ -251,6 +251,7 @@ MUTATIONS = {
     "hashtags-uppercase": (1, _put("hashtags", 0, ["x", "Y"]), "hashtags must be lowercase"),
     "hashtags-sigma": (2, _put("hashtags", 1, ["ΑΣ"]), "hashtags must be lowercase"),
     "hashtags-not-list": (1, _put("hashtags", 0, "x"), "hashtags must hold only list"),
+    "hashtag-separator": (2, _put("hashtags", 1, ["a|b"]), "a hashtag holds '|'"),
     "hashtag-int": (1, _put("hashtags", 0, [1]), "hashtags must hold lists of strings"),
     "language-empty": (1, _put("languages", 0, ""), "languages holds an empty string"),
     "language-int": (1, _put("languages", 0, 1), "languages must hold only str"),

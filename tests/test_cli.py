@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and file interfaces."""
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -94,6 +95,7 @@ class TestIngest:
             "bad_id": json.dumps(dict(ok, tweet_id=True)).encode(),
             "bad_timestamp": json.dumps(dict(ok, timestamp="someday")).encode(),
             "bad_list": json.dumps(dict(ok, hashtags="x")).encode(),
+            "bad_hashtag": json.dumps(dict(ok, hashtags=["A", "b|c"])).encode(),
             # every line above holds tweet_id "t" too, but fails first
             "duplicate_tweet_id": json.dumps(dict(ok, account_id="b", text="x")).encode(),
         }
@@ -106,6 +108,43 @@ class TestIngest:
             {"records": 1, "skipped": len(bad), "accounts": 1, "days": 1},
             **{f"skipped_{reason}": 1 for reason in bad},
         )
+
+    def test_hashtag_holding_the_key_separator_skipped(self, tmp_path, capsys):
+        # ["a|b", "c"] and ["a", "b|c"] share no hashtag, but joined into
+        # 2-gram keys with "|" they would share "a|b|c"
+        src = tmp_path / "pipes.jsonl"
+        write_jsonl(src, [rec(1, "x", hashtags=["a|b", "c"]), rec(2, "y", hashtags=["a", "b|c"])])
+        cache = tmp_path / "cache.jsonl"
+        assert main(["ingest", str(src), "-o", str(cache)]) == 0
+        counts = json.loads((tmp_path / "cache.jsonl.manifest.json").read_text())["counts"]
+        assert counts == {"records": 0, "skipped": 2, "skipped_bad_hashtag": 2, "accounts": 0, "days": 0}
+        assert main(["--strict", "ingest", str(src), "-o", str(cache)]) == 1
+        assert "line 1: a hashtag holds '|'" in capsys.readouterr().err
+
+    def test_piped_input_records_no_digest(self, tmp_path, small_corpus_file):
+        # <(cat corpus.jsonl): the stage drains the pipe, so reading it
+        # again for a digest would digest an empty stream. (An anonymous
+        # pipe, not a FIFO, so a second read ends at once instead of
+        # waiting for a writer.) A regular file keeps its digest.
+        data = small_corpus_file.read_bytes()
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        assert main(["ingest", f"/dev/fd/{read_end}", "-o", str(tmp_path / "piped.jsonl")]) == 0
+        os.close(read_end)
+        assert main(["ingest", str(small_corpus_file), "-o", str(tmp_path / "file.jsonl")]) == 0
+        piped, plain = (
+            json.loads((tmp_path / f"{name}.jsonl.manifest.json").read_text())
+            for name in ("piped", "file")
+        )
+        assert piped["inputs"]["corpus"] == {"path": str(read_end), "sha256": None, "bytes": None}
+        assert plain["inputs"]["corpus"] == {
+            "path": "corpus.jsonl",
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data),
+        }
+        assert piped["counts"] == plain["counts"]
+        assert piped["artifacts"]["piped.jsonl"] == plain["artifacts"]["file.jsonl"]
 
     def test_rerun_identical_digest(self, tmp_path, small_corpus_file):
         cache = tmp_path / "cache.jsonl"
@@ -696,8 +735,8 @@ def _no_row_loop(source):
 
 def read_back(fp, tmp_path, monkeypatch):
     """read_edges_csv of a file holding what fp holds. A file that needs
-    no CSV quoting and holds no blank line (nor a byte csv.reader refuses)
-    is read by the block reader alone: the row loop raises."""
+    no CSV quoting and holds no blank line is read by the block reader
+    alone: the row loop raises."""
     text = fp.getvalue()
     path = tmp_path / "read_back.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -833,9 +872,8 @@ class TestEdgeFile:
 
 
 
-# The lowest character csv.reader reads: before Python 3.11 it refuses
-# NUL, so there the row loop reads no file holding one.
-_LOWEST = "\x01" if b"\0" in formats._ROW_LOOP_BYTES else "\x00"
+# The lowest character, which both readers read.
+_LOWEST = "\x00"
 
 
 def _oracle_edge_text(rows):
@@ -894,28 +932,6 @@ class TestEdgeBlocks:
             same_table(read_edges_csv(path), want)
             assert calls == ([] if split else [1]), name
             monkeypatch.setattr(formats, "_read_edges_rows", row_loop)
-
-    @pytest.mark.parametrize("nul", [False, True])
-    def test_nul_rule_looks_at_the_file_bytes_only(self, tmp_path, monkeypatch, nul):
-        # before Python 3.11 csv.reader refuses NUL, so _ROW_LOOP_BYTES
-        # holds it there: a file with a NUL goes to the row loop, and any
-        # other still splits a block at a time
-        monkeypatch.setattr(formats, "_ROW_LOOP_BYTES", (b'"', b"\r", b"\0"))
-        monkeypatch.setattr(formats, "_READ_BYTES", 100)
-        lines = [line.replace("\x00", "\x01") for line in _oracle_edge_text(300)]
-        if nul:
-            lines.insert(150, "a,a\x00,time,0.5,k\n")
-        path = tmp_path / "edges.csv"
-        path.write_bytes("".join(lines).encode("utf-8"))
-        row_loop = formats._read_edges_rows
-        calls = []
-        monkeypatch.setattr(formats, "_read_edges_rows", lambda source: calls.append(1) or row_loop(source))
-        if nul and sys.version_info < (3, 11):
-            with pytest.raises(ValueError, match="line contains NUL"):
-                read_edges_csv(path)
-        else:
-            same_table(read_edges_csv(path), row_loop(path))
-        assert calls == ([1] if nul else [])
 
     def test_pipe_is_read_by_the_row_loop(self, tmp_path, detect_run):
         # a pipe cannot be read twice, so its rows are read once, from the
@@ -1004,6 +1020,35 @@ def test_carriage_return_ids_pass_every_stage(tmp_path):
     assert main(argv + ["--confidences", str(conf)]) == 0
     with open(bundle / "duplicate_shares.csv", encoding="utf-8", newline="") as fp:
         assert [row[0] for row in csv.reader(fp)] == ["account_id", "a\rb", "c\rd", "plain"]
+
+
+def test_nul_ids_pass_every_stage(tmp_path, monkeypatch):
+    # Account ids, tweet ids, a hashtag, a mention and a retweeted
+    # account id holding NUL: every stage exits 0, the ids come back
+    # byte for byte, and the block reader reads every edge file.
+    monkeypatch.setattr(formats, "_read_edges_rows", _no_row_loop)
+    tags = ["v\x00w", "w", "x", "y", "z"]
+    records = [
+        rec("t\x001", "a\x00b", BASE_TS, hashtags=tags, text="vote", mentions=["m\x00n"]),
+        rec("t2", "c\x00d", BASE_TS + 60, hashtags=tags, text="vote"),
+        rec("t3", "plain", BASE_TS + 120, kind="retweet", rt_id="t\x001", rt_account="a\x00b"),
+    ]
+    src, cache, det = tmp_path / "corpus.jsonl", tmp_path / "cache.jsonl", tmp_path / "det"
+    conf, clusters = tmp_path / "confidences.csv", tmp_path / "clusters.csv"
+    write_jsonl(src, records)
+    assert main(["ingest", str(src), "-o", str(cache)]) == 0
+    assert records_of(load_cache(cache)) == records
+    assert main(["detect", str(cache), "-o", str(det)]) == 0
+    assert (det / "edges_hashtag.csv").read_bytes().endswith(b"\na\x00b,c\x00d,hashtag,1.0,v\x00w|w|x|y|z\n")
+    edges = edges_of(read_edges_csv(det / "edges_hashtag.csv"))
+    assert [(e.a, e.b, e.evidence) for e in edges] == [("a\x00b", "c\x00d", "v\x00w|w|x|y|z")]
+    assert main(["cluster", str(cache), str(det), "-o", str(clusters)]) == 0
+    assert clusters.read_bytes().endswith(b"\n1,2,v\x00w,a\x00b,c\x00d\n")
+    assert main(["score", str(cache), "-o", str(conf)]) == 0
+    assert [line.split(b",")[0] for line in conf.read_bytes().splitlines()[1:]] == [b"t\x001", b"t2", b"t3"]
+    assert load_confidences(conf).tweet_ids == ["t\x001", "t2", "t3"]
+    argv = ["report", str(cache), "-o", str(tmp_path / "bundle"), "--edges", str(det)]
+    assert main(argv + ["--confidences", str(conf)]) == 0
 
 
 class TestClusterScoreReport:

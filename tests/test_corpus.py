@@ -153,6 +153,12 @@ class TestTimestamps:
             ("2017-05-01T12:00:00+02:00", 1493632800),
             ("2017-05-01T10:00:00", 1493632800),  # naive treated as UTC
             ("0001-01-01T00:00:00Z", -62135596800),  # earliest renderable day
+            # ISO 8601 forms fromisoformat reads from Python 3.11 on
+            ("2017-05-06T14:00:00+0200", 1494072000),
+            ("20170506T120000Z", 1494072000),
+            ("2017-05-06T12:00:00,5Z", 1494072000),  # fraction truncated
+            ("2017-W18-6T12:00:00Z", 1494072000),
+            ("2017-05-06T12:00:00z", 1494072000),
             (253402300799, 253402300799),  # 9999-12-31T23:59:59Z
         ],
     )
