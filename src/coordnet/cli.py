@@ -144,18 +144,23 @@ def cmd_detect(args, config) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     diagnostics: dict[str, int] = {}
     results = det.detect_all(corpus, cfg, enabled, diagnostics)
+    written: list[Path] = []
+
+    def emit(name: str) -> Path:
+        written.append(outdir / name)
+        return written[-1]
 
     flagged_sets = {}
     for name in DETECTORS:
         edges, flagged = results[name]
         flagged_sets[name] = flagged
-        with open(outdir / f"edges_{name}.csv", "w", encoding="utf-8", newline="") as fp:
+        with open(emit(f"edges_{name}.csv"), "w", encoding="utf-8", newline="") as fp:
             formats.write_edges_csv(edges, fp)
-        with open(outdir / f"flagged_{name}.txt", "w", encoding="utf-8", newline="") as fp:
+        with open(emit(f"flagged_{name}.txt"), "w", encoding="utf-8", newline="") as fp:
             formats.write_account_list(flagged, fp)
 
     union = set().union(*flagged_sets.values())
-    with open(outdir / "flagged_union.txt", "w", encoding="utf-8", newline="") as fp:
+    with open(emit("flagged_union.txt"), "w", encoding="utf-8", newline="") as fp:
         formats.write_account_list(union, fp)
 
     overlap = {
@@ -168,7 +173,7 @@ def cmd_detect(args, config) -> int:
             for y in DETECTORS[i + 1 :]
         },
     }
-    with open(outdir / "overlap.json", "w", encoding="utf-8") as fp:
+    with open(emit("overlap.json"), "w", encoding="utf-8") as fp:
         json.dump(overlap, fp, sort_keys=True, indent=2)
         fp.write("\n")
 
@@ -182,8 +187,8 @@ def cmd_detect(args, config) -> int:
         manifest.counts[f"flagged_{name}"] = len(flagged_sets[name])
     manifest.counts["flagged_union"] = len(union)
     manifest.counts.update(diagnostics)
-    for artifact in sorted(p.name for p in outdir.iterdir() if p.name != "detect.manifest.json"):
-        manifest.add_artifact(outdir / artifact)
+    for path in written:
+        manifest.add_artifact(path)
     manifest.write(outdir / "detect.manifest.json")
     print(
         "flagged accounts: "
@@ -195,11 +200,17 @@ def cmd_detect(args, config) -> int:
 
 
 def _edge_files(paths) -> list[Path]:
-    """Edge inputs: a directory stands for its edges_*.csv in name order;
-    a file is taken as given."""
+    """Edge inputs: a directory stands for its edges_*.csv in name order,
+    and one without any is a ValueError; a file is taken as given."""
     files = []
     for path in map(Path, paths):
-        files.extend(sorted(path.glob("edges_*.csv")) if path.is_dir() else [path])
+        if not path.is_dir():
+            files.append(path)
+            continue
+        found = sorted(path.glob("edges_*.csv"))
+        if not found:
+            raise ValueError(f"no edges_*.csv in directory {str(path)!r}")
+        files.extend(found)
     return files
 
 
@@ -210,8 +221,7 @@ def cmd_cluster(args, config) -> int:
 
     corpus = load_cache(args.cache)
     tables = [formats.read_edges_csv(path) for path in _edge_files(args.edges)]
-    graph = graphmod.CoordinationGraph.from_edges(*tables)
-    clusters = graphmod.label_clusters(graphmod.connected_components(graph), corpus)
+    clusters, _ = graphmod.coordination(corpus, tables)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     reportmod.write_clusters(clusters, out)
@@ -242,31 +252,35 @@ def cmd_score(args, config) -> int:
 
 def cmd_report(args, config) -> int:
     from coordnet import formats
+    from coordnet import graph as graphmod
     from coordnet import report as reportmod
     from coordnet import sociolinguistics as sl
 
     # Built before anything is read, so a bad value leaves no partial bundle.
     cfg = settings(ReportConfig, config, args)
-    detector_cfg = settings(DetectorConfig, config, args)
     corpus = load_cache(args.cache)
     if not args.edges:
         raise ValueError("missing input: --edges (edge CSV files or a detect output directory)")
-    tables = [formats.read_edges_csv(path) for path in _edge_files(args.edges)]
+    edge_files = _edge_files(args.edges)
+    tables = [formats.read_edges_csv(path) for path in edge_files]
+    coordination = graphmod.coordination(corpus, tables)
 
     table = None
     if args.confidences:
         table = sl.load_confidences(args.confidences)
 
-    manifest = RunManifest(
-        "report", seed=args.seed, config={**asdict(detector_cfg), **asdict(cfg)}
-    )
+    manifest = RunManifest("report", seed=args.seed, config=asdict(cfg))
     manifest.add_input("cache", args.cache)
+    # numbered roles: two edge files may share a name
+    for i, path in enumerate(edge_files, start=1):
+        manifest.add_input(f"edges.{i}", path)
+    manifest.counts["edges"] = sum(len(t) for t in tables)
     if args.confidences:
         manifest.add_input("confidences", args.confidences)
         manifest.counts["confidence_missing_values"] = table.missing_values
 
     summary = reportmod.write_report_bundle(
-        corpus, tables, table, args.outdir, cfg, seed=args.seed, run_manifest=manifest
+        corpus, coordination, table, args.outdir, cfg, seed=args.seed, run_manifest=manifest
     )
     if "notice" in summary:
         print(summary["notice"], file=sys.stderr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -38,10 +39,6 @@ class CoordinationGraph:
     names: list[str] = field(default_factory=list)
     a: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
     b: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
-
-    @property
-    def nodes(self) -> set[str]:
-        return set(self.names)
 
     @classmethod
     def from_edges(cls, *tables: EdgeTable) -> "CoordinationGraph":
@@ -107,20 +104,47 @@ def connected_components(graph: CoordinationGraph) -> list[Cluster]:
     return [Cluster(id=i, members=g) for i, g in enumerate(ordered, start=1)]
 
 
+def cluster_ids(clusters: list[Cluster], corpus: Corpus) -> np.ndarray:
+    """Each corpus account code's cluster id as int32, 0 for none; a
+    member the corpus lacks is left out."""
+    cluster_of = np.zeros(len(corpus.account_ids), dtype=np.int32)
+    code_of = corpus.code_of
+    for c in clusters:
+        cluster_of[[code_of[m] for m in c.members if m in code_of]] = c.id
+    return cluster_of
+
+
 def label_clusters(clusters: list[Cluster], corpus: Corpus) -> list[Cluster]:
     """Label each cluster with the most frequent hashtag of its members'
     original tweets, in one pass over the corpus; lexicographic
     tie-break; empty string when the members have no hashtags."""
-    index_of = {m: i for i, c in enumerate(clusters) for m in c.members}
-    cluster_of_code = [index_of.get(name) for name in corpus.account_ids]
-    counts: list[Counter[str]] = [Counter() for _ in clusters]
+    cluster_of = cluster_ids(clusters, corpus).tolist()
+    counts: dict[int, Counter[str]] = {c.id: Counter() for c in clusters}
     for code, kind, tags in zip(corpus.account_codes, corpus.kinds, corpus.hashtags):
-        i = cluster_of_code[code]
-        if i is not None and kind == ORIGINAL and tags:
-            counts[i].update(tags)
-    for cluster, tally in zip(clusters, counts):
+        if tags and kind == ORIGINAL and cluster_of[code]:
+            counts[cluster_of[code]].update(tags)
+    for cluster in clusters:
+        tally = counts[cluster.id]
         cluster.label = min(tally, key=lambda tag: (-tally[tag], tag)) if tally else ""
     return clusters
+
+
+def coordination(corpus: Corpus, tables: list[EdgeTable]) -> tuple[list[Cluster], np.ndarray]:
+    """The labeled clusters of the edge tables' graph and their
+    cluster_ids, from which every report section reads membership.
+
+    ValueError when an edge names an account the corpus lacks: the edges
+    and the corpus then come from different data sets.
+    """
+    graph = CoordinationGraph.from_edges(*tables)
+    missing = [name for name in graph.names if name not in corpus.code_of]
+    if missing:
+        raise ValueError(
+            f"{len(missing)} accounts in the edges are not in the cache, the first "
+            f"{missing[0]!r}: edges and cache must come from one corpus"
+        )
+    clusters = label_clusters(connected_components(graph), corpus)
+    return clusters, cluster_ids(clusters, corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +161,9 @@ class InteractionCounts:
     intra_share_of_actions: float | None
 
 
-def _members(corpus: Corpus, accounts: set[str]) -> list[bool]:
-    """For each account code of the corpus: is that account in accounts."""
-    return [name in accounts for name in corpus.account_ids]
-
-
-def retweet_interactions(corpus: Corpus, coordinated: set[str]) -> InteractionCounts:
-    """Retweet/reply flows between the coordinated set and everyone else.
+def retweet_interactions(corpus: Corpus, member: np.ndarray) -> InteractionCounts:
+    """Retweet/reply flows between the coordinated accounts (member, a
+    bool per account code) and everyone else.
 
     intra_share divides intra-coordinated retweets by all retweets of
     coordinated-account content; intra_share_of_actions divides by all
@@ -155,21 +175,22 @@ def retweet_interactions(corpus: Corpus, coordinated: set[str]) -> InteractionCo
     outside_retweets = 0
     outside_replies = 0
     coordinated_actions = 0
-    member = _members(corpus, coordinated)
+    is_in = member.tolist() + [False]  # at -1: an id that never posted, or None
+    code_of = corpus.code_of
     for code, kind, target, mentions in zip(
         corpus.account_codes, corpus.kinds, corpus.retweeted_account_ids, corpus.mentions
     ):
-        author_in = member[code]
+        author_in = is_in[code]
         if kind == RETWEET:
             if author_in:
                 coordinated_actions += 1
-            if target is not None and target in coordinated:
+            if is_in[code_of.get(target, -1)]:
                 if author_in:
                     intra += 1
                 else:
                     outside_retweets += 1
         elif kind == REPLY and not author_in:
-            if any(m in coordinated for m in mentions):
+            if any(is_in[code_of.get(m, -1)] for m in mentions):
                 outside_replies += 1
     of_content = intra + outside_retweets
     return InteractionCounts(
@@ -182,16 +203,16 @@ def retweet_interactions(corpus: Corpus, coordinated: set[str]) -> InteractionCo
 
 
 def activity_shares(
-    corpus: Corpus, coordinated: set[str]
+    corpus: Corpus, member: np.ndarray
 ) -> list[tuple[str, dict[str, float | None]]]:
-    """Per day and kind: coordinated-authored count / total count.
+    """Per day and kind: coordinated-authored count / total count, where
+    member is a bool per account code.
 
     Days with no records of a kind yield None for that kind.
     """
-    member = _members(corpus, coordinated)
     day_kinds = list(zip(corpus.day_codes(), corpus.kinds))
     totals = Counter(day_kinds)
-    coord = Counter(dk for dk, code in zip(day_kinds, corpus.account_codes) if member[code])
+    coord = Counter(compress(day_kinds, member[corpus.account_codes].tolist()))
     out = []
     # Day codes sort like the YYYY-MM-DD days they render as.
     for day in sorted({day for day, _ in totals}):

@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -21,9 +20,7 @@ from coordnet import sociolinguistics as sl
 from coordnet import stats
 from coordnet.config import ReportConfig
 from coordnet.corpus import SECONDS_PER_DAY, Corpus, day_of_timestamp, daily_volume
-from coordnet.detectors import EdgeTable
 from coordnet.formats import fmt
-from coordnet.graph import CoordinationGraph
 from coordnet.manifest import RunManifest
 from coordnet.sources import csv_writer
 
@@ -56,10 +53,10 @@ def write_daily_volume(corpus: Corpus, path: Path) -> int:
     return _write_csv(path, ("day", "original", "reply", "retweet"), rows)
 
 
-def write_activity_shares(corpus: Corpus, coordinated: set[str], path: Path) -> int:
+def write_activity_shares(corpus: Corpus, member: np.ndarray, path: Path) -> int:
     rows = (
         (day, shares["original"], shares["reply"], shares["retweet"])
-        for day, shares in graphmod.activity_shares(corpus, coordinated)
+        for day, shares in graphmod.activity_shares(corpus, member)
     )
     return _write_csv(path, ("day", "original", "reply", "retweet"), rows)
 
@@ -129,27 +126,20 @@ class RecordColumns:
     confidence-table row (-1 where the tweet has none)."""
 
     def __init__(self, corpus: Corpus, table: sl.CharacteristicTable):
-        self.code_of = corpus.code_of
         self.day = np.asarray(corpus.timestamps, dtype=np.int64) // SECONDS_PER_DAY
         self.account = np.asarray(corpus.account_codes, dtype=np.int64)
         self.row = table.row_indices(corpus.tweet_ids)
-
-    def accounts_mask(self, accounts) -> np.ndarray:
-        """True for the records of the given accounts."""
-        member = np.zeros(len(self.code_of), dtype=bool)
-        member[[self.code_of[a] for a in accounts if a in self.code_of]] = True
-        return member[self.account]
 
     def missing_tweets(self) -> int:
         """Corpus tweets without a confidence row."""
         return int((self.row < 0).sum())
 
 
-def _scope_masks(cols: RecordColumns, clusters, coordinated: set[str], top_clusters: int):
+def _scope_masks(record_cluster: np.ndarray, clusters, top_clusters: int):
     """(name, record mask) for all coordinated accounts, then each of the
-    top clusters."""
-    scopes = [(ALL_COORDINATED_SCOPE, cols.accounts_mask(coordinated))]
-    scopes += [(str(c.id), cols.accounts_mask(c.members)) for c in clusters[:top_clusters]]
+    top clusters, from the cluster id of each record's author."""
+    scopes = [(ALL_COORDINATED_SCOPE, record_cluster > 0)]
+    scopes += [(str(c.id), record_cluster == c.id) for c in clusters[:top_clusters]]
     return scopes
 
 
@@ -216,36 +206,30 @@ def write_daily_confidence(
     _write_csv(path, ("day", "scope", "characteristic", "mean_confidence"), rows)
 
 
-def write_language_mix(
-    corpus: Corpus, clusters, coordinated: set[str], path: Path
-) -> None:
-    cluster_of = {}
-    for c in clusters:
-        for member in c.members:
-            cluster_of[member] = c.id
-    mix = stats.language_mix(corpus, coordinated)
+def write_language_mix(corpus: Corpus, cluster_of: np.ndarray, path: Path) -> None:
+    names, ids = corpus.account_ids, cluster_of.tolist()
+    mix = stats.language_mix(corpus, [names[c] for c in np.flatnonzero(cluster_of).tolist()])
     rows = []
     for account in sorted(mix):
         for lang, frac in mix[account].items():
-            rows.append((account, cluster_of.get(account, 0), lang, frac))
+            rows.append((account, ids[corpus.code_of[account]], lang, frac))
     _write_csv(path, ("account_id", "cluster_id", "language", "fraction"), rows)
 
 
-def story_share(corpus: Corpus, coordinated: set[str], story_hashtags) -> dict:
-    """Share of story-hashtag tweets authored by coordinated accounts;
-    story_hashtags as ReportConfig keeps them."""
+def story_share(corpus: Corpus, member: np.ndarray, story_hashtags) -> dict:
+    """Share of story-hashtag tweets by coordinated accounts (member, a
+    bool per account code); story_hashtags as ReportConfig keeps them."""
     tags = set(story_hashtags)
     if not tags:
         return {"hashtags": [], "coordinated": None, "total": None, "share": None}
     total = 0
     coord = 0
-    names = corpus.account_ids
+    is_in = member.tolist()
     for code, hashtags in zip(corpus.account_codes, corpus.hashtags):
         if not hashtags or tags.isdisjoint(hashtags):
             continue
         total += 1
-        if names[code] in coordinated:
-            coord += 1
+        coord += is_in[code]
     return {
         "hashtags": sorted(tags),
         "coordinated": coord,
@@ -284,7 +268,7 @@ def confidence_vs_binarized(
 
 def write_report_bundle(
     corpus: Corpus,
-    edge_tables: Iterable[EdgeTable],
+    coordination: tuple[list[graphmod.Cluster], np.ndarray],
     table: sl.CharacteristicTable | None,
     outdir,
     config: ReportConfig = ReportConfig(),
@@ -292,8 +276,8 @@ def write_report_bundle(
     seed: int = 0,
     run_manifest: RunManifest | None = None,
 ) -> dict:
-    """Emit the full analysis bundle into outdir under config's settings;
-    returns the summary."""
+    """Emit the full analysis bundle of graph.coordination's result into
+    outdir under config's settings; returns the summary."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = run_manifest or RunManifest("report", seed=seed)
@@ -304,17 +288,13 @@ def write_report_bundle(
         written.append(path)
         return path
 
-    edge_tables = list(edge_tables)
-    coord_graph = CoordinationGraph.from_edges(*edge_tables)
-    clusters = graphmod.label_clusters(
-        graphmod.connected_components(coord_graph), corpus
-    )
-    coordinated = set(coord_graph.nodes)
+    clusters, cluster_of = coordination
+    member = cluster_of > 0
+    n_coordinated = int(member.sum())
 
     manifest.counts["records"] = len(corpus)
     manifest.counts["accounts"] = len(corpus.account_ids)
-    manifest.counts["edges"] = sum(len(t) for t in edge_tables)
-    manifest.counts["coordinated_accounts"] = len(coordinated)
+    manifest.counts["coordinated_accounts"] = n_coordinated
     manifest.counts["clusters"] = len(clusters)
     rng_range = corpus.time_range()
     if rng_range:
@@ -323,20 +303,21 @@ def write_report_bundle(
         )
 
     write_daily_volume(corpus, emit("daily_volume.csv"))
-    write_activity_shares(corpus, coordinated, emit("activity_shares.csv"))
+    write_activity_shares(corpus, member, emit("activity_shares.csv"))
     dup_shares = write_duplicate_shares(
         corpus, emit("duplicate_shares.csv"), config.duplicate_scope
     )
     write_clusters(clusters, emit("clusters.csv"))
 
-    interactions = graphmod.retweet_interactions(corpus, coordinated)
-    story = story_share(corpus, coordinated, config.story_hashtags)
+    interactions = graphmod.retweet_interactions(corpus, member)
+    story = story_share(corpus, member, config.story_hashtags)
 
     n_accounts = len(corpus.account_ids)
-    user_share = (len(coordinated) / n_accounts) if n_accounts else None
+    user_share = (n_coordinated / n_accounts) if n_accounts else None
 
-    dup_coord = [s for a, (s, _) in dup_shares.items() if s is not None and a in coordinated]
-    dup_base = [s for a, (s, _) in dup_shares.items() if s is not None and a not in coordinated]
+    code_of, is_in = corpus.code_of, member.tolist()
+    dup_coord = [s for a, (s, _) in dup_shares.items() if s is not None and is_in[code_of[a]]]
+    dup_base = [s for a, (s, _) in dup_shares.items() if s is not None and not is_in[code_of[a]]]
     if dup_coord and dup_base:
         dup_test = stats.mann_whitney_u(dup_coord, dup_base, method="normal")
         duplicate_comparison = {
@@ -352,7 +333,7 @@ def write_report_bundle(
         "seed": seed,
         "manifest_digest": None,  # filled below
         "user_share": user_share,
-        "coordinated_accounts": len(coordinated),
+        "coordinated_accounts": n_coordinated,
         "total_accounts": n_accounts,
         "story_share": story,
         "interactions": asdict(interactions),
@@ -369,7 +350,7 @@ def write_report_bundle(
 
     if table is not None and len(table):
         cols = RecordColumns(corpus, table)
-        scopes = _scope_masks(cols, clusters, coordinated, config.top_clusters)
+        scopes = _scope_masks(cluster_of[cols.account], clusters, config.top_clusters)
         rho, pval = correlation_matrices(table)
         write_matrix(rho, emit("correlations.csv"))
         write_matrix(pval, emit("correlation_pvalues.csv"))
@@ -387,7 +368,7 @@ def write_report_bundle(
     else:
         summary["notice"] = "socio-linguistic sections omitted: no confidence table provided"
 
-    write_language_mix(corpus, clusters, coordinated, emit("language_mix.csv"))
+    write_language_mix(corpus, cluster_of, emit("language_mix.csv"))
 
     summary["manifest_digest"] = manifest.digest
     _write_json(emit("summary.json"), summary)

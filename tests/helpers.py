@@ -14,8 +14,16 @@ import numpy as np
 
 import coordnet
 from coordnet.config import DETECTORS, DetectorConfig
-from coordnet.corpus import RETWEET, day_of_timestamp, parse_corpus
+from coordnet.corpus import (
+    KINDS,
+    REPLY,
+    RETWEET,
+    SECONDS_PER_DAY,
+    day_of_timestamp,
+    parse_corpus,
+)
 from coordnet.detectors import AccountVectors, EdgeTable
+from coordnet.graph import InteractionCounts
 from coordnet.sociolinguistics import N_CHARACTERISTICS, CharacteristicTable
 from coordnet.stats import left_sum
 
@@ -88,6 +96,12 @@ def rec(
 def corpus_of(*records):
     """The corpus parse_corpus builds from the records' JSON lines."""
     return parse_corpus([record_to_json(r) for r in records], strict=True)
+
+
+def member_of(corpus, ids) -> np.ndarray:
+    """For each account code of the corpus: is that account one of ids."""
+    ids = set(ids)
+    return np.array([name in ids for name in corpus.account_ids], dtype=bool)
 
 
 class Edge(NamedTuple):
@@ -341,3 +355,79 @@ def oracle_components(edges):
     groups = uf.groups()
     groups.sort(key=lambda g: (-len(g), min(g)))
     return list(enumerate(groups, start=1))
+
+
+# The report's coordinated-account sections as they were when membership
+# was a set of account ids, kept as the reference for the per-code
+# member array.
+
+
+def oracle_retweet_interactions(corpus, coordinated: set[str]) -> InteractionCounts:
+    """graph.retweet_interactions with one set lookup per author, target
+    and mention."""
+    intra = 0
+    outside_retweets = 0
+    outside_replies = 0
+    coordinated_actions = 0
+    member = [name in coordinated for name in corpus.account_ids]
+    for code, kind, target, mentions in zip(
+        corpus.account_codes, corpus.kinds, corpus.retweeted_account_ids, corpus.mentions
+    ):
+        author_in = member[code]
+        if kind == RETWEET:
+            if author_in:
+                coordinated_actions += 1
+            if target is not None and target in coordinated:
+                if author_in:
+                    intra += 1
+                else:
+                    outside_retweets += 1
+        elif kind == REPLY and not author_in:
+            if any(m in coordinated for m in mentions):
+                outside_replies += 1
+    of_content = intra + outside_retweets
+    return InteractionCounts(
+        intra_retweets=intra,
+        retweets_from_outside=outside_retweets,
+        replies_from_outside=outside_replies,
+        intra_share=(intra / of_content) if of_content else None,
+        intra_share_of_actions=(intra / coordinated_actions) if coordinated_actions else None,
+    )
+
+
+def oracle_activity_shares(corpus, coordinated: set[str]):
+    """graph.activity_shares with one set lookup per account."""
+    member = [name in coordinated for name in corpus.account_ids]
+    day_kinds = list(zip(corpus.day_codes(), corpus.kinds))
+    totals = Counter(day_kinds)
+    coord = Counter(dk for dk, code in zip(day_kinds, corpus.account_codes) if member[code])
+    out = []
+    for day in sorted({day for day, _ in totals}):
+        shares = {}
+        for code, kind in enumerate(KINDS):
+            total = totals[day, code]
+            shares[kind] = (coord[day, code] / total) if total else None
+        out.append((day_of_timestamp(day * SECONDS_PER_DAY), shares))
+    return out
+
+
+def oracle_story_share(corpus, coordinated: set[str], story_hashtags) -> dict:
+    """report.story_share with one set lookup per story tweet."""
+    tags = set(story_hashtags)
+    if not tags:
+        return {"hashtags": [], "coordinated": None, "total": None, "share": None}
+    total = 0
+    coord = 0
+    names = corpus.account_ids
+    for code, hashtags in zip(corpus.account_codes, corpus.hashtags):
+        if not hashtags or tags.isdisjoint(hashtags):
+            continue
+        total += 1
+        if names[code] in coordinated:
+            coord += 1
+    return {
+        "hashtags": sorted(tags),
+        "coordinated": coord,
+        "total": total,
+        "share": (coord / total) if total else None,
+    }

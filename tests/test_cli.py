@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from coordnet import formats
 from coordnet.cli import load_config_file, main
-from coordnet.config import DetectorConfig, ReportConfig
+from coordnet.config import DETECTORS, DetectorConfig, ReportConfig
 from coordnet.corpus import KINDS, CorpusError, load_cache, parse_corpus
 from coordnet.formats import (
     read_account_list,
@@ -30,6 +30,7 @@ from coordnet.formats import (
     write_account_list,
     write_edges_csv,
 )
+from coordnet.manifest import file_sha256
 from coordnet.sociolinguistics import CHARACTERISTICS, load_confidences
 from coordnet.sources import csv_writer
 
@@ -52,6 +53,15 @@ def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fp:
         for r in records:
             fp.write(record_to_json(r) + "\n")
+
+
+def cache_holding(tmp_path, ids):
+    """A cache with one original tweet by each of ids, for edge files
+    whose accounts no detect run wrote."""
+    src, cache = tmp_path / "holders.jsonl", tmp_path / "holders.cache.jsonl"
+    write_jsonl(src, [rec(f"h{i}", a, BASE_TS + i) for i, a in enumerate(ids)])
+    assert main(["ingest", str(src), "-o", str(cache)]) == 0
+    return cache
 
 
 @pytest.fixture
@@ -525,6 +535,21 @@ class TestDetect:
         assert "unknown detectors: ['bogus']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_manifest_lists_only_the_files_this_run_wrote(self, tmp_path, detect_run):
+        cache, first = detect_run
+        outdir = tmp_path / "again"
+        (outdir / "sub").mkdir(parents=True)
+        (outdir / "stale.txt").write_text("left over\n")
+        assert main(["detect", str(cache), "-o", str(outdir)]) == 0
+        manifest = json.loads((outdir / "detect.manifest.json").read_text())
+        assert manifest["artifacts"] == json.loads(
+            (first / "detect.manifest.json").read_text()
+        )["artifacts"]
+        assert sorted(manifest["artifacts"]) == sorted(
+            [f"edges_{d}.csv" for d in DETECTORS] + [f"flagged_{d}.txt" for d in DETECTORS]
+            + ["flagged_union.txt", "overlap.json"]
+        )
+
     def test_config_file_overridden_by_flag(self, tmp_path, small_corpus_file, capsys):
         cache = tmp_path / "cache.jsonl"
         main(["ingest", str(small_corpus_file), "-o", str(cache)])
@@ -663,7 +688,7 @@ class TestSettings:
                 "--edges", str(det_out), "--top-clusters", "2", "--story-hashtags", ""]
         assert main(argv) == 0
         snapshot = json.loads((bundle / "manifest.json").read_text())["config"]
-        assert snapshot["hashtag_k"] == 6  # file; report has no detector flags
+        assert "hashtag_k" not in snapshot  # report uses no detector setting
         assert snapshot["story_hashtags"] == ["leakstory"]  # an empty flag keeps the file's
         assert snapshot["top_clusters"] == 2  # flag over file
         assert snapshot["duplicate_scope"] == "account"  # default
@@ -853,7 +878,7 @@ class TestEdgeFile:
             csv_writer(fp, strings).writerows(rows)
             assert fp.getvalue() == plain.getvalue()
 
-    def test_blank_lines_skipped(self, tmp_path, detect_run):
+    def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text(
             _EDGE_HEADER + "\n" + "coord-a,coord-b,hashtag,1.0,k\n\n\n" + "p,q,time,0.5,cosine\n",
@@ -864,7 +889,7 @@ class TestEdgeFile:
             ("coord-a", "coord-b", "hashtag", 1.0, "k"),
             ("p", "q", "time", 0.5, "cosine"),
         ]
-        cache, _ = detect_run
+        cache = cache_holding(tmp_path, ["coord-a", "coord-b", "p", "q"])
         out = tmp_path / "c.csv"
         assert main(["cluster", str(cache), str(path), "-o", str(out)]) == 0
         rows = list(csv.reader(out.open()))
@@ -936,10 +961,11 @@ class TestEdgeBlocks:
     def test_pipe_is_read_by_the_row_loop(self, tmp_path, detect_run):
         # a pipe cannot be read twice, so its rows are read once, from the
         # start, by the row loop: the same table and clusters as a file
-        cache, outdir = detect_run
+        _, outdir = detect_run
         text = "".join(_oracle_edge_text(300)) + (outdir / "edges_hashtag.csv").read_text().split("\n", 1)[1]
         path = tmp_path / "edges.csv"
         path.write_text(text, encoding="utf-8")
+        cache = cache_holding(tmp_path, read_edges_csv(path).accounts)
         pipe = tmp_path / "edges.pipe"
         os.mkfifo(pipe)
 
@@ -1190,6 +1216,63 @@ class TestClusterScoreReport:
         summary = json.loads((bundle / "summary.json").read_text())
         assert summary["coordinated_accounts"] == (2 if flagged else 0)
         assert summary["sociolinguistics"]["missing_tweets"] == 3
+
+    def test_report_manifest_records_edge_inputs(self, tmp_path, detect_run):
+        cache, det_out = detect_run
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "edges_hashtag.csv").write_text("account_a,account_b,detector,score,evidence\n")
+        bundle = tmp_path / "bundle"
+        argv = ["report", str(cache), "-o", str(bundle), "--edges", str(det_out),
+                str(other / "edges_hashtag.csv")]
+        assert main(argv) == 0
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        files = [det_out / f"edges_{d}.csv" for d in DETECTORS] + [other / "edges_hashtag.csv"]
+        assert manifest["inputs"] == {
+            "cache": manifest["inputs"]["cache"],
+            **{
+                f"edges.{i}": {
+                    "path": path.name, "sha256": file_sha256(path), "bytes": path.stat().st_size,
+                }
+                for i, path in enumerate(files, start=1)
+            },
+        }
+        assert manifest["counts"]["edges"] == 1
+        assert set(manifest["config"]) == {f.name for f in fields(ReportConfig)}
+
+    @pytest.mark.parametrize("command", ["cluster", "report"])
+    def test_edges_naming_accounts_the_cache_lacks_are_refused(
+        self, tmp_path, detect_run, capsys, command
+    ):
+        cache, _ = detect_run
+        edges = tmp_path / "edges.csv"
+        edges.write_text(
+            "account_a,account_b,detector,score,evidence\n"
+            "coord-a,coord-b,hashtag,1.0,k\nforeign-1,foreign-2,hashtag,1.0,k\n"
+        )
+        out = tmp_path / "out"
+        argv = (["cluster", str(cache), str(edges), "-o", str(out / "clusters.csv")]
+                if command == "cluster"
+                else ["report", str(cache), "-o", str(out), "--edges", str(edges)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "2 accounts in the edges are not in the cache, the first 'foreign-1'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cluster", "report"])
+    def test_edge_directory_without_edge_files_is_refused(
+        self, tmp_path, detect_run, capsys, command
+    ):
+        cache, _ = detect_run
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "out"
+        argv = (["cluster", str(cache), str(empty), "-o", str(out / "clusters.csv")]
+                if command == "cluster"
+                else ["report", str(cache), "-o", str(out), "--edges", str(empty)])
+        assert main(argv) == 1
+        assert f"no edges_*.csv in directory {str(empty)!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_requires_edges(self, tmp_path, detect_run, capsys):
         cache, _ = detect_run

@@ -11,13 +11,28 @@ from coordnet.graph import (
     Cluster,
     CoordinationGraph,
     activity_shares,
+    cluster_ids,
     connected_components,
+    coordination,
     duplicate_shares,
     label_clusters,
     retweet_interactions,
 )
+from coordnet.report import story_share
 
-from helpers import BASE_TS, Edge, UnionFind, corpus_of, edge_table, oracle_components, rec
+from helpers import (
+    BASE_TS,
+    Edge,
+    UnionFind,
+    corpus_of,
+    edge_table,
+    member_of,
+    oracle_activity_shares,
+    oracle_components,
+    oracle_retweet_interactions,
+    oracle_story_share,
+    rec,
+)
 
 
 def edge(a, b, detector="hashtag", evidence="k"):
@@ -83,7 +98,7 @@ def assert_matches_oracle(tables):
     got = [(c.id, c.members) for c in connected_components(graph)]
     want = oracle_components([e for t in tables for e in t])
     assert got == want
-    assert graph.nodes == set().union(*(members for _, members in want))
+    assert set(graph.names) == set().union(*(members for _, members in want))
     return graph
 
 
@@ -166,7 +181,7 @@ class TestComponentsOracle:
         # a vector detector's table lists every eligible account
         rows = EdgeTable(["x", "a", "unused", "b"], [1], [3], [2], [0.5], ["cosine"], [0])
         graph = CoordinationGraph.from_edges(rows, EdgeTable.empty())
-        assert graph.nodes == {"a", "b"}
+        assert set(graph.names) == {"a", "b"}
         assert [c.members for c in connected_components(graph)] == [{"a", "b"}]
 
     def test_trailing_nul_ids_are_distinct(self):
@@ -213,15 +228,95 @@ class TestLabelCluster:
         assert [c.label for c in labeled] == ["t", "", ""]
 
 
+class TestCoordination:
+    def test_labeled_clusters_and_cluster_id_per_account_code(self):
+        corpus = corpus_of(
+            rec(1, "x"), rec(2, "c", hashtags=["t"]), rec(3, "a"), rec(4, "e"),
+            rec(5, "d", hashtags=["u"]), rec(6, "b"),
+        )
+        tables = [table(edge("a", "b"), edge("d", "e")), table(edge("b", "c"))]
+        clusters, cluster_of = coordination(corpus, tables)
+        assert [(c.id, c.members, c.label) for c in clusters] == [
+            (1, {"a", "b", "c"}, "t"), (2, {"d", "e"}, "u"),
+        ]
+        assert cluster_of.dtype == np.int32
+        assert dict(zip(corpus.account_ids, cluster_of.tolist())) == {
+            "x": 0, "c": 1, "a": 1, "e": 2, "d": 2, "b": 1,
+        }
+
+    def test_no_edges_no_coordinated_account(self):
+        corpus = corpus_of(rec(1, "a"), rec(2, "b"))
+        clusters, cluster_of = coordination(corpus, [EdgeTable.empty()])
+        assert clusters == [] and cluster_of.tolist() == [0, 0]
+
+    def test_edge_accounts_the_corpus_lacks_are_refused(self):
+        corpus = corpus_of(rec(1, "a"), rec(2, "b"))
+        tables = [table(edge("a", "b"), edge("b", "zz"), edge("a\x00", "b"))]
+        with pytest.raises(ValueError, match=r"2 accounts .* the first 'zz'"):
+            coordination(corpus, tables)
+
+    def test_cluster_ids_leave_out_members_the_corpus_lacks(self):
+        corpus = corpus_of(rec(1, "a"), rec(2, "b"), rec(3, "c"))
+        clusters = [Cluster(3, {"c", "gone"}), Cluster(7, {"a"})]
+        assert cluster_ids(clusters, corpus).tolist() == [7, 0, 3]
+
+
+def random_membership_corpus(seed):
+    """A seeded corpus whose retweets target and whose replies mention
+    posting accounts, accounts that never post, and no one; "a" posts
+    beside "a\x00"."""
+    rnd = random.Random(seed)
+    posters = ["a", "a\x00"] + [f"u{i}" for i in range(10)]
+    silent = ["ghost", "a\x00\x00"]
+    records = []
+    for i in range(400):
+        author = rnd.choice(posters)
+        ts = BASE_TS + rnd.randrange(-2, 4) * 86_400 + rnd.randrange(86_400)
+        tags = rnd.sample(["s1", "s2", "x"], rnd.randrange(3))
+        kind = rnd.choice(("original", "reply", "retweet"))
+        if kind == "retweet":
+            target = rnd.choice(posters + silent + [None])
+            records.append(rec(i, author, ts, kind, rt_id=f"o{i}", rt_account=target))
+        elif kind == "reply":
+            mentions = rnd.sample(posters + silent, rnd.randrange(3))
+            records.append(rec(i, author, ts, kind, hashtags=tags, mentions=mentions))
+        else:
+            records.append(rec(i, author, ts, kind, hashtags=tags))
+    return corpus_of(*records)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_member_array_sections_match_the_id_set_oracles(seed):
+    corpus = random_membership_corpus(seed)
+    rnd = random.Random(seed)
+    names = corpus.account_ids
+    assert {"a", "a\x00"} <= set(names) and "ghost" not in names
+    assert "ghost" in corpus.retweeted_account_ids
+    sets = [set(), set(names), {"a"}, {"a\x00"}, set(rnd.sample(names, len(names) // 2))]
+    for coordinated in sets:
+        member = member_of(corpus, coordinated)
+        assert retweet_interactions(corpus, member) == oracle_retweet_interactions(
+            corpus, coordinated
+        )
+        assert activity_shares(corpus, member) == oracle_activity_shares(corpus, coordinated)
+        for tags in ((), ("s1",), ("s1", "s2"), ("nowhere",)):
+            assert story_share(corpus, member, tags) == oracle_story_share(
+                corpus, coordinated, tags
+            )
+    # replies from outside that mention coordinated accounts do occur
+    assert oracle_retweet_interactions(corpus, {"a"}).replies_from_outside > 0
+
+
 class TestRetweetInteractions:
     def test_no_retweets(self):
-        counts = retweet_interactions(corpus_of(rec(1, "a")), {"a"})
+        corpus = corpus_of(rec(1, "a"))
+        counts = retweet_interactions(corpus, member_of(corpus, {"a"}))
         assert counts.intra_retweets == 0
         assert counts.intra_share is None
 
     def test_empty_coordinated_set(self):
         corpus = corpus_of(rec(1, "a", kind="retweet", rt_id="9", rt_account="b"))
-        counts = retweet_interactions(corpus, set())
+        counts = retweet_interactions(corpus, member_of(corpus, set()))
         assert counts.intra_retweets == 0
         assert counts.retweets_from_outside == 0
         assert counts.intra_share is None
@@ -239,7 +334,8 @@ class TestRetweetInteractions:
             rec(7, "o4", kind="retweet", rt_id="1", rt_account="c2"),
             rec(8, "o5", kind="retweet", rt_id="9", rt_account="o1"),  # not coordinated content
         ]
-        counts = retweet_interactions(corpus_of(*records), coordinated)
+        corpus = corpus_of(*records)
+        counts = retweet_interactions(corpus, member_of(corpus, coordinated))
         assert counts.intra_retweets == 2
         assert counts.retweets_from_outside == 4
         assert counts.intra_share == 2 / 6
@@ -252,7 +348,7 @@ class TestRetweetInteractions:
             rec(2, "out", kind="reply", mentions=["other"]),
             rec(3, "coord", kind="reply", mentions=["coord"]),
         )
-        counts = retweet_interactions(corpus, {"coord"})
+        counts = retweet_interactions(corpus, member_of(corpus, {"coord"}))
         assert counts.replies_from_outside == 1
 
     def test_partition_identity(self):
@@ -264,7 +360,8 @@ class TestRetweetInteractions:
             author = rnd.choice(accounts)
             target = rnd.choice(accounts)
             records.append(rec(i, author, kind="retweet", rt_id=f"t{i}", rt_account=target))
-        counts = retweet_interactions(corpus_of(*records), coordinated)
+        corpus = corpus_of(*records)
+        counts = retweet_interactions(corpus, member_of(corpus, coordinated))
         of_content = sum(
             1 for r in records if r.retweeted_account_id in coordinated
         )
@@ -274,14 +371,14 @@ class TestRetweetInteractions:
 class TestActivityShares:
     def test_all_coordinated(self):
         corpus = corpus_of(rec(1, "a"), rec(2, "a", kind="reply"))
-        shares = activity_shares(corpus, {"a"})
+        shares = activity_shares(corpus, member_of(corpus, {"a"}))
         assert shares[0][1]["original"] == 1.0
         assert shares[0][1]["reply"] == 1.0
         assert shares[0][1]["retweet"] is None
 
     def test_none_coordinated(self):
         corpus = corpus_of(rec(1, "a"))
-        assert activity_shares(corpus, set())[0][1]["original"] == 0.0
+        assert activity_shares(corpus, member_of(corpus, set()))[0][1]["original"] == 0.0
 
     def test_small_share_fixture(self):
         # 1 coordinated account of 355; it authors 2 of one day's 20 retweets
@@ -296,7 +393,8 @@ class TestActivityShares:
         for _ in range(2):
             tid += 1
             records.append(rec(tid, "coord", BASE_TS, "retweet", rt_id="x"))
-        shares = activity_shares(corpus_of(*records), {"coord"})
+        corpus = corpus_of(*records)
+        shares = activity_shares(corpus, member_of(corpus, {"coord"}))
         assert shares[0][1]["retweet"] == 0.10
         assert shares[0][1]["original"] == 0.0
 

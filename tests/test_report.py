@@ -14,10 +14,11 @@ import pytest
 
 from coordnet import report, stats
 from coordnet import sociolinguistics as sl
-from coordnet.graph import Cluster
+from coordnet.graph import Cluster, cluster_ids
 
 from helpers import (
     has_row,
+    member_of,
     oracle_daily_mean_confidence,
     oracle_mean_se,
     random_report_inputs,
@@ -117,8 +118,8 @@ def inputs():
     return corpus, table, clusters, coordinated
 
 
-def scopes_of(cols, clusters, coordinated):
-    return report._scope_masks(cols, clusters, coordinated, TOP)
+def scopes_of(cols, clusters, corpus):
+    return report._scope_masks(cluster_ids(clusters, corpus)[cols.account], clusters, TOP)
 
 
 def _same_file(tmp_path, produced, header, rows):
@@ -141,17 +142,17 @@ def test_cluster_deltas_match_oracle(tmp_path, inputs):
     corpus, table, clusters, coordinated = inputs
     path = tmp_path / "deltas.csv"
     cols = report.RecordColumns(corpus, table)
-    report.write_cluster_deltas(cols, table, scopes_of(cols, clusters, coordinated), path)
+    report.write_cluster_deltas(cols, table, scopes_of(cols, clusters, corpus), path)
     _same_file(tmp_path, path, *oracle_deltas(corpus, table, clusters, coordinated))
     solo = [line.split(",") for line in path.read_text().splitlines() if line.startswith("3,")]
     assert len(solo) == sl.N_CHARACTERISTICS
     # the one-tweet side is exactly 0.0, so each SE is the baseline's alone
-    baseline = table.rows_at(cols.row[~cols.accounts_mask(coordinated)])
+    baseline = table.rows_at(cols.row[~member_of(corpus, coordinated)[cols.account]])
     assert [float(se) for *_, se, _ in solo] == stats.mean_ses(baseline)
 
 
 def test_cluster_deltas_draw_no_resamples(tmp_path, inputs, monkeypatch):
-    corpus, table, clusters, coordinated = inputs
+    corpus, table, clusters, _ = inputs
 
     def refuse(*args, **kwargs):
         raise AssertionError("the report drew bootstrap resamples")
@@ -161,7 +162,7 @@ def test_cluster_deltas_draw_no_resamples(tmp_path, inputs, monkeypatch):
     monkeypatch.setattr(np.random, "Generator", refuse)
     cols = report.RecordColumns(corpus, table)
     path = tmp_path / "deltas.csv"
-    report.write_cluster_deltas(cols, table, scopes_of(cols, clusters, coordinated), path)
+    report.write_cluster_deltas(cols, table, scopes_of(cols, clusters, corpus), path)
     assert len(path.read_text().splitlines()) == 1 + sl.N_CHARACTERISTICS * (1 + TOP)
 
 
@@ -170,7 +171,8 @@ def test_binarized_rates_match_oracle(tmp_path, inputs):
     path = tmp_path / "binarized_rates.csv"
     cols = report.RecordColumns(corpus, table)
     labels = sl.binarize(table, 0.5)
-    report.write_binarized_rates(cols, labels, cols.accounts_mask(coordinated), path)
+    coord_mask = member_of(corpus, coordinated)[cols.account]
+    report.write_binarized_rates(cols, labels, coord_mask, path)
     _same_file(tmp_path, path, *oracle_binarized(corpus, table, coordinated))
 
 
@@ -178,7 +180,7 @@ def test_daily_confidence_matches_oracle(tmp_path, inputs):
     corpus, table, clusters, coordinated = inputs
     path = tmp_path / "daily_confidence.csv"
     cols = report.RecordColumns(corpus, table)
-    report.write_daily_confidence(cols, table, scopes_of(cols, clusters, coordinated), path)
+    report.write_daily_confidence(cols, table, scopes_of(cols, clusters, corpus), path)
     header, rows = oracle_daily(corpus, table, clusters, coordinated)
     assert any(mean is None for *_, mean in rows)  # the empty days stay empty
     _same_file(tmp_path, path, header, rows)
