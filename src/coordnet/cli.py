@@ -217,14 +217,13 @@ def _edge_files(paths) -> list[Path]:
 def cmd_cluster(args, config) -> int:
     from coordnet import formats
     from coordnet import graph as graphmod
-    from coordnet import report as reportmod
 
     corpus = load_cache(args.cache)
     tables = [formats.read_edges_csv(path) for path in _edge_files(args.edges)]
     clusters, _ = graphmod.coordination(corpus, tables)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    reportmod.write_clusters(clusters, out)
+    formats.write_clusters(clusters, out)
     print(f"{len(clusters)} clusters -> {out}", file=sys.stderr)
     return EXIT_OK
 

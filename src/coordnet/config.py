@@ -48,6 +48,9 @@ class DetectorConfig:
             raise ValueError("eligibility minima must be >= 1")
         if self.time_bin_minutes < 1:
             raise ValueError("time_bin_minutes must be >= 1")
+        if self.time_bin_minutes * 60 >= 2**63:
+            # the detector divides int64 timestamps by the width in seconds
+            raise ValueError(f"time_bin_minutes must be <= {(2**63 - 1) // 60}")
 
 
 @dataclass(frozen=True)

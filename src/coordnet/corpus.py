@@ -69,8 +69,9 @@ _MAX_TIMESTAMP = 253402300799
 def parse_timestamp(value) -> int:
     """Parse an epoch-seconds number or ISO-8601 string to UTC seconds.
 
-    Non-finite numbers and instants outside years 1-9999 UTC (which
-    day_of_timestamp cannot render) raise ValueError.
+    A fraction of a second rounds down, so an instant before 1970 stays
+    on its day. Non-finite numbers and instants outside years 1-9999 UTC
+    (which day_of_timestamp cannot render) raise ValueError.
     """
     # A plain int (every cached record's form) needs no conversion;
     # bool is a subclass of int, so it still takes the checked path.
@@ -86,11 +87,11 @@ def _parse_timestamp(value) -> int:
     if isinstance(value, (int, float)):
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"non-finite timestamp: {value!r}")
-        return int(value)
+        return math.floor(value)
     if isinstance(value, str):
         text = value.strip()
         try:
-            return int(float(text))
+            return math.floor(float(text))
         except OverflowError:
             raise ValueError(f"unparseable timestamp: {value!r}") from None
         except ValueError:
@@ -104,7 +105,7 @@ def _parse_timestamp(value) -> int:
             raise ValueError(f"unparseable timestamp: {value!r}") from None
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
-        return int(dt.timestamp())
+        return math.floor(dt.timestamp())
     raise ValueError(f"unparseable timestamp: {value!r}")
 
 

@@ -19,53 +19,7 @@ import numpy as np
 from coordnet import kernels
 from coordnet.config import DETECTORS, DetectorConfig, detector_set
 from coordnet.corpus import HASHTAG_SEPARATOR, ORIGINAL, RETWEET, Corpus
-
-ORDER_ERROR = "edge endpoints must satisfy a < b"
-SCORE_ERROR = "edge score must be in [0, 1]"
-
-
-@dataclass(eq=False)
-class EdgeTable:
-    """Coordination edges as columns over interned codes.
-
-    Row i joins accounts[a[i]] < accounts[b[i]] with detector
-    DETECTORS[detector[i]], score[i] and evidence keys[evidence[i]].
-    accounts may hold ids that no row uses. Each detector's output and
-    each edge file is one table; nothing builds a per-edge object.
-    """
-
-    accounts: list[str]
-    a: np.ndarray
-    b: np.ndarray
-    detector: np.ndarray
-    score: np.ndarray
-    keys: list[str]
-    evidence: np.ndarray
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.int32)
-        self.b = np.asarray(self.b, dtype=np.int32)
-        self.detector = np.asarray(self.detector, dtype=np.int8)
-        self.score = np.asarray(self.score, dtype=np.float64)
-        self.evidence = np.asarray(self.evidence, dtype=np.int32)
-
-    @classmethod
-    def empty(cls) -> "EdgeTable":
-        return cls([], [], [], [], [], [], [])
-
-    def __len__(self) -> int:
-        return len(self.a)
-
-    def used(self) -> np.ndarray:
-        """Codes of the accounts some row joins, ascending."""
-        mask = np.zeros(len(self.accounts), dtype=bool)
-        mask[self.a] = True
-        mask[self.b] = True
-        return np.flatnonzero(mask)
-
-    def endpoints(self) -> set[str]:
-        """The accounts some row joins."""
-        return {self.accounts[i] for i in self.used().tolist()}
+from coordnet.formats import EdgeTable
 
 
 @dataclass(eq=False)

@@ -3,9 +3,10 @@
 Floats are written with repr() (shortest round-trip form) so output is
 byte-stable; empty cells encode null.
 
-Edge files: whatever write_edges_csv writes, read_edges_csv reads back,
-whatever the length of an account id or evidence key. Account lists:
-whatever write_account_list writes, read_account_list reads back.
+Edge files (EdgeTable): whatever write_edges_csv writes, read_edges_csv
+reads back, whatever the length of an account id or evidence key.
+Account lists: whatever write_account_list writes, read_account_list
+reads back. write_clusters writes clusters.csv.
 """
 
 from __future__ import annotations
@@ -13,13 +14,62 @@ from __future__ import annotations
 import csv
 import os
 from array import array
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
 
-from coordnet.detectors import DETECTORS, ORDER_ERROR, SCORE_ERROR, EdgeTable
+from coordnet.config import DETECTORS
 from coordnet.sources import RowError, csv_cells, csv_reader, csv_writer, is_path, number
+
+ORDER_ERROR = "edge endpoints must satisfy a < b"
+SCORE_ERROR = "edge score must be in [0, 1]"
+
+
+@dataclass(eq=False)
+class EdgeTable:
+    """Coordination edges as columns over interned codes.
+
+    Row i joins accounts[a[i]] < accounts[b[i]] with detector
+    DETECTORS[detector[i]], score[i] and evidence keys[evidence[i]].
+    accounts may hold ids that no row uses. Each detector's output and
+    each edge file is one table; nothing builds a per-edge object.
+    """
+
+    accounts: list[str]
+    a: np.ndarray
+    b: np.ndarray
+    detector: np.ndarray
+    score: np.ndarray
+    keys: list[str]
+    evidence: np.ndarray
+
+    def __post_init__(self):
+        self.a = np.asarray(self.a, dtype=np.int32)
+        self.b = np.asarray(self.b, dtype=np.int32)
+        self.detector = np.asarray(self.detector, dtype=np.int8)
+        self.score = np.asarray(self.score, dtype=np.float64)
+        self.evidence = np.asarray(self.evidence, dtype=np.int32)
+
+    @classmethod
+    def empty(cls) -> "EdgeTable":
+        return cls([], [], [], [], [], [], [])
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def used(self) -> np.ndarray:
+        """Codes of the accounts some row joins, ascending."""
+        mask = np.zeros(len(self.accounts), dtype=bool)
+        mask[self.a] = True
+        mask[self.b] = True
+        return np.flatnonzero(mask)
+
+    def endpoints(self) -> set[str]:
+        """The accounts some row joins."""
+        return {self.accounts[i] for i in self.used().tolist()}
+
 
 EDGE_HEADER = ("account_a", "account_b", "detector", "score", "evidence")
 
@@ -164,6 +214,15 @@ def read_account_list(source) -> set[str]:
     skipped."""
     with csv_reader(source) as reader:
         return {row[0] for row in reader if row}
+
+
+def write_clusters(clusters, path) -> None:
+    """clusters.csv: a header, then a row per cluster, members sorted."""
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        writer = csv_writer(fp)
+        writer.writerow(("cluster_id", "size", "label", "member_ids"))
+        for c in clusters:
+            writer.writerow([c.id, c.size, c.label] + sorted(c.members))
 
 
 def _read_blocks(fp) -> EdgeTable | None:

@@ -24,7 +24,7 @@ from coordnet.corpus import (
     day_of_timestamp,
     normalize_text,
 )
-from coordnet.detectors import EdgeTable
+from coordnet.formats import EdgeTable
 
 
 @dataclass

@@ -9,7 +9,6 @@ for identical inputs and seed, at any thread count.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from coordnet import sociolinguistics as sl
 from coordnet import stats
 from coordnet.config import ReportConfig
 from coordnet.corpus import SECONDS_PER_DAY, Corpus, day_of_timestamp, daily_volume
-from coordnet.formats import fmt
+from coordnet.formats import fmt, write_clusters
 from coordnet.manifest import RunManifest
 from coordnet.sources import csv_writer
 
@@ -73,42 +72,16 @@ def write_duplicate_shares(
     return shares
 
 
-def write_clusters(clusters, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv_writer(fp)
-        writer.writerow(("cluster_id", "size", "label", "member_ids"))
-        for c in clusters:
-            writer.writerow([c.id, c.size, c.label] + sorted(c.members))
-
-
 def correlation_matrices(table: sl.CharacteristicTable):
-    """Spearman rho and p for every characteristic pair over per-tweet
-    confidences; None where undefined (constant column or < 3 rows).
-
-    Columns are ranked once and correlated as a matrix product, which is
-    the same rank-Pearson definition stats.spearman uses pairwise.
-    """
-    n = sl.N_CHARACTERISTICS
-    rho = [[None] * n for _ in range(n)]
-    pval = [[None] * n for _ in range(n)]
-    for i in range(n):
-        rho[i][i] = 1.0
-        pval[i][i] = 0.0
-    m = len(table)
-    if m < 3:
-        return rho, pval
-    ranks = np.column_stack([stats.rankdata(table.matrix[:, j]) for j in range(n)])
-    centered = ranks - ranks.mean(axis=0)
-    sq = (centered**2).sum(axis=0)
-    cov = centered.T @ centered
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sq[i] == 0.0 or sq[j] == 0.0:
-                continue
-            # float(): an np.float64 cell would be written as "np.float64(...)"
-            r = max(-1.0, min(1.0, float(cov[i, j]) / math.sqrt(sq[i] * sq[j])))
-            rho[i][j] = rho[j][i] = r
-            pval[i][j] = pval[j][i] = stats.t_approx_p(r, m)
+    """Spearman rho (stats.spearman_matrix) and p for every
+    characteristic pair over per-tweet confidences; None where undefined
+    (constant column or < 3 rows)."""
+    rho = stats.spearman_matrix(table.matrix)
+    pval = [[None if r is None else 0.0 for r in row] for row in rho]
+    for i, row in enumerate(rho):
+        for j in range(i + 1, len(row)):
+            if row[j] is not None:
+                pval[i][j] = pval[j][i] = stats.t_approx_p(row[j], len(table))
     return rho, pval
 
 
@@ -262,7 +235,10 @@ def confidence_vs_binarized(
         by_char[name] = rho
         if rho is not None:
             values.append(rho)
-    median = float(np.median(values)) if values else None
+    # the bits of np.median, whose first call imports numpy.ma (~11 ms)
+    values.sort()
+    half = len(values) // 2
+    median = (values[half] + values[~half]) / 2 if values else None
     return {"per_characteristic": by_char, "median": median}
 
 

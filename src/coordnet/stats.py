@@ -9,21 +9,18 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from datetime import date, timedelta
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from coordnet.corpus import Corpus
+from coordnet.corpus import SECONDS_PER_DAY, Corpus, day_of_timestamp
 
 # Bytes one bootstrap chunk may hold: its int64 indices plus the float64
 # values they gather, 16 bytes per draw. PCG64's integers() yields the
 # same draws however the rows are split between calls, so the budget
 # bounds memory without changing any SE.
 _BOOTSTRAP_BYTES = 4 << 20
-
-_EPOCH = date(1970, 1, 1)
 
 
 @dataclass
@@ -53,20 +50,27 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+def _rank(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks of rankdata, and the size of each group of equal
+    values, in ascending order of value."""
+    arr = np.asarray(values, dtype=np.float64)
+    order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], arr.size] - 1
+    sizes = ends - starts + 1
+    ranks = np.empty(arr.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, sizes)
+    return ranks, sizes
+
+
 def rankdata(values: Sequence[float]) -> np.ndarray:
     """Ranks starting at 1; ties receive the average of their ranks.
 
     Every rank is an integer or a half-integer, so sums of ranks are
     exact in any order.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    order = np.argsort(arr, kind="stable")
-    ordered = arr[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], arr.size] - 1
-    ranks = np.empty(arr.size, dtype=np.float64)
-    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
-    return ranks
+    return _rank(values)[0]
 
 
 def _norm_sf(z: float) -> float:
@@ -215,20 +219,30 @@ def student_t_two_sided(t: float, df: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
-    n = len(x)
-    mx = sum(x) / n
-    my = sum(y) / n
-    cov = vx = vy = 0.0
-    for xi, yi in zip(x, y):
-        dx = xi - mx
-        dy = yi - my
-        cov += dx * dy
-        vx += dx * dx
-        vy += dy * dy
-    if vx == 0.0 or vy == 0.0:
-        return None
-    return cov / math.sqrt(vx * vy)
+def spearman_matrix(matrix) -> list[list[float | None]]:
+    """Spearman's rho of every two columns of matrix (a row per
+    observation) as plain floats in [-1, 1]: 1.0 on the diagonal, else
+    None for a constant column or fewer than 3 rows.
+
+    The centred rankdata ranks are multiplied as one matrix. Ranks are
+    integers or half-integers, so below about 300,000 rows every sum is
+    exact and rho has the same bits in any summation order.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    k = matrix.shape[1]
+    rho = [[1.0 if i == j else None for j in range(k)] for i in range(k)]
+    if len(matrix) < 3:
+        return rho
+    ranks = np.column_stack([rankdata(column) for column in matrix.T])
+    centred = ranks - ranks.mean(axis=0)
+    sq = (centred**2).sum(axis=0).tolist()
+    cov = (centred.T @ centred).tolist()
+    for i in range(k):
+        for j in range(i + 1, k):
+            if sq[i] and sq[j]:
+                r = max(-1.0, min(1.0, cov[i][j] / math.sqrt(sq[i] * sq[j])))
+                rho[i][j] = rho[j][i] = r
+    return rho
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> StatResult:
@@ -242,12 +256,9 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> StatResult:
     n = len(x)
     if n < 3:
         raise ValueError("spearman requires at least 3 pairs")
-    rx = rankdata(x).tolist()
-    ry = rankdata(y).tolist()
-    rho = _pearson(rx, ry)
+    rho = spearman_matrix(np.array((x, y), dtype=np.float64).T)[0][1]
     if rho is None:
         return StatResult(None, None, (n,), method="spearman-undefined")
-    rho = max(-1.0, min(1.0, rho))
     return StatResult(rho, t_approx_p(rho, n), (n,), method="spearman-t")
 
 
@@ -290,8 +301,8 @@ def mann_whitney_u(
     combined = np.concatenate(
         (np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
     )
-    u_a = float(rankdata(combined)[:n1].sum()) - n1 * (n1 + 1) / 2.0
-    sizes = np.unique(combined, return_counts=True)[1]
+    ranks, sizes = _rank(combined)
+    u_a = float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2.0
     ties = sizes[sizes > 1].tolist()
     has_ties = bool(ties)
 
@@ -354,6 +365,10 @@ def reshuffle_eval(
     standard error across splits. Splits whose held-out half lacks one
     of the classes are skipped and counted in n[2].
     """
+    if not 0.0 < train_frac < 1.0:
+        raise ValueError(f"--train-frac must be in (0, 1), got {train_frac!r}")
+    if splits < 1:
+        raise ValueError(f"--splits must be at least 1, got {splits}")
     n = len(rows)
     if n < 4:
         raise ValueError("reshuffle_eval requires at least 4 rows")
@@ -553,7 +568,7 @@ def daily_mean_series(days: np.ndarray, values: np.ndarray) -> list[tuple[str, f
     counts = np.bincount(offsets).tolist()
     means = (np.bincount(offsets, weights=values) / np.maximum(counts, 1)).tolist()
     return [
-        ((_EPOCH + timedelta(days=first + k)).isoformat(), means[k] if counts[k] else None)
+        (day_of_timestamp((first + k) * SECONDS_PER_DAY), means[k] if counts[k] else None)
         for k in range(len(counts))
     ]
 

@@ -25,6 +25,7 @@ from coordnet.corpus import (
 from coordnet.detectors import AccountVectors, EdgeTable
 from coordnet.graph import InteractionCounts
 from coordnet.sociolinguistics import N_CHARACTERISTICS, CharacteristicTable
+from coordnet import stats
 from coordnet.stats import left_sum
 
 BASE_TS = 1493632800  # 2017-05-01T10:00:00Z
@@ -243,6 +244,93 @@ def oracle_rankdata(values):
             ranks[order[k]] = avg
         i = j + 1
     return ranks
+
+
+# The rank statistics as they were before one ranking and one
+# correlation core served them, kept as their bitwise reference.
+
+
+def oracle_spearman_pearson(x, y):
+    """stats.spearman's rho by a pairwise Pearson loop over the ranks;
+    None for a constant input."""
+    rx = stats.rankdata(x).tolist()
+    ry = stats.rankdata(y).tolist()
+    n = len(rx)
+    mx = sum(rx) / n
+    my = sum(ry) / n
+    cov = vx = vy = 0.0
+    for xi, yi in zip(rx, ry):
+        dx = xi - mx
+        dy = yi - my
+        cov += dx * dy
+        vx += dx * dx
+        vy += dy * dy
+    if vx == 0.0 or vy == 0.0:
+        return None
+    return max(-1.0, min(1.0, cov / math.sqrt(vx * vy)))
+
+
+def oracle_correlation_matrices(matrix):
+    """report.correlation_matrices over a confidence matrix, by the
+    report's own rank / centre / matrix-product code."""
+    m, n = matrix.shape
+    rho = [[None] * n for _ in range(n)]
+    pval = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rho[i][i] = 1.0
+        pval[i][i] = 0.0
+    if m < 3:
+        return rho, pval
+    ranks = np.column_stack([stats.rankdata(matrix[:, j]) for j in range(n)])
+    centered = ranks - ranks.mean(axis=0)
+    sq = (centered**2).sum(axis=0)
+    cov = centered.T @ centered
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sq[i] == 0.0 or sq[j] == 0.0:
+                continue
+            r = max(-1.0, min(1.0, float(cov[i, j]) / math.sqrt(sq[i] * sq[j])))
+            rho[i][j] = rho[j][i] = r
+            pval[i][j] = pval[j][i] = stats.t_approx_p(r, m)
+    return rho, pval
+
+
+def oracle_mann_whitney_u(a, b, method="auto"):
+    """stats.mann_whitney_u with its ties counted by a second sort
+    (np.unique) instead of from the ranking."""
+    n1, n2 = len(a), len(b)
+    combined = np.concatenate((np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
+    u_a = float(stats.rankdata(combined)[:n1].sum()) - n1 * (n1 + 1) / 2.0
+    sizes = np.unique(combined, return_counts=True)[1]
+    ties = sizes[sizes > 1].tolist()
+    if method == "exact" or (method == "auto" and n1 + n2 <= 16 and not ties):
+        counts = stats._exact_u_counts(n1, n2)
+        d_obs = abs(int(round(2 * u_a)) - n1 * n2)
+        hits = sum(c for u, c in enumerate(counts) if abs(2 * u - n1 * n2) >= d_obs)
+        return stats.StatResult(u_a, hits / math.comb(n1 + n2, n1), (n1, n2), method="mwu-exact")
+    n = n1 + n2
+    tie_term = sum(t**3 - t for t in ties)
+    var = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1))) if n > 1 else 0.0
+    if var <= 0.0:
+        return stats.StatResult(u_a, 1.0, (n1, n2), method="mwu-normal")
+    z = max(0.0, abs(u_a - n1 * n2 / 2.0) - 0.5) / math.sqrt(var)
+    return stats.StatResult(u_a, min(1.0, 2.0 * stats._norm_sf(z)), (n1, n2), method="mwu-normal")
+
+
+def rank_test_matrix(seed, n, k):
+    """A seeded n x k matrix whose columns the rank statistics must
+    handle, by j % 5: distinct values, three tied levels, a constant
+    column, many tied levels, and each half one repeated value."""
+    rng = np.random.default_rng(seed)
+    half = np.where(np.arange(n) < n // 2, 0.1, 0.9)
+    kinds = (
+        lambda: rng.random(n),
+        lambda: rng.choice([0.0, 0.5, 1.0], n),
+        lambda: np.full(n, 0.25),
+        lambda: rng.integers(0, 21, n) / 4,
+        lambda: half,
+    )
+    return np.column_stack([kinds[j % 5]() for j in range(k)])
 
 
 def oracle_daily_mean_series(day_values):

@@ -347,6 +347,48 @@ def test_version_and_ingest_load_no_numpy(tmp_path):
     assert len(load_cache(cache)) == 2
 
 
+_MODULE_PROBE = """
+import json, sys
+import coordnet.cli
+
+code = coordnet.cli.main(json.loads(sys.argv[1]))
+loaded = sorted(m for m in sys.modules if m.startswith("coordnet"))
+print(json.dumps([code, loaded, "numpy.ma" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "stage, unloaded",
+    [
+        ("cluster", ["report", "sociolinguistics", "stats", "detectors", "kernels", "_pairsim_py"]),
+        ("report", ["detectors", "kernels", "_pairsim_py"]),
+        ("report-confidences", ["detectors", "kernels", "_pairsim_py"]),
+    ],
+)
+def test_stages_load_only_the_modules_they_run(tmp_path, stage, unloaded):
+    # A module a stage imports but never runs is start-up time in every
+    # run; np.median's first call imports numpy.ma.
+    cache = _probe_corpus(tmp_path)
+    det, conf = tmp_path / "det", tmp_path / "conf.csv"
+    assert main(["detect", str(cache), "-o", str(det)]) == 0
+    argv = {
+        "cluster": ["cluster", str(cache), str(det), "-o", str(tmp_path / "clusters.csv")],
+        "report": ["report", str(cache), "-o", str(tmp_path / "b"), "--edges", str(det)],
+        "report-confidences": ["report", str(cache), "-o", str(tmp_path / "b"), "--edges",
+                               str(det), "--confidences", str(conf)],
+    }[stage]
+    if stage == "report-confidences":
+        assert main(["score", str(cache), "-o", str(conf)]) == 0
+    out = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, json.dumps(argv)],
+        env=subprocess_env(), capture_output=True, text=True, check=True,
+    )
+    code, loaded, numpy_ma = json.loads(out.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert [m for m in unloaded if f"coordnet.{m}" in loaded] == []
+    assert not numpy_ma
+
+
 # ---------------------------------------------------------------------------
 # Property: no input line aborts a lenient ingest or exits 3
 # ---------------------------------------------------------------------------
@@ -603,6 +645,22 @@ class TestSettings:
         value = line.split(" = ")[1]
         assert f"{config}:2: not a number: '{value}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["flag", "config-file"])
+    def test_time_bin_wider_than_int64_seconds_is_rejected_first(self, tmp_path, capsys, route):
+        # the time detector divides int64 timestamps by the bin width in
+        # seconds: one minute more overflowed there (exit 3)
+        widest = (2**63 - 1) // 60
+        assert DetectorConfig(time_bin_minutes=widest).time_bin_minutes == widest
+        argv = ["detect", str(tmp_path / "no-cache.jsonl"), "-o", str(tmp_path / "x")]
+        if route == "flag":
+            argv += ["--time-bin-minutes", str(widest + 1)]
+        else:
+            config = tmp_path / "run.conf"
+            config.write_text(f"time_bin_minutes = {widest + 1}\n")
+            argv = ["--config", str(config), *argv]
+        assert main(argv) == 1
+        assert f"time_bin_minutes must be <= {widest}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, flag, message",
@@ -1547,6 +1605,26 @@ class TestStatsCommand:
         path.write_text(f"s,l\n0.9,1\n0.1,{cell}\n0.5,0\n0.3,1\n")
         assert main(["stats", test, "--csv", str(path), "--scores", "s", "--labels", "l"]) == 1
         assert f"{path}, line 3, column 'l': '{cell}' is not 0 or 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            # -1 and 0 held out every row in every split
+            ("--train-frac", "-1", "--train-frac must be in (0, 1), got -1.0"),
+            ("--train-frac", "0", "--train-frac must be in (0, 1), got 0.0"),
+            # 1.5, 0 and -3 scored no split
+            ("--train-frac", "1.5", "--train-frac must be in (0, 1), got 1.5"),
+            ("--train-frac", "nan", "--train-frac must be in (0, 1), got nan"),
+            ("--splits", "0", "--splits must be at least 1, got 0"),
+            ("--splits", "-3", "--splits must be at least 1, got -3"),
+        ],
+    )
+    def test_reshuffle_out_of_range_setting_rejected(self, tmp_path, capsys, flag, value, message):
+        path = tmp_path / "data.csv"
+        path.write_text("s,l\n0.9,1\n0.1,0\n0.8,1\n0.2,0\n0.7,1\n0.3,0\n")
+        argv = ["stats", "reshuffle", "--csv", str(path), "--scores", "s", "--labels", "l"]
+        assert main([*argv, flag, value]) == 1
+        assert message in capsys.readouterr().err
 
     def test_bad_cell_of_an_incomplete_row_is_an_error(self, tmp_path, capsys):
         # the paired tests drop the row, but every cell is checked

@@ -156,10 +156,14 @@ class TestTimestamps:
             # ISO 8601 forms fromisoformat reads from Python 3.11 on
             ("2017-05-06T14:00:00+0200", 1494072000),
             ("20170506T120000Z", 1494072000),
-            ("2017-05-06T12:00:00,5Z", 1494072000),  # fraction truncated
+            ("2017-05-06T12:00:00,5Z", 1494072000),  # fraction rounded down
             ("2017-W18-6T12:00:00Z", 1494072000),
             ("2017-05-06T12:00:00z", 1494072000),
             (253402300799, 253402300799),  # 9999-12-31T23:59:59Z
+            # before 1970 a fraction rounds down to 1969-12-31, not up to 1970
+            (-0.5, -1),
+            ("-0.5", -1),
+            ("1969-12-31T23:59:59.5Z", -1),
         ],
     )
     def test_forms(self, value, expected):

@@ -19,9 +19,11 @@ from coordnet.graph import Cluster, cluster_ids
 from helpers import (
     has_row,
     member_of,
+    oracle_correlation_matrices,
     oracle_daily_mean_confidence,
     oracle_mean_se,
     random_report_inputs,
+    rank_test_matrix,
     records_of,
     table_row,
 )
@@ -213,3 +215,10 @@ def test_correlation_matrices_share_spearman_bits():
         assert rho[i][j] == res.statistic
         assert pval[i][j] == res.p_value
         assert not math.isnan(pval[i][j])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 250, 10_000])
+def test_correlation_matrices_match_matrix_oracle_bitwise(n):
+    matrix = rank_test_matrix(n, n, sl.N_CHARACTERISTICS)
+    table = sl.CharacteristicTable([f"t{i}" for i in range(n)], matrix, "external")
+    assert repr(report.correlation_matrices(table)) == repr(oracle_correlation_matrices(matrix))

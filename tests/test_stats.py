@@ -36,9 +36,12 @@ from coordnet import stats
 from helpers import (
     corpus_of,
     oracle_daily_mean_confidence,
+    oracle_mann_whitney_u,
     oracle_mean_se,
     oracle_rankdata,
+    oracle_spearman_pearson,
     random_report_inputs,
+    rank_test_matrix,
     rec,
     records_of,
 )
@@ -233,6 +236,41 @@ class TestStudentTail:
             assert stats.t_approx_p(0.0, n) == 1.0
             for r in (np.float64(0.3), 0.3, -0.999999, 1e-9):
                 assert type(stats.t_approx_p(r, n)) is float
+
+
+class TestRankCore:
+    """spearman and mann_whitney_u share one ranking and one correlation
+    core; the pairwise Pearson loop and the second sort for ties they
+    replaced are the bitwise reference."""
+
+    ROWS = (3, 4, 5, 17, 250, 10_000)
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_spearman_matches_pearson_loop_bitwise(self, n):
+        matrix = rank_test_matrix(n, n, 6)
+        for i, j in itertools.combinations(range(6), 2):
+            x, y = matrix[:, i].tolist(), matrix[:, j].tolist()
+            assert repr(spearman(x, y).statistic) == repr(oracle_spearman_pearson(x, y))
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_mann_whitney_matches_unique_tie_count_bitwise(self, n):
+        matrix = rank_test_matrix(n + 1, n, 5)
+        for j in range(5):
+            column = matrix[:, j].tolist()
+            for cut in sorted({1, n // 2, n - 1}):
+                a, b = column[:cut], column[cut:]
+                for method in ("auto", "normal"):
+                    got = mann_whitney_u(a, b, method=method)
+                    assert repr(got) == repr(oracle_mann_whitney_u(a, b, method=method))
+
+    def test_spearman_matrix_is_plain_floats(self):
+        rho = stats.spearman_matrix(rank_test_matrix(7, 40, 5))
+        assert {type(r) for row in rho for r in row} == {float, type(None)}
+        assert [rho[i][i] for i in range(5)] == [1.0] * 5
+        assert rho[2] == [None, None, 1.0, None, None]  # the constant column
+        assert stats.spearman_matrix(rank_test_matrix(7, 2, 3)) == [
+            [1.0, None, None], [None, 1.0, None], [None, None, 1.0]
+        ]
 
 
 # ---------------------------------------------------------------------------
