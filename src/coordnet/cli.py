@@ -5,7 +5,8 @@ error. With --json-errors failures are additionally machine-readable on
 stderr.
 
 Each stage imports the modules it computes with inside its cmd_*
-function, so `ingest` and `--version` never load numpy.
+function, so `--version`, `ingest` and `score` never load numpy;
+cmd_detect, cmd_cluster, cmd_report and cmd_stats do.
 """
 
 from __future__ import annotations

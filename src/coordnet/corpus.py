@@ -602,8 +602,15 @@ def normalize_text(text: str, strip_punct_nonascii: bool = True) -> str:
     stripping punctuation can expose new mention tokens (e.g. "@!t" ->
     "@t"); no step reintroduces punctuation or "@", so this converges
     within three passes.
+
+    A first pass whose output holds no "@", "http" or "www" is already
+    the fixed point, so the confirming pass is skipped: no URL or mention
+    can match, "#" is gone, str.lower is idempotent on every code point,
+    and the punctuation strip and the whitespace collapse have run.
     """
     s = _normalize_pass(text, strip_punct_nonascii)
+    if "@" not in s and "http" not in s and "www" not in s:
+        return s
     while True:
         again = _normalize_pass(s, strip_punct_nonascii)
         if again == s:

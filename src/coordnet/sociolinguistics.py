@@ -4,23 +4,31 @@ Confidences arrive either from an externally produced CSV table or from
 the built-in deterministic lexicon scorer (a stand-in that lets the
 pipeline run end-to-end without model inference). All values live in
 [0, 1]; binarization thresholds them into 0/1 labels.
+
+The scorer and its writer (score_corpus, write_confidences) use the
+standard library alone, so the `score` stage never loads numpy. The
+confidence table the report reads (load_confidences,
+CharacteristicTable, binarize) holds a numpy matrix; those functions
+import numpy where they run.
 """
 
 from __future__ import annotations
 
 import csv
-import re
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Iterable
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from coordnet.config import check_threshold
 from coordnet.corpus import Corpus, normalize_text
-from coordnet.sources import csv_reader, csv_writer, number
+from coordnet.sources import csv_cells, csv_reader, number
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ATTITUDES = ("vote_for", "vote_against", "moral", "immoral")
 
@@ -66,8 +74,8 @@ N_CHARACTERISTICS = len(CHARACTERISTICS)
 
 assert N_CHARACTERISTICS == len(ATTITUDES) + len(CONCERNS) + len(EMOTIONS)
 
-# Confidence rows turned into Python objects at a time while writing,
-# which bounds the writer's memory above the table itself.
+# Tweets whose lines are built at a time while writing, which bounds
+# the writer's memory above the table itself.
 _WRITE_ROWS = 4096
 
 
@@ -111,10 +119,14 @@ class CharacteristicTable:
 
     def row_indices(self, tweet_ids: Iterable[str]) -> np.ndarray:
         """Row of each tweet in matrix; -1 where the table has none."""
+        import numpy as np
+
         return np.fromiter((self._row_of.get(tid, -1) for tid in tweet_ids), dtype=np.int64)
 
     def rows_at(self, rows: np.ndarray) -> np.ndarray:
         """Matrix rows at row_indices positions; zeros where a row is -1."""
+        import numpy as np
+
         out = np.zeros((len(rows), N_CHARACTERISTICS), dtype=np.float64)
         found = rows >= 0
         out[found] = self.matrix[rows[found]]
@@ -136,6 +148,8 @@ def load_confidences(source) -> CharacteristicTable:
     duplicate tweet_ids, and out-of-range values are errors. Empty cells
     default to 0.0 and are counted in missing_values.
     """
+    import numpy as np
+
     with csv_reader(source) as reader:
         try:
             header = next(reader)
@@ -227,6 +241,8 @@ def _parse_cells(line_no: int, columns: list[str], cells: list[str]) -> tuple[li
 def _check_range(flat: array, line_nos: array, columns: list[str]) -> None:
     """TableError naming the first value of flat (rows of len(columns)
     values in file column order) outside [0, 1], nan included."""
+    import numpy as np
+
     values = np.frombuffer(flat, dtype=np.float64)
     bad = ~((values >= 0.0) & (values <= 1.0))
     if bad.any():
@@ -237,18 +253,37 @@ def _check_range(flat: array, line_nos: array, columns: list[str]) -> None:
         )
 
 
-def write_confidences(table: CharacteristicTable, fp) -> None:
-    writer = csv_writer(fp, table.tweet_ids)
-    writer.writerow(("tweet_id",) + CHARACTERISTICS)
+class ConfidenceRows:
+    """Scored tweets with each distinct confidence row held once: tweet
+    tweet_ids[i] has the confidences rows[codes[i]], one float per
+    registered characteristic in CHARACTERISTICS order."""
+
+    def __init__(self, tweet_ids: list[str], codes: array, rows: list[tuple[float, ...]]):
+        self.tweet_ids = tweet_ids
+        self.codes = codes
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.tweet_ids)
+
+
+def write_confidences(table: ConfidenceRows, fp) -> None:
+    """The confidence CSV: a tweet_id,<characteristics> header, then one
+    line per tweet in table order, as csv_writer writes it. Each
+    distinct row is rendered once, as the tail after a line's id cell."""
+    fp.write(",".join(("tweet_id",) + CHARACTERISTICS) + "\n")
+    tails = ["," + ",".join(map(repr, row)) + "\n" for row in table.rows]
     for lo in range(0, len(table), _WRITE_ROWS):
-        ids = table.tweet_ids[lo : lo + _WRITE_ROWS]
-        rows = table.matrix[lo : lo + _WRITE_ROWS].tolist()
-        writer.writerows([tid, *map(repr, row)] for tid, row in zip(ids, rows))
+        cells = csv_cells(table.tweet_ids[lo : lo + _WRITE_ROWS])
+        codes = table.codes[lo : lo + _WRITE_ROWS]
+        fp.write("".join(map(str.__add__, cells, map(tails.__getitem__, codes))))
 
 
 # ---------------------------------------------------------------------------
 # Lexicon scorer
 # ---------------------------------------------------------------------------
+
+_LEXICON_HEADER = ("characteristic", "phrase", "weight", "language")
 
 
 @dataclass(frozen=True)
@@ -260,51 +295,45 @@ class LexiconEntry:
 
 
 class Lexicon:
-    """Weighted phrase lists per characteristic, combined by noisy-OR."""
+    r"""Weighted phrase lists per characteristic, combined by noisy-OR.
+
+    A phrase is matched against normalized text, which holds no "\n", so
+    it must be non-empty and hold no "\n" itself.
+    """
 
     def __init__(self, entries: list[LexiconEntry]):
+        for e in entries:
+            if not e.phrase or "\n" in e.phrase:
+                raise ValueError(f"phrase must be non-empty, without a line break: {e.phrase!r}")
         self.entries = entries
-        self._compiled = [
-            (
-                e.language,
-                _COLUMN_INDEX[e.characteristic],
-                e.phrase,
-                re.compile(r"(?<!\w)" + re.escape(e.phrase) + r"(?!\w)").findall,
-                e.weight,
-            )
-            for e in entries
-        ]
-        self._by_language: dict[str, list] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def matchers(self, language: str) -> list[tuple]:
-        """(column, phrase, findall, weight) of every entry that applies
-        to a tweet tagged language, in entry order."""
-        found = self._by_language.get(language)
-        if found is None:
-            found = self._by_language[language] = [
-                matcher
-                for entry_language, *matcher in self._compiled
-                if entry_language is None or entry_language == language
-            ]
-        return found
-
 
 def load_lexicon(source) -> Lexicon:
-    """Load a lexicon CSV: characteristic,phrase,weight[,language]."""
+    """Load a lexicon CSV: the header characteristic,phrase,weight with
+    an optional fourth column language, then one entry per row."""
     with csv_reader(source) as reader:
         header = next(reader, None)
         if header is None:
             raise TableError("empty lexicon file")
+        names = tuple(h.strip().lower() for h in header)
+        if names not in (_LEXICON_HEADER[:3], _LEXICON_HEADER):
+            raise TableError(
+                f"lexicon header must be {','.join(_LEXICON_HEADER[:3])}[,language], "
+                f"got {','.join(header)!r}"
+            )
         entries = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) < 3:
                 raise TableError(f"row {line_no}: expected characteristic,phrase,weight")
-            name = canonical_name(row[0])
+            try:
+                name = canonical_name(row[0])
+            except ValueError as exc:
+                raise TableError(f"row {line_no}: {exc}") from None
             phrase = normalize_text(row[1], strip_punct_nonascii=False)
             if not phrase:
                 raise TableError(f"row {line_no}: empty phrase")
@@ -326,40 +355,114 @@ def builtin_lexicon() -> Lexicon:
         return load_lexicon(fp)
 
 
-def _score_text(text: str, language: str, lexicon: Lexicon) -> np.ndarray:
-    """Noisy-OR confidence per characteristic from matched phrases, for
-    a tweet with this text and language tag.
+def score_corpus(corpus: Corpus, lexicon: Lexicon) -> ConfidenceRows:
+    """Score every record of the corpus with the lexicon, one row code per
+    record in corpus order (ingest keeps one record per tweet_id).
 
-    Each occurrence of a matched phrase contributes its weight:
-    confidence = 1 - prod(1 - w) over occurrences. Matching runs on
-    normalized text (URLs stripped, mentions replaced, hashtag marks
-    removed, lowercased; accents kept).
+    A tweet's confidence per characteristic is the noisy-OR of its
+    matched phrases: 1 - prod(1 - w) over every occurrence. Matching runs
+    on normalized text (URLs stripped, mentions replaced, hashtag marks
+    removed, lowercased; accents kept), and an entry with a language
+    applies only to tweets tagged with it.
+
+    Each distinct raw text is normalized once per language, and the
+    texts of one language that normalize alike are one unit. Each entry
+    scans the joined units of every language it applies to once
+    (_phrase_hits), and multiplies miss *= (1 - w) ** hits per unit in
+    entry order, so the bits equal a per-text loop's.
     """
-    text = normalize_text(text, strip_punct_nonascii=False)
-    miss = np.ones(N_CHARACTERISTICS, dtype=np.float64)
-    for col, phrase, findall, weight in lexicon.matchers(language):
-        # A match is the phrase itself (the pattern only adds lookarounds),
-        # so a phrase absent from the text has none.
-        if phrase not in text:
+    # language -> (raw text -> unit, normalized text -> unit)
+    languages: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
+    units = array("i")
+    n_units = 0
+    for text, language in zip(corpus.texts, corpus.languages):
+        memo = languages.get(language)
+        if memo is None:
+            memo = languages[language] = ({}, {})
+        unit = memo[0].get(text)
+        if unit is None:
+            normalized = normalize_text(text, strip_punct_nonascii=False)
+            unit = memo[1].get(normalized)
+            if unit is None:
+                unit = memo[1][normalized] = n_units
+                n_units += 1
+            memo[0][text] = unit
+        units.append(unit)
+
+    scans = {}
+    for language, (_, normalized) in languages.items():
+        starts = list(accumulate((len(t) + 1 for t in normalized), initial=0))
+        scans[language] = ("\n".join(normalized), starts, list(normalized.values()))
+    del languages
+
+    miss: dict[int, list[float]] = {}
+    for e in lexicon.entries:
+        col = _COLUMN_INDEX[e.characteristic]
+        keep = 1.0 - e.weight
+        for language, (joined, starts, unit_of) in scans.items():
+            if e.language is not None and e.language != language:
+                continue
+            for i, hits in _phrase_hits(joined, starts, e.phrase):
+                unit = unit_of[i]
+                m = miss.get(unit)
+                if m is None:
+                    m = miss[unit] = [1.0] * N_CHARACTERISTICS
+                m[col] *= keep**hits
+
+    # Units share few miss vectors, so each distinct one is turned into
+    # its confidence row once.
+    ones = (1.0,) * N_CHARACTERISTICS
+    code_of: dict[tuple[float, ...], int] = {}
+    code_of_miss: dict[tuple[float, ...], int] = {}
+    row_codes = array("i")
+    for unit in range(n_units):
+        m = tuple(miss.get(unit, ones))
+        code = code_of_miss.get(m)
+        if code is None:
+            row = tuple([1.0 - x for x in m])
+            code = code_of_miss[m] = code_of.setdefault(row, len(code_of))
+        row_codes.append(code)
+    codes = array("i", map(row_codes.__getitem__, units))
+    return ConfidenceRows(corpus.tweet_ids, codes, list(code_of))
+
+
+def _phrase_hits(joined: str, starts: list[int], phrase: str) -> Iterator[tuple[int, int]]:
+    r"""(i, hits) for each text i of joined that holds the phrase, in
+    ascending i, where joined is texts without "\n" joined with "\n" and
+    text i starts at starts[i].
+
+    hits is what re.findall(r"(?<!\w)" + re.escape(phrase) + r"(?!\w)")
+    counts in that text: hits do not overlap, and neither neighbour of a
+    hit is a word character (str.isalnum() or "_"). The search resumes at
+    a hit's end, and one character on after an occurrence that fails a
+    boundary. A phrase cannot span the "\n" between two texts.
+    """
+    find = joined.find
+    size = len(phrase)
+    current = count = 0
+    at = find(phrase)
+    while at >= 0:
+        end = at + size
+        before = joined[at - 1] if at else "\n"
+        after = joined[end : end + 1]
+        if before.isalnum() or before == "_" or after.isalnum() or after == "_":
+            at = find(phrase, at + 1)
             continue
-        hits = len(findall(text))
-        if hits:
-            miss[col] *= (1.0 - weight) ** hits
-    return 1.0 - miss
-
-
-def score_corpus(corpus: Corpus, lexicon: Lexicon) -> CharacteristicTable:
-    """Score every record of the corpus with the lexicon, one row per
-    record in corpus order (ingest keeps one record per tweet_id)."""
-    scores = [_score_text(t, lang, lexicon) for t, lang in zip(corpus.texts, corpus.languages)]
-    matrix = (
-        np.vstack(scores) if scores else np.empty((0, N_CHARACTERISTICS), dtype=np.float64)
-    )
-    return CharacteristicTable(corpus.tweet_ids, matrix, provenance="lexicon")
+        i = bisect_right(starts, at) - 1
+        if i != current and count:
+            yield current, count
+            count = 0
+        current = i
+        count += 1
+        at = find(phrase, end)
+    if count:
+        yield current, count
 
 
 def binarize(table: CharacteristicTable, threshold: float = 0.5) -> np.ndarray:
     """The table's confidences thresholded into a 0/1 label matrix, row
     for row (label 1 iff value >= threshold)."""
+    import numpy as np
+
     check_threshold(threshold)
     return np.where(table.matrix >= threshold, 1.0, 0.0)

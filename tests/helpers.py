@@ -4,6 +4,8 @@ import json
 import math
 import os
 import random
+import re
+from array import array
 from collections import Counter
 from dataclasses import astuple, dataclass
 from datetime import date, timedelta
@@ -20,11 +22,17 @@ from coordnet.corpus import (
     RETWEET,
     SECONDS_PER_DAY,
     day_of_timestamp,
+    normalize_text,
     parse_corpus,
 )
 from coordnet.detectors import AccountVectors, EdgeTable
 from coordnet.graph import InteractionCounts
-from coordnet.sociolinguistics import N_CHARACTERISTICS, CharacteristicTable
+from coordnet.sociolinguistics import (
+    N_CHARACTERISTICS,
+    CharacteristicTable,
+    ConfidenceRows,
+    characteristic_index,
+)
 from coordnet import stats
 from coordnet.stats import left_sum
 
@@ -153,6 +161,14 @@ def table_row(table, tweet_id):
     return np.zeros(N_CHARACTERISTICS)
 
 
+def confidence_rows(table) -> ConfidenceRows:
+    """A CharacteristicTable as the ConfidenceRows write_confidences
+    takes: one row code per tweet, one row per matrix row."""
+    return ConfidenceRows(
+        table.tweet_ids, array("i", range(len(table))), list(map(tuple, table.matrix.tolist()))
+    )
+
+
 def top_fraction_cutoff(sims, top_frac: float) -> float:
     """Nearest-rank cutoff: the ceil(top_frac * m)-th largest similarity."""
     k = max(1, math.ceil(top_frac * len(sims)))
@@ -228,6 +244,22 @@ def subprocess_env():
 # Oracles: the per-element loops the array code replaced, kept as the
 # bitwise reference for it.
 # ---------------------------------------------------------------------------
+
+
+def oracle_score_text(text, language, lexicon):
+    """The per-text scorer that sociolinguistics.score_corpus replaced:
+    the noisy-OR confidence per characteristic of one tweet, with every
+    entry that applies to its language counting the matches of its
+    lookaround pattern in the normalized text."""
+    text = normalize_text(text, strip_punct_nonascii=False)
+    miss = np.ones(N_CHARACTERISTICS, dtype=np.float64)
+    for e in lexicon.entries:
+        if e.language is not None and e.language != language:
+            continue
+        hits = len(re.findall(r"(?<!\w)" + re.escape(e.phrase) + r"(?!\w)", text))
+        if hits:
+            miss[characteristic_index(e.characteristic)] *= (1.0 - e.weight) ** hits
+    return 1.0 - miss
 
 
 def oracle_rankdata(values):

@@ -332,19 +332,22 @@ print(json.dumps([after_version, code, numpy_modules()]))
 
 def test_version_and_ingest_load_no_numpy(tmp_path):
     # Importing numpy is a large share of a short stage; only the stages
-    # that compute on arrays load it.
+    # that compute on arrays load it, and ingest and score do not.
     src, cache = tmp_path / "corpus.jsonl", tmp_path / "cache.jsonl"
-    write_jsonl(src, [rec(1, "a", hashtags=["x"]), rec(2, "b", kind="retweet")])
-    argv = ["ingest", str(src), "-o", str(cache)]
-    out = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argv)],
-        env=subprocess_env(),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert json.loads(out.stdout.strip().splitlines()[-1]) == [[], 0, []]
+    conf = tmp_path / "conf.csv"
+    write_jsonl(src, [rec(1, "a", hashtags=["x"], text="vote for taxes"),
+                      rec(2, "b", kind="retweet")])
+    for argv in (["ingest", str(src), "-o", str(cache)], ["score", str(cache), "-o", str(conf)]):
+        out = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argv)],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert json.loads(out.stdout.strip().splitlines()[-1]) == [[], 0, []]
     assert len(load_cache(cache)) == 2
+    assert load_confidences(conf).tweet_ids == ["1", "2"]
 
 
 _MODULE_PROBE = """
@@ -363,6 +366,7 @@ print(json.dumps([code, loaded, "numpy.ma" in sys.modules]))
         ("cluster", ["report", "sociolinguistics", "stats", "detectors", "kernels", "_pairsim_py"]),
         ("report", ["detectors", "kernels", "_pairsim_py"]),
         ("report-confidences", ["detectors", "kernels", "_pairsim_py"]),
+        ("score", ["formats", "graph", "stats", "report", "detectors", "kernels", "_pairsim_py"]),
     ],
 )
 def test_stages_load_only_the_modules_they_run(tmp_path, stage, unloaded):
@@ -376,6 +380,7 @@ def test_stages_load_only_the_modules_they_run(tmp_path, stage, unloaded):
         "report": ["report", str(cache), "-o", str(tmp_path / "b"), "--edges", str(det)],
         "report-confidences": ["report", str(cache), "-o", str(tmp_path / "b"), "--edges",
                                str(det), "--confidences", str(conf)],
+        "score": ["score", str(cache), "-o", str(conf)],
     }[stage]
     if stage == "report-confidences":
         assert main(["score", str(cache), "-o", str(conf)]) == 0

@@ -4,9 +4,12 @@ import io
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coordnet.corpus import (
     CorpusError,
+    _normalize_pass,
     daily_volume,
     day_of_timestamp,
     normalize_text,
@@ -260,6 +263,22 @@ class TestNormalizeText:
             for text in samples:
                 once = normalize_text(text, **options)
                 assert normalize_text(once, **options) == once
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(st.text(), st.text(alphabet="@#:/.!_ aAhHtTpPwWsS1é\u0130\u00a0\n")),
+        st.booleans(),
+    )
+    # lowercasing exposes a URL to the second pass; stripping, a mention
+    @example("HTTP://x.co/a b", False)
+    @example("WWW.Site.fr b", False)
+    @example("@!t b", True)
+    def test_skipped_pass_equals_fixed_point(self, text, strip):
+        # a first pass without "@", "http" or "www" is returned unconfirmed
+        s = _normalize_pass(text, strip)
+        while (again := _normalize_pass(s, strip)) != s:
+            s = again
+        assert normalize_text(text, strip_punct_nonascii=strip) == s
 
 
 class TestDailyVolume:

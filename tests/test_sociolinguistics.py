@@ -3,7 +3,6 @@
 import csv
 import io
 import random
-import re
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from coordnet.sociolinguistics import (
     Lexicon,
     LexiconEntry,
     TableError,
-    _score_text,
     binarize,
     builtin_lexicon,
     canonical_name,
@@ -33,7 +31,14 @@ from coordnet.sociolinguistics import (
     write_confidences,
 )
 
-from helpers import corpus_of, rec, record_to_json, table_row
+from helpers import (
+    confidence_rows,
+    corpus_of,
+    oracle_score_text,
+    rec,
+    record_to_json,
+    table_row,
+)
 
 
 class TestRegistry:
@@ -125,7 +130,7 @@ class TestLoadConfidences:
         ]
         table = load_confidences(conf_csv(rows))
         buf = io.StringIO()
-        write_confidences(table, buf)
+        write_confidences(confidence_rows(table), buf)
         again = load_confidences(io.StringIO(buf.getvalue()))
         assert np.array_equal(table.matrix, again.matrix)
         assert table.tweet_ids == again.tweet_ids
@@ -139,7 +144,7 @@ class TestLoadConfidences:
         for block in (1, 3, 4096):
             monkeypatch.setattr("coordnet.sociolinguistics._WRITE_ROWS", block)
             buf = io.StringIO(newline="")
-            write_confidences(CharacteristicTable(ids, matrix, "test"), buf)
+            write_confidences(confidence_rows(CharacteristicTable(ids, matrix, "test")), buf)
             written.add(buf.getvalue())
         assert len(written) == 1
         again = load_confidences(io.StringIO(written.pop(), newline=""))
@@ -151,7 +156,7 @@ class TestLoadConfidences:
         ids = ["a\rb", "\r", "c\r\nd", "plain"]
         matrix = np.random.default_rng(6).random((len(ids), N_CHARACTERISTICS))
         buf = io.StringIO(newline="")
-        write_confidences(CharacteristicTable(ids, matrix, "test"), buf)
+        write_confidences(confidence_rows(CharacteristicTable(ids, matrix, "test")), buf)
         assert '"a\rb",' in buf.getvalue()
         again = load_confidences(io.StringIO(buf.getvalue(), newline=""))
         assert again.tweet_ids == ids
@@ -267,15 +272,26 @@ class TestLoadConfidencesBulk:
         assert_same_load(conf_text(columns, lines))
 
 
+def scored_matrix(table):
+    """A ConfidenceRows table as one matrix row per tweet."""
+    return np.array([table.rows[c] for c in table.codes]).reshape(-1, N_CHARACTERISTICS)
+
+
+def score_text(text, language, lexicon):
+    """score_corpus's confidence row for a one-tweet corpus."""
+    table = score_corpus(corpus_of(rec(1, "a", text=text, language=language)), lexicon)
+    return np.array(table.rows[table.codes[0]])
+
+
 class TestLexiconScore:
     def test_no_match_all_zero(self):
         lex = Lexicon([LexiconEntry("economy", "taxes", 0.8)])
-        scores = _score_text("nothing relevant", "und", lex)
+        scores = score_text("nothing relevant", "und", lex)
         assert np.all(scores == 0.0)
 
     def test_single_phrase_weight(self):
         lex = Lexicon([LexiconEntry("economy", "taxes", 0.8)])
-        scores = _score_text("lower TAXES now", "und", lex)
+        scores = score_text("lower TAXES now", "und", lex)
         assert scores[characteristic_index("economy")] == pytest.approx(0.8)
 
     def test_noisy_or_two_phrases(self):
@@ -285,36 +301,36 @@ class TestLexiconScore:
                 LexiconEntry("economy", "jobs", 0.5),
             ]
         )
-        scores = _score_text("taxes and jobs", "und", lex)
+        scores = score_text("taxes and jobs", "und", lex)
         assert scores[characteristic_index("economy")] == pytest.approx(0.75)
 
     def test_repeated_phrase_counts_each_occurrence(self):
         lex = Lexicon([LexiconEntry("economy", "taxes", 0.5)])
-        scores = _score_text("taxes taxes", "und", lex)
+        scores = score_text("taxes taxes", "und", lex)
         assert scores[characteristic_index("economy")] == pytest.approx(0.75)
 
     def test_word_boundaries(self):
         lex = Lexicon([LexiconEntry("democracy", "vote", 0.9)])
-        assert _score_text("devotee voters", "und", lex)[
+        assert score_text("devotee voters", "und", lex)[
             characteristic_index("democracy")
         ] == 0.0
 
     def test_language_tagged_phrase_filters(self):
         lex = Lexicon([LexiconEntry("economy", "taxes", 0.8, language="en")])
-        assert _score_text("taxes", "en", lex)[characteristic_index("economy")] > 0
-        assert _score_text("taxes", "fr", lex)[characteristic_index("economy")] == 0.0
+        assert score_text("taxes", "en", lex)[characteristic_index("economy")] > 0
+        assert score_text("taxes", "fr", lex)[characteristic_index("economy")] == 0.0
 
     def test_matching_ignores_urls_and_case(self):
         lex = Lexicon([LexiconEntry("misinformation", "fake news", 0.7)])
         t = "FAKE News!! http://example.com/fake-news"
-        assert _score_text(t, "und", lex)[characteristic_index("misinformation")] == pytest.approx(0.7)
+        assert score_text(t, "und", lex)[characteristic_index("misinformation")] == pytest.approx(0.7)
 
     def test_word_order_insensitive_beyond_phrases(self):
         lex = Lexicon(
             [LexiconEntry("economy", "taxes", 0.6), LexiconEntry("economy", "jobs", 0.3)]
         )
-        a = _score_text("taxes before jobs", "und", lex)
-        b = _score_text("jobs before taxes", "und", lex)
+        a = score_text("taxes before jobs", "und", lex)
+        b = score_text("jobs before taxes", "und", lex)
         assert np.array_equal(a, b)
 
     def test_builtin_lexicon_covers_every_characteristic(self):
@@ -332,6 +348,19 @@ class TestLexiconScore:
         with pytest.raises(TableError, match=r"row 2: weight not a number: '0\.2_5'"):
             load_lexicon(io.StringIO("characteristic,phrase,weight\neconomy,taxes,0.2_5\n"))
 
+    def test_load_lexicon_header(self):
+        # a file without a header would lose its first entry to it
+        expected = r"lexicon header must be characteristic,phrase,weight\[,language\]"
+        for header in ("economy,taxes,0.5", "characteristic,phrase", "phrase,characteristic,weight",
+                       "characteristic,phrase,weight,language,extra"):
+            with pytest.raises(TableError, match=expected):
+                load_lexicon(io.StringIO(header + "\nterrorism,attack,0.7\n"))
+        for header in ("characteristic,phrase,weight", " Characteristic , PHRASE,weight,Language "):
+            lex = load_lexicon(io.StringIO(header + "\neconomy,taxes,0.5\nterrorism,attack,0.7\n"))
+            assert [e.characteristic for e in lex.entries] == ["economy", "terrorism"]
+        with pytest.raises(TableError, match=r"^row 3: unknown characteristic: 'taxes'$"):
+            load_lexicon(io.StringIO("characteristic,phrase,weight\neconomy,tax,0.5\ntaxes,t,0.5\n"))
+
     def test_score_corpus_dedups_tweet_ids(self):
         # ingest keeps the first record of a tweet_id; score rows follow the corpus
         records = [rec(1, "a", text="taxes"), rec(2, "a"), rec(1, "b", text="hope")]
@@ -340,21 +369,7 @@ class TestLexiconScore:
         assert corpus.skip_reasons == {"duplicate_tweet_id": 1}
         assert table.tweet_ids == ["1", "2"]
         kept = score_corpus(corpus_of(*records[:2]), builtin_lexicon())
-        assert table.matrix.tobytes() == kept.matrix.tobytes()
-
-
-def oracle_score_text(text, language, lexicon):
-    """_score_text without the substring prefilter: every applicable
-    entry runs its pattern."""
-    text = normalize_text(text, strip_punct_nonascii=False)
-    miss = np.ones(N_CHARACTERISTICS, dtype=np.float64)
-    for e in lexicon.entries:
-        if e.language is not None and e.language != language:
-            continue
-        hits = len(re.findall(r"(?<!\w)" + re.escape(e.phrase) + r"(?!\w)", text))
-        if hits:
-            miss[characteristic_index(e.characteristic)] *= (1.0 - e.weight) ** hits
-    return 1.0 - miss
+        assert scored_matrix(table).tobytes() == scored_matrix(kept).tobytes()
 
 
 PREFILTER_LEXICON = Lexicon(
@@ -385,6 +400,9 @@ TOKENS = [e.phrase for e in PREFILTER_LEXICON.entries] + [
 
 
 class TestScorerPrefilter:
+    """The scan finds a phrase with str.find before it checks the word
+    boundaries; the per-text oracle runs the lookaround pattern alone."""
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(
@@ -396,7 +414,7 @@ class TestScorerPrefilter:
     def test_same_bits_as_without_prefilter(self, parts, language):
         text = "".join(token + sep for token, sep in parts)
         for lexicon in (PREFILTER_LEXICON, builtin_lexicon()):
-            got = _score_text(text, language, lexicon)
+            got = score_text(text, language, lexicon)
             assert got.tobytes() == oracle_score_text(text, language, lexicon).tobytes()
 
     def test_examples_hit_the_tricky_shapes(self):
@@ -408,9 +426,131 @@ class TestScorerPrefilter:
             ("église", "en"): ("religion", 0.0),
         }
         for (text, language), (name, expected) in cases.items():
-            got = _score_text(text, language, PREFILTER_LEXICON)
+            got = score_text(text, language, PREFILTER_LEXICON)
             assert got.tobytes() == oracle_score_text(text, language, PREFILTER_LEXICON).tobytes()
             assert got[characteristic_index(name)] == pytest.approx(expected)
+
+
+# Phrases whose matches overlap themselves, start or end with a
+# non-word character, or are Unicode word characters; "vote" twice, once
+# for every language and once for "en" alone.
+SCAN_LEXICON = Lexicon(
+    [
+        LexiconEntry("economy", "la la", 0.2),
+        LexiconEntry("economy", "aa", 0.3),
+        LexiconEntry("economy", "..", 0.15),
+        LexiconEntry("terrorism", "-a-", 0.4),
+        LexiconEntry("terrorism", "c++", 0.35),
+        LexiconEntry("terrorism", "(fake)", 0.45),
+        LexiconEntry("religion", "é", 0.05),
+        LexiconEntry("religion", "ß", 0.15, language="de"),
+        LexiconEntry("religion", "1", 0.25),
+        LexiconEntry("religion", "_", 0.3),
+        LexiconEntry("vote_for", "vote", 0.5),
+        LexiconEntry("vote_for", "vote", 0.6, language="en"),
+        LexiconEntry("vote_for", "votez", 0.55, language="fr"),
+    ]
+)
+SCAN_TOKENS = [e.phrase for e in SCAN_LEXICON.entries] + [
+    "la", "aaa", "aaaa", "...", "-a-a-", "c+++", "évote", "voteé", "vote_", "_vote", "vote1",
+    "ßvote", "voteß", "ßß", "11", "__", "VOTE", "@vote", "#vote", "http://x.co/vote", "",
+]
+SCAN_LANGUAGES = ["en", "fr", "de", "und"]
+
+
+def assert_scan_matches_oracle(tweets, lexicon):
+    """score_corpus over one corpus of (text, language) tweets gives
+    each tweet the oracle's row, bit for bit."""
+    corpus = corpus_of(*(rec(i, "a", text=t, language=lang) for i, (t, lang) in enumerate(tweets)))
+    table = score_corpus(corpus, lexicon)
+    assert len(table) == len(tweets)
+    want = np.array([oracle_score_text(t, lang, lexicon) for t, lang in tweets])
+    assert scored_matrix(table).tobytes() == want.reshape(-1, N_CHARACTERISTICS).tobytes()
+    # each distinct row is held once
+    assert len(set(table.rows)) == len(table.rows)
+
+
+class TestCorpusScan:
+    @pytest.mark.parametrize(
+        "tweets",
+        [
+            # self-overlapping phrases: the search resumes at a hit's end
+            [("aaaa", "und"), ("la la la", "und"), ("....", "und"), ("-a-a-", "und"),
+             ("la la la la", "und"), (".....", "und")],
+            # non-word first or last characters
+            [("c++ c+++ (fake) (fake)(fake)", "und"), ("x(fake)", "und"), ("c++c++", "und")],
+            # hits in the first and the last text, one-word texts
+            [("vote", "en"), ("x", "en"), ("y", "und"), ("vote", "en")],
+            [("1", "und"), ("_", "und"), ("é", "und"), ("..", "und")],
+            # Unicode word characters next to a phrase
+            [("évote voteé vote_ _vote vote1 ßvote voteß", "en"), ("ß ßß é_ 1é 11", "de"),
+             ("é é é", "und"), ("_ __ _1", "fr")],
+            # language entries beside entries for every language
+            [("vote votez", "en"), ("vote votez", "fr"), ("vote votez", "und"), ("ß", "en")],
+            # one raw text under two languages, and texts that normalize alike
+            [("vote ß", "en"), ("vote ß", "de"), ("VOTE  ß", "en"), ("vote ß http://x", "de")],
+            # empty texts
+            [("", "en"), ("", "und"), ("vote", "en"), ("", "en"), ("@vote #vote", "en")],
+            [],
+        ],
+    )
+    def test_named_cases(self, tweets):
+        for lexicon in (SCAN_LEXICON, builtin_lexicon()):
+            assert_scan_matches_oracle(tweets, lexicon)
+
+    def test_lexicon_refuses_phrases_the_scan_cannot_match(self):
+        # an empty phrase would never advance the scan; one with "\n"
+        # could join two texts
+        for phrase in ("", "a\nb"):
+            with pytest.raises(ValueError, match="phrase must be non-empty"):
+                Lexicon([LexiconEntry("economy", phrase, 0.5)])
+
+    def test_empty_corpus_writes_the_header_alone(self):
+        table = score_corpus(corpus_of(), SCAN_LEXICON)
+        buf = io.StringIO(newline="")
+        write_confidences(table, buf)
+        assert buf.getvalue() == "tweet_id," + ",".join(CHARACTERISTICS) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(st.sampled_from(SCAN_TOKENS),
+                              st.sampled_from([" ", "", "-", ".", "_", "\n", "é", "ß"])),
+                    max_size=8,
+                ).map(lambda parts: "".join(token + sep for token, sep in parts)),
+                st.sampled_from(SCAN_LANGUAGES),
+            ),
+            max_size=12,
+        )
+    )
+    def test_random_corpora_match_per_text_oracle(self, tweets):
+        assert_scan_matches_oracle(tweets, SCAN_LEXICON)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                LexiconEntry,
+                st.sampled_from(CHARACTERISTICS[:3]),
+                st.text(alphabet="al .-_é1ß(", min_size=1, max_size=4)
+                .map(lambda p: normalize_text(p, strip_punct_nonascii=False))
+                .filter(bool),
+                st.sampled_from([0.1, 0.5, 1.0, 1e-20]),
+                st.sampled_from([None, None, "en", "fr"]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(
+            st.tuples(st.text(alphabet="al .-_é1ß(\n", max_size=16),
+                      st.sampled_from(SCAN_LANGUAGES)),
+            max_size=10,
+        ),
+    )
+    def test_random_lexicons_match_per_text_oracle(self, entries, tweets):
+        assert_scan_matches_oracle(tweets, Lexicon(entries))
 
 
 class TestBinarize:
