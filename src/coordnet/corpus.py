@@ -5,8 +5,10 @@ validated and its fields are appended to a columnar Corpus: one column
 per field, account ids interned as integer codes. A Corpus comes from
 one of two places: parse_corpus parses input, and the stages after
 ingest read the cache of column blocks that Corpus.write_cache writes
-and load_cache checks and loads. This module does not import numpy, so
-ingest never loads it.
+and load_cache checks and loads. In the cache every column but tweet
+ids, timestamps and kinds is coded: each distinct value is written once
+in a file-level table, and each row holds a code into it. This module
+does not import numpy, so ingest never loads it.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ import re
 from array import array
 from collections import Counter
 from datetime import datetime, timezone
-from itertools import chain, repeat
-from operator import is_not
-from types import NoneType
+from itertools import chain, compress
 from typing import Callable, Iterator
 
 from coordnet.sources import open_text
@@ -356,29 +356,43 @@ class Corpus:
     def write_cache(self, fp) -> None:
         """Write the columns to a text file as cache blocks, one
         canonical JSON line per CACHE_ROWS rows; load_cache reads them
-        back. Each block lists the account ids its rows use first, in
-        code order, so the blocks rebuild the same account table."""
-        seen = 0
+        back. Each coded column (_CODED) is a code per row into a table
+        of the file's distinct values, and a block lists the entries its
+        rows use first, in code order, so the blocks rebuild the tables
+        and the bytes follow from the rows alone."""
+        columns = (
+            list(map(self.account_ids.__getitem__, self.account_codes)),
+            *(getattr(self, table) for table, *_ in _CODED[1:]),
+        )
+        coders = [_Coder(nullable) for *_, nullable in _CODED]
         for start in range(0, len(self), CACHE_ROWS):
             rows = slice(start, start + CACHE_ROWS)
-            codes = self.account_codes[rows]
-            first_unseen = max(seen, max(codes) + 1)
             block = {
                 "tweet_ids": self.tweet_ids[rows],
-                "accounts": self.account_ids[seen:first_unseen],
-                "account_codes": codes.tolist(),
                 "timestamps": self.timestamps[rows].tolist(),
                 "kinds": self.kinds[rows].tolist(),
-                "texts": self.texts[rows],
-                "hashtags": self.hashtags[rows],
-                "languages": self.languages[rows],
-                "retweeted_tweet_ids": self.retweeted_tweet_ids[rows],
-                "retweeted_account_ids": self.retweeted_account_ids[rows],
-                "mentions": self.mentions[rows],
             }
+            for (table_key, codes_key, *_), coder, column in zip(_CODED, coders, columns):
+                known = len(coder.table)
+                codes = list(map(coder.__getitem__, column[rows]))
+                block[table_key], block[codes_key] = coder.table[known:], codes
             fp.write(_ENCODER.encode(block))
             fp.write("\n")
-            seen = first_unseen
+
+
+class _Coder(dict):
+    """A file's code table for one column: value -> code, each value new
+    to the file taking the next code, None coded -1 when nullable; table
+    lists the values in code order."""
+
+    def __init__(self, nullable: bool):
+        super().__init__({None: -1} if nullable else {})
+        self.table: list = []
+
+    def __missing__(self, value) -> int:
+        code = self[value] = len(self.table)
+        self.table.append(value)
+        return code
 
 
 def parse_corpus(source, strict: bool = False) -> Corpus:
@@ -421,12 +435,6 @@ def parse_corpus(source, strict: bool = False) -> Corpus:
 # block. A larger block adds its decoded objects to a stage's peak RSS.
 CACHE_ROWS = 1024
 
-_BLOCK_KEYS = frozenset(
-    (
-        "tweet_ids", "accounts", "account_codes", "timestamps", "kinds", "texts",
-        "hashtags", "languages", "retweeted_tweet_ids", "retweeted_account_ids", "mentions",
-    )
-)
 # A \u escape of a UTF-16 surrogate: an odd run of backslashes before the
 # u, so an escaped backslash followed by "ud800" text does not match.
 _BLOCK_SURROGATE_RE = re.compile(r"(?<!\\)(?:\\\\)*\\u[dD][89a-fA-F]")
@@ -441,13 +449,16 @@ def _column(block: dict, key: str, types: tuple, rows: int | None = None) -> lis
     if rows is not None and len(column) != rows:
         raise ValueError(f"{key} holds {len(column)} rows, tweet_ids {rows}")
     if not set(map(type, column)).issubset(types):
-        names = " or ".join("null" if t is NoneType else t.__name__ for t in types)
-        raise ValueError(f"{key} must hold only {names} values")
+        raise ValueError(f"{key} must hold only {' or '.join(t.__name__ for t in types)} values")
     return column
 
 
-def _ids(block: dict, key: str, rows: int | None = None, nullable: bool = False) -> list:
-    column = _column(block, key, (str, NoneType) if nullable else (str,), rows)
+def _strings(block: dict, key: str) -> list[str]:
+    return _column(block, key, (str,))
+
+
+def _ids(block: dict, key: str) -> list[str]:
+    column = _strings(block, key)
     if "" in column:
         raise ValueError(f"{key} holds an empty string")
     return column
@@ -458,12 +469,44 @@ def _in_range(column: list, key: str, low: int, high: int) -> None:
         raise ValueError(f"{key} must lie in [{low}, {high}]")
 
 
-def _string_lists(block: dict, key: str, rows: int) -> list[str]:
-    """The strings of a column of string lists, flattened."""
-    strings = list(chain.from_iterable(_column(block, key, (list,), rows)))
-    if not set(map(type, strings)).issubset((str,)):
+def _string_lists(block: dict, key: str) -> list[tuple[str, ...]]:
+    lists = _column(block, key, (list,))
+    if not set(map(type, chain.from_iterable(lists))).issubset((str,)):
         raise ValueError(f"{key} must hold lists of strings")
-    return strings
+    return list(map(tuple, lists))
+
+
+def _hashtag_lists(block: dict, key: str) -> list[tuple[str, ...]]:
+    lists = _string_lists(block, key)
+    joined = "\n".join(chain.from_iterable(lists))
+    if joined.lower() != joined:
+        raise ValueError(f"{key} must be lowercase")
+    if HASHTAG_SEPARATOR in joined:
+        raise ValueError(f"a hashtag holds {HASHTAG_SEPARATOR!r}")
+    return lists
+
+
+# The coded columns of a cache block: (table key, code key, the check of
+# the table's entries, whether None is allowed and coded -1). A table
+# lists the values new to the file, in order of first use; each row holds
+# a code into the file's table. Each table key but accounts (whose table
+# is Corpus.account_ids) names the Corpus list the rows' values go to.
+_CODED = (
+    ("accounts", "account_codes", _ids, False),
+    ("texts", "text_codes", _strings, False),
+    ("hashtags", "hashtag_codes", _hashtag_lists, False),
+    ("languages", "language_codes", _ids, False),
+    ("retweeted_tweet_ids", "retweeted_tweet_codes", _ids, True),
+    ("retweeted_account_ids", "retweeted_account_codes", _ids, True),
+    ("mentions", "mention_codes", _string_lists, False),
+)
+_BLOCK_KEYS = frozenset(
+    ("tweet_ids", "timestamps", "kinds", *chain.from_iterable(c[:2] for c in _CODED))
+)
+# The block layout before the columns after accounts were coded.
+_UNCODED_KEYS = _BLOCK_KEYS.difference(codes for _, codes, *_ in _CODED[1:])
+# bytes(kinds).translate(_RETWEET_FLAGS): 1 for a retweet, else 0
+_RETWEET_FLAGS = bytes(kind == RETWEET for kind in range(256))
 
 
 def _decode_block(line: bytes) -> dict:
@@ -482,89 +525,97 @@ def _decode_block(line: bytes) -> dict:
         raise ValueError("invalid JSON: nested too deeply") from None
     if type(block) is dict and block.keys() == _BLOCK_KEYS:
         return block
-    if type(block) is dict and "tweet_id" in block:
+    if type(block) is dict and ("tweet_id" in block or block.keys() == _UNCODED_KEYS):
         raise ValueError(
-            "a record, not a cache block: a per-record cache from an older coordnet "
+            "a record or an uncoded block, not a cache block: a cache from an older coordnet "
             "(or a corpus not yet ingested); re-run `coordnet ingest` to rebuild the cache"
         )
     raise ValueError(f"a cache block is a JSON object with keys {', '.join(sorted(_BLOCK_KEYS))}")
 
 
-def _extend(corpus: Corpus, block: dict, share: Callable, claimed: set) -> None:
+def _codes(block: dict, column: tuple, values: list, seen: set, rows: int) -> list[int]:
+    """One coded column of a block, checked: its table's entries join
+    the file's values (and seen), and each row's code is returned."""
+    table, key, check, nullable = column
+    entries = check(block, table)
+    known = len(values)
+    seen.update(entries)
+    if len(seen) != known + len(entries):
+        raise ValueError(f"{table} repeats an entry of the file's table")
+    values.extend(entries)
+    codes = _column(block, key, (int,), rows)
+    low = -1 if nullable else 0
+    if not entries:
+        _in_range(codes, key, low, known - 1)
+        return codes
+    # the block's new entries, in the order its rows first use them (so
+    # no code lies past the table)
+    distinct = dict.fromkeys(codes)
+    fresh = [c for c in distinct if c >= known]
+    if fresh != list(range(known, len(values))) or min(distinct, default=low) < low:
+        _in_range(codes, key, low, len(values) - 1)
+        raise ValueError(f"{table} must list the values the block uses first, in order of use")
+    return codes
+
+
+def _extend(corpus: Corpus, block: dict, tables: list, claimed: set) -> None:
     """Check one decoded block in bulk and append its rows to corpus;
-    claimed holds the tweet ids of the blocks before it."""
+    tables holds each coded column's (values, seen) and claimed the
+    tweet ids of the blocks before it."""
     tweet_ids = _ids(block, "tweet_ids")
     rows = len(tweet_ids)
     known = len(claimed)
     claimed.update(tweet_ids)
     if len(claimed) != known + rows:
         raise ValueError("tweet_ids repeats a tweet id")
-    accounts = _ids(block, "accounts")
-    codes = _column(block, "account_codes", (int,), rows)
     timestamps = _column(block, "timestamps", (int,), rows)
     kinds = _column(block, "kinds", (int,), rows)
-    texts = _column(block, "texts", (str,), rows)
-    hashtags = _string_lists(block, "hashtags", rows)
-    languages = _ids(block, "languages", rows)
-    rt_tweets = _ids(block, "retweeted_tweet_ids", rows, nullable=True)
-    rt_accounts = _ids(block, "retweeted_account_ids", rows, nullable=True)
-    _string_lists(block, "mentions", rows)
-
-    code_of, names = corpus.code_of, corpus.account_ids
-    known = len(names)
-    code_of.update(zip(accounts, range(known, known + len(accounts))))
-    if len(code_of) != known + len(accounts):
-        raise ValueError("accounts repeats an account id")
-    names.extend(accounts)
-    _in_range(codes, "account_codes", 0, len(names) - 1)
-    # the block's new accounts, in the order its rows first use them
-    if [c for c in dict.fromkeys(codes) if c >= known] != list(range(known, len(names))):
-        raise ValueError("accounts must list the ids the block uses first, in order of first use")
     _in_range(timestamps, "timestamps", _MIN_TIMESTAMP, _MAX_TIMESTAMP)
     _in_range(kinds, "kinds", 0, len(KINDS) - 1)
-    if list(map(RETWEET.__eq__, kinds)) != list(map(is_not, rt_tweets, repeat(None))):
+    codes = {c[1]: _codes(block, c, *table, rows) for c, table in zip(_CODED, tables)}
+    # retweets hold a retweeted tweet code, so the -1s are the other rows
+    retweeted = codes["retweeted_tweet_codes"]
+    retweets = bytes(kinds).translate(_RETWEET_FLAGS)
+    if -1 in compress(retweeted, retweets) or retweeted.count(-1) != rows - kinds.count(RETWEET):
         raise ValueError("a row has retweeted_tweet_id if and only if it is a retweet")
-    joined = "\n".join(hashtags)
-    if joined.lower() != joined:
-        raise ValueError("hashtags must be lowercase")
-    if HASHTAG_SEPARATOR in joined:
-        raise ValueError(f"a hashtag holds {HASHTAG_SEPARATOR!r}")
 
     corpus.tweet_ids.extend(tweet_ids)
-    corpus.account_codes.fromlist(codes)
     corpus.timestamps.fromlist(timestamps)
     corpus.kinds.fromlist(kinds)
-    corpus.texts.extend(texts)
-    corpus.hashtags.extend(map(tuple, block["hashtags"]))
-    corpus.languages.extend(map(share, languages, languages))
-    corpus.retweeted_tweet_ids.extend(rt_tweets)
-    corpus.retweeted_account_ids.extend(map(share, rt_accounts, rt_accounts))
-    corpus.mentions.extend(map(tuple, block["mentions"]))
+    corpus.account_codes.fromlist(codes["account_codes"])
+    for (table, key, *_), (values, _) in zip(_CODED[1:], tables[1:]):
+        values.append(None)  # what code -1 reads
+        getattr(corpus, table).extend(map(values.__getitem__, codes[key]))
+        values.pop()
 
 
 def load_cache(path) -> Corpus:
     """Load the cache that Corpus.write_cache wrote to path.
 
-    One json.loads per block, then every column is checked in bulk, so
-    a block holds nothing a record that ingest accepted could not: exact
-    types (a bool is not an int), non-empty ids, account codes within
-    the account table and in order of first use, timestamps in years
-    1-9999, valid kind codes, retweeted_tweet_id on retweets and only
-    there, lowercase hashtags without HASHTAG_SEPARATOR, distinct
-    account ids, distinct tweet ids across the whole file, strict UTF-8
-    and no surrogate escapes. Any other content raises CorpusError
-    naming the file and the line.
+    One json.loads per block, then every column is checked in bulk, each
+    table entry once and the codes as lists, so a block holds nothing a
+    record that ingest accepted could not: exact types (a bool is not an
+    int), non-empty ids and language tags, lowercase hashtags without
+    HASHTAG_SEPARATOR, lists of strings, codes within their table (-1,
+    for none, only in the two retweet columns) and new table entries
+    distinct and in order of first use, timestamps in years 1-9999,
+    valid kind codes, a retweeted_tweet_id code on retweets and only
+    there, distinct tweet ids across the whole file, strict UTF-8 and no
+    surrogate escapes. Any other content, a cache written before the
+    columns were coded among it, raises CorpusError naming the file and
+    the line. Rows that share a value share one object.
     """
     corpus = Corpus()
-    # Repeated language tags and retweeted account ids share one string.
-    share = {}.setdefault
+    tables = [(corpus.account_ids, set())] + [([], set()) for _ in _CODED[1:]]
     claimed: set[str] = set()
     with open(path, "rb") as fp:
         for line_no, line in enumerate(fp, start=1):
             try:
-                _extend(corpus, _decode_block(line), share, claimed)
+                _extend(corpus, _decode_block(line), tables, claimed)
             except ValueError as exc:
                 raise CorpusError(str(exc), line_no=line_no, source=path) from None
+    del tables, claimed  # freed before code_of is built, so they do not add to its peak
+    corpus.code_of.update(zip(corpus.account_ids, range(len(corpus.account_ids))))
     return corpus
 
 

@@ -93,7 +93,8 @@ def edges_from_hashtag_index(index: dict[str, set[str]]) -> EdgeTable:
     )
     starts = np.cumsum(sizes) - sizes
     parts = []
-    for m in np.unique(sizes).tolist():
+    # sorted(set()), not np.unique, which imports numpy.ma
+    for m in sorted(set(sizes.tolist())):
         groups = np.flatnonzero(sizes == m)
         block = members[starts[groups, None] + np.arange(m)]  # rows ascend
         i, j = np.triu_indices(m, 1)

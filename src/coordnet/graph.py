@@ -237,9 +237,14 @@ def duplicate_shares(
     if scope not in DUPLICATE_SCOPES:
         raise ValueError(f"unknown duplicate scope: {scope!r}")
     texts_of: dict[int, list[str]] = {}
+    # each distinct text is normalized once
+    normalized: dict[str, str] = {}
     for code, kind, text in zip(corpus.account_codes, corpus.kinds, corpus.texts):
         if kind == ORIGINAL:
-            texts_of.setdefault(code, []).append(normalize_text(text))
+            norm = normalized.get(text)
+            if norm is None:
+                norm = normalized[text] = normalize_text(text)
+            texts_of.setdefault(code, []).append(norm)
     corpus_counts: Counter[str] = Counter()
     if scope == "corpus":
         for texts in texts_of.values():

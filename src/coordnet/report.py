@@ -164,12 +164,13 @@ def write_daily_confidence(
     cols: RecordColumns, table: sl.CharacteristicTable, scopes, path: Path
 ) -> None:
     scopes = [scopes[0], (BASELINE_SCOPE, ~scopes[0][1]), *scopes[1:]]
-    days = [cols.day[mask] for _, mask in scopes]
+    # each scope's days are named once, for every characteristic
+    means = [stats.daily_means(cols.day[mask]) for _, mask in scopes]
     series = {}
     for j, name in enumerate(sl.CHARACTERISTICS):
         values = _record_column(table.matrix, cols.row, j)
-        for (scope_name, mask), scope_days in zip(scopes, days):
-            series[scope_name, name] = stats.daily_mean_series(scope_days, values[mask])
+        for (scope_name, mask), scope_means in zip(scopes, means):
+            series[scope_name, name] = scope_means(values[mask])
     rows = [
         (day, scope_name, name, mean)
         for scope_name, _ in scopes
@@ -219,9 +220,10 @@ def confidence_vs_binarized(
     median over defined values."""
     by_char = {}
     values = []
+    daily = stats.daily_means(cols.day)
     for j, name in enumerate(sl.CHARACTERISTICS):
-        conf = stats.daily_mean_series(cols.day, _record_column(table.matrix, cols.row, j))
-        binr = stats.daily_mean_series(cols.day, _record_column(labels, cols.row, j))
+        conf = daily(_record_column(table.matrix, cols.row, j))
+        binr = daily(_record_column(labels, cols.row, j))
         xs = []
         ys = []
         for (day, c), (_, b) in zip(conf, binr):

@@ -313,7 +313,8 @@ class Lexicon:
 
 def load_lexicon(source) -> Lexicon:
     """Load a lexicon CSV: the header characteristic,phrase,weight with
-    an optional fourth column language, then one entry per row."""
+    an optional fourth column language, then one entry per row, with a
+    cell per header column (a row may leave off its language cell)."""
     with csv_reader(source) as reader:
         header = next(reader, None)
         if header is None:
@@ -328,8 +329,8 @@ def load_lexicon(source) -> Lexicon:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) < 3:
-                raise TableError(f"row {line_no}: expected characteristic,phrase,weight")
+            if not 3 <= len(row) <= len(names):
+                raise TableError(f"row {line_no}: expected {len(names)} fields, got {len(row)}")
             try:
                 name = canonical_name(row[0])
             except ValueError as exc:
@@ -343,7 +344,7 @@ def load_lexicon(source) -> Lexicon:
                 raise TableError(f"row {line_no}: weight not a number: {row[2]!r}") from None
             if not 0.0 < weight <= 1.0:
                 raise TableError(f"row {line_no}: weight {weight} outside (0, 1]")
-            language = row[3].strip() if len(row) > 3 and row[3].strip() else None
+            language = row[3].strip() if len(row) == 4 and row[3].strip() else None
             entries.append(LexiconEntry(name, phrase, weight, language))
         return Lexicon(entries)
 

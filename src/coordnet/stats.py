@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -556,21 +556,30 @@ def day_codes(records: Sequence) -> np.ndarray:
 def daily_mean_series(days: np.ndarray, values: np.ndarray) -> list[tuple[str, float | None]]:
     """Per-day means of values, with days as day_codes gives them, over
     every day from the earliest to the latest; days with no values
-    yield None.
+    yield None."""
+    return daily_means(days)(values)
+
+
+def daily_means(days: np.ndarray) -> Callable[[np.ndarray], list[tuple[str, float | None]]]:
+    """daily_mean_series(days, values) as a function of values, with the
+    day span, the counts and the day names computed once.
 
     bincount adds each day's values in input order, so every mean has
     the bits of a running sum divided by the count.
     """
     if len(days) == 0:
-        return []
+        return lambda values: []
     first = int(days.min())
     offsets = days - first
-    counts = np.bincount(offsets).tolist()
-    means = (np.bincount(offsets, weights=values) / np.maximum(counts, 1)).tolist()
-    return [
-        (day_of_timestamp((first + k) * SECONDS_PER_DAY), means[k] if counts[k] else None)
-        for k in range(len(counts))
-    ]
+    counts = np.bincount(offsets)
+    names = [day_of_timestamp((first + k) * SECONDS_PER_DAY) for k in range(len(counts))]
+    present, divisors = counts.astype(bool).tolist(), np.maximum(counts, 1)
+
+    def series(values: np.ndarray) -> list[tuple[str, float | None]]:
+        means = (np.bincount(offsets, weights=values) / divisors).tolist()
+        return [(d, mean if p else None) for d, mean, p in zip(names, means, present)]
+
+    return series
 
 
 def daily_mean_confidence(

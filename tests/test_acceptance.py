@@ -25,7 +25,7 @@ import numpy as np
 
 from coordnet import sociolinguistics as sl
 from coordnet.cli import main
-from coordnet.corpus import parse_corpus
+from coordnet.corpus import load_cache, parse_corpus
 from coordnet.detectors import (
     DetectorConfig,
     EdgeTable,
@@ -726,12 +726,18 @@ def test_criterion_9_long_key_is_not_padded(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def report_full_corpus(accounts, workdir):
-    """The benchmark's report-full corpus at PCG64 seed 7 with the given
-    number of accounts, parsed as ingest parses it."""
+def perfbench_workloads():
+    """perfbench/workloads.py, the benchmark's corpus generators."""
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def report_full_corpus(accounts, workdir):
+    """The benchmark's report-full corpus at PCG64 seed 7 with the given
+    number of accounts, parsed as ingest parses it."""
+    workloads = perfbench_workloads()
     generated, _ = workloads.report_full(np.random.Generator(np.random.PCG64(7)), accounts)
     generated.write(workdir / "input.jsonl")
     return parse_corpus(workdir / "input.jsonl")
@@ -768,3 +774,54 @@ def test_criterion_10_account_vectors_memory_per_record(tmp_path):
         assert per_record <= 32, f"{term} vectors peak grew {per_record:.1f} B per record"
         details.append(f"{term} {per_record:.1f} B")
     ok(10, f"account vectors peak per added record over {added} records: " + ", ".join(details))
+
+
+# ---------------------------------------------------------------------------
+# 11. The cache holds each distinct value once
+# ---------------------------------------------------------------------------
+
+
+def detect_dense_cache(accounts, workdir):
+    """The benchmark's detect-dense corpus at PCG64 seed 7 with the given
+    number of accounts, ingested: (records, cache path)."""
+    workloads = perfbench_workloads()
+    generated, _ = workloads.detect_dense(np.random.Generator(np.random.PCG64(7)), accounts)
+    generated.write(workdir / "input.jsonl")
+    corpus = parse_corpus(workdir / "input.jsonl")
+    with open(workdir / "cache.jsonl", "w", encoding="utf-8") as fp:
+        corpus.write_cache(fp)
+    return len(corpus), workdir / "cache.jsonl"
+
+
+def load_cache_held_bytes(path):
+    """tracemalloc bytes that load_cache's corpus holds once loaded."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = load_cache(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+        del corpus
+        return held
+    finally:
+        tracemalloc.stop()
+
+
+def test_criterion_11_cache_bytes_and_load_memory_per_record(tmp_path):
+    caches = []
+    for accounts in (1300, 2600):
+        (tmp_path / str(accounts)).mkdir()
+        caches.append(detect_dense_cache(accounts, tmp_path / str(accounts)))
+    (n0, cache0), (n1, cache1) = caches
+    added = n1 - n0
+    per_record = (cache1.stat().st_size - cache0.stat().st_size) / added
+    # Each record writes its tweet id and six codes; its retweet target,
+    # text and tags are written once per file. 59.2 B measured; writing
+    # them per row measured 73.0 B.
+    assert per_record <= 64, f"cache grew {per_record:.1f} B per record"
+    held = (load_cache_held_bytes(cache1) - load_cache_held_bytes(cache0)) / added
+    # Rows that share a value share one object: 184.5 B measured (the
+    # tweet id string and a list slot per column dominate). One decoded
+    # string per row and column, as a per-row cache gives, measured 234 B.
+    assert held <= 205, f"load_cache held {held:.1f} B more per record"
+    ok(11, f"per added record over {added} records: cache {per_record:.1f} B, "
+           f"load_cache held {held:.1f} B")

@@ -22,6 +22,7 @@ COLUMNS = [
     "tweet_ids", "account_ids", "code_of", "account_codes", "timestamps", "kinds", "texts",
     "hashtags", "languages", "retweeted_tweet_ids", "retweeted_account_ids", "mentions",
 ]
+SHARED = ["texts", "hashtags", "languages", "retweeted_tweet_ids", "retweeted_account_ids", "mentions"]
 
 
 def cache_lines(corpus) -> list[str]:
@@ -48,6 +49,17 @@ _texts = st.one_of(
 _tags = st.lists(
     st.one_of(st.text(max_size=4), st.sampled_from(["ΑΣ", "İx", "Straße"])), max_size=3
 )
+_languages = st.sampled_from(["en", "fr", "und", "", "zh-Hant", "ja\x00", "ελ"])
+_mentions = st.lists(st.one_of(st.text(max_size=4), st.sampled_from(["m\x00", "é"])), max_size=2)
+# Pools that the lines of _input_lines draw shared values from
+_POOLS = {
+    "text": _texts,
+    "hashtags": _tags,
+    "mentions": _mentions,
+    "language": _languages,
+    "retweeted_tweet_id": _ids,
+    "retweeted_account_id": st.one_of(st.none(), _ids),
+}
 
 
 @st.composite
@@ -60,8 +72,8 @@ def _input_record(draw) -> dict:
         "kind": kind,
         "text": draw(_texts),
         "hashtags": draw(_tags),
-        "language": draw(st.sampled_from(["en", "fr", "und", "", "zh-Hant"])),
-        "mentions": draw(st.lists(st.text(max_size=4), max_size=2)),
+        "language": draw(_languages),
+        "mentions": draw(_mentions),
     }
     if kind == "retweet":
         obj["retweeted_tweet_id"] = draw(_ids)
@@ -81,11 +93,18 @@ def _input_lines(draw) -> list[str]:
     or CACHE_ROWS + 1 distinct tweet ids are reached; a third of the
     lines keep their record's tweet_id, so later ones repeat it. Every
     `stride` lines the accounts move on to new ids, so accounts are also
-    first seen in later blocks."""
+    first seen in later blocks. When pools are drawn, each coded field
+    cycles through its own few pooled values at its own period, so
+    values repeat across rows and blocks in every combination, and
+    every `stride` lines a text is new."""
     templates = draw(st.lists(_input_record(), min_size=1, max_size=5))
     n = draw(st.sampled_from([0, 1, 7, CACHE_ROWS, CACHE_ROWS + 1]))
     stride = draw(st.sampled_from([1, 300, CACHE_ROWS + 1]))
     ascii_only = draw(st.booleans())
+    pools = draw(
+        st.none()
+        | st.fixed_dictionaries({f: st.lists(v, min_size=1, max_size=3) for f, v in _POOLS.items()})
+    )
     lines, distinct = [], set()
     for i in itertools.count():
         if len(distinct) == n:
@@ -95,6 +114,11 @@ def _input_lines(draw) -> list[str]:
             obj["tweet_id"] = f"{obj['tweet_id']}.{i}"
         if i >= stride:
             obj["account_id"] = f"{obj['account_id']}/{i // stride}"
+        for period, (field, pool) in enumerate((pools or {}).items(), start=2):
+            if field != "retweeted_tweet_id" or obj["kind"] == "retweet":
+                obj[field] = pool[i // period % len(pool)]
+        if pools and i % stride == 0:
+            obj["text"] += f"/{i}"
         lines.append(json.dumps(obj, ensure_ascii=ascii_only) + "\n")
         distinct.add(_tweet_id(lines[-1]))
 
@@ -118,6 +142,10 @@ def test_load_cache_equals_parse_corpus(lines):
     for name in COLUMNS:
         assert getattr(loaded, name) == getattr(parsed, name), name
     assert all(type(t) is tuple for t in loaded.hashtags + loaded.mentions)
+    # rows that share a value share one object
+    for name in SHARED:
+        column = getattr(loaded, name)
+        assert len(set(map(id, column))) == len(set(column)), name
 
 
 def test_blocks_hold_cache_rows_records():
@@ -221,6 +249,20 @@ def _deep(block):
     return json.dumps(block)[:-1] + ',"extra":' + "[" * 50_000 + "]" * 50_000 + "}"
 
 
+def _uncode(block):
+    """Block 1 as coordnet wrote it before the columns after accounts
+    were coded: each of them in full, row by row."""
+    for table, codes, *_ in coordnet.corpus._CODED[1:]:
+        values = block[table]
+        block[table] = [None if c < 0 else values[c] for c in block.pop(codes)]
+
+
+def _drop_retweet(block):
+    # row 1 of block 1 loses its retweeted_tweet_id, and the table its entry
+    block["retweeted_tweet_codes"][1] = -1
+    block["retweeted_tweet_ids"] = []
+
+
 # name: (block mutated, mutation, a phrase of the error message)
 MUTATIONS = {
     "tweet_ids-not-list": (1, _set("tweet_ids", "t1"), "tweet_ids must be a list"),
@@ -230,10 +272,10 @@ MUTATIONS = {
     "tweet_id-repeated-across-blocks": (2, _put("tweet_ids", 1, "t2"), "repeats a tweet id"),
     "account-int": (1, _put("accounts", 0, 7), "accounts must hold only str"),
     "account-empty": (1, _put("accounts", 1, ""), "accounts holds an empty string"),
-    "account-repeated-in-block": (1, _put("accounts", 1, "a"), "repeats an account id"),
-    "account-repeated-across-blocks": (2, _put("accounts", 0, "a"), "repeats an account id"),
-    "account-unused": (1, _append("accounts", "q"), "in order of first use"),
-    "accounts-out-of-order": (2, _set("account_codes", [3, 2, 0]), "in order of first use"),
+    "account-repeated-in-block": (1, _put("accounts", 1, "a"), "accounts repeats an entry"),
+    "account-repeated-across-blocks": (2, _put("accounts", 0, "a"), "accounts repeats an entry"),
+    "account-unused": (1, _append("accounts", "q"), "in order of use"),
+    "accounts-out-of-order": (2, _set("account_codes", [3, 2, 0]), "in order of use"),
     "account_code-bool": (2, _put("account_codes", 1, True), "account_codes must hold only int"),
     "account_code-float": (1, _put("account_codes", 0, 0.0), "account_codes must hold only int"),
     "account_code-past-table": (1, _put("account_codes", 2, 2), "account_codes must lie in [0, 1]"),
@@ -248,31 +290,68 @@ MUTATIONS = {
     "kind-negative": (1, _put("kinds", 2, -1), "kinds must lie in"),
     "kind-bool": (1, _put("kinds", 0, False), "kinds must hold only int"),
     "text-null": (1, _put("texts", 1, None), "texts must hold only str"),
+    "text-repeated-in-block": (1, _put("texts", 2, "one"), "texts repeats an entry"),
+    "text-repeated-across-blocks": (2, _put("texts", 1, "one"), "texts repeats an entry"),
+    "text-unused": (2, _append("texts", "seven"), "texts must list"),
+    "texts-out-of-order": (1, _set("text_codes", [1, 0, 2]), "texts must list"),
+    "text_code-bool": (1, _put("text_codes", 0, False), "text_codes must hold only int"),
+    "text_code-past-table": (2, _put("text_codes", 2, 5), "text_codes must lie in [0, 4]"),
+    "text_code-minus-one": (1, _put("text_codes", 1, -1), "text_codes must lie in [0, 2]"),
     "hashtags-uppercase": (1, _put("hashtags", 0, ["x", "Y"]), "hashtags must be lowercase"),
-    "hashtags-sigma": (2, _put("hashtags", 1, ["ΑΣ"]), "hashtags must be lowercase"),
+    "hashtags-sigma": (2, _put("hashtags", 0, ["ΑΣ"]), "hashtags must be lowercase"),
     "hashtags-not-list": (1, _put("hashtags", 0, "x"), "hashtags must hold only list"),
-    "hashtag-separator": (2, _put("hashtags", 1, ["a|b"]), "a hashtag holds '|'"),
+    "hashtag-separator": (2, _put("hashtags", 0, ["a|b"]), "a hashtag holds '|'"),
     "hashtag-int": (1, _put("hashtags", 0, [1]), "hashtags must hold lists of strings"),
+    "hashtags-repeated": (2, _put("hashtags", 0, ["x", "y"]), "hashtags repeats an entry"),
+    "hashtags-out-of-order": (1, _set("hashtag_codes", [1, 0, 0]), "hashtags must list"),
+    "hashtag_code-bool": (2, _put("hashtag_codes", 1, True), "hashtag_codes must hold only int"),
+    "hashtag_code-past-table": (1, _put("hashtag_codes", 2, 2), "hashtag_codes must lie in [0, 1]"),
+    "hashtag_code-minus-one": (2, _put("hashtag_codes", 0, -1), "hashtag_codes must lie in"),
     "language-empty": (1, _put("languages", 0, ""), "languages holds an empty string"),
     "language-int": (1, _put("languages", 0, 1), "languages must hold only str"),
-    "retweet-without-id": (1, _put("retweeted_tweet_ids", 1, None), "if and only if"),
-    "original-with-id": (1, _put("retweeted_tweet_ids", 0, "t9"), "if and only if"),
+    "language-repeated": (2, _put("languages", 0, "und"), "languages repeats an entry"),
+    "languages-out-of-order": (1, _set("language_codes", [1, 0, 0]), "languages must list"),
+    "language_code-bool": (1, _put("language_codes", 2, True), "language_codes must hold only int"),
+    "language_code-past-table": (2, _put("language_codes", 0, 3), "language_codes must lie in"),
+    "language_code-minus-one": (1, _put("language_codes", 0, -1), "language_codes must lie in"),
+    "retweet-without-id": (1, _drop_retweet, "if and only if"),
+    "original-with-id": (1, _put("retweeted_tweet_codes", 0, 0), "if and only if"),
     "kind-made-retweet": (2, _put("kinds", 1, 2), "if and only if"),
-    "retweeted_tweet_id-empty": (1, _put("retweeted_tweet_ids", 1, ""), "holds an empty string"),
-    "retweeted_tweet_id-int": (1, _put("retweeted_tweet_ids", 1, 5), "only str or null"),
-    "retweeted_account_id-empty": (1, _put("retweeted_account_ids", 1, ""), "empty string"),
-    "retweeted_account_id-bool": (2, _put("retweeted_account_ids", 0, False), "str or null"),
+    "retweeted_tweet_id-empty": (1, _put("retweeted_tweet_ids", 0, ""), "holds an empty string"),
+    "retweeted_tweet_id-int": (1, _put("retweeted_tweet_ids", 0, 5), "ids must hold only str"),
+    "retweeted_tweet_id-null": (2, _put("retweeted_tweet_ids", 0, None), "must hold only str"),
+    "retweeted_tweet_id-repeated": (2, _put("retweeted_tweet_ids", 0, "t0"), "repeats an entry"),
+    "retweeted_tweet_id-unused": (1, _append("retweeted_tweet_ids", "t9"), "in order of use"),
+    "retweeted_tweet_code-bool": (2, _put("retweeted_tweet_codes", 0, True), "only int"),
+    "retweeted_tweet_code-past-table": (2, _put("retweeted_tweet_codes", 0, 2), "lie in [-1, 1]"),
+    "retweeted_tweet_code-minus-two": (1, _put("retweeted_tweet_codes", 0, -2), "lie in [-1, 0]"),
+    "retweeted_account_id-empty": (1, _put("retweeted_account_ids", 0, ""), "empty string"),
+    "retweeted_account_id-bool": (2, _put("retweeted_account_ids", 0, False), "only str"),
+    "retweeted_account_id-repeated": (2, _put("retweeted_account_ids", 0, "z"), "repeats an entry"),
+    "retweeted_account_code-bool": (1, _put("retweeted_account_codes", 1, False), "only int"),
+    "retweeted_account_code-past-table": (
+        1, _put("retweeted_account_codes", 2, 1), "retweeted_account_codes must lie in [-1, 0]"
+    ),
     "mention-int": (1, _put("mentions", 0, [3]), "mentions must hold lists of strings"),
     "mentions-null": (1, _put("mentions", 1, None), "mentions must hold only list"),
-    "texts-short": (1, _drop_last("texts"), "texts holds 2 rows, tweet_ids 3"),
+    "mentions-repeated": (1, _put("mentions", 1, ["b"]), "mentions repeats an entry"),
+    "mentions-unused": (2, _append("mentions", ["q"]), "mentions must list"),
+    "mention_code-bool": (2, _put("mention_codes", 0, True), "mention_codes must hold only int"),
+    "mention_code-past-table": (2, _put("mention_codes", 1, 2), "mention_codes must lie in [0, 1]"),
+    "mention_code-minus-one": (1, _put("mention_codes", 0, -1), "mention_codes must lie in"),
+    "texts-short": (1, _drop_last("text_codes"), "text_codes holds 2 rows, tweet_ids 3"),
     "timestamps-short": (2, _drop_last("timestamps"), "timestamps holds 2 rows"),
     "kinds-short": (1, _drop_last("kinds"), "kinds holds 2 rows"),
-    "mentions-short": (2, _drop_last("mentions"), "mentions holds 2 rows"),
+    "mentions-short": (2, _drop_last("mention_codes"), "mention_codes holds 2 rows"),
     "account_codes-short": (1, _drop_last("account_codes"), "account_codes holds 2 rows"),
+    "retweeted_account_codes-long": (
+        2, _append("retweeted_account_codes", -1), "retweeted_account_codes holds 4 rows"
+    ),
     "key-missing": (1, _del_key, "a cache block is a JSON object with keys"),
     "key-extra": (2, _set("extra", []), "a cache block is a JSON object with keys"),
     "not-object": (1, lambda block: "[]", "a cache block is a JSON object"),
     "record-line": (1, lambda block: json.dumps({"tweet_id": "t1"}), "re-run `coordnet ingest`"),
+    "uncoded-block": (1, _uncode, "re-run `coordnet ingest`"),
     "lone-surrogate-escape": (1, _raw('"one"', '"\\ud800"'), "surrogate escape"),
     "surrogate-pair-escape": (2, _raw('"five"', '"\\ud83d\\ude00"'), "surrogate escape"),
     "deep-nesting": (2, _deep, "nested too deeply"),

@@ -250,7 +250,8 @@ _PHRASES = ("vote for", "vote against", "scandal", "economy", "terrorism", "reli
 
 def _probe_corpus(tmp_path):
     """Three accounts of 12 retweets carrying lexicon phrases, ingested:
-    x and y retweet the same tweets in the same hours. Returns the cache."""
+    x and y retweet the same tweets in the same hours, and post one
+    original each with the same five hashtags. Returns the cache."""
     rnd = random.Random(11)
     records = []
     for account, ids in (("x", "s"), ("y", "s"), ("z", "u")):
@@ -258,6 +259,8 @@ def _probe_corpus(tmp_path):
             ts = BASE_TS + (i if account != "z" else 100 + i) * 3600
             text = " and ".join(p for p in _PHRASES if rnd.random() < 0.4)
             records.append(rec(f"{account}{i}", account, ts, "retweet", text=text, rt_id=f"{ids}{i}"))
+    tags = ["h1", "h2", "h3", "h4", "h5"]
+    records += [rec(f"{a}-tags", a, BASE_TS + 50 * 3600, hashtags=tags) for a in ("x", "y")]
     src, cache = tmp_path / "corpus.jsonl", tmp_path / "cache.jsonl"
     write_jsonl(src, records)
     assert main(["ingest", str(src), "-o", str(cache)]) == 0
@@ -367,15 +370,19 @@ print(json.dumps([code, loaded, "numpy.ma" in sys.modules]))
         ("report", ["detectors", "kernels", "_pairsim_py"]),
         ("report-confidences", ["detectors", "kernels", "_pairsim_py"]),
         ("score", ["formats", "graph", "stats", "report", "detectors", "kernels", "_pairsim_py"]),
+        ("detect", ["report", "sociolinguistics", "stats", "graph"]),
     ],
 )
 def test_stages_load_only_the_modules_they_run(tmp_path, stage, unloaded):
     # A module a stage imports but never runs is start-up time in every
-    # run; np.median's first call imports numpy.ma.
+    # run; np.median's first call imports numpy.ma, and so does np.unique
+    # when it returns neither index, inverse nor counts.
     cache = _probe_corpus(tmp_path)
     det, conf = tmp_path / "det", tmp_path / "conf.csv"
     assert main(["detect", str(cache), "-o", str(det)]) == 0
+    assert (det / "edges_hashtag.csv").read_text().count("\n") == 2  # x-y, h1|h2|h3|h4|h5
     argv = {
+        "detect": ["detect", str(cache), "-o", str(tmp_path / "det2")],
         "cluster": ["cluster", str(cache), str(det), "-o", str(tmp_path / "clusters.csv")],
         "report": ["report", str(cache), "-o", str(tmp_path / "b"), "--edges", str(det)],
         "report-confidences": ["report", str(cache), "-o", str(tmp_path / "b"), "--edges",

@@ -348,6 +348,21 @@ class TestLexiconScore:
         with pytest.raises(TableError, match=r"row 2: weight not a number: '0\.2_5'"):
             load_lexicon(io.StringIO("characteristic,phrase,weight\neconomy,taxes,0.2_5\n"))
 
+    def test_load_lexicon_refuses_extra_cells(self):
+        # a cell past the header's would be read as a language or dropped
+        for text, row, got in (
+            ("characteristic,phrase,weight\neconomy,taxes,0.5,fr,extra\n", 2, 5),
+            ("characteristic,phrase,weight\neconomy,taxes,0.5,fr\n", 2, 4),
+            ("characteristic,phrase,weight,language\neconomy,taxes,0.5\neconomy,tax,0.5,fr,x\n", 3, 5),
+            ("characteristic,phrase,weight,language\neconomy,taxes\n", 2, 2),
+        ):
+            with pytest.raises(TableError, match=rf"^row {row}: expected \d fields, got {got}$"):
+                load_lexicon(io.StringIO(text))
+        # the language cell may be left off
+        lex = load_lexicon(io.StringIO("characteristic,phrase,weight,language\neconomy,taxes,0.5,fr\n"
+                                       "economy,tax,0.5\n"))
+        assert [e.language for e in lex.entries] == ["fr", None]
+
     def test_load_lexicon_header(self):
         # a file without a header would lose its first entry to it
         expected = r"lexicon header must be characteristic,phrase,weight\[,language\]"
