@@ -77,8 +77,14 @@ def edges_from_hashtag_index(index: dict[str, set[str]]) -> EdgeTable:
 
     Accounts and keys are coded by their rank in sorted order, so code
     order is string order and a lexsort over the codes gives the
-    canonical order. Groups of equal size make their pairs together,
-    with one np.triu_indices per size.
+    canonical order. The int32 columns a, b and evidence are allocated
+    once, C(m, 2) rows per key shared by m accounts, and filled a group
+    size at a time: for every group of that size at once, member i's
+    pairs with the members after it are a slice of each group's rows.
+    The rows are then ordered by one lexsort and gathered a column at a
+    time, so the peak is the three columns, the int64 order and one
+    gathered column, ~24 B per row; detector and score are made after
+    the order is freed.
     """
     keys = sorted(key for key, members in index.items() if len(members) >= 2)
     if not keys:
@@ -92,25 +98,39 @@ def edges_from_hashtag_index(index: dict[str, set[str]]) -> EdgeTable:
         count=int(sizes.sum()),
     )
     starts = np.cumsum(sizes) - sizes
-    parts = []
+    n = int((sizes * (sizes - 1) // 2).sum())
+    a, b, evidence = (np.empty(n, dtype=np.int32) for _ in range(3))
+    lo = 0
     # sorted(set()), not np.unique, which imports numpy.ma
     for m in sorted(set(sizes.tolist())):
         groups = np.flatnonzero(sizes == m)
         block = members[starts[groups, None] + np.arange(m)]  # rows ascend
-        i, j = np.triu_indices(m, 1)
-        parts.append(
-            (block[:, i].ravel(), block[:, j].ravel(), np.repeat(groups.astype(np.int32), len(i)))
-        )
-    a, b, evidence = [np.concatenate(column) for column in zip(*parts)]
-    del parts
+        hi = lo + len(groups) * (m * (m - 1) // 2)
+        _fill_pairs(block, a[lo:hi], b[lo:hi])
+        evidence[lo:hi].reshape(len(groups), -1)[:] = groups[:, None]
+        lo = hi
     order = np.lexsort((evidence, b, a))
-    a, b, evidence = a[order], b[order], evidence[order]
-    n = len(order)
+    a = a[order]
+    b = b[order]
+    evidence = evidence[order]
     del order
     return EdgeTable(
         accounts, a, b, np.full(n, DETECTORS.index("hashtag"), dtype=np.int8),
         np.ones(n), keys, evidence,
     )
+
+
+def _fill_pairs(block: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Write the member pairs (i < j, in (i, j) order) of each row of
+    block, a row after another, into a and b."""
+    m = block.shape[1]
+    a, b = a.reshape(len(block), -1), b.reshape(len(block), -1)
+    lo = 0
+    for i in range(m - 1):
+        hi = lo + m - 1 - i
+        a[:, lo:hi] = block[:, i, None]
+        b[:, lo:hi] = block[:, i + 1 :]
+        lo = hi
 
 
 def detect_hashtag_coordination(

@@ -15,7 +15,6 @@ import csv
 import os
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -108,23 +107,29 @@ def write_edges_csv(edges: EdgeTable, fp) -> None:
 
     Each account id, evidence key and detector name is rendered as a
     cell once, and each distinct score of a block (by its bit pattern)
-    as its repr once per block. A block of rows is then one "".join
-    over a pool of those cells, picked by a numpy matrix of cell
-    numbers: no format call per row, and no temporary beyond a block.
+    as its repr once per block, into one object array of cells. A block
+    of rows is then one "".join over the cells that a numpy matrix of
+    cell numbers takes from it: no format call per row, no Python int
+    per cell, and no temporary beyond a block.
     """
     fp.write(",".join(EDGE_HEADER) + "\n")
-    pool = [cell + "," for cell in csv_cells(edges.accounts)]
-    detector_base = len(pool)
-    pool += [cell + "," for cell in csv_cells(DETECTORS)]
-    key_base = len(pool)
-    pool += [cell + "\n" for cell in csv_cells(edges.keys)]
-    score_base = len(pool)
+    fixed = [cell + "," for cell in csv_cells(edges.accounts)]
+    detector_base = len(fixed)
+    fixed += [cell + "," for cell in csv_cells(DETECTORS)]
+    key_base = len(fixed)
+    fixed += [cell + "\n" for cell in csv_cells(edges.keys)]
+    score_base = len(fixed)
+    # the last _WRITE_ROWS slots take a block's score cells
+    pool = np.empty(score_base + min(len(edges), _WRITE_ROWS), dtype=object)
+    pool[:score_base] = fixed
     bases = np.array([0, 0, detector_base, score_base, key_base])
     bits = edges.score.view(np.uint64)
     for lo in range(0, len(edges), _WRITE_ROWS):
         rows = slice(lo, lo + _WRITE_ROWS)
         distinct, score = np.unique(bits[rows], return_inverse=True)
-        pool += [repr(value) + "," for value in distinct.view(np.float64).tolist()]
+        pool[score_base : score_base + len(distinct)] = [
+            repr(value) + "," for value in distinct.view(np.float64).tolist()
+        ]
         cells = np.empty((len(score), 5), dtype=np.intp)
         cells[:, 0] = edges.a[rows]
         cells[:, 1] = edges.b[rows]
@@ -132,8 +137,7 @@ def write_edges_csv(edges: EdgeTable, fp) -> None:
         cells[:, 3] = score
         cells[:, 4] = edges.evidence[rows]
         cells += bases
-        fp.write("".join(itemgetter(*cells.ravel().tolist())(pool)))
-        del pool[score_base:]
+        fp.write("".join(pool.take(cells.ravel()).tolist()))
 
 
 def read_edges_csv(source) -> EdgeTable:

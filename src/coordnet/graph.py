@@ -32,13 +32,14 @@ class CoordinationGraph:
     """Undirected evidence graph over interned account codes.
 
     names[i] is the account id of node i; every name is an edge
-    endpoint. (a[j], b[j]) are the edges, in no particular order; a pair
-    may repeat.
+    endpoint. edges holds a (remap, a, b) per edge table: row j joins
+    nodes remap[a[j]] and remap[b[j]], in no particular order, and a
+    pair may repeat. a and b are the table's own columns, so the graph
+    adds only a remap per table.
     """
 
     names: list[str] = field(default_factory=list)
-    a: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
-    b: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int32))
+    edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
 
     @classmethod
     def from_edges(cls, *tables: EdgeTable) -> "CoordinationGraph":
@@ -49,17 +50,13 @@ class CoordinationGraph:
         components, and a pair on several rows is an edge per row.
         """
         codes: dict[str, int] = {}
-        n = sum(len(table) for table in tables)
-        a, b = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
-        end = 0
+        edges = []
         for table in tables:
             remap = np.zeros(len(table.accounts), dtype=np.int32)
             for i in table.used().tolist():
                 remap[i] = codes.setdefault(table.accounts[i], len(codes))
-            start, end = end, end + len(table)
-            a[start:end] = remap[table.a]
-            b[start:end] = remap[table.b]
-        return cls(names=list(codes), a=a, b=b)
+            edges.append((remap, table.a, table.b))
+        return cls(names=list(codes), edges=edges)
 
 
 @dataclass
@@ -75,33 +72,59 @@ class Cluster:
         return len(self.members)
 
 
+# Edge rows hooked at a time by connected_components, which bounds its
+# temporaries (~24 B a row) whatever the number of rows.
+_COMPONENT_ROWS = 1 << 15
+
+
 def connected_components(graph: CoordinationGraph) -> list[Cluster]:
     """Components sorted by size descending, ties by smallest member id;
     cluster ids are assigned in that order starting at 1.
 
-    Array connectivity after Shiloach and Vishkin: every node starts as
-    its own root; each round hooks the larger root of every edge to the
-    smaller one, then pointer jumping points every node at its root.
-    Roots only merge, so an edge inside one tree is done for good.
+    Union-find over arrays, _COMPONENT_ROWS edge rows at a time: label
+    points every node at a node of its tree, never a larger one, and a
+    root at itself. Each round finds the roots of the chunk's rows
+    (_roots) and hooks the larger root of every row that joins two
+    roots to the smaller one, until no row of the chunk does. Roots only
+    merge, so a row inside one tree is done for good and one pass over
+    the chunks finds the components; no step costs more than a chunk's
+    rows until the last, which points every node at its root. Every
+    root is its component's smallest code.
     """
     label = np.arange(len(graph.names), dtype=np.int32)
-    a, b = graph.a, graph.b
-    la, lb = a, b  # every node is its own root
-    while len(a):
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-        apart = label[a] != label[b]
-        a, b = a[apart], b[apart]
-        la, lb = label[a], label[b]
+    for remap, a, b in graph.edges:
+        for lo in range(0, len(a), _COMPONENT_ROWS):
+            la = remap[a[lo : lo + _COMPONENT_ROWS]]
+            lb = remap[b[lo : lo + _COMPONENT_ROWS]]
+            while True:
+                la, lb = _roots(label, la), _roots(label, lb)
+                apart = la != lb
+                if not apart.any():
+                    break
+                la, lb = la[apart], lb[apart]
+                np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+    while True:
+        jumped = label[label]
+        if np.array_equal(jumped, label):
+            break
+        label = jumped
     groups: dict[int, set[str]] = {}
     for name, root in zip(graph.names, label.tolist()):
         groups.setdefault(root, set()).add(name)
     ordered = sorted(groups.values(), key=lambda g: (-len(g), min(g)))
     return [Cluster(id=i, members=g) for i, g in enumerate(ordered, start=1)]
+
+
+def _roots(label: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The root of each of nodes. Each step points every node it passes
+    at its grandparent (path halving), so later finds take fewer steps."""
+    while True:
+        parent = label[nodes]
+        grandparent = label[parent]
+        if np.array_equal(parent, grandparent):
+            return parent
+        label[nodes] = grandparent
+        nodes = grandparent
 
 
 def cluster_ids(clusters: list[Cluster], corpus: Corpus) -> np.ndarray:

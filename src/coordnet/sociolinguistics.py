@@ -77,6 +77,10 @@ assert N_CHARACTERISTICS == len(ATTITUDES) + len(CONCERNS) + len(EMOTIONS)
 # Tweets whose lines are built at a time while writing, which bounds
 # the writer's memory above the table itself.
 _WRITE_ROWS = 4096
+# Distinct confidence row tails whose parsed values load_confidences
+# keeps (each under 1 KiB), so a file of distinct rows costs at most
+# ~3 MiB of them.
+_PARSED_TAILS = 1 << 12
 
 
 def canonical_name(name: str) -> str:
@@ -177,12 +181,17 @@ def load_confidences(source) -> CharacteristicTable:
         # loop that counts empties and words every error. Values stay in
         # file column order until the end, so the first out-of-range cell
         # in row-major order is the one that loop would have named first.
+        # score writes few distinct row tails (898 at 105k tweets), so the
+        # values of the first _PARSED_TAILS distinct tails that parse are
+        # kept. A tail is keyed by its cells joined with ",", which no cell
+        # that parses holds, so a key names one tail.
         width = len(columns) + 1
         tweet_ids: list[str] = []
         seen_ids: set[str] = set()
         flat = array("d")
         line_nos = array("q")
         missing_values = 0
+        parsed: dict[str, array] = {}
         try:
             for line_no, row in enumerate(reader, start=2):
                 if not row:
@@ -193,14 +202,19 @@ def load_confidences(source) -> CharacteristicTable:
                 if tid in seen_ids:
                     raise TableError(f"row {line_no}: duplicate tweet_id {tid!r}")
                 seen_ids.add(tid)
-                cells = row[1:]
-                try:
-                    if "_" in "".join(cells):
-                        raise ValueError
-                    values = list(map(float, cells))
-                except ValueError:
-                    values, empty = _parse_cells(line_no, columns, cells)
-                    missing_values += empty
+                tail = ",".join(row[1:])
+                values = parsed.get(tail)
+                if values is None:
+                    try:
+                        if "_" in tail:
+                            raise ValueError
+                        values = array("d", map(float, row[1:]))
+                    except ValueError:
+                        values, empty = _parse_cells(line_no, columns, row[1:])
+                        missing_values += empty
+                    else:
+                        if len(parsed) < _PARSED_TAILS:
+                            parsed[tail] = values
                 tweet_ids.append(tid)
                 flat.extend(values)
                 line_nos.append(line_no)

@@ -4,7 +4,8 @@ already-open text file, and every CSV writer comes from csv_writer."""
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
+import io
+from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
@@ -41,22 +42,70 @@ class RowError(ValueError):
 
 @contextmanager
 def csv_reader(source, factory=csv.reader):
-    """Yield factory(fp, strict=True) over open_text(source, newline="").
+    """Yield factory(fp, strict=True) over source read as UTF-8 text with
+    newline="" (a path is opened here and closed on exit; any other
+    source is used as it is, as open_text does).
 
     Strict, so a quote that never closes is an error at the end of the
     input instead of one field that swallows every later row. A csv.Error
     raised while the block reads (that, stray text after a closing quote,
     a field over csv.field_size_limit) or a RowError the block raises
     becomes a ValueError naming the input and its line, so the CLI
-    reports it as a validation failure.
+    reports it as a validation failure. So do bytes of a path that are
+    not UTF-8: _LineEnds counts the line ends of the bytes read, so the
+    line holding them is known for a pipe too.
     """
-    with open_text(source, newline="") as fp:
+    if is_path(source):
+        binary = _LineEnds(io.FileIO(source))
+        text = io.TextIOWrapper(binary, encoding="utf-8", newline="")
+    else:
+        binary, text = None, nullcontext(source)
+    with text as fp:
         reader = factory(fp, strict=True)
+        name = getattr(fp, "name", None) or "<input>"
         try:
             yield reader
         except (csv.Error, RowError) as exc:
-            name = getattr(fp, "name", None) or "<input>"
             raise ValueError(f"{name}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            if binary is None:
+                raise
+            raise ValueError(f"{name}, line {binary.line_of(exc)}: not valid UTF-8") from None
+
+
+def _line_ends(data: bytes, after_cr: bool) -> int:
+    """The line ends in data ("\n", "\r\n" or a lone "\r", as text
+    reading with newline="" ends lines), where after_cr says whether the
+    bytes before data end with "\r"."""
+    ends = data.count(b"\n")
+    if b"\r" in data:
+        ends += data.count(b"\r") - data.count(b"\r\n")
+    return ends - (after_cr and data.startswith(b"\n"))
+
+
+class _LineEnds(io.BufferedReader):
+    """A binary file that counts the line ends of the chunks read1 gave
+    before its last one, for a text file over it that reads by read1."""
+
+    def __init__(self, raw):
+        super().__init__(raw)
+        self.lines = 0  # line ends before self.chunk
+        self.after_cr = False  # whether the bytes before self.chunk end with "\r"
+        self.chunk = b""
+
+    def read1(self, size=-1):
+        if self.chunk:
+            self.lines += _line_ends(self.chunk, self.after_cr)
+            self.after_cr = self.chunk.endswith(b"\r")
+        self.chunk = super().read1(size)
+        return self.chunk
+
+    def line_of(self, exc: UnicodeDecodeError) -> int:
+        """The 1-based line of the first byte exc refuses. The decoder
+        saw the last chunk after the start of a character cut off at the
+        end of the chunk before, which holds no line end."""
+        start = exc.start - (len(exc.object) - len(self.chunk))
+        return self.lines + _line_ends(self.chunk[: max(start, 0)], self.after_cr) + 1
 
 
 class _LineFeedRows:

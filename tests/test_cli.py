@@ -31,7 +31,7 @@ from coordnet.formats import (
     write_edges_csv,
 )
 from coordnet.manifest import file_sha256
-from coordnet.sociolinguistics import CHARACTERISTICS, load_confidences
+from coordnet.sociolinguistics import CHARACTERISTICS, load_confidences, load_lexicon
 from coordnet.sources import csv_writer
 
 from helpers import (
@@ -1495,6 +1495,74 @@ class TestCsvInputs:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"{bad}, line " in err and "unexpected end of data" in err
+
+
+# Each reader's rows with a byte that is not UTF-8 ("@" marks it) on line
+# 4, after a CRLF row long enough that the text reader decodes the bad
+# byte while the rows before it are still unread.
+_LONG = "n" * 20_000
+_NOT_UTF8 = {
+    "edges": _EDGE_HEADER + f"a,b,hashtag,1.0,{_LONG}\r\n" + _GOOD_EDGE + "r,s,hashtag,1.0,k@\n",
+    "confidences": "tweet_id," + ",".join(CHARACTERISTICS) + "\n"
+    + "".join(f"{tid},{','.join(['0.5'] * len(CHARACTERISTICS))}\n" for tid in (_LONG, "2", "3@")),
+    "lexicon": f"characteristic,phrase,weight\nvote_for,{_LONG},0.5\r\nvote_for,poll,1.0\nvote_for,p@ll,1.0\n",
+    "stats": f"x,y,note\n1,10,{_LONG}\r\n2,20,n\n3,30,n@\n",
+}
+
+
+def _not_utf8_argv(reader, bad, cache, det, out):
+    return {
+        "edges": ["cluster", str(cache), str(bad), "-o", out],
+        "confidences": ["report", str(cache), "-o", out, "--edges", str(det), "--confidences", str(bad)],
+        "lexicon": ["score", str(cache), "-o", out, "--lexicon", str(bad)],
+        "stats": ["stats", "spearman", "--csv", str(bad), "--x", "x", "--y", "y"],
+    }[reader]
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 in a CSV input is exit 1 naming the file
+    and the line that holds it."""
+
+    @pytest.mark.parametrize("reader", sorted(_NOT_UTF8))
+    def test_bad_byte_is_located_validation_error(self, tmp_path, detect_run, capsys, reader):
+        cache, det = detect_run
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(_NOT_UTF8[reader].encode().replace(b"@", b"\xff"))
+        capsys.readouterr()
+        assert main(_not_utf8_argv(reader, bad, cache, det, str(tmp_path / "out"))) == 1
+        assert f"{bad}, line 4: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "load", [read_edges_csv, load_confidences, load_lexicon, read_account_list]
+    )
+    def test_every_reader_names_file_and_line(self, tmp_path, load):
+        # a cut-off character at the end of line 2 and a lone CR line end
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"x\rab\xe2\x82\n")
+        with pytest.raises(ValueError) as info:
+            load(bad)
+        assert str(info.value) == f"{bad}, line 2: not valid UTF-8"
+
+    def test_pipe_names_its_line(self, tmp_path, detect_run, capsys):
+        # a pipe cannot be read again, so the line comes from the bytes
+        # counted as they were read: line 3,003, some 100 KiB in
+        cache, _ = detect_run
+        rows = "".join(f"p{i:05d},q{i:05d},hashtag,1.0,k\n" for i in range(3_000))
+        body = (_EDGE_HEADER + _GOOD_EDGE + rows).encode() + b"r,s,hashtag,1.0,\xffk\n"
+        pipe = tmp_path / "edges.pipe"
+        os.mkfifo(pipe)
+
+        def feed():
+            with open(pipe, "wb") as fp:
+                fp.write(body)
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        capsys.readouterr()
+        assert main(["cluster", str(cache), str(pipe), "-o", str(tmp_path / "c.csv")]) == 1
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert f"{pipe}, line 3003: not valid UTF-8" in capsys.readouterr().err
 
 
 class TestStatsCommand:

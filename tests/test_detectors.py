@@ -550,6 +550,18 @@ class TestKernelBackends:
 # ---------------------------------------------------------------------------
 
 
+def object_loop_edges(index):
+    """The hashtag edges of a key -> accounts index by the per-pair loop
+    and sort the array build replaced."""
+    want = [
+        Edge(a, b, "hashtag", 1.0, key)
+        for key in index
+        for a, b in itertools.combinations(sorted(index[key]), 2)
+    ]
+    want.sort(key=lambda e: (e.a, e.b, e.detector, e.evidence))
+    return want
+
+
 class TestHashtagDetector:
     def test_two_accounts_one_edge(self):
         corpus = corpus_of(
@@ -607,13 +619,24 @@ class TestHashtagDetector:
                 f"k{j}" + "\x00" * (j % 3): set(rnd.sample(names, rnd.randrange(1, 12)))
                 for j in range(rnd.randrange(0, 30))
             }
-            want = [
-                Edge(a, b, "hashtag", 1.0, key)
-                for key in index
-                for a, b in itertools.combinations(sorted(index[key]), 2)
-            ]
-            want.sort(key=lambda e: (e.a, e.b, e.detector, e.evidence))
-            assert edges_of(edges_from_hashtag_index(index)) == want
+            assert edges_of(edges_from_hashtag_index(index)) == object_loop_edges(index)
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            # one account in many keys
+            {f"k{j:02d}": {"hub", f"x{j}", f"y{j % 3}"} for j in range(25)},
+            # one pair sharing several keys: rows of equal (a, b) in key order
+            {"k2": {"a", "b"}, "k0": {"a", "b", "c"}, "k1": {"b", "a"}, "k10": {"a", "b"}},
+            # groups of size 2 only
+            {f"k{j}": {f"u{j}", f"u{(7 * j) % 30}x"} for j in range(30)},
+            # mixed sizes, groups of one size far apart in key order
+            {f"k{j}": {f"u{(j * i) % 53}" for i in range(2 + j % 7)} for j in range(1, 60)},
+        ],
+        ids=["account-in-many-keys", "pair-in-several-keys", "pairs-only", "mixed-sizes"],
+    )
+    def test_edge_table_shapes_match_object_loop(self, index):
+        assert edges_of(edges_from_hashtag_index(index)) == object_loop_edges(index)
 
     def test_monotone_in_k(self):
         rnd = random.Random(55)

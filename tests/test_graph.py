@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from coordnet import graph as graph_module
 from coordnet.detectors import EdgeTable
 from coordnet.graph import (
     Cluster,
@@ -26,6 +27,7 @@ from helpers import (
     UnionFind,
     corpus_of,
     edge_table,
+    edges_of,
     member_of,
     oracle_activity_shares,
     oracle_components,
@@ -107,11 +109,9 @@ def assert_codes_match_oracle(n, pairs):
     code pairs equal the string union-find's. Node i is named so that
     name order differs from code order."""
     names = [f"n{(7919 * i) % n:07d}" for i in range(n)] if n else []
-    graph = CoordinationGraph(
-        names=names,
-        a=np.array([x for x, _ in pairs], dtype=np.int64),
-        b=np.array([y for _, y in pairs], dtype=np.int64),
-    )
+    a = np.array([x for x, _ in pairs], dtype=np.int32)
+    b = np.array([y for _, y in pairs], dtype=np.int32)
+    graph = CoordinationGraph(names=names, edges=[(np.arange(n, dtype=np.int32), a, b)])
     got = [(c.id, c.members) for c in connected_components(graph)]
     assert got == oracle_components([edge(names[x], names[y]) for x, y in pairs])
     return got
@@ -188,6 +188,51 @@ class TestComponentsOracle:
         graph = assert_matches_oracle([[edge("a", "b")], [edge("a\x00", "c"), edge("c", "d")]])
         clusters = connected_components(graph)
         assert [c.members for c in clusters] == [{"a\x00", "c", "d"}, {"a", "b"}]
+
+
+def chunked_tables():
+    """Edge tables that make a small chunk of rows matter: a long path
+    whose rows arrive from both ends, a pair on many rows of two tables,
+    tables listing accounts no row joins (as a vector detector's do) and
+    ids that differ by a trailing NUL."""
+    rnd = random.Random(3)
+    names = [f"p{i:03d}" for i in range(120)]
+    rnd.shuffle(names)
+    path = [edge(x, y) for x, y in zip(names, names[1:])]
+    path = [e for pair in zip(path, reversed(path)) for e in pair][: len(path)]
+    repeated = [edge("r1", "r2")] * 5 + [edge("r2", "r3", "time", "cosine")]
+    unused = EdgeTable(
+        ["x", "u1", "n\x00", "unused", "n", "u2"], [1, 4, 2], [5, 2, 5], [2, 2, 1],
+        [0.5, 0.5, 1.0], ["cosine"], [0, 0, 0],
+    )
+    return [
+        edge_table(path[:70]),
+        edge_table(repeated + [edge("n", "r1")]),
+        unused,
+        EdgeTable.empty(),
+        edge_table(path[70:] + repeated[:2] + [edge("a", "a\x00"), edge("a\x00", "b")]),
+    ]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_chunked_components_match_oracle(monkeypatch, rows):
+    monkeypatch.setattr(graph_module, "_COMPONENT_ROWS", rows)
+    tables = chunked_tables()
+    graph = CoordinationGraph.from_edges(*tables)
+    got = [(c.id, c.members) for c in connected_components(graph)]
+    want = oracle_components([e for t in tables for e in edges_of(t)])
+    assert got == want
+    assert "unused" not in graph.names and "x" not in graph.names
+    assert [len(members) for _, members in got][:2] == [120, 7]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_chunked_path_codes_match_oracle(monkeypatch, rows):
+    # descending codes: every chunk hooks the root the last chunk made
+    monkeypatch.setattr(graph_module, "_COMPONENT_ROWS", rows)
+    codes = list(range(400))[::-1]
+    got = assert_codes_match_oracle(400, list(zip(codes, codes[1:])))
+    assert len(got) == 1
 
 
 def label_of(members, corpus):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coordnet import sociolinguistics
 from coordnet.corpus import normalize_text, parse_corpus
 from coordnet.sociolinguistics import (
     ATTITUDES,
@@ -270,6 +271,25 @@ class TestLoadConfidencesBulk:
             cells = cells[: len(cells) + width] if width < 0 else cells + ["0"] * width
             lines.append([tid] + cells)
         assert_same_load(conf_text(columns, lines))
+
+
+    @pytest.mark.parametrize("kept", [0, 1, 4096])
+    def test_repeated_tails_match_per_cell_oracle(self, monkeypatch, kept):
+        # score writes few distinct row tails, so most rows repeat one:
+        # values kept for a tail (at most kept tails) give the same table,
+        # missing count and first error as parsing every row
+        monkeypatch.setattr(sociolinguistics, "_PARSED_TAILS", kept)
+        columns = list(CHARACTERISTICS)
+        rnd = random.Random(kept)
+        for _ in range(60):
+            tails = []
+            for _ in range(rnd.randrange(1, 4)):
+                tail = [rnd.choice(IN_RANGE) for _ in columns]
+                if rnd.random() < 0.4:
+                    tail[rnd.randrange(len(tail))] = rnd.choice(CELLS)
+                tails.append(tail)
+            rows = [[f"t{i}"] + rnd.choice(tails) for i in range(rnd.randrange(1, 12))]
+            assert_same_load(conf_text(columns, rows))
 
 
 def scored_matrix(table):
