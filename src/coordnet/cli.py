@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import re
@@ -24,7 +25,7 @@ from coordnet import __version__
 from coordnet.config import DETECTORS, DetectorConfig, ReportConfig, detector_set
 from coordnet.corpus import day_of_timestamp, load_cache, parse_corpus
 from coordnet.manifest import RunManifest
-from coordnet.sources import csv_reader, number
+from coordnet.sources import csv_reader, line_ends, number
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -60,28 +61,34 @@ def load_config_file(path) -> dict:
     """Parse a `key = value` config file; "#" starts a comment at a line's
     start or after whitespace, so `story_hashtags = a,#b` keeps "#b". A
     value whose first character is "#" and the next not a space, as in
-    `story_hashtags = #a,#b`, is an error rather than a comment."""
+    `story_hashtags = #a,#b`, is an error rather than a comment, and so
+    is a byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}:{line_ends(data[: exc.start], False) + 1}: not valid UTF-8") from None
     out = {}
-    with open(path, "r", encoding="utf-8") as fp:
-        for line_no, raw in enumerate(fp, start=1):
-            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            try:
-                if key not in _SETTINGS:
-                    raise ValueError(f"unknown config key {key!r}")
-                tag = re.match(r"\s*(#\S+)", raw.partition("=")[2])
-                if tag:
-                    raise ValueError(
-                        f"value starts with '#': {tag[1]!r}; write tags without '#'"
-                    )
-                out[key] = _SETTINGS[key](value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    # newline=None: lines end as open() in text mode ends them
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        try:
+            if key not in _SETTINGS:
+                raise ValueError(f"unknown config key {key!r}")
+            tag = re.match(r"\s*(#\S+)", raw.partition("=")[2])
+            if tag:
+                raise ValueError(
+                    f"value starts with '#': {tag[1]!r}; write tags without '#'"
+                )
+            out[key] = _SETTINGS[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return out
 
 

@@ -81,17 +81,21 @@ _DETECTOR_CODES = {name: i for i, name in enumerate(DETECTORS)}
 # order as many rows at a time.
 _WRITE_ROWS = 1 << 13
 # Bytes read at a time while reading; a block ends after its last "\n",
-# so it grows to hold a longer line. Blocks stay small because their
-# temporaries add to the reading stage's peak RSS: on hashtag-burst,
-# 256 KiB blocks read about a third faster but raised report's peak RSS
-# by ~3 MiB (32 KiB and 64 KiB measured alike).
-_READ_BYTES = 1 << 16
+# so it grows to hold a longer line. Much of a block's cost is a fixed
+# number of numpy calls, so larger blocks read faster (hashtag-burst's
+# edge file: ~0.115 s at 64 KiB, ~0.066 s at 256 KiB), while the block
+# reader's temporaries, about three blocks, add to the reading stage's
+# peak RSS.
+_READ_BYTES = 1 << 18
 _HEADER_LINE = (",".join(EDGE_HEADER) + "\n").encode()
-# The separators of a row the block reader splits: four "," and a "\n".
-_SEPARATORS = np.frombuffer(b",,,,\n", dtype=np.uint8)
 # Bytes only the row loop reads: CSV quoting and "\r" (a row end to
 # csv.reader).
 _ROW_LOOP_BYTES = (b'"', b"\r")
+# What the block reader appends to each block: the 8 bytes from any
+# byte of a line can then be read as one integer.
+_PAD = bytes(7)
+# Masks that keep the first n bytes of a big-endian uint64.
+_HIGH_BYTES = np.array([(1 << 64) - (1 << 64 - 8 * n) for n in range(9)], dtype=np.uint64)
 
 
 def fmt(value) -> str:
@@ -238,166 +242,259 @@ def _read_blocks(fp) -> EdgeTable | None:
 
     The lines are counted first, so the columns are allocated once, a
     row per line: grown a block at a time as typed arrays instead, they
-    raised report's peak RSS on hashtag-burst by ~1 MiB. Only a block's
-    distinct ids, keys, detector names and score strings are decoded (an
-    id or key only the first time the file holds it), and the checks run
-    once per distinct value or as array compares. account_a < account_b
-    is checked last, for the whole file at once, on the ranks of its
-    account ids in str order.
+    raised report's peak RSS on hashtag-burst by ~1 MiB. A block is
+    split into its separators' offsets (_split), then read a column at
+    a time, each column reduced to its distinct fields (_distinct) and
+    its temporaries freed before the next column's are made. Only an id
+    or key the file has not held before is decoded (in first-seen
+    order, so codes are first-seen codes), and a block's distinct
+    detector names and score strings; the checks run once per distinct
+    value or as array compares. account_a < account_b is checked last,
+    for the whole file at once, on the ranks of its account ids in str
+    order.
     """
-    rows = _line_count(fp.read) - 1
+    rows = _line_count(fp) - 1
     fp.seek(0)
     if fp.read(len(_HEADER_LINE)) != _HEADER_LINE:
         return None
-    accounts: list[str] = []
-    keys: list[str] = []
+    table = EdgeTable(
+        [], np.empty(rows, dtype=np.int32), np.empty(rows, dtype=np.int32),
+        np.empty(rows, dtype=np.int8), np.empty(rows, dtype=np.float64), [], np.empty(rows, dtype=np.int32),
+    )
     account_codes: dict[bytes, int] = {}
     key_codes: dict[bytes, int] = {}
-    a, b, evidence = (np.empty(rows, dtype=np.int32) for _ in range(3))
-    detector, score = np.empty(rows, dtype=np.int8), np.empty(rows, dtype=np.float64)
     lo = 0
     try:
         for block in _blocks(fp.read):
-            if any(byte in block for byte in _ROW_LOOP_BYTES):
+            lo = _read_block(block, table, lo, account_codes, key_codes)
+            del block  # so the next block is made with only the table alive
+            if lo is None:
                 return None
-            fields = _split(block)
-            if fields is None:
-                return None
-            columns = [_distinct(block, *bounds) for bounds in fields]
-            (ids, id_of), (names, name_of), (texts, text_of), (block_keys, key_of) = columns
-            detectors = [_DETECTOR_CODES.get(name.decode("utf-8")) for name in names]
-            if None in detectors:
-                return None
-            values = [number(text.decode("utf-8")) for text in texts]
-            if not all(0.0 <= value <= 1.0 for value in values):
-                return None
-            pairs = id_of.reshape(-1, 2)
-            codes = _intern(account_codes, accounts, ids)
-            hi = lo + len(pairs)
-            a[lo:hi] = codes[pairs[:, 0]]
-            b[lo:hi] = codes[pairs[:, 1]]
-            detector[lo:hi] = np.array(detectors, dtype=np.int8)[name_of]
-            score[lo:hi] = np.array(values, dtype=np.float64)[text_of]
-            evidence[lo:hi] = _intern(key_codes, keys, block_keys)[key_of]
-            lo = hi
     except ValueError:  # a UnicodeError, a score number() refuses, or more rows than lines
         return None
     if lo != rows:
         return None
+    accounts, a, b = table.accounts, table.a, table.b
     rank = np.empty(len(accounts), dtype=np.intp)
     rank[sorted(range(len(accounts)), key=accounts.__getitem__)] = np.arange(len(accounts))
     for lo in range(0, rows, _WRITE_ROWS):
         if not (rank[a[lo : lo + _WRITE_ROWS]] < rank[b[lo : lo + _WRITE_ROWS]]).all():
             return None
-    return EdgeTable(accounts, a, b, detector, score, keys, evidence)
+    return table
 
 
-def _line_count(read) -> int:
-    """The number of lines in the bytes read(size) returns, a last line
-    without "\n" included."""
-    lines, last = 0, b"\n"
-    while chunk := read(_READ_BYTES):
-        lines += chunk.count(b"\n")
-        last = chunk[-1:]
-    return lines + (last != b"\n")
+def _read_block(block: bytes, table: EdgeTable, lo: int, account_codes: dict, key_codes: dict) -> int | None:
+    """Fill table's rows from lo on with the lines of block, and return
+    the row after them; None when the row loop must read the file. Ids
+    and keys are interned into table.accounts and table.keys through
+    account_codes and key_codes."""
+    if any(byte in block for byte in _ROW_LOOP_BYTES):
+        return None
+    cuts = _split(block)
+    if cuts is None:
+        return None
+    rows = slice(lo, lo + len(cuts))
+
+    def column(j):
+        return _distinct(block, cuts[:, j] + 1, cuts[:, j + 1])
+
+    # ids take codes in the order rows name them: a row's account_a,
+    # then its account_b
+    (xs, x_first, x_of), (ys, y_first, y_of) = column(0), column(1)
+    codes = _intern(account_codes, table.accounts, xs + ys, np.concatenate((2 * x_first, 2 * y_first + 1)))
+    table.a[rows] = codes[x_of]
+    table.b[rows] = codes[len(xs) :][y_of]
+    del x_of, y_of
+    names, _, name_of = column(2)
+    detectors = [_DETECTOR_CODES.get(name.decode("utf-8")) for name in names]
+    if None in detectors:
+        return None
+    table.detector[rows] = np.array(detectors, dtype=np.int8)[name_of]
+    del name_of
+    texts, _, text_of = column(3)
+    values = [number(text.decode("utf-8")) for text in texts]
+    if not all(0.0 <= value <= 1.0 for value in values):
+        return None
+    table.score[rows] = np.array(values, dtype=np.float64)[text_of]
+    del text_of
+    block_keys, key_first, key_of = column(4)
+    table.evidence[rows] = _intern(key_codes, table.keys, block_keys, key_first)[key_of]
+    return rows.stop
+
+
+def _line_count(fp) -> int:
+    """The number of lines in binary file fp from where it is, a last
+    line without "\n" included."""
+    lines, last = 0, 10
+    buffer = bytearray(_READ_BYTES)
+    text = np.frombuffer(buffer, dtype=np.uint8)
+    while size := fp.readinto(buffer):
+        lines += np.count_nonzero(text[:size] == 10)
+        last = buffer[size - 1]
+    return lines + (last != 10)
 
 
 def _blocks(read):
     """The bytes read(size) returns, _READ_BYTES at a time, in blocks
     cut after their last "\n" (a block holds at least one line). The
-    last line gets a "\n" when it has none."""
+    last line gets a "\n" when it has none. Each block is followed by
+    _PAD, so the 8 bytes from any byte of its lines lie in it."""
     parts: list = []
     while chunk := read(_READ_BYTES):
         cut = chunk.rfind(b"\n") + 1
-        if cut:
-            yield b"".join((*parts, memoryview(chunk)[:cut]))
-            parts = []
-        if cut < len(chunk):
-            parts.append(chunk[cut:])
-    if parts:
-        yield b"".join((*parts, b"\n"))
+        if not cut:
+            parts.append(chunk)
+            continue
+        block = b"".join((*parts, memoryview(chunk)[:cut], _PAD))
+        parts = [chunk[cut:]]
+        del chunk  # only the block stays alive while it is read,
+        yield block
+        del block  # and not while the next one is made
+    if any(parts):
+        yield b"".join((*parts, b"\n", _PAD))
 
 
-def _split(block: bytes):
-    """For each of the 5 columns, the start and end offsets of its field
-    in each line of block (row-major over the two id columns, so ids run
-    in the order rows name them); None unless every line holds exactly
-    four ","."""
+def _split(block: bytes) -> np.ndarray | None:
+    """A row per line of block: the offset of the "\n" before the line
+    (-1 for the first), of its four "," and of its "\n", so field j of
+    the line is block[cuts[j] + 1 : cuts[j + 1]]. None unless every line
+    holds exactly four ",".
+
+    "," and "\n" are found in two scans, one bool array alive at a time,
+    and the offsets are kept as int32 (int64 in a block of 2 GiB).
+    """
     text = np.frombuffer(block, dtype=np.uint8)
-    seps = np.flatnonzero((text == 44) | (text == 10))
-    if len(seps) % 5:
+    ends = np.flatnonzero(text == 10)
+    commas = np.flatnonzero(text == 44)
+    if len(commas) != 4 * len(ends):
         return None
-    if not (text[seps].reshape(-1, 5) == _SEPARATORS).all():
+    cuts = np.empty((len(ends), 6), dtype=np.int32 if len(block) < 2**31 else np.int64)
+    cuts[0, 0] = -1
+    cuts[1:, 0] = ends[:-1]
+    cuts[:, 1:5] = commas.reshape(-1, 4)
+    cuts[:, 5] = ends
+    # with four "," a line in all, each line holds exactly four when its
+    # first follows the line's start and its last precedes its end
+    if not ((cuts[:, 0] < cuts[:, 1]).all() and (cuts[:, 4] < cuts[:, 5]).all()):
         return None
-    # a field starts after the separator before it
-    starts = np.empty_like(seps)
-    starts[0] = 0
-    starts[1:] = seps[:-1] + 1
-    starts, ends = starts.reshape(-1, 5), seps.reshape(-1, 5)
-    return [
-        (starts[:, :2].ravel(), ends[:, :2].ravel()),
-        *((starts[:, j], ends[:, j]) for j in range(2, 5)),
-    ]
+    return cuts
 
 
 def _distinct(block: bytes, starts: np.ndarray, ends: np.ndarray):
-    """The distinct fields block[start:end] in first-seen order, and each
-    field's index into them.
+    """The distinct fields block[start:end] (in no particular order),
+    the index of each one's first occurrence, and each field's index
+    into them.
 
-    Fields are grouped by byte length, so none is padded to the widest.
-    The fields of one length n are picked from a view of block as n-byte
-    strings, one starting at each byte, and sorted as whole byte strings.
+    When every field is under 8 bytes, fields are compared as
+    _word_keys with the field's length in the low byte, which the bytes
+    of a field under 8 bytes never reach. Otherwise they are grouped by
+    byte length, so none is padded to the widest, and compared as _keys.
     """
     lengths = ends - starts
-    if (lengths == lengths[0]).all():
-        groups = [np.arange(len(starts))]
+    if lengths.max() < 8:
+        first, inverse = _unique(_word_keys(block, starts, lengths) | lengths.astype(np.uint64))
+    elif (lengths == lengths[0]).all():
+        first, inverse = _unique(_keys(block, starts, int(lengths[0])))
     else:
         by_length = lengths.argsort(kind="stable")
-        groups = np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1)
-    inverse = np.empty(len(starts), dtype=np.intp)
-    firsts: list[np.ndarray] = []
-    for group in groups:
-        size = int(lengths[group[0]])
-        strings = np.ndarray((len(block) - size + 1,), f"V{size}", block, 0, (1,))
-        first, codes = _unique(strings[starts[group]])
-        inverse[group] = codes + sum(map(len, firsts))
-        firsts.append(group[first])
-    first = np.concatenate(firsts)
-    order = first.argsort(kind="stable")
-    renumber = np.empty(len(order), dtype=np.intp)
-    renumber[order] = np.arange(len(order))
-    fields = map(slice, starts[first[order]].tolist(), ends[first[order]].tolist())
-    return list(map(block.__getitem__, fields)), renumber[inverse]
+        inverse = np.empty(len(starts), dtype=np.intp)
+        firsts: list[np.ndarray] = []
+        for group in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
+            first, codes = _unique(_keys(block, starts[group], int(lengths[group[0]])))
+            inverse[group] = codes + sum(map(len, firsts))
+            firsts.append(group[first])
+        first = np.concatenate(firsts)
+    fields = map(slice, starts[first].tolist(), ends[first].tolist())
+    return list(map(block.__getitem__, fields)), first, inverse
 
 
-def _unique(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each distinct value of key, in sorted order, the index of its
-    first occurrence; and for each element, the number of its value. (A
-    stable sort puts each value's first occurrence first among its
-    equals.) np.unique gives the same, but its cumsum of bools and extra
-    temporaries measured ~8 % slower and +0.2 MiB on report's peak RSS."""
-    order = key.argsort(kind="stable")
-    ordered = key[order]
-    new = np.empty(len(key), dtype=bool)
-    new[:1] = True
-    new[1:] = ordered[1:] != ordered[:-1]
-    heads = new.nonzero()[0]
-    runs = np.empty(len(heads), dtype=np.intp)
-    np.subtract(heads[1:], heads[:-1], out=runs[:-1])
-    runs[-1] = len(key) - heads[-1]
-    inverse = np.empty(len(key), dtype=np.intp)
-    inverse[order] = np.arange(len(heads)).repeat(runs)
-    return order[heads], inverse
+def _keys(block: bytes, starts: np.ndarray, size: int) -> np.ndarray:
+    """Keys that are equal where the size-byte fields of block at starts
+    are, and that sort as the fields do: _word_keys up to 8 bytes, else
+    each field as a string of 8-byte words (a void scalar) zero-padded
+    past the field, which _heads compares a word at a time."""
+    if size <= 8:
+        return _word_keys(block, starts, size)
+    width = 8 * -(-size // 8)
+    keys = np.ndarray((len(block) - width + 1,), f"V{width}", block, 0, (1,))[starts]
+    keys.view(np.uint8).reshape(len(keys), width)[:, size:] = 0
+    return keys
 
 
-def _intern(codes: dict[bytes, int], strings: list[str], fields: list[bytes]) -> np.ndarray:
-    """The codes of a block's distinct fields, given in first-seen order:
-    a field the file has not held before is decoded, appended to strings
-    and takes the next code."""
+def _word_keys(block: bytes, starts: np.ndarray, size) -> np.ndarray:
+    """Each field of block at starts, of size bytes (one length, or each
+    field's; at most 8), as one big-endian uint64 whose bytes past the
+    field are zero. Integers sort ~5x faster than bytes, and an edge
+    file's ids, ascending within a run of account_a, reach the stable
+    sort in ready-made runs."""
+    keys = np.ndarray((len(block) - 7,), ">u8", block, 0, (1,))[starts].astype(np.uint64)
+    keys &= _HIGH_BYTES[size]
+    return keys
+
+
+def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each distinct value of keys, the index of its first
+    occurrence; and for each key, the number of its value.
+
+    A key equal to the key before it joins that key's run, and only the
+    first key of each run is sorted: an edge file repeats a detector, a
+    score and an evidence key over many rows and is sorted by
+    account_a, so most columns of a block are a few runs.
+    """
+    heads = _heads(keys)
+    if len(heads) == 1:
+        return heads, np.zeros(len(keys), dtype=np.intp)
+    if len(heads) == len(keys):  # no runs: keys are sorted without a copy
+        return _sorted_unique(keys)
+    first, value_of_head = _sorted_unique(keys[heads])
+    return heads[first], value_of_head.repeat(_run_lengths(heads, len(keys)))
+
+
+def _sorted_unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_unique by one stable sort of keys, which puts each value's first
+    occurrence first among its equals."""
+    order = keys.argsort(kind="stable")
+    values = _heads(keys[order])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.arange(len(values)).repeat(_run_lengths(values, len(keys)))
+    return order[values], inverse
+
+
+def _run_lengths(heads: np.ndarray, end: int) -> np.ndarray:
+    """The length of each run that starts at heads, the last one ending
+    at end."""
+    lengths = np.empty_like(heads)
+    np.subtract(heads[1:], heads[:-1], out=lengths[:-1])
+    lengths[-1] = end - heads[-1]
+    return lengths
+
+
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """The indices of the keys that differ from the key before them, 0
+    included."""
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    if keys.dtype.kind != "V" or keys.itemsize > 64:
+        new[1:] = keys[1:] != keys[:-1]
+    else:  # a word at a time, ~6x faster than comparing void scalars
+        # while a field is a few words
+        words = keys.view(np.uint64).reshape(len(keys), -1)
+        np.not_equal(words[1:, 0], words[:-1, 0], out=new[1:])
+        for j in range(1, words.shape[1]):
+            new[1:] |= words[1:, j] != words[:-1, j]
+    return np.flatnonzero(new)
+
+
+def _intern(codes: dict[bytes, int], strings: list[str], fields: list[bytes], first: np.ndarray) -> np.ndarray:
+    """The codes of fields (which may repeat), whose first occurrences
+    in the file are in the order of first: a field the file has not held
+    before takes the next code in that order, decoded and appended to
+    strings."""
     found = list(map(codes.get, fields))
     if None in found:
-        for i, field in enumerate(fields):
+        for i in first.argsort(kind="stable").tolist():
             if found[i] is None:
-                found[i] = codes[field] = len(strings)
-                strings.append(field.decode("utf-8"))
+                found[i] = codes.setdefault(fields[i], len(strings))
+                if found[i] == len(strings):
+                    strings.append(fields[i].decode("utf-8"))
     return np.array(found, dtype=np.int32)

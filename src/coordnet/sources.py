@@ -73,7 +73,7 @@ def csv_reader(source, factory=csv.reader):
             raise ValueError(f"{name}, line {binary.line_of(exc)}: not valid UTF-8") from None
 
 
-def _line_ends(data: bytes, after_cr: bool) -> int:
+def line_ends(data: bytes, after_cr: bool) -> int:
     """The line ends in data ("\n", "\r\n" or a lone "\r", as text
     reading with newline="" ends lines), where after_cr says whether the
     bytes before data end with "\r"."""
@@ -95,7 +95,7 @@ class _LineEnds(io.BufferedReader):
 
     def read1(self, size=-1):
         if self.chunk:
-            self.lines += _line_ends(self.chunk, self.after_cr)
+            self.lines += line_ends(self.chunk, self.after_cr)
             self.after_cr = self.chunk.endswith(b"\r")
         self.chunk = super().read1(size)
         return self.chunk
@@ -105,7 +105,7 @@ class _LineEnds(io.BufferedReader):
         saw the last chunk after the start of a character cut off at the
         end of the chunk before, which holds no line end."""
         start = exc.start - (len(exc.object) - len(self.chunk))
-        return self.lines + _line_ends(self.chunk[: max(start, 0)], self.after_cr) + 1
+        return self.lines + line_ends(self.chunk[: max(start, 0)], self.after_cr) + 1
 
 
 class _LineFeedRows:

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from coordnet import formats
 from coordnet import sociolinguistics as sl
 from coordnet.cli import main
 from coordnet.corpus import load_cache, parse_corpus
@@ -754,6 +755,43 @@ def test_criterion_9_long_key_is_not_padded(tmp_path):
     assert len(table) == 10_001 and len(table.keys) == 2
     assert peak <= 4 * size, f"read peak {peak} B for a {size} B edge file"
     ok(9, f"one 150,000-char key among 10,000 rows: read peak {peak / size:.1f}x the file's {size} B")
+
+
+def test_criterion_9_block_temporaries_are_a_few_blocks(tmp_path):
+    # hashtag-burst's shape: the writer's C(m, 2) rows of 6-byte ids and
+    # one 24-byte key, read by the block reader a block at a time
+    m = 500
+    a, b = np.triu_indices(m, 1)
+    written = EdgeTable(
+        [f"u{i:05d}" for i in range(m)], a, b,
+        np.zeros(len(a)), np.ones(len(a)), ["g0k0|g0k1|g0k2|g0k3|g0k4"], np.zeros(len(a)),
+    )
+    path = tmp_path / "edges.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        write_edges_csv(written, fp)
+    blocks = path.stat().st_size / formats._READ_BYTES
+    assert blocks > 20
+    with open(path, "rb") as fp:
+        assert formats._read_blocks(fp) is not None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = read_edges_csv(path)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == len(a)
+    temporaries = (peak - current) / formats._READ_BYTES
+    # ~2.98 blocks measured: the block, the "," scan's bool array and
+    # int64 offsets, the "\n" offsets and the int32 separators. The
+    # chunk a block is cut from, kept alive beside it, makes 3.98.
+    assert temporaries <= 3.5, f"read temporaries {temporaries:.2f} x _READ_BYTES"
+    ok(
+        9,
+        f"{len(table)} rows in {blocks:.0f} blocks: temporaries {temporaries:.2f} x _READ_BYTES "
+        f"above the table's {(current - before) / 2**20:.2f} MiB",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -737,6 +737,25 @@ class TestSettings:
             load_config_file(config)
         assert str(info.value) == f"{config}:1: not a number: ''"
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_config_byte_not_utf8_is_located_error(self, tmp_path, detect_run, capsys, newline):
+        # a Latin-1 "é" in the comment on line 3, counted as text reading
+        # counts lines: "\r\n" and a lone "\r" end one line each
+        cache, _ = detect_run
+        config = tmp_path / "bad.conf"
+        lines = ["hashtag_k = 5", "", "# r\xe9glages", "top_clusters = 2", ""]
+        config.write_bytes(newline.join(lines).encode("latin-1"))
+        with pytest.raises(ValueError) as info:
+            load_config_file(config)
+        assert str(info.value) == f"{config}:3: not valid UTF-8"
+        out = tmp_path / "x"
+        assert main(["--config", str(config), "detect", str(cache), "-o", str(out)]) == 1
+        assert f"{config}:3: not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+        # the same bytes in UTF-8 read as before
+        config.write_bytes(newline.join(lines).encode("utf-8"))
+        assert load_config_file(config) == {"hashtag_k": 5, "top_clusters": 2}
+
     def test_story_hashtags_distinct_and_non_empty(self):
         tags = ReportConfig(story_hashtags=("#", "a", "A", "#a", "##B", "c")).story_hashtags
         assert tags == ("a", "b", "c")
@@ -969,15 +988,23 @@ class TestEdgeFile:
 
 # The lowest character, which both readers read.
 _LOWEST = "\x00"
+# Ids of 1 to 17 bytes, among them pairs that differ only by a trailing
+# NUL, and ids of one length from 8 bytes up in pairs, so each way the
+# block reader keys a field (an integer of up to 8 bytes, a length byte
+# under 8, a string of words over 8) meets equal and unequal fields.
+_ORACLE_IDS = [
+    "10", "9", "a", "a" + _LOWEST, "z", "é", "é|x", " pad ",
+    "abcdefg", "abcdefg" + _LOWEST, "abcdefgh", "abcdefgh" + _LOWEST,
+    "u" * 9, "u" * 8 + "v", "w" * 17, "w" * 16 + _LOWEST,
+]
 
 
 def _oracle_edge_text(rows):
-    """The lines of an edge file of rows pairs of ids in str order (not
-    byte-length or numeric order) with every detector, scores whose text
-    round-trips exactly, and keys among them an empty one; ids and keys
-    of 8 bytes or more come in pairs of one length."""
-    ids = ["10", "9", "a", "a" + _LOWEST, "z", "é", "é|x", " pad ", "u" * 9, "u" * 8 + "v", "w" * 17]
-    pairs = [(x, y) for x, y in itertools.combinations(ids, 2) if x != y]
+    """The lines of an edge file of rows pairs of _ORACLE_IDS in str
+    order (not byte-length or numeric order) with every detector,
+    scores whose text round-trips exactly, and keys among them an empty
+    one, drawn afresh for every row."""
+    pairs = [(x, y) for x, y in itertools.combinations(_ORACLE_IDS, 2) if x != y]
     scores = ("1e-05", "-0.0", "0.30000000000000004", "1.0", "0.0", "0.5")
     keys = ("", "k|l", "#a|#b|#c|#d|#e", "#a|#b|#c|#d|#f", "x" * 40, "é|ü", "cosine")
     rng = random.Random(rows)
@@ -986,6 +1013,28 @@ def _oracle_edge_text(rows):
         x, y = sorted(rng.choice(pairs))
         detector = ("hashtag", "retweet", "time")[i % 3]
         lines.append(f"{x},{y},{detector},{rng.choice(scores)},{rng.choice(keys)}\n")
+    return lines
+
+
+def _oracle_run_text(rows):
+    """The lines of an edge file of rows pairs of _ORACLE_IDS as the
+    writer orders them (by account_a, then account_b) whose detector,
+    score and key come in runs: the first 3/8 of the rows hold one
+    detector, score and 14-byte key, the last 3/8 others with the empty
+    key, and each row of the quarter between draws its own detector,
+    score and one of 50 keys."""
+    rng = random.Random(rows)
+    pairs = sorted(tuple(sorted(rng.sample(_ORACLE_IDS, 2))) for _ in range(rows))
+    lines = [_EDGE_HEADER]
+    for i, (x, y) in enumerate(pairs):
+        if i < 3 * rows // 8:
+            rest = "hashtag,1.0,#a|#b|#c|#d|#e"
+        elif i < 5 * rows // 8:
+            detector = rng.choice(("hashtag", "retweet", "time"))
+            rest = f"{detector},{rng.random()!r},k{rng.randrange(50)}|{'x' * rng.randrange(12)}"
+        else:
+            rest = "retweet,0.30000000000000004,"
+        lines.append(f"{x},{y},{rest}\n")
     return lines
 
 
@@ -1008,9 +1057,10 @@ class TestEdgeBlocks:
             "late-quoted-id": ("".join(lines[:late] + ['"qx",z,hashtag,1.0,k\n'] + lines[late:]), False),
         }
 
-    @pytest.mark.parametrize("read_bytes, rows", [(3, 200), ("line", 200), (None, 4000)])
-    def test_block_reader_matches_row_loop(self, tmp_path, monkeypatch, read_bytes, rows):
-        lines = _oracle_edge_text(rows)
+    def same_as_row_loop(self, tmp_path, monkeypatch, read_bytes, lines):
+        """Every variant of lines read with _READ_BYTES read_bytes ("line":
+        the first row's length; None: the default) gives the row loop's
+        table, by the block reader when the variant allows it."""
         if read_bytes == "line":
             read_bytes = len(lines[1].encode())
         if read_bytes is not None:
@@ -1019,14 +1069,31 @@ class TestEdgeBlocks:
         for name, (text, split) in self.variants(lines).items():
             path = tmp_path / f"{name}.csv"
             path.write_bytes(text.encode("utf-8"))
-            assert read_bytes is not None or len(text) > 2 * formats._READ_BYTES
+            assert read_bytes is not None or len(text) > 3 * formats._READ_BYTES
             want = row_loop(path)
-            assert len(want) == rows + (name == "late-quoted-id")
+            assert len(want) == len(lines) - 1 + (name == "late-quoted-id")
             calls = []
             monkeypatch.setattr(formats, "_read_edges_rows", lambda source: calls.append(1) or row_loop(source))
             same_table(read_edges_csv(path), want)
             assert calls == ([] if split else [1]), name
             monkeypatch.setattr(formats, "_read_edges_rows", row_loop)
+
+    @pytest.mark.parametrize("read_bytes, rows", [(3, 200), ("line", 200), (None, 30_000)])
+    def test_block_reader_matches_row_loop(self, tmp_path, monkeypatch, read_bytes, rows):
+        self.same_as_row_loop(tmp_path, monkeypatch, read_bytes, _oracle_edge_text(rows))
+
+    @pytest.mark.parametrize("read_bytes", [3, "line", None])
+    def test_runs_match_row_loop(self, tmp_path, monkeypatch, read_bytes):
+        rows = 200 if read_bytes else formats._READ_BYTES // 8
+        lines = _oracle_run_text(rows)
+        if read_bytes is None:
+            # a run spans the first block and more, then the rows that
+            # differ fill more than a block, then a run fills whole blocks
+            cut = [len("".join(lines[: 1 + rows * i // 8]).encode()) for i in (3, 5, 8)]
+            assert cut[0] > 1.5 * formats._READ_BYTES
+            assert cut[1] - cut[0] > formats._READ_BYTES
+            assert cut[2] - cut[1] > 2 * formats._READ_BYTES
+        self.same_as_row_loop(tmp_path, monkeypatch, read_bytes, lines)
 
     def test_pipe_is_read_by_the_row_loop(self, tmp_path, detect_run):
         # a pipe cannot be read twice, so its rows are read once, from the
