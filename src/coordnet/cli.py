@@ -226,8 +226,9 @@ def cmd_cluster(args, config) -> int:
     from coordnet import formats
     from coordnet import graph as graphmod
 
+    edge_files = _edge_files(args.edges)
     corpus = load_cache(args.cache)
-    tables = [formats.read_edges_csv(path) for path in _edge_files(args.edges)]
+    tables = [formats.read_edges_csv(path) for path in edge_files]
     clusters, _ = graphmod.coordination(corpus, tables)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -265,10 +266,10 @@ def cmd_report(args, config) -> int:
 
     # Built before anything is read, so a bad value leaves no partial bundle.
     cfg = settings(ReportConfig, config, args)
-    corpus = load_cache(args.cache)
     if not args.edges:
         raise ValueError("missing input: --edges (edge CSV files or a detect output directory)")
     edge_files = _edge_files(args.edges)
+    corpus = load_cache(args.cache)
     tables = [formats.read_edges_csv(path) for path in edge_files]
     coordination = graphmod.coordination(corpus, tables)
 

@@ -2,13 +2,13 @@
 
 Input is UTF-8 line-delimited JSON, one record per line. Each line is
 validated and its fields are appended to a columnar Corpus: one column
-per field, account ids interned as integer codes. A Corpus comes from
-one of two places: parse_corpus parses input, and the stages after
-ingest read the cache of column blocks that Corpus.write_cache writes
-and load_cache checks and loads. In the cache every column but tweet
-ids, timestamps and kinds is coded: each distinct value is written once
-in a file-level table, and each row holds a code into it. This module
-does not import numpy, so ingest never loads it.
+per field, each but tweet ids, timestamps and kinds a table of distinct
+values and an integer code per row. A Corpus comes from one of two
+places: parse_corpus parses input, and the stages after ingest read the
+cache of column blocks that Corpus.write_cache writes and load_cache
+checks and loads. The cache holds the same tables and codes, each table
+entry written once. This module does not import numpy, so ingest never
+loads it.
 """
 
 from __future__ import annotations
@@ -249,13 +249,16 @@ def _encode_record(
 class Corpus:
     """Records as columns, one per field, with derived index views.
 
-    Row i of every column is the i-th record. Accounts are interned:
-    account_ids[account_codes[i]] wrote row i, codes in order of first
-    appearance, and code_of maps an account id back to its code.
-    Timestamps (UTC seconds), account codes and kind codes (ORIGINAL,
-    REPLY, RETWEET) are stdlib arrays, the other columns lists; a row
-    without hashtags or mentions holds (). Nothing here needs numpy,
-    and the arrays convert to numpy arrays without a copy.
+    Row i of every column is the i-th record. Beside tweet_ids, the
+    timestamps (UTC seconds) and kind codes (ORIGINAL, REPLY, RETWEET)
+    are stdlib arrays. Every other field is a table of its distinct
+    values in order of first use and an array("i") of a code per row
+    (_CODED names both): account_ids[account_codes[i]] wrote row i,
+    texts[text_codes[i]] is its text, and so on. -1, in the two retweet
+    columns only, stands for no target; a row's hashtags or mentions are
+    one tuple entry, () for none. code_of maps an account id back to its
+    code. Nothing here needs numpy, and the arrays convert to numpy
+    arrays without a copy.
     """
 
     def __init__(self):
@@ -269,28 +272,27 @@ class Corpus:
         self.account_codes = array("i")
         self.timestamps = array("q")
         self.kinds = array("b")
-        self.texts: list[str] = []
-        self.hashtags: list[tuple[str, ...]] = []
-        self.languages: list[str] = []
-        self.retweeted_tweet_ids: list[str | None] = []
-        self.retweeted_account_ids: list[str | None] = []
-        self.mentions: list[tuple[str, ...]] = []
+        for table, codes, *_ in _CODED[1:]:
+            setattr(self, table, [])
+            setattr(self, codes, array("i"))
 
     def _appender(self) -> Callable:
         """An emit for _validate_record that appends one row, or raises
         RecordError for a tweet_id an earlier row holds: the first
-        record of a tweet_id is the one kept. Repeated language tags and
-        retweeted account ids share one string."""
+        record of a tweet_id is the one kept."""
         claimed: set[str] = set()
         claim = claimed.add
         code_of, names = self.code_of, self.account_ids
-        share = {}.setdefault
+        texts, tags, languages, rt_tweets, rt_accounts, mention_lists = (
+            _Coder(getattr(self, table), nullable) for table, _, _, nullable in _CODED[1:]
+        )
         add_tweet, add_account = self.tweet_ids.append, self.account_codes.append
-        add_ts, add_kind, add_text = self.timestamps.append, self.kinds.append, self.texts.append
-        add_tags, add_language = self.hashtags.append, self.languages.append
-        add_rt_tweet = self.retweeted_tweet_ids.append
-        add_rt_account = self.retweeted_account_ids.append
-        add_mentions = self.mentions.append
+        add_ts, add_kind = self.timestamps.append, self.kinds.append
+        add_text, add_tags = self.text_codes.append, self.hashtag_codes.append
+        add_language = self.language_codes.append
+        add_rt_tweet = self.retweeted_tweet_codes.append
+        add_rt_account = self.retweeted_account_codes.append
+        add_mentions = self.mention_codes.append
 
         def append(
             tweet_id, account_id, timestamp, kind, text, hashtags, language,
@@ -307,12 +309,12 @@ class Corpus:
             add_account(code)
             add_ts(timestamp)
             add_kind(_KIND_CODES[kind])
-            add_text(text)
-            add_tags(hashtags)
-            add_language(share(language, language))
-            add_rt_tweet(rt_tweet)
-            add_rt_account(share(rt_account, rt_account))
-            add_mentions(mentions)
+            add_text(texts[text])
+            add_tags(tags[hashtags])
+            add_language(languages[language])
+            add_rt_tweet(rt_tweets[rt_tweet])
+            add_rt_account(rt_accounts[rt_account])
+            add_mentions(mention_lists[mentions])
 
         return append
 
@@ -321,18 +323,18 @@ class Corpus:
 
     def _fields(self) -> Iterator[tuple]:
         """Each row's fields, in the order _validate_record emits them."""
-        return zip(
-            self.tweet_ids,
-            map(self.account_ids.__getitem__, self.account_codes),
-            self.timestamps,
-            map(KINDS.__getitem__, self.kinds),
-            self.texts,
-            self.hashtags,
-            self.languages,
-            self.retweeted_tweet_ids,
-            self.retweeted_account_ids,
-            self.mentions,
+        # a nullable table reads None at code -1
+        account, *coded = (
+            map((table + [None] if nullable else table).__getitem__, getattr(self, codes))
+            for table, (_, codes, _, nullable) in zip(self._tables(), _CODED)
         )
+        return zip(
+            self.tweet_ids, account, self.timestamps, map(KINDS.__getitem__, self.kinds), *coded
+        )
+
+    def _tables(self) -> list[list]:
+        """Each coded column's table, in _CODED order."""
+        return [self.account_ids, *(getattr(self, table) for table, *_ in _CODED[1:])]
 
     def day_codes(self) -> list[int]:
         """Each row's UTC day as days since 1970-01-01 (floor division,
@@ -356,15 +358,12 @@ class Corpus:
     def write_cache(self, fp) -> None:
         """Write the columns to a text file as cache blocks, one
         canonical JSON line per CACHE_ROWS rows; load_cache reads them
-        back. Each coded column (_CODED) is a code per row into a table
-        of the file's distinct values, and a block lists the entries its
-        rows use first, in code order, so the blocks rebuild the tables
-        and the bytes follow from the rows alone."""
-        columns = (
-            list(map(self.account_ids.__getitem__, self.account_codes)),
-            *(getattr(self, table) for table, *_ in _CODED[1:]),
-        )
-        coders = [_Coder(nullable) for *_, nullable in _CODED]
+        back. Each coded column (_CODED) is written as its rows' codes
+        and the table entries they use first, in code order: the tables
+        being in order of first use, those run from the end of the
+        earlier blocks' entries to the block's largest code."""
+        tables = self._tables()
+        known = [0] * len(_CODED)
         for start in range(0, len(self), CACHE_ROWS):
             rows = slice(start, start + CACHE_ROWS)
             block = {
@@ -372,22 +371,24 @@ class Corpus:
                 "timestamps": self.timestamps[rows].tolist(),
                 "kinds": self.kinds[rows].tolist(),
             }
-            for (table_key, codes_key, *_), coder, column in zip(_CODED, coders, columns):
-                known = len(coder.table)
-                codes = list(map(coder.__getitem__, column[rows]))
-                block[table_key], block[codes_key] = coder.table[known:], codes
+            for i, (table_key, codes_key, *_) in enumerate(_CODED):
+                codes = getattr(self, codes_key)[rows]
+                end = max(known[i], max(codes) + 1)
+                block[table_key] = tables[i][known[i] : end]
+                block[codes_key] = codes.tolist()
+                known[i] = end
             fp.write(_ENCODER.encode(block))
             fp.write("\n")
 
 
 class _Coder(dict):
-    """A file's code table for one column: value -> code, each value new
-    to the file taking the next code, None coded -1 when nullable; table
-    lists the values in code order."""
+    """value -> code for one coded column as parse_corpus reads it: each
+    value new to the corpus takes the next code and joins table, and
+    None is coded -1 when nullable."""
 
-    def __init__(self, nullable: bool):
+    def __init__(self, table: list, nullable: bool):
         super().__init__({None: -1} if nullable else {})
-        self.table: list = []
+        self.table = table
 
     def __missing__(self, value) -> int:
         code = self[value] = len(self.table)
@@ -486,11 +487,11 @@ def _hashtag_lists(block: dict, key: str) -> list[tuple[str, ...]]:
     return lists
 
 
-# The coded columns of a cache block: (table key, code key, the check of
-# the table's entries, whether None is allowed and coded -1). A table
-# lists the values new to the file, in order of first use; each row holds
-# a code into the file's table. Each table key but accounts (whose table
-# is Corpus.account_ids) names the Corpus list the rows' values go to.
+# The coded columns: (table, codes, the check of the table's entries,
+# whether None is allowed and coded -1). Each name is a cache block key
+# and a Corpus attribute, but the accounts table is Corpus.account_ids. A
+# block's table lists the entries new to the file, in order of first use;
+# each row holds a code into the file's table, the Corpus table.
 _CODED = (
     ("accounts", "account_codes", _ids, False),
     ("texts", "text_codes", _strings, False),
@@ -560,8 +561,8 @@ def _codes(block: dict, column: tuple, values: list, seen: set, rows: int) -> li
 
 def _extend(corpus: Corpus, block: dict, tables: list, claimed: set) -> None:
     """Check one decoded block in bulk and append its rows to corpus;
-    tables holds each coded column's (values, seen) and claimed the
-    tweet ids of the blocks before it."""
+    tables holds each coded column's (corpus table, set of its entries)
+    and claimed the tweet ids of the blocks before it."""
     tweet_ids = _ids(block, "tweet_ids")
     rows = len(tweet_ids)
     known = len(claimed)
@@ -582,11 +583,8 @@ def _extend(corpus: Corpus, block: dict, tables: list, claimed: set) -> None:
     corpus.tweet_ids.extend(tweet_ids)
     corpus.timestamps.fromlist(timestamps)
     corpus.kinds.fromlist(kinds)
-    corpus.account_codes.fromlist(codes["account_codes"])
-    for (table, key, *_), (values, _) in zip(_CODED[1:], tables[1:]):
-        values.append(None)  # what code -1 reads
-        getattr(corpus, table).extend(map(values.__getitem__, codes[key]))
-        values.pop()
+    for key, column in codes.items():
+        getattr(corpus, key).fromlist(column)
 
 
 def load_cache(path) -> Corpus:
@@ -603,10 +601,10 @@ def load_cache(path) -> Corpus:
     there, distinct tweet ids across the whole file, strict UTF-8 and no
     surrogate escapes. Any other content, a cache written before the
     columns were coded among it, raises CorpusError naming the file and
-    the line. Rows that share a value share one object.
+    the line. The tables and codes become the corpus's as they are.
     """
     corpus = Corpus()
-    tables = [(corpus.account_ids, set())] + [([], set()) for _ in _CODED[1:]]
+    tables = [(table, set()) for table in corpus._tables()]
     claimed: set[str] = set()
     with open(path, "rb") as fp:
         for line_no, line in enumerate(fp, start=1):

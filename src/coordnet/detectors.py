@@ -137,13 +137,17 @@ def detect_hashtag_coordination(
     corpus: Corpus, cfg: DetectorConfig = DetectorConfig()
 ) -> EdgeTable:
     """Edges between accounts sharing an original-tweet hashtag k-gram."""
-    names = corpus.account_ids
-    posts = (
-        (names[code], tags)
-        for code, kind, tags in zip(corpus.account_codes, corpus.kinds, corpus.hashtags)
-        if kind == ORIGINAL and tags
+    names, lists = corpus.account_ids, corpus.hashtags
+    windowed = [len(tags) >= cfg.hashtag_k for tags in lists]
+    # each distinct (account, hashtag list) with a k-gram, indexed once
+    posts = dict.fromkeys(
+        (code, tags)
+        for code, kind, tags in zip(corpus.account_codes, corpus.kinds, corpus.hashtag_codes)
+        if kind == ORIGINAL and windowed[tags]
     )
-    return edges_from_hashtag_index(_index_posts(posts, cfg.hashtag_k))
+    index = _index_posts(((names[code], lists[tags]) for code, tags in posts), cfg.hashtag_k)
+    del posts  # freed before the edge build
+    return edges_from_hashtag_index(index)
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +177,12 @@ def build_account_vectors(
         retweets = np.asarray(corpus.kinds) == RETWEET
         eligible = np.bincount(codes[retweets], minlength=len(names)) > cfg.retweet_min
         kept = eligible[codes] & retweets
-        targets = list(itertools.compress(corpus.retweeted_tweet_ids, kept))
-        # Term ids in Python's str order.
-        vocab = {t: i for i, t in enumerate(sorted(set(targets)))}
-        terms = np.fromiter(map(vocab.__getitem__, targets), dtype=np.int64, count=len(targets))
+        targets = np.asarray(corpus.retweeted_tweet_codes)[kept]
+        # Term ids: the targets' table entries ranked in Python's str order.
+        vocab = sorted(set(targets.tolist()), key=corpus.retweeted_tweet_ids.__getitem__)
+        rank = np.zeros(len(corpus.retweeted_tweet_ids), dtype=np.int64)
+        rank[vocab] = np.arange(len(vocab))
+        terms = rank[targets]
     else:
         eligible = np.bincount(codes, minlength=len(names)) > cfg.time_min
         kept = eligible[codes]

@@ -143,9 +143,9 @@ def label_clusters(clusters: list[Cluster], corpus: Corpus) -> list[Cluster]:
     tie-break; empty string when the members have no hashtags."""
     cluster_of = cluster_ids(clusters, corpus).tolist()
     counts: dict[int, Counter[str]] = {c.id: Counter() for c in clusters}
-    for code, kind, tags in zip(corpus.account_codes, corpus.kinds, corpus.hashtags):
-        if tags and kind == ORIGINAL and cluster_of[code]:
-            counts[cluster_of[code]].update(tags)
+    for code, kind, tags in zip(corpus.account_codes, corpus.kinds, corpus.hashtag_codes):
+        if kind == ORIGINAL and cluster_of[code]:
+            counts[cluster_of[code]].update(corpus.hashtags[tags])
     for cluster in clusters:
         tally = counts[cluster.id]
         cluster.label = min(tally, key=lambda tag: (-tally[tag], tag)) if tally else ""
@@ -194,27 +194,24 @@ def retweet_interactions(corpus: Corpus, member: np.ndarray) -> InteractionCount
     "from outside" when a non-coordinated author mentions a coordinated
     account (records carry no explicit reply target).
     """
-    intra = 0
-    outside_retweets = 0
-    outside_replies = 0
-    coordinated_actions = 0
-    is_in = member.tolist() + [False]  # at -1: an id that never posted, or None
+    # each distinct target and mention list decided once, then gathered
+    # by code; is_in at -1 and target_in at -1 (no target) read False
+    is_in = member.tolist() + [False]
     code_of = corpus.code_of
-    for code, kind, target, mentions in zip(
-        corpus.account_codes, corpus.kinds, corpus.retweeted_account_ids, corpus.mentions
-    ):
-        author_in = is_in[code]
-        if kind == RETWEET:
-            if author_in:
-                coordinated_actions += 1
-            if is_in[code_of.get(target, -1)]:
-                if author_in:
-                    intra += 1
-                else:
-                    outside_retweets += 1
-        elif kind == REPLY and not author_in:
-            if any(is_in[code_of.get(m, -1)] for m in mentions):
-                outside_replies += 1
+    target_in = np.array(
+        [is_in[code_of.get(t, -1)] for t in corpus.retweeted_account_ids] + [False], dtype=bool
+    )
+    mentions_in = np.array(
+        [any(is_in[code_of.get(m, -1)] for m in ms) for ms in corpus.mentions], dtype=bool
+    )
+    kinds = np.asarray(corpus.kinds)
+    author_in = member[corpus.account_codes]
+    retweets = kinds == RETWEET
+    of_in = retweets & target_in[corpus.retweeted_account_codes]
+    intra = int((of_in & author_in).sum())
+    outside_retweets = int((of_in & ~author_in).sum())
+    coordinated_actions = int((retweets & author_in).sum())
+    outside_replies = int(((kinds == REPLY) & ~author_in & mentions_in[corpus.mention_codes]).sum())
     of_content = intra + outside_retweets
     return InteractionCounts(
         intra_retweets=intra,
@@ -260,14 +257,13 @@ def duplicate_shares(
     if scope not in DUPLICATE_SCOPES:
         raise ValueError(f"unknown duplicate scope: {scope!r}")
     texts_of: dict[int, list[str]] = {}
-    # each distinct text is normalized once
-    normalized: dict[str, str] = {}
-    for code, kind, text in zip(corpus.account_codes, corpus.kinds, corpus.texts):
+    # each text code an original uses is normalized once
+    norm: list[str | None] = [None] * len(corpus.texts)
+    for code, kind, text in zip(corpus.account_codes, corpus.kinds, corpus.text_codes):
         if kind == ORIGINAL:
-            norm = normalized.get(text)
-            if norm is None:
-                norm = normalized[text] = normalize_text(text)
-            texts_of.setdefault(code, []).append(norm)
+            if norm[text] is None:
+                norm[text] = normalize_text(corpus.texts[text])
+            texts_of.setdefault(code, []).append(norm[text])
     corpus_counts: Counter[str] = Counter()
     if scope == "corpus":
         for texts in texts_of.values():

@@ -196,14 +196,11 @@ def story_share(corpus: Corpus, member: np.ndarray, story_hashtags) -> dict:
     tags = set(story_hashtags)
     if not tags:
         return {"hashtags": [], "coordinated": None, "total": None, "share": None}
-    total = 0
-    coord = 0
-    is_in = member.tolist()
-    for code, hashtags in zip(corpus.account_codes, corpus.hashtags):
-        if not hashtags or tags.isdisjoint(hashtags):
-            continue
-        total += 1
-        coord += is_in[code]
+    # each distinct hashtag list decided once, then gathered by code
+    story = np.array([not tags.isdisjoint(h) for h in corpus.hashtags], dtype=bool)
+    story = story[corpus.hashtag_codes]
+    total = int(story.sum())
+    coord = int((story & member[corpus.account_codes]).sum())
     return {
         "hashtags": sorted(tags),
         "coordinated": coord,

@@ -380,34 +380,30 @@ def score_corpus(corpus: Corpus, lexicon: Lexicon) -> ConfidenceRows:
     removed, lowercased; accents kept), and an entry with a language
     applies only to tweets tagged with it.
 
-    Each distinct raw text is normalized once per language, and the
-    texts of one language that normalize alike are one unit. Each entry
-    scans the joined units of every language it applies to once
-    (_phrase_hits), and multiplies miss *= (1 - w) ** hits per unit in
-    entry order, so the bits equal a per-text loop's.
+    Each text code is normalized once, and the texts of one language
+    that normalize alike are one unit, numbered in order of first row.
+    Each entry scans the joined units of every language it applies to
+    once (_phrase_hits), and multiplies miss *= (1 - w) ** hits per unit
+    in entry order, so the bits equal a per-text loop's.
     """
-    # language -> (raw text -> unit, normalized text -> unit)
-    languages: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
-    units = array("i")
+    normalized = [normalize_text(t, strip_punct_nonascii=False) for t in corpus.texts]
+    # (language code, text code) -> unit, keys in order of first row
+    pairs = dict.fromkeys(zip(corpus.language_codes, corpus.text_codes))
+    # language -> normalized text -> unit
+    languages: dict[str, dict[str, int]] = {}
     n_units = 0
-    for text, language in zip(corpus.texts, corpus.languages):
-        memo = languages.get(language)
-        if memo is None:
-            memo = languages[language] = ({}, {})
-        unit = memo[0].get(text)
+    for language, text in pairs:
+        units = languages.setdefault(corpus.languages[language], {})
+        unit = units.get(normalized[text])
         if unit is None:
-            normalized = normalize_text(text, strip_punct_nonascii=False)
-            unit = memo[1].get(normalized)
-            if unit is None:
-                unit = memo[1][normalized] = n_units
-                n_units += 1
-            memo[0][text] = unit
-        units.append(unit)
+            unit = units[normalized[text]] = n_units
+            n_units += 1
+        pairs[language, text] = unit
 
     scans = {}
-    for language, (_, normalized) in languages.items():
-        starts = list(accumulate((len(t) + 1 for t in normalized), initial=0))
-        scans[language] = ("\n".join(normalized), starts, list(normalized.values()))
+    for language, units in languages.items():
+        starts = list(accumulate((len(t) + 1 for t in units), initial=0))
+        scans[language] = ("\n".join(units), starts, list(units.values()))
     del languages
 
     miss: dict[int, list[float]] = {}
@@ -437,6 +433,7 @@ def score_corpus(corpus: Corpus, lexicon: Lexicon) -> ConfidenceRows:
             row = tuple([1.0 - x for x in m])
             code = code_of_miss[m] = code_of.setdefault(row, len(code_of))
         row_codes.append(code)
+    units = map(pairs.__getitem__, zip(corpus.language_codes, corpus.text_codes))
     codes = array("i", map(row_codes.__getitem__, units))
     return ConfidenceRows(corpus.tweet_ids, codes, list(code_of))
 

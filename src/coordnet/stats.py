@@ -596,8 +596,8 @@ def language_mix(corpus: Corpus, accounts: Iterable[str] | None = None) -> dict[
     """Per-account fraction of tweets per language tag (fractions sum to 1)."""
     wanted = corpus.accounts() if accounts is None else sorted(set(accounts))
     by_code: dict[int, dict[str, int]] = {}
-    for (code, lang), n in Counter(zip(corpus.account_codes, corpus.languages)).items():
-        by_code.setdefault(code, {})[lang] = n
+    for (code, lang), n in Counter(zip(corpus.account_codes, corpus.language_codes)).items():
+        by_code.setdefault(code, {})[corpus.languages[lang]] = n
     out: dict[str, dict[str, float]] = {}
     for account in wanted:
         counts = by_code.get(corpus.code_of.get(account))

@@ -17,6 +17,7 @@ import numpy as np
 import coordnet
 from coordnet.config import DETECTORS, DetectorConfig
 from coordnet.corpus import (
+    _CODED,
     KINDS,
     REPLY,
     RETWEET,
@@ -25,7 +26,7 @@ from coordnet.corpus import (
     normalize_text,
     parse_corpus,
 )
-from coordnet.detectors import AccountVectors, EdgeTable
+from coordnet.detectors import AccountVectors, EdgeTable, build_account_vectors
 from coordnet.graph import InteractionCounts
 from coordnet.sociolinguistics import (
     N_CHARACTERISTICS,
@@ -61,6 +62,15 @@ FIELDS = tuple(TweetRecord.__dataclass_fields__)
 def record_to_json(r: TweetRecord) -> str:
     """The canonical one-line JSON form of a record."""
     return json.dumps(dict(zip(FIELDS, astuple(r))), ensure_ascii=False, separators=(",", ":"))
+
+
+def column(corpus, table: str) -> list:
+    """Each row's value of one of the corpus's coded columns, named by
+    its table ("texts", "hashtags", ...): the table entry of the row's
+    code, None where the code is -1."""
+    codes = getattr(corpus, {t: c for t, c, *_ in _CODED}[table])
+    values = getattr(corpus, table)
+    return [values[c] if c >= 0 else None for c in codes]
 
 
 def records_of(corpus) -> list[TweetRecord]:
@@ -183,9 +193,10 @@ def reference_account_vectors(corpus, term, cfg=DetectorConfig()):
     sum of their squares under a square root."""
     codes = corpus.account_codes
     if term == "retweeted_id":
+        targets = column(corpus, "retweeted_tweet_ids")
         pairs = Counter(
             (code, target)
-            for code, kind, target in zip(codes, corpus.kinds, corpus.retweeted_tweet_ids)
+            for code, kind, target in zip(codes, corpus.kinds, targets)
             if kind == RETWEET
         )
     else:
@@ -211,6 +222,25 @@ def reference_account_vectors(corpus, term, cfg=DetectorConfig()):
         entries = {t: w for t, w in sorted(weights.items()) if w != 0.0}
         vectors[acct] = (entries, math.sqrt(left_sum(w * w for w in entries.values())))
     return vectors
+
+
+def assert_vectors_match_reference(corpus, cfg=DetectorConfig()):
+    """build_account_vectors gives reference_account_vectors' rows, term
+    ids, weights and norms bit for bit, for both terms."""
+    for term in ("retweeted_id", "time_bin"):
+        vectors = build_account_vectors(corpus, term, cfg)
+        want = reference_account_vectors(corpus, term, cfg)
+        assert list(vectors) == list(want)
+        assert list(vectors.accounts.values()) == list(range(len(want)))
+        assert len(vectors.indptr) == len(want) + 1 and vectors.indptr[0] == 0
+        for r, (entries, norm) in enumerate(want.values()):
+            lo, hi = vectors.indptr[r], vectors.indptr[r + 1]
+            assert vectors.terms[lo:hi].tolist() == list(entries)
+            assert [w.hex() for w in vectors.weights[lo:hi].tolist()] == [
+                w.hex() for w in entries.values()
+            ]
+            assert float(vectors.norms[r]).hex() == norm.hex()
+        assert vectors.indptr[-1] == len(vectors.terms) == len(vectors.weights)
 
 
 def account_vectors(entries) -> AccountVectors:
@@ -491,7 +521,10 @@ def oracle_retweet_interactions(corpus, coordinated: set[str]) -> InteractionCou
     coordinated_actions = 0
     member = [name in coordinated for name in corpus.account_ids]
     for code, kind, target, mentions in zip(
-        corpus.account_codes, corpus.kinds, corpus.retweeted_account_ids, corpus.mentions
+        corpus.account_codes,
+        corpus.kinds,
+        column(corpus, "retweeted_account_ids"),
+        column(corpus, "mentions"),
     ):
         author_in = member[code]
         if kind == RETWEET:
@@ -539,7 +572,7 @@ def oracle_story_share(corpus, coordinated: set[str], story_hashtags) -> dict:
     total = 0
     coord = 0
     names = corpus.account_ids
-    for code, hashtags in zip(corpus.account_codes, corpus.hashtags):
+    for code, hashtags in zip(corpus.account_codes, column(corpus, "hashtags")):
         if not hashtags or tags.isdisjoint(hashtags):
             continue
         total += 1

@@ -14,21 +14,43 @@ from hypothesis import strategies as st
 
 import coordnet.corpus
 from coordnet.cli import main
+from coordnet.config import DetectorConfig
 from coordnet.corpus import CACHE_ROWS, KINDS, Corpus, CorpusError, load_cache, parse_corpus
+from coordnet.detectors import build_account_vectors
+from coordnet.graph import retweet_interactions
 
-from helpers import BASE_TS, corpus_of, rec, records_of
+from helpers import (
+    BASE_TS,
+    assert_vectors_match_reference,
+    corpus_of,
+    member_of,
+    oracle_retweet_interactions,
+    rec,
+    records_of,
+)
 
 COLUMNS = [
-    "tweet_ids", "account_ids", "code_of", "account_codes", "timestamps", "kinds", "texts",
-    "hashtags", "languages", "retweeted_tweet_ids", "retweeted_account_ids", "mentions",
+    "tweet_ids", "timestamps", "kinds", "code_of", "account_ids", "account_codes",
+    "texts", "text_codes", "hashtags", "hashtag_codes", "languages", "language_codes",
+    "retweeted_tweet_ids", "retweeted_tweet_codes", "retweeted_account_ids",
+    "retweeted_account_codes", "mentions", "mention_codes",
 ]
-SHARED = ["texts", "hashtags", "languages", "retweeted_tweet_ids", "retweeted_account_ids", "mentions"]
 
 
 def cache_lines(corpus) -> list[str]:
     fp = io.StringIO()
     corpus.write_cache(fp)
     return fp.getvalue().splitlines(keepends=True)
+
+
+def assert_tables_in_first_use_order(corpus) -> None:
+    """Each coded column's table holds distinct entries, in the order
+    the rows first use them: write_cache writes a block's new entries
+    from that alone."""
+    for table, (_, codes, *_) in zip(corpus._tables(), coordnet.corpus._CODED):
+        used = [c for c in dict.fromkeys(getattr(corpus, codes)) if c != -1]
+        assert used == list(range(len(table))), codes
+        assert len(set(table)) == len(table), codes
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +158,50 @@ def test_load_cache_equals_parse_corpus(lines):
         with open(cache, "w", encoding="utf-8") as fp:
             parsed.write_cache(fp)
         loaded = load_cache(cache)
+        # loading and writing back gives the same bytes
+        assert "".join(cache_lines(loaded)).encode("utf-8") == cache.read_bytes()
     assert parsed.skip_reasons == ({"duplicate_tweet_id": repeats} if repeats else {})
     assert parsed.tweet_ids == list(kept)
     assert len(loaded) == len(kept)
     for name in COLUMNS:
         assert getattr(loaded, name) == getattr(parsed, name), name
     assert all(type(t) is tuple for t in loaded.hashtags + loaded.mentions)
-    # rows that share a value share one object
-    for name in SHARED:
-        column = getattr(loaded, name)
-        assert len(set(map(id, column))) == len(set(column)), name
+    assert_tables_in_first_use_order(parsed)
+    assert_tables_in_first_use_order(loaded)
+
+
+# Rows without a retweet target hold code -1, and the last entry of each
+# nullable table is what -1 would read as a list index: retweeted tweet
+# "y" and retweeted account "a", which is coordinated below.
+_NO_TARGET = [
+    rec("t1", "a", BASE_TS, "retweet", rt_id="x", rt_account="c"),
+    rec("t2", "b", BASE_TS + 60, "retweet", rt_id="x"),
+    rec("t3", "b", BASE_TS + 120, text="three"),
+    rec("t4", "c", BASE_TS + 180, "retweet", rt_id="y", rt_account="a"),
+    rec("t5", "a", BASE_TS + 240, "reply", mentions=["c"]),
+    rec("t6", "c", BASE_TS + 300, "retweet", rt_id="y"),
+    rec("t7", "a", BASE_TS + 360, "retweet", rt_id="y"),
+    rec("t8", "b", BASE_TS + 420, "retweet", rt_id="x"),
+]
+
+
+def test_no_target_code_never_reads_the_last_entry(tmp_path):
+    parsed = corpus_of(*_NO_TARGET)
+    cache = tmp_path / "cache.jsonl"
+    with open(cache, "w", encoding="utf-8") as fp:
+        parsed.write_cache(fp)
+    for corpus in (parsed, load_cache(cache)):
+        assert (corpus.retweeted_tweet_ids[-1], corpus.retweeted_account_ids[-1]) == ("y", "a")
+        assert -1 in corpus.retweeted_tweet_codes and -1 in corpus.retweeted_account_codes
+        assert records_of(corpus) == _NO_TARGET
+        for coordinated in ({"a", "b"}, {"a"}, {"b", "c"}):
+            member = member_of(corpus, coordinated)
+            assert retweet_interactions(corpus, member) == oracle_retweet_interactions(
+                corpus, coordinated
+            )
+        cfg = DetectorConfig(retweet_min=1, time_min=1)
+        assert_vectors_match_reference(corpus, cfg)
+        assert len(build_account_vectors(corpus, "retweeted_id", cfg)) == 3
 
 
 def test_blocks_hold_cache_rows_records():

@@ -37,6 +37,7 @@ from coordnet.sources import csv_writer
 from helpers import (
     BASE_TS,
     FIELDS,
+    column,
     Edge,
     edge_table,
     edges_of,
@@ -521,16 +522,16 @@ class TestIngestProperty:
                 "account_id": [corpus.account_ids[c] for c in corpus.account_codes],
                 "timestamp": list(corpus.timestamps),
                 "kind": [KINDS[k] for k in corpus.kinds],
-                "text": corpus.texts,
-                "hashtags": corpus.hashtags,
-                "language": corpus.languages,
-                "retweeted_tweet_id": corpus.retweeted_tweet_ids,
-                "retweeted_account_id": corpus.retweeted_account_ids,
-                "mentions": corpus.mentions,
+                "text": column(corpus, "texts"),
+                "hashtags": column(corpus, "hashtags"),
+                "language": column(corpus, "languages"),
+                "retweeted_tweet_id": column(corpus, "retweeted_tweet_ids"),
+                "retweeted_account_id": column(corpus, "retweeted_account_ids"),
+                "mentions": column(corpus, "mentions"),
             }
             assert tuple(columns) == FIELDS
-            for name, column in columns.items():
-                assert column == [getattr(r, name) for r in records], name
+            for name, values in columns.items():
+                assert values == [getattr(r, name) for r in records], name
             if errors:
                 with pytest.raises(CorpusError) as info:
                     parse_corpus(src, strict=True)
@@ -1412,9 +1413,13 @@ class TestClusterScoreReport:
         assert not out.exists()
 
     def test_report_requires_edges(self, tmp_path, detect_run, capsys):
-        cache, _ = detect_run
-        assert main(["report", str(cache), "-o", str(tmp_path / "b")]) == 1
-        assert "--edges" in capsys.readouterr().err
+        # checked before the cache is read, so a wrong cache path too
+        # gives the usage error
+        for cache in (detect_run[0], tmp_path / "missing.jsonl"):
+            bundle = tmp_path / "b"
+            assert main(["report", str(cache), "-o", str(bundle)]) == 1
+            assert "missing input: --edges" in capsys.readouterr().err
+            assert not bundle.exists()
 
     def test_report_rejects_negative_top_clusters(self, tmp_path, detect_run, capsys):
         # clusters[:-1] would silently drop the last cluster

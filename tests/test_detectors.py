@@ -28,11 +28,11 @@ from helpers import (
     BASE_TS,
     Edge,
     account_vectors,
+    assert_vectors_match_reference,
     corpus_of,
     edges_of,
     rec,
     records_of,
-    reference_account_vectors,
     top_fraction_cutoff,
 )
 
@@ -267,23 +267,6 @@ def reference_corpus(rnd, with_retweets=True):
 
 
 class TestBuildAccountVectors:
-    @staticmethod
-    def _assert_matches_reference(corpus, cfg):
-        for term in ("retweeted_id", "time_bin"):
-            vectors = build_account_vectors(corpus, term, cfg)
-            want = reference_account_vectors(corpus, term, cfg)
-            assert list(vectors) == list(want)
-            assert list(vectors.accounts.values()) == list(range(len(want)))
-            assert len(vectors.indptr) == len(want) + 1 and vectors.indptr[0] == 0
-            for r, (entries, norm) in enumerate(want.values()):
-                lo, hi = vectors.indptr[r], vectors.indptr[r + 1]
-                assert vectors.terms[lo:hi].tolist() == list(entries)
-                assert [w.hex() for w in vectors.weights[lo:hi].tolist()] == [
-                    w.hex() for w in entries.values()
-                ]
-                assert float(vectors.norms[r]).hex() == norm.hex()
-            assert vectors.indptr[-1] == len(vectors.terms) == len(vectors.weights)
-
     @pytest.mark.parametrize("with_retweets", [True, False])
     def test_matches_reference_bitwise(self, with_retweets):
         rnd = random.Random(23)
@@ -293,13 +276,13 @@ class TestBuildAccountVectors:
                 retweet_min=rnd.randint(1, 10), time_min=rnd.randint(1, 10),
                 time_bin_minutes=rnd.choice([1, 7, 30, 1440]),
             )
-            self._assert_matches_reference(corpus, cfg)
+            assert_vectors_match_reference(corpus, cfg)
 
     def test_matches_reference_with_none_or_one_eligible(self):
         few = retweets("a", "1", "2") + retweets("b", "10", "9")
         for eligible, records in ((0, few), (1, few + retweets("c", *"9876543210x"))):
             corpus = corpus_of(*records)
-            self._assert_matches_reference(corpus, DetectorConfig())
+            assert_vectors_match_reference(corpus, DetectorConfig())
             for term in ("retweeted_id", "time_bin"):
                 vectors = build_account_vectors(corpus, term)
                 assert len(vectors) == eligible and vectors.indptr[-1] == 0
