@@ -115,7 +115,7 @@ def cmd_ingest(args, config) -> int:
     out = Path(args.out)
     corpus = parse_corpus(args.input, strict=args.strict)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fp:
+    with open(out, "wb") as fp:
         corpus.write_cache(fp)
     manifest = RunManifest("ingest", seed=args.seed)
     manifest.add_input("corpus", args.input)
@@ -488,9 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit_error(exc: Exception, code: int, json_errors: bool) -> None:
     if json_errors:
         payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-        line_no = getattr(exc, "line_no", None)
-        if line_no is not None:
-            payload["line"] = line_no
+        for key, attr in (("line", "line_no"), ("block", "block")):
+            if getattr(exc, attr, None) is not None:
+                payload[key] = getattr(exc, attr)
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     print(f"coordnet: error: {exc}", file=sys.stderr)
 

@@ -6,9 +6,11 @@ per field, each but tweet ids, timestamps and kinds a table of distinct
 values and an integer code per row. A Corpus comes from one of two
 places: parse_corpus parses input, and the stages after ingest read the
 cache of column blocks that Corpus.write_cache writes and load_cache
-checks and loads. The cache holds the same tables and codes, each table
-entry written once. This module does not import numpy, so ingest never
-loads it.
+checks and loads. The cache holds the same tables and codes: each table
+entry written once in a block's JSON header line, each integer column
+as little-endian binary after it, every code at the narrowest width
+that holds its block's codes. This module does not import numpy, so
+ingest never loads it.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from array import array
 from collections import Counter
 from datetime import datetime, timezone
-from itertools import chain, compress
+from itertools import chain, compress, count
 from typing import Callable, Iterator
 
 from coordnet.sources import open_text
@@ -37,12 +40,17 @@ HASHTAG_SEPARATOR = "|"
 
 class CorpusError(ValueError):
     """A malformed record or unreadable corpus stream; source, when
-    given, names the file the line is in."""
+    given, names the file the line (or cache block) is in."""
 
-    def __init__(self, message: str, line_no: int | None = None, source=None):
+    def __init__(
+        self, message: str, line_no: int | None = None, source=None, block: int | None = None
+    ):
         self.line_no = line_no
+        self.block = block
         if line_no is not None:
             message = f"line {line_no}: {message}"
+        if block is not None:
+            message = f"block {block}: {message}"
         if source is not None:
             message = f"{source}: {message}"
         super().__init__(message)
@@ -220,7 +228,7 @@ def _decode_line(line: str):
     return obj
 
 
-# The canonical JSON form of records and cache blocks: json.dumps with
+# The canonical JSON form of records and cache block headers: json.dumps with
 # non-default arguments would build a new JSONEncoder per call.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
@@ -356,29 +364,37 @@ class Corpus:
             write("\n")
 
     def write_cache(self, fp) -> None:
-        """Write the columns to a text file as cache blocks, one
-        canonical JSON line per CACHE_ROWS rows; load_cache reads them
-        back. Each coded column (_CODED) is written as its rows' codes
-        and the table entries they use first, in code order: the tables
-        being in order of first use, those run from the end of the
-        earlier blocks' entries to the block's largest code."""
+        """Write the columns to a binary file as cache blocks of
+        CACHE_ROWS rows; load_cache reads them back. A block is one
+        canonical JSON header line, then its integer columns, raw and
+        little-endian. The header holds the block's tweet ids, each
+        coded column's (_CODED) table entries that its rows use first,
+        in code order, and widths, the bytes per code of each coded
+        column. The tables being in order of first use, a block's new
+        entries run from the end of the earlier blocks' entries to its
+        largest code. The body holds the timestamps as int64, the kinds
+        as int8, then each coded column's codes as signed ints of its
+        width: the narrowest of 1, 2 and 4 bytes that holds the block's
+        smallest and largest code."""
         tables = self._tables()
         known = [0] * len(_CODED)
         for start in range(0, len(self), CACHE_ROWS):
             rows = slice(start, start + CACHE_ROWS)
-            block = {
-                "tweet_ids": self.tweet_ids[rows],
-                "timestamps": self.timestamps[rows].tolist(),
-                "kinds": self.kinds[rows].tolist(),
-            }
+            header = {"tweet_ids": self.tweet_ids[rows]}
+            body = [_little_endian(self.timestamps[rows]), self.kinds[rows].tobytes()]
+            widths = []
             for i, (table_key, codes_key, *_) in enumerate(_CODED):
                 codes = getattr(self, codes_key)[rows]
-                end = max(known[i], max(codes) + 1)
-                block[table_key] = tables[i][known[i] : end]
-                block[codes_key] = codes.tolist()
+                low, high = min(codes), max(codes)
+                end = max(known[i], high + 1)
+                header[table_key] = tables[i][known[i] : end]
                 known[i] = end
-            fp.write(_ENCODER.encode(block))
-            fp.write("\n")
+                widths.append(_width(low, high))
+                body.append(_narrow(codes, widths[-1]))
+            header["widths"] = widths
+            fp.write(_ENCODER.encode(header).encode("utf-8"))
+            fp.write(b"\n")
+            fp.write(b"".join(body))
 
 
 class _Coder(dict):
@@ -432,23 +448,89 @@ def parse_corpus(source, strict: bool = False) -> Corpus:
 # The cache: column blocks
 # ---------------------------------------------------------------------------
 
-# Rows per cache block: one json.loads and one bulk check per column per
-# block. A larger block adds its decoded objects to a stage's peak RSS.
+# Rows per cache block: one header decode and one bulk check per column
+# per block. A larger block adds its decoded objects to a stage's peak RSS.
 CACHE_ROWS = 1024
+
+# Code widths in bytes, narrowest first, with the array typecode of a
+# signed int that wide: a block writes each code column at the narrowest
+# width that holds the column's smallest and largest code.
+_WIDTHS = {1: "b", 2: "h", 4: "i"}
+# Body bytes per row besides the codes: an int64 timestamp, an int8 kind.
+_ROW_BYTES = 9
+# The body is little-endian. A big-endian host swaps each column's items
+# on write and on load, and narrows and widens codes through arrays of
+# their width; a little-endian one moves the bytes with slices.
+_BIG_ENDIAN = sys.byteorder == "big"
+# bytes.translate table: 0xff for a byte whose sign bit is set, else 0.
+_SIGN_BYTES = bytes(0xFF if b & 0x80 else 0 for b in range(256))
 
 # A \u escape of a UTF-16 surrogate: an odd run of backslashes before the
 # u, so an escaped backslash followed by "ud800" text does not match.
 _BLOCK_SURROGATE_RE = re.compile(r"(?<!\\)(?:\\\\)*\\u[dD][89a-fA-F]")
 
 
-def _column(block: dict, key: str, types: tuple, rows: int | None = None) -> list:
+def _little_endian(column: array) -> bytes:
+    """column's items as little-endian bytes on any host."""
+    if _BIG_ENDIAN:
+        column = column[:]
+        column.byteswap()
+    return column.tobytes()
+
+
+def _from_little_endian(column: array, data: bytes) -> array:
+    """column with the little-endian items in data appended."""
+    column.frombytes(data)
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return column
+
+
+def _width(low: int, high: int) -> int:
+    """The narrowest code width that holds every int from low to high."""
+    return next(w for w in _WIDTHS if -(1 << 8 * w - 1) <= low and high < 1 << 8 * w - 1)
+
+
+def _narrow(codes: array, width: int) -> bytes:
+    """An array("i") as little-endian signed ints of width bytes, which
+    hold every code: on a little-endian host, the first width bytes of
+    each 4-byte code."""
+    if _BIG_ENDIAN:
+        return _little_endian(array(_WIDTHS[width], codes))
+    wide = codes.tobytes()
+    if width == 4:
+        return wide
+    narrow = bytearray(len(codes) * width)
+    for i in range(width):
+        narrow[i::width] = wide[i::4]
+    return bytes(narrow)
+
+
+def _widen(narrow: bytes, width: int) -> array:
+    """Little-endian signed ints of width bytes as an array("i"): on a
+    little-endian host, each int's bytes, then copies of its sign bit."""
+    if _BIG_ENDIAN:
+        codes = _from_little_endian(array(_WIDTHS[width]), narrow)
+        return codes if width == 4 else array("i", codes)
+    if width != 4:
+        wide = bytearray(len(narrow) // width * 4)
+        for i in range(width):
+            wide[i::4] = narrow[i::width]
+        signs = narrow[width - 1 :: width].translate(_SIGN_BYTES)
+        for i in range(width, 4):
+            wide[i::4] = signs
+        narrow = wide
+    codes = array("i")
+    codes.frombytes(narrow)
+    return codes
+
+
+def _column(block: dict, key: str, types: tuple) -> list:
     """block[key], checked to be a list of values of exactly these types
-    (a bool is not an int) and, when rows is given, that long."""
+    (a bool is not an int)."""
     column = block[key]
     if type(column) is not list:
         raise ValueError(f"{key} must be a list")
-    if rows is not None and len(column) != rows:
-        raise ValueError(f"{key} holds {len(column)} rows, tweet_ids {rows}")
     if not set(map(type, column)).issubset(types):
         raise ValueError(f"{key} must hold only {' or '.join(t.__name__ for t in types)} values")
     return column
@@ -465,7 +547,7 @@ def _ids(block: dict, key: str) -> list[str]:
     return column
 
 
-def _in_range(column: list, key: str, low: int, high: int) -> None:
+def _in_range(column: array, key: str, low: int, high: int) -> None:
     if column and not (low <= min(column) and max(column) <= high):
         raise ValueError(f"{key} must lie in [{low}, {high}]")
 
@@ -488,10 +570,11 @@ def _hashtag_lists(block: dict, key: str) -> list[tuple[str, ...]]:
 
 
 # The coded columns: (table, codes, the check of the table's entries,
-# whether None is allowed and coded -1). Each name is a cache block key
-# and a Corpus attribute, but the accounts table is Corpus.account_ids. A
-# block's table lists the entries new to the file, in order of first use;
-# each row holds a code into the file's table, the Corpus table.
+# whether None is allowed and coded -1). Each name is a Corpus attribute,
+# but the accounts table is Corpus.account_ids; the table names are block
+# header keys. A block's table lists the entries new to the file, in
+# order of first use; each row holds a code into the file's table, the
+# Corpus table.
 _CODED = (
     ("accounts", "account_codes", _ids, False),
     ("texts", "text_codes", _strings, False),
@@ -501,54 +584,68 @@ _CODED = (
     ("retweeted_account_ids", "retweeted_account_codes", _ids, True),
     ("mentions", "mention_codes", _string_lists, False),
 )
-_BLOCK_KEYS = frozenset(
-    ("tweet_ids", "timestamps", "kinds", *chain.from_iterable(c[:2] for c in _CODED))
-)
-# The block layout before the columns after accounts were coded.
-_UNCODED_KEYS = _BLOCK_KEYS.difference(codes for _, codes, *_ in _CODED[1:])
+_HEADER_KEYS = frozenset(("tweet_ids", *(table for table, *_ in _CODED), "widths"))
 # bytes(kinds).translate(_RETWEET_FLAGS): 1 for a retweet, else 0
 _RETWEET_FLAGS = bytes(kind == RETWEET for kind in range(256))
 
 
-def _decode_block(line: bytes) -> dict:
-    """The JSON object of one cache line, with exactly the block keys."""
+def _decode_header(line: bytes) -> dict:
+    """The JSON object of one block header line, with exactly the
+    header keys."""
+    if not line.endswith(b"\n"):
+        raise ValueError(
+            "the file ends inside a block header: a truncated cache, or bytes after its last block"
+        )
     try:
         text = line.decode("utf-8")
     except UnicodeDecodeError:
-        raise ValueError("block is not valid UTF-8") from None
+        raise ValueError("block header is not valid UTF-8") from None
     if ("\\ud" in text or "\\uD" in text) and _BLOCK_SURROGATE_RE.search(text):
-        raise ValueError("block holds a UTF-16 surrogate escape")
+        raise ValueError("block header holds a UTF-16 surrogate escape")
     try:
-        block = json.loads(text)
+        header = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise ValueError("invalid JSON: nested too deeply") from None
-    if type(block) is dict and block.keys() == _BLOCK_KEYS:
-        return block
-    if type(block) is dict and ("tweet_id" in block or block.keys() == _UNCODED_KEYS):
+    if type(header) is dict and header.keys() == _HEADER_KEYS:
+        return header
+    if type(header) is dict and ("tweet_id" in header or "timestamps" in header):
         raise ValueError(
-            "a record or an uncoded block, not a cache block: a cache from an older coordnet "
+            "a record or a JSON block, not a cache block header: a cache from an older coordnet "
             "(or a corpus not yet ingested); re-run `coordnet ingest` to rebuild the cache"
         )
-    raise ValueError(f"a cache block is a JSON object with keys {', '.join(sorted(_BLOCK_KEYS))}")
+    raise ValueError(
+        f"a cache block header is a JSON object with keys {', '.join(sorted(_HEADER_KEYS))}"
+    )
 
 
-def _codes(block: dict, column: tuple, values: list, seen: set, rows: int) -> list[int]:
-    """One coded column of a block, checked: its table's entries join
-    the file's values (and seen), and each row's code is returned."""
+def _widths(header: dict) -> list[int]:
+    widths = header["widths"]
+    if (
+        type(widths) is not list
+        or len(widths) != len(_CODED)
+        or not set(map(type, widths)).issubset((int,))
+        or not set(widths).issubset(_WIDTHS)
+    ):
+        raise ValueError(f"widths must list {len(_CODED)} code widths, each 1, 2 or 4")
+    return widths
+
+
+def _codes(header: dict, column: tuple, values: list, seen: set, codes: array) -> None:
+    """Check one coded column of a block: its table's entries join the
+    file's values (and seen), and its codes index them."""
     table, key, check, nullable = column
-    entries = check(block, table)
+    entries = check(header, table)
     known = len(values)
     seen.update(entries)
     if len(seen) != known + len(entries):
         raise ValueError(f"{table} repeats an entry of the file's table")
     values.extend(entries)
-    codes = _column(block, key, (int,), rows)
     low = -1 if nullable else 0
     if not entries:
         _in_range(codes, key, low, known - 1)
-        return codes
+        return
     # the block's new entries, in the order its rows first use them (so
     # no code lies past the table)
     distinct = dict.fromkeys(codes)
@@ -556,62 +653,82 @@ def _codes(block: dict, column: tuple, values: list, seen: set, rows: int) -> li
     if fresh != list(range(known, len(values))) or min(distinct, default=low) < low:
         _in_range(codes, key, low, len(values) - 1)
         raise ValueError(f"{table} must list the values the block uses first, in order of use")
-    return codes
 
 
-def _extend(corpus: Corpus, block: dict, tables: list, claimed: set) -> None:
-    """Check one decoded block in bulk and append its rows to corpus;
-    tables holds each coded column's (corpus table, set of its entries)
-    and claimed the tweet ids of the blocks before it."""
-    tweet_ids = _ids(block, "tweet_ids")
+def _extend(corpus: Corpus, header: dict, fp, tables: list, claimed: set) -> None:
+    """Read the body of the block whose header is given from fp, check
+    the block in bulk and append its rows to corpus; tables holds each
+    coded column's (corpus table, set of its entries) and claimed the
+    tweet ids of the blocks before it."""
+    tweet_ids = _ids(header, "tweet_ids")
     rows = len(tweet_ids)
     known = len(claimed)
     claimed.update(tweet_ids)
     if len(claimed) != known + rows:
         raise ValueError("tweet_ids repeats a tweet id")
-    timestamps = _column(block, "timestamps", (int,), rows)
-    kinds = _column(block, "kinds", (int,), rows)
+    widths = _widths(header)
+    size = rows * (_ROW_BYTES + sum(widths))
+    body = fp.read(size)
+    if len(body) != size:
+        raise ValueError(
+            f"the file ends {size - len(body)} bytes short of the block's {size}-byte body"
+        )
+    timestamps = _from_little_endian(array("q"), body[: 8 * rows])
+    kind_bytes = body[8 * rows : 9 * rows]
+    kinds = array("b", kind_bytes)
     _in_range(timestamps, "timestamps", _MIN_TIMESTAMP, _MAX_TIMESTAMP)
     _in_range(kinds, "kinds", 0, len(KINDS) - 1)
-    codes = {c[1]: _codes(block, c, *table, rows) for c, table in zip(_CODED, tables)}
+    start = _ROW_BYTES * rows
+    codes = {}
+    for column, table, width in zip(_CODED, tables, widths):
+        end = start + width * rows
+        codes[column[1]] = _widen(body[start:end], width)
+        _codes(header, column, *table, codes[column[1]])
+        start = end
     # retweets hold a retweeted tweet code, so the -1s are the other rows
     retweeted = codes["retweeted_tweet_codes"]
-    retweets = bytes(kinds).translate(_RETWEET_FLAGS)
+    retweets = kind_bytes.translate(_RETWEET_FLAGS)
     if -1 in compress(retweeted, retweets) or retweeted.count(-1) != rows - kinds.count(RETWEET):
         raise ValueError("a row has retweeted_tweet_id if and only if it is a retweet")
 
     corpus.tweet_ids.extend(tweet_ids)
-    corpus.timestamps.fromlist(timestamps)
-    corpus.kinds.fromlist(kinds)
+    corpus.timestamps.extend(timestamps)
+    corpus.kinds.extend(kinds)
     for key, column in codes.items():
-        getattr(corpus, key).fromlist(column)
+        getattr(corpus, key).extend(column)
 
 
 def load_cache(path) -> Corpus:
     """Load the cache that Corpus.write_cache wrote to path.
 
-    One json.loads per block, then every column is checked in bulk, each
-    table entry once and the codes as lists, so a block holds nothing a
-    record that ingest accepted could not: exact types (a bool is not an
-    int), non-empty ids and language tags, lowercase hashtags without
-    HASHTAG_SEPARATOR, lists of strings, codes within their table (-1,
-    for none, only in the two retweet columns) and new table entries
-    distinct and in order of first use, timestamps in years 1-9999,
-    valid kind codes, a retweeted_tweet_id code on retweets and only
-    there, distinct tweet ids across the whole file, strict UTF-8 and no
-    surrogate escapes. Any other content, a cache written before the
-    columns were coded among it, raises CorpusError naming the file and
-    the line. The tables and codes become the corpus's as they are.
+    Per block, one json.loads of the header line and one read of the
+    body, then every column is checked in bulk: each table entry once,
+    the integer columns as arrays. So a block holds nothing a record
+    that ingest accepted could not: exact types (a bool is not an int),
+    non-empty ids and language tags, lowercase hashtags without
+    HASHTAG_SEPARATOR, lists of strings, code widths of 1, 2 or 4 bytes,
+    codes within their table (-1, for none, only in the two retweet
+    columns) and new table entries distinct and in order of first use,
+    timestamps in years 1-9999, valid kind codes, a retweeted_tweet_id
+    code on retweets and only there, distinct tweet ids across the whole
+    file, a body of exactly the bytes its header's rows and widths call
+    for, strict UTF-8 and no surrogate escapes in the headers. Any other
+    content, a cache written before the integer columns were binary
+    among it, raises CorpusError naming the file and the block. The
+    tables and codes become the corpus's as they are.
     """
     corpus = Corpus()
     tables = [(table, set()) for table in corpus._tables()]
     claimed: set[str] = set()
     with open(path, "rb") as fp:
-        for line_no, line in enumerate(fp, start=1):
+        for block in count(1):
+            line = fp.readline()
+            if not line:
+                break
             try:
-                _extend(corpus, _decode_block(line), tables, claimed)
+                _extend(corpus, _decode_header(line), fp, tables, claimed)
             except ValueError as exc:
-                raise CorpusError(str(exc), line_no=line_no, source=path) from None
+                raise CorpusError(str(exc), block=block, source=path) from None
     del tables, claimed  # freed before code_of is built, so they do not add to its peak
     corpus.code_of.update(zip(corpus.account_ids, range(len(corpus.account_ids))))
     return corpus

@@ -861,7 +861,7 @@ def detect_dense_cache(accounts, workdir):
     generated, _ = workloads.detect_dense(np.random.Generator(np.random.PCG64(7)), accounts)
     generated.write(workdir / "input.jsonl")
     corpus = parse_corpus(workdir / "input.jsonl")
-    with open(workdir / "cache.jsonl", "w", encoding="utf-8") as fp:
+    with open(workdir / "cache.jsonl", "wb") as fp:
         corpus.write_cache(fp)
     return len(corpus), workdir / "cache.jsonl"
 
@@ -887,10 +887,12 @@ def test_criterion_11_cache_bytes_and_load_memory_per_record(tmp_path):
     (n0, cache0), (n1, cache1) = caches
     added = n1 - n0
     per_record = (cache1.stat().st_size - cache0.stat().st_size) / added
-    # Each record writes its tweet id and six codes; its retweet target,
-    # text and tags are written once per file. 59.2 B measured; writing
-    # them per row measured 73.0 B.
-    assert per_record <= 64, f"cache grew {per_record:.1f} B per record"
+    # Each record writes its tweet id in the block header, and its
+    # timestamp, kind and seven codes in the body, each code in the fewest
+    # bytes that hold its block's codes; its retweet target, text and
+    # tags are written once per file. 47.4 B measured; codes as JSON ints
+    # measured 59.2 B, and values written per row 73.0 B.
+    assert per_record <= 52, f"cache grew {per_record:.1f} B per record"
     held = (load_cache_held_bytes(cache1) - load_cache_held_bytes(cache0)) / added
     # A 4-byte code per row in each coded column: 154.5 B measured (the
     # tweet id string dominates). An 8-byte list slot per row in six of

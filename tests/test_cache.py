@@ -1,6 +1,10 @@
 """The ingest cache: column blocks that Corpus.write_cache writes and
-load_cache reads back, with every check the per-record reload made."""
+load_cache reads back, with every check the per-record reload made. A
+block is a JSON header line, then its integer columns as little-endian
+binary; decode_blocks and encode_block read and write that layout
+independently of coordnet.corpus."""
 
+import copy
 import dataclasses
 import io
 import itertools
@@ -37,10 +41,61 @@ COLUMNS = [
 ]
 
 
-def cache_lines(corpus) -> list[str]:
-    fp = io.StringIO()
+CODE_KEYS = [codes for _, codes, *_ in coordnet.corpus._CODED]
+
+
+def body_columns(widths) -> list[tuple[str, int]]:
+    """(column, bytes per value) of a block body, in order."""
+    return [("timestamps", 8), ("kinds", 1), *zip(CODE_KEYS, widths)]
+
+
+def cache_bytes(corpus) -> bytes:
+    fp = io.BytesIO()
     corpus.write_cache(fp)
-    return fp.getvalue().splitlines(keepends=True)
+    return fp.getvalue()
+
+
+def decode_blocks(data: bytes) -> list[tuple[dict, dict]]:
+    """Each block of a cache as (header, columns): the decoded JSON
+    header line, and the body's timestamps, kinds and code columns as
+    lists of ints, read at the widths the header gives."""
+    blocks, at = [], 0
+    while at < len(data):
+        end = data.index(b"\n", at) + 1
+        header = json.loads(data[at:end])
+        rows, at = len(header["tweet_ids"]), end
+        columns = {}
+        for key, width in body_columns(header["widths"]):
+            cells = data[at : at + rows * width]
+            assert len(cells) == rows * width, "cache ends inside a block body"
+            columns[key] = [
+                int.from_bytes(cells[i : i + width], "little", signed=True)
+                for i in range(0, len(cells), width)
+            ]
+            at += rows * width
+        blocks.append((header, columns))
+    return blocks
+
+
+def encode_block(header: dict, columns: dict, widths: list[int], byteorder="little") -> bytes:
+    """header as one JSON line, then columns as signed ints, little-endian
+    unless byteorder says otherwise: timestamps in 8 bytes, kinds in 1
+    and each code column in its entry of widths."""
+    body = b"".join(
+        value.to_bytes(width, byteorder, signed=True)
+        for key, width in body_columns(widths)
+        for value in columns[key]
+    )
+    return _canonical(header) + b"\n" + body
+
+
+def _canonical(value) -> bytes:
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def narrowest(codes: list[int]) -> int:
+    """The fewest bytes of a signed int that hold every code."""
+    return next(w for w in (1, 2, 4) if all(-(1 << 8 * w - 1) <= c < 1 << 8 * w - 1 for c in codes))
 
 
 def assert_tables_in_first_use_order(corpus) -> None:
@@ -155,11 +210,12 @@ def test_load_cache_equals_parse_corpus(lines):
         src, cache = Path(tmp) / "input.jsonl", Path(tmp) / "cache.jsonl"
         src.write_text("".join(lines), encoding="utf-8")
         parsed = parse_corpus(src)
-        with open(cache, "w", encoding="utf-8") as fp:
+        with open(cache, "wb") as fp:
             parsed.write_cache(fp)
         loaded = load_cache(cache)
         # loading and writing back gives the same bytes
-        assert "".join(cache_lines(loaded)).encode("utf-8") == cache.read_bytes()
+        assert cache_bytes(loaded) == cache.read_bytes()
+        blocks = decode_blocks(cache.read_bytes())
     assert parsed.skip_reasons == ({"duplicate_tweet_id": repeats} if repeats else {})
     assert parsed.tweet_ids == list(kept)
     assert len(loaded) == len(kept)
@@ -168,6 +224,12 @@ def test_load_cache_equals_parse_corpus(lines):
     assert all(type(t) is tuple for t in loaded.hashtags + loaded.mentions)
     assert_tables_in_first_use_order(parsed)
     assert_tables_in_first_use_order(loaded)
+    # each code column at the narrowest width that holds its block's codes
+    for header, columns in blocks:
+        assert header["widths"] == [narrowest(columns[key]) for key in CODE_KEYS]
+    assert [code for _, columns in blocks for code in columns["text_codes"]] == list(
+        parsed.text_codes
+    )
 
 
 # Rows without a retweet target hold code -1, and the last entry of each
@@ -188,7 +250,7 @@ _NO_TARGET = [
 def test_no_target_code_never_reads_the_last_entry(tmp_path):
     parsed = corpus_of(*_NO_TARGET)
     cache = tmp_path / "cache.jsonl"
-    with open(cache, "w", encoding="utf-8") as fp:
+    with open(cache, "wb") as fp:
         parsed.write_cache(fp)
     for corpus in (parsed, load_cache(cache)):
         assert (corpus.retweeted_tweet_ids[-1], corpus.retweeted_account_ids[-1]) == ("y", "a")
@@ -206,13 +268,15 @@ def test_no_target_code_never_reads_the_last_entry(tmp_path):
 
 def test_blocks_hold_cache_rows_records():
     records = [rec(i, f"a{i % 5}", BASE_TS + i) for i in range(2 * CACHE_ROWS + 1)]
-    blocks = [json.loads(line) for line in cache_lines(corpus_of(*records))]
-    assert [len(b["tweet_ids"]) for b in blocks] == [CACHE_ROWS, CACHE_ROWS, 1]
-    assert [b["accounts"] for b in blocks] == [["a0", "a1", "a2", "a3", "a4"], [], []]
+    blocks = decode_blocks(cache_bytes(corpus_of(*records)))
+    assert [len(h["tweet_ids"]) for h, _ in blocks] == [CACHE_ROWS, CACHE_ROWS, 1]
+    assert [h["accounts"] for h, _ in blocks] == [["a0", "a1", "a2", "a3", "a4"], [], []]
+    assert [c["timestamps"][0] for _, c in blocks] == [BASE_TS, BASE_TS + CACHE_ROWS,
+                                                       BASE_TS + 2 * CACHE_ROWS]
 
 
 def test_empty_cache_loads_empty_corpus(tmp_path):
-    assert cache_lines(Corpus()) == []
+    assert cache_bytes(Corpus()) == b""
     path = tmp_path / "cache.jsonl"
     path.write_bytes(b"")
     corpus = load_cache(path)
@@ -221,7 +285,83 @@ def test_empty_cache_loads_empty_corpus(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Malformed caches: every check rejects its case, naming file and line
+# Code widths and byte order
+# ---------------------------------------------------------------------------
+
+# One more row than codes that fit in 2 bytes: every row's text is new,
+# so the text codes run 0..32768 and cross the 1- and 2-byte bounds at
+# rows 128 and 32768. Accounts cycle through 129 ids (codes 0..128);
+# every third row is a retweet, so -1 fills the two retweet columns
+# between the retweeted codes; hashtag and mention lists repeat a few.
+_WIDE_ROWS = 32769
+
+
+@pytest.fixture(scope="module")
+def wide_corpus():
+    lines = []
+    for i in range(_WIDE_ROWS):
+        obj = {"tweet_id": f"t{i}", "account_id": f"a{i % 129}", "timestamp": BASE_TS + i,
+               "kind": KINDS[i % 3], "text": f"text {i}", "hashtags": [f"h{i % 7}"],
+               "language": "en", "mentions": [f"m{i % 5}"] if i % 2 else []}
+        if i % 3 == 2:
+            obj["retweeted_tweet_id"] = f"t{i // 2}"
+            obj["retweeted_account_id"] = f"a{i % 200}"
+        lines.append(json.dumps(obj))
+    corpus = parse_corpus(lines, strict=True)
+    assert max(corpus.text_codes) == 32768 and max(corpus.account_codes) == 128
+    return corpus
+
+
+def _round_trip(corpus, path: Path) -> bytes:
+    """corpus written to path, loaded and checked column by column, and
+    the loaded corpus's cache bytes."""
+    with open(path, "wb") as fp:
+        corpus.write_cache(fp)
+    loaded = load_cache(path)
+    for name in COLUMNS:
+        assert getattr(loaded, name) == getattr(corpus, name), name
+    return cache_bytes(loaded)
+
+
+@pytest.mark.parametrize("rows", [1, 3, CACHE_ROWS])
+def test_each_block_writes_codes_at_their_narrowest_width(
+    tmp_path, wide_corpus, monkeypatch, rows
+):
+    monkeypatch.setattr(coordnet.corpus, "CACHE_ROWS", rows)
+    path = tmp_path / "cache.jsonl"
+    assert _round_trip(wide_corpus, path) == path.read_bytes()
+    blocks = decode_blocks(path.read_bytes())
+    assert len(blocks) == -(-_WIDE_ROWS // rows)
+    for header, columns in blocks:
+        assert header["widths"] == [narrowest(columns[key]) for key in CODE_KEYS]
+    assert {w for header, _ in blocks for w in header["widths"]} == {1, 2, 4}
+    for key in ("retweeted_tweet_codes", "retweeted_account_codes"):
+        assert -1 in (code for _, columns in blocks for code in columns[key])
+    # the block that holds text code 127, 128, 32767 or 32768 (the last)
+    text = CODE_KEYS.index("text_codes")
+    widths = {code: blocks[code // rows][0]["widths"][text] for code in (127, 128, 32767, 32768)}
+    if rows == 1:
+        assert widths == {127: 1, 128: 2, 32767: 2, 32768: 4}
+    assert widths[32768] == 4
+
+
+def test_big_endian_branch_swaps_every_item(tmp_path, wide_corpus, monkeypatch):
+    native = tmp_path / "native.jsonl"
+    assert _round_trip(wide_corpus, native) == native.read_bytes()
+    # A big-endian host swaps each item of each column to little-endian
+    # on write and back on load. Forced on a little-endian host, the
+    # swaps write each item big-endian, and the load reads it back.
+    monkeypatch.setattr(coordnet.corpus, "_BIG_ENDIAN", True)
+    swapped = tmp_path / "swapped.jsonl"
+    assert _round_trip(wide_corpus, swapped) == swapped.read_bytes()
+    assert swapped.read_bytes() == b"".join(
+        encode_block(header, columns, header["widths"], "big")
+        for header, columns in decode_blocks(native.read_bytes())
+    )
+
+
+# ---------------------------------------------------------------------------
+# Malformed caches: every check rejects its case, naming file and block
 # ---------------------------------------------------------------------------
 
 # Two blocks of three rows. Block 1 uses accounts a, c; block 2 uses
@@ -237,11 +377,11 @@ _RECORDS = [
 
 
 @pytest.fixture(scope="module")
-def block_lines() -> list[str]:
+def blocks() -> list[tuple[dict, dict]]:
     saved = coordnet.corpus.CACHE_ROWS
     coordnet.corpus.CACHE_ROWS = 3
     try:
-        return cache_lines(corpus_of(*_RECORDS))
+        return decode_blocks(cache_bytes(corpus_of(*_RECORDS)))
     finally:
         coordnet.corpus.CACHE_ROWS = saved
 
@@ -257,69 +397,108 @@ def edges_dir(tmp_path_factory) -> Path:
     return tmp / "det"
 
 
-def _mutated_cache(path: Path, block_lines, which: int, mutate) -> Path:
-    """block_lines with block `which` (from 1) passed through mutate,
-    which edits the decoded block in place or returns the new line."""
-    lines = list(block_lines)
-    block = json.loads(lines[which - 1])
-    lines[which - 1] = (mutate(block) or json.dumps(block, ensure_ascii=False)) + "\n"
-    path.write_text("".join(lines), encoding="utf-8")
+def _mutated_cache(path: Path, blocks, which: int, mutate) -> Path:
+    """blocks written to path with block `which` (from 1) passed through
+    mutate, which edits the header and columns in place (the columns are
+    then written at the block's own widths) or returns the block's bytes."""
+    data = []
+    for n, (header, columns) in enumerate(blocks, start=1):
+        header, columns = copy.deepcopy(header), copy.deepcopy(columns)
+        widths = list(header["widths"])
+        raw = mutate(header, columns) if n == which else None
+        data.append(encode_block(header, columns, widths) if raw is None else raw)
+    path.write_bytes(b"".join(data))
     return path
 
 
+def _part(header, columns, key):
+    return columns if key in columns else header
+
+
 def _set(key, value):
-    def mutate(block):
-        block[key] = value
+    def mutate(header, columns):
+        _part(header, columns, key)[key] = value
     return mutate
 
 
 def _put(key, row, value):
-    def mutate(block):
-        block[key][row] = value
+    def mutate(header, columns):
+        _part(header, columns, key)[key][row] = value
     return mutate
 
 
 def _append(key, value):
-    def mutate(block):
-        block[key].append(value)
+    def mutate(header, columns):
+        _part(header, columns, key)[key].append(value)
     return mutate
 
 
 def _drop_last(key):
-    def mutate(block):
-        block[key].pop()
+    def mutate(header, columns):
+        _part(header, columns, key)[key].pop()
     return mutate
 
 
 def _raw(old, new):
-    def mutate(block):
-        return json.dumps(block, ensure_ascii=False).replace(old, new)
+    """The header's JSON text with old replaced by new."""
+    def mutate(header, columns):
+        line = _canonical(header).decode("utf-8").replace(old, new)
+        return encode_block({}, columns, header["widths"]).replace(b"{}", line.encode(), 1)
     return mutate
 
 
-def _del_key(block):
-    del block["languages"]
+def _tail(cut=0, extra=b""):
+    """The block's bytes with cut bytes taken off the end and extra added."""
+    def mutate(header, columns):
+        raw = encode_block(header, columns, header["widths"])
+        return raw[: len(raw) - cut] + extra
+    return mutate
 
 
-def _deep(block):
-    return json.dumps(block)[:-1] + ',"extra":' + "[" * 50_000 + "]" * 50_000 + "}"
+def _del_key(header, columns):
+    del header["languages"]
 
 
-def _uncode(block):
+def _deep(header, columns):
+    return _raw("}", ',"extra":' + "[" * 50_000 + "]" * 50_000 + "}")(header, columns)
+
+
+def _json_block(header, columns):
+    """The block as the JSON-only cache layout wrote it: the integer
+    columns in the line, beside the tables."""
+    block = {"tweet_ids": header["tweet_ids"], "timestamps": columns["timestamps"],
+             "kinds": columns["kinds"]}
+    for table, codes, *_ in coordnet.corpus._CODED:
+        block[table], block[codes] = header[table], columns[codes]
+    return _canonical(block) + b"\n"
+
+
+def _uncode(header, columns):
     """Block 1 as coordnet wrote it before the columns after accounts
     were coded: each of them in full, row by row."""
+    block = json.loads(_json_block(header, columns))
     for table, codes, *_ in coordnet.corpus._CODED[1:]:
         values = block[table]
         block[table] = [None if c < 0 else values[c] for c in block.pop(codes)]
+    return _canonical(block) + b"\n"
 
 
-def _drop_retweet(block):
+def _drop_retweet(header, columns):
     # row 1 of block 1 loses its retweeted_tweet_id, and the table its entry
-    block["retweeted_tweet_codes"][1] = -1
-    block["retweeted_tweet_ids"] = []
+    columns["retweeted_tweet_codes"][1] = -1
+    header["retweeted_tweet_ids"] = []
 
 
-# name: (block mutated, mutation, a phrase of the error message)
+def _width(column, value):
+    """column's entry of widths set to value."""
+    return _put("widths", CODE_KEYS.index(column), value)
+
+
+# name: (block mutated, mutation, a phrase of the error message[, the
+# block named when it is not the mutated one]). A code column's bytes
+# cannot hold a bool or a float, so each `*_code-bool` case (and
+# `account_code-float`) puts that value where the column's width goes:
+# a width that equals 1 but is not an int is refused.
 MUTATIONS = {
     "tweet_ids-not-list": (1, _set("tweet_ids", "t1"), "tweet_ids must be a list"),
     "tweet_id-int": (1, _put("tweet_ids", 0, 1), "tweet_ids must hold only str"),
@@ -332,26 +511,23 @@ MUTATIONS = {
     "account-repeated-across-blocks": (2, _put("accounts", 0, "a"), "accounts repeats an entry"),
     "account-unused": (1, _append("accounts", "q"), "in order of use"),
     "accounts-out-of-order": (2, _set("account_codes", [3, 2, 0]), "in order of use"),
-    "account_code-bool": (2, _put("account_codes", 1, True), "account_codes must hold only int"),
-    "account_code-float": (1, _put("account_codes", 0, 0.0), "account_codes must hold only int"),
+    "account_code-bool": (2, _width("account_codes", True), "each 1, 2 or 4"),
+    "account_code-float": (1, _width("account_codes", 1.0), "each 1, 2 or 4"),
     "account_code-past-table": (1, _put("account_codes", 2, 2), "account_codes must lie in [0, 1]"),
     "account_code-negative": (1, _put("account_codes", 1, -1), "account_codes must lie in"),
-    "timestamp-bool": (1, _put("timestamps", 0, True), "timestamps must hold only int"),
-    "timestamp-float": (1, _put("timestamps", 0, 1.5), "timestamps must hold only int"),
-    "timestamp-string": (1, _put("timestamps", 0, "2017-05-01"), "timestamps must hold only int"),
     "timestamp-past-9999": (1, _put("timestamps", 0, 253402300800), "timestamps must lie in"),
     "timestamp-before-1": (2, _put("timestamps", 2, -62135596801), "timestamps must lie in"),
-    "timestamp-5000-digits": (1, _raw(str(BASE_TS), "9" * 5000), ""),
+    "timestamp-int64-max": (1, _put("timestamps", 1, 2**63 - 1), "timestamps must lie in"),
     "kind-3": (1, _put("kinds", 0, 3), "kinds must lie in [0, 2]"),
     "kind-negative": (1, _put("kinds", 2, -1), "kinds must lie in"),
-    "kind-bool": (1, _put("kinds", 0, False), "kinds must hold only int"),
     "text-null": (1, _put("texts", 1, None), "texts must hold only str"),
     "text-repeated-in-block": (1, _put("texts", 2, "one"), "texts repeats an entry"),
     "text-repeated-across-blocks": (2, _put("texts", 1, "one"), "texts repeats an entry"),
     "text-unused": (2, _append("texts", "seven"), "texts must list"),
     "texts-out-of-order": (1, _set("text_codes", [1, 0, 2]), "texts must list"),
-    "text_code-bool": (1, _put("text_codes", 0, False), "text_codes must hold only int"),
+    "text_code-bool": (1, _width("text_codes", False), "each 1, 2 or 4"),
     "text_code-past-table": (2, _put("text_codes", 2, 5), "text_codes must lie in [0, 4]"),
+    "text_code-127": (2, _put("text_codes", 0, 127), "text_codes must lie in [0, 4]"),
     "text_code-minus-one": (1, _put("text_codes", 1, -1), "text_codes must lie in [0, 2]"),
     "hashtags-uppercase": (1, _put("hashtags", 0, ["x", "Y"]), "hashtags must be lowercase"),
     "hashtags-sigma": (2, _put("hashtags", 0, ["ΑΣ"]), "hashtags must be lowercase"),
@@ -360,31 +536,33 @@ MUTATIONS = {
     "hashtag-int": (1, _put("hashtags", 0, [1]), "hashtags must hold lists of strings"),
     "hashtags-repeated": (2, _put("hashtags", 0, ["x", "y"]), "hashtags repeats an entry"),
     "hashtags-out-of-order": (1, _set("hashtag_codes", [1, 0, 0]), "hashtags must list"),
-    "hashtag_code-bool": (2, _put("hashtag_codes", 1, True), "hashtag_codes must hold only int"),
+    "hashtag_code-bool": (2, _width("hashtag_codes", True), "each 1, 2 or 4"),
     "hashtag_code-past-table": (1, _put("hashtag_codes", 2, 2), "hashtag_codes must lie in [0, 1]"),
     "hashtag_code-minus-one": (2, _put("hashtag_codes", 0, -1), "hashtag_codes must lie in"),
     "language-empty": (1, _put("languages", 0, ""), "languages holds an empty string"),
     "language-int": (1, _put("languages", 0, 1), "languages must hold only str"),
     "language-repeated": (2, _put("languages", 0, "und"), "languages repeats an entry"),
     "languages-out-of-order": (1, _set("language_codes", [1, 0, 0]), "languages must list"),
-    "language_code-bool": (1, _put("language_codes", 2, True), "language_codes must hold only int"),
+    "language_code-bool": (1, _width("language_codes", True), "each 1, 2 or 4"),
     "language_code-past-table": (2, _put("language_codes", 0, 3), "language_codes must lie in"),
     "language_code-minus-one": (1, _put("language_codes", 0, -1), "language_codes must lie in"),
     "retweet-without-id": (1, _drop_retweet, "if and only if"),
     "original-with-id": (1, _put("retweeted_tweet_codes", 0, 0), "if and only if"),
     "kind-made-retweet": (2, _put("kinds", 1, 2), "if and only if"),
+    # as many -1s as non-retweets, but on the retweet
+    "retweet-id-moved-to-original": (1, _set("retweeted_tweet_codes", [0, -1, -1]), "if and only if"),
     "retweeted_tweet_id-empty": (1, _put("retweeted_tweet_ids", 0, ""), "holds an empty string"),
     "retweeted_tweet_id-int": (1, _put("retweeted_tweet_ids", 0, 5), "ids must hold only str"),
     "retweeted_tweet_id-null": (2, _put("retweeted_tweet_ids", 0, None), "must hold only str"),
     "retweeted_tweet_id-repeated": (2, _put("retweeted_tweet_ids", 0, "t0"), "repeats an entry"),
     "retweeted_tweet_id-unused": (1, _append("retweeted_tweet_ids", "t9"), "in order of use"),
-    "retweeted_tweet_code-bool": (2, _put("retweeted_tweet_codes", 0, True), "only int"),
+    "retweeted_tweet_code-bool": (2, _width("retweeted_tweet_codes", True), "each 1, 2 or 4"),
     "retweeted_tweet_code-past-table": (2, _put("retweeted_tweet_codes", 0, 2), "lie in [-1, 1]"),
     "retweeted_tweet_code-minus-two": (1, _put("retweeted_tweet_codes", 0, -2), "lie in [-1, 0]"),
     "retweeted_account_id-empty": (1, _put("retweeted_account_ids", 0, ""), "empty string"),
     "retweeted_account_id-bool": (2, _put("retweeted_account_ids", 0, False), "only str"),
     "retweeted_account_id-repeated": (2, _put("retweeted_account_ids", 0, "z"), "repeats an entry"),
-    "retweeted_account_code-bool": (1, _put("retweeted_account_codes", 1, False), "only int"),
+    "retweeted_account_code-bool": (1, _width("retweeted_account_codes", False), "each 1, 2 or 4"),
     "retweeted_account_code-past-table": (
         1, _put("retweeted_account_codes", 2, 1), "retweeted_account_codes must lie in [-1, 0]"
     ),
@@ -392,65 +570,89 @@ MUTATIONS = {
     "mentions-null": (1, _put("mentions", 1, None), "mentions must hold only list"),
     "mentions-repeated": (1, _put("mentions", 1, ["b"]), "mentions repeats an entry"),
     "mentions-unused": (2, _append("mentions", ["q"]), "mentions must list"),
-    "mention_code-bool": (2, _put("mention_codes", 0, True), "mention_codes must hold only int"),
+    "mention_code-bool": (2, _width("mention_codes", True), "each 1, 2 or 4"),
     "mention_code-past-table": (2, _put("mention_codes", 1, 2), "mention_codes must lie in [0, 1]"),
     "mention_code-minus-one": (1, _put("mention_codes", 0, -1), "mention_codes must lie in"),
-    "texts-short": (1, _drop_last("text_codes"), "text_codes holds 2 rows, tweet_ids 3"),
-    "timestamps-short": (2, _drop_last("timestamps"), "timestamps holds 2 rows"),
-    "kinds-short": (1, _drop_last("kinds"), "kinds holds 2 rows"),
-    "mentions-short": (2, _drop_last("mention_codes"), "mention_codes holds 2 rows"),
-    "account_codes-short": (1, _drop_last("account_codes"), "account_codes holds 2 rows"),
+    "widths-3": (1, _width("text_codes", 3), "each 1, 2 or 4"),
+    "widths-0": (2, _width("mention_codes", 0), "each 1, 2 or 4"),
+    "widths-string": (1, _width("hashtag_codes", "2"), "each 1, 2 or 4"),
+    "widths-5000-digits": (2, _raw('"widths":[1', '"widths":[' + "1" * 5000), ""),
+    "widths-short": (1, _drop_last("widths"), "widths must list 7 code widths"),
+    "widths-long": (2, _append("widths", 1), "widths must list 7 code widths"),
+    "widths-not-list": (1, _set("widths", 1), "widths must list"),
+    # A column one row short or long moves the columns after it and the
+    # end of the body: in the last block the file ends early, or the
+    # moved bytes fail a check.
+    "texts-short": (2, _drop_last("text_codes"), "ends 1 bytes short of the block's 48-byte body"),
+    "timestamps-short": (2, _drop_last("timestamps"), "ends 8 bytes short of the block's 48"),
+    "kinds-short": (2, _drop_last("kinds"), "ends 1 bytes short of the block's 48"),
+    "mentions-short": (2, _drop_last("mention_codes"), "ends 1 bytes short of the block's 48"),
+    "account_codes-short": (2, _drop_last("account_codes"), "ends 1 bytes short"),
     "retweeted_account_codes-long": (
-        2, _append("retweeted_account_codes", -1), "retweeted_account_codes holds 4 rows"
+        2, _append("retweeted_account_codes", -1), "mention_codes must lie in [0, 1]"
     ),
-    "key-missing": (1, _del_key, "a cache block is a JSON object with keys"),
-    "key-extra": (2, _set("extra", []), "a cache block is a JSON object with keys"),
-    "not-object": (1, lambda block: "[]", "a cache block is a JSON object"),
-    "record-line": (1, lambda block: json.dumps({"tweet_id": "t1"}), "re-run `coordnet ingest`"),
+    "body-one-byte-short": (2, _tail(cut=1), "ends 1 bytes short"),
+    "bytes-after-last-block": (2, _tail(extra=b"\x00\x07"), "the file ends inside a block header", 3),
+    "key-missing": (1, _del_key, "a cache block header is a JSON object with keys"),
+    "key-extra": (2, _set("extra", []), "a cache block header is a JSON object with keys"),
+    "not-object": (1, lambda header, columns: b"[]\n", "a cache block header is a JSON object"),
+    "record-line": (
+        1, lambda header, columns: b'{"tweet_id": "t1"}\n', "re-run `coordnet ingest`"
+    ),
     "uncoded-block": (1, _uncode, "re-run `coordnet ingest`"),
+    "json-block": (1, _json_block, "re-run `coordnet ingest`"),
     "lone-surrogate-escape": (1, _raw('"one"', '"\\ud800"'), "surrogate escape"),
     "surrogate-pair-escape": (2, _raw('"five"', '"\\ud83d\\ude00"'), "surrogate escape"),
     "deep-nesting": (2, _deep, "nested too deeply"),
-    "truncated": (2, lambda block: json.dumps(block)[:-7], "invalid JSON"),
+    "truncated": (2, _raw('"widths":', '"widths"'), "invalid JSON"),
 }
 
 
-def test_unmutated_blocks_load(tmp_path, block_lines):
-    path = tmp_path / "cache.jsonl"
-    path.write_text("".join(block_lines), encoding="utf-8")
+def test_unmutated_blocks_load(tmp_path, blocks, monkeypatch):
+    path = _mutated_cache(tmp_path / "cache.jsonl", blocks, 0, None)
     corpus = load_cache(path)
     assert records_of(corpus) == _RECORDS
     assert corpus.account_ids == ["a", "c", "b", "d"]
+    # encode_block writes the bytes write_cache does
+    monkeypatch.setattr(coordnet.corpus, "CACHE_ROWS", 3)
+    assert cache_bytes(corpus) == path.read_bytes()
+
+
+def _named_block(name) -> int:
+    """The block the error of MUTATIONS[name] names."""
+    which, _, _, *at = MUTATIONS[name]
+    return at[0] if at else which
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
-def test_malformed_block_rejected_with_file_and_line(tmp_path, block_lines, name):
-    which, mutate, phrase = MUTATIONS[name]
-    path = _mutated_cache(tmp_path / "cache.jsonl", block_lines, which, mutate)
+def test_malformed_block_rejected_with_file_and_line(tmp_path, blocks, name):
+    which, mutate, phrase, *_ = MUTATIONS[name]
+    path = _mutated_cache(tmp_path / "cache.jsonl", blocks, which, mutate)
     with pytest.raises(CorpusError) as err:
         load_cache(path)
-    assert err.value.line_no == which
-    assert str(err.value).startswith(f"{path}: line {which}: ")
+    # a body holds binary, so a block, not a line, locates the error
+    block = _named_block(name)
+    assert err.value.block == block and err.value.line_no is None
+    assert str(err.value).startswith(f"{path}: block {block}: ")
     assert phrase in str(err.value)
 
 
 @pytest.mark.parametrize(
-    "old, new, phrase",
+    "old, new, which, phrase",
     [
-        (b"three", b"thr\xffe", "not valid UTF-8"),
-        (b"five", b"f\xed\xa0\x80", "not valid UTF-8"),  # an encoded lone surrogate
+        ("three", b"thr\xffe", 1, "not valid UTF-8"),
+        ("five", b"f\xed\xa0\x80", 2, "not valid UTF-8"),  # an encoded lone surrogate
     ],
     ids=["invalid-byte", "encoded-surrogate"],
 )
-def test_undecodable_block_rejected(tmp_path, block_lines, old, new, phrase):
-    data = "".join(block_lines).encode()
-    assert data.count(old) == 1
-    path = tmp_path / "cache.jsonl"
-    path.write_bytes(data.replace(old, new))
-    which = 1 + data[: data.index(old)].count(b"\n")
+def test_undecodable_block_rejected(tmp_path, blocks, old, new, which, phrase):
+    def mutate(header, columns):
+        return _raw(old, "@@")(header, columns).replace(b"@@", new)
+
+    path = _mutated_cache(tmp_path / "cache.jsonl", blocks, which, mutate)
     with pytest.raises(CorpusError) as err:
         load_cache(path)
-    assert err.value.line_no == which
+    assert err.value.block == which
     assert phrase in str(err.value)
 
 
@@ -469,20 +671,19 @@ def _stage_codes(cache: Path, edges_dir: Path, out: Path) -> list[int]:
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
-def test_every_stage_exits_1_naming_file_and_line(
-    tmp_path, block_lines, edges_dir, capsys, name
-):
-    which, mutate, _ = MUTATIONS[name]
-    path = _mutated_cache(tmp_path / "cache.jsonl", block_lines, which, mutate)
+def test_every_stage_exits_1_naming_file_and_line(tmp_path, blocks, edges_dir, capsys, name):
+    which, mutate, *_ = MUTATIONS[name]
+    path = _mutated_cache(tmp_path / "cache.jsonl", blocks, which, mutate)
     assert _stage_codes(path, edges_dir, tmp_path) == [1, 1, 1, 1]
-    assert capsys.readouterr().err.count(f"{path}: line {which}: ") == 4
+    assert capsys.readouterr().err.count(f"{path}: block {_named_block(name)}: ") == 4
 
 
-def test_truncated_cache_file_exits_1(tmp_path, block_lines, edges_dir, capsys):
-    path = tmp_path / "cache.jsonl"
-    path.write_text("".join(block_lines)[:-10], encoding="utf-8")
-    assert main(["detect", str(path), "-o", str(tmp_path / "det")]) == 1
-    assert f"{path}: line 2: invalid JSON" in capsys.readouterr().err
+def test_truncated_cache_file_exits_1(tmp_path, blocks, edges_dir, capsys):
+    path = _mutated_cache(tmp_path / "cache.jsonl", blocks, 2, _tail(cut=10))
+    assert main(["--json-errors", "detect", str(path), "-o", str(tmp_path / "det")]) == 1
+    payload, message = capsys.readouterr().err.splitlines()
+    assert json.loads(payload)["block"] == 2 and "line" not in json.loads(payload)
+    assert message.startswith(f"coordnet: error: {path}: block 2: the file ends 10 bytes short")
 
 
 def test_per_record_cache_asks_for_reingest(tmp_path, capsys):
@@ -492,7 +693,7 @@ def test_per_record_cache_asks_for_reingest(tmp_path, capsys):
         corpus_of(*_RECORDS).to_jsonl(fp)
     assert main(["detect", str(path), "-o", str(tmp_path / "det")]) == 1
     err = capsys.readouterr().err
-    assert f"{path}: line 1: " in err and "re-run `coordnet ingest`" in err
+    assert f"{path}: block 1: " in err and "re-run `coordnet ingest`" in err
 
 
 _junk = st.one_of(
@@ -507,23 +708,38 @@ _junk = st.one_of(
 
 @st.composite
 def _block_mutation(draw):
-    """(block number, mutation): a column or one cell replaced by any
-    JSON value, a cell dropped or repeated, or text spliced into the line."""
+    """(block number, mutation): a header value or one of its cells
+    replaced by any JSON value, a body cell replaced by any int its
+    width holds, a cell dropped or repeated, or bytes spliced into the
+    block."""
     which = draw(st.sampled_from([1, 2]))
-    key = draw(st.sampled_from(sorted(coordnet.corpus._BLOCK_KEYS)))
+    key = draw(st.sampled_from(sorted(coordnet.corpus._HEADER_KEYS | {"timestamps", "kinds",
+                                                                      *CODE_KEYS})))
     action = draw(st.sampled_from(["column", "cell", "drop", "repeat", "splice"]))
     junk = draw(_junk)
+    number = draw(st.integers(min_value=-(2**63), max_value=2**63 - 1))
     row = draw(st.integers(min_value=0, max_value=2))
-    splice = draw(st.sampled_from(["\\ud800", "\\udc00", "[" * 50_000, "Z", ",", '"', "\\u0041"]))
+    splice = draw(st.sampled_from(
+        [b"\\ud800", b"\\udc00", b"[" * 50_000, b"Z", b",", b'"', b"\\u0041", b"\n", b"\xff", b"\x00"]
+    ))
     at = draw(st.integers(min_value=0, max_value=400))
 
-    def mutate(block):
-        column = block[key]
+    def mutate(header, columns):
+        part = _part(header, columns, key)
+        column = part[key]
         if action == "splice":
-            line = json.dumps(block, ensure_ascii=False)
-            return line[:at] + splice + line[at:]
-        if action == "column":
-            block[key] = junk
+            raw = encode_block(header, columns, header["widths"])
+            return raw[:at] + splice + raw[at:]
+        if part is columns and action in ("column", "cell"):
+            # any int the column's bytes hold
+            width = dict(body_columns(header["widths"]))[key]
+            value = (number + (1 << 63)) % (1 << 8 * width) - (1 << 8 * width - 1)
+            if action == "column":
+                part[key] = [value] * len(column)
+            else:
+                column[min(row, len(column) - 1)] = value
+        elif action == "column":
+            part[key] = junk
         elif column:
             cell = min(row, len(column) - 1)
             if action == "cell":
@@ -539,11 +755,11 @@ def _block_mutation(draw):
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(mutation=_block_mutation())
-def test_mutated_cache_never_exits_3(block_lines, edges_dir, mutation):
+def test_mutated_cache_never_exits_3(blocks, edges_dir, mutation):
     which, mutate = mutation
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        path = _mutated_cache(tmp / "cache.jsonl", block_lines, which, mutate)
+        path = _mutated_cache(tmp / "cache.jsonl", blocks, which, mutate)
         try:
             load_cache(path)
             expected = 0
