@@ -76,7 +76,7 @@ def correlation_matrices(table: sl.CharacteristicTable):
     """Spearman rho (stats.spearman_matrix) and p for every
     characteristic pair over per-tweet confidences; None where undefined
     (constant column or < 3 rows)."""
-    rho = stats.spearman_matrix(table.matrix)
+    rho = stats.spearman_matrix(table.rows_at(np.frombuffer(table.codes, dtype=np.intc)))
     pval = [[None if r is None else 0.0 for r in row] for row in rho]
     for i, row in enumerate(rho):
         for j in range(i + 1, len(row)):
@@ -96,16 +96,17 @@ def write_matrix(matrix, path: Path) -> None:
 class RecordColumns:
     """Per-record arrays the socio-linguistic sections share, built once
     per report: the UTC day code, the author's account code and the
-    confidence-table row (-1 where the tweet has none)."""
+    confidence row code (-1 where the tweet has none, which reads the
+    zero line of table.row_matrix and of sl.binarize's labels)."""
 
     def __init__(self, corpus: Corpus, table: sl.CharacteristicTable):
         self.day = np.asarray(corpus.timestamps, dtype=np.int64) // SECONDS_PER_DAY
         self.account = np.asarray(corpus.account_codes, dtype=np.int64)
-        self.row = table.row_indices(corpus.tweet_ids)
+        self.code = table.codes_of(corpus.tweet_ids)
 
     def missing_tweets(self) -> int:
         """Corpus tweets without a confidence row."""
-        return int((self.row < 0).sum())
+        return int((self.code < 0).sum())
 
 
 def _scope_masks(record_cluster: np.ndarray, clusters, top_clusters: int):
@@ -121,11 +122,11 @@ def write_cluster_deltas(
 ) -> None:
     """Per scope of _scope_masks, each characteristic's mean confidence
     minus the baseline's (records outside the first scope)."""
-    baseline = table.rows_at(cols.row[~scopes[0][1]])
+    baseline = table.rows_at(cols.code[~scopes[0][1]])
     rows = []
     baseline_se = stats.mean_ses(baseline) if len(baseline) else None
     for scope_name, mask in scopes:
-        cluster = table.rows_at(cols.row[mask])
+        cluster = table.rows_at(cols.code[mask])
         if not len(cluster) or not len(baseline):
             continue
         deltas = stats.column_deltas(cluster, baseline, baseline_se=baseline_se)
@@ -138,26 +139,18 @@ def write_binarized_rates(
     cols: RecordColumns, labels: np.ndarray, coord_mask: np.ndarray, path: Path
 ) -> dict:
     """Per characteristic, the share of label 1 among coordinated and
-    baseline records; labels is sl.binarize's matrix."""
-    coord_rows, base_rows = cols.row[coord_mask], cols.row[~coord_mask]
+    baseline records; labels is sl.binarize's, one line per row code."""
+    coord_codes, base_codes = cols.code[coord_mask], cols.code[~coord_mask]
     rows = []
     rates = {}
     for j, name in enumerate(sl.CHARACTERISTICS):
-        c = float(_record_column(labels, coord_rows, j).mean()) if len(coord_rows) else None
-        b = float(_record_column(labels, base_rows, j).mean()) if len(base_rows) else None
+        c = float(labels[coord_codes, j].mean()) if len(coord_codes) else None
+        b = float(labels[base_codes, j].mean()) if len(base_codes) else None
         delta = (c - b) if c is not None and b is not None else None
         rows.append((name, c, b, delta))
         rates[name] = {"coordinated": c, "baseline": b, "delta": delta}
     _write_csv(path, ("characteristic", "coordinated_rate", "baseline_rate", "delta"), rows)
     return rates
-
-
-def _record_column(matrix: np.ndarray, rows: np.ndarray, j: int) -> np.ndarray:
-    """Column j of matrix at each record's row; 0.0 where the row is -1."""
-    out = np.zeros(len(rows), dtype=np.float64)
-    found = rows >= 0
-    out[found] = matrix[rows[found], j]
-    return out
 
 
 def write_daily_confidence(
@@ -168,7 +161,7 @@ def write_daily_confidence(
     means = [stats.daily_means(cols.day[mask]) for _, mask in scopes]
     series = {}
     for j, name in enumerate(sl.CHARACTERISTICS):
-        values = _record_column(table.matrix, cols.row, j)
+        values = table.row_matrix[cols.code, j]
         for (scope_name, mask), scope_means in zip(scopes, means):
             series[scope_name, name] = scope_means(values[mask])
     rows = [
@@ -213,14 +206,14 @@ def confidence_vs_binarized(
     cols: RecordColumns, table: sl.CharacteristicTable, labels: np.ndarray
 ) -> dict:
     """Spearman of daily mean confidence vs daily mean binarized label
-    (labels is sl.binarize's matrix), per characteristic, with the
-    median over defined values."""
+    (labels is sl.binarize's, one line per row code), per
+    characteristic, with the median over defined values."""
     by_char = {}
     values = []
     daily = stats.daily_means(cols.day)
     for j, name in enumerate(sl.CHARACTERISTICS):
-        conf = daily(_record_column(table.matrix, cols.row, j))
-        binr = daily(_record_column(labels, cols.row, j))
+        conf = daily(table.row_matrix[cols.code, j])
+        binr = daily(labels[cols.code, j])
         xs = []
         ys = []
         for (day, c), (_, b) in zip(conf, binr):

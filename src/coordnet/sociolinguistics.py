@@ -5,11 +5,11 @@ the built-in deterministic lexicon scorer (a stand-in that lets the
 pipeline run end-to-end without model inference). All values live in
 [0, 1]; binarization thresholds them into 0/1 labels.
 
-The scorer and its writer (score_corpus, write_confidences) use the
-standard library alone, so the `score` stage never loads numpy. The
-confidence table the report reads (load_confidences,
-CharacteristicTable, binarize) holds a numpy matrix; those functions
-import numpy where they run.
+A CharacteristicTable holds each distinct confidence row once and a
+row code per tweet. score_corpus builds one and write_confidences writes
+it with the standard library alone, so the `score` stage never loads
+numpy; load_confidences reads one back. The numpy view of its rows that
+the report gathers through (row_matrix, binarize) imports numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from coordnet.config import check_threshold
@@ -77,8 +77,8 @@ assert N_CHARACTERISTICS == len(ATTITUDES) + len(CONCERNS) + len(EMOTIONS)
 # Tweets whose lines are built at a time while writing, which bounds
 # the writer's memory above the table itself.
 _WRITE_ROWS = 4096
-# Distinct confidence row tails whose parsed values load_confidences
-# keeps (each under 1 KiB), so a file of distinct rows costs at most
+# Distinct confidence row tails whose row codes load_confidences keeps
+# (each tail under 1 KiB), so a file of distinct rows costs at most
 # ~3 MiB of them.
 _PARSED_TAILS = 1 << 12
 
@@ -100,15 +100,19 @@ class TableError(ValueError):
 
 
 class CharacteristicTable:
-    """tweet_id -> one confidence in [0, 1] per registered characteristic.
+    """Per-tweet confidences with each distinct row held once: tweet
+    tweet_ids[i] has row codes[i], and row c is the N_CHARACTERISTICS
+    values of rows from c * N_CHARACTERISTICS on, in CHARACTERISTICS
+    order, each in [0, 1].
 
     Tweets without a row read as all zeros (external model runs may not
     cover every tweet).
     """
 
-    def __init__(self, tweet_ids: list[str], matrix: np.ndarray, provenance: str):
+    def __init__(self, tweet_ids: list[str], codes: array, rows: array, provenance: str):
         self.tweet_ids = tweet_ids
-        self.matrix = matrix
+        self.codes = codes
+        self.rows = rows
         self.provenance = provenance
         self.missing_values = 0
 
@@ -116,29 +120,33 @@ class CharacteristicTable:
         return len(self.tweet_ids)
 
     @cached_property
-    def _row_of(self) -> dict[str, int]:
-        """tweet_id -> row, built on the first lookup (scoring never looks
-        a row up)."""
-        return {tid: i for i, tid in enumerate(self.tweet_ids)}
-
-    def row_indices(self, tweet_ids: Iterable[str]) -> np.ndarray:
-        """Row of each tweet in matrix; -1 where the table has none."""
+    def row_matrix(self) -> np.ndarray:
+        """The rows as a float64 matrix, one line per code, then a line of
+        zeros, which code -1 indexes."""
         import numpy as np
 
-        return np.fromiter((self._row_of.get(tid, -1) for tid in tweet_ids), dtype=np.int64)
+        rows = np.frombuffer(self.rows, dtype=np.float64).reshape(-1, N_CHARACTERISTICS)
+        return np.vstack([rows, np.zeros(N_CHARACTERISTICS)])
 
-    def rows_at(self, rows: np.ndarray) -> np.ndarray:
-        """Matrix rows at row_indices positions; zeros where a row is -1."""
+    @cached_property
+    def _code_of(self) -> dict[str, int]:
+        """tweet_id -> row code, built on the first lookup (scoring never
+        looks a tweet up)."""
+        return dict(zip(self.tweet_ids, self.codes))
+
+    def codes_of(self, tweet_ids: Iterable[str]) -> np.ndarray:
+        """Row code of each tweet; -1 where the table has none."""
         import numpy as np
 
-        out = np.zeros((len(rows), N_CHARACTERISTICS), dtype=np.float64)
-        found = rows >= 0
-        out[found] = self.matrix[rows[found]]
-        return out
+        return np.fromiter(map(self._code_of.get, tweet_ids, repeat(-1)), dtype=np.int64)
+
+    def rows_at(self, codes: np.ndarray) -> np.ndarray:
+        """The confidence row of each code; zeros where a code is -1."""
+        return self.row_matrix[codes]
 
     def rows_for(self, tweet_ids: Iterable[str]) -> np.ndarray:
         """Confidence matrix for the given tweets (zeros where missing)."""
-        return self.rows_at(self.row_indices(tweet_ids))
+        return self.rows_at(self.codes_of(tweet_ids))
 
     def column_index(self, name: str) -> int:
         return characteristic_index(name)
@@ -178,24 +186,26 @@ def load_confidences(source) -> CharacteristicTable:
         # Each row parses in bulk with float(); a row float() refuses (an
         # empty cell, a non-number) or that holds "_" (which float() reads
         # as a digit separator) goes through _parse_cells, the per-cell
-        # loop that counts empties and words every error. Values stay in
-        # file column order until the end, so the first out-of-range cell
-        # in row-major order is the one that loop would have named first.
-        # score writes few distinct row tails (898 at 105k tweets), so the
-        # values of the first _PARSED_TAILS distinct tails that parse are
-        # kept. A tail is keyed by its cells joined with ",", which no cell
-        # that parses holds, so a key names one tail.
+        # loop that counts empties and words every error. score writes few
+        # distinct row tails (898 at 105k tweets), so the codes of the first
+        # _PARSED_TAILS distinct tails that parse are kept for the lines
+        # that repeat them; any other line takes a new code. A tail is keyed
+        # by its cells joined with ",", which no cell that parses holds. Codes
+        # follow first use and values stay in file column order until the
+        # end, so the first out-of-range value of rows is the first in the file.
         width = len(columns) + 1
         tweet_ids: list[str] = []
         seen_ids: set[str] = set()
-        flat = array("d")
-        line_nos = array("q")
+        codes = array("i")
+        rows = array("d")
+        row_lines = array("q")
         missing_values = 0
-        parsed: dict[str, array] = {}
+        code_of: dict[str, int] = {}
         try:
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
+                line_no = reader.line_num
                 if len(row) != width:
                     raise TableError(f"row {line_no}: expected {width} fields, got {len(row)}")
                 tid = row[0]
@@ -203,30 +213,33 @@ def load_confidences(source) -> CharacteristicTable:
                     raise TableError(f"row {line_no}: duplicate tweet_id {tid!r}")
                 seen_ids.add(tid)
                 tail = ",".join(row[1:])
-                values = parsed.get(tail)
-                if values is None:
+                code = code_of.get(tail)
+                if code is None:
+                    code = len(row_lines)
                     try:
                         if "_" in tail:
                             raise ValueError
-                        values = array("d", map(float, row[1:]))
+                        values = list(map(float, row[1:]))
                     except ValueError:
                         values, empty = _parse_cells(line_no, columns, row[1:])
                         missing_values += empty
                     else:
-                        if len(parsed) < _PARSED_TAILS:
-                            parsed[tail] = values
+                        if len(code_of) < _PARSED_TAILS:
+                            code_of[tail] = code
+                    rows.extend(values)
+                    row_lines.append(line_no)
                 tweet_ids.append(tid)
-                flat.extend(values)
-                line_nos.append(line_no)
+                codes.append(code)
         except (ValueError, csv.Error):
             # whatever stops the read at this row, an out-of-range value
             # in an earlier row is the error the file shows first
-            _check_range(flat, line_nos, columns)
+            _check_range(rows, row_lines, columns)
             raise
-        _check_range(flat, line_nos, columns)
+        _check_range(rows, row_lines, columns)
     order = [columns.index(name) for name in CHARACTERISTICS]
-    matrix = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(columns)).take(order, axis=1)
-    table = CharacteristicTable(tweet_ids, matrix, provenance="external")
+    by_file = np.frombuffer(rows, dtype=np.float64).reshape(-1, len(columns))
+    rows = array("d", by_file.take(order, axis=1).tobytes())
+    table = CharacteristicTable(tweet_ids, codes, rows, provenance="external")
     table.missing_values = missing_values
     return table
 
@@ -252,41 +265,29 @@ def _parse_cells(line_no: int, columns: list[str], cells: list[str]) -> tuple[li
     return values, empty
 
 
-def _check_range(flat: array, line_nos: array, columns: list[str]) -> None:
-    """TableError naming the first value of flat (rows of len(columns)
-    values in file column order) outside [0, 1], nan included."""
+def _check_range(rows: array, row_lines: array, columns: list[str]) -> None:
+    """TableError naming the first value of rows (of len(columns) values
+    in file column order, row r read first on line row_lines[r])
+    outside [0, 1], nan included."""
     import numpy as np
 
-    values = np.frombuffer(flat, dtype=np.float64)
+    values = np.frombuffer(rows, dtype=np.float64)
     bad = ~((values >= 0.0) & (values <= 1.0))
     if bad.any():
         k = int(bad.argmax())
         row, col = divmod(k, len(columns))
         raise TableError(
-            f"row {line_nos[row]}, column {columns[col]}: value {float(values[k])} outside [0, 1]"
+            f"row {row_lines[row]}, column {columns[col]}: value {float(values[k])} outside [0, 1]"
         )
 
 
-class ConfidenceRows:
-    """Scored tweets with each distinct confidence row held once: tweet
-    tweet_ids[i] has the confidences rows[codes[i]], one float per
-    registered characteristic in CHARACTERISTICS order."""
-
-    def __init__(self, tweet_ids: list[str], codes: array, rows: list[tuple[float, ...]]):
-        self.tweet_ids = tweet_ids
-        self.codes = codes
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.tweet_ids)
-
-
-def write_confidences(table: ConfidenceRows, fp) -> None:
+def write_confidences(table: CharacteristicTable, fp) -> None:
     """The confidence CSV: a tweet_id,<characteristics> header, then one
-    line per tweet in table order, as csv_writer writes it. Each
-    distinct row is rendered once, as the tail after a line's id cell."""
+    line per tweet in table order, as csv_writer writes it. Each row is
+    rendered once, as the tail after a line's id cell."""
     fp.write(",".join(("tweet_id",) + CHARACTERISTICS) + "\n")
-    tails = ["," + ",".join(map(repr, row)) + "\n" for row in table.rows]
+    rows, n = table.rows, N_CHARACTERISTICS
+    tails = ["," + ",".join(map(repr, rows[i : i + n])) + "\n" for i in range(0, len(rows), n)]
     for lo in range(0, len(table), _WRITE_ROWS):
         cells = csv_cells(table.tweet_ids[lo : lo + _WRITE_ROWS])
         codes = table.codes[lo : lo + _WRITE_ROWS]
@@ -340,9 +341,10 @@ def load_lexicon(source) -> Lexicon:
                 f"got {','.join(header)!r}"
             )
         entries = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line_no = reader.line_num
             if not 3 <= len(row) <= len(names):
                 raise TableError(f"row {line_no}: expected {len(names)} fields, got {len(row)}")
             try:
@@ -370,7 +372,7 @@ def builtin_lexicon() -> Lexicon:
         return load_lexicon(fp)
 
 
-def score_corpus(corpus: Corpus, lexicon: Lexicon) -> ConfidenceRows:
+def score_corpus(corpus: Corpus, lexicon: Lexicon) -> CharacteristicTable:
     """Score every record of the corpus with the lexicon, one row code per
     record in corpus order (ingest keeps one record per tweet_id).
 
@@ -435,7 +437,8 @@ def score_corpus(corpus: Corpus, lexicon: Lexicon) -> ConfidenceRows:
         row_codes.append(code)
     units = map(pairs.__getitem__, zip(corpus.language_codes, corpus.text_codes))
     codes = array("i", map(row_codes.__getitem__, units))
-    return ConfidenceRows(corpus.tweet_ids, codes, list(code_of))
+    rows = array("d", chain.from_iterable(code_of))
+    return CharacteristicTable(corpus.tweet_ids, codes, rows, provenance="lexicon")
 
 
 def _phrase_hits(joined: str, starts: list[int], phrase: str) -> Iterator[tuple[int, int]]:
@@ -472,9 +475,10 @@ def _phrase_hits(joined: str, starts: list[int], phrase: str) -> Iterator[tuple[
 
 
 def binarize(table: CharacteristicTable, threshold: float = 0.5) -> np.ndarray:
-    """The table's confidences thresholded into a 0/1 label matrix, row
-    for row (label 1 iff value >= threshold)."""
+    """The table's confidences thresholded into 0/1 labels (label 1 iff
+    value >= threshold), line for line of table.row_matrix: indexed with
+    the same codes, they give each tweet's labels, and zeros at code -1."""
     import numpy as np
 
     check_threshold(threshold)
-    return np.where(table.matrix >= threshold, 1.0, 0.0)
+    return np.where(table.row_matrix >= threshold, 1.0, 0.0)

@@ -226,17 +226,21 @@ def spearman_matrix(matrix) -> list[list[float | None]]:
 
     The centred rankdata ranks are multiplied as one matrix. Ranks are
     integers or half-integers, so below about 300,000 rows every sum is
-    exact and rho has the same bits in any summation order.
+    exact and rho has the same bits in any summation order. The ranks,
+    filled a column at a time and centred and squared in place, are the
+    one temporary of matrix's size.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    k = matrix.shape[1]
+    n, k = matrix.shape
     rho = [[1.0 if i == j else None for j in range(k)] for i in range(k)]
-    if len(matrix) < 3:
+    if n < 3:
         return rho
-    ranks = np.column_stack([rankdata(column) for column in matrix.T])
-    centred = ranks - ranks.mean(axis=0)
-    sq = (centred**2).sum(axis=0).tolist()
+    centred = np.empty((n, k))
+    for j in range(k):
+        centred[:, j] = rankdata(matrix[:, j])
+    centred -= centred.mean(axis=0)
     cov = (centred.T @ centred).tolist()
+    sq = np.square(centred, out=centred).sum(axis=0).tolist()
     for i in range(k):
         for j in range(i + 1, k):
             if sq[i] and sq[j]:

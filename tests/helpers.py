@@ -1,5 +1,6 @@
 """Record builders and pure-Python oracles shared across test modules."""
 
+import importlib.util
 import json
 import math
 import os
@@ -31,7 +32,6 @@ from coordnet.graph import InteractionCounts
 from coordnet.sociolinguistics import (
     N_CHARACTERISTICS,
     CharacteristicTable,
-    ConfidenceRows,
     characteristic_index,
 )
 from coordnet import stats
@@ -161,22 +161,33 @@ def edge_table(edges) -> EdgeTable:
 
 def has_row(table, tweet_id) -> bool:
     """Whether a CharacteristicTable holds a row for the tweet."""
-    return bool(table.row_indices([tweet_id])[0] >= 0)
+    return bool(table.codes_of([tweet_id])[0] >= 0)
 
 
 def table_row(table, tweet_id):
-    """A tweet's confidence row; zeros when the table has none."""
-    if has_row(table, tweet_id):
-        return table.matrix[table.row_indices([tweet_id])[0]]
-    return np.zeros(N_CHARACTERISTICS)
+    """A tweet's confidence row, read from the table's flat rows at its
+    code; zeros when the table has none."""
+    code = int(table.codes_of([tweet_id])[0])
+    if code < 0:
+        return np.zeros(N_CHARACTERISTICS)
+    return np.array(table.rows[code * N_CHARACTERISTICS : (code + 1) * N_CHARACTERISTICS])
 
 
-def confidence_rows(table) -> ConfidenceRows:
-    """A CharacteristicTable as the ConfidenceRows write_confidences
-    takes: one row code per tweet, one row per matrix row."""
-    return ConfidenceRows(
-        table.tweet_ids, array("i", range(len(table))), list(map(tuple, table.matrix.tolist()))
-    )
+def table_matrix(table) -> np.ndarray:
+    """A CharacteristicTable as one matrix line per tweet, each read
+    from the table's flat rows at the tweet's code."""
+    n = N_CHARACTERISTICS
+    lines = [table.rows[c * n : (c + 1) * n] for c in table.codes]
+    return np.array(lines, dtype=np.float64).reshape(-1, n)
+
+
+def table_of(tweet_ids, matrix, provenance="external") -> CharacteristicTable:
+    """A CharacteristicTable giving tweet tweet_ids[i] line i of matrix,
+    with each distinct line (bit for bit) held once."""
+    lines = np.ascontiguousarray(matrix, dtype=np.float64).reshape(-1, N_CHARACTERISTICS)
+    code_of: dict[bytes, int] = {}
+    codes = array("i", (code_of.setdefault(line.tobytes(), len(code_of)) for line in lines))
+    return CharacteristicTable(list(tweet_ids), codes, array("d", b"".join(code_of)), provenance)
 
 
 def top_fraction_cutoff(sims, top_frac: float) -> float:
@@ -260,6 +271,15 @@ def account_vectors(entries) -> AccountVectors:
 def jsonl_line(**kwargs):
     kwargs.setdefault("text", "")
     return json.dumps(kwargs)
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, the benchmark's corpus generators."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def subprocess_env():
@@ -453,8 +473,7 @@ def random_report_inputs(seed, n_records=400, n_accounts=40):
         [[rnd.choice((0.0, 0.1, 0.5, 0.5, 0.9, 1.0)) for _ in range(N_CHARACTERISTICS)]
          for _ in covered]
     )
-    table = CharacteristicTable(covered, matrix, provenance="external")
-    return corpus_of(*records), table
+    return corpus_of(*records), table_of(covered, matrix)
 
 
 class UnionFind:

@@ -5,11 +5,12 @@ equivalence, planted-cluster recovery, statistics identities, seeded
 reproducibility, ratio fixtures, byte-level pipeline determinism, the
 bounded-memory scale path, detect memory that grows with the accounts,
 not with their pairs, an edge path that holds no Python object per
-edge row, and account vectors that hold none per record.
+edge row, account vectors that hold none per record, a cache that holds
+each distinct value once, and a confidence table that holds each
+distinct row once.
 """
 
 import csv
-import importlib.util
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from coordnet import formats
+from coordnet import formats, report
 from coordnet import sociolinguistics as sl
 from coordnet.cli import main
 from coordnet.corpus import load_cache, parse_corpus
@@ -45,7 +46,15 @@ from coordnet.stats import (
     spearman,
 )
 
-from helpers import BASE_TS, corpus_of, edges_of, rec, record_to_json, subprocess_env
+from helpers import (
+    BASE_TS,
+    corpus_of,
+    edges_of,
+    perfbench_workloads,
+    rec,
+    record_to_json,
+    subprocess_env,
+)
 from test_detectors import oracle_hashtag_pairs, oracle_vector_pairs, random_corpus
 from test_stats import oracle_exact_p, oracle_spearman, oracle_u
 
@@ -799,14 +808,6 @@ def test_criterion_9_block_temporaries_are_a_few_blocks(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def perfbench_workloads():
-    """perfbench/workloads.py, the benchmark's corpus generators."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 def report_full_corpus(accounts, workdir):
     """The benchmark's report-full corpus at PCG64 seed 7 with the given
     number of accounts, parsed as ingest parses it."""
@@ -901,3 +902,57 @@ def test_criterion_11_cache_bytes_and_load_memory_per_record(tmp_path):
     assert held <= 170, f"load_cache held {held:.1f} B more per record"
     ok(11, f"per added record over {added} records: cache {per_record:.1f} B, "
            f"load_cache held {held:.1f} B")
+
+
+# ---------------------------------------------------------------------------
+# 12. The confidence table holds each distinct row once
+# ---------------------------------------------------------------------------
+
+
+def report_table_bytes(workdir):
+    """(tweets, held, peak): the tracemalloc bytes held by what report
+    builds from a confidence file for the cache's corpus (the loaded
+    table, the per-record columns and the binarized labels), and the
+    peak of the Spearman matrices above them."""
+    corpus = load_cache(workdir / "cache.jsonl")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = sl.load_confidences(workdir / "confidences.csv")
+        cols = report.RecordColumns(corpus, table)
+        labels = sl.binarize(table, 0.5)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        report.correlation_matrices(table)
+        peak = tracemalloc.get_traced_memory()[1] - before - held
+        del table, cols, labels
+        return len(corpus), held, peak
+    finally:
+        tracemalloc.stop()
+
+
+def test_criterion_12_confidence_table_memory_per_tweet(tmp_path):
+    measured = []
+    for accounts in (3000, 6000):
+        work = tmp_path / str(accounts)
+        work.mkdir()
+        report_full_corpus(accounts, work)
+        assert main(["ingest", str(work / "input.jsonl"), "-o", str(work / "cache.jsonl")]) == 0
+        assert main(["score", str(work / "cache.jsonl"), "-o", str(work / "confidences.csv")]) == 0
+        measured.append(report_table_bytes(work))
+    (n0, held0, peak0), (n1, held1, peak1) = measured
+    held = (held1 - held0) / (n1 - n0)
+    # A tweet holds its id, a 4-byte row code, its day, account and code
+    # columns and an entry of the id -> code map; the ~900 distinct rows
+    # and their labels do not grow with the tweets: 124.5 B measured. One
+    # float64 confidence row per tweet adds 192 B, and a full-size label
+    # matrix 192 B more (521.9 B measured with both).
+    assert held <= 160, f"report's confidence table held {held:.1f} B more per tweet"
+    peak = (peak1 - peak0) / (n1 - n0)
+    # The gathered confidences and their ranks, 192 B each, and one
+    # column's ranking temporaries: 416.6 B measured. Stacking the ranks
+    # from a list of columns and centring and squaring them into new
+    # arrays measured 770 B.
+    assert peak <= 450, f"the Spearman matrices peaked {peak:.1f} B more per tweet"
+    ok(12, f"per added tweet over {n1 - n0} tweets: {held:.1f} B held, "
+           f"Spearman matrices peak {peak:.1f} B above it")

@@ -25,6 +25,8 @@ from helpers import (
     random_report_inputs,
     rank_test_matrix,
     records_of,
+    table_matrix,
+    table_of,
     table_row,
 )
 
@@ -58,8 +60,10 @@ def oracle_deltas(corpus, table, clusters, coordinated):
 
 
 def label_table(table):
-    """The 0/1 labels of sl.binarize at 0.5 as a table with table's ids."""
-    return sl.CharacteristicTable(table.tweet_ids, sl.binarize(table, 0.5), table.provenance)
+    """The 0/1 labels of sl.binarize at 0.5, gathered through the row
+    codes, as a table with table's ids."""
+    labels = sl.binarize(table, 0.5)[np.frombuffer(table.codes, dtype=np.intc)]
+    return table_of(table.tweet_ids, labels, table.provenance)
 
 
 def oracle_binarized(corpus, table, coordinated):
@@ -137,7 +141,7 @@ def test_inputs_have_the_hard_shapes(inputs):
     assert len(set(ids)) == len(ids)  # ingest keeps one record per tweet_id
     assert any(not has_row(table, t) for t in ids)
     assert min(r.timestamp for r in records) < 0
-    assert len({c for c in table.matrix[:, 0]}) < len(table)
+    assert len({c for c in table_matrix(table)[:, 0]}) < len(table)
 
 
 def test_cluster_deltas_match_oracle(tmp_path, inputs):
@@ -149,7 +153,7 @@ def test_cluster_deltas_match_oracle(tmp_path, inputs):
     solo = [line.split(",") for line in path.read_text().splitlines() if line.startswith("3,")]
     assert len(solo) == sl.N_CHARACTERISTICS
     # the one-tweet side is exactly 0.0, so each SE is the baseline's alone
-    baseline = table.rows_at(cols.row[~member_of(corpus, coordinated)[cols.account]])
+    baseline = table.rows_at(cols.code[~member_of(corpus, coordinated)[cols.account]])
     assert [float(se) for *_, se, _ in solo] == stats.mean_ses(baseline)
 
 
@@ -208,7 +212,7 @@ def test_correlation_matrices_share_spearman_bits():
     matrix = np.array(
         [[rnd.choice((0.0, 0.2, 0.4, 0.6)) for _ in range(sl.N_CHARACTERISTICS)] for _ in range(30)]
     )
-    table = sl.CharacteristicTable([f"t{i}" for i in range(30)], matrix, "external")
+    table = table_of([f"t{i}" for i in range(30)], matrix)
     rho, pval = report.correlation_matrices(table)
     for i, j in ((0, 1), (2, 9), (5, 23)):
         res = stats.spearman(matrix[:, i].tolist(), matrix[:, j].tolist())
@@ -220,5 +224,5 @@ def test_correlation_matrices_share_spearman_bits():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 250, 10_000])
 def test_correlation_matrices_match_matrix_oracle_bitwise(n):
     matrix = rank_test_matrix(n, n, sl.N_CHARACTERISTICS)
-    table = sl.CharacteristicTable([f"t{i}" for i in range(n)], matrix, "external")
+    table = table_of([f"t{i}" for i in range(n)], matrix)
     assert repr(report.correlation_matrices(table)) == repr(oracle_correlation_matrices(matrix))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordnet import sociolinguistics
+from coordnet.cli import main
 from coordnet.corpus import normalize_text, parse_corpus
 from coordnet.sociolinguistics import (
     ATTITUDES,
@@ -18,7 +19,6 @@ from coordnet.sociolinguistics import (
     EMOTIONS,
     GROUP_OF,
     N_CHARACTERISTICS,
-    CharacteristicTable,
     Lexicon,
     LexiconEntry,
     TableError,
@@ -33,11 +33,13 @@ from coordnet.sociolinguistics import (
 )
 
 from helpers import (
-    confidence_rows,
     corpus_of,
     oracle_score_text,
+    perfbench_workloads,
     rec,
     record_to_json,
+    table_matrix,
+    table_of,
     table_row,
 )
 
@@ -80,7 +82,7 @@ class TestLoadConfidences:
         assert table.provenance == "external"
         assert table_row(table, "t0")[0] == 0.5
         # a tweet without a row reads as zeros
-        assert np.all(table.rows_at(table.row_indices(["absent"])) == 0.0)
+        assert np.all(table.rows_at(table.codes_of(["absent"])) == 0.0)
 
     def test_out_of_range_names_row_and_column(self):
         values = [0.0] * N_CHARACTERISTICS
@@ -123,6 +125,17 @@ class TestLoadConfidences:
         assert table_row(table, "t0")[0] == 0.0
         assert table.missing_values == 1
 
+    @pytest.mark.parametrize(
+        "cell, error", [("2.0", "value 2.0 outside [0, 1]"), ("abc", "not a number: 'abc'")]
+    )
+    def test_row_number_counts_quoted_line_breaks(self, cell, error):
+        # the id "a\nb" spans lines 2-3, so the bad cell sits on line 4
+        tail = "," + ",".join(["0.5"] * (N_CHARACTERISTICS - 1)) + "\n"
+        text = "tweet_id," + ",".join(CHARACTERISTICS) + '\n"a\nb",0.5' + tail + f"c,{cell}" + tail
+        with pytest.raises(TableError) as err:
+            load_confidences(io.StringIO(text, newline=""))
+        assert str(err.value) == f"row 4, column vote_for: {error}"
+
     def test_round_trip_write_load(self):
         rnd = random.Random(4)
         rows = [
@@ -131,9 +144,9 @@ class TestLoadConfidences:
         ]
         table = load_confidences(conf_csv(rows))
         buf = io.StringIO()
-        write_confidences(confidence_rows(table), buf)
+        write_confidences(table, buf)
         again = load_confidences(io.StringIO(buf.getvalue()))
-        assert np.array_equal(table.matrix, again.matrix)
+        assert np.array_equal(table_matrix(table), table_matrix(again))
         assert table.tweet_ids == again.tweet_ids
 
     def test_round_trip_quoted_ids(self, monkeypatch):
@@ -145,23 +158,23 @@ class TestLoadConfidences:
         for block in (1, 3, 4096):
             monkeypatch.setattr("coordnet.sociolinguistics._WRITE_ROWS", block)
             buf = io.StringIO(newline="")
-            write_confidences(confidence_rows(CharacteristicTable(ids, matrix, "test")), buf)
+            write_confidences(table_of(ids, matrix, "test"), buf)
             written.add(buf.getvalue())
         assert len(written) == 1
         again = load_confidences(io.StringIO(written.pop(), newline=""))
         assert again.tweet_ids == ids
-        assert np.array_equal(again.matrix, matrix)
+        assert np.array_equal(table_matrix(again), matrix)
 
     def test_round_trip_bare_carriage_return(self):
         # a lone "\r" is quoted like "\n", so it cannot end the row
         ids = ["a\rb", "\r", "c\r\nd", "plain"]
         matrix = np.random.default_rng(6).random((len(ids), N_CHARACTERISTICS))
         buf = io.StringIO(newline="")
-        write_confidences(confidence_rows(CharacteristicTable(ids, matrix, "test")), buf)
+        write_confidences(table_of(ids, matrix, "test"), buf)
         assert '"a\rb",' in buf.getvalue()
         again = load_confidences(io.StringIO(buf.getvalue(), newline=""))
         assert again.tweet_ids == ids
-        assert np.array_equal(again.matrix, matrix)
+        assert np.array_equal(table_matrix(again), matrix)
 
 
 def oracle_load_confidences(text):
@@ -171,9 +184,10 @@ def oracle_load_confidences(text):
     reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     columns = [canonical_name(c) for c in next(reader)[1:]]
     ids, rows, seen, missing = [], [], set(), 0
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        line_no = reader.line_num
         if len(row) != len(columns) + 1:
             return f"row {line_no}: expected {len(columns) + 1} fields, got {len(row)}"
         if row[0] in seen:
@@ -203,7 +217,7 @@ def load_or_message(text):
         table = load_confidences(io.StringIO(text, newline=""))
     except TableError as exc:
         return str(exc)
-    return table.tweet_ids, table.matrix, table.missing_values
+    return table.tweet_ids, table_matrix(table), table.missing_values
 
 
 def assert_same_load(text):
@@ -292,15 +306,37 @@ class TestLoadConfidencesBulk:
             assert_same_load(conf_text(columns, rows))
 
 
-def scored_matrix(table):
-    """A ConfidenceRows table as one matrix row per tweet."""
-    return np.array([table.rows[c] for c in table.codes]).reshape(-1, N_CHARACTERISTICS)
+@pytest.fixture(scope="module")
+def scored_file(tmp_path_factory):
+    """confidences.csv as score writes it for the benchmark's report-full
+    corpus at seed 1."""
+    work = tmp_path_factory.mktemp("report-full")
+    perfbench_workloads().generate("report-full", 1, work)
+    assert main(["ingest", str(work / "input.jsonl"), "-o", str(work / "cache.jsonl")]) == 0
+    assert main(["score", str(work / "cache.jsonl"), "-o", str(work / "confidences.csv")]) == 0
+    return work / "confidences.csv"
+
+
+class TestConfidenceRoundTrip:
+    @pytest.mark.parametrize("kept", [4096, 3])
+    def test_load_then_write_gives_the_score_bytes(self, scored_file, monkeypatch, kept):
+        # past _PARSED_TAILS a line repeating a tail takes a new code, so
+        # a row is held more than once and still writes the same tail
+        monkeypatch.setattr(sociolinguistics, "_PARSED_TAILS", kept)
+        table = load_confidences(scored_file)
+        buf = io.StringIO(newline="")
+        write_confidences(table, buf)
+        assert buf.getvalue().encode("utf-8") == scored_file.read_bytes()
+        n = N_CHARACTERISTICS
+        held = len(table.rows) // n
+        distinct = len({table.rows[i : i + n].tobytes() for i in range(0, len(table.rows), n)})
+        assert kept < distinct < held if kept == 3 else distinct == held < kept
 
 
 def score_text(text, language, lexicon):
     """score_corpus's confidence row for a one-tweet corpus."""
     table = score_corpus(corpus_of(rec(1, "a", text=text, language=language)), lexicon)
-    return np.array(table.rows[table.codes[0]])
+    return table_matrix(table)[0]
 
 
 class TestLexiconScore:
@@ -396,6 +432,12 @@ class TestLexiconScore:
         with pytest.raises(TableError, match=r"^row 3: unknown characteristic: 'taxes'$"):
             load_lexicon(io.StringIO("characteristic,phrase,weight\neconomy,tax,0.5\ntaxes,t,0.5\n"))
 
+    def test_load_lexicon_row_number_counts_quoted_line_breaks(self):
+        # the language "e\nn" spans lines 2-3, so the bad weight sits on line 4
+        text = 'characteristic,phrase,weight,language\neconomy,tax,0.5,"e\nn"\neconomy,tax,2.0\n'
+        with pytest.raises(TableError, match=r"^row 4: weight 2.0 outside \(0, 1\]$"):
+            load_lexicon(io.StringIO(text, newline=""))
+
     def test_score_corpus_dedups_tweet_ids(self):
         # ingest keeps the first record of a tweet_id; score rows follow the corpus
         records = [rec(1, "a", text="taxes"), rec(2, "a"), rec(1, "b", text="hope")]
@@ -404,7 +446,7 @@ class TestLexiconScore:
         assert corpus.skip_reasons == {"duplicate_tweet_id": 1}
         assert table.tweet_ids == ["1", "2"]
         kept = score_corpus(corpus_of(*records[:2]), builtin_lexicon())
-        assert scored_matrix(table).tobytes() == scored_matrix(kept).tobytes()
+        assert table_matrix(table).tobytes() == table_matrix(kept).tobytes()
 
 
 PREFILTER_LEXICON = Lexicon(
@@ -500,9 +542,11 @@ def assert_scan_matches_oracle(tweets, lexicon):
     table = score_corpus(corpus, lexicon)
     assert len(table) == len(tweets)
     want = np.array([oracle_score_text(t, lang, lexicon) for t, lang in tweets])
-    assert scored_matrix(table).tobytes() == want.reshape(-1, N_CHARACTERISTICS).tobytes()
+    assert table_matrix(table).tobytes() == want.reshape(-1, N_CHARACTERISTICS).tobytes()
     # each distinct row is held once
-    assert len(set(table.rows)) == len(table.rows)
+    n = N_CHARACTERISTICS
+    distinct = {table.rows[i : i + n].tobytes() for i in range(0, len(table.rows), n)}
+    assert len(distinct) * n == len(table.rows)
 
 
 class TestCorpusScan:
