@@ -7,9 +7,11 @@ values and an integer code per row. A Corpus comes from one of two
 places: parse_corpus parses input, and the stages after ingest read the
 cache of column blocks that Corpus.write_cache writes and load_cache
 checks and loads. The cache holds the same tables and codes: each table
-entry written once in a block's JSON header line, each integer column
-as little-endian binary after it, every code at the narrowest width
-that holds its block's codes. This module does not import numpy, so
+entry written once in a block's JSON header line, then the block's
+columns as little-endian binary. Timestamps are offsets from a base in
+the header, tweet ids their UTF-8 bytes after the byte length of each,
+and every offset, length and code is written at the narrowest width
+that holds its block's values. This module does not import numpy, so
 ingest never loads it.
 """
 
@@ -22,7 +24,9 @@ import sys
 from array import array
 from collections import Counter
 from datetime import datetime, timezone
+from functools import lru_cache
 from itertools import chain, compress, count
+from struct import Struct
 from typing import Callable, Iterator
 
 from coordnet.sources import open_text
@@ -172,8 +176,10 @@ def _validate_record(obj, emit: Callable):
     text = obj.get("text", "")
     if not isinstance(text, str):
         raise RecordError("bad_text", "text must be a string")
-    language = obj.get("language") or "und"
-    if not isinstance(language, str):
+    language = obj.get("language")
+    if language is None or language == "":
+        language = "und"
+    elif not isinstance(language, str):
         raise RecordError("bad_language", "language must be a string")
     rt_tweet = obj.get("retweeted_tweet_id")
     rt_account = obj.get("retweeted_account_id")
@@ -366,23 +372,35 @@ class Corpus:
     def write_cache(self, fp) -> None:
         """Write the columns to a binary file as cache blocks of
         CACHE_ROWS rows; load_cache reads them back. A block is one
-        canonical JSON header line, then its integer columns, raw and
-        little-endian. The header holds the block's tweet ids, each
-        coded column's (_CODED) table entries that its rows use first,
-        in code order, and widths, the bytes per code of each coded
-        column. The tables being in order of first use, a block's new
-        entries run from the end of the earlier blocks' entries to its
-        largest code. The body holds the timestamps as int64, the kinds
-        as int8, then each coded column's codes as signed ints of its
-        width: the narrowest of 1, 2 and 4 bytes that holds the block's
-        smallest and largest code."""
+        canonical JSON header line, then its body, raw and
+        little-endian. The header holds the block's rows, the base of
+        its timestamps, (smallest + largest) // 2, each coded column's
+        (_CODED) table entries that its rows use first, in code order,
+        and widths, the bytes per value of the timestamps, the tweet id
+        lengths and each coded column, in body order. The tables being
+        in order of first use, a block's new entries run from the end of
+        the earlier blocks' entries to its largest code. The body holds
+        each timestamp's offset from the base, the kinds as int8, each
+        tweet id's UTF-8 byte length, then each coded column's codes,
+        all as signed ints of their width: the narrowest of 1, 2, 4 (and
+        8, for offsets only) bytes that holds the block's smallest and
+        largest value. Last come the tweet ids' UTF-8 bytes."""
         tables = self._tables()
         known = [0] * len(_CODED)
         for start in range(0, len(self), CACHE_ROWS):
             rows = slice(start, start + CACHE_ROWS)
-            header = {"tweet_ids": self.tweet_ids[rows]}
-            body = [_little_endian(self.timestamps[rows]), self.kinds[rows].tobytes()]
-            widths = []
+            timestamps = self.timestamps[rows]
+            low, high = min(timestamps), max(timestamps)
+            base = (low + high) // 2
+            tweet_ids = list(map(str.encode, self.tweet_ids[rows]))
+            lengths = array("i", map(len, tweet_ids))
+            widths = [_width(low - base, high - base), _width(min(lengths), max(lengths))]
+            header = {"rows": len(tweet_ids), "base": base}
+            body = [
+                _little_endian(array(_WIDTHS[widths[0]], map(base.__rsub__, timestamps))),
+                self.kinds[rows].tobytes(),
+                _narrow(lengths, widths[1]),
+            ]
             for i, (table_key, codes_key, *_) in enumerate(_CODED):
                 codes = getattr(self, codes_key)[rows]
                 low, high = min(codes), max(codes)
@@ -392,6 +410,7 @@ class Corpus:
                 widths.append(_width(low, high))
                 body.append(_narrow(codes, widths[-1]))
             header["widths"] = widths
+            body.append(b"".join(tweet_ids))
             fp.write(_ENCODER.encode(header).encode("utf-8"))
             fp.write(b"\n")
             fp.write(b"".join(body))
@@ -452,12 +471,14 @@ def parse_corpus(source, strict: bool = False) -> Corpus:
 # per block. A larger block adds its decoded objects to a stage's peak RSS.
 CACHE_ROWS = 1024
 
-# Code widths in bytes, narrowest first, with the array typecode of a
-# signed int that wide: a block writes each code column at the narrowest
-# width that holds the column's smallest and largest code.
-_WIDTHS = {1: "b", 2: "h", 4: "i"}
-# Body bytes per row besides the codes: an int64 timestamp, an int8 kind.
-_ROW_BYTES = 9
+# Widths in bytes, narrowest first, with the array typecode of a signed
+# int that wide: a block writes each integer column but the kinds at the
+# narrowest width that holds the column's smallest and largest value. Only
+# timestamp offsets may take 8 bytes; lengths and codes fit in 4.
+_WIDTHS = {1: "b", 2: "h", 4: "i", 8: "q"}
+# A part of a body is read in reads of at most this many bytes, so that a
+# header that claims more than the file holds allocates no more than it.
+_READ_BYTES = 1 << 20
 # The body is little-endian. A big-endian host swaps each column's items
 # on write and on load, and narrows and widens codes through arrays of
 # their width; a little-endian one moves the bytes with slices.
@@ -478,6 +499,22 @@ def _little_endian(column: array) -> bytes:
     return column.tobytes()
 
 
+def _read(fp, size: int, what: str) -> bytes:
+    """The next size bytes of fp, the part of a block body that what
+    names; ValueError when the file ends first."""
+    parts = []
+    left = size
+    while left > 0:
+        part = fp.read(min(left, _READ_BYTES))
+        if not part:
+            raise ValueError(
+                f"the file ends {left} bytes short of the block's {size} bytes of {what}"
+            )
+        parts.append(part)
+        left -= len(part)
+    return b"".join(parts)
+
+
 def _from_little_endian(column: array, data: bytes) -> array:
     """column with the little-endian items in data appended."""
     column.frombytes(data)
@@ -492,9 +529,9 @@ def _width(low: int, high: int) -> int:
 
 
 def _narrow(codes: array, width: int) -> bytes:
-    """An array("i") as little-endian signed ints of width bytes, which
-    hold every code: on a little-endian host, the first width bytes of
-    each 4-byte code."""
+    """An array("i") as little-endian signed ints of width bytes (at most
+    4), which hold every code: on a little-endian host, the first width
+    bytes of each 4-byte code."""
     if _BIG_ENDIAN:
         return _little_endian(array(_WIDTHS[width], codes))
     wide = codes.tobytes()
@@ -506,23 +543,48 @@ def _narrow(codes: array, width: int) -> bytes:
     return bytes(narrow)
 
 
-def _widen(narrow: bytes, width: int) -> array:
-    """Little-endian signed ints of width bytes as an array("i"): on a
-    little-endian host, each int's bytes, then copies of its sign bit."""
+def _widen(narrow: bytes, width: int, typecode: str = "i") -> array:
+    """Little-endian signed ints of width bytes as an array of typecode,
+    "i" or "q": on a little-endian host, each int's bytes, then copies
+    of its sign bit."""
+    size = array(typecode).itemsize
     if _BIG_ENDIAN:
-        codes = _from_little_endian(array(_WIDTHS[width]), narrow)
-        return codes if width == 4 else array("i", codes)
-    if width != 4:
-        wide = bytearray(len(narrow) // width * 4)
+        values = _from_little_endian(array(_WIDTHS[width]), narrow)
+        return values if width == size else array(typecode, values)
+    if width != size:
+        wide = bytearray(len(narrow) // width * size)
         for i in range(width):
-            wide[i::4] = narrow[i::width]
+            wide[i::size] = narrow[i::width]
         signs = narrow[width - 1 :: width].translate(_SIGN_BYTES)
-        for i in range(width, 4):
-            wide[i::4] = signs
+        for i in range(width, size):
+            wide[i::size] = signs
         narrow = wide
-    codes = array("i")
-    codes.frombytes(narrow)
-    return codes
+    values = array(typecode)
+    values.frombytes(narrow)
+    return values
+
+
+@lru_cache(maxsize=2)
+def _lanes(rows: int) -> tuple[int, int]:
+    """The integer of rows 64-bit lanes that each hold 1, and the one
+    whose lanes each hold 2**63."""
+    lanes = ((1 << 64 * rows) - 1) // ((1 << 64) - 1)
+    return lanes, lanes << 63
+
+
+def _plus(base: int, offsets: array) -> bytes:
+    """The native bytes of an array("q") of base + each item of offsets,
+    an array("q") whose sums all lie in int64.
+
+    Read as one unsigned integer, the items' bytes hold each item in a
+    64-bit lane. Flipping each lane's top bit turns an item x into
+    x + 2**63, in [0, 2**64). Adding base to every lane at once then
+    carries into no other lane, since each sum + 2**63 lies in
+    [0, 2**64) too, and a second flip turns the lanes back: a few
+    integer operations per block instead of an add per row."""
+    lanes, top = _lanes(len(offsets))
+    shifted = int.from_bytes(offsets.tobytes(), sys.byteorder) ^ top
+    return ((shifted + base * lanes) ^ top).to_bytes(8 * len(offsets), sys.byteorder)
 
 
 def _column(block: dict, key: str, types: tuple) -> list:
@@ -584,7 +646,7 @@ _CODED = (
     ("retweeted_account_ids", "retweeted_account_codes", _ids, True),
     ("mentions", "mention_codes", _string_lists, False),
 )
-_HEADER_KEYS = frozenset(("tweet_ids", *(table for table, *_ in _CODED), "widths"))
+_HEADER_KEYS = frozenset(("rows", "base", *(table for table, *_ in _CODED), "widths"))
 # bytes(kinds).translate(_RETWEET_FLAGS): 1 for a retweet, else 0
 _RETWEET_FLAGS = bytes(kind == RETWEET for kind in range(256))
 
@@ -610,10 +672,11 @@ def _decode_header(line: bytes) -> dict:
         raise ValueError("invalid JSON: nested too deeply") from None
     if type(header) is dict and header.keys() == _HEADER_KEYS:
         return header
-    if type(header) is dict and ("tweet_id" in header or "timestamps" in header):
+    if type(header) is dict and header.keys() & {"tweet_id", "tweet_ids", "timestamps"}:
         raise ValueError(
-            "a record or a JSON block, not a cache block header: a cache from an older coordnet "
-            "(or a corpus not yet ingested); re-run `coordnet ingest` to rebuild the cache"
+            "a record or a block of an older layout, not a cache block header: a cache from an "
+            "older coordnet (or a corpus not yet ingested); re-run `coordnet ingest` to rebuild "
+            "the cache"
         )
     raise ValueError(
         f"a cache block header is a JSON object with keys {', '.join(sorted(_HEADER_KEYS))}"
@@ -621,15 +684,46 @@ def _decode_header(line: bytes) -> dict:
 
 
 def _widths(header: dict) -> list[int]:
+    """header's widths: 1, 2, 4 or 8 bytes for the timestamp offsets,
+    then 1, 2 or 4 for the tweet id lengths and each code column."""
     widths = header["widths"]
     if (
         type(widths) is not list
-        or len(widths) != len(_CODED)
+        or len(widths) != 2 + len(_CODED)
         or not set(map(type, widths)).issubset((int,))
         or not set(widths).issubset(_WIDTHS)
+        or 8 in widths[1:]
     ):
-        raise ValueError(f"widths must list {len(_CODED)} code widths, each 1, 2 or 4")
+        raise ValueError(
+            f"widths must list {2 + len(_CODED)} widths: 1, 2, 4 or 8 bytes for the timestamps, "
+            "then 1, 2 or 4 for the tweet id lengths and each code column"
+        )
     return widths
+
+
+# The Structs that split tweet ids are made here, not through
+# struct.unpack, whose cache keeps up to 100 compiled formats of a block's
+# size each; only the few formats of ids of one length are kept.
+@lru_cache(maxsize=4)
+def _id_struct(length: int, rows: int) -> Struct:
+    """The Struct that splits rows ids of length bytes each."""
+    return Struct("<" + f"{length}s" * rows)
+
+
+def _tweet_ids(fp, lengths: array) -> list[str]:
+    """The block's tweet ids, read from fp: each its length of UTF-8
+    bytes."""
+    rows = len(lengths)
+    first = lengths[0] if rows else 1
+    uniform = lengths.count(first) == rows  # ids of one length, as is common
+    if (first if uniform else min(lengths)) < 1:
+        raise ValueError("tweet_ids holds an empty id")
+    split = _id_struct(first, rows) if uniform else Struct("<" + "%ds" * rows % tuple(lengths))
+    parts = split.unpack(_read(fp, split.size, "tweet ids"))
+    try:
+        return list(map(bytes.decode, parts))
+    except UnicodeDecodeError:
+        raise ValueError("a tweet id is not valid UTF-8") from None
 
 
 def _codes(header: dict, column: tuple, values: list, seen: set, codes: array) -> None:
@@ -660,27 +754,29 @@ def _extend(corpus: Corpus, header: dict, fp, tables: list, claimed: set) -> Non
     the block in bulk and append its rows to corpus; tables holds each
     coded column's (corpus table, set of its entries) and claimed the
     tweet ids of the blocks before it."""
-    tweet_ids = _ids(header, "tweet_ids")
-    rows = len(tweet_ids)
-    known = len(claimed)
-    claimed.update(tweet_ids)
-    if len(claimed) != known + rows:
-        raise ValueError("tweet_ids repeats a tweet id")
-    widths = _widths(header)
-    size = rows * (_ROW_BYTES + sum(widths))
-    body = fp.read(size)
-    if len(body) != size:
-        raise ValueError(
-            f"the file ends {size - len(body)} bytes short of the block's {size}-byte body"
-        )
-    timestamps = _from_little_endian(array("q"), body[: 8 * rows])
-    kind_bytes = body[8 * rows : 9 * rows]
+    rows, base = header["rows"], header["base"]
+    if type(rows) is not int or rows < 0:
+        raise ValueError("rows must be an int of at least 0")
+    if type(base) is not int:
+        raise ValueError("base must be an int")
+    timestamp_width, length_width, *code_widths = widths = _widths(header)
+    body = _read(fp, rows * (1 + sum(widths)), "columns")
+    start = timestamp_width * rows
+    offsets = _widen(body[:start], timestamp_width, "q")
+    # offsets of this width reach at most half either side of the base,
+    # so only a base near year 1 or 9999 needs their own range checked
+    half = 1 << 8 * timestamp_width - 1
+    if offsets and not (_MIN_TIMESTAMP <= base - half and base + half <= _MAX_TIMESTAMP):
+        if not (_MIN_TIMESTAMP <= base + min(offsets) and base + max(offsets) <= _MAX_TIMESTAMP):
+            raise ValueError(f"timestamps must lie in [{_MIN_TIMESTAMP}, {_MAX_TIMESTAMP}]")
+    kind_bytes = body[start : start + rows]
     kinds = array("b", kind_bytes)
-    _in_range(timestamps, "timestamps", _MIN_TIMESTAMP, _MAX_TIMESTAMP)
     _in_range(kinds, "kinds", 0, len(KINDS) - 1)
-    start = _ROW_BYTES * rows
+    start += rows
+    lengths = _widen(body[start : start + length_width * rows], length_width)
+    start += length_width * rows
     codes = {}
-    for column, table, width in zip(_CODED, tables, widths):
+    for column, table, width in zip(_CODED, tables, code_widths):
         end = start + width * rows
         codes[column[1]] = _widen(body[start:end], width)
         _codes(header, column, *table, codes[column[1]])
@@ -690,9 +786,14 @@ def _extend(corpus: Corpus, header: dict, fp, tables: list, claimed: set) -> Non
     retweets = kind_bytes.translate(_RETWEET_FLAGS)
     if -1 in compress(retweeted, retweets) or retweeted.count(-1) != rows - kinds.count(RETWEET):
         raise ValueError("a row has retweeted_tweet_id if and only if it is a retweet")
+    tweet_ids = _tweet_ids(fp, lengths)
+    known = len(claimed)
+    claimed.update(tweet_ids)
+    if len(claimed) != known + rows:
+        raise ValueError("tweet_ids repeats a tweet id")
 
     corpus.tweet_ids.extend(tweet_ids)
-    corpus.timestamps.extend(timestamps)
+    corpus.timestamps.frombytes(_plus(base, offsets))
     corpus.kinds.extend(kinds)
     for key, column in codes.items():
         getattr(corpus, key).extend(column)
@@ -701,21 +802,24 @@ def _extend(corpus: Corpus, header: dict, fp, tables: list, claimed: set) -> Non
 def load_cache(path) -> Corpus:
     """Load the cache that Corpus.write_cache wrote to path.
 
-    Per block, one json.loads of the header line and one read of the
-    body, then every column is checked in bulk: each table entry once,
-    the integer columns as arrays. So a block holds nothing a record
-    that ingest accepted could not: exact types (a bool is not an int),
-    non-empty ids and language tags, lowercase hashtags without
-    HASHTAG_SEPARATOR, lists of strings, code widths of 1, 2 or 4 bytes,
-    codes within their table (-1, for none, only in the two retweet
-    columns) and new table entries distinct and in order of first use,
-    timestamps in years 1-9999, valid kind codes, a retweeted_tweet_id
-    code on retweets and only there, distinct tweet ids across the whole
-    file, a body of exactly the bytes its header's rows and widths call
-    for, strict UTF-8 and no surrogate escapes in the headers. Any other
-    content, a cache written before the integer columns were binary
-    among it, raises CorpusError naming the file and the block. The
-    tables and codes become the corpus's as they are.
+    Per block, one json.loads of the header line and two reads of the
+    body, its integer columns and then its tweet ids, then every column
+    is checked in bulk: each table entry once, the integer columns as
+    arrays. So a block holds nothing a record that ingest accepted could
+    not: exact types (a bool is not an int), non-empty ids and language
+    tags, lowercase hashtags without HASHTAG_SEPARATOR, lists of
+    strings, widths of 1, 2 or 4 bytes (or 8, for timestamp offsets
+    only), codes within their table (-1, for none, only in the two
+    retweet columns) and new table entries distinct and in order of
+    first use, timestamps (base + offset) in years 1-9999, valid kind
+    codes, a retweeted_tweet_id code on retweets and only there, tweet
+    ids non-empty, valid UTF-8 and distinct across the whole file, a
+    body of exactly the bytes its header's rows and widths and its id
+    lengths call for, strict UTF-8 and no surrogate escapes in the
+    headers. Any other content, a cache written before the timestamps
+    were offsets and the tweet ids sized bytes among it, raises
+    CorpusError naming the file and the block. The tables and codes
+    become the corpus's as they are.
     """
     corpus = Corpus()
     tables = [(table, set()) for table in corpus._tables()]

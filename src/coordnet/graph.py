@@ -256,26 +256,23 @@ def duplicate_shares(
     """
     if scope not in DUPLICATE_SCOPES:
         raise ValueError(f"unknown duplicate scope: {scope!r}")
-    texts_of: dict[int, list[str]] = {}
-    # each text code an original uses is normalized once
-    norm: list[str | None] = [None] * len(corpus.texts)
-    for code, kind, text in zip(corpus.account_codes, corpus.kinds, corpus.text_codes):
-        if kind == ORIGINAL:
-            if norm[text] is None:
-                norm[text] = normalize_text(corpus.texts[text])
-            texts_of.setdefault(code, []).append(norm[text])
-    corpus_counts: Counter[str] = Counter()
-    if scope == "corpus":
-        for texts in texts_of.values():
-            corpus_counts.update(texts)
-
+    originals = np.asarray(corpus.kinds) == ORIGINAL
+    account = np.asarray(corpus.account_codes, dtype=np.int64)[originals]
+    used, text = np.unique(np.asarray(corpus.text_codes)[originals], return_inverse=True)
+    # each text code an original uses is normalized once, and its class
+    # is the index of its normalized text
+    class_of: dict[str, int] = {}
+    text_class = [
+        class_of.setdefault(normalize_text(corpus.texts[code]), len(class_of))
+        for code in used.tolist()
+    ]
+    classes = np.array(text_class, dtype=np.int64)[text]
+    keys = classes if scope == "corpus" else account * len(class_of) + classes
+    _, key, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    n = len(corpus.account_ids)
+    totals = np.bincount(account, minlength=n).tolist()
+    dups = np.bincount(account[counts[key] >= 2], minlength=n).tolist()
     out: dict[str, tuple[float | None, int]] = {}
-    for account in corpus.accounts():
-        texts = texts_of.get(corpus.code_of[account])
-        if not texts:
-            out[account] = (None, 0)
-            continue
-        counts = corpus_counts if scope == "corpus" else Counter(texts)
-        dup = sum(1 for t in texts if counts[t] >= 2)
-        out[account] = (dup / len(texts), len(texts))
+    for name, total, dup in sorted(zip(corpus.account_ids, totals, dups)):
+        out[name] = (dup / total, total) if total else (None, 0)
     return out

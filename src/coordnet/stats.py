@@ -557,16 +557,11 @@ def day_codes(records: Sequence) -> np.ndarray:
     return ts // 86400
 
 
-def daily_mean_series(days: np.ndarray, values: np.ndarray) -> list[tuple[str, float | None]]:
-    """Per-day means of values, with days as day_codes gives them, over
-    every day from the earliest to the latest; days with no values
-    yield None."""
-    return daily_means(days)(values)
-
-
 def daily_means(days: np.ndarray) -> Callable[[np.ndarray], list[tuple[str, float | None]]]:
-    """daily_mean_series(days, values) as a function of values, with the
-    day span, the counts and the day names computed once.
+    """Per-day means of values, as a function of values, with days as
+    day_codes gives them: every day from the earliest to the latest, and
+    None for a day with no values. The day span, the counts and the day
+    names are computed once.
 
     bincount adds each day's values in input order, so every mean has
     the bits of a running sum divided by the count.
@@ -593,7 +588,7 @@ def daily_mean_confidence(
     records with tweet_id and timestamp attributes."""
     tweets = list(tweets)
     values = table.rows_for([t.tweet_id for t in tweets])[:, table.column_index(characteristic)]
-    return daily_mean_series(day_codes(tweets), values)
+    return daily_means(day_codes(tweets))(values)
 
 
 def language_mix(corpus: Corpus, accounts: Iterable[str] | None = None) -> dict[str, dict[str, float]]:

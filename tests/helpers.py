@@ -20,6 +20,7 @@ from coordnet.config import DETECTORS, DetectorConfig
 from coordnet.corpus import (
     _CODED,
     KINDS,
+    ORIGINAL,
     REPLY,
     RETWEET,
     SECONDS_PER_DAY,
@@ -580,6 +581,26 @@ def oracle_activity_shares(corpus, coordinated: set[str]):
             total = totals[day, code]
             shares[kind] = (coord[day, code] / total) if total else None
         out.append((day_of_timestamp(day * SECONDS_PER_DAY), shares))
+    return out
+
+
+def oracle_duplicate_shares(corpus, scope: str = "account"):
+    """graph.duplicate_shares with a list of normalized texts per account
+    and a Counter per count."""
+    texts_of: dict[int, list[str]] = {}
+    for code, kind, text in zip(corpus.account_codes, corpus.kinds, corpus.text_codes):
+        if kind == ORIGINAL:
+            texts_of.setdefault(code, []).append(normalize_text(corpus.texts[text]))
+    corpus_counts = Counter(t for texts in texts_of.values() for t in texts)
+    out = {}
+    for account in corpus.accounts():
+        texts = texts_of.get(corpus.code_of[account])
+        if not texts:
+            out[account] = (None, 0)
+            continue
+        counts = corpus_counts if scope == "corpus" else Counter(texts)
+        dup = sum(1 for t in texts if counts[t] >= 2)
+        out[account] = (dup / len(texts), len(texts))
     return out
 
 

@@ -888,12 +888,14 @@ def test_criterion_11_cache_bytes_and_load_memory_per_record(tmp_path):
     (n0, cache0), (n1, cache1) = caches
     added = n1 - n0
     per_record = (cache1.stat().st_size - cache0.stat().st_size) / added
-    # Each record writes its tweet id in the block header, and its
-    # timestamp, kind and seven codes in the body, each code in the fewest
-    # bytes that hold its block's codes; its retweet target, text and
-    # tags are written once per file. 47.4 B measured; codes as JSON ints
-    # measured 59.2 B, and values written per row 73.0 B.
-    assert per_record <= 52, f"cache grew {per_record:.1f} B per record"
+    # Each record writes in its block's body its timestamp's offset from
+    # the block's midpoint, its kind, its tweet id's byte length, its
+    # seven codes and its tweet id's bytes, each integer in the fewest
+    # bytes that hold its block's values; its retweet target, text and
+    # tags are written once per file. 39.4 B measured; int64 timestamps
+    # and tweet ids in the JSON header measured 47.4 B, codes as JSON
+    # ints 59.2 B, and values written per row 73.0 B.
+    assert per_record <= 44, f"cache grew {per_record:.1f} B per record"
     held = (load_cache_held_bytes(cache1) - load_cache_held_bytes(cache0)) / added
     # A 4-byte code per row in each coded column: 154.5 B measured (the
     # tweet id string dominates). An 8-byte list slot per row in six of

@@ -1,8 +1,8 @@
 """The ingest cache: column blocks that Corpus.write_cache writes and
 load_cache reads back, with every check the per-record reload made. A
 block is a JSON header line, then its integer columns as little-endian
-binary; decode_blocks and encode_block read and write that layout
-independently of coordnet.corpus."""
+binary and its tweet ids' UTF-8 bytes; decode_blocks and encode_block
+read and write that layout independently of coordnet.corpus."""
 
 import copy
 import dataclasses
@@ -42,11 +42,15 @@ COLUMNS = [
 
 
 CODE_KEYS = [codes for _, codes, *_ in coordnet.corpus._CODED]
+LENGTH_AND_CODE_KEYS = ["tweet_id_lengths", *CODE_KEYS]
 
 
 def body_columns(widths) -> list[tuple[str, int]]:
-    """(column, bytes per value) of a block body, in order."""
-    return [("timestamps", 8), ("kinds", 1), *zip(CODE_KEYS, widths)]
+    """(column, bytes per value) of a block body's integer columns, in
+    order: widths lists the timestamps', the tweet id lengths' and each
+    code column's."""
+    return [("timestamps", widths[0]), ("kinds", 1), ("tweet_id_lengths", widths[1]),
+            *zip(CODE_KEYS, widths[2:])]
 
 
 def cache_bytes(corpus) -> bytes:
@@ -57,13 +61,14 @@ def cache_bytes(corpus) -> bytes:
 
 def decode_blocks(data: bytes) -> list[tuple[dict, dict]]:
     """Each block of a cache as (header, columns): the decoded JSON
-    header line, and the body's timestamps, kinds and code columns as
-    lists of ints, read at the widths the header gives."""
+    header line, and the body's integer columns as lists of ints, read
+    at the widths the header gives, with each timestamp offset added to
+    the header's base; then tweet_ids, each id's bytes."""
     blocks, at = [], 0
     while at < len(data):
         end = data.index(b"\n", at) + 1
         header = json.loads(data[at:end])
-        rows, at = len(header["tweet_ids"]), end
+        rows, at = header["rows"], end
         columns = {}
         for key, width in body_columns(header["widths"]):
             cells = data[at : at + rows * width]
@@ -73,29 +78,50 @@ def decode_blocks(data: bytes) -> list[tuple[dict, dict]]:
                 for i in range(0, len(cells), width)
             ]
             at += rows * width
+        columns["timestamps"] = [header["base"] + offset for offset in columns["timestamps"]]
+        columns["tweet_ids"] = []
+        for length in columns["tweet_id_lengths"]:
+            columns["tweet_ids"].append(data[at : at + length])
+            at += length
+        assert len(b"".join(columns["tweet_ids"])) == sum(columns["tweet_id_lengths"])
         blocks.append((header, columns))
     return blocks
 
 
-def encode_block(header: dict, columns: dict, widths: list[int], byteorder="little") -> bytes:
-    """header as one JSON line, then columns as signed ints, little-endian
-    unless byteorder says otherwise: timestamps in 8 bytes, kinds in 1
-    and each code column in its entry of widths."""
-    body = b"".join(
+def encode_body(header: dict, columns: dict, widths: list[int], byteorder="little") -> bytes:
+    """columns as a block body: each timestamp's offset from the header's
+    base, the kinds, the tweet id lengths and each code column as signed
+    ints of their entry of widths (kinds in 1 byte), little-endian unless
+    byteorder says otherwise, then the tweet ids' bytes."""
+    values = dict(columns, timestamps=[t - header["base"] for t in columns["timestamps"]])
+    return b"".join(
         value.to_bytes(width, byteorder, signed=True)
         for key, width in body_columns(widths)
-        for value in columns[key]
-    )
-    return _canonical(header) + b"\n" + body
+        for value in values[key]
+    ) + b"".join(columns["tweet_ids"])
+
+
+def encode_block(header: dict, columns: dict, widths: list[int], byteorder="little") -> bytes:
+    """header as one JSON line, then encode_body(...)."""
+    return _canonical(header) + b"\n" + encode_body(header, columns, widths, byteorder)
 
 
 def _canonical(value) -> bytes:
     return json.dumps(value, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
-def narrowest(codes: list[int]) -> int:
-    """The fewest bytes of a signed int that hold every code."""
-    return next(w for w in (1, 2, 4) if all(-(1 << 8 * w - 1) <= c < 1 << 8 * w - 1 for c in codes))
+def narrowest(values: list[int]) -> int:
+    """The fewest bytes of a signed int that hold every value."""
+    return next(
+        w for w in (1, 2, 4, 8) if all(-(1 << 8 * w - 1) <= v < 1 << 8 * w - 1 for v in values)
+    )
+
+
+def narrowest_widths(header: dict, columns: dict) -> list[int]:
+    """What a block's widths must be: the narrowest for the timestamp
+    offsets, the tweet id lengths and each code column."""
+    offsets = [t - header["base"] for t in columns["timestamps"]]
+    return [narrowest(offsets), *(narrowest(columns[key]) for key in LENGTH_AND_CODE_KEYS)]
 
 
 def assert_tables_in_first_use_order(corpus) -> None:
@@ -224,9 +250,14 @@ def test_load_cache_equals_parse_corpus(lines):
     assert all(type(t) is tuple for t in loaded.hashtags + loaded.mentions)
     assert_tables_in_first_use_order(parsed)
     assert_tables_in_first_use_order(loaded)
-    # each code column at the narrowest width that holds its block's codes
+    # timestamps as offsets from the block's midpoint, and each integer
+    # column at the narrowest width that holds its block's values
     for header, columns in blocks:
-        assert header["widths"] == [narrowest(columns[key]) for key in CODE_KEYS]
+        stamps = columns["timestamps"]
+        assert header["base"] == (min(stamps) + max(stamps)) // 2
+        assert header["widths"] == narrowest_widths(header, columns)
+        assert columns["tweet_id_lengths"] == list(map(len, columns["tweet_ids"]))
+    assert [i.decode() for _, columns in blocks for i in columns["tweet_ids"]] == parsed.tweet_ids
     assert [code for _, columns in blocks for code in columns["text_codes"]] == list(
         parsed.text_codes
     )
@@ -269,7 +300,7 @@ def test_no_target_code_never_reads_the_last_entry(tmp_path):
 def test_blocks_hold_cache_rows_records():
     records = [rec(i, f"a{i % 5}", BASE_TS + i) for i in range(2 * CACHE_ROWS + 1)]
     blocks = decode_blocks(cache_bytes(corpus_of(*records)))
-    assert [len(h["tweet_ids"]) for h, _ in blocks] == [CACHE_ROWS, CACHE_ROWS, 1]
+    assert [h["rows"] for h, _ in blocks] == [CACHE_ROWS, CACHE_ROWS, 1]
     assert [h["accounts"] for h, _ in blocks] == [["a0", "a1", "a2", "a3", "a4"], [], []]
     assert [c["timestamps"][0] for _, c in blocks] == [BASE_TS, BASE_TS + CACHE_ROWS,
                                                        BASE_TS + 2 * CACHE_ROWS]
@@ -323,22 +354,58 @@ def _round_trip(corpus, path: Path) -> bytes:
     return cache_bytes(loaded)
 
 
-@pytest.mark.parametrize("rows", [1, 3, CACHE_ROWS])
+# Blocks of two rows, each (timestamps, tweet ids, offset width, id
+# length width). The base is (smallest + largest) // 2, so a block whose
+# timestamps span 2**(8w) - 2 seconds has offsets within w bytes, and
+# one more second takes the next width. Ids of 127 and 128 UTF-8 bytes
+# sit on the 1-byte bound of their lengths, counted in bytes, not
+# characters.
+_MIN_TS, _MAX_TS = -62135596800, 253402300799  # years 1 and 9999
+_BOUNDARY_BLOCKS = [
+    ((BASE_TS, BASE_TS), ("s", "ß"), 1, 1),
+    ((BASE_TS, BASE_TS + 254), ("a" * 127, "b"), 1, 1),
+    ((BASE_TS + 255, BASE_TS), ("c" * 128, "d"), 2, 2),
+    ((BASE_TS - 65534, BASE_TS), ("é" * 64, "e"), 2, 2),  # 128 bytes, 64 characters
+    ((BASE_TS, BASE_TS + 65535), ("😀" * 31 + "fff", "g"), 4, 1),  # 127 bytes
+    ((-1, 2**32 - 3), ("h", "😀é"), 4, 1),
+    ((0, 2**32 - 1), ("i", "j"), 8, 1),
+    ((_MAX_TS, _MIN_TS), ("k", "l"), 8, 1),
+]
+
+
+@pytest.fixture(scope="module")
+def boundary_corpus():
+    return corpus_of(*(
+        rec(tweet_id, "a", ts)
+        for stamps, ids, _, _ in _BOUNDARY_BLOCKS
+        for tweet_id, ts in zip(ids, stamps)
+    ))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, CACHE_ROWS])
 def test_each_block_writes_codes_at_their_narrowest_width(
-    tmp_path, wide_corpus, monkeypatch, rows
+    tmp_path, wide_corpus, boundary_corpus, monkeypatch, rows
 ):
     monkeypatch.setattr(coordnet.corpus, "CACHE_ROWS", rows)
     path = tmp_path / "cache.jsonl"
-    assert _round_trip(wide_corpus, path) == path.read_bytes()
-    blocks = decode_blocks(path.read_bytes())
-    assert len(blocks) == -(-_WIDE_ROWS // rows)
-    for header, columns in blocks:
-        assert header["widths"] == [narrowest(columns[key]) for key in CODE_KEYS]
-    assert {w for header, _ in blocks for w in header["widths"]} == {1, 2, 4}
+    for corpus in (boundary_corpus, wide_corpus):
+        assert _round_trip(corpus, path) == path.read_bytes()
+        blocks = decode_blocks(path.read_bytes())
+        assert len(blocks) == -(-len(corpus) // rows)
+        for header, columns in blocks:
+            stamps = columns["timestamps"]
+            assert header["base"] == (min(stamps) + max(stamps)) // 2
+            assert header["widths"] == narrowest_widths(header, columns)
+    boundary = decode_blocks(cache_bytes(boundary_corpus))
+    if rows == 2:
+        assert [header["widths"][:2] for header, _ in boundary] == [
+            [offsets, lengths] for _, _, offsets, lengths in _BOUNDARY_BLOCKS
+        ]
+    assert {w for header, _ in blocks for w in header["widths"][2:]} == {1, 2, 4}
     for key in ("retweeted_tweet_codes", "retweeted_account_codes"):
         assert -1 in (code for _, columns in blocks for code in columns[key])
     # the block that holds text code 127, 128, 32767 or 32768 (the last)
-    text = CODE_KEYS.index("text_codes")
+    text = LENGTH_AND_CODE_KEYS.index("text_codes") + 1
     widths = {code: blocks[code // rows][0]["widths"][text] for code in (127, 128, 32767, 32768)}
     if rows == 1:
         assert widths == {127: 1, 128: 2, 32767: 2, 32768: 4}
@@ -443,7 +510,7 @@ def _raw(old, new):
     """The header's JSON text with old replaced by new."""
     def mutate(header, columns):
         line = _canonical(header).decode("utf-8").replace(old, new)
-        return encode_block({}, columns, header["widths"]).replace(b"{}", line.encode(), 1)
+        return line.encode() + b"\n" + encode_body(header, columns, header["widths"])
     return mutate
 
 
@@ -463,11 +530,70 @@ def _deep(header, columns):
     return _raw("}", ',"extra":' + "[" * 50_000 + "]" * 50_000 + "}")(header, columns)
 
 
+def _header(key, value):
+    """The header's key set to value, and the body written as before."""
+    def mutate(header, columns):
+        body = encode_body(header, columns, header["widths"])
+        header[key] = value
+        return _canonical(header) + b"\n" + body
+    return mutate
+
+
+def _id(row, raw: bytes):
+    """Tweet id `row` of the block set to the bytes raw, and its length
+    to theirs."""
+    def mutate(header, columns):
+        columns["tweet_ids"][row] = raw
+        columns["tweet_id_lengths"][row] = len(raw)
+    return mutate
+
+
+def _both(first, second):
+    def mutate(header, columns):
+        first(header, columns)
+        second(header, columns)
+    return mutate
+
+
+def _timestamp(row, value):
+    """Timestamp `row` of the block set to value, with the offsets
+    written in 8 bytes."""
+    def mutate(header, columns):
+        columns["timestamps"][row] = value
+        header["widths"][0] = 8
+        return encode_block(header, columns, header["widths"])
+    return mutate
+
+
+def _base(value):
+    """The header's base set to value, keeping the offsets."""
+    def mutate(header, columns):
+        columns["timestamps"] = [t - header["base"] + value for t in columns["timestamps"]]
+        header["base"] = value
+    return mutate
+
+
+def _previous_block(header, columns):
+    """The block as the previous binary layout wrote it: the tweet ids
+    in the header line, and the timestamps as int64 in the body."""
+    line = {"tweet_ids": [i.decode() for i in columns["tweet_ids"]]}
+    line.update((table, header[table]) for table, *_ in coordnet.corpus._CODED)
+    line["widths"] = header["widths"][2:]
+    body = b"".join(t.to_bytes(8, "little", signed=True) for t in columns["timestamps"])
+    body += bytes(columns["kinds"])
+    body += b"".join(
+        c.to_bytes(w, "little", signed=True)
+        for key, w in zip(CODE_KEYS, line["widths"])
+        for c in columns[key]
+    )
+    return _canonical(line) + b"\n" + body
+
+
 def _json_block(header, columns):
     """The block as the JSON-only cache layout wrote it: the integer
     columns in the line, beside the tables."""
-    block = {"tweet_ids": header["tweet_ids"], "timestamps": columns["timestamps"],
-             "kinds": columns["kinds"]}
+    block = {"tweet_ids": [i.decode() for i in columns["tweet_ids"]],
+             "timestamps": columns["timestamps"], "kinds": columns["kinds"]}
     for table, codes, *_ in coordnet.corpus._CODED:
         block[table], block[codes] = header[table], columns[codes]
     return _canonical(block) + b"\n"
@@ -490,34 +616,58 @@ def _drop_retweet(header, columns):
 
 
 def _width(column, value):
-    """column's entry of widths set to value."""
-    return _put("widths", CODE_KEYS.index(column), value)
+    """The entry of widths of column ("timestamps", "tweet_id_lengths" or
+    a code column) set to value."""
+    return _put("widths", ["timestamps", *LENGTH_AND_CODE_KEYS].index(column), value)
 
+
+# The error of a width that is not one of those allowed for its column.
+WIDTHS = "then 1, 2 or 4 for the tweet id lengths and each code column"
 
 # name: (block mutated, mutation, a phrase of the error message[, the
 # block named when it is not the mutated one]). A code column's bytes
 # cannot hold a bool or a float, so each `*_code-bool` case (and
 # `account_code-float`) puts that value where the column's width goes:
-# a width that equals 1 but is not an int is refused.
+# a width that equals 1 but is not an int is refused. Block 1's
+# timestamps take 1-byte offsets and block 2's 4-byte ones.
 MUTATIONS = {
-    "tweet_ids-not-list": (1, _set("tweet_ids", "t1"), "tweet_ids must be a list"),
-    "tweet_id-int": (1, _put("tweet_ids", 0, 1), "tweet_ids must hold only str"),
-    "tweet_id-empty": (1, _put("tweet_ids", 2, ""), "tweet_ids holds an empty string"),
-    "tweet_id-repeated-in-block": (1, _put("tweet_ids", 2, "t1"), "repeats a tweet id"),
-    "tweet_id-repeated-across-blocks": (2, _put("tweet_ids", 1, "t2"), "repeats a tweet id"),
+    "rows-not-int": (1, _set("rows", "3"), "rows must be an int"),
+    "rows-bool": (1, _set("rows", True), "rows must be an int"),
+    "rows-negative": (2, _set("rows", -1), "rows must be an int of at least 0"),
+    "base-float": (1, _header("base", 1493632860.0), "base must be an int"),
+    "base-null": (2, _header("base", None), "base must be an int"),
+    "base-past-9999": (1, _base(253402300799), "timestamps must lie in"),
+    "base-before-1": (2, _base(-62135596800), "timestamps must lie in"),
+    "tweet_id-empty": (1, _id(2, b""), "tweet_ids holds an empty id"),
+    "tweet_id-invalid-utf8": (1, _id(0, b"t\xff"), "a tweet id is not valid UTF-8"),
+    "tweet_id-encoded-surrogate": (2, _id(1, b"\xed\xa0\x80"), "a tweet id is not valid UTF-8"),
+    # the ids' bytes are valid UTF-8 together, "t\xc3\xa9", but not each
+    "tweet_id-split-character": (
+        1, _both(_id(0, b"t\xc3"), _id(1, b"\xa9")), "a tweet id is not valid UTF-8"
+    ),
+    "tweet_id-length-negative": (1, _put("tweet_id_lengths", 1, -2), "tweet_ids holds an empty id"),
+    "tweet_id-lengths-overrun": (
+        2, _put("tweet_id_lengths", 2, 9),
+        "the file ends 7 bytes short of the block's 13 bytes of tweet ids",
+    ),
+    "tweet_id-repeated-in-block": (1, _id(2, b"t1"), "repeats a tweet id"),
+    "tweet_id-repeated-across-blocks": (2, _id(1, b"t2"), "repeats a tweet id"),
     "account-int": (1, _put("accounts", 0, 7), "accounts must hold only str"),
     "account-empty": (1, _put("accounts", 1, ""), "accounts holds an empty string"),
     "account-repeated-in-block": (1, _put("accounts", 1, "a"), "accounts repeats an entry"),
     "account-repeated-across-blocks": (2, _put("accounts", 0, "a"), "accounts repeats an entry"),
     "account-unused": (1, _append("accounts", "q"), "in order of use"),
     "accounts-out-of-order": (2, _set("account_codes", [3, 2, 0]), "in order of use"),
-    "account_code-bool": (2, _width("account_codes", True), "each 1, 2 or 4"),
-    "account_code-float": (1, _width("account_codes", 1.0), "each 1, 2 or 4"),
+    "account_code-bool": (2, _width("account_codes", True), WIDTHS),
+    "account_code-float": (1, _width("account_codes", 1.0), WIDTHS),
     "account_code-past-table": (1, _put("account_codes", 2, 2), "account_codes must lie in [0, 1]"),
     "account_code-negative": (1, _put("account_codes", 1, -1), "account_codes must lie in"),
-    "timestamp-past-9999": (1, _put("timestamps", 0, 253402300800), "timestamps must lie in"),
-    "timestamp-before-1": (2, _put("timestamps", 2, -62135596801), "timestamps must lie in"),
-    "timestamp-int64-max": (1, _put("timestamps", 1, 2**63 - 1), "timestamps must lie in"),
+    "timestamp-past-9999": (1, _timestamp(0, 253402300800), "timestamps must lie in"),
+    "timestamp-before-1": (2, _timestamp(2, -62135596801), "timestamps must lie in"),
+    "timestamp-int64-max": (
+        1, lambda header, columns: _timestamp(1, header["base"] + 2**63 - 1)(header, columns),
+        "timestamps must lie in",
+    ),
     "kind-3": (1, _put("kinds", 0, 3), "kinds must lie in [0, 2]"),
     "kind-negative": (1, _put("kinds", 2, -1), "kinds must lie in"),
     "text-null": (1, _put("texts", 1, None), "texts must hold only str"),
@@ -525,7 +675,7 @@ MUTATIONS = {
     "text-repeated-across-blocks": (2, _put("texts", 1, "one"), "texts repeats an entry"),
     "text-unused": (2, _append("texts", "seven"), "texts must list"),
     "texts-out-of-order": (1, _set("text_codes", [1, 0, 2]), "texts must list"),
-    "text_code-bool": (1, _width("text_codes", False), "each 1, 2 or 4"),
+    "text_code-bool": (1, _width("text_codes", False), WIDTHS),
     "text_code-past-table": (2, _put("text_codes", 2, 5), "text_codes must lie in [0, 4]"),
     "text_code-127": (2, _put("text_codes", 0, 127), "text_codes must lie in [0, 4]"),
     "text_code-minus-one": (1, _put("text_codes", 1, -1), "text_codes must lie in [0, 2]"),
@@ -536,14 +686,14 @@ MUTATIONS = {
     "hashtag-int": (1, _put("hashtags", 0, [1]), "hashtags must hold lists of strings"),
     "hashtags-repeated": (2, _put("hashtags", 0, ["x", "y"]), "hashtags repeats an entry"),
     "hashtags-out-of-order": (1, _set("hashtag_codes", [1, 0, 0]), "hashtags must list"),
-    "hashtag_code-bool": (2, _width("hashtag_codes", True), "each 1, 2 or 4"),
+    "hashtag_code-bool": (2, _width("hashtag_codes", True), WIDTHS),
     "hashtag_code-past-table": (1, _put("hashtag_codes", 2, 2), "hashtag_codes must lie in [0, 1]"),
     "hashtag_code-minus-one": (2, _put("hashtag_codes", 0, -1), "hashtag_codes must lie in"),
     "language-empty": (1, _put("languages", 0, ""), "languages holds an empty string"),
     "language-int": (1, _put("languages", 0, 1), "languages must hold only str"),
     "language-repeated": (2, _put("languages", 0, "und"), "languages repeats an entry"),
     "languages-out-of-order": (1, _set("language_codes", [1, 0, 0]), "languages must list"),
-    "language_code-bool": (1, _width("language_codes", True), "each 1, 2 or 4"),
+    "language_code-bool": (1, _width("language_codes", True), WIDTHS),
     "language_code-past-table": (2, _put("language_codes", 0, 3), "language_codes must lie in"),
     "language_code-minus-one": (1, _put("language_codes", 0, -1), "language_codes must lie in"),
     "retweet-without-id": (1, _drop_retweet, "if and only if"),
@@ -556,13 +706,13 @@ MUTATIONS = {
     "retweeted_tweet_id-null": (2, _put("retweeted_tweet_ids", 0, None), "must hold only str"),
     "retweeted_tweet_id-repeated": (2, _put("retweeted_tweet_ids", 0, "t0"), "repeats an entry"),
     "retweeted_tweet_id-unused": (1, _append("retweeted_tweet_ids", "t9"), "in order of use"),
-    "retweeted_tweet_code-bool": (2, _width("retweeted_tweet_codes", True), "each 1, 2 or 4"),
+    "retweeted_tweet_code-bool": (2, _width("retweeted_tweet_codes", True), WIDTHS),
     "retweeted_tweet_code-past-table": (2, _put("retweeted_tweet_codes", 0, 2), "lie in [-1, 1]"),
     "retweeted_tweet_code-minus-two": (1, _put("retweeted_tweet_codes", 0, -2), "lie in [-1, 0]"),
     "retweeted_account_id-empty": (1, _put("retweeted_account_ids", 0, ""), "empty string"),
     "retweeted_account_id-bool": (2, _put("retweeted_account_ids", 0, False), "only str"),
     "retweeted_account_id-repeated": (2, _put("retweeted_account_ids", 0, "z"), "repeats an entry"),
-    "retweeted_account_code-bool": (1, _width("retweeted_account_codes", False), "each 1, 2 or 4"),
+    "retweeted_account_code-bool": (1, _width("retweeted_account_codes", False), WIDTHS),
     "retweeted_account_code-past-table": (
         1, _put("retweeted_account_codes", 2, 1), "retweeted_account_codes must lie in [-1, 0]"
     ),
@@ -570,28 +720,36 @@ MUTATIONS = {
     "mentions-null": (1, _put("mentions", 1, None), "mentions must hold only list"),
     "mentions-repeated": (1, _put("mentions", 1, ["b"]), "mentions repeats an entry"),
     "mentions-unused": (2, _append("mentions", ["q"]), "mentions must list"),
-    "mention_code-bool": (2, _width("mention_codes", True), "each 1, 2 or 4"),
+    "mention_code-bool": (2, _width("mention_codes", True), WIDTHS),
     "mention_code-past-table": (2, _put("mention_codes", 1, 2), "mention_codes must lie in [0, 1]"),
     "mention_code-minus-one": (1, _put("mention_codes", 0, -1), "mention_codes must lie in"),
-    "widths-3": (1, _width("text_codes", 3), "each 1, 2 or 4"),
-    "widths-0": (2, _width("mention_codes", 0), "each 1, 2 or 4"),
-    "widths-string": (1, _width("hashtag_codes", "2"), "each 1, 2 or 4"),
-    "widths-5000-digits": (2, _raw('"widths":[1', '"widths":[' + "1" * 5000), ""),
-    "widths-short": (1, _drop_last("widths"), "widths must list 7 code widths"),
-    "widths-long": (2, _append("widths", 1), "widths must list 7 code widths"),
+    "widths-3": (1, _width("text_codes", 3), WIDTHS),
+    "widths-0": (2, _width("mention_codes", 0), WIDTHS),
+    "widths-string": (1, _width("hashtag_codes", "2"), WIDTHS),
+    "widths-8-code": (1, _width("language_codes", 8), WIDTHS),
+    "widths-8-tweet-id-lengths": (2, _width("tweet_id_lengths", 8), WIDTHS),
+    "widths-3-timestamps": (1, _width("timestamps", 3), WIDTHS),
+    "widths-5000-digits": (2, _raw('"widths":[', '"widths":[' + "1" * 5000 + ","), ""),
+    "widths-short": (1, _drop_last("widths"), "widths must list 9 widths"),
+    "widths-long": (2, _append("widths", 1), "widths must list 9 widths"),
     "widths-not-list": (1, _set("widths", 1), "widths must list"),
-    # A column one row short or long moves the columns after it and the
-    # end of the body: in the last block the file ends early, or the
-    # moved bytes fail a check.
-    "texts-short": (2, _drop_last("text_codes"), "ends 1 bytes short of the block's 48-byte body"),
-    "timestamps-short": (2, _drop_last("timestamps"), "ends 8 bytes short of the block's 48"),
-    "kinds-short": (2, _drop_last("kinds"), "ends 1 bytes short of the block's 48"),
-    "mentions-short": (2, _drop_last("mention_codes"), "ends 1 bytes short of the block's 48"),
-    "account_codes-short": (2, _drop_last("account_codes"), "ends 1 bytes short"),
+    # A column one row short or long moves the columns after it, and
+    # the tweet ids' bytes into them: the moved bytes fail a check, or
+    # in the last block the file ends early.
+    "texts-short": (2, _drop_last("text_codes"), "texts must list the values the block uses"),
+    "timestamps-short": (2, _drop_last("timestamps"), "account_codes must lie in [0, 3]"),
+    "kinds-short": (2, _drop_last("kinds"), "accounts must list the values"),
+    "mentions-short": (2, _drop_last("mention_codes"), "mention_codes must lie in [0, 1]"),
+    "account_codes-short": (2, _drop_last("account_codes"), "mention_codes must lie in [0, 1]"),
     "retweeted_account_codes-long": (
         2, _append("retweeted_account_codes", -1), "mention_codes must lie in [0, 1]"
     ),
-    "body-one-byte-short": (2, _tail(cut=1), "ends 1 bytes short"),
+    "body-one-byte-short": (
+        2, _tail(cut=1), "the file ends 1 bytes short of the block's 6 bytes of tweet ids"
+    ),
+    "columns-short": (
+        2, _tail(cut=10), "the file ends 4 bytes short of the block's 39 bytes of columns"
+    ),
     "bytes-after-last-block": (2, _tail(extra=b"\x00\x07"), "the file ends inside a block header", 3),
     "key-missing": (1, _del_key, "a cache block header is a JSON object with keys"),
     "key-extra": (2, _set("extra", []), "a cache block header is a JSON object with keys"),
@@ -601,6 +759,7 @@ MUTATIONS = {
     ),
     "uncoded-block": (1, _uncode, "re-run `coordnet ingest`"),
     "json-block": (1, _json_block, "re-run `coordnet ingest`"),
+    "previous-binary-block": (1, _previous_block, "re-run `coordnet ingest`"),
     "lone-surrogate-escape": (1, _raw('"one"', '"\\ud800"'), "surrogate escape"),
     "surrogate-pair-escape": (2, _raw('"five"', '"\\ud83d\\ude00"'), "surrogate escape"),
     "deep-nesting": (2, _deep, "nested too deeply"),
@@ -679,11 +838,11 @@ def test_every_stage_exits_1_naming_file_and_line(tmp_path, blocks, edges_dir, c
 
 
 def test_truncated_cache_file_exits_1(tmp_path, blocks, edges_dir, capsys):
-    path = _mutated_cache(tmp_path / "cache.jsonl", blocks, 2, _tail(cut=10))
+    path = _mutated_cache(tmp_path / "cache.jsonl", blocks, 2, _tail(cut=3))
     assert main(["--json-errors", "detect", str(path), "-o", str(tmp_path / "det")]) == 1
     payload, message = capsys.readouterr().err.splitlines()
     assert json.loads(payload)["block"] == 2 and "line" not in json.loads(payload)
-    assert message.startswith(f"coordnet: error: {path}: block 2: the file ends 10 bytes short")
+    assert message.startswith(f"coordnet: error: {path}: block 2: the file ends 3 bytes short")
 
 
 def test_per_record_cache_asks_for_reingest(tmp_path, capsys):
@@ -710,14 +869,16 @@ _junk = st.one_of(
 def _block_mutation(draw):
     """(block number, mutation): a header value or one of its cells
     replaced by any JSON value, a body cell replaced by any int its
-    width holds, a cell dropped or repeated, or bytes spliced into the
-    block."""
+    width holds (a tweet id by any bytes, its length kept), a cell
+    dropped or repeated, or bytes spliced into the block."""
     which = draw(st.sampled_from([1, 2]))
-    key = draw(st.sampled_from(sorted(coordnet.corpus._HEADER_KEYS | {"timestamps", "kinds",
-                                                                      *CODE_KEYS})))
+    key = draw(st.sampled_from(sorted(
+        coordnet.corpus._HEADER_KEYS | {"timestamps", "kinds", "tweet_ids", *LENGTH_AND_CODE_KEYS}
+    )))
     action = draw(st.sampled_from(["column", "cell", "drop", "repeat", "splice"]))
     junk = draw(_junk)
     number = draw(st.integers(min_value=-(2**63), max_value=2**63 - 1))
+    blob = draw(st.one_of(st.binary(max_size=4), st.sampled_from([b"\xed\xa0\x80", b"\xc3"])))
     row = draw(st.integers(min_value=0, max_value=2))
     splice = draw(st.sampled_from(
         [b"\\ud800", b"\\udc00", b"[" * 50_000, b"Z", b",", b'"', b"\\u0041", b"\n", b"\xff", b"\x00"]
@@ -725,20 +886,26 @@ def _block_mutation(draw):
     at = draw(st.integers(min_value=0, max_value=400))
 
     def mutate(header, columns):
-        part = _part(header, columns, key)
-        column = part[key]
         if action == "splice":
             raw = encode_block(header, columns, header["widths"])
             return raw[:at] + splice + raw[at:]
+        # the body as written before a header value changes
+        body = encode_body(header, columns, header["widths"])
+        part = _part(header, columns, key)
+        column = part[key]
         if part is columns and action in ("column", "cell"):
-            # any int the column's bytes hold
-            width = dict(body_columns(header["widths"]))[key]
-            value = (number + (1 << 63)) % (1 << 8 * width) - (1 << 8 * width - 1)
+            if key == "tweet_ids":
+                value = blob
+            else:
+                # any int the column's bytes hold
+                width = dict(body_columns(header["widths"]))[key]
+                value = (number + (1 << 63)) % (1 << 8 * width) - (1 << 8 * width - 1)
+                value += header["base"] if key == "timestamps" else 0
             if action == "column":
                 part[key] = [value] * len(column)
             else:
                 column[min(row, len(column) - 1)] = value
-        elif action == "column":
+        elif action == "column" or type(column) is not list:
             part[key] = junk
         elif column:
             cell = min(row, len(column) - 1)
@@ -748,7 +915,7 @@ def _block_mutation(draw):
                 column.pop(cell)
             else:
                 column.append(column[cell])
-        return None
+        return _canonical(header) + b"\n" + body if part is header else None
 
     return which, mutate
 

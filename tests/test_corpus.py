@@ -93,6 +93,34 @@ class TestParsing:
         with pytest.raises(CorpusError, match="kind"):
             parse_one(jsonl_line(tweet_id="t", account_id="a", timestamp=0, kind="quote"))
 
+    @pytest.mark.parametrize(
+        "language,expected",
+        [
+            (None, "und"),
+            ("", "und"),
+            ("fr", "fr"),
+            (0, "bad_language"),
+            (False, "bad_language"),
+            ([], "bad_language"),
+            ({}, "bad_language"),
+            (0.0, "bad_language"),
+            (1, "bad_language"),
+            (["en"], "bad_language"),
+        ],
+        ids=repr,
+    )
+    def test_only_missing_null_or_empty_language_defaults_to_und(self, language, expected):
+        line = jsonl_line(tweet_id="t", account_id="a", timestamp=0, kind="original")
+        with_language = jsonl_line(
+            tweet_id="t", account_id="a", timestamp=0, kind="original", language=language
+        )
+        for text in (with_language, line) if language is None else (with_language,):
+            corpus = parse_corpus(iter([text]))
+            if expected == "bad_language":
+                assert len(corpus) == 0 and corpus.skip_reasons == {"bad_language": 1}
+            else:
+                assert corpus.languages == [expected] and corpus.skipped == 0
+
     def test_bad_timestamp_rejected_not_dropped(self):
         line = jsonl_line(tweet_id="t", account_id="a", timestamp="someday", kind="original")
         with pytest.raises(CorpusError):

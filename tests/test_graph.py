@@ -5,8 +5,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordnet import graph as graph_module
+from coordnet.config import DUPLICATE_SCOPES
+from coordnet.corpus import KINDS
 from coordnet.detectors import EdgeTable
 from coordnet.graph import (
     Cluster,
@@ -31,6 +35,7 @@ from helpers import (
     member_of,
     oracle_activity_shares,
     oracle_components,
+    oracle_duplicate_shares,
     oracle_retweet_interactions,
     oracle_story_share,
     rec,
@@ -492,3 +497,27 @@ class TestDuplicateShares:
     def test_unknown_scope_rejected(self):
         with pytest.raises(ValueError):
             duplicate_shares(corpus_of(), scope="global")
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c", "d"]),
+                st.sampled_from(KINDS),
+                # texts that normalize alike: case, "#", punctuation,
+                # spacing, URLs and mentions
+                st.sampled_from(["Hi there", "hi  there!", "#hi there", "HI THERE",
+                                 "hi there http://x.example/1", "@bob hi", "@al hi", "bye", ""]),
+            ),
+            max_size=40,
+        ),
+        scope=st.sampled_from(DUPLICATE_SCOPES),
+    )
+    def test_matches_oracle(self, rows, scope):
+        # accounts may post only replies and retweets, and the corpus may be empty
+        records = [
+            rec(i, account, BASE_TS + i, kind, text=text, rt_id="x" if kind == "retweet" else None)
+            for i, (account, kind, text) in enumerate(rows)
+        ]
+        corpus = corpus_of(*records)
+        assert duplicate_shares(corpus, scope) == oracle_duplicate_shares(corpus, scope)

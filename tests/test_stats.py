@@ -20,7 +20,7 @@ from coordnet.stats import (
     column_deltas,
     day_codes,
     daily_mean_confidence,
-    daily_mean_series,
+    daily_means,
     kappa_from_table,
     language_mix,
     left_sum,
@@ -651,8 +651,8 @@ MAY_1_2017 = 17287  # days since 1970-01-01
 
 class TestDailySeries:
     def test_fills_gaps_with_none(self):
-        series = daily_mean_series(
-            np.array([MAY_1_2017, MAY_1_2017, MAY_1_2017 + 2]), np.array([0.4, 0.6, 1.0])
+        series = daily_means(np.array([MAY_1_2017, MAY_1_2017, MAY_1_2017 + 2]))(
+            np.array([0.4, 0.6, 1.0])
         )
         assert series == [
             ("2017-05-01", 0.5),
@@ -661,12 +661,12 @@ class TestDailySeries:
         ]
 
     def test_empty(self):
-        assert daily_mean_series(np.array([], dtype=np.int64), np.array([])) == []
+        assert daily_means(np.array([], dtype=np.int64))(np.array([])) == []
 
     def test_day_codes_floor_before_1970(self):
         records = [rec(1, "a", -1), rec(2, "a", 0), rec(3, "a", -86_400), rec(4, "a", -86_401)]
         assert day_codes(records).tolist() == [-1, 0, -1, -2]
-        series = daily_mean_series(day_codes(records), np.array([1.0, 2.0, 3.0, 4.0]))
+        series = daily_means(day_codes(records))(np.array([1.0, 2.0, 3.0, 4.0]))
         assert series == [("1969-12-30", 4.0), ("1969-12-31", 2.0), ("1970-01-01", 2.0)]
 
     def test_planted_peak_day_is_argmax(self):
