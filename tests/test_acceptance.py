@@ -888,16 +888,18 @@ def test_criterion_11_cache_bytes_and_load_memory_per_record(tmp_path):
     (n0, cache0), (n1, cache1) = caches
     added = n1 - n0
     per_record = (cache1.stat().st_size - cache0.stat().st_size) / added
-    # Each record writes in its block's body its timestamp's offset from
-    # the block's midpoint, its kind, its tweet id's byte length, its
-    # seven codes and its tweet id's bytes, each integer in the fewest
-    # bytes that hold its block's values; its retweet target, text and
-    # tags are written once per file. 39.4 B measured; int64 timestamps
-    # and tweet ids in the JSON header measured 47.4 B, codes as JSON
+    # Each record writes in its block's body its timestamp, kind, tweet
+    # id suffix length and seven codes, each as an offset from its
+    # column's base in the fewest bytes that hold the block's offsets
+    # (none for a column of one value), then its tweet id's bytes after
+    # the block's common prefix; its retweet target, text and tags are
+    # written once per file. 31.5 B measured; one base, for the
+    # timestamps only, and whole tweet ids measured 39.4 B, int64
+    # timestamps and tweet ids in the JSON header 47.4 B, codes as JSON
     # ints 59.2 B, and values written per row 73.0 B.
-    assert per_record <= 44, f"cache grew {per_record:.1f} B per record"
+    assert per_record <= 35, f"cache grew {per_record:.1f} B per record"
     held = (load_cache_held_bytes(cache1) - load_cache_held_bytes(cache0)) / added
-    # A 4-byte code per row in each coded column: 154.5 B measured (the
+    # A 4-byte code per row in each coded column: 156.0 B measured (the
     # tweet id string dominates). An 8-byte list slot per row in six of
     # them, each pointing at a shared object, measured 178.2 B; one decoded
     # string per row and column, as a per-row cache gives, 234 B.

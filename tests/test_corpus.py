@@ -1,6 +1,7 @@
 """Corpus parsing, normalization, and indexing."""
 
 import io
+import json
 import random
 
 import pytest
@@ -120,6 +121,31 @@ class TestParsing:
                 assert len(corpus) == 0 and corpus.skip_reasons == {"bad_language": 1}
             else:
                 assert corpus.languages == [expected] and corpus.skipped == 0
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            (None, ""),
+            ("", ""),
+            ("hi", "hi"),
+            (0, "bad_text"),
+            (False, "bad_text"),
+            ([], "bad_text"),
+            ({}, "bad_text"),
+        ],
+        ids=repr,
+    )
+    def test_only_missing_null_or_string_text_is_kept(self, text, expected):
+        record = {"tweet_id": "t", "account_id": "a", "timestamp": 0, "kind": "original"}
+        lines = [json.dumps(dict(record, text=text))]
+        if text is None:
+            lines.append(json.dumps(record))
+        for line in lines:
+            corpus = parse_corpus(iter([line]))
+            if expected == "bad_text":
+                assert len(corpus) == 0 and corpus.skip_reasons == {"bad_text": 1}
+            else:
+                assert corpus.texts == [expected] and corpus.skipped == 0
 
     def test_bad_timestamp_rejected_not_dropped(self):
         line = jsonl_line(tweet_id="t", account_id="a", timestamp="someday", kind="original")
